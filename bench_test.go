@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"graphzeppelin"
 	"graphzeppelin/internal/baseline/aspenlike"
@@ -470,6 +471,94 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServeCycle measures the interleaved query workload of Figure 16
+// the way the repository benchmark's serve phase does, on one core at
+// kron scale 11 (2 048 nodes): one op is a 1 % slice of the stream, a
+// ConnectedComponents that must flush every node's partially filled gutter
+// (≈10 updates each) and answer from scratch, then a four-edge trickle on
+// a node the stream never touches and the delta query that follows it.
+// Small-batch Slab.Apply, the gutter freelist, before-image capture and
+// the first Boruvka round's singleton roots all sit on this path and on
+// no other benchmark in this file. Smoke-run in CI; rows in README "Query
+// cost model".
+func BenchmarkServeCycle(b *testing.B) {
+	const slices = 100
+	res := experiments.KronStream(11, 1)
+	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.ApplyBatch(res.Updates); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := g.ConnectedComponents(); err != nil { // the baseline the first slice query falls back from
+		b.Fatal(err)
+	}
+	cut := make(map[uint32]bool, len(res.Disconnected))
+	for _, v := range res.Disconnected {
+		cut[v] = true
+	}
+	reserved := res.Disconnected[0]
+	var attach, detach []graphzeppelin.Update
+	for v := uint32(0); len(attach) < 4; v++ {
+		if !cut[v] {
+			eg := graphzeppelin.Edge{U: reserved, V: v}
+			attach = append(attach, graphzeppelin.Update{Edge: eg, Type: graphzeppelin.Insert})
+			detach = append(detach, graphzeppelin.Update{Edge: eg, Type: graphzeppelin.Delete})
+		}
+	}
+	// query times one answer and, inside it, the drain: the explicit Flush
+	// does what the query's own would, forcing the gutters out and
+	// applying them, and leaves the query only its Boruvka rounds.
+	query := func() (total, drain time.Duration) {
+		t0 := time.Now()
+		if err := g.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if _, _, err := g.ConnectedComponents(); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0), t1.Sub(t0)
+	}
+	before := g.Stats()
+	var cold, coldDrain, delta time.Duration
+	updates := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Sketches are linear over Z_2, so replaying the stream slice by
+		// slice walks the graph to empty and back; every slice dirties
+		// nearly every node either way.
+		lo, hi := len(res.Updates)*(i%slices)/slices, len(res.Updates)*(i%slices+1)/slices
+		if err := g.ApplyBatch(res.Updates[lo:hi]); err != nil {
+			b.Fatal(err)
+		}
+		total, drain := query()
+		cold += total
+		coldDrain += drain
+		trickle := attach
+		if i%2 == 1 {
+			trickle = detach
+		}
+		if err := g.ApplyBatch(trickle); err != nil {
+			b.Fatal(err)
+		}
+		total, _ = query()
+		delta += total
+		updates += hi - lo + len(trickle)
+	}
+	b.StopTimer()
+	after := g.Stats()
+	if d, f := after.DeltaQueries-before.DeltaQueries, after.DeltaFallbacks-before.DeltaFallbacks; d != uint64(b.N) || f != uint64(b.N) {
+		b.Fatalf("%d cycles answered %d delta queries and %d from-scratch fallbacks; want one of each per cycle", b.N, d, f)
+	}
+	b.ReportMetric(float64(updates)/b.Elapsed().Seconds()/1e6, "Mupd/s")
+	b.ReportMetric(float64(cold.Microseconds())/1e3/float64(b.N), "cold-ms")
+	b.ReportMetric(float64(coldDrain.Microseconds())/1e3/float64(b.N), "cold-drain-ms")
+	b.ReportMetric(float64(delta.Microseconds())/1e3/float64(b.N), "delta-ms")
 }
 
 // --- Out-of-core tier: grouped slots + write-back cache ---

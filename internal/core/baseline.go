@@ -60,10 +60,9 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 	// so the reset and re-mark cannot race a worker's Set.
 	for _, sh := range e.shards {
 		sh.dirty.ClearAll()
-		sh.before = nil
 	}
+	e.releaseBeforeLocked()
 	e.dirtyAll.Store(false)
-	e.beforeNodes.Store(0)
 
 	// Diff the serialized node slots. Equal bytes mean equal sketches, so
 	// the set of differing nodes is exactly the set whose cut information
@@ -86,11 +85,7 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 			// materialization needs for this node. Past the capture limit
 			// the query falls back anyway, so stop storing copies.
 			if e.beforeNodes.Load() < e.beforeLimit {
-				if shA.before == nil {
-					shA.before = make(map[uint32][]byte)
-				}
-				shA.before[node] = append([]byte(nil), theirs...)
-				e.beforeNodes.Add(1)
+				copy(e.addBefore(shA, node), theirs)
 			}
 		}
 	}

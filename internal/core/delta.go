@@ -323,24 +323,9 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, meta []byte) {
 // does. Must run BEFORE the mutation, under the quiesce write lock with
 // the workers idle.
 func (e *Engine) markChangedNode(node uint32) {
-	home, local := e.shardOf(node)
-	if e.store == nil && !e.dirtyAll.Load() {
-		first := true
-		for _, s := range e.shards {
-			if s.dirty.Test(uint64(node)) {
-				first = false
-				break
-			}
-		}
-		if first && e.beforeNodes.Load() < e.beforeLimit {
-			buf := make([]byte, e.slotSize)
-			home.slab.MarshalNode(local, buf)
-			if home.before == nil {
-				home.before = make(map[uint32][]byte)
-			}
-			home.before[node] = buf
-			e.beforeNodes.Add(1)
-		}
+	home, _ := e.shardOf(node)
+	if e.store == nil {
+		e.captureBefore(home, node)
 	}
 	home.dirty.Set(uint64(node))
 	home.dirtySeal.Set(uint64(node))

@@ -333,7 +333,11 @@ type shard struct {
 	// exclusivity covers migrated slices); read, replaced and cleared only
 	// under the quiesce write lock with the workers idle.
 	before map[uint32][]byte
-	_      [gutter.CacheLine]byte
+	// beforeFree holds the image buffers the last cached query handed back
+	// (releaseBeforeLocked), for the next captures to reuse; same access
+	// discipline as before.
+	beforeFree [][]byte
+	_          [gutter.CacheLine]byte
 
 	// Worker-written counters, padded off the read-mostly fields above so
 	// per-batch increments never invalidate a neighbor's hot line.
@@ -949,14 +953,46 @@ func (e *Engine) captureBefore(sh *shard, node uint32) {
 	if e.beforeNodes.Load() >= e.beforeLimit {
 		return
 	}
-	buf := make([]byte, e.slotSize)
 	home, local := e.shardOf(node)
-	home.slab.MarshalNode(local, buf)
+	home.slab.MarshalNode(local, e.addBefore(sh, node))
+}
+
+// addBefore registers a before-image for node in sh's map, counts it, and
+// returns its slot-sized buffer for the caller to fill — one the last
+// cached query handed back to sh's pool when there is one. The caller has
+// checked beforeLimit and owns sh (its worker, or anyone under the quiesce
+// write lock with the workers idle).
+func (e *Engine) addBefore(sh *shard, node uint32) []byte {
+	var buf []byte
+	if n := len(sh.beforeFree); n > 0 {
+		buf, sh.beforeFree = sh.beforeFree[n-1], sh.beforeFree[:n-1]
+	} else {
+		buf = make([]byte, e.slotSize)
+	}
 	if sh.before == nil {
 		sh.before = make(map[uint32][]byte)
 	}
 	sh.before[node] = buf
 	e.beforeNodes.Add(1)
+	return buf
+}
+
+// releaseBeforeLocked drops every before-image — their baseline has been
+// superseded — and keeps the buffers, up to beforeLimit per shard, for the
+// next captures: without the pool every query cycle allocates, zeroes and
+// discards a slot-sized buffer per first-dirtied node. The caller holds
+// the quiesce write lock with the workers idle, and no query session that
+// flattened the maps is still running.
+func (e *Engine) releaseBeforeLocked() {
+	for _, sh := range e.shards {
+		for _, img := range sh.before {
+			if uint64(len(sh.beforeFree)) < e.beforeLimit {
+				sh.beforeFree = append(sh.beforeFree, img)
+			}
+		}
+		clear(sh.before)
+	}
+	e.beforeNodes.Store(0)
 }
 
 func (e *Engine) setErr(err error) {

@@ -175,12 +175,11 @@ func (e *Engine) cacheResultLocked(res *queryResult) {
 	e.queryCache.Store(res)
 	for _, sh := range e.shards {
 		sh.dirty.ClearAll()
-		// The before-images' baseline is superseded by res: the next first
-		// dirtying of a node captures a fresh image relative to it.
-		sh.before = nil
 	}
+	// The before-images' baseline is superseded by res: the next first
+	// dirtying of a node captures a fresh image relative to it.
+	e.releaseBeforeLocked()
 	e.dirtyAll.Store(false)
-	e.beforeNodes.Store(0)
 }
 
 // SpanningForest flushes all buffered updates and recovers a spanning
@@ -297,7 +296,10 @@ type querySession struct {
 	roots    []uint32 // live roots this round, in deterministic order
 	starts   []int    // prefix offsets into order, len(roots)+1
 	order    []uint32 // contributing live nodes grouped by root, ascending
-	scanBuf  []byte   // disk mode: sequential-scan chunk buffer
+	// arenaSlot is sampleRound's root -> arena node map, parallel to roots;
+	// -1 marks a root sampled in place from its one member's slab sketch.
+	arenaSlot []int32
+	scanBuf   []byte // disk mode: sequential-scan chunk buffer
 
 	// material and before drive the delta query's diff materialization
 	// (runDeltaBoruvka): per-node contribution tags and the before-images
@@ -582,11 +584,27 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 // fans only the sampling.
 func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emptied []uint32, err error) {
 	nr := len(q.roots)
-	// One single-round arena holds every live root's supernode sketch:
-	// two allocations, mergeable with the shard slabs by construction
-	// (same vector length, columns, and round seed).
-	arena := cubesketch.NewSlab(nr, e.vecLen, e.cfg.Columns, []uint64{e.roundSeed(round)})
 	ramMode := e.store == nil
+	// One single-round arena holds the supernode sketches that have to be
+	// summed: two allocations, mergeable with the shard slabs by
+	// construction (same vector length, columns, and round seed). In RAM
+	// mode a root whose one contributing member contributes its live
+	// sketch as is — every root of a from-scratch query's first round — IS
+	// that member's slab sketch and is sampled in place: its arenaSlot is
+	// -1 and the arena holds the other roots only. Disk mode sums every
+	// root out of the scan buffer.
+	q.arenaSlot = q.arenaSlot[:0]
+	summed := 0
+	for i := 0; i < nr; i++ {
+		if ramMode && q.starts[i+1]-q.starts[i] == 1 &&
+			(q.material == nil || q.material[q.order[q.starts[i]]] != matDiff) {
+			q.arenaSlot = append(q.arenaSlot, -1)
+			continue
+		}
+		q.arenaSlot = append(q.arenaSlot, int32(summed))
+		summed++
+	}
+	arena := cubesketch.NewSlab(summed, e.vecLen, e.cfg.Columns, []uint64{e.roundSeed(round)})
 	if !ramMode {
 		if err := e.scanRoundFromDisk(q, arena, round); err != nil {
 			return nil, nil, err
@@ -619,8 +637,15 @@ func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emp
 			var acc, view cubesketch.Sketch
 			roundOff := round * e.sketchSize
 			for i := lo; i < hi; i++ {
-				arena.View(i, 0, &acc)
-				if ramMode {
+				slot := q.arenaSlot[i]
+				if slot < 0 {
+					// Read-only, like the merges below: Query mutates nothing.
+					sh, local := e.shardOf(q.order[q.starts[i]])
+					sh.slab.View(local, round, &acc)
+				} else {
+					arena.View(int(slot), 0, &acc)
+				}
+				if ramMode && slot >= 0 {
 					// Materialize: XOR every contributing member's round-r
 					// sketch view straight out of the owning shard's slab
 					// (read-only; the workers are quiescent under the write

@@ -30,15 +30,34 @@ func BenchmarkUpdate(b *testing.B) {
 	}
 }
 
-func BenchmarkUpdateBatch(b *testing.B) {
-	s := New(1e9, 0, 1)
-	batch := benchIndices(1e9, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.UpdateBatch(batch)
+// BenchmarkSlabApply sweeps the bucket-XOR kernel over batch lengths on
+// the scale-11 engine geometry (2 048 nodes × 13 rounds × 7 columns × 23
+// rows, a 50 MB arena — an order of magnitude past L2), a different node
+// every iteration so each call starts on cold buckets, as a Graph Worker's
+// does. size=10 is what a 1 % serve slice leaves per node before a query
+// forces the flush, size=5500 a full leaf gutter; the sweep is the row
+// that fixes scatterMax.
+func BenchmarkSlabApply(b *testing.B) {
+	const nodes, rounds = 2048, 13
+	const n = nodes * (nodes - 1) / 2
+	seeds := make([]uint64, rounds)
+	for r := range seeds {
+		seeds[r] = uint64(r+1) * 0x51ed270693a3f
 	}
-	b.StopTimer()
-	b.ReportMetric(1024, "updates/op")
+	sl := NewSlab(nodes, n, 0, seeds)
+	pool := benchIndices(n, 1<<16)
+	for _, size := range []int{4, 10, 40, 128, 1000, 5500} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			off := 0
+			for i := 0; i < b.N; i++ {
+				sl.Apply(i%nodes, pool[off:off+size])
+				if off += size; off+size > len(pool) {
+					off = 0
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/index")
+		})
+	}
 }
 
 func BenchmarkMerge(b *testing.B) {

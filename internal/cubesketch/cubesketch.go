@@ -22,10 +22,14 @@
 //
 // Everything a column needs for an index — the bucket depth and the
 // checksum — derives from a single 64-bit hash per column: the depth from
-// the trailing zeros, the checksum from the high 32 bits. One hash call
-// and one bucket write per (column, index), with no data-dependent inner
-// loop, keeps Update — the system's hottest path — latency-bound on just
-// two multiplies.
+// the trailing zeros, the checksum from the high 32 bits. That is one hash
+// call (two multiplies) per (column, index) with no data-dependent inner
+// loop. Update, the per-index definition, follows it with one bucket
+// write. The batched entry points — UpdateBatch and Slab.Apply, the
+// system's hottest path — share one kernel (xorBatch, kernel.go) that
+// hashes four columns per pass over the batch and, by batch length, either
+// writes buckets directly like Update or folds the batch into stack
+// accumulators first and writes each bucket once per batch.
 package cubesketch
 
 import (
@@ -55,18 +59,6 @@ var (
 
 // seed-derivation constant; an arbitrary odd 64-bit value.
 const membershipSalt = 0x9e3779b97f4a7c15
-
-// maxRows bounds NumRows over every legal vector length:
-// bits.Len64(n-1) + 2 ≤ 66. The batched update kernel keeps one
-// (alpha, gamma) accumulator pair per row on the stack, so the bound must
-// be a compile-time constant.
-const maxRows = 66
-
-// batchKernelMin is the batch size below which UpdateBatch falls back to
-// the per-update path: for tiny batches, zeroing and replaying 2×rows
-// accumulator words per column costs more than the handful of scattered
-// bucket writes it saves.
-const batchKernelMin = 4
 
 // Sketch is a CubeSketch of a vector in Z_2^n.
 type Sketch struct {
@@ -168,65 +160,12 @@ func (s *Sketch) Update(idx uint64) {
 }
 
 // UpdateBatch toggles each index in batch. Bucket-identical to calling
-// Update on each element (XOR accumulation is order-independent), but the
-// batched kernel is structured for throughput: the bounds check and the
-// updates counter are hoisted out of the loop, and instead of one
-// read-modify-write of the bucket arrays per (column, index), each
-// column's (alpha, gamma) XOR deltas accumulate in a stack-resident
-// per-row scratch and land on the bucket arrays in one sequential pass of
-// word-wide writes.
+// Update on each element (XOR accumulation is order-independent), through
+// the same bucket-XOR kernel as Slab.Apply (xorBatch), which validates the
+// whole batch once and picks its regime by len(batch).
 func (s *Sketch) UpdateBatch(batch []uint64) {
-	if len(batch) < batchKernelMin {
-		for _, idx := range batch {
-			s.Update(idx)
-		}
-		return
-	}
-	for _, idx := range batch {
-		if idx >= s.n {
-			panic(fmt.Sprintf("cubesketch: index %d out of range for n=%d", idx, s.n))
-		}
-	}
+	xorBatch(s.n, s.rows, s.colSeeds, s.alphas, s.gammas, batch)
 	s.updates += uint64(len(batch))
-	rows := s.rows
-	var alphaAcc [maxRows]uint64
-	var gammaAcc [maxRows]uint32
-	base := 0
-	for _, cs := range s.colSeeds {
-		accumulateColumn(cs, batch, rows, &alphaAcc, &gammaAcc)
-		applyColumn(s.alphas[base:base+rows], s.gammas[base:base+rows], &alphaAcc, &gammaAcc)
-		base += rows
-	}
-}
-
-// accumulateColumn zeroes the first rows accumulator entries and XORs one
-// column's (alpha, gamma) deltas for every index in batch into them. All
-// indices must already be validated against the vector length.
-func accumulateColumn(cs uint64, batch []uint64, rows int, alphaAcc *[maxRows]uint64, gammaAcc *[maxRows]uint32) {
-	for i := 0; i < rows; i++ {
-		alphaAcc[i] = 0
-		gammaAcc[i] = 0
-	}
-	last := rows - 1
-	for _, idx := range batch {
-		h := hashing.Mix64(cs, idx)
-		depth := bits.TrailingZeros64(h)
-		if depth > last {
-			depth = last
-		}
-		alphaAcc[depth] ^= idx + 1
-		gammaAcc[depth] ^= uint32(h >> 32)
-	}
-}
-
-// applyColumn lands one column's accumulated deltas on its bucket arrays
-// in a single sequential pass. alphas and gammas have length rows, which
-// hoists every bounds check out of the loop.
-func applyColumn(alphas []uint64, gammas []uint32, alphaAcc *[maxRows]uint64, gammaAcc *[maxRows]uint32) {
-	for i := range alphas {
-		alphas[i] ^= alphaAcc[i]
-		gammas[i] ^= gammaAcc[i]
-	}
 }
 
 // Query returns the position of some nonzero entry of the sketched vector.

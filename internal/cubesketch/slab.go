@@ -24,11 +24,11 @@ type Slab struct {
 	rows     int
 	rounds   int
 	nodes    int
-	seeds    []uint64   // per-round sketch seeds
-	colSeeds [][]uint64 // per-round per-column hash seeds
-	stride   int        // buckets per sketch = cols*rows
-	alphas   []uint64   // nodes × rounds × stride
-	gammas   []uint32   // parallel to alphas
+	seeds    []uint64 // per-round sketch seeds
+	colSeeds []uint64 // rounds × cols hash seeds, round-major like the arena
+	stride   int      // buckets per sketch = cols*rows
+	alphas   []uint64 // nodes × rounds × stride
+	gammas   []uint32 // parallel to alphas
 }
 
 // NewSlab allocates an arena for nodes node sketches of len(seeds) rounds
@@ -50,17 +50,16 @@ func NewSlab(nodes int, n uint64, cols int, seeds []uint64) *Slab {
 	}
 	rows := NumRows(n)
 	sl := &Slab{
-		n:        n,
-		cols:     cols,
-		rows:     rows,
-		rounds:   len(seeds),
-		nodes:    nodes,
-		seeds:    append([]uint64(nil), seeds...),
-		colSeeds: make([][]uint64, len(seeds)),
-		stride:   cols * rows,
+		n:      n,
+		cols:   cols,
+		rows:   rows,
+		rounds: len(seeds),
+		nodes:  nodes,
+		seeds:  append([]uint64(nil), seeds...),
+		stride: cols * rows,
 	}
-	for r, seed := range sl.seeds {
-		sl.colSeeds[r] = colSeeds(seed, cols)
+	for _, seed := range sl.seeds {
+		sl.colSeeds = append(sl.colSeeds, colSeeds(seed, cols)...)
 	}
 	sl.alphas = make([]uint64, nodes*sl.rounds*sl.stride)
 	sl.gammas = make([]uint32, nodes*sl.rounds*sl.stride)
@@ -86,7 +85,7 @@ func (sl *Slab) View(node, round int, s *Sketch) {
 	s.cols = sl.cols
 	s.rows = sl.rows
 	s.seed = sl.seeds[round]
-	s.colSeeds = sl.colSeeds[round]
+	s.colSeeds = sl.colSeeds[round*sl.cols : (round+1)*sl.cols]
 	s.alphas = sl.alphas[off:end:end]
 	s.gammas = sl.gammas[off:end:end]
 	s.updates = 0
@@ -143,48 +142,20 @@ func (sl *Slab) MergeNodeBinary(node int, buf []byte) error {
 }
 
 // Apply toggles every index in batch in all rounds of node's sketch. The
-// node's rounds are adjacent in the arena, so the traversal is sequential.
-//
-// Large batches take the batched bucket-XOR kernel: per (round, column)
-// the batch's (alpha, gamma) XOR deltas accumulate per touched bucket row
-// in stack accumulators (hashing each index inline as it is consumed),
-// and the deltas land on the arena in one sequential pass of word-wide
-// writes — the bounds check runs once per batch instead of once per
-// update. The result is bucket-identical to applying each update
-// individually, because XOR accumulation commutes.
+// node's rounds are adjacent in the arena, so they are one run of
+// rounds × cols columns to the bucket-XOR kernel (xorBatch), which picks
+// its regime by len(batch). The result is bucket-identical to applying
+// each update individually, because XOR accumulation commutes. An
+// out-of-range index panics before the slab is touched.
 //
 // All scratch is per-call, so concurrent Apply calls on *distinct* nodes
 // of the same slab are safe: they write disjoint arena ranges (the
 // engine's rebalanced workers rely on this). Concurrent calls on the same
 // node race.
 func (sl *Slab) Apply(node int, batch []uint64) {
-	if len(batch) < batchKernelMin {
-		var v Sketch
-		for r := 0; r < sl.rounds; r++ {
-			sl.View(node, r, &v)
-			for _, idx := range batch {
-				v.Update(idx)
-			}
-		}
-		return
-	}
-	for _, idx := range batch {
-		if idx >= sl.n {
-			panic(fmt.Sprintf("cubesketch: index %d out of range for n=%d", idx, sl.n))
-		}
-	}
-	rows := sl.rows
-	var alphaAcc [maxRows]uint64
-	var gammaAcc [maxRows]uint32
-	for r := 0; r < sl.rounds; r++ {
-		seeds := sl.colSeeds[r]
-		base := (node*sl.rounds + r) * sl.stride
-		for c, cs := range seeds {
-			accumulateColumn(cs, batch, rows, &alphaAcc, &gammaAcc)
-			off := base + c*rows
-			applyColumn(sl.alphas[off:off+rows], sl.gammas[off:off+rows], &alphaAcc, &gammaAcc)
-		}
-	}
+	per := sl.rounds * sl.stride
+	off := node * per
+	xorBatch(sl.n, sl.rows, sl.colSeeds, sl.alphas[off:off+per], sl.gammas[off:off+per], batch)
 }
 
 // SketchSize returns the serialized size of one round's sketch.

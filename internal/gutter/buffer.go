@@ -48,12 +48,20 @@ type Buffer interface {
 type freelist struct {
 	mu   sync.Mutex
 	bufs [][]uint32
+	// max bounds the retained buffers; zero means freelistDefault.
+	max int
 }
+
+// freelistDefault bounds a freelist whose owner emits batches as it goes,
+// so only a queue's worth of buffers is ever out at once.
+const freelistDefault = 64
 
 // get returns an empty buffer with at least the given capacity,
 // preferring a recycled one. Undersized entries are kept for later,
-// smaller requests (the gutter tree emits variable-size leaf batches);
-// the list is small and bounded, so the first-fit scan is cheap.
+// smaller requests (the gutter tree emits variable-size leaf batches):
+// that list is small, so the first-fit scan is cheap. The leaf gutters'
+// list can be long, but every buffer in it fits every request, so the
+// scan stops at the first entry.
 func (f *freelist) get(capacity int) []uint32 {
 	f.mu.Lock()
 	for i := len(f.bufs) - 1; i >= 0; i-- {
@@ -72,13 +80,18 @@ func (f *freelist) get(capacity int) []uint32 {
 	return make([]uint32, 0, capacity)
 }
 
-// put returns a buffer to the freelist.
+// put returns a buffer to the freelist, dropping it when the list is at
+// its bound.
 func (f *freelist) put(buf []uint32) {
 	if cap(buf) == 0 {
 		return
 	}
+	limit := f.max
+	if limit == 0 {
+		limit = freelistDefault
+	}
 	f.mu.Lock()
-	if len(f.bufs) < 64 { // bound retained memory
+	if len(f.bufs) < limit {
 		f.bufs = append(f.bufs, buf[:0])
 	}
 	f.mu.Unlock()

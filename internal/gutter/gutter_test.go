@@ -179,6 +179,39 @@ func TestRecycleReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestForcedFlushRecyclesEveryBuffer pins the query-time cycle of the
+// interleaved workload: a little lands in every gutter, Flush forces all
+// of them out at once, the consumer recycles them, and the next round's
+// first insert per node must find a buffer waiting instead of allocating
+// (and zeroing) a full-capacity one. More nodes than freelistDefault, so a
+// fixed-size freelist fails it.
+func TestForcedFlushRecyclesEveryBuffer(t *testing.T) {
+	const nodes = 4 * freelistDefault
+	out := make([][]uint32, 0, nodes)
+	g := NewLeafGutters(nodes, 1000, 2, 1, func(b Batch) { out = append(out, b.Others) })
+	cycle := func() {
+		for i := uint32(0); i < 3; i++ {
+			for node := uint32(0); node < nodes; node++ {
+				g.Insert(node, i)
+			}
+		}
+		if err := g.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != nodes {
+			t.Fatalf("Flush emitted %d batches, want %d", len(out), nodes)
+		}
+		for _, buf := range out {
+			g.Recycle(buf)
+		}
+		out = out[:0]
+	}
+	cycle() // the first round allocates every node's buffer
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("steady-state fill/Flush/Recycle cycle allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestLeafGuttersFlushOnFull(t *testing.T) {
 	r := newRecorder()
 	g := NewLeafGutters(4, 3, 2, 1, r.sink)

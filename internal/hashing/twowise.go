@@ -9,7 +9,8 @@ const MersennePrime61 = (1 << 61) - 1
 // TwoWise is a 2-wise-independent hash function h(x) = (a*x + b) mod p for
 // p = 2^61 - 1, mapping 61-bit inputs to 61-bit outputs. It backs the
 // theoretical guarantees of both samplers in tests; the production sketch
-// path uses xxHash for speed, as the paper's implementation does.
+// path hashes with Mix64 (two multiplies, xxhash.go) for speed, where the
+// paper's implementation uses xxHash.
 type TwoWise struct {
 	A, B uint64
 }
