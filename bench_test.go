@@ -367,22 +367,35 @@ func BenchmarkSpanningForest(b *testing.B) {
 // quiet graph, and delta queries after dirtying 0.1%, 1% and 10% of the
 // nodes — the delta path reuses the cached forest and re-solves only the
 // affected components, so latency scales with the dirty fraction instead
-// of the graph. Uses a kron scale-10 stream (1024 nodes) so the ratios
-// are robust. Recorded in BENCH_query.json and smoke-run in CI.
+// of the graph. The dirty modes insert fresh edges, the delta's intact
+// case. detach times the query after a reserved node's four edges to the
+// main component — one of them a cached forest edge — are deleted again,
+// its cut case (the attach query before it is reported as attach-ms); disk
+// is detach with the sketches out of core behind a cache of an eighth of
+// the store, where the delta reads the dirty nodes' groups and nothing
+// else. Uses a kron scale-10 stream (1024 nodes) so the ratios are robust.
+// Recorded in BENCH_query.json and smoke-run in CI.
 func BenchmarkConnectedAfterDelta(b *testing.B) {
 	res := experiments.KronStream(10, 1)
 	n := res.NumNodes
+	updates, attach, detach := reservedTrickle(res, 4)
 	modes := []struct {
 		name string
 		// frac is the node fraction dirtied before each timed query;
 		// -1 runs cold full queries, 0 queries a quiet warm cache.
 		frac float64
+		// detach replaces the fresh edges: every iteration attaches the
+		// reserved node and queries, off the clock, then detaches it.
+		detach bool
+		disk   bool
 	}{
-		{"cold", -1},
-		{"cached", 0},
-		{"dirty=0.1%", 0.001},
-		{"dirty=1%", 0.01},
-		{"dirty=10%", 0.1},
+		{name: "cold", frac: -1},
+		{name: "cached", frac: 0},
+		{name: "dirty=0.1%", frac: 0.001},
+		{name: "dirty=1%", frac: 0.01},
+		{name: "dirty=10%", frac: 0.1},
+		{name: "detach", frac: 0.001, detach: true},
+		{name: "disk", frac: 0.001, detach: true, disk: true},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -390,12 +403,22 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 			if mode.frac < 0 {
 				opts = append(opts, graphzeppelin.WithDeltaQueries(false))
 			}
+			if mode.disk {
+				probe, err := graphzeppelin.New(n, graphzeppelin.WithSketchesOnDisk(b.TempDir()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				store := probe.Stats().DiskBytes
+				probe.Close()
+				opts = append(opts, graphzeppelin.WithSketchesOnDisk(b.TempDir()),
+					graphzeppelin.WithCacheBytes(store/8), graphzeppelin.WithNodesPerGroup(4))
+			}
 			g, err := graphzeppelin.New(n, opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer g.Close()
-			for _, u := range res.Updates {
+			for _, u := range updates {
 				if err := g.Apply(u); err != nil {
 					b.Fatal(err)
 				}
@@ -438,10 +461,29 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 			if mode.frac > 0 && k < 1 {
 				k = 1
 			}
+			var attachTime time.Duration
 			b.ResetTimer()
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
-				if mode.frac != 0 {
+				if mode.detach {
+					if err := g.ApplyBatch(attach); err != nil {
+						b.Fatal(err)
+					}
+					if err := g.Flush(); err != nil {
+						b.Fatal(err)
+					}
+					t0 := time.Now()
+					if _, err := g.SpanningForest(); err != nil {
+						b.Fatal(err)
+					}
+					attachTime += time.Since(t0)
+					if err := g.ApplyBatch(detach); err != nil {
+						b.Fatal(err)
+					}
+					if err := g.Flush(); err != nil {
+						b.Fatal(err)
+					}
+				} else if mode.frac != 0 {
 					toggles := k
 					if mode.frac < 0 {
 						toggles = 1 // cold mode: any toggle invalidates the cache
@@ -469,6 +511,9 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 				}
 				b.ReportMetric(float64(st.DeltaFallbacks), "fallbacks")
 			}
+			if mode.detach {
+				b.ReportMetric(float64(attachTime.Microseconds())/1e3/float64(b.N), "attach-ms")
+			}
 		})
 	}
 }
@@ -477,88 +522,116 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 // the way the repository benchmark's serve phase does, on one core at
 // kron scale 11 (2 048 nodes): one op is a 1 % slice of the stream, a
 // ConnectedComponents that must flush every node's partially filled gutter
-// (≈10 updates each) and answer from scratch, then a four-edge trickle on
-// a node the stream never touches and the delta query that follows it.
-// Small-batch Slab.Apply, the gutter freelist, before-image capture and
-// the first Boruvka round's singleton roots all sit on this path and on
-// no other benchmark in this file. Smoke-run in CI; rows in README "Query
-// cost model".
+// (≈10 updates each) and answer from scratch, then a four-edge trickle
+// that attaches a reserved node to the main component (even cycles) or
+// detaches it again (odd cycles) and the delta query that follows it — the
+// attach is the delta's intact case, the detach deletes the node's one
+// forest edge and is its cut case, and the component count must drop and
+// rise in turn or the bench fails. Small-batch Slab.Apply, the gutter
+// freelist, before-image capture and the first Boruvka round's singleton
+// roots all sit on this path and on no other benchmark in this file.
+// Smoke-run in CI; rows in README "Query cost model".
 func BenchmarkServeCycle(b *testing.B) {
 	const slices = 100
-	res := experiments.KronStream(11, 1)
-	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(1))
+	updates, attach, detach := reservedTrickle(experiments.KronStream(11, 1), 4)
+	g, err := graphzeppelin.New(1<<11, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer g.Close()
-	if err := g.ApplyBatch(res.Updates); err != nil {
+	if err := g.ApplyBatch(updates); err != nil {
 		b.Fatal(err)
 	}
 	if _, _, err := g.ConnectedComponents(); err != nil { // the baseline the first slice query falls back from
 		b.Fatal(err)
 	}
-	cut := make(map[uint32]bool, len(res.Disconnected))
-	for _, v := range res.Disconnected {
-		cut[v] = true
-	}
-	reserved := res.Disconnected[0]
-	var attach, detach []graphzeppelin.Update
-	for v := uint32(0); len(attach) < 4; v++ {
-		if !cut[v] {
-			eg := graphzeppelin.Edge{U: reserved, V: v}
-			attach = append(attach, graphzeppelin.Update{Edge: eg, Type: graphzeppelin.Insert})
-			detach = append(detach, graphzeppelin.Update{Edge: eg, Type: graphzeppelin.Delete})
-		}
-	}
 	// query times one answer and, inside it, the drain: the explicit Flush
 	// does what the query's own would, forcing the gutters out and
 	// applying them, and leaves the query only its Boruvka rounds.
-	query := func() (total, drain time.Duration) {
+	query := func() (count int, total, drain time.Duration) {
 		t0 := time.Now()
 		if err := g.Flush(); err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		if _, _, err := g.ConnectedComponents(); err != nil {
+		_, count, err := g.ConnectedComponents()
+		if err != nil {
 			b.Fatal(err)
 		}
-		return time.Since(t0), t1.Sub(t0)
+		return count, time.Since(t0), t1.Sub(t0)
 	}
 	before := g.Stats()
-	var cold, coldDrain, delta time.Duration
-	updates := 0
+	var cold, coldDrain time.Duration
+	var trickled [2]time.Duration // attach, detach
+	applied := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Sketches are linear over Z_2, so replaying the stream slice by
 		// slice walks the graph to empty and back; every slice dirties
 		// nearly every node either way.
-		lo, hi := len(res.Updates)*(i%slices)/slices, len(res.Updates)*(i%slices+1)/slices
-		if err := g.ApplyBatch(res.Updates[lo:hi]); err != nil {
+		lo, hi := len(updates)*(i%slices)/slices, len(updates)*(i%slices+1)/slices
+		if err := g.ApplyBatch(updates[lo:hi]); err != nil {
 			b.Fatal(err)
 		}
-		total, drain := query()
+		count, total, drain := query()
 		cold += total
 		coldDrain += drain
-		trickle := attach
+		trickle, sign := attach, -1
 		if i%2 == 1 {
-			trickle = detach
+			trickle, sign = detach, +1
 		}
 		if err := g.ApplyBatch(trickle); err != nil {
 			b.Fatal(err)
 		}
-		total, _ = query()
-		delta += total
-		updates += hi - lo + len(trickle)
+		after, total, _ := query()
+		// By one against the full graph, by up to len(attach) where the
+		// replay has walked it down to near empty.
+		if (after-count)*sign <= 0 {
+			b.Fatalf("cycle %d: %d components before the trickle, %d after: it did not change the partition", i, count, after)
+		}
+		trickled[i%2] += total
+		applied += hi - lo + len(trickle)
 	}
 	b.StopTimer()
 	after := g.Stats()
 	if d, f := after.DeltaQueries-before.DeltaQueries, after.DeltaFallbacks-before.DeltaFallbacks; d != uint64(b.N) || f != uint64(b.N) {
 		b.Fatalf("%d cycles answered %d delta queries and %d from-scratch fallbacks; want one of each per cycle", b.N, d, f)
 	}
-	b.ReportMetric(float64(updates)/b.Elapsed().Seconds()/1e6, "Mupd/s")
+	b.ReportMetric(float64(applied)/b.Elapsed().Seconds()/1e6, "Mupd/s")
 	b.ReportMetric(float64(cold.Microseconds())/1e3/float64(b.N), "cold-ms")
 	b.ReportMetric(float64(coldDrain.Microseconds())/1e3/float64(b.N), "cold-drain-ms")
-	b.ReportMetric(float64(delta.Microseconds())/1e3/float64(b.N), "delta-ms")
+	b.ReportMetric(float64(trickled[0].Microseconds())/1e3/float64((b.N+1)/2), "attach-ms")
+	if b.N > 1 {
+		b.ReportMetric(float64(trickled[1].Microseconds())/1e3/float64(b.N/2), "detach-ms")
+	}
+}
+
+// reservedTrickle reserves one node of a kron stream for trickles: it
+// returns the stream without that node's updates — kron.ToStream's
+// disconnected set is joined among itself and tied to the rest by
+// transient edges mid-pass, so only a node no update touches is isolated
+// at every point of every pass — and the pair of batches that attach it to
+// k nodes of the main component and detach it again, each of which changes
+// the component count by one.
+func reservedTrickle(res kron.Result, k int) (updates, attach, detach []graphzeppelin.Update) {
+	cut := make(map[uint32]bool, len(res.Disconnected))
+	for _, v := range res.Disconnected {
+		cut[v] = true
+	}
+	reserved := res.Disconnected[0]
+	for _, u := range res.Updates {
+		if u.Edge.U != reserved && u.Edge.V != reserved {
+			updates = append(updates, u)
+		}
+	}
+	for v := uint32(0); len(attach) < k; v++ {
+		if !cut[v] {
+			eg := graphzeppelin.Edge{U: reserved, V: v}.Normalize()
+			attach = append(attach, graphzeppelin.Update{Edge: eg, Type: graphzeppelin.Insert})
+			detach = append(detach, graphzeppelin.Update{Edge: eg, Type: graphzeppelin.Delete})
+		}
+	}
+	return updates, attach, detach
 }
 
 // --- Out-of-core tier: grouped slots + write-back cache ---

@@ -83,10 +83,8 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 			// prev's bytes are the state the transplanted baseline
 			// observed: exactly the before-image the delta query's diff
 			// materialization needs for this node. Past the capture limit
-			// the query falls back anyway, so stop storing copies.
-			if e.beforeNodes.Load() < e.beforeLimit {
-				copy(e.addBefore(shA, node), theirs)
-			}
+			// (nil) the query falls back anyway.
+			copy(e.addBefore(node), theirs)
 		}
 	}
 

@@ -87,8 +87,8 @@ const (
 	// only consumable by ApplyDeltaCheckpoint, never by restore or merge.
 	checkpointVersionDelta = 5
 	sectionHeaderLen       = 20
-	footerEntryLen        = 16
-	footerTrailerLen      = 16
+	footerEntryLen         = 16
+	footerTrailerLen       = 16
 	// maxCheckpointMeta bounds the meta blob; a scanned metaLen above it
 	// is corruption, not metadata.
 	maxCheckpointMeta = 1 << 24

@@ -319,13 +319,16 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, meta []byte) {
 // markChangedNode records an out-of-band sketch mutation of node (a
 // checkpoint merge, delta apply, or node patch — anything bypassing the
 // batch apply path) in both dirty epochs, capturing the node's pre-change
-// image for the delta query exactly the way the apply path's captureBefore
-// does. Must run BEFORE the mutation, under the quiesce write lock with
-// the workers idle.
+// image for the delta query the way the apply path does when the stack is
+// at hand in a slab; an out-of-core mutation leaves the node imageless, and
+// the next delta query re-solves its component from singletons. Must run
+// BEFORE the mutation, under the quiesce write lock with the workers idle.
 func (e *Engine) markChangedNode(node uint32) {
-	home, _ := e.shardOf(node)
+	home, local := e.shardOf(node)
 	if e.store == nil {
-		e.captureBefore(home, node)
+		if img := e.beforeImage(node); img != nil {
+			home.slab.MarshalNode(local, img)
+		}
 	}
 	home.dirty.Set(uint64(node))
 	home.dirtySeal.Set(uint64(node))

@@ -100,9 +100,10 @@ type Stats struct {
 	// that state covers. Both zero before any checkpoint activity.
 	LastCheckpointID     uint64
 	LastCheckpointWALLSN uint64
-	// MemoryBytes estimates the RAM held by sketches, gutters and the
-	// write-back cache; DiskBytes the on-device footprint (sketch slots +
-	// gutter tree).
+	// MemoryBytes estimates the RAM held by sketches, gutters, the
+	// write-back cache and the delta query's before-images (live and
+	// pooled); DiskBytes the on-device footprint (sketch slots + gutter
+	// tree).
 	MemoryBytes, DiskBytes int64
 	// WAL reports write-ahead-log activity (appends, bytes, fsyncs,
 	// group commits, truncations, recovery scan results). All zero with
@@ -211,12 +212,24 @@ type Engine struct {
 	dirtyAll       atomic.Bool
 	deltaQueries   atomic.Uint64
 	deltaFallbacks atomic.Uint64
-	// beforeNodes counts nodes holding a captured before-image across all
-	// shards' maps; beforeLimit stops capture just past the delta query's
-	// fallback threshold, where the images could no longer pay for
-	// themselves (captureBefore).
-	beforeNodes atomic.Uint64
-	beforeLimit uint64
+	// What the delta path did, for tests to pin by count: components of the
+	// cached partition handled per class (runDeltaBoruvka), and the longest
+	// per-round contribution list of the last delta query.
+	deltaClasses      [numDeltaClasses]atomic.Uint64
+	lastDeltaContribs atomic.Int64
+	// before maps each node first-dirtied since the last cached query to its
+	// serialized pre-change sketch stack — the state that result observed,
+	// which the delta query diffs the live sketches against (query.go).
+	// beforeFree pools the buffers the last cached query handed back. Both
+	// are guarded by beforeMu: any worker may register an image (a node's
+	// first dirtying can execute anywhere under a migrated assignment), and
+	// Stats reads their sizes; the filling of a registered buffer needs no
+	// lock, since apply exclusivity gives the node one writer. beforeLimit
+	// bounds images and pool alike, engine-wide (beforeImage).
+	beforeMu    sync.Mutex
+	before      map[uint32][]byte
+	beforeFree  [][]byte
+	beforeLimit int
 
 	// Checkpoint subsystem state (checkpoint.go). ckptMu serializes whole
 	// checkpoint operations and orders strictly before the quiesce lock
@@ -325,19 +338,7 @@ type shard struct {
 	// format (delta.go).
 	dirtySeal *bitset.Atomic
 
-	// before maps each node this worker *first*-dirtied since the last
-	// cached query to the node's serialized pre-change sketch stack (RAM
-	// mode only). The delta query's diff materialization XORs these against
-	// the live slabs to rebuild an affected supernode's cut from its dirty
-	// members alone (query.go). Single writer (this worker — apply
-	// exclusivity covers migrated slices); read, replaced and cleared only
-	// under the quiesce write lock with the workers idle.
-	before map[uint32][]byte
-	// beforeFree holds the image buffers the last cached query handed back
-	// (releaseBeforeLocked), for the next captures to reuse; same access
-	// discipline as before.
-	beforeFree [][]byte
-	_          [gutter.CacheLine]byte
+	_ [gutter.CacheLine]byte
 
 	// Worker-written counters, padded off the read-mostly fields above so
 	// per-batch increments never invalidate a neighbor's hot line.
@@ -375,7 +376,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// One past the fallback threshold: while every first-dirtying below the
 	// limit captured an image, a refused capture implies the dirty count
 	// already exceeds the threshold and the next query falls back anyway.
-	e.beforeLimit = uint64(cfg.DeltaQueryMaxDirtyFrac*float64(cfg.NumNodes)) + 1
+	e.beforeLimit = int(cfg.DeltaQueryMaxDirtyFrac*float64(cfg.NumNodes)) + 1
+	e.before = make(map[uint32][]byte)
+	if cfg.SketchesOnDisk {
+		// Out of core the images are RAM the deployment meant to keep on the
+		// device, so they get a quarter of what the write-back cache gets: a
+		// dirty node past that cap has no image and its component re-solves
+		// from singletons — the price of a bounded footprint, not an error.
+		budget := cfg.CacheBytes
+		if budget <= 0 {
+			budget = DefaultCacheBytes
+		}
+		if limit := int(budget / 4 / int64(e.slotSize)); limit < e.beforeLimit {
+			e.beforeLimit = limit
+		}
+	}
 
 	// Resolve the disk-tier geometry: group slots sized toward the device
 	// block (the paper's max{1, B / sketch bytes} node grouping), and the
@@ -854,12 +869,12 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	}
 	sh.batches.Add(1)
 	// A node's first dirtying since the last cached query snapshots its
-	// pre-change sketch bytes (RAM mode): that state is exactly what the
-	// cached result observed, and the delta query's diff materialization
-	// is built on the difference from it.
-	if e.store == nil {
-		e.captureBefore(sh, b.Node)
-	}
+	// pre-change sketch bytes: that state is exactly what the cached result
+	// observed, and the delta query's materialization is built on the
+	// difference from it. img is nil when no image is wanted; each
+	// placement below fills it from wherever the pre-change stack is at
+	// hand (the home slab, the decoded cache group, the slot just read).
+	img := e.beforeImage(b.Node)
 	// Record the delta before touching the sketches: once set, the bit is
 	// only cleared after a query observed (and cached over) the applied
 	// state, so the incremental query path can never miss this change.
@@ -880,6 +895,9 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 		if home != sh {
 			sh.foreign.Add(1)
 		}
+		if img != nil {
+			home.slab.MarshalNode(local, img)
+		}
 		home.slab.Apply(local, sh.indices)
 		return
 	}
@@ -894,7 +912,7 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 		// write-back time through the cache's write barrier, because
 		// that is the only point where device bytes change (the scanner
 		// reads the device, which a seal-time flush made coherent).
-		if err := e.cache.Apply(b.Node, sh.indices); err != nil {
+		if err := e.cache.ApplyCapture(b.Node, sh.indices, img); err != nil {
 			e.setErr(fmt.Errorf("core: applying batch to node %d: %w", b.Node, err))
 		}
 		return
@@ -906,6 +924,7 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 		e.setErr(fmt.Errorf("core: reading sketches of node %d: %w", b.Node, err))
 		return
 	}
+	copy(img, sh.blob)
 	// A snapshot stream may be scanning the store right now; hand it this
 	// slot's pre-image before overwriting, so the snapshot stays an exact
 	// cut even though ingestion never stopped (checkpoint.go).
@@ -923,76 +942,75 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	}
 }
 
-// captureBefore snapshots node's pre-change serialized sketch stack into
-// the executing shard's before-image map if this is the node's first
-// dirtying since the last cached query (no shard's dirty vector has it
-// yet). Because no apply touched the node in between, the image is the
-// state the cached result observed — which is what lets a delta query
-// materialize an affected supernode's cut from its dirty members alone: a
-// cached component's round aggregate is the zero sketch (its cut was
-// certified empty), so XORing each dirty member's current-⊕-before diff
-// into zero reproduces the component's true current cut (query.go).
+// beforeImage registers a before-image for node if the mutation the
+// caller is about to make is the node's first dirtying since the last
+// cached query (no shard's dirty vector has it yet), and returns the
+// slot-sized buffer for the caller to fill with the node's pre-change
+// serialized stack; nil means no image is wanted. Because no apply touched
+// the node in between, the image is the state the cached result observed —
+// which is what lets a delta query rebuild an affected supernode's cut
+// from its dirty members alone: a cached component's round aggregate is
+// the zero sketch (its cut was certified empty), so XORing each dirty
+// member's current-⊕-before diff into zero reproduces the component's true
+// current cut (query.go).
 //
-// Capture stops once beforeLimit nodes hold images: the limit sits just
-// past the delta query's fallback threshold, so a refusal here implies the
-// next query runs from scratch regardless. The coarse dirty-all state
-// (checkpoint merges) forces a from-scratch run too, so it skips capture
-// outright. The cross-shard dirty test is safe concurrently: bits are
-// only ever set by appliers and apply exclusivity serializes all applies
-// of one node, so the one goroutine executing this node's first apply
-// observes every earlier apply's bit.
-func (e *Engine) captureBefore(sh *shard, node uint32) {
-	if e.dirtyAll.Load() {
-		return
+// Nothing is captured while no query could use it: before the first cached
+// result (a bulk load), with delta queries disabled, or under the coarse
+// dirty-all state. All three only change under the quiesce write lock with
+// the workers idle. Capture also stops once beforeLimit nodes hold images.
+// In RAM the limit sits just past the delta query's fallback threshold, so
+// a refusal implies the next query runs from scratch regardless; out of
+// core it is the smaller of that and the image byte budget (NewEngine), and
+// a refused node's component alone re-solves from singletons. The
+// cross-shard dirty test is safe concurrently: bits are only ever set by
+// appliers and apply exclusivity serializes all applies of one node, so
+// the one goroutine executing this node's first apply observes every
+// earlier apply's bit.
+func (e *Engine) beforeImage(node uint32) []byte {
+	if e.cfg.NoDeltaQuery || e.queryCache.Load() == nil || e.dirtyAll.Load() {
+		return nil
 	}
 	for _, s := range e.shards {
 		if s.dirty.Test(uint64(node)) {
-			return // not the first dirtying: the image, if any, is already right
+			return nil // not the first dirtying: the image, if any, is already right
 		}
 	}
-	if e.beforeNodes.Load() >= e.beforeLimit {
-		return
-	}
-	home, local := e.shardOf(node)
-	home.slab.MarshalNode(local, e.addBefore(sh, node))
+	return e.addBefore(node)
 }
 
-// addBefore registers a before-image for node in sh's map, counts it, and
-// returns its slot-sized buffer for the caller to fill — one the last
-// cached query handed back to sh's pool when there is one. The caller has
-// checked beforeLimit and owns sh (its worker, or anyone under the quiesce
-// write lock with the workers idle).
-func (e *Engine) addBefore(sh *shard, node uint32) []byte {
+// addBefore registers a before-image for node and returns its slot-sized
+// buffer — one the last cached query handed back to the pool when there is
+// one — or nil once beforeLimit nodes hold images.
+func (e *Engine) addBefore(node uint32) []byte {
+	e.beforeMu.Lock()
+	defer e.beforeMu.Unlock()
+	if len(e.before) >= e.beforeLimit {
+		return nil
+	}
 	var buf []byte
-	if n := len(sh.beforeFree); n > 0 {
-		buf, sh.beforeFree = sh.beforeFree[n-1], sh.beforeFree[:n-1]
+	if n := len(e.beforeFree); n > 0 {
+		buf, e.beforeFree = e.beforeFree[n-1], e.beforeFree[:n-1]
 	} else {
 		buf = make([]byte, e.slotSize)
 	}
-	if sh.before == nil {
-		sh.before = make(map[uint32][]byte)
-	}
-	sh.before[node] = buf
-	e.beforeNodes.Add(1)
+	e.before[node] = buf
 	return buf
 }
 
 // releaseBeforeLocked drops every before-image — their baseline has been
-// superseded — and keeps the buffers, up to beforeLimit per shard, for the
-// next captures: without the pool every query cycle allocates, zeroes and
-// discards a slot-sized buffer per first-dirtied node. The caller holds
-// the quiesce write lock with the workers idle, and no query session that
-// flattened the maps is still running.
+// superseded — and keeps the buffers for the next captures: without the
+// pool every query cycle allocates, zeroes and discards a slot-sized
+// buffer per first-dirtied node. Images and pool together never exceed
+// beforeLimit buffers, because a capture drains the pool before it
+// allocates. The caller holds the quiesce write lock with the workers
+// idle, and no query session reading the images is still running.
 func (e *Engine) releaseBeforeLocked() {
-	for _, sh := range e.shards {
-		for _, img := range sh.before {
-			if uint64(len(sh.beforeFree)) < e.beforeLimit {
-				sh.beforeFree = append(sh.beforeFree, img)
-			}
-		}
-		clear(sh.before)
+	e.beforeMu.Lock()
+	defer e.beforeMu.Unlock()
+	for _, img := range e.before {
+		e.beforeFree = append(e.beforeFree, img)
 	}
-	e.beforeNodes.Store(0)
+	clear(e.before)
 }
 
 func (e *Engine) setErr(err error) {
@@ -1076,6 +1094,9 @@ func (e *Engine) Stats() Stats {
 		st.SketchCache = e.cache.Stats()
 		st.MemoryBytes += st.SketchCache.CachedBytes
 	}
+	e.beforeMu.Lock()
+	st.MemoryBytes += int64(len(e.before)+len(e.beforeFree)) * int64(e.slotSize)
+	e.beforeMu.Unlock()
 	if e.treeDev != nil {
 		st.BufferIO = e.treeDev.Stats()
 		if e.tree != nil {

@@ -22,10 +22,16 @@ import (
 //     upfront. Components certified complete (an empty cut sketch) drop
 //     out of every later round.
 //
-//  2. Sequential disk scan. In out-of-core mode each round performs one
-//     coalesced ReadRange pass over the slots of still-live nodes,
-//     QueryScanBytes at a time, rather than one point Read per node: the
-//     I/O per round is O(liveBytes/B) blocks in a handful of ops.
+//  2. One contribution list per round. prepareRound lists, in node order,
+//     every (node, root, source) term of every live root's aggregate; both
+//     placements materialize from that one list. RAM mode groups it by
+//     root and fans the XORs across goroutines; out of core the live bytes
+//     of contributing nodes come from the write-back cache's resident
+//     groups (zero device reads) or from coalesced ReadRange runs over the
+//     remaining contributing groups, QueryScanBytes at a time. When every
+//     live node contributes — a from-scratch query — that is the paper's
+//     sequential scan (Lemma 5): O(liveBytes/B) blocks in a handful of ops
+//     per round, never one point Read per node.
 //
 //  3. Ingest-epoch caching. The engine bumps an epoch counter on every
 //     accepted update batch; a full query stores its result tagged with
@@ -40,17 +46,12 @@ import (
 //     since that result — any toggle lands a batch on both endpoints'
 //     sketches, dirtying them — so its forest edges are still genuine and
 //     its cut is still empty. Those components carry over wholesale. An
-//     affected component whose cached forest is still intact (no forest
-//     edge has both endpoints dirty, so none can have been toggled away)
-//     is re-certified from its dirty members' sketch *diffs* against
-//     before-images the apply path captured at first dirtying: its cached
-//     aggregate was the zero sketch, so the diffs alone reproduce its
-//     current cut — O(dirty) sketch work, independent of component size.
-//     Only suspect components (a forest edge possibly deleted) split back
-//     to singletons and re-solve with full materialization. Above
-//     DeltaQueryMaxDirtyFrac dirty nodes (or after a checkpoint merge,
-//     which dirties everything) the query falls back to the from-scratch
-//     run; either way the caller sees an identical contract.
+//     affected component is re-certified from the before-images the apply
+//     path captured at each node's first dirtying, in RAM and out of core
+//     alike, at a cost set by the dirty set rather than the component
+//     (runDeltaBoruvka has the three classes and the argument). Above
+//     DeltaQueryMaxDirtyFrac dirty nodes the query falls back to the
+//     from-scratch run; either way the caller sees an identical contract.
 
 // ErrQueryFailed is returned when Boruvka emulation exhausts the per-node
 // sketch rounds before every component's spanning tree is certified
@@ -267,23 +268,51 @@ type candidate struct {
 	edge stream.Edge
 }
 
-// How a node contributes to its supernode's round aggregates during the
-// RAM-mode delta query's materialization (querySession.material).
+// What a node adds to its supernode's round aggregates under a delta
+// query's plan (querySession.plan). prev(v) below is node v's sketch as the
+// cached result observed it: its before-image if v is dirty, its live
+// sketch if not. A clean node whose component's previous aggregate is
+// already accounted for — as the zero sketch of an intact component, or
+// through the small pieces' prev terms of a cut one — has no role: it
+// contributes nothing and is left out of the plan, which is what makes the
+// delta's sketch work scale with the dirty set rather than the component
+// size.
 const (
-	// matNone: a clean member of a non-suspect affected component. Its
-	// sketch is unchanged since the cached result, whose component
-	// aggregate was the zero sketch — so it contributes nothing and is
-	// skipped entirely, which is what makes the delta's sketch work scale
-	// with the dirty set rather than the component size.
-	matNone = uint8(iota)
-	// matSlab: a suspect-component member; contributes its live sketch
-	// (the from-scratch materialization).
-	matSlab
-	// matDiff: a dirty member of a non-suspect component; contributes its
-	// live sketch XOR its before-image — the diff of its state since the
-	// cached result.
-	matDiff
+	// roleCur: a member of a component re-solved from singletons;
+	// contributes its live sketch (the from-scratch materialization).
+	roleCur = uint8(iota)
+	// roleDiff: a dirty member of an intact component, or of a cut
+	// component's largest piece; contributes its live sketch XOR its
+	// before-image — the diff of its state since the cached result.
+	roleDiff
+	// rolePiece: a member of a cut component's smaller pieces. It
+	// contributes its live sketch to its own root and prev(v) to the root
+	// of its component's largest piece (planned.anchor), which folds into
+	// the diff — nothing at all for a clean node — once the two roots have
+	// merged.
+	rolePiece
 )
+
+// planned is one node of a delta query's plan: its role, and for a
+// rolePiece node a node of its component's largest piece.
+type planned struct {
+	node, anchor uint32
+	role         uint8
+}
+
+// Sources of one contribution: the node's live round-r sketch, the round-r
+// bytes of its before-image, or both (their XOR, the node's diff).
+const (
+	srcLive = uint8(1) << iota
+	srcImage
+)
+
+// contribution is one term of a live root's round aggregate.
+type contribution struct {
+	node uint32
+	slot int32 // index into querySession.roots
+	src  uint8
+}
 
 // querySession is the per-query scratch of lazy Boruvka. The caller holds
 // the quiesce write lock with the workers idle, so shard state may be read
@@ -294,25 +323,32 @@ type querySession struct {
 	finished []bool   // root-indexed: component certified complete
 	slot     []int32  // root -> index into roots this round, -1 otherwise
 	roots    []uint32 // live roots this round, in deterministic order
-	starts   []int    // prefix offsets into order, len(roots)+1
-	order    []uint32 // contributing live nodes grouped by root, ascending
-	// arenaSlot is sampleRound's root -> arena node map, parallel to roots;
-	// -1 marks a root sampled in place from its one member's slab sketch.
+	// contribs lists this round's contributions in ascending node order —
+	// the order the out-of-core scan reads them in. starts/order are the
+	// same list grouped by root (RAM mode: contributions of roots[i] are
+	// order[starts[i]:starts[i+1]]), and arenaSlot is sampleRound's root ->
+	// arena node map, parallel to roots; -1 marks a root sampled in place
+	// from its one member's slab sketch.
+	contribs  []contribution
+	starts    []int
+	order     []contribution
 	arenaSlot []int32
 	scanBuf   []byte // disk mode: sequential-scan chunk buffer
 
-	// material and before drive the delta query's diff materialization
-	// (runDeltaBoruvka): per-node contribution tags and the before-images
-	// backing matDiff. material == nil means every live node merges its
-	// live sketch (full queries and the disk-mode delta).
-	material []uint8
-	before   map[uint32][]byte
+	// The delta query's plan (runDeltaBoruvka): the nodes that contribute
+	// anything, ascending, and the images behind srcImage. plan == nil means
+	// every live node contributes its live sketch (a from-scratch query).
+	plan   []planned
+	before map[uint32][]byte
+	// maxContribs is the longest contribution list of any round so far:
+	// the query's sketch work per round, which tests pin by count.
+	maxContribs int
 }
 
-// prepareRound refreshes rep from the DSU and rebuilds the live-root index
-// (roots, slot, and the order/starts member grouping). It returns the
-// number of live (unfinished) components. Single-threaded: DSU path
-// compression is not safe for concurrent Finds.
+// prepareRound refreshes rep from the DSU, rebuilds the live-root index
+// (roots, slot) and lists the round's contributions. It returns the number
+// of live (unfinished) components. Single-threaded: DSU path compression
+// is not safe for concurrent Finds.
 func (q *querySession) prepareRound() int {
 	n := len(q.rep)
 	q.roots = q.roots[:0]
@@ -330,40 +366,79 @@ func (q *querySession) prepareRound() int {
 		q.slot[r] = int32(len(q.roots))
 		q.roots = append(q.roots, r)
 	}
-	// Group live contributing nodes by root (counting sort over slot):
-	// members of roots[i] are order[starts[i]:starts[i+1]], ascending.
-	// Under a material tagging, matNone nodes contribute nothing to any
-	// aggregate and are left out of the grouping entirely (their roots are
-	// still discovered above, off the full node scan).
-	q.starts = append(q.starts[:0], make([]int, len(q.roots)+1)...)
-	live := 0
-	for i := 0; i < n; i++ {
-		if q.material != nil && q.material[i] == matNone {
-			continue
+	q.contribs = q.contribs[:0]
+	if q.plan == nil {
+		for i := 0; i < n; i++ {
+			q.contribute(planned{node: uint32(i), role: roleCur})
 		}
-		if s := q.slot[q.rep[i]]; s >= 0 {
-			q.starts[s+1]++
-			live++
+	} else {
+		for _, p := range q.plan {
+			q.contribute(p)
 		}
 	}
-	for i := 1; i <= len(q.roots); i++ {
-		q.starts[i] += q.starts[i-1]
-	}
-	if cap(q.order) < live {
-		q.order = make([]uint32, live)
-	}
-	q.order = q.order[:live]
-	fill := append([]int(nil), q.starts[:len(q.roots)]...)
-	for i := 0; i < n; i++ {
-		if q.material != nil && q.material[i] == matNone {
-			continue
-		}
-		if s := q.slot[q.rep[i]]; s >= 0 {
-			q.order[fill[s]] = uint32(i)
-			fill[s]++
-		}
+	if len(q.contribs) > q.maxContribs {
+		q.maxContribs = len(q.contribs)
 	}
 	return len(q.roots)
+}
+
+// contribute appends a node's terms for this round, each only while the
+// root it feeds is live.
+func (q *querySession) contribute(p planned) {
+	v := p.node
+	s := q.slot[q.rep[v]]
+	switch p.role {
+	case roleCur:
+		if s >= 0 {
+			q.contribs = append(q.contribs, contribution{v, s, srcLive})
+		}
+	case roleDiff:
+		if s >= 0 {
+			q.contribs = append(q.contribs, contribution{v, s, srcLive | srcImage})
+		}
+	case rolePiece:
+		prev := srcLive
+		if q.before[v] != nil {
+			prev = srcImage
+		}
+		a := q.slot[q.rep[p.anchor]]
+		if s == a {
+			// Merged with the largest piece: cur(v) and prev(v) meet in one
+			// aggregate and cancel unless v is dirty.
+			if s >= 0 && prev == srcImage {
+				q.contribs = append(q.contribs, contribution{v, s, srcLive | srcImage})
+			}
+			return
+		}
+		if s >= 0 {
+			q.contribs = append(q.contribs, contribution{v, s, srcLive})
+		}
+		if a >= 0 {
+			q.contribs = append(q.contribs, contribution{v, a, prev})
+		}
+	}
+}
+
+// groupByRoot counting-sorts contribs by root into order/starts, keeping
+// node order within a root.
+func (q *querySession) groupByRoot() {
+	nr := len(q.roots)
+	q.starts = append(q.starts[:0], make([]int, nr+1)...)
+	for _, c := range q.contribs {
+		q.starts[c.slot+1]++
+	}
+	for i := 1; i <= nr; i++ {
+		q.starts[i] += q.starts[i-1]
+	}
+	if cap(q.order) < len(q.contribs) {
+		q.order = make([]contribution, len(q.contribs))
+	}
+	q.order = q.order[:len(q.contribs)]
+	fill := append([]int(nil), q.starts[:nr]...)
+	for _, c := range q.contribs {
+		q.order[fill[c.slot]] = c
+		fill[c.slot]++
+	}
 }
 
 // newQuerySession allocates the per-query scratch for an n-node session.
@@ -455,6 +530,15 @@ func (e *Engine) runBoruvka(epoch uint64) (*queryResult, error) {
 	return res, nil
 }
 
+// Classes of a component of the cached partition under a delta query.
+const (
+	classClean      = iota // no dirty member: carried over pre-finished
+	classIntact            // re-certified from its dirty members' diffs
+	classCut               // possibly-deleted forest edges removed, pieces kept
+	classSingletons        // a dirty member has no image: re-solved from scratch
+	numDeltaClasses
+)
+
 // runDeltaBoruvka answers a query incrementally off the previous cached
 // result. A component of prev's partition containing no dirty node is
 // clean: every edge toggle since prev landed batches on both endpoints'
@@ -466,24 +550,35 @@ func (e *Engine) runBoruvka(epoch uint64) (*queryResult, error) {
 // or was toggled since, dirtying both endpoints), so the carried-over
 // partition is never disturbed.
 //
-// Affected components split two ways in RAM mode. A cached component's
-// round aggregates are the ZERO sketch (its cut was certified empty), so
-// if its cached forest is still trustworthy its current round-r aggregate
-// equals the XOR of its dirty members' current-⊕-before diffs — the
-// before-images the apply path captured at each node's first dirtying.
-// Toggles internal to the component enter two members' diffs and cancel;
-// a toggle crossing its boundary enters one and survives; so the diff
-// aggregate IS the component's current cut, at O(dirty members) sketch
-// work. The forest is trustworthy unless one of its edges may itself have
-// been toggled away: a forest edge with both endpoints dirty is such a
-// suspect (a deletion dirties exactly its two endpoints), and it demotes
-// its whole component to the slow path — split back to singletons, full
-// member materialization — because a lost forest edge can disconnect it.
-// A dirty node with no before-image (capture stopped at the overflow
-// limit, which only happens past the fallback threshold) demotes its
-// component the same way. Non-forest deletions cannot disconnect a
-// non-suspect component: its forest still spans it. Disk mode captures no
-// images, so every affected component takes the slow path there.
+// An affected component falls in one of three classes, the same in RAM and
+// out of core. Everything rests on one fact: a cached component's round
+// aggregates were the ZERO sketch (its cut was certified empty), so with
+// prev(v) the sketch the cached result observed — v's before-image if
+// dirty, its live sketch if not — the XOR of prev(v) over the component is
+// zero in every round.
+//
+// Intact: no forest edge has both endpoints dirty, so none can have been
+// deleted (a deletion dirties exactly its two endpoints) and the forest
+// still spans the component. It stays pre-merged, and its current round-r
+// aggregate is the XOR of its dirty members' current-⊕-before diffs:
+// toggles internal to the component enter two members' diffs and cancel, a
+// toggle crossing its boundary enters one and survives, so the diffs alone
+// ARE its current cut — O(dirty members) sketch work.
+//
+// Cut: some forest edges have both endpoints dirty and may be gone. Only
+// those are removed; every other forest edge has a clean endpoint, cannot
+// have been toggled, and keeps its sub-tree (a piece) pre-merged. The
+// pieces' prev aggregates XOR to zero, so the largest piece's is the XOR
+// of prev(v) over all the OTHER pieces' members: those members contribute
+// cur(v) to their own root and prev(v) to the largest piece's, whose own
+// dirty members add their diffs. Work is O(dirty + members of all pieces
+// but the largest) — detaching a leaf from a giant component touches the
+// leaf and the dirty nodes, never the giant's members.
+//
+// From singletons: a dirty member has no before-image (capture stopped at
+// the limit, or the mutation bypassed the apply path out of core), so prev
+// is unknown for it. The component splits back to singletons and re-solves
+// with full member materialization.
 //
 // ok=false (with no error) means the affected components failed to
 // certify within the sketch depth; the caller falls back to the
@@ -491,74 +586,82 @@ func (e *Engine) runBoruvka(epoch uint64) (*queryResult, error) {
 // result contract identical to a full query.
 func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.Set) (res *queryResult, ok bool, err error) {
 	n := int(e.cfg.NumNodes)
-	affected := make([]bool, n) // indexed by prev representative
+	// Workers are idle under the write lock: the image map is stable.
+	before := e.before
+	class := make([]uint8, n) // indexed by prev representative
 	dirty.ForEach(func(i uint64) bool {
-		affected[prev.rep[i]] = true
+		r := prev.rep[i]
+		if before[uint32(i)] == nil {
+			class[r] = classSingletons
+		} else if class[r] == classClean {
+			class[r] = classIntact
+		}
 		return true
 	})
-
-	ramMode := e.store == nil
-	var suspect []bool // indexed by prev representative; nil in disk mode
-	var before map[uint32][]byte
-	if ramMode {
-		suspect = make([]bool, n)
-		for _, eg := range prev.forest {
-			if dirty.Test(uint64(eg.U)) && dirty.Test(uint64(eg.V)) {
-				suspect[prev.rep[eg.U]] = true
-			}
+	bothDirty := func(eg stream.Edge) bool {
+		return dirty.Test(uint64(eg.U)) && dirty.Test(uint64(eg.V))
+	}
+	anyCut := false
+	for _, eg := range prev.forest {
+		if r := prev.rep[eg.U]; class[r] == classIntact && bothDirty(eg) {
+			class[r] = classCut
+			anyCut = true
 		}
-		// The images live in per-executing-shard maps (a node's first
-		// dirtying can happen on any worker under a migrated assignment);
-		// flatten them for per-node lookup. The maps are disjoint by
-		// construction — only the first dirtying captures.
-		before = make(map[uint32][]byte, e.beforeNodes.Load())
-		for _, sh := range e.shards {
-			for node, img := range sh.before {
-				before[node] = img
-			}
-		}
-		dirty.ForEach(func(i uint64) bool {
-			if r := prev.rep[i]; !suspect[r] {
-				if _, have := before[uint32(i)]; !have {
-					suspect[r] = true
-				}
-			}
-			return true
-		})
 	}
 
 	q := newQuerySession(n)
+	q.before = before
+	q.plan = make([]planned, 0, dirty.Count())
 	var forest []stream.Edge
 	for _, eg := range prev.forest {
-		r := prev.rep[eg.U]
-		if !affected[r] || (ramMode && !suspect[r]) {
-			// Clean components keep their trees — and so do affected but
-			// non-suspect ones, whose intactness the suspect scan just
-			// certified: they stay pre-merged but live, to be re-certified
-			// (or extended) from their members' diffs.
-			q.d.Union(eg.U, eg.V)
-			forest = append(forest, eg)
+		// Clean and intact components keep their whole tree, a cut one the
+		// sub-trees between its removed edges; all but the clean stay live,
+		// to be re-certified (or extended) below.
+		if c := class[prev.rep[eg.U]]; c == classSingletons || c == classCut && bothDirty(eg) {
+			continue
 		}
+		q.d.Union(eg.U, eg.V)
+		forest = append(forest, eg)
 	}
-	for i := 0; i < n; i++ {
-		if !affected[prev.rep[i]] {
-			q.finished[q.d.Find(uint32(i))] = true
-		}
-	}
-	if ramMode {
-		q.before = before
-		q.material = make([]uint8, n) // matNone unless tagged below
+	// largest[r] is the DSU root of cut component r's largest piece (n, of
+	// size zero, until a piece is seen; the lowest-numbered wins a tie).
+	var largest []uint32
+	if anyCut {
+		largest = make([]uint32, n)
+		size := make([]int32, n+1) // piece root -> members
 		for i := 0; i < n; i++ {
-			if r := prev.rep[i]; affected[r] && suspect[r] {
-				q.material[i] = matSlab
+			largest[i] = uint32(n)
+			if class[prev.rep[i]] == classCut {
+				size[q.d.Find(uint32(i))]++
 			}
 		}
-		dirty.ForEach(func(i uint64) bool {
-			if !suspect[prev.rep[i]] {
-				q.material[i] = matDiff
+		for i := 0; i < n; i++ {
+			if r := prev.rep[i]; class[r] == classCut {
+				if p := q.d.Find(uint32(i)); size[p] > size[largest[r]] {
+					largest[r] = p
+				}
 			}
-			return true
-		})
+		}
+	}
+	var classCount [numDeltaClasses]uint64
+	for i := 0; i < n; i++ {
+		v, r := uint32(i), prev.rep[i]
+		if r == v {
+			classCount[class[r]]++
+		}
+		switch c := class[r]; {
+		case c == classClean:
+			q.finished[q.d.Find(v)] = true
+		case c == classSingletons:
+			q.plan = append(q.plan, planned{node: v, role: roleCur})
+		case c == classCut && q.d.Find(v) != largest[r]:
+			q.plan = append(q.plan, planned{node: v, role: rolePiece, anchor: largest[r]})
+		case dirty.Test(uint64(i)): // intact, or the largest piece of a cut
+			q.plan = append(q.plan, planned{node: v, role: roleDiff})
+		}
+	}
+	for c, k := range classCount {
+		e.deltaClasses[c].Add(k)
 	}
 	live, rounds, err := e.boruvkaRounds(q, &forest)
 	if err != nil {
@@ -568,6 +671,7 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 		return nil, false, nil
 	}
 	e.lastRounds.Store(int64(rounds))
+	e.lastDeltaContribs.Store(int64(q.maxContribs))
 	rep, count := q.buildRep()
 	return &queryResult{
 		epoch: epoch, watermark: epoch, delta: true,
@@ -576,28 +680,29 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 }
 
 // sampleRound materializes the round-r supernode sketch of every live root
-// and samples one candidate cut edge from each (Boruvka phase 1). The
-// returned candidate list is in live-root order and emptied lists the
-// roots whose cut sketch was empty (complete components). RAM mode fans
-// both materialization and sampling across one goroutine per shard; disk
-// mode performs the sequential scan first (one device, one pass), then
-// fans only the sampling.
+// from the round's contribution list and samples one candidate cut edge
+// from each (Boruvka phase 1). The returned candidate list is in live-root
+// order and emptied lists the roots whose cut sketch was empty (complete
+// components). RAM mode fans both materialization and sampling across one
+// goroutine per shard; disk mode materializes first (one device, one pass
+// in node order), then fans only the sampling.
 func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emptied []uint32, err error) {
 	nr := len(q.roots)
 	ramMode := e.store == nil
 	// One single-round arena holds the supernode sketches that have to be
 	// summed: two allocations, mergeable with the shard slabs by
 	// construction (same vector length, columns, and round seed). In RAM
-	// mode a root whose one contributing member contributes its live
-	// sketch as is — every root of a from-scratch query's first round — IS
-	// that member's slab sketch and is sampled in place: its arenaSlot is
-	// -1 and the arena holds the other roots only. Disk mode sums every
-	// root out of the scan buffer.
+	// mode a root whose one contribution is a live sketch as is — every
+	// root of a from-scratch query's first round — IS that member's slab
+	// sketch and is sampled in place: its arenaSlot is -1 and the arena
+	// holds the other roots only. Disk mode sums every root into the arena.
 	q.arenaSlot = q.arenaSlot[:0]
 	summed := 0
+	if ramMode {
+		q.groupByRoot()
+	}
 	for i := 0; i < nr; i++ {
-		if ramMode && q.starts[i+1]-q.starts[i] == 1 &&
-			(q.material == nil || q.material[q.order[q.starts[i]]] != matDiff) {
+		if ramMode && q.starts[i+1]-q.starts[i] == 1 && q.order[q.starts[i]].src == srcLive {
 			q.arenaSlot = append(q.arenaSlot, -1)
 			continue
 		}
@@ -635,37 +740,32 @@ func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emp
 		go func(out *workerOut, lo, hi int) {
 			defer wg.Done()
 			var acc, view cubesketch.Sketch
-			roundOff := round * e.sketchSize
 			for i := lo; i < hi; i++ {
 				slot := q.arenaSlot[i]
 				if slot < 0 {
 					// Read-only, like the merges below: Query mutates nothing.
-					sh, local := e.shardOf(q.order[q.starts[i]])
+					sh, local := e.shardOf(q.order[q.starts[i]].node)
 					sh.slab.View(local, round, &acc)
 				} else {
 					arena.View(int(slot), 0, &acc)
 				}
 				if ramMode && slot >= 0 {
-					// Materialize: XOR every contributing member's round-r
-					// sketch view straight out of the owning shard's slab
-					// (read-only; the workers are quiescent under the write
-					// lock). A matDiff member additionally XORs its
-					// before-image's round-r bytes, turning its contribution
-					// into the diff since the cached result — against which
-					// its component's cached aggregate is the zero sketch.
-					for _, node := range q.order[q.starts[i]:q.starts[i+1]] {
-						sh, local := e.shardOf(node)
-						sh.slab.View(local, round, &view)
-						if err := acc.Merge(&view); err != nil {
-							out.err = err
-							return
-						}
-						if q.material != nil && q.material[node] == matDiff {
-							img := q.before[node]
-							if err := acc.MergeBinary(img[roundOff : roundOff+e.sketchSize]); err != nil {
+					// Materialize: XOR every contribution's round-r sketch
+					// view straight out of the owning shard's slab (read-only;
+					// the workers are quiescent under the write lock), and its
+					// before-image's round-r bytes where the plan asks for them.
+					for _, c := range q.order[q.starts[i]:q.starts[i+1]] {
+						if c.src&srcLive != 0 {
+							sh, local := e.shardOf(c.node)
+							sh.slab.View(local, round, &view)
+							if err := acc.Merge(&view); err != nil {
 								out.err = err
 								return
 							}
+						}
+						if err := e.mergeImage(q, &acc, c, round); err != nil {
+							out.err = err
+							return
 						}
 					}
 				}
@@ -704,18 +804,31 @@ func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emp
 	return cands, emptied, nil
 }
 
+// mergeImage XORs the round-r bytes of c.node's before-image into acc when
+// the contribution asks for them.
+func (e *Engine) mergeImage(q *querySession, acc *cubesketch.Sketch, c contribution, round int) error {
+	if c.src&srcImage == 0 {
+		return nil
+	}
+	off := round * e.sketchSize
+	return acc.MergeBinary(q.before[c.node][off : off+e.sketchSize])
+}
+
 // scanRoundFromDisk materializes the round-r supernode sketches out of the
-// tiered store. Groups resident in the write-back cache are served from
-// their decoded arenas with zero device I/O — which is also what keeps the
-// scan coherent: a dirty cached group's device bytes are stale by design,
-// so the cache copy is the authoritative one. The remaining (uncached)
-// live groups are coalesced into sequential runs (bridging gaps cheaper
-// than an extra operation), each run read with ReadRange in
-// QueryScanBytes-sized chunks, and each slot's round-r bytes XOR-merged
-// into its root's arena sketch without decoding the other rounds. One
-// round costs O(uncachedLiveBytes/B) block reads in O(runs ×
-// chunksPerRun) operations — against the seed path's one Read per node
-// across all rounds.
+// tiered store, walking the contribution list in node order. Only groups
+// holding a contribution that needs live bytes are touched. Those resident
+// in the write-back cache are served from their decoded arenas with zero
+// device I/O — which is also what keeps the scan coherent: a dirty cached
+// group's device bytes are stale by design, so the cache copy is the
+// authoritative one (and a node dirtied since the last query was applied
+// through the cache, so a trickle's groups are normally still resident).
+// The remaining groups are coalesced into sequential runs (bridging gaps
+// cheaper than an extra operation), each run read with ReadRange in
+// QueryScanBytes-sized chunks, and each contributing slot's round-r bytes
+// XOR-merged into its root's arena sketch without decoding the other
+// rounds. One round costs O(uncachedContributingBytes/B) block reads in
+// O(runs × chunksPerRun) operations: the whole live store for a
+// from-scratch query, the dirty nodes and small pieces for a delta.
 func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, round int) error {
 	n := int(e.cfg.NumNodes)
 	npg := e.npg
@@ -729,17 +842,17 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 	if cap(q.scanBuf) < chunkSlots*e.slotSize {
 		q.scanBuf = make([]byte, chunkSlots*e.slotSize)
 	}
-	// A gap of finished slots is bridged when reading through it costs no
-	// more blocks than starting a fresh operation would.
+	// A gap of non-contributing slots is bridged when reading through it
+	// costs no more blocks than starting a fresh operation would.
 	gapSlots := e.cfg.BlockSize / e.slotSize
 	roundOff := round * e.sketchSize
+	cs := q.contribs
 
 	var acc, view cubesketch.Sketch
-	liveAt := func(node int) bool { return q.slot[q.rep[node]] >= 0 }
 
 	// flushRun reads the pending uncached slot run [lo, hi) in chunks and
-	// merges every live slot's round-r bytes.
-	flushRun := func(lo, hi int) error {
+	// merges the live round-r bytes of its contributions cs[ci:cj].
+	flushRun := func(lo, hi, ci, cj int) error {
 		for cl := lo; cl < hi; cl += chunkSlots {
 			ch := cl + chunkSlots
 			if ch > hi {
@@ -749,57 +862,64 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 			if err := e.store.ReadRange(uint32(cl), ch-cl, buf); err != nil {
 				return fmt.Errorf("core: query scan of nodes [%d,%d): %w", cl, ch, err)
 			}
-			for nd := cl; nd < ch; nd++ {
-				s := q.slot[q.rep[nd]]
-				if s < 0 {
-					continue // bridged gap slot
+			for ; ci < cj && int(cs[ci].node) < ch; ci++ {
+				c := cs[ci]
+				if c.src&srcLive == 0 {
+					continue
 				}
-				arena.View(int(s), 0, &acc)
-				off := (nd-cl)*e.slotSize + roundOff
+				arena.View(int(q.arenaSlot[c.slot]), 0, &acc)
+				off := (int(c.node)-cl)*e.slotSize + roundOff
 				if err := acc.MergeBinary(buf[off : off+e.sketchSize]); err != nil {
-					return fmt.Errorf("core: query decode of node %d round %d: %w", nd, round, err)
+					return fmt.Errorf("core: query decode of node %d round %d: %w", c.node, round, err)
 				}
 			}
 		}
 		return nil
 	}
 
-	numGroups := (n + npg - 1) / npg
-	runStart, runEnd := -1, -1 // pending uncached run, in slot units
-	for g := 0; g < numGroups; g++ {
+	// Pending uncached run, in slot units, and its contributions.
+	runStart, runEnd, runFirst := -1, -1, 0
+	for i := 0; i < len(cs); {
+		g := int(cs[i].node) / npg
+		j, needLive := i, false
+		for ; j < len(cs) && int(cs[j].node)/npg == g; j++ {
+			c := cs[j]
+			needLive = needLive || c.src&srcLive != 0
+			arena.View(int(q.arenaSlot[c.slot]), 0, &acc)
+			if err := e.mergeImage(q, &acc, c, round); err != nil {
+				return fmt.Errorf("core: query merge of node %d before-image round %d: %w", c.node, round, err)
+			}
+		}
+		first := i
+		i = j
+		if !needLive {
+			continue // images only: a gap, bridged below if the next group is near
+		}
 		lo := g * npg
 		hi := lo + npg
 		if hi > n {
 			hi = n
-		}
-		anyLive := false
-		for nd := lo; nd < hi && !anyLive; nd++ {
-			anyLive = liveAt(nd)
-		}
-		if !anyLive {
-			continue // a gap; bridged below if the next live group is near
 		}
 		if e.cache != nil {
 			if slab, ok := e.cache.Peek(g); ok {
 				// Served from the decoded arena: no device traffic, and
 				// coherent even when the group is dirty. Close any pending
 				// device run first — bridging across this group would
-				// re-merge its live slots from stale device bytes.
+				// re-merge its slots from stale device bytes.
 				if runStart >= 0 {
-					if err := flushRun(runStart, runEnd); err != nil {
+					if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
 						return err
 					}
 					runStart = -1
 				}
-				for nd := lo; nd < hi; nd++ {
-					s := q.slot[q.rep[nd]]
-					if s < 0 {
+				for _, c := range cs[first:j] {
+					if c.src&srcLive == 0 {
 						continue
 					}
-					arena.View(int(s), 0, &acc)
-					slab.View(nd-lo, round, &view)
+					arena.View(int(q.arenaSlot[c.slot]), 0, &acc)
+					slab.View(int(c.node)-lo, round, &view)
 					if err := acc.Merge(&view); err != nil {
-						return fmt.Errorf("core: query merge of cached node %d round %d: %w", nd, round, err)
+						return fmt.Errorf("core: query merge of cached node %d round %d: %w", c.node, round, err)
 					}
 				}
 				continue
@@ -810,14 +930,14 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 			continue
 		}
 		if runStart >= 0 {
-			if err := flushRun(runStart, runEnd); err != nil {
+			if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
 				return err
 			}
 		}
-		runStart, runEnd = lo, hi
+		runStart, runEnd, runFirst = lo, hi, first
 	}
 	if runStart >= 0 {
-		return flushRun(runStart, runEnd)
+		return flushRun(runStart, runEnd, runFirst, len(cs))
 	}
 	return nil
 }

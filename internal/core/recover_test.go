@@ -93,7 +93,7 @@ func TestRecoverCrashMidIngest(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					const numNodes = 96
 					batches := recoverTestBatches(rng, numNodes, 12+rng.Intn(30))
-					ckptAt := rng.Intn(len(batches))          // checkpoint after this many batches
+					ckptAt := rng.Intn(len(batches))                      // checkpoint after this many batches
 					crashAt := ckptAt + rng.Intn(len(batches)-ckptAt) + 1 // crash after this many
 					if crashAt > len(batches) {
 						crashAt = len(batches)
@@ -102,12 +102,12 @@ func TestRecoverCrashMidIngest(t *testing.T) {
 
 					st := wal.NewMemStorage(64)
 					cfg := Config{
-						NumNodes:       numNodes,
-						Seed:           42,
-						Workers:        2,
-						SketchesOnDisk: disk,
-						WAL:            true,
-						WALStorage:     st,
+						NumNodes:        numNodes,
+						Seed:            42,
+						Workers:         2,
+						SketchesOnDisk:  disk,
+						WAL:             true,
+						WALStorage:      st,
 						WALSegmentBytes: 1 << 12,
 					}
 					eng, err := NewEngine(cfg)

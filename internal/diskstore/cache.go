@@ -154,6 +154,15 @@ func (c *Cache) shardOf(group int) *cacheShard {
 // marked dirty. The device is touched only on miss fill and dirty
 // write-back — repeated batches against resident groups are pure RAM.
 func (c *Cache) Apply(node uint32, indices []uint64) error {
+	return c.ApplyCapture(node, indices, nil)
+}
+
+// ApplyCapture is Apply with a pre-image hook: a non-nil pre (one slot
+// long) receives the node's serialized sketch stack as it stood before the
+// batch. The decoded group is in hand at that point either way, so the
+// capture costs one encode and no device access — the engine uses it to
+// keep the before-images its incremental queries diff against.
+func (c *Cache) ApplyCapture(node uint32, indices []uint64, pre []byte) error {
 	g := c.store.GroupOf(node)
 	sh := c.shardOf(g)
 	sh.mu.Lock()
@@ -162,7 +171,11 @@ func (c *Cache) Apply(node uint32, indices []uint64) error {
 	if err != nil {
 		return err
 	}
-	e.slab.Apply(int(node)-g*c.store.NodesPerGroup(), indices)
+	local := int(node) - g*c.store.NodesPerGroup()
+	if pre != nil {
+		e.slab.MarshalNode(local, pre)
+	}
+	e.slab.Apply(local, indices)
 	e.dirty = true
 	e.ref = true
 	return nil

@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"bytes"
 	"testing"
 
 	"graphzeppelin/internal/cubesketch"
@@ -186,5 +187,41 @@ func TestCacheWriteBarrierSeesPreImage(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatal("cleared barrier still invoked")
+	}
+}
+
+// TestApplyCapturePreImage pins the capture hook: pre receives the node's
+// serialized stack as it stood before the batch — on a miss (straight off
+// the fill) and on a hit (out of the decoded arena, which is ahead of the
+// device) — and costs no device access of its own.
+func TestApplyCapturePreImage(t *testing.T) {
+	st, c, _ := cacheFixture(t, 8, 2, 1<<30, 1)
+	slot := st.SlotSize()
+	empty := make([]byte, slot)
+	if err := st.Read(3, empty); err != nil {
+		t.Fatal(err)
+	}
+	pre := make([]byte, slot)
+	if err := c.ApplyCapture(3, []uint64{5, 9}, pre); err != nil { // miss
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pre, empty) {
+		t.Fatal("pre-image of a never-touched node is not the empty encoding")
+	}
+	slab, _ := c.Peek(1)
+	applied := make([]byte, slot)
+	slab.MarshalNode(1, applied)
+	if bytes.Equal(applied, empty) {
+		t.Fatal("the batch did not apply")
+	}
+	before := st.Stats()
+	if err := c.ApplyCapture(3, []uint64{7}, pre); err != nil { // hit, dirty group
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pre, applied) {
+		t.Fatal("pre-image of a resident node is not its decoded pre-apply state")
+	}
+	if after := st.Stats(); after != before {
+		t.Fatalf("capture on a hit touched the device: %+v vs %+v", after, before)
 	}
 }

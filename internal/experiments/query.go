@@ -283,7 +283,7 @@ func QuerySweep(o Options) (*Table, error) {
 		deltaRows = append(deltaRows, []string{
 			"incremental query, RAM",
 			fmt.Sprintf("%.2g", float64(2*k)/float64(n)),
-			fmt.Sprintf("%.3fms", float64((total / trials).Microseconds())/1000),
+			fmt.Sprintf("%.3fms", float64((total/trials).Microseconds())/1000),
 		})
 	}
 	dst := eng.Stats()

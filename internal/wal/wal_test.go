@@ -321,7 +321,7 @@ func TestFsyncBatchSurvivesCrash(t *testing.T) {
 	var batches [][]stream.Update
 	for i := 0; i < 40; i++ {
 		ups := testUpdates(i*5, 5)
-		if _, err := l.Append(uint64(i + 1), ups); err != nil {
+		if _, err := l.Append(uint64(i+1), ups); err != nil {
 			t.Fatal(err)
 		}
 		seqs = append(seqs, uint64(i+1))
