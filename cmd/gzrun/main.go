@@ -23,7 +23,7 @@
 // hit/miss/eviction counters.
 //
 // Durability and distributed merge: -checkpoint writes the structure's
-// sketch state after the run (the low-stall GZE3/GZX1 snapshot);
+// sketch state after the run (the low-stall checkpoint snapshot);
 // -restore starts a graph from a previous checkpoint file instead of
 // empty (parallel section decode); -merge XORs shard checkpoints written
 // elsewhere into the structure before the final query, so K machines can

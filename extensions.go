@@ -17,7 +17,7 @@ var ErrIncompatibleCheckpoint = core.ErrIncompatibleCheckpoint
 var ErrCorruptCheckpoint = core.ErrCorruptCheckpoint
 
 // ErrDeltaCheckpoint is returned (wrapped; compare with errors.Is) when a
-// GZD1 delta checkpoint stream is handed to an operation that needs a
+// delta checkpoint stream is handed to an operation that needs a
 // self-contained checkpoint (restore, merge): a delta only has meaning
 // applied on top of its exact base state via ApplyDeltaCheckpoint.
 var ErrDeltaCheckpoint = core.ErrDeltaCheckpoint
@@ -29,7 +29,7 @@ var ErrDeltaCheckpoint = core.ErrDeltaCheckpoint
 var ErrCheckpointChain = core.ErrCheckpointChain
 
 // WriteCheckpoint drains buffered updates and writes the Graph's full
-// sketch state to w in the sectioned GZE3 format (per-shard-pool parallel
+// sketch state to w in the sectioned checkpoint format (per-shard-pool parallel
 // encode, per-section CRC-32C checksums, a footer enabling parallel
 // restore). The snapshot is low-stall: ingestion is excluded only for the
 // drain and the snapshot seal — in-RAM sketches are copied shard-at-a-time
@@ -58,8 +58,7 @@ func (g *Graph) SaveCheckpoint(path string) error {
 // The checkpoint must have the same node count, seed, columns and rounds
 // (ErrIncompatibleCheckpoint otherwise, naming both parameter sets). The
 // merge streams serialized slots straight into the sketch arenas with zero
-// per-sketch allocations; legacy GZE2 checkpoints merge behind the magic
-// check.
+// per-sketch allocations.
 func (g *Graph) MergeCheckpoint(r io.Reader) error {
 	return g.engine.MergeCheckpoint(r)
 }
@@ -72,10 +71,10 @@ func (g *Graph) MergeCheckpoint(r io.Reader) error {
 func (g *Graph) CheckpointID() uint64 { return g.engine.Stats().LastCheckpointID }
 
 // WriteDeltaCheckpoint seals and streams a checkpoint that, when
-// possible, is a sparse GZD1 delta against this Graph's earlier seal
+// possible, is a sparse delta checkpoint against this Graph's earlier seal
 // baseID: only the nodes whose sketches changed since that seal are
 // shipped, and a consumer holding the base state advances to this state
-// with ApplyDeltaCheckpoint. It reports which format was written — the
+// with ApplyDeltaCheckpoint. It reports which kind was written — the
 // seal transparently falls back to a full checkpoint when baseID is 0 or
 // unknown, when delta checkpoints are disabled, or when the dirty
 // fraction exceeds WithDeltaCheckpointThreshold. Unlike WriteCheckpoint,
@@ -97,7 +96,7 @@ func (g *Graph) ApplyDeltaCheckpoint(r io.Reader) error {
 }
 
 // CompactCheckpoints folds a full base checkpoint file plus an ordered
-// GZD1 delta chain into one full checkpoint at outPath (written with the
+// delta checkpoint chain into one full checkpoint at outPath (written with the
 // crash-safe temp-fsync-rename discipline). The compacted file carries
 // the chain tip's WAL coverage and metadata, so once it has durably
 // replaced the chain the delta files can be deleted and the log
@@ -129,8 +128,8 @@ func RecoverChain(numNodes uint32, basePath string, deltaPaths []string, opts ..
 	return &Graph{engine: eng, numNodes: eng.Config().NumNodes}, rec, nil
 }
 
-// ReadCheckpoint restores a Graph from a checkpoint stream (GZE3 or legacy
-// GZE2), reading front to back; opts control deployment choices (workers,
+// ReadCheckpoint restores a Graph from a full checkpoint stream, reading
+// front to back; opts control deployment choices (workers,
 // buffering, disk placement) while the sketch parameters come from the
 // checkpoint. For checkpoint files prefer OpenCheckpoint, which restores
 // sections in parallel.
@@ -146,11 +145,10 @@ func ReadCheckpoint(r io.Reader, opts ...Option) (*Graph, error) {
 	return &Graph{engine: eng, numNodes: eng.Config().NumNodes}, nil
 }
 
-// OpenCheckpoint restores a Graph from a checkpoint file. GZE3 files are
-// decoded in parallel: the footer locates every section, and one goroutine
-// per shard worker verifies and installs whole sections (with coalesced
-// range writes in disk mode). Legacy GZE2 files fall back to the
-// sequential path.
+// OpenCheckpoint restores a Graph from a full checkpoint file, decoded in
+// parallel: the footer locates every section, and one goroutine per shard
+// worker verifies and installs whole sections (with coalesced range writes
+// in disk mode).
 func OpenCheckpoint(path string, opts ...Option) (*Graph, error) {
 	var cfg core.Config
 	for _, o := range opts {

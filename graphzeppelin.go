@@ -253,12 +253,12 @@ func WithDeltaQueryThreshold(frac float64) Option {
 
 // WithDeltaCheckpointThreshold sets the delta checkpoint fallback
 // threshold: a checkpoint sealed against an earlier base (see
-// Graph.WriteDeltaCheckpoint) ships as a sparse GZD1 delta only while at
-// most frac of all nodes were dirtied since that base (default 0.20) —
-// above it, the dense full format costs less than the sparse encoding
-// saves, so the seal transparently falls back to a full checkpoint.
-// Negative disables delta checkpoints entirely (every seal is full, kept
-// for ablation).
+// Graph.WriteDeltaCheckpoint) ships as a sparse delta checkpoint only
+// while at most frac of all nodes were dirtied since that base (default
+// 0.20) — above it the delta saves little and its slots, copied while
+// ingestion is excluded, lengthen the seal stall, so the seal
+// transparently falls back to a full checkpoint. Negative disables delta
+// checkpoints entirely (every seal is full, kept for ablation).
 func WithDeltaCheckpointThreshold(frac float64) Option {
 	return func(c *core.Config) { c.DeltaCheckpointThreshold = frac }
 }

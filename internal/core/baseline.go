@@ -10,7 +10,7 @@ package core
 //
 // Adoption compares the two engines' sketch states node by node at the
 // serialized-slot level: nodes whose bytes differ are marked dirty here
-// (replacing the coarse dirty-everything state a checkpoint merge leaves
+// (replacing the every-non-empty-node marking the checkpoint merges left
 // behind), and prev's cached result is transplanted as the baseline, its
 // epoch deliberately staled so the lock-free fast path cannot serve it —
 // the next query goes through the locked path and re-solves exactly the
@@ -54,15 +54,14 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 	}
 
 	// The diff below supersedes whatever dirty state this engine
-	// accumulated (typically dirty-everything from the checkpoint merges
-	// that built it): a node with equal bytes is provably unchanged
+	// accumulated (typically every non-empty node, marked by the checkpoint
+	// merges that built it): a node with equal bytes is provably unchanged
 	// relative to the baseline. Workers are idle under both write locks,
 	// so the reset and re-mark cannot race a worker's Set.
 	for _, sh := range e.shards {
 		sh.dirty.ClearAll()
 	}
 	e.releaseBeforeLocked()
-	e.dirtyAll.Store(false)
 
 	// Diff the serialized node slots. Equal bytes mean equal sketches, so
 	// the set of differing nodes is exactly the set whose cut information

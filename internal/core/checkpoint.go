@@ -18,9 +18,9 @@ import (
 	"graphzeppelin/internal/wal"
 )
 
-// Checkpoint format (GZE4):
+// Checkpoint format — one layout for full and delta checkpoints:
 //
-//	magic    [4]byte "GZE4"
+//	magic    [4]byte "GZE5"
 //	header   [48]byte:
 //	  numNodes     uint32
 //	  seed         uint64
@@ -30,12 +30,13 @@ import (
 //	  sectionCount uint32
 //	  walLSN       uint64 — last WAL LSN covered by this checkpoint (0
 //	    with the WAL disabled); Recover replays only records above it,
-//	    and a successful checkpoint truncates the log up to it
+//	    and a successful full checkpoint truncates the log up to it
 //	  metaLen      uint32, metaCRC uint32 (CRC-32C of the meta blob)
-//	meta     metaLen bytes — opaque caller metadata sealed with the cut
-//	  (gzserve stores its ingest-gate snapshot here so at-most-once
-//	  state survives a restart together with the data it describes)
-//	sections, each:
+//	meta     metaLen bytes — the GZM1 chain envelope (delta.go) wrapping
+//	  opaque caller metadata sealed with the cut (gzserve stores its
+//	  ingest-gate snapshot here so at-most-once state survives a restart
+//	  together with the data it describes)
+//	sections, in ascending, non-overlapping node order, each:
 //	  section header [20]byte: startNode uint32, count uint32,
 //	    payloadLen uint64 (= count × slotSize), crc uint32 (CRC-32C of
 //	    the payload)
@@ -49,20 +50,32 @@ import (
 //	  trailer [16]byte: footerOffset uint64, sectionCount uint32,
 //	    magic [4]byte "GZF3"
 //
-// Sections are contiguous node ranges covering [0, numNodes) in order, so
-// both encode and decode fan out across a worker pool: each worker owns
-// whole sections, and in disk mode reads or writes its section with
-// coalesced range I/O instead of one device access per node. The inline
-// section headers make a plain io.Reader stream decodable front to back
-// (and self-delimiting, so checkpoints concatenate — the extension
-// container format relies on this); the footer lets an io.ReaderAt restore
-// (OpenCheckpoint) jump straight to every section in parallel. Checksums
-// are per section, so corruption is detected before any state is merged
-// and is localized to a node range.
+// A full checkpoint's sections tile [0, numNodes) and its envelope's
+// baseID is 0. A delta checkpoint (envelope baseID != 0) is the same
+// stream with only the runs of consecutive nodes dirtied since the base,
+// cut at the same section boundaries — possibly none; header updates and
+// walLSN then describe the tip state the delta advances to. A delta is
+// not a diff: because sketches are linear, a node's current serialized
+// stack simply replaces its stale bytes at the consumer, so applying a
+// delta to an exact copy of the base state yields an exact copy of the
+// tip state. That replacement semantic is only sound when the consumer
+// really holds the base, which is what the chain envelope enforces. A
+// full checkpoint is therefore the delta whose dirty set is the whole
+// universe, and one encoder (streamCheckpoint) and one stream decoder
+// (readSections) serve both.
 //
-// Legacy GZE3 streams (32-byte header, no WAL position, no meta) and
-// GZE2 streams (flat numNodes × slotSize slots, no sections, no
-// checksums) remain readable and mergeable behind the magic check.
+// Sections are whole node ranges, so both encode and decode fan out
+// across a worker pool: each worker owns whole sections, and in disk mode
+// reads or writes its section with coalesced range I/O instead of one
+// device access per node. The inline section headers make a plain
+// io.Reader stream decodable front to back (and self-delimiting, so
+// checkpoints concatenate — the extension container format relies on
+// this); the streaming decoder rebuilds the footer from the sections it
+// read and requires the stream's to match byte for byte. The footer is
+// what lets an io.ReaderAt restore (OpenCheckpoint) jump straight to
+// every section in parallel. Checksums are per section, so corruption is
+// detected before that section's state is installed and is localized to a
+// node range.
 //
 // Linearity makes checkpoints composable: because sketches are mergeable,
 // a checkpoint written on one machine can be merged into a live engine
@@ -70,25 +83,15 @@ import (
 // direction of the paper's conclusion; see MergeCheckpoint).
 
 var (
-	checkpointMagic   = [4]byte{'G', 'Z', 'E', '4'}
-	checkpointMagicV3 = [4]byte{'G', 'Z', 'E', '3'}
-	checkpointMagicV2 = [4]byte{'G', 'Z', 'E', '2'}
-	footerMagic       = [4]byte{'G', 'Z', 'F', '3'}
-	// deltaMagic opens a sparse GZD1 delta checkpoint (delta.go): same
-	// 48-byte header layout as GZE4, but the sections carry sorted dirty
-	// node ids plus their serialized slots instead of dense node ranges.
-	deltaMagic = [4]byte{'G', 'Z', 'D', '1'}
+	checkpointMagic = [4]byte{'G', 'Z', 'E', '5'}
+	footerMagic     = [4]byte{'G', 'Z', 'F', '3'}
 )
 
 const (
-	checkpointHeaderLenV3 = 32
-	checkpointHeaderLen   = 48 // GZE4: V3's 32 + walLSN(8) + metaLen(4) + metaCRC(4)
-	// checkpointVersionDelta tags a decoded GZD1 header; delta streams are
-	// only consumable by ApplyDeltaCheckpoint, never by restore or merge.
-	checkpointVersionDelta = 5
-	sectionHeaderLen       = 20
-	footerEntryLen         = 16
-	footerTrailerLen       = 16
+	checkpointHeaderLen = 48
+	sectionHeaderLen    = 20
+	footerEntryLen      = 16
+	footerTrailerLen    = 16
 	// maxCheckpointMeta bounds the meta blob; a scanned metaLen above it
 	// is corruption, not metadata.
 	maxCheckpointMeta = 1 << 24
@@ -223,10 +226,20 @@ func (s *ckptSnap) finish() {
 	s.mu.Unlock()
 }
 
-// checkpointSections picks the section partition for this engine: sections
-// target sectionTargetBytes of payload, with at least one section per
-// shard worker so encode and restore fan out.
-func (e *Engine) checkpointSections() (nSections int, nodesPerSection uint32) {
+// nodeRun is one section of a checkpoint plan: the serialized slots of
+// nodes [start, start+count). off is the byte offset of the run's first
+// slot in a delta snapshot's buffer (CheckpointSnapshot.deltaBuf); a full
+// checkpoint's plan leaves it 0.
+type nodeRun struct {
+	start uint32
+	count int
+	off   int
+}
+
+// sectionNodes picks how many nodes one section spans for this engine:
+// sections target sectionTargetBytes of payload, with at least one section
+// per shard worker so encode and restore fan out.
+func (e *Engine) sectionNodes() uint32 {
 	total := int64(e.cfg.NumNodes) * int64(e.slotSize)
 	n := int((total + sectionTargetBytes - 1) / sectionTargetBytes)
 	if n < len(e.shards) {
@@ -235,18 +248,46 @@ func (e *Engine) checkpointSections() (nSections int, nodesPerSection uint32) {
 	if uint32(n) > e.cfg.NumNodes {
 		n = int(e.cfg.NumNodes)
 	}
-	nps := (e.cfg.NumNodes + uint32(n) - 1) / uint32(n)
-	return int((e.cfg.NumNodes + nps - 1) / nps), nps
+	return (e.cfg.NumNodes + uint32(n) - 1) / uint32(n)
 }
 
-// sectionRange returns section i's node range under the nps partition.
-func (e *Engine) sectionRange(i int, nps uint32) (start uint32, count int) {
-	start = uint32(i) * nps
-	count = int(nps)
-	if rest := int(e.cfg.NumNodes - start); count > rest {
-		count = rest
+// fullPlan is the section plan of a full checkpoint: [0, numNodes) tiled
+// into sections of nps nodes (the last one shorter).
+func (e *Engine) fullPlan(nps uint32) []nodeRun {
+	plan := make([]nodeRun, 0, (e.cfg.NumNodes+nps-1)/nps)
+	for start := uint64(0); start < uint64(e.cfg.NumNodes); start += uint64(nps) {
+		count := uint64(nps)
+		if rest := uint64(e.cfg.NumNodes) - start; count > rest {
+			count = rest
+		}
+		plan = append(plan, nodeRun{start: uint32(start), count: int(count)})
 	}
-	return start, count
+	return plan
+}
+
+// deltaPlan is the section plan of a delta checkpoint over the sorted
+// dirty ids: one section per run of consecutive ids, cut wherever a full
+// checkpoint's tiling cuts — so the plan of an all-dirty delta IS the full
+// plan. Slots sit in id order in the delta buffer.
+func deltaPlan(ids []uint32, nps uint32, slotSize int) []nodeRun {
+	var plan []nodeRun
+	for i, id := range ids {
+		if n := len(plan); n > 0 && id == ids[i-1]+1 && id%nps != 0 {
+			plan[n-1].count++
+			continue
+		}
+		plan = append(plan, nodeRun{start: id, count: 1, off: i * slotSize})
+	}
+	return plan
+}
+
+// checkpointSize is the exact byte length of a checkpoint with the given
+// meta length and section count carrying nodes slots of slotSize bytes:
+// the layout is fully determined by the header, the meta blob and the
+// section plan.
+func checkpointSize(metaLen, sections int, nodes, slotSize int64) int64 {
+	return int64(4+checkpointHeaderLen+footerTrailerLen) + int64(metaLen) +
+		int64(sections)*int64(sectionHeaderLen+footerEntryLen) + nodes*slotSize
 }
 
 // getSectionBuf returns a pooled payload buffer of at least n bytes.
@@ -261,7 +302,7 @@ func (e *Engine) putSectionBuf(b []byte) {
 	e.ckptBuf.Put(&b)
 }
 
-// WriteCheckpoint writes the engine's full sketch state as a GZE3 stream.
+// WriteCheckpoint writes the engine's full sketch state as a checkpoint.
 // The quiesce lock is held only to drain buffered updates and seal the
 // snapshot (RAM mode: shard-at-a-time slab copy into reusable arenas; disk
 // mode: installing the copy-on-write capture), then released — the
@@ -338,27 +379,23 @@ func (e *Engine) TruncateWALThrough(lsn uint64) { e.truncateWAL(lsn) }
 // mutex until Close, which must always be called (usually deferred);
 // StreamTo may be called at most once.
 type CheckpointSnapshot struct {
-	e         *Engine
-	updates   uint64
-	walLSN    uint64 // last WAL LSN the cut covers (0 with the WAL off)
-	meta      []byte // chain envelope + caller metadata sealed with the cut
-	nSections int
-	nps       uint32
-	snap      *ckptSnap // non-nil iff disk mode full checkpoint
-	written   bool
-	closed    bool
+	e        *Engine
+	updates  uint64
+	walLSN   uint64    // last WAL LSN the cut covers (0 with the WAL off)
+	meta     []byte    // chain envelope + caller metadata sealed with the cut
+	sections []nodeRun // the section plan: fullPlan, or deltaPlan over the dirty ids
+	snap     *ckptSnap // non-nil iff disk mode full checkpoint
+	written  bool
+	closed   bool
 
 	// Chain identity (delta.go): ckptID is the id this seal minted. For a
-	// delta snapshot, baseID/baseLSN name the base checkpoint it chains
-	// onto, deltaIDs the sorted dirty node ids, and deltaBuf their
-	// serialized slots, materialized at seal time under the quiesce lock
-	// (a delta is small by construction, so no copy-on-write machinery is
-	// needed to stream it with ingestion live).
+	// delta snapshot, baseID names the base checkpoint it chains onto (0
+	// for a full one) and deltaBuf holds the plan's slots, materialized at
+	// seal time under the quiesce lock (a delta is small by construction,
+	// so no copy-on-write machinery is needed to stream it with ingestion
+	// live).
 	ckptID   uint64
 	baseID   uint64
-	baseLSN  uint64
-	delta    bool
-	deltaIDs []uint32
 	deltaBuf []byte
 }
 
@@ -371,10 +408,10 @@ func (e *Engine) SealCheckpoint() (*CheckpointSnapshot, error) {
 }
 
 // SealCheckpointSince seals a snapshot that, when possible, is a sparse
-// GZD1 delta against the checkpoint this engine previously sealed with id
+// delta against the checkpoint this engine previously sealed with id
 // baseID: only the nodes dirtied since that seal are included, and the
 // consumer chains it onto its copy of the base with ApplyDeltaCheckpoint.
-// The seal falls back to a full GZE4 checkpoint — transparently; inspect
+// The seal falls back to a full checkpoint — transparently; inspect
 // IsDelta — when baseID is 0 or unknown (not this engine's lineage, or
 // older than the retained seal history), when delta checkpoints are
 // disabled, or when the dirty fraction exceeds
@@ -425,10 +462,11 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error
 	// vectors into the seal history and mint the new state id, full or not —
 	// a full checkpoint is as valid a delta base as any.
 	cs.ckptID = e.mintSealID(cs.walLSN)
+	nps := e.sectionNodes()
 	if ids, baseLSN, ok := e.planDelta(baseID, cs.ckptID); ok {
-		cs.delta, cs.baseID, cs.baseLSN = true, baseID, baseLSN
+		cs.baseID = baseID
 		cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, baseID, baseLSN, user)
-		cs.deltaIDs = ids
+		cs.sections = deltaPlan(ids, nps, e.slotSize)
 		if err := e.materializeDelta(cs); err != nil {
 			e.quiesce.Unlock()
 			return nil, err
@@ -438,7 +476,7 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error
 		return cs, nil
 	}
 	cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, 0, 0, user)
-	cs.nSections, cs.nps = e.checkpointSections()
+	cs.sections = e.fullPlan(nps)
 	if e.store == nil {
 		if err := e.sealSlabs(); err != nil {
 			e.quiesce.Unlock()
@@ -462,7 +500,7 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error
 		if budget == 0 {
 			budget = checkpointCOWBudget
 		}
-		cs.snap = newCkptSnap(cs.nSections, cs.nps, budget)
+		cs.snap = newCkptSnap(len(cs.sections), nps, budget)
 		e.snap.Store(cs.snap)
 		if e.cache != nil {
 			snap := cs.snap
@@ -488,23 +526,12 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error
 // update across its workers.
 func (cs *CheckpointSnapshot) Updates() uint64 { return cs.updates }
 
-// Size returns the exact byte length StreamTo will produce. The GZE4
-// layout is fully determined by the engine parameters, the sealed meta
-// blob and the section plan (header + meta + per-section header +
-// numNodes fixed-width slots + footer), so a server can emit a
-// length-prefixed frame or Content-Length and stream the checkpoint
-// directly, without buffering it first.
+// Size returns the exact byte length StreamTo will produce (see
+// checkpointSize), so a server can emit a length-prefixed frame or
+// Content-Length and stream the checkpoint directly, without buffering it
+// first.
 func (cs *CheckpointSnapshot) Size() int64 {
-	e := cs.e
-	if cs.delta {
-		nSec, _ := deltaSectionPlan(len(cs.deltaIDs), e.slotSize)
-		return int64(4+checkpointHeaderLen) + int64(len(cs.meta)) +
-			int64(nSec)*int64(sectionHeaderLen) +
-			int64(len(cs.deltaIDs))*int64(4+e.slotSize)
-	}
-	return int64(4+checkpointHeaderLen+footerTrailerLen) + int64(len(cs.meta)) +
-		int64(cs.nSections)*int64(sectionHeaderLen+footerEntryLen) +
-		int64(e.cfg.NumNodes)*int64(e.slotSize)
+	return checkpointSize(len(cs.meta), len(cs.sections), int64(cs.Nodes()), int64(cs.e.slotSize))
 }
 
 // WALPos returns the last WAL LSN the sealed cut covers.
@@ -518,17 +545,18 @@ func (cs *CheckpointSnapshot) ID() uint64 { return cs.ckptID }
 // chains onto (0 for a full checkpoint).
 func (cs *CheckpointSnapshot) BaseID() uint64 { return cs.baseID }
 
-// IsDelta reports whether the seal produced a sparse GZD1 delta (nodes
-// dirtied since the base) rather than a full GZE4 checkpoint.
-func (cs *CheckpointSnapshot) IsDelta() bool { return cs.delta }
+// IsDelta reports whether the seal produced a sparse delta (nodes dirtied
+// since the base) rather than a full checkpoint.
+func (cs *CheckpointSnapshot) IsDelta() bool { return cs.baseID != 0 }
 
-// Nodes returns how many node slots the snapshot carries: the dirty-id
+// Nodes returns how many node slots the snapshot carries: the dirty-node
 // count for a delta, the whole universe for a full checkpoint.
 func (cs *CheckpointSnapshot) Nodes() int {
-	if cs.delta {
-		return len(cs.deltaIDs)
+	n := 0
+	for _, run := range cs.sections {
+		n += run.count
 	}
-	return int(cs.e.cfg.NumNodes)
+	return n
 }
 
 // StreamTo streams the sealed snapshot to w; ingestion is live throughout.
@@ -537,21 +565,16 @@ func (cs *CheckpointSnapshot) StreamTo(w io.Writer) error {
 		return errors.New("core: checkpoint snapshot already streamed or closed")
 	}
 	cs.written = true
-	var err error
-	if cs.delta {
-		err = cs.e.streamDeltaCheckpoint(w, cs)
+	if err := cs.e.streamCheckpoint(w, cs); err != nil {
+		return err
+	}
+	if cs.IsDelta() {
+		cs.e.deltaCkpts.Add(1)
+		cs.e.deltaCkptBytes.Add(uint64(cs.Size()))
 	} else {
-		err = cs.e.streamCheckpoint(w, cs)
+		cs.e.fullCkptBytes.Add(uint64(cs.Size()))
 	}
-	if err == nil {
-		if cs.delta {
-			cs.e.deltaCkpts.Add(1)
-			cs.e.deltaCkptBytes.Add(uint64(cs.Size()))
-		} else {
-			cs.e.fullCkptBytes.Add(uint64(cs.Size()))
-		}
-	}
-	return err
+	return nil
 }
 
 // WriteFile streams the snapshot to path with crash-safe ordering (stream
@@ -610,13 +633,9 @@ func (cs *CheckpointSnapshot) Close() {
 // the quiesce write lock with the workers idle.
 func (e *Engine) sealSlabs() error {
 	if e.snapSlabs == nil {
-		seeds := make([]uint64, e.cfg.Rounds)
-		for r := range seeds {
-			seeds[r] = e.roundSeed(r)
-		}
 		e.snapSlabs = make([]*cubesketch.Slab, len(e.shards))
 		for s, sh := range e.shards {
-			e.snapSlabs[s] = cubesketch.NewSlab(sh.slab.Nodes(), e.vecLen, e.cfg.Columns, seeds)
+			e.snapSlabs[s] = e.newSlab(sh.slab.Nodes())
 		}
 	}
 	for s, sh := range e.shards {
@@ -627,12 +646,39 @@ func (e *Engine) sealSlabs() error {
 	return nil
 }
 
-// streamCheckpoint encodes the sealed snapshot into sections across a
-// worker pool (one goroutine per shard worker, work-stealing over
-// sections) and writes them to w in order, followed by the footer. Runs
-// without the quiesce lock; ingestion is live throughout.
+// newSlab returns an empty slab of this engine's geometry: the seal
+// arenas, and the one-node scratch slabs that validate foreign slot bytes
+// before any live state is touched.
+func (e *Engine) newSlab(nodes int) *cubesketch.Slab {
+	seeds := make([]uint64, e.cfg.Rounds)
+	for r := range seeds {
+		seeds[r] = e.roundSeed(r)
+	}
+	return cubesketch.NewSlab(nodes, e.vecLen, e.cfg.Columns, seeds)
+}
+
+// appendFooterEntry and appendFooterTrailer build the footer. The writer
+// emits it after the last section; the streaming reader rebuilds it from
+// the sections it read and compares.
+func appendFooterEntry(footer []byte, start uint32, count int, off uint64) []byte {
+	footer = binary.LittleEndian.AppendUint32(footer, start)
+	footer = binary.LittleEndian.AppendUint32(footer, uint32(count))
+	return binary.LittleEndian.AppendUint64(footer, off)
+}
+
+func appendFooterTrailer(footer []byte, footerOff uint64, sections int) []byte {
+	footer = binary.LittleEndian.AppendUint64(footer, footerOff)
+	footer = binary.LittleEndian.AppendUint32(footer, uint32(sections))
+	return append(footer, footerMagic[:]...)
+}
+
+// streamCheckpoint writes the sealed snapshot, full or delta: header and
+// meta, then the plan's sections — encoded across a worker pool (one
+// goroutine per shard worker, work-stealing over sections) and written to
+// w in order — then the footer. Runs without the quiesce lock; ingestion
+// is live throughout.
 func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
-	updates, nSections, nps, snap := cs.updates, cs.nSections, cs.nps, cs.snap
+	plan := cs.sections
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(checkpointMagic[:]); err != nil {
 		return err
@@ -642,8 +688,8 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 	binary.LittleEndian.PutUint64(hdr[4:], e.cfg.Seed)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(e.cfg.Columns))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(e.cfg.Rounds))
-	binary.LittleEndian.PutUint64(hdr[20:], updates)
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(nSections))
+	binary.LittleEndian.PutUint64(hdr[20:], cs.updates)
+	binary.LittleEndian.PutUint32(hdr[28:], uint32(len(plan)))
 	binary.LittleEndian.PutUint64(hdr[32:], cs.walLSN)
 	binary.LittleEndian.PutUint32(hdr[40:], uint32(len(cs.meta)))
 	binary.LittleEndian.PutUint32(hdr[44:], crc32.Checksum(cs.meta, crcTable))
@@ -655,16 +701,16 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 	}
 
 	workers := len(e.shards)
-	if workers > nSections {
-		workers = nSections
+	if workers > len(plan) {
+		workers = len(plan)
 	}
 	type encoded struct {
 		payload []byte
 		crc     uint32
 		err     error
 	}
-	results := make([]encoded, nSections)
-	done := make([]chan struct{}, nSections)
+	results := make([]encoded, len(plan))
+	done := make([]chan struct{}, len(plan))
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
@@ -680,36 +726,34 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 			for {
 				sem <- struct{}{}
 				i := int(next.Add(1)) - 1
-				if i >= nSections {
+				if i >= len(plan) {
 					<-sem
 					return
 				}
-				start, count := e.sectionRange(i, nps)
-				payload := e.getSectionBuf(count * e.slotSize)
-				err := e.encodeSection(i, start, count, payload, snap)
+				payload := e.getSectionBuf(plan[i].count * e.slotSize)
+				err := e.encodeSection(i, plan[i], payload, cs)
 				results[i] = encoded{payload: payload, crc: crc32.Checksum(payload, crcTable), err: err}
 				close(done[i])
 			}
 		}()
 	}
 
-	offsets := make([]uint64, nSections)
+	footer := make([]byte, 0, len(plan)*footerEntryLen+footerTrailerLen)
 	off := uint64(4+checkpointHeaderLen) + uint64(len(cs.meta))
 	var firstErr error
-	for i := 0; i < nSections; i++ {
+	for i, run := range plan {
 		<-done[i]
 		res := results[i]
 		if firstErr == nil && res.err != nil {
 			firstErr = res.err
 		}
 		if firstErr == nil {
-			start, count := e.sectionRange(i, nps)
 			var sh [sectionHeaderLen]byte
-			binary.LittleEndian.PutUint32(sh[0:], start)
-			binary.LittleEndian.PutUint32(sh[4:], uint32(count))
+			binary.LittleEndian.PutUint32(sh[0:], run.start)
+			binary.LittleEndian.PutUint32(sh[4:], uint32(run.count))
 			binary.LittleEndian.PutUint64(sh[8:], uint64(len(res.payload)))
 			binary.LittleEndian.PutUint32(sh[16:], res.crc)
-			offsets[i] = off
+			footer = appendFooterEntry(footer, run.start, run.count, off)
 			if _, err := bw.Write(sh[:]); err != nil {
 				firstErr = err
 			} else if _, err := bw.Write(res.payload); err != nil {
@@ -725,33 +769,24 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 	if firstErr != nil {
 		return firstErr
 	}
-
-	footerOff := off
-	var entry [footerEntryLen]byte
-	for i := 0; i < nSections; i++ {
-		start, count := e.sectionRange(i, nps)
-		binary.LittleEndian.PutUint32(entry[0:], start)
-		binary.LittleEndian.PutUint32(entry[4:], uint32(count))
-		binary.LittleEndian.PutUint64(entry[8:], offsets[i])
-		if _, err := bw.Write(entry[:]); err != nil {
-			return err
-		}
-	}
-	var trailer [footerTrailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[0:], footerOff)
-	binary.LittleEndian.PutUint32(trailer[8:], uint32(nSections))
-	copy(trailer[12:], footerMagic[:])
-	if _, err := bw.Write(trailer[:]); err != nil {
+	if _, err := bw.Write(appendFooterTrailer(footer, off, len(plan))); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// encodeSection fills payload with the serialized slots of nodes
-// [start, start+count). RAM mode marshals out of the sealed snapshot
-// slabs; disk mode scans the store with coalesced range reads and then
-// substitutes any copy-on-write pre-images, yielding the drain-time cut.
-func (e *Engine) encodeSection(sec int, start uint32, count int, payload []byte, snap *ckptSnap) error {
+// encodeSection fills payload with the serialized slots of section sec of
+// the snapshot's plan. A delta copies the run out of the buffer
+// materializeDelta filled under the seal; a full checkpoint marshals out
+// of the sealed snapshot slabs in RAM mode, and in disk mode scans the
+// store with coalesced range reads and then substitutes any copy-on-write
+// pre-images, yielding the drain-time cut.
+func (e *Engine) encodeSection(sec int, run nodeRun, payload []byte, cs *CheckpointSnapshot) error {
+	if cs.IsDelta() {
+		copy(payload, cs.deltaBuf[run.off:])
+		return nil
+	}
+	start, count := run.start, run.count
 	if e.store == nil {
 		k := uint32(len(e.shards))
 		for j := 0; j < count; j++ {
@@ -773,22 +808,20 @@ func (e *Engine) encodeSection(sec int, start uint32, count int, payload []byte,
 			return fmt.Errorf("core: checkpoint scan of nodes [%d,%d): %w", int(start)+lo, int(start)+hi, err)
 		}
 	}
-	snap.capture(sec, start, count, payload, e.slotSize)
+	cs.snap.capture(sec, start, count, payload, e.slotSize)
 	return nil
 }
 
-// checkpointHeader is the decoded fixed header of any format version.
+// checkpointHeader is the decoded fixed header.
 type checkpointHeader struct {
-	version  int // 2, 3 or 4
 	numNodes uint32
 	seed     uint64
 	columns  int
 	rounds   int
 	updates  uint64
-	sections int // GZE3+
+	sections int
 	walLSN   uint64
 	metaLen  int
-	metaCRC  uint32
 }
 
 // asBufReader reuses r when it already buffers (the extension container
@@ -801,88 +834,67 @@ func asBufReader(r io.Reader) *bufio.Reader {
 	return bufio.NewReaderSize(r, 1<<16)
 }
 
-func readCheckpointHeader(br *bufio.Reader) (checkpointHeader, error) {
+// readCheckpointHeader reads everything ahead of the sections — magic,
+// fixed header, meta blob — and returns the header with the decoded chain
+// envelope; env.baseID != 0 is what marks the stream a delta. The meta
+// blob is read incrementally, so a lying metaLen costs no more memory than
+// the bytes the stream actually holds.
+func readCheckpointHeader(br *bufio.Reader) (checkpointHeader, metaEnvelope, error) {
+	fail := func(err error) (checkpointHeader, metaEnvelope, error) {
+		return checkpointHeader{}, metaEnvelope{}, err
+	}
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return checkpointHeader{}, fmt.Errorf("core: reading checkpoint magic: %w", err)
+		return fail(fmt.Errorf("core: reading checkpoint magic: %w", err))
 	}
-	switch m {
-	case checkpointMagicV2:
-		var hdr [28]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return checkpointHeader{}, fmt.Errorf("core: reading checkpoint header: %w", err)
-		}
-		return checkpointHeader{
-			version:  2,
-			numNodes: binary.LittleEndian.Uint32(hdr[0:]),
-			seed:     binary.LittleEndian.Uint64(hdr[4:]),
-			columns:  int(binary.LittleEndian.Uint32(hdr[12:])),
-			rounds:   int(binary.LittleEndian.Uint32(hdr[16:])),
-			updates:  binary.LittleEndian.Uint64(hdr[20:]),
-		}, nil
-	case checkpointMagicV3, checkpointMagic, deltaMagic:
-		n := checkpointHeaderLenV3
-		version := 3
-		if m != checkpointMagicV3 {
-			n = checkpointHeaderLen
-			version = 4
-			if m == deltaMagic {
-				version = checkpointVersionDelta
-			}
-		}
-		var hdr [checkpointHeaderLen]byte
-		if _, err := io.ReadFull(br, hdr[:n]); err != nil {
-			return checkpointHeader{}, fmt.Errorf("core: reading checkpoint header: %w", err)
-		}
-		h := checkpointHeader{
-			version:  version,
-			numNodes: binary.LittleEndian.Uint32(hdr[0:]),
-			seed:     binary.LittleEndian.Uint64(hdr[4:]),
-			columns:  int(binary.LittleEndian.Uint32(hdr[12:])),
-			rounds:   int(binary.LittleEndian.Uint32(hdr[16:])),
-			updates:  binary.LittleEndian.Uint64(hdr[20:]),
-			sections: int(binary.LittleEndian.Uint32(hdr[28:])),
-		}
-		if version >= 4 {
-			h.walLSN = binary.LittleEndian.Uint64(hdr[32:])
-			h.metaLen = int(binary.LittleEndian.Uint32(hdr[40:]))
-			h.metaCRC = binary.LittleEndian.Uint32(hdr[44:])
-			if h.metaLen > maxCheckpointMeta {
-				return checkpointHeader{}, fmt.Errorf("%w: %d-byte meta blob", ErrCorruptCheckpoint, h.metaLen)
-			}
-		}
-		// A delta may legitimately carry zero sections (nothing dirtied
-		// since the base); dense formats must cover the node universe.
-		minSections := 1
-		if version == checkpointVersionDelta {
-			minSections = 0
-		}
-		if h.sections < minSections || uint32(h.sections) > h.numNodes {
-			return checkpointHeader{}, fmt.Errorf("%w: %d sections for %d nodes", ErrCorruptCheckpoint, h.sections, h.numNodes)
-		}
-		return h, nil
-	default:
-		return checkpointHeader{}, fmt.Errorf("%w: not a GZE2/GZE3/GZE4/GZD1 checkpoint", ErrCorruptCheckpoint)
+	if m != checkpointMagic {
+		return fail(fmt.Errorf("%w: not a checkpoint (magic %q)", ErrCorruptCheckpoint, m[:]))
 	}
-}
-
-// readCheckpointMeta reads and verifies the GZE4 meta blob following the
-// header (nil for earlier versions or an empty blob).
-func readCheckpointMeta(br *bufio.Reader, h checkpointHeader) ([]byte, error) {
-	if h.version < 4 || h.metaLen == 0 {
-		if h.version >= 4 && h.metaCRC != 0 {
-			return nil, fmt.Errorf("%w: empty meta with nonzero checksum", ErrCorruptCheckpoint)
-		}
-		return nil, nil
+	var hdr [checkpointHeaderLen]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return fail(fmt.Errorf("core: reading checkpoint header: %w", err))
 	}
-	meta := make([]byte, h.metaLen)
-	if _, err := io.ReadFull(br, meta); err != nil {
-		return nil, fmt.Errorf("core: checkpoint truncated in meta blob: %w", err)
+	h := checkpointHeader{
+		numNodes: binary.LittleEndian.Uint32(hdr[0:]),
+		seed:     binary.LittleEndian.Uint64(hdr[4:]),
+		columns:  int(binary.LittleEndian.Uint32(hdr[12:])),
+		rounds:   int(binary.LittleEndian.Uint32(hdr[16:])),
+		updates:  binary.LittleEndian.Uint64(hdr[20:]),
+		sections: int(binary.LittleEndian.Uint32(hdr[28:])),
+		walLSN:   binary.LittleEndian.Uint64(hdr[32:]),
+		metaLen:  int(binary.LittleEndian.Uint32(hdr[40:])),
 	}
-	if crc32.Checksum(meta, crcTable) != h.metaCRC {
-		return nil, fmt.Errorf("%w: meta blob checksum mismatch", ErrCorruptCheckpoint)
+	if h.numNodes < 2 || h.columns < 1 || h.rounds < 1 {
+		return fail(fmt.Errorf("%w: header parameters V=%d cols=%d rounds=%d",
+			ErrCorruptCheckpoint, h.numNodes, h.columns, h.rounds))
 	}
-	return meta, nil
+	if h.metaLen > maxCheckpointMeta {
+		return fail(fmt.Errorf("%w: %d-byte meta blob", ErrCorruptCheckpoint, h.metaLen))
+	}
+	meta, err := io.ReadAll(io.LimitReader(br, int64(h.metaLen)))
+	if err == nil && len(meta) < h.metaLen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return fail(fmt.Errorf("core: checkpoint truncated in meta blob: %w", err))
+	}
+	if crc32.Checksum(meta, crcTable) != binary.LittleEndian.Uint32(hdr[44:]) {
+		return fail(fmt.Errorf("%w: meta blob checksum mismatch", ErrCorruptCheckpoint))
+	}
+	env, ok := parseMetaEnvelope(meta)
+	if !ok {
+		return fail(fmt.Errorf("%w: meta blob is not a chain envelope", ErrCorruptCheckpoint))
+	}
+	// A delta may legitimately carry zero sections (nothing dirtied since
+	// the base); a full checkpoint must cover the node universe.
+	minSections := 1
+	if env.baseID != 0 {
+		minSections = 0
+	}
+	if h.sections < minSections || uint32(h.sections) > h.numNodes {
+		return fail(fmt.Errorf("%w: %d sections for %d nodes", ErrCorruptCheckpoint, h.sections, h.numNodes))
+	}
+	return h, env, nil
 }
 
 // sectionHeader is one decoded inline section header.
@@ -894,36 +906,30 @@ type sectionHeader struct {
 }
 
 // parseSectionHeader sanity-checks one inline section header against the
-// engine's geometry and the expected coverage cursor.
-func (e *Engine) parseSectionHeader(sh []byte, expectStart uint32) (sectionHeader, error) {
+// engine's geometry and the coverage cursor: a section starts at or past
+// the cursor (ascending, non-overlapping), exactly at it when contiguous
+// is set (a full checkpoint's tiling, or the footer entry that located
+// the section).
+func (e *Engine) parseSectionHeader(sh []byte, cursor uint32, contiguous bool) (sectionHeader, error) {
 	s := sectionHeader{
 		start:   binary.LittleEndian.Uint32(sh[0:]),
 		count:   int(binary.LittleEndian.Uint32(sh[4:])),
 		payload: int(binary.LittleEndian.Uint64(sh[8:])),
 		crc:     binary.LittleEndian.Uint32(sh[16:]),
 	}
-	if s.start != expectStart || s.count <= 0 ||
+	if s.start < cursor || (contiguous && s.start != cursor) || s.start >= e.cfg.NumNodes || s.count <= 0 ||
 		uint32(s.count) > e.cfg.NumNodes-s.start || s.payload != s.count*e.slotSize {
 		return sectionHeader{}, fmt.Errorf("%w: section (start=%d count=%d payload=%d) at node cursor %d",
-			ErrCorruptCheckpoint, s.start, s.count, s.payload, expectStart)
+			ErrCorruptCheckpoint, s.start, s.count, s.payload, cursor)
 	}
 	return s, nil
 }
 
-// readSectionHeader reads and sanity-checks one inline section header.
-func (e *Engine) readSectionHeader(br *bufio.Reader, expectStart uint32) (sectionHeader, error) {
-	var sh [sectionHeaderLen]byte
-	if _, err := io.ReadFull(br, sh[:]); err != nil {
-		return sectionHeader{}, fmt.Errorf("core: checkpoint truncated at section header (node %d): %w", expectStart, err)
-	}
-	return e.parseSectionHeader(sh[:], expectStart)
-}
-
 // decodeSection installs a verified section payload into the engine's
-// sketch state: RAM mode unmarshals each node into its owning shard's
-// slab (validating every round header), disk mode writes the whole range
-// with one coalesced device access. Safe to call concurrently for
-// disjoint sections.
+// sketch state by replacement — restore and delta apply alike: RAM mode
+// unmarshals each node into its owning shard's slab (validating every
+// round header), disk mode writes the whole range with one coalesced
+// device access. Safe to call concurrently for disjoint sections.
 func (e *Engine) decodeSection(start uint32, count int, payload []byte) error {
 	if e.store != nil {
 		if err := e.store.WriteRange(start, count, payload); err != nil {
@@ -936,20 +942,61 @@ func (e *Engine) decodeSection(start uint32, count int, payload []byte) error {
 		node := start + uint32(j)
 		sh := e.shards[node%k]
 		if err := sh.slab.UnmarshalNode(int(node/k), payload[j*e.slotSize:(j+1)*e.slotSize]); err != nil {
-			return fmt.Errorf("core: checkpoint slot of node %d: %w", node, err)
+			return fmt.Errorf("%w: slot of node %d: %v", ErrCorruptCheckpoint, node, err)
 		}
 	}
 	return nil
 }
 
-// writeSlot replaces node's sketches from blob (the GZE2 restore path).
-func (e *Engine) writeSlot(node uint32, blob []byte) error {
-	if e.store != nil {
-		return e.store.Write(node, blob)
+// readSections is the one loop that reads checkpoint sections from a
+// stream, for restore, merge and delta apply. Each section is checked
+// against the engine's geometry and the coverage cursor, read whole and
+// CRC-verified before visit sees it (the payload is only valid during the
+// call). A full checkpoint's sections must tile [0, numNodes); a delta's
+// only ascend. The footer is rebuilt from the sections read and the
+// stream's must equal it byte for byte — so a stream that restores here
+// also opens with OpenCheckpoint once saved to a file — which leaves the
+// reader positioned exactly past the checkpoint: concatenated streams, as
+// the extension container writes, stay readable.
+func (e *Engine) readSections(br *bufio.Reader, h checkpointHeader, delta bool, visit func(start uint32, count int, payload []byte) error) error {
+	want := make([]byte, 0, h.sections*footerEntryLen+footerTrailerLen)
+	off := uint64(4+checkpointHeaderLen) + uint64(h.metaLen)
+	cursor := uint32(0)
+	for s := 0; s < h.sections; s++ {
+		var shdr [sectionHeaderLen]byte
+		if _, err := io.ReadFull(br, shdr[:]); err != nil {
+			return fmt.Errorf("core: checkpoint truncated at section header (node %d): %w", cursor, err)
+		}
+		sec, err := e.parseSectionHeader(shdr[:], cursor, !delta)
+		if err != nil {
+			return err
+		}
+		payload := e.getSectionBuf(sec.payload)
+		if _, err = io.ReadFull(br, payload); err != nil {
+			err = fmt.Errorf("core: checkpoint truncated in section at node %d: %w", sec.start, err)
+		} else if crc32.Checksum(payload, crcTable) != sec.crc {
+			err = fmt.Errorf("%w: checksum mismatch in section at node %d", ErrCorruptCheckpoint, sec.start)
+		} else {
+			err = visit(sec.start, sec.count, payload)
+		}
+		e.putSectionBuf(payload)
+		if err != nil {
+			return err
+		}
+		want = appendFooterEntry(want, sec.start, sec.count, off)
+		off += sectionHeaderLen + uint64(sec.payload)
+		cursor = sec.start + uint32(sec.count)
 	}
-	sh, local := e.shardOf(node)
-	if err := sh.slab.UnmarshalNode(local, blob); err != nil {
-		return fmt.Errorf("core: checkpoint slot of node %d: %w", node, err)
+	if !delta && cursor != e.cfg.NumNodes {
+		return fmt.Errorf("%w: sections cover %d of %d nodes", ErrCorruptCheckpoint, cursor, e.cfg.NumNodes)
+	}
+	want = appendFooterTrailer(want, off, h.sections)
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(br, got); err != nil {
+		return fmt.Errorf("core: checkpoint truncated in footer: %w", err)
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("%w: footer does not match the sections read", ErrCorruptCheckpoint)
 	}
 	return nil
 }
@@ -964,66 +1011,26 @@ func configFromHeader(cfg Config, h checkpointHeader) Config {
 	return cfg
 }
 
-// ReadCheckpoint restores an engine from a checkpoint stream (GZE3 or
-// legacy GZE2), reading front to back. The provided config controls
-// deployment choices (workers, buffering, disk placement); its sketch
-// parameters are overwritten by the checkpoint's. For a seekable file use
-// OpenCheckpoint, which decodes sections in parallel.
+// ReadCheckpoint restores an engine from a full checkpoint stream, reading
+// front to back. The provided config controls deployment choices (workers,
+// buffering, disk placement); its sketch parameters are overwritten by the
+// checkpoint's. For a seekable file use OpenCheckpoint, which decodes
+// sections in parallel.
 func ReadCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 	br := asBufReader(r)
-	h, err := readCheckpointHeader(br)
+	h, env, err := readCheckpointHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	if h.version == checkpointVersionDelta {
+	if env.baseID != 0 {
 		return nil, fmt.Errorf("%w: cannot restore from a delta stream", ErrDeltaCheckpoint)
-	}
-	meta, err := readCheckpointMeta(br, h)
-	if err != nil {
-		return nil, err
 	}
 	e, err := NewEngine(configFromHeader(cfg, h))
 	if err != nil {
 		return nil, err
 	}
-	e.adoptChainMeta(h, meta)
-	if h.version == 2 {
-		if err := e.readLegacyBody(br, h); err != nil {
-			e.Close()
-			return nil, err
-		}
-		e.updates.Store(h.updates)
-		return e, nil
-	}
-	var payload []byte
-	cursor := uint32(0)
-	for s := 0; s < h.sections; s++ {
-		sec, err := e.readSectionHeader(br, cursor)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		payload = e.getSectionBuf(sec.payload)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			e.Close()
-			return nil, fmt.Errorf("core: checkpoint truncated in section at node %d: %w", sec.start, err)
-		}
-		if crc32.Checksum(payload, crcTable) != sec.crc {
-			e.Close()
-			return nil, fmt.Errorf("%w: checksum mismatch in section at node %d", ErrCorruptCheckpoint, sec.start)
-		}
-		if err := e.decodeSection(sec.start, sec.count, payload); err != nil {
-			e.Close()
-			return nil, err
-		}
-		e.putSectionBuf(payload)
-		cursor = sec.start + uint32(sec.count)
-	}
-	if cursor != h.numNodes {
-		e.Close()
-		return nil, fmt.Errorf("%w: sections cover %d of %d nodes", ErrCorruptCheckpoint, cursor, h.numNodes)
-	}
-	if err := consumeFooter(br, h.sections); err != nil {
+	e.adoptChainMeta(h, env)
+	if err := e.readSections(br, h, false, e.decodeSection); err != nil {
 		e.Close()
 		return nil, err
 	}
@@ -1031,38 +1038,8 @@ func ReadCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// readLegacyBody decodes the flat GZE2 slot array.
-func (e *Engine) readLegacyBody(br *bufio.Reader, h checkpointHeader) error {
-	blob := make([]byte, e.slotSize)
-	for node := uint32(0); node < h.numNodes; node++ {
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return fmt.Errorf("core: checkpoint truncated at node %d: %w", node, err)
-		}
-		if err := e.writeSlot(node, blob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// consumeFooter reads (and validates the trailer of) the footer so a
-// streaming reader is left positioned exactly past the checkpoint —
-// concatenated streams, as the extension container writes, stay readable.
-func consumeFooter(br *bufio.Reader, sections int) error {
-	footer := make([]byte, sections*footerEntryLen+footerTrailerLen)
-	if _, err := io.ReadFull(br, footer); err != nil {
-		return fmt.Errorf("core: checkpoint truncated in footer: %w", err)
-	}
-	trailer := footer[len(footer)-footerTrailerLen:]
-	if [4]byte(trailer[12:16]) != footerMagic {
-		return fmt.Errorf("%w: bad footer magic", ErrCorruptCheckpoint)
-	}
-	return nil
-}
-
-// OpenCheckpoint restores an engine from a checkpoint file, decoding
-// sections in parallel across the shard worker pool via the GZE3 footer
-// (legacy GZE2 files fall back to the streaming path).
+// OpenCheckpoint restores an engine from a full checkpoint file, decoding
+// sections in parallel across the shard worker pool via the footer.
 func OpenCheckpoint(path string, cfg Config) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1076,86 +1053,63 @@ func OpenCheckpoint(path string, cfg Config) (*Engine, error) {
 	return ReadCheckpointAt(f, st.Size(), cfg)
 }
 
-// ReadCheckpointAt restores an engine from a random-access GZE3
+// ReadCheckpointAt restores an engine from a random-access full
 // checkpoint: the footer locates every section, and decode fans out one
 // goroutine per shard worker over whole sections (disk mode writes each
-// with a single coalesced range access). Legacy GZE2 content falls back
-// to the sequential ReadCheckpoint path.
+// with a single coalesced range access). Header, meta and footer fully
+// determine the layout, so the file's size and every footer entry are
+// checked against it before anything is allocated by the header's claim.
 func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
-	var m [4]byte
-	if _, err := ra.ReadAt(m[:], 0); err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
-	}
-	if m == checkpointMagicV2 {
-		return ReadCheckpoint(io.NewSectionReader(ra, 0, size), cfg)
-	}
-	if size < int64(4+checkpointHeaderLen+footerTrailerLen) {
-		return nil, fmt.Errorf("%w: %d bytes is too short", ErrCorruptCheckpoint, size)
-	}
-	hdr := make([]byte, 4+checkpointHeaderLen)
-	if _, err := ra.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint header: %w", err)
-	}
-	h, err := readCheckpointHeader(bufio.NewReader(bytes.NewReader(hdr)))
+	h, env, err := readCheckpointHeader(bufio.NewReader(io.NewSectionReader(ra, 0, size)))
 	if err != nil {
 		return nil, err
 	}
-	if h.version == checkpointVersionDelta {
+	if env.baseID != 0 {
 		return nil, fmt.Errorf("%w: cannot restore from a delta file", ErrDeltaCheckpoint)
 	}
-	var meta []byte
-	if h.version >= 4 && h.metaLen > 0 {
-		metaOff := int64(4 + checkpointHeaderLen)
-		if metaOff+int64(h.metaLen) > size {
-			return nil, fmt.Errorf("%w: meta blob overruns checkpoint", ErrCorruptCheckpoint)
-		}
-		meta, err = readCheckpointMeta(bufio.NewReader(io.NewSectionReader(ra, metaOff, int64(h.metaLen))), h)
-		if err != nil {
-			return nil, err
-		}
+	// The divisions keep a crafted header from overflowing the products.
+	sketch := int64(cubesketch.SerializedSize(configFromHeader(cfg, h).VectorLen(), h.columns))
+	if sketch > size/int64(h.rounds) || sketch*int64(h.rounds) > size/int64(h.numNodes) {
+		return nil, fmt.Errorf("%w: %d bytes cannot hold %d nodes", ErrCorruptCheckpoint, size, h.numNodes)
 	}
-	var trailer [footerTrailerLen]byte
-	if _, err := ra.ReadAt(trailer[:], size-footerTrailerLen); err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint trailer: %w", err)
+	slotBytes := sketch * int64(h.rounds)
+	if want := checkpointSize(h.metaLen, h.sections, int64(h.numNodes), slotBytes); size != want {
+		return nil, fmt.Errorf("%w: %d bytes, header describes %d", ErrCorruptCheckpoint, size, want)
 	}
-	if [4]byte(trailer[12:16]) != footerMagic {
-		return nil, fmt.Errorf("%w: bad footer magic", ErrCorruptCheckpoint)
-	}
-	footerOff := int64(binary.LittleEndian.Uint64(trailer[0:]))
-	if int(binary.LittleEndian.Uint32(trailer[8:])) != h.sections ||
-		footerOff <= 0 || footerOff+int64(h.sections*footerEntryLen+footerTrailerLen) != size {
-		return nil, fmt.Errorf("%w: trailer/header section mismatch", ErrCorruptCheckpoint)
-	}
-	footer := make([]byte, h.sections*footerEntryLen)
-	if _, err := ra.ReadAt(footer, footerOff); err != nil {
+	footer := make([]byte, h.sections*footerEntryLen+footerTrailerLen)
+	if _, err := ra.ReadAt(footer, size-int64(len(footer))); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint footer: %w", err)
 	}
-	// Validate footer coverage BEFORE fanning out: contiguous sections
-	// from node 0 to numNodes. A corrupt footer with overlapping entries
-	// must never reach the decode workers — they install disjoint node
-	// ranges concurrently and overlap would be a data race, not just a
-	// bad decode. The cursor arithmetic runs in uint64 so a crafted count
-	// cannot wrap a uint32 cursor back into covered territory.
+	// Validate the footer BEFORE fanning out: contiguous sections from node
+	// 0 to numNodes, each at the offset the layout puts it. A corrupt footer
+	// with overlapping entries must never reach the decode workers — they
+	// install disjoint node ranges concurrently and overlap would be a data
+	// race, not just a bad decode. The cursor arithmetic runs in uint64 so a
+	// crafted count cannot wrap a uint32 cursor back into covered territory.
 	cursor := uint64(0)
+	off := uint64(4+checkpointHeaderLen) + uint64(h.metaLen)
 	for i := 0; i < h.sections; i++ {
 		entry := footer[i*footerEntryLen:]
-		if uint64(binary.LittleEndian.Uint32(entry[0:])) != cursor {
-			return nil, fmt.Errorf("%w: non-contiguous footer sections", ErrCorruptCheckpoint)
+		count := uint64(binary.LittleEndian.Uint32(entry[4:]))
+		if uint64(binary.LittleEndian.Uint32(entry[0:])) != cursor || count == 0 ||
+			cursor+count > uint64(h.numNodes) || binary.LittleEndian.Uint64(entry[8:]) != off {
+			return nil, fmt.Errorf("%w: footer entry %d does not continue the tiling at node %d", ErrCorruptCheckpoint, i, cursor)
 		}
-		cursor += uint64(binary.LittleEndian.Uint32(entry[4:]))
-		if cursor > uint64(h.numNodes) {
-			return nil, fmt.Errorf("%w: footer sections overrun %d nodes", ErrCorruptCheckpoint, h.numNodes)
-		}
+		cursor += count
+		off += sectionHeaderLen + count*uint64(slotBytes)
 	}
 	if cursor != uint64(h.numNodes) {
 		return nil, fmt.Errorf("%w: sections cover %d of %d nodes", ErrCorruptCheckpoint, cursor, h.numNodes)
+	}
+	if !bytes.Equal(footer[h.sections*footerEntryLen:], appendFooterTrailer(nil, off, h.sections)) {
+		return nil, fmt.Errorf("%w: bad footer trailer", ErrCorruptCheckpoint)
 	}
 
 	e, err := NewEngine(configFromHeader(cfg, h))
 	if err != nil {
 		return nil, err
 	}
-	e.adoptChainMeta(h, meta)
+	e.adoptChainMeta(h, env)
 	workers := len(e.shards)
 	if workers > h.sections {
 		workers = h.sections
@@ -1177,13 +1131,14 @@ func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
 					return
 				}
 				entry := footer[i*footerEntryLen:]
+				start := binary.LittleEndian.Uint32(entry[0:])
 				off := int64(binary.LittleEndian.Uint64(entry[8:]))
 				var shdr [sectionHeaderLen]byte
 				if _, err := ra.ReadAt(shdr[:], off); err != nil {
-					*slot = fmt.Errorf("core: reading section header at node %d: %w", binary.LittleEndian.Uint32(entry[0:]), err)
+					*slot = fmt.Errorf("core: reading section header at node %d: %w", start, err)
 					continue
 				}
-				sec, err := e.parseSectionHeader(shdr[:], binary.LittleEndian.Uint32(entry[0:]))
+				sec, err := e.parseSectionHeader(shdr[:], start, true)
 				if err != nil {
 					*slot = err
 					continue
@@ -1269,37 +1224,32 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 		}
 	}
 	br := asBufReader(r)
-	h, err := readCheckpointHeader(br)
+	h, env, err := readCheckpointHeader(br)
 	if err != nil {
 		return err
 	}
-	if h.version == checkpointVersionDelta {
+	// Beyond telling delta from full, the source's envelope and WAL
+	// position describe the *remote* worker's chain, log and gate,
+	// meaningless to the merging engine: verified with the header, then
+	// dropped.
+	if env.baseID != 0 {
 		return fmt.Errorf("%w: cannot merge a delta stream", ErrDeltaCheckpoint)
 	}
 	if err := e.checkCompatible(h); err != nil {
 		return err
 	}
-	// The source's meta blob and WAL position describe the *remote*
-	// worker's log and gate, meaningless to the merging engine — verify
-	// and discard.
-	if _, err := readCheckpointMeta(br, h); err != nil {
-		return err
-	}
 	// A slot equal to the empty-sketch encoding XORs as the identity, so
 	// the set of nodes the merge actually changes is exactly the incoming
 	// non-empty slots: mark those precisely (dirty for the incremental
-	// query, dirtySeal for the delta checkpoint chain) instead of the old
-	// dirty-everything reset, so the next query after a sparse merge runs
-	// the delta path over the touched components only.
+	// query, dirtySeal for the delta checkpoint chain), so the next query
+	// after a sparse merge runs the delta path over the touched components
+	// only.
 	empty := e.emptySlotBytes()
-	if h.version == 2 {
-		if err := e.mergeLegacyBody(br, h, empty); err != nil {
-			return err
-		}
-	} else {
-		if err := e.mergeSections(br, h, empty); err != nil {
-			return err
-		}
+	err = e.readSections(br, h, false, func(start uint32, count int, payload []byte) error {
+		return e.mergeSectionPayload(start, count, payload, empty)
+	})
+	if err != nil {
+		return err
 	}
 	e.updates.Add(h.updates)
 	e.epoch.Add(1)
@@ -1312,43 +1262,9 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 // what lets the merge and delta paths recognize no-op slots by byte
 // comparison. Allocates; callers are whole-checkpoint operations.
 func (e *Engine) emptySlotBytes() []byte {
-	seeds := make([]uint64, e.cfg.Rounds)
-	for r := range seeds {
-		seeds[r] = e.roundSeed(r)
-	}
 	buf := make([]byte, e.slotSize)
-	cubesketch.NewSlab(1, e.vecLen, e.cfg.Columns, seeds).MarshalNode(0, buf)
+	e.newSlab(1).MarshalNode(0, buf)
 	return buf
-}
-
-// mergeSections merges a GZE3 body section by section.
-func (e *Engine) mergeSections(br *bufio.Reader, h checkpointHeader, empty []byte) error {
-	cursor := uint32(0)
-	for s := 0; s < h.sections; s++ {
-		sec, err := e.readSectionHeader(br, cursor)
-		if err != nil {
-			return err
-		}
-		incoming := e.getSectionBuf(sec.payload)
-		if _, err := io.ReadFull(br, incoming); err != nil {
-			e.putSectionBuf(incoming)
-			return fmt.Errorf("core: checkpoint truncated in section at node %d: %w", sec.start, err)
-		}
-		if crc32.Checksum(incoming, crcTable) != sec.crc {
-			e.putSectionBuf(incoming)
-			return fmt.Errorf("%w: checksum mismatch in section at node %d", ErrCorruptCheckpoint, sec.start)
-		}
-		err = e.mergeSectionPayload(sec.start, sec.count, incoming, empty)
-		e.putSectionBuf(incoming)
-		if err != nil {
-			return err
-		}
-		cursor = sec.start + uint32(sec.count)
-	}
-	if cursor != e.cfg.NumNodes {
-		return fmt.Errorf("%w: sections cover %d of %d nodes", ErrCorruptCheckpoint, cursor, e.cfg.NumNodes)
-	}
-	return consumeFooter(br, h.sections)
 }
 
 // mergeSectionPayload XORs one verified section of serialized slots into
@@ -1366,15 +1282,15 @@ func (e *Engine) mergeSectionPayload(start uint32, count int, incoming, empty []
 			e.markChangedNode(node)
 			sh := e.shards[node%k]
 			if err := sh.slab.MergeNodeBinary(int(node/k), slot); err != nil {
-				return fmt.Errorf("core: merging node %d: %w", node, err)
+				return fmt.Errorf("%w: merging node %d: %v", ErrCorruptCheckpoint, node, err)
 			}
 		}
 		return nil
 	}
 	local := e.getSectionBuf(count * e.slotSize)
 	defer e.putSectionBuf(local)
-	if err := e.store.ReadRange(start, count, local); err != nil {
-		return fmt.Errorf("core: merge read of nodes [%d,%d): %w", start, int(start)+count, err)
+	if err := e.readSlots(start, count, local); err != nil {
+		return err
 	}
 	for j := 0; j < count; j++ {
 		if bytes.Equal(incoming[j*e.slotSize:(j+1)*e.slotSize], empty) {
@@ -1384,53 +1300,12 @@ func (e *Engine) mergeSectionPayload(start uint32, count int, incoming, empty []
 		for r := 0; r < e.cfg.Rounds; r++ {
 			off := j*e.slotSize + r*e.sketchSize
 			if err := cubesketch.MergeSerialized(local[off:off+e.sketchSize], incoming[off:off+e.sketchSize]); err != nil {
-				return fmt.Errorf("core: merging node %d round %d: %w", start+uint32(j), r, err)
+				return fmt.Errorf("%w: merging node %d round %d: %v", ErrCorruptCheckpoint, start+uint32(j), r, err)
 			}
 		}
 	}
 	if err := e.store.WriteRange(start, count, local); err != nil {
 		return fmt.Errorf("core: merge write of nodes [%d,%d): %w", start, int(start)+count, err)
-	}
-	return nil
-}
-
-// mergeLegacyBody merges a flat GZE2 slot array, one slot at a time, via
-// the same zero-alloc slot-merge primitives.
-func (e *Engine) mergeLegacyBody(br *bufio.Reader, h checkpointHeader, empty []byte) error {
-	incoming := e.getSectionBuf(e.slotSize)
-	defer e.putSectionBuf(incoming)
-	var local []byte
-	if e.store != nil {
-		local = e.getSectionBuf(e.slotSize)
-		defer e.putSectionBuf(local)
-	}
-	for node := uint32(0); node < h.numNodes; node++ {
-		if _, err := io.ReadFull(br, incoming); err != nil {
-			return fmt.Errorf("core: checkpoint truncated at node %d: %w", node, err)
-		}
-		if bytes.Equal(incoming, empty) {
-			continue
-		}
-		e.markChangedNode(node)
-		if e.store == nil {
-			sh, localIdx := e.shardOf(node)
-			if err := sh.slab.MergeNodeBinary(localIdx, incoming); err != nil {
-				return fmt.Errorf("core: merging node %d: %w", node, err)
-			}
-			continue
-		}
-		if err := e.store.Read(node, local); err != nil {
-			return err
-		}
-		for r := 0; r < e.cfg.Rounds; r++ {
-			off := r * e.sketchSize
-			if err := cubesketch.MergeSerialized(local[off:off+e.sketchSize], incoming[off:off+e.sketchSize]); err != nil {
-				return fmt.Errorf("core: merging node %d round %d: %w", node, r, err)
-			}
-		}
-		if err := e.store.Write(node, local); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -152,10 +152,11 @@ type Config struct {
 	// bookkeeping, so the query runs from scratch instead (default 0.10).
 	DeltaQueryMaxDirtyFrac float64
 	// DeltaCheckpointThreshold is the delta checkpoint fallback threshold:
-	// SealCheckpointSince cuts a sparse GZD1 delta only while the fraction
-	// of nodes dirtied since the base seal is at or below it — above,
-	// shipping the dense full format costs less than the sparse encoding
-	// saves, so the seal falls back to a full GZE4 checkpoint. Zero picks
+	// SealCheckpointSince cuts a sparse delta checkpoint only while the
+	// fraction of nodes dirtied since the base seal is at or below it —
+	// above, the delta saves little and its slots, copied inside the seal
+	// stall, lengthen it, so the seal falls back to a full checkpoint
+	// (captured with ingestion live). Zero picks
 	// the 0.20 default; negative disables delta checkpoints entirely
 	// (every seal is full, kept for ablation).
 	DeltaCheckpointThreshold float64

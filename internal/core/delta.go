@@ -1,54 +1,31 @@
 package core
 
 import (
-	"bufio"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
 	"graphzeppelin/internal/bitset"
-	"graphzeppelin/internal/cubesketch"
 )
 
-// Delta checkpoint format (GZD1):
+// Delta checkpoints and the checkpoint chain. The stream layout is the one
+// documented atop checkpoint.go; this file holds what makes a delta a
+// delta: the chain envelope, the seal history that plans one, and the
+// apply/patch consumers.
 //
-//	magic    [4]byte "GZD1"
-//	header   [48]byte — identical layout to GZE4 (checkpoint.go), with
-//	  sectionCount possibly 0 (nothing dirtied since the base) and
-//	  updates/walLSN describing the *tip* state the delta advances to
-//	meta     metaLen bytes — a GZM1 chain envelope (below) wrapping the
-//	  caller metadata
-//	sections, each:
-//	  section header [20]byte: startIdx uint32 (index of the section's
-//	    first id in the delta's global sorted id list), count uint32,
-//	    payloadLen uint64 (= count × (4 + slotSize)), crc uint32
-//	  payload: count little-endian uint32 node ids (strictly ascending
-//	    across the whole stream, < numNodes) followed by count slots —
-//	    the ids' *current* serialized node stacks at the tip
-//	no footer — deltas are small and always consumed front to back.
-//
-// A delta is not a diff: because sketches are linear, a node's current
-// serialized stack simply replaces its stale bytes at the consumer, so
-// applying a delta to an exact copy of the base state yields an exact
-// copy of the tip state. That replacement semantic is only sound when
-// the consumer really holds the base, which is what the chain envelope
-// enforces.
-//
-// GZM1 chain envelope (40 bytes + user metadata), sealed as the GZE4/GZD1
-// meta blob of every checkpoint this engine writes:
+// GZM1 chain envelope (40 bytes + user metadata), sealed as the meta blob
+// of every checkpoint this engine writes:
 //
 //	magic    [4]byte "GZM1"
 //	chainTag uint64 — random per-lineage token (Engine.chainTag)
 //	ckptID   uint64 — the id this seal minted (the tip, for a delta)
-//	baseID   uint64 — the base checkpoint id a delta chains onto (0 full)
+//	baseID   uint64 — the base checkpoint id a delta chains onto; 0 marks
+//	  a full checkpoint
 //	baseLSN  uint64 — the WAL LSN the base covered (0 full)
 //	userLen  uint32, then userLen bytes of caller metadata
-//
-// Legacy meta blobs (pre-chain checkpoints) parse as pure user metadata.
 var (
 	metaEnvelopeMagic = [4]byte{'G', 'Z', 'M', '1'}
 )
@@ -62,10 +39,10 @@ const (
 	maxSealHist = 16
 )
 
-// ErrDeltaCheckpoint is returned when a GZD1 delta stream is handed to an
-// operation that needs a self-contained checkpoint (restore, merge): a
-// delta only has meaning applied on top of its exact base state.
-var ErrDeltaCheckpoint = errors.New("core: GZD1 delta checkpoint requires its base")
+// ErrDeltaCheckpoint is returned when a delta checkpoint stream is handed
+// to an operation that needs a self-contained checkpoint (restore, merge):
+// a delta only has meaning applied on top of its exact base state.
+var ErrDeltaCheckpoint = errors.New("core: delta checkpoint requires its base")
 
 // ErrCheckpointChain is returned by ApplyDeltaCheckpoint when the delta
 // does not chain onto this engine's current state: wrong lineage (chain
@@ -154,108 +131,48 @@ func (e *Engine) planDelta(baseID, newID uint64) ([]uint32, uint64, bool) {
 	return ids, baseLSN, true
 }
 
-// materializeDelta copies the dirty nodes' current serialized stacks into
-// the snapshot's delta buffer, under the quiesce write lock (a delta is at
-// most a threshold fraction of the universe, so the copy is cheap enough
-// to live inside the seal stall — no copy-on-write machinery needed). RAM
-// mode marshals straight from the live slabs; disk mode spills the
-// write-back cache so device bytes are the seal-time truth, then reads
-// consecutive id runs with coalesced range accesses.
+// materializeDelta copies the current serialized stacks of the plan's
+// dirty runs into the snapshot's delta buffer, under the quiesce write lock
+// (a delta is at most a threshold fraction of the universe, so the copy is
+// cheap enough to live inside the seal stall — no copy-on-write machinery
+// needed). Disk mode first spills the write-back cache so device bytes are
+// the seal-time truth.
 func (e *Engine) materializeDelta(cs *CheckpointSnapshot) error {
-	ids := cs.deltaIDs
-	cs.deltaBuf = make([]byte, len(ids)*e.slotSize)
-	if e.store == nil {
-		k := uint32(len(e.shards))
-		for i, node := range ids {
-			e.shards[node%k].slab.MarshalNode(int(node/k), cs.deltaBuf[i*e.slotSize:(i+1)*e.slotSize])
-		}
-		return nil
-	}
+	cs.deltaBuf = make([]byte, cs.Nodes()*e.slotSize)
 	if e.cache != nil {
 		if err := e.cache.WriteBackAll(); err != nil {
 			return fmt.Errorf("core: sealing write-back cache for delta: %w", err)
 		}
 	}
-	for i := 0; i < len(ids); {
-		j := i + 1
-		for j < len(ids) && ids[j] == ids[j-1]+1 {
-			j++
+	for _, run := range cs.sections {
+		if err := e.readSlots(run.start, run.count, cs.deltaBuf[run.off:]); err != nil {
+			return err
 		}
-		if err := e.store.ReadRange(ids[i], j-i, cs.deltaBuf[i*e.slotSize:j*e.slotSize]); err != nil {
-			return fmt.Errorf("core: delta scan of nodes [%d,%d]: %w", ids[i], ids[j-1], err)
-		}
-		i = j
 	}
 	return nil
 }
 
-// deltaSectionPlan partitions nIDs delta entries into sections targeting
-// sectionTargetBytes of payload each (0 sections for an empty delta).
-func deltaSectionPlan(nIDs, slotSize int) (nSections, perSection int) {
-	perSection = sectionTargetBytes / (4 + slotSize)
-	if perSection < 1 {
-		perSection = 1
-	}
-	return (nIDs + perSection - 1) / perSection, perSection
-}
-
-// streamDeltaCheckpoint writes the sealed delta snapshot as a GZD1 stream.
-// The delta buffer was materialized at seal time, so this runs without the
-// quiesce lock, ingestion live.
-func (e *Engine) streamDeltaCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
-	nSections, perSection := deltaSectionPlan(len(cs.deltaIDs), e.slotSize)
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(deltaMagic[:]); err != nil {
-		return err
-	}
-	var hdr [checkpointHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], e.cfg.NumNodes)
-	binary.LittleEndian.PutUint64(hdr[4:], e.cfg.Seed)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(e.cfg.Columns))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(e.cfg.Rounds))
-	binary.LittleEndian.PutUint64(hdr[20:], cs.updates)
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(nSections))
-	binary.LittleEndian.PutUint64(hdr[32:], cs.walLSN)
-	binary.LittleEndian.PutUint32(hdr[40:], uint32(len(cs.meta)))
-	binary.LittleEndian.PutUint32(hdr[44:], crc32.Checksum(cs.meta, crcTable))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(cs.meta); err != nil {
-		return err
-	}
-	entry := 4 + e.slotSize
-	for lo := 0; lo < len(cs.deltaIDs); lo += perSection {
-		hi := lo + perSection
-		if hi > len(cs.deltaIDs) {
-			hi = len(cs.deltaIDs)
+// readSlots fills buf with the current serialized slots of nodes
+// [start, start+count): marshalled out of the live slabs in RAM, one
+// coalesced range read out of core (the caller has spilled or dropped the
+// write-back cache, so device bytes are current). The caller holds the
+// quiesce write lock with the workers idle.
+func (e *Engine) readSlots(start uint32, count int, buf []byte) error {
+	if e.store != nil {
+		if err := e.store.ReadRange(start, count, buf[:count*e.slotSize]); err != nil {
+			return fmt.Errorf("core: reading slots of nodes [%d,%d): %w", start, int(start)+count, err)
 		}
-		count := hi - lo
-		payload := e.getSectionBuf(count * entry)
-		for j := 0; j < count; j++ {
-			binary.LittleEndian.PutUint32(payload[j*4:], cs.deltaIDs[lo+j])
-		}
-		copy(payload[count*4:], cs.deltaBuf[lo*e.slotSize:hi*e.slotSize])
-		var sh [sectionHeaderLen]byte
-		binary.LittleEndian.PutUint32(sh[0:], uint32(lo))
-		binary.LittleEndian.PutUint32(sh[4:], uint32(count))
-		binary.LittleEndian.PutUint64(sh[8:], uint64(len(payload)))
-		binary.LittleEndian.PutUint32(sh[16:], crc32.Checksum(payload, crcTable))
-		_, err := bw.Write(sh[:])
-		if err == nil {
-			_, err = bw.Write(payload)
-		}
-		e.putSectionBuf(payload)
-		if err != nil {
-			return err
-		}
+		return nil
 	}
-	return bw.Flush()
+	for j := 0; j < count; j++ {
+		home, local := e.shardOf(start + uint32(j))
+		home.slab.MarshalNode(local, buf[j*e.slotSize:(j+1)*e.slotSize])
+	}
+	return nil
 }
 
 // metaEnvelope is the decoded GZM1 chain envelope of a checkpoint's meta
-// blob. ckptID == 0 means the blob predates the chain format and user
-// holds the whole blob.
+// blob.
 type metaEnvelope struct {
 	chainTag uint64
 	ckptID   uint64
@@ -278,15 +195,15 @@ func encodeMetaEnvelope(tag, ckptID, baseID, baseLSN uint64, user []byte) []byte
 	return buf
 }
 
-// parseMetaEnvelope decodes a meta blob. Blobs that are not GZM1 envelopes
-// (checkpoints written before the chain format, or user metadata that
-// happens to be short) parse as pure user metadata with a zero chain id.
-func parseMetaEnvelope(meta []byte) metaEnvelope {
+// parseMetaEnvelope decodes a meta blob; ok is false when it is not a
+// well-formed envelope (every seal mints an id ≥ 1, and a delta's base
+// precedes its tip).
+func parseMetaEnvelope(meta []byte) (env metaEnvelope, ok bool) {
 	if len(meta) < metaEnvelopeLen || [4]byte(meta[0:4]) != metaEnvelopeMagic ||
 		int(binary.LittleEndian.Uint32(meta[36:])) != len(meta)-metaEnvelopeLen {
-		return metaEnvelope{user: meta}
+		return metaEnvelope{}, false
 	}
-	env := metaEnvelope{
+	env = metaEnvelope{
 		chainTag: binary.LittleEndian.Uint64(meta[4:]),
 		ckptID:   binary.LittleEndian.Uint64(meta[12:]),
 		baseID:   binary.LittleEndian.Uint64(meta[20:]),
@@ -295,25 +212,26 @@ func parseMetaEnvelope(meta []byte) metaEnvelope {
 	if len(meta) > metaEnvelopeLen {
 		env.user = meta[metaEnvelopeLen:]
 	}
-	return env
+	return env, env.ckptID != 0 && env.baseID < env.ckptID
 }
 
-// adoptChainMeta installs a restored checkpoint's WAL coverage, user
-// metadata and chain identity into a fresh engine: the restored engine
-// continues the writer's lineage, so deltas it later seals chain onto the
-// restored state and deltas the writer sealed against it still apply.
-// Called during restore, before the engine is shared.
-func (e *Engine) adoptChainMeta(h checkpointHeader, meta []byte) {
-	env := parseMetaEnvelope(meta)
+// adoptChainMeta moves the engine to the chain position of a checkpoint
+// whose state it now holds exactly — a restore into a fresh engine, or an
+// applied delta's tip: WAL coverage, user metadata and chain identity. The
+// engine continues the writer's lineage, so deltas it later seals chain
+// onto this state and deltas the writer sealed against it still apply.
+// Any seal history described paths from other states and is dropped: the
+// next seal's delta base must be this position or later, which is the only
+// base a consumer of this state could hold anyway.
+func (e *Engine) adoptChainMeta(h checkpointHeader, env metaEnvelope) {
 	e.restoredWALPos = h.walLSN
 	e.restoredMeta = env.user
-	if env.ckptID != 0 {
-		e.chainTag = env.chainTag
-		e.ckptSeq.Store(env.ckptID)
-		e.histFloor = env.ckptID
-		e.histFloorLSN = h.walLSN
-	}
+	e.chainTag = env.chainTag
+	e.ckptSeq.Store(env.ckptID)
 	e.ckptLSN.Store(h.walLSN)
+	e.sealHist = nil
+	e.histFloor = env.ckptID
+	e.histFloorLSN = h.walLSN
 }
 
 // markChangedNode records an out-of-band sketch mutation of node (a
@@ -334,10 +252,10 @@ func (e *Engine) markChangedNode(node uint32) {
 	home.dirtySeal.Set(uint64(node))
 }
 
-// WriteDeltaCheckpoint seals and streams a checkpoint that is a GZD1 delta
+// WriteDeltaCheckpoint seals and streams a checkpoint that is a delta
 // against this engine's earlier seal baseID when possible, falling back to
-// a full GZE4 stream otherwise (see SealCheckpointSince for the fallback
-// conditions). It reports which format was written and never truncates the
+// a full checkpoint otherwise (see SealCheckpointSince for the fallback
+// conditions). It reports which kind was written and never truncates the
 // WAL — the log past the base is what recovers a lost or corrupt delta.
 func (e *Engine) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, err error) {
 	cs, err := e.SealCheckpointSince(baseID)
@@ -349,56 +267,6 @@ func (e *Engine) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, e
 		return cs.IsDelta(), err
 	}
 	return cs.IsDelta(), nil
-}
-
-// readDeltaBody reads and fully validates a GZD1 body: every section CRC
-// must pass, ids must be strictly ascending and in range, and the payload
-// sizes must match the header's section count. Nothing is installed — the
-// caller gets the complete (ids, slots) in RAM, which is what makes
-// ApplyDeltaCheckpoint atomic: a truncated or corrupt delta is rejected
-// before any engine state changes.
-func (e *Engine) readDeltaBody(br *bufio.Reader, h checkpointHeader) ([]uint32, []byte, error) {
-	entry := 4 + e.slotSize
-	ids := make([]uint32, 0, 64)
-	var slots []byte
-	prev := int64(-1)
-	for s := 0; s < h.sections; s++ {
-		var sh [sectionHeaderLen]byte
-		if _, err := io.ReadFull(br, sh[:]); err != nil {
-			return nil, nil, fmt.Errorf("core: delta truncated at section header %d: %w", s, err)
-		}
-		start := int(binary.LittleEndian.Uint32(sh[0:]))
-		count := int(binary.LittleEndian.Uint32(sh[4:]))
-		payloadLen := int(binary.LittleEndian.Uint64(sh[8:]))
-		crc := binary.LittleEndian.Uint32(sh[16:])
-		if start != len(ids) || count <= 0 || uint32(count) > h.numNodes ||
-			uint32(len(ids)+count) > h.numNodes || payloadLen != count*entry {
-			return nil, nil, fmt.Errorf("%w: delta section (startIdx=%d count=%d payload=%d) at id cursor %d",
-				ErrCorruptCheckpoint, start, count, payloadLen, len(ids))
-		}
-		payload := e.getSectionBuf(payloadLen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			e.putSectionBuf(payload)
-			return nil, nil, fmt.Errorf("core: delta truncated in section %d: %w", s, err)
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			e.putSectionBuf(payload)
-			return nil, nil, fmt.Errorf("%w: checksum mismatch in delta section %d", ErrCorruptCheckpoint, s)
-		}
-		for j := 0; j < count; j++ {
-			id := binary.LittleEndian.Uint32(payload[j*4:])
-			if int64(id) <= prev || id >= h.numNodes {
-				e.putSectionBuf(payload)
-				return nil, nil, fmt.Errorf("%w: delta id %d out of order or range at index %d",
-					ErrCorruptCheckpoint, id, len(ids))
-			}
-			prev = int64(id)
-			ids = append(ids, id)
-		}
-		slots = append(slots, payload[count*4:]...)
-		e.putSectionBuf(payload)
-	}
-	return ids, slots, nil
 }
 
 // ApplyDeltaCheckpoint advances this engine's state from the delta's base
@@ -427,115 +295,74 @@ func (e *Engine) ApplyDeltaCheckpoint(r io.Reader, onReplace func(node uint32, b
 		return err
 	}
 	br := asBufReader(r)
-	h, err := readCheckpointHeader(br)
+	h, env, err := readCheckpointHeader(br)
 	if err != nil {
 		return err
 	}
-	if h.version != checkpointVersionDelta {
-		return fmt.Errorf("%w: ApplyDeltaCheckpoint needs a GZD1 stream, got format version %d",
-			ErrCorruptCheckpoint, h.version)
+	if env.baseID == 0 {
+		return fmt.Errorf("%w: ApplyDeltaCheckpoint needs a delta, got a full checkpoint", ErrCorruptCheckpoint)
 	}
 	if err := e.checkCompatible(h); err != nil {
 		return err
-	}
-	meta, err := readCheckpointMeta(br, h)
-	if err != nil {
-		return err
-	}
-	env := parseMetaEnvelope(meta)
-	if env.ckptID == 0 || env.baseID == 0 {
-		return fmt.Errorf("%w: delta without a chain envelope", ErrCorruptCheckpoint)
 	}
 	if env.chainTag != e.chainTag || env.baseID != e.ckptSeq.Load() || env.baseLSN != e.ckptLSN.Load() {
 		return fmt.Errorf("%w: delta (tag=%#x base=%d@lsn %d) vs engine (tag=%#x state=%d@lsn %d)",
 			ErrCheckpointChain, env.chainTag, env.baseID, env.baseLSN,
 			e.chainTag, e.ckptSeq.Load(), e.ckptLSN.Load())
 	}
-	ids, slots, err := e.readDeltaBody(br, h)
+	// Read and validate the whole body into RAM — every section check and
+	// CRC of readSections, plus every slot's per-round encoding against a
+	// scratch slab — before touching live state: the install below must not
+	// be able to fail halfway.
+	type verifiedRun struct {
+		start uint32
+		count int
+		slots []byte
+	}
+	var runs []verifiedRun
+	scratch := e.newSlab(1)
+	err = e.readSections(br, h, true, func(start uint32, count int, payload []byte) error {
+		for j := 0; j < count; j++ {
+			if err := scratch.UnmarshalNode(0, payload[j*e.slotSize:(j+1)*e.slotSize]); err != nil {
+				return fmt.Errorf("%w: delta slot of node %d: %v", ErrCorruptCheckpoint, start+uint32(j), err)
+			}
+		}
+		runs = append(runs, verifiedRun{start, count, append([]byte(nil), payload...)})
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	// Validate every slot's per-round encoding against a scratch slab
-	// before touching live state: the install below must not be able to
-	// fail halfway.
-	seeds := make([]uint64, e.cfg.Rounds)
-	for r := range seeds {
-		seeds[r] = e.roundSeed(r)
+
+	// The cache's dirty state is ahead of the device and resident copies go
+	// stale under the replacement — spill and drop it.
+	if e.cache != nil {
+		if err := e.cache.Invalidate(); err != nil {
+			return fmt.Errorf("core: invalidating write-back cache for delta apply: %w", err)
+		}
 	}
-	scratch := cubesketch.NewSlab(1, e.vecLen, e.cfg.Columns, seeds)
-	for i, node := range ids {
-		if err := scratch.UnmarshalNode(0, slots[i*e.slotSize:(i+1)*e.slotSize]); err != nil {
-			return fmt.Errorf("%w: delta slot of node %d: %v", ErrCorruptCheckpoint, node, err)
+	for _, run := range runs {
+		var before []byte
+		if onReplace != nil {
+			before = make([]byte, len(run.slots))
+			if err := e.readSlots(run.start, run.count, before); err != nil {
+				return err
+			}
+		}
+		for j := 0; j < run.count; j++ {
+			e.markChangedNode(run.start + uint32(j))
+		}
+		if err := e.decodeSection(run.start, run.count, run.slots); err != nil {
+			return err
+		}
+		for j := 0; onReplace != nil && j < run.count; j++ {
+			onReplace(run.start+uint32(j), before[j*e.slotSize:(j+1)*e.slotSize], run.slots[j*e.slotSize:(j+1)*e.slotSize])
 		}
 	}
 
-	if e.store == nil {
-		for i, node := range ids {
-			after := slots[i*e.slotSize : (i+1)*e.slotSize]
-			var before []byte
-			home, local := e.shardOf(node)
-			if onReplace != nil {
-				before = make([]byte, e.slotSize)
-				home.slab.MarshalNode(local, before)
-			}
-			e.markChangedNode(node)
-			if err := home.slab.UnmarshalNode(local, after); err != nil {
-				return fmt.Errorf("core: installing delta slot of node %d: %w", node, err)
-			}
-			if onReplace != nil {
-				onReplace(node, before, after)
-			}
-		}
-	} else {
-		// The cache's dirty state is ahead of the device and resident
-		// copies go stale under the replacement — spill and drop it, then
-		// write consecutive id runs with coalesced device accesses.
-		if e.cache != nil {
-			if err := e.cache.Invalidate(); err != nil {
-				return fmt.Errorf("core: invalidating write-back cache for delta apply: %w", err)
-			}
-		}
-		for i := 0; i < len(ids); {
-			j := i + 1
-			for j < len(ids) && ids[j] == ids[j-1]+1 {
-				j++
-			}
-			var pre []byte
-			if onReplace != nil {
-				pre = make([]byte, (j-i)*e.slotSize)
-				if err := e.store.ReadRange(ids[i], j-i, pre); err != nil {
-					return fmt.Errorf("core: delta pre-image read of nodes [%d,%d]: %w", ids[i], ids[j-1], err)
-				}
-			}
-			for k := i; k < j; k++ {
-				e.markChangedNode(ids[k])
-			}
-			if err := e.store.WriteRange(ids[i], j-i, slots[i*e.slotSize:j*e.slotSize]); err != nil {
-				return fmt.Errorf("core: delta install of nodes [%d,%d]: %w", ids[i], ids[j-1], err)
-			}
-			if onReplace != nil {
-				for k := i; k < j; k++ {
-					onReplace(ids[k], pre[(k-i)*e.slotSize:(k-i+1)*e.slotSize],
-						slots[k*e.slotSize:(k+1)*e.slotSize])
-				}
-			}
-			i = j
-		}
-	}
-
-	// The engine now holds exactly the tip state: adopt its position. The
-	// seal history described paths from pre-apply states and is useless to
-	// a consumer already at the tip; dropping it just means the next seal's
-	// delta base must be the tip or later, which is the only base a
-	// consumer of this apply could hold anyway.
+	// The engine now holds exactly the tip state: adopt its position.
 	e.updates.Store(h.updates)
-	e.ckptSeq.Store(env.ckptID)
-	e.ckptLSN.Store(h.walLSN)
-	e.restoredWALPos = h.walLSN
-	e.restoredMeta = env.user
-	e.sealHist = nil
-	e.histFloor = env.ckptID
-	e.histFloorLSN = h.walLSN
+	e.adoptChainMeta(h, env)
 	e.epoch.Add(1)
 	return nil
 }
@@ -581,11 +408,7 @@ func (e *Engine) PatchNodes(ids []uint32, before, after []byte, updatesTotal uin
 		}
 		return nil
 	}
-	seeds := make([]uint64, e.cfg.Rounds)
-	for r := range seeds {
-		seeds[r] = e.roundSeed(r)
-	}
-	scratch := cubesketch.NewSlab(1, e.vecLen, e.cfg.Columns, seeds)
+	scratch := e.newSlab(1)
 	for i, node := range ids {
 		if err := scratch.UnmarshalNode(0, before[i*e.slotSize:(i+1)*e.slotSize]); err != nil {
 			return fmt.Errorf("core: PatchNodes before-slot of node %d: %w", node, err)

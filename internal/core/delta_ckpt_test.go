@@ -226,7 +226,7 @@ func restoreConsumer(t *testing.T, full []byte) *Engine {
 	return dst
 }
 
-// TestApplyDeltaTruncated feeds every truncation point of a valid GZD1
+// TestApplyDeltaTruncated feeds every truncation point of a valid delta
 // stream to ApplyDeltaCheckpoint: all must fail, and none may change the
 // consumer's state (the apply is atomic: full validation precedes any
 // slot install).

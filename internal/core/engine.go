@@ -87,8 +87,8 @@ type Stats struct {
 	// capture). The stream write itself runs with ingestion live, so this
 	// is bounded by drain + O(slab copy), not by writer bandwidth.
 	CheckpointStallNanos uint64
-	// DeltaCheckpoints counts seals that produced a sparse GZD1 delta
-	// checkpoint instead of a full GZE4 one; DeltaCheckpointBytes and
+	// DeltaCheckpoints counts seals that produced a sparse delta
+	// checkpoint instead of a full one; DeltaCheckpointBytes and
 	// FullCheckpointBytes accumulate the streamed sizes of each kind, so
 	// the shipping savings of a delta chain are directly observable.
 	DeltaCheckpoints     uint64
@@ -204,12 +204,12 @@ type Engine struct {
 
 	// Incremental-query state (query.go). Each shard tracks, in a padded
 	// single-writer bit vector, the nodes whose sketches its worker changed
-	// since the last cached query; dirtyAll is the coarse bit for changes
-	// that bypass the batch path entirely (checkpoint merges). Both are
-	// cleared only when a query result is cached, under the quiesce write
-	// lock with the workers idle — a failed query (never cached) leaves
-	// them intact. deltaQueries/deltaFallbacks back the Stats counters.
-	dirtyAll       atomic.Bool
+	// since the last cached query; changes that bypass the batch path
+	// (checkpoint merges, delta applies, node patches) mark the same
+	// vectors through markChangedNode. They are cleared only when a query
+	// result is cached, under the quiesce write lock with the workers idle
+	// — a failed query (never cached) leaves them intact.
+	// deltaQueries/deltaFallbacks back the Stats counters.
 	deltaQueries   atomic.Uint64
 	deltaFallbacks atomic.Uint64
 	// What the delta path did, for tests to pin by count: components of the
@@ -967,7 +967,7 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 // the one goroutine executing this node's first apply observes every
 // earlier apply's bit.
 func (e *Engine) beforeImage(node uint32) []byte {
-	if e.cfg.NoDeltaQuery || e.queryCache.Load() == nil || e.dirtyAll.Load() {
+	if e.cfg.NoDeltaQuery || e.queryCache.Load() == nil {
 		return nil
 	}
 	for _, s := range e.shards {
@@ -1082,9 +1082,6 @@ func (e *Engine) Stats() Stats {
 		if sh.slab != nil {
 			st.MemoryBytes += int64(sh.slab.Bytes())
 		}
-	}
-	if e.dirtyAll.Load() {
-		st.DirtyNodes = uint64(e.cfg.NumNodes)
 	}
 	if e.storeDev != nil {
 		st.SketchIO = e.storeDev.Stats()

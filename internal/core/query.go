@@ -133,7 +133,7 @@ func (e *Engine) query() (*queryResult, error) {
 // drained (so shard state, the dirty vectors included, is stable).
 func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
 	prev := e.queryCache.Load()
-	if !e.cfg.NoDeltaQuery && prev != nil && !e.dirtyAll.Load() {
+	if !e.cfg.NoDeltaQuery && prev != nil {
 		dirty := bitset.New(uint64(e.cfg.NumNodes))
 		var nDirty uint64
 		for _, sh := range e.shards {
@@ -180,7 +180,6 @@ func (e *Engine) cacheResultLocked(res *queryResult) {
 	// The before-images' baseline is superseded by res: the next first
 	// dirtying of a node captures a fresh image relative to it.
 	e.releaseBeforeLocked()
-	e.dirtyAll.Store(false)
 }
 
 // SpanningForest flushes all buffered updates and recovers a spanning

@@ -31,7 +31,7 @@ type Recovery struct {
 	Torn             bool
 	// CheckpointID is the chain id of the restored checkpoint state (the
 	// tip of the applied delta chain for RecoverChain, the base's own id
-	// otherwise; 0 when starting fresh or from a pre-chain checkpoint).
+	// otherwise; 0 when starting fresh).
 	// DeltaFiles counts the chain deltas RecoverChain applied.
 	CheckpointID uint64
 	DeltaFiles   int
@@ -47,38 +47,14 @@ type Recovery struct {
 // every logged batch and never crashed: identical sketches, identical
 // update count, identical checkpoint bytes.
 func Recover(checkpointPath string, cfg Config) (*Engine, *Recovery, error) {
-	cfg.WAL = true
-	var e *Engine
-	var err error
-	if checkpointPath != "" {
-		if _, statErr := os.Stat(checkpointPath); statErr == nil {
-			e, err = OpenCheckpoint(checkpointPath, cfg)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: recovering checkpoint %s: %w", checkpointPath, err)
-			}
-		} else if !os.IsNotExist(statErr) {
-			return nil, nil, statErr
-		}
-	}
-	if e == nil {
-		if e, err = NewEngine(cfg); err != nil {
-			return nil, nil, err
-		}
-	}
-	rec, err := e.recoverWAL()
-	if err != nil {
-		e.Close()
-		return nil, nil, err
-	}
-	rec.CheckpointID = e.ckptSeq.Load()
-	return e, rec, nil
+	return RecoverChain(checkpointPath, nil, cfg)
 }
 
 // RecoverChain is Recover over a delta checkpoint chain: the full base
-// checkpoint at basePath plus the ordered GZD1 delta files, then the WAL
-// suffix above the tip of whatever prefix of the chain applied. Because a
-// delta never truncates the WAL (the log stays the recovery truth past the
-// base), a missing, corrupt, or out-of-chain delta file is not fatal —
+// checkpoint at basePath plus the ordered delta checkpoint files, then the
+// WAL suffix above the tip of whatever prefix of the chain applied. Because
+// a delta never truncates the WAL (the log stays the recovery truth past
+// the base), a missing, corrupt, or out-of-chain delta file is not fatal —
 // application stops at the first failure (ApplyDeltaCheckpoint is atomic,
 // so the engine still holds the last good state exactly) and WAL replay
 // covers the rest. The result is byte-identical to an engine that never

@@ -43,14 +43,12 @@ func checkpointBytes(t *testing.T, e *Engine) []byte {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
 	b := buf.Bytes()
-	const envOff = 4 + checkpointHeaderLen // meta blob offset
-	if len(b) >= envOff+metaEnvelopeLen && string(b[envOff:envOff+4]) == "GZM1" {
-		for i := 48; i < 52; i++ { // metaCRC
-			b[i] = 0
-		}
-		for i := envOff + 4; i < envOff+20; i++ { // chainTag + ckptID
-			b[i] = 0
-		}
+	envOff := layoutOf(t, b).metaOff
+	for i := 48; i < 52; i++ { // metaCRC
+		b[i] = 0
+	}
+	for i := envOff + 4; i < envOff+20; i++ { // chainTag + ckptID
+		b[i] = 0
 	}
 	return b
 }

@@ -322,6 +322,13 @@ func (s *Sketch) SerializedSize() int {
 	return 8*4 + len(s.alphas)*8 + len(s.gammas)*4
 }
 
+// SerializedSize returns the serialized byte length of a sketch built by
+// New(n, cols, ·) without building one: a decoder sizing a foreign header's
+// claim must not allocate by it.
+func SerializedSize(n uint64, cols int) int {
+	return 8*4 + cols*NumRows(n)*(8+4)
+}
+
 // MarshalBinary encodes the sketch in a fixed-size little-endian format:
 // header (n, seed, cols, rows as uint64s) followed by the alpha and gamma
 // arrays.

@@ -12,7 +12,7 @@ import (
 // DistributedMerge realizes the distributed-ingestion direction of the
 // paper's conclusion as a measured sweep: the stream is split round-robin
 // into K disjoint shards, each ingested by an independent engine (standing
-// in for K machines), every shard ships its GZE3 checkpoint, and one
+// in for K machines), every shard ships its checkpoint, and one
 // aggregator merges them all. The table reports checkpoint size, write and
 // merge rates, the ingest stall of the low-stall snapshot, and — the
 // linearity guarantee — that the merged engine's Connected answers are

@@ -1,35 +1,20 @@
 package gzserve
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
 	"graphzeppelin/internal/core"
 )
 
-// CheckpointSource yields one part's GZE3 checkpoint stream. The
-// networked coordinator backs it with a worker's /v1/checkpoint
-// response; the in-process distrib.Cluster backs it with each shard
-// engine's WriteCheckpoint. Aggregate closes the returned reader.
+// CheckpointSource yields one part's full checkpoint stream; the
+// coordinator backs it with a worker's /v1/checkpoint response.
+// Aggregate closes the returned reader.
 type CheckpointSource func() (io.ReadCloser, error)
 
-// EngineSource adapts a live engine into a CheckpointSource by sealing
-// and buffering its checkpoint at call time.
-func EngineSource(eng *core.Engine) CheckpointSource {
-	return func() (io.ReadCloser, error) {
-		var buf bytes.Buffer
-		if err := eng.WriteCheckpoint(&buf); err != nil {
-			return nil, err
-		}
-		return io.NopCloser(&buf), nil
-	}
-}
-
 // Aggregate builds a fresh in-RAM aggregator engine from cfg and merges
-// every source's checkpoint into it — the one merge-based aggregation
-// path shared by in-process clustering and the networked coordinator.
-// On error the partial aggregator is closed and the failing source's
+// every source's checkpoint into it — the coordinator's merge-based
+// aggregation path. On error the partial aggregator is closed and the failing source's
 // index is reported.
 func Aggregate(cfg core.Config, sources []CheckpointSource) (*core.Engine, error) {
 	cfg.SketchesOnDisk = false

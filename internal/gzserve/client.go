@@ -66,8 +66,8 @@ type ClientStats struct {
 	InFlight int64  `json:"in_flight"`
 	Failed   uint64 `json:"failed"`
 	// Checkpoints counts successful checkpoint pulls from this worker,
-	// DeltaCheckpoints the subset the worker answered with a sparse GZD1
-	// delta, and CheckpointBytes the total checkpoint payload shipped —
+	// DeltaCheckpoints the subset the worker answered with a sparse delta
+	// checkpoint, and CheckpointBytes the total checkpoint payload shipped —
 	// the bytes delta refresh exists to shrink.
 	Checkpoints      uint64 `json:"checkpoints,omitempty"`
 	DeltaCheckpoints uint64 `json:"delta_checkpoints,omitempty"`
@@ -289,7 +289,7 @@ func (c *Client) ClearErr() {
 // CheckpointPull describes one checkpoint response: the stream position
 // of the sealed cut, the cut's chain id (pass it back as since to
 // request a delta against this state next time), whether the worker
-// answered with a sparse GZD1 delta rather than a full checkpoint, and
+// answered with a sparse delta checkpoint rather than a full one, and
 // the payload length in bytes.
 type CheckpointPull struct {
 	Updates uint64
@@ -300,7 +300,7 @@ type CheckpointPull struct {
 
 // Checkpoint pulls the worker's sealed checkpoint. since is the chain id
 // of the last checkpoint this caller holds from the worker (0 for none):
-// when non-zero the worker may answer with a GZD1 delta containing only
+// when non-zero the worker may answer with a delta checkpoint holding only
 // the nodes changed since that cut — pull.Delta says which it chose, and
 // a worker that lost the base (restart, aged-out history, too much
 // churn) transparently falls back to a full checkpoint. The returned

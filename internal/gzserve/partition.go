@@ -16,10 +16,7 @@ import (
 //     retried batch re-partitions identically, and range-local: edges
 //     inside a community tend to revisit one worker's gutters.
 //   - RoundRobin: updates rotate across parts — the maximally balanced
-//     policy the in-process distrib.Cluster has always used.
-//
-// Both the networked coordinator and the in-process cluster route
-// through this one implementation.
+//     policy.
 type Partitioner struct {
 	k        int
 	numNodes uint32

@@ -6,15 +6,15 @@
 // the slice of the stream routed to it, plus one coordinator that
 // partitions incoming edge batches by node range, pipelines them to the
 // workers with bounded in-flight windows and retry/backoff, periodically
-// pulls GZE3 checkpoints, and answers global connectivity queries by
+// pulls checkpoints, and answers global connectivity queries by
 // streaming those checkpoints through core.MergeCheckpoint into an
 // aggregator engine.
 //
 // The package splits into the wire protocol (this file), the node-range
 // Partitioner (partition.go), the Worker server (worker.go), the
 // sequence-numbered retrying client (client.go), the Coordinator
-// (coordinator.go), and the checkpoint-merge Aggregate helper shared
-// with the in-process internal/distrib cluster (aggregate.go).
+// (coordinator.go), and the checkpoint-merge Aggregate helper
+// (aggregate.go).
 //
 // Consistency model: ingestion is eventually consistent with queries —
 // a query reflects exactly the worker checkpoints merged by the most
@@ -49,9 +49,9 @@ import (
 //	               record layout, reused verbatim)
 //	MsgAck:        seq uint64 | applied uint8 (1 = applied, 0 = dropped
 //	               as a duplicate of an already-applied sequence number)
-//	MsgCheckpoint: a complete GZE3 checkpoint (self-validating; the
-//	               frame length lets the receiver detect truncation
-//	               before handing bytes to MergeCheckpoint)
+//	MsgCheckpoint: a complete checkpoint, full or delta (self-validating;
+//	               the frame length lets the receiver detect truncation
+//	               before handing bytes to the decoder)
 //	MsgError:      code uint16 | utf-8 message — typed error propagation
 //	               for transport-level failures; application errors also
 //	               ride on HTTP status codes
@@ -176,7 +176,7 @@ func WriteFrame(w io.Writer, typ MsgType, payload []byte) error {
 
 // WriteFrameHeader writes only the 12-byte frame header declaring a
 // payload of length bytes; the caller streams the payload afterwards.
-// This is how checkpoint responses avoid buffering: the GZE3 size is
+// This is how checkpoint responses avoid buffering: the size is
 // known exactly up front (core.CheckpointSnapshot.Size), so the frame is
 // length-prefixed yet streamed.
 func WriteFrameHeader(w io.Writer, typ MsgType, length int64) error {

@@ -586,7 +586,7 @@ func (wk *Worker) writeAck(w http.ResponseWriter, seq uint64, applied bool) {
 // handleCheckpoint seals a consistent cut and streams it as one
 // length-prefixed MsgCheckpoint frame. The seal excludes ingestion only
 // for drain + snapshot; the network transfer runs with ingestion live.
-// A ?since=<id> query asks for a sparse GZD1 delta against the
+// A ?since=<id> query asks for a sparse delta checkpoint against the
 // checkpoint this worker previously sealed under that chain id; the
 // response's X-GZ-Checkpoint-Delta header reports whether the worker
 // obliged (it falls back to a full checkpoint when the base is unknown

@@ -48,7 +48,7 @@ type StreamSketch interface {
 	// aggregated over the structure's engines.
 	Stats() Stats
 	// WriteCheckpoint writes the structure's full sketch state to w in a
-	// structure-specific durable format (GZE3 for Graph, the GZX1
+	// structure-specific durable format (one checkpoint for Graph, the GZX1
 	// multi-engine container for the extensions). Snapshots are low-stall:
 	// ingestion is excluded only while buffered updates drain and the
 	// sketch state is sealed, then continues while the stream is written.
