@@ -692,6 +692,83 @@ func BenchmarkIngestDiskCached(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskColdQuery measures the out-of-core from-scratch query where
+// the repository benchmark's disk-social workload pays for it: a
+// heavy-tailed social graph of 1 024 nodes (kron.GooglePlusLike, 48 edges
+// per node), sketches on files behind a cache of an eighth of the store,
+// four nodes per group, two workers. One op is a 1 % slice of the stream
+// and the ConnectedComponents after it, which must fall back from the delta
+// path (the bench fails otherwise) — split, as in BenchmarkServeCycle, into
+// the drain an explicit Flush does ahead of it (every node's few buffered
+// updates applied through the cache: a group fault per touched group) and
+// the Boruvka rounds left to the query. read-blocks/query is what those
+// rounds read from the device, and scans/query their bytes in passes over
+// the part of the store that was not resident when they began.
+// Smoke-run in CI; before/after rows in BENCH_outofcore.json.
+func BenchmarkDiskColdQuery(b *testing.B) {
+	const slices = 100
+	n := uint32(1) << 10
+	updates := kron.ToStream(kron.GooglePlusLike(n, 48, 1), n, kron.StreamOptions{}, 1).Updates
+	probe, err := graphzeppelin.New(n, graphzeppelin.WithSketchesOnDisk(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := probe.Stats().DiskBytes
+	probe.Close()
+	g, err := graphzeppelin.New(n, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2),
+		graphzeppelin.WithSketchesOnDisk(b.TempDir()), graphzeppelin.WithCacheBytes(store/8), graphzeppelin.WithNodesPerGroup(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.ApplyBatch(updates); err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := g.ConnectedComponents(); err != nil { // the baseline every slice query falls back from
+		b.Fatal(err)
+	}
+	groups := float64((n + 3) / 4)
+	before := g.Stats()
+	var drain, boruvka time.Duration
+	var readBlocks uint64
+	var scans float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Replayed slice by slice the stream walks the graph to empty and
+		// back (sketches are linear over Z_2); every slice dirties far more
+		// nodes than the delta path accepts.
+		lo, hi := len(updates)*(i%slices)/slices, len(updates)*(i%slices+1)/slices
+		if err := g.ApplyBatch(updates[lo:hi]); err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		if err := g.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		st0 := g.Stats()
+		if _, _, err := g.ConnectedComponents(); err != nil {
+			b.Fatal(err)
+		}
+		boruvka += time.Since(t1)
+		drain += t1.Sub(t0)
+		st1 := g.Stats()
+		readBlocks += st1.SketchIO.ReadBlocks - st0.SketchIO.ReadBlocks
+		if cold := float64(store) * (1 - float64(st0.SketchCache.CachedGroups)/groups); cold > 0 {
+			scans += float64(st1.SketchIO.BytesRead-st0.SketchIO.BytesRead) / cold
+		}
+	}
+	b.StopTimer()
+	after := g.Stats()
+	if d, f := after.DeltaQueries-before.DeltaQueries, after.DeltaFallbacks-before.DeltaFallbacks; d != 0 || f != uint64(b.N) {
+		b.Fatalf("%d slice queries: %d answered by the delta path, %d from-scratch fallbacks; want every one a fallback", b.N, d, f)
+	}
+	b.ReportMetric(float64(drain.Microseconds())/1e3/float64(b.N), "drain-ms")
+	b.ReportMetric(float64(boruvka.Microseconds())/1e3/float64(b.N), "boruvka-ms")
+	b.ReportMetric(scans/float64(b.N), "scans/query")
+	b.ReportMetric(float64(readBlocks)/float64(b.N), "read-blocks/query")
+}
+
 // --- Ingest throughput: sharded pipeline vs the seed configuration ---
 
 // BenchmarkIngestThroughput measures steady-state RAM-path ingestion

@@ -650,11 +650,7 @@ func (e *Engine) sealSlabs() error {
 // arenas, and the one-node scratch slabs that validate foreign slot bytes
 // before any live state is touched.
 func (e *Engine) newSlab(nodes int) *cubesketch.Slab {
-	seeds := make([]uint64, e.cfg.Rounds)
-	for r := range seeds {
-		seeds[r] = e.roundSeed(r)
-	}
-	return cubesketch.NewSlab(nodes, e.vecLen, e.cfg.Columns, seeds)
+	return cubesketch.NewSlab(nodes, e.vecLen, e.cfg.Columns, e.roundSeeds)
 }
 
 // appendFooterEntry and appendFooterTrailer build the footer. The writer

@@ -61,9 +61,10 @@ type Config struct {
 	// the number of Graph Workers, as in the seed design.
 	Workers int
 	// Shards is the number of ingest shards (default Workers, clamped to
-	// NumNodes). Nodes are partitioned by node % Shards; each shard's
-	// sketches are owned exclusively by one Graph Worker, which is what
-	// lets the ingest path run without any per-node locking.
+	// NumNodes). Nodes are partitioned by node % Shards (out of core, whole
+	// disk groups by group % Shards); each shard's sketches are owned
+	// exclusively by one Graph Worker, which is what lets the ingest path
+	// run without any per-node locking.
 	Shards int
 	// Columns is the per-CubeSketch column count (default 7, §5.1).
 	Columns int

@@ -41,8 +41,11 @@ type Stats struct {
 	ShardBatches []uint64
 	// Rebalances counts slice migrations performed by the skew-aware
 	// rebalancer; ForeignBatches counts batches applied by a worker other
-	// than the node's static storage-home shard (i.e. work executed under
-	// a migrated assignment). Both stay zero with rebalancing disabled.
+	// than the initial owner of the node's slice (i.e. work executed under
+	// a migrated assignment). In RAM the initial owner is the node's
+	// storage-home shard; out of core, where storage is one shared file, it
+	// is the worker whose write-back cache shard the node's group faults
+	// into. Both stay zero with rebalancing disabled.
 	Rebalances     uint64
 	ForeignBatches uint64
 	// SketchIO and BufferIO are block-device statistics for the sketch
@@ -101,9 +104,10 @@ type Stats struct {
 	LastCheckpointID     uint64
 	LastCheckpointWALLSN uint64
 	// MemoryBytes estimates the RAM held by sketches, gutters, the
-	// write-back cache and the delta query's before-images (live and
-	// pooled); DiskBytes the on-device footprint (sketch slots + gutter
-	// tree).
+	// write-back cache, the delta query's before-images (live and pooled)
+	// and the queries' supernode arena (NumNodes single-round sketches,
+	// counted at that size although the first query is what allocates it);
+	// DiskBytes the on-device footprint (sketch slots + gutter tree).
 	MemoryBytes, DiskBytes int64
 	// WAL reports write-ahead-log activity (appends, bytes, fsyncs,
 	// group commits, truncations, recovery scan results). All zero with
@@ -118,15 +122,16 @@ type Stats struct {
 // parallelized across shard-owning Graph Workers.
 //
 // Sharded ingest pipeline: updates are buffered per destination node by a
-// multi-producer gutter.Buffer; emitted batches are routed by
-// node % shards onto one SPSC queue per shard (pushes serialized by a
-// per-shard mutex taken once per batch); and each shard's single Graph
-// Worker owns its shard's sketches outright (an arena-backed
-// cubesketch.Slab in RAM mode). In disk mode the workers share the tiered
-// sketch store instead: batches apply to decoded node groups in a sharded
-// write-back cache (diskstore.Cache, its own lock domain keyed by group),
-// and the device sees only group-granular fills and coalesced dirty
-// write-backs.
+// multi-producer gutter.Buffer; emitted batches are routed by node group
+// (sliceOf; a group is one node in RAM) onto one SPSC queue per shard
+// (pushes serialized by a per-shard mutex taken once per batch); and each
+// shard's single Graph Worker owns its shard's sketches outright (an
+// arena-backed cubesketch.Slab in RAM mode). In disk mode the workers share
+// the tiered sketch store instead: batches apply to decoded node groups in
+// a sharded write-back cache (diskstore.Cache, its own lock domain keyed by
+// group — and until a migration each worker is the only one faulting
+// groups into its shard of it), and the device sees only group-granular
+// fills and coalesced dirty write-backs.
 // Exclusive ownership replaces the seed design's per-node mutexes: the
 // per-update path takes no engine-level lock beyond a read-lock on the
 // quiesce RWMutex (and, batched, that cost is amortized across the whole
@@ -138,8 +143,9 @@ type Stats struct {
 type Engine struct {
 	cfg        Config
 	vecLen     uint64
-	sketchSize int // serialized bytes of one CubeSketch
-	slotSize   int // serialized bytes of one node sketch (all rounds)
+	roundSeeds []uint64 // per round, shared by every node's sketch of it
+	sketchSize int      // serialized bytes of one CubeSketch
+	slotSize   int      // serialized bytes of one node sketch (all rounds)
 
 	shards []*shard
 
@@ -152,9 +158,9 @@ type Engine struct {
 	pending sync.WaitGroup
 	wg      sync.WaitGroup
 
-	// Skew-aware rebalancing state (rebalance.go). The node space is cut
-	// into numSlices slices (node % numSlices); assign maps each slice to
-	// the shard currently *processing* its batches (storage stays at the
+	// Skew-aware rebalancing state (rebalance.go). The node groups are dealt
+	// round-robin into numSlices slices (sliceOf); assign maps each slice to
+	// the shard currently *processing* its batches (RAM storage stays at the
 	// static node % Shards home). slicePushes counts batches routed per
 	// slice (the policy's load signal), migrations holds the in-flight
 	// handoff record per slice, and the rebal* fields drive the policy
@@ -230,6 +236,15 @@ type Engine struct {
 	before      map[uint32][]byte
 	beforeFree  [][]byte
 	beforeLimit int
+	// queryArena holds the supernode sketches a Boruvka round sums, and out
+	// of core the rounds a scan looked ahead (sampleRound). One serves every
+	// query — they hold the quiesce write lock — re-formed per round inside
+	// one allocation. The first query makes it (a construction that zeroes
+	// it would pay for an engine that never queries), and no round asks for
+	// more than NumNodes single-round sketches: queryArenaBytes, which Stats
+	// counts from the start so that MemoryBytes does not step at that query.
+	queryArena      *cubesketch.Slab
+	queryArenaBytes int64
 
 	// Checkpoint subsystem state (checkpoint.go). ckptMu serializes whole
 	// checkpoint operations and orders strictly before the quiesce lock
@@ -343,7 +358,7 @@ type shard struct {
 	// Worker-written counters, padded off the read-mostly fields above so
 	// per-batch increments never invalidate a neighbor's hot line.
 	batches atomic.Uint64 // batches applied by this worker
-	foreign atomic.Uint64 // of those, batches whose storage home is another shard
+	foreign atomic.Uint64 // of those, batches of slices first assigned to another shard
 	_       [gutter.CacheLine - 16]byte
 }
 
@@ -370,8 +385,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for r := range seeds {
 		seeds[r] = e.roundSeed(r)
 	}
+	e.roundSeeds = seeds
+	e.queryArena = cubesketch.NewSlab(0, e.vecLen, cfg.Columns, seeds[:1])
 	proto := cubesketch.New(e.vecLen, cfg.Columns, cfg.Seed)
 	e.sketchSize = proto.SerializedSize()
+	e.queryArenaBytes = int64(cfg.NumNodes) * int64(proto.Bytes())
 	e.slotSize = e.sketchSize * cfg.Rounds
 	// One past the fallback threshold: while every first-dirtying below the
 	// limit captured an image, a refused capture implies the dirty count
@@ -490,8 +508,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 	// Dynamic slice → shard routing table. numSlices is a multiple of the
 	// shard count, and slice s starts at shard s % Shards, so the initial
-	// assignment routes node n to shard n % Shards — identical to the
-	// static partition until the rebalancer moves something.
+	// assignment routes group g to shard g % Shards: in RAM (groups of one
+	// node) the static storage partition, out of core the worker whose
+	// write-back cache shard (group % Shards) the group faults into — until
+	// the rebalancer moves something.
 	e.rebalancing = cfg.Shards > 1 && !cfg.NoRebalance
 	e.numSlices = 1
 	if cfg.Shards > 1 {
@@ -515,7 +535,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 	sink := func(b gutter.Batch) {
 		e.pending.Add(1)
-		slice := b.Node % e.numSlices
+		slice := e.sliceOf(b.Node)
 		for {
 			sid := e.assign[slice].Load()
 			sh := e.shards[sid]
@@ -660,6 +680,16 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) shardOf(node uint32) (*shard, int) {
 	k := uint32(len(e.shards))
 	return e.shards[node%k], int(node / k)
+}
+
+// sliceOf returns the routing slice of node: its disk group's, so that the
+// unit of I/O is also the unit of ownership. A group-aligned gutter flush
+// emits a group's batches back to back; routed by node they would land on
+// every worker at once and serialize on the group's cache-shard lock, one
+// worker faulting the group in while the others wait. In RAM a group is
+// one node and this is node % numSlices.
+func (e *Engine) sliceOf(node uint32) uint32 {
+	return node / uint32(e.npg) % e.numSlices
 }
 
 // checkEdge validates and normalizes one edge against the node universe.
@@ -884,6 +914,11 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	if h := e.testApplyHook; h != nil {
 		defer h(b.Node)()
 	}
+	// Foreign: executed by a worker other than the slice's initial owner
+	// (slice % Shards) — in RAM the node's storage-home shard.
+	if int(e.sliceOf(b.Node))%len(e.shards) != sh.id {
+		sh.foreign.Add(1)
+	}
 
 	if e.store == nil {
 		// Apply to the node's *storage home* slab (static node % Shards),
@@ -892,17 +927,11 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 		// and the handoff protocol guarantees at most one worker applies a
 		// given slice's nodes at any moment.
 		home, local := e.shardOf(b.Node)
-		if home != sh {
-			sh.foreign.Add(1)
-		}
 		if img != nil {
 			home.slab.MarshalNode(local, img)
 		}
 		home.slab.Apply(local, sh.indices)
 		return
-	}
-	if home, _ := e.shardOf(b.Node); home != sh {
-		sh.foreign.Add(1)
 	}
 
 	if e.cache != nil {
@@ -1094,6 +1123,7 @@ func (e *Engine) Stats() Stats {
 	e.beforeMu.Lock()
 	st.MemoryBytes += int64(len(e.before)+len(e.beforeFree)) * int64(e.slotSize)
 	e.beforeMu.Unlock()
+	st.MemoryBytes += e.queryArenaBytes
 	if e.treeDev != nil {
 		st.BufferIO = e.treeDev.Stats()
 		if e.tree != nil {

@@ -30,8 +30,13 @@ import (
 //     groups (zero device reads) or from coalesced ReadRange runs over the
 //     remaining contributing groups, QueryScanBytes at a time. When every
 //     live node contributes — a from-scratch query — that is the paper's
-//     sequential scan (Lemma 5): O(liveBytes/B) blocks in a handful of ops
-//     per round, never one point Read per node.
+//     sequential scan (Lemma 5): O(liveBytes/B) blocks in a handful of ops,
+//     never one point Read per node. And because a slot read for round r
+//     carries the node's later rounds too, a from-scratch scan sums as
+//     many rounds ahead as the arena round 0 needed has room for, and the
+//     rounds after it fold those aggregates along the DSU's unions in RAM
+//     (sampleRound): a query reads the store about twice, not once per
+//     round.
 //
 //  3. Ingest-epoch caching. The engine bumps an epoch counter on every
 //     accepted update batch; a full query stores its result tagged with
@@ -313,6 +318,14 @@ type contribution struct {
 	src  uint8
 }
 
+// heldAggregate is one supernode aggregate in the arena: the root it was
+// summed for, its arena node, and how many nodes' sketches are in it.
+type heldAggregate struct {
+	root    uint32
+	slot    int32
+	members int32
+}
+
 // querySession is the per-query scratch of lazy Boruvka. The caller holds
 // the quiesce write lock with the workers idle, so shard state may be read
 // freely (and concurrently) for the duration.
@@ -333,6 +346,13 @@ type querySession struct {
 	order     []contribution
 	arenaSlot []int32
 	scanBuf   []byte // disk mode: sequential-scan chunk buffer
+
+	// Out of core, what the engine's arena holds: the aggregates of rounds
+	// [arenaRound, arenaEnd), one per held entry. A from-scratch scan looks
+	// ahead (arenaEnd > arenaRound+1) and the rounds in between fold held
+	// along the unions instead of scanning again (foldHeld).
+	arenaRound, arenaEnd int
+	held, heldNext       []heldAggregate
 
 	// The delta query's plan (runDeltaBoruvka): the nodes that contribute
 	// anything, ascending, and the images behind srcImage. plan == nil means
@@ -473,38 +493,49 @@ func (q *querySession) buildRep() ([]uint32, int) {
 // on success) and the rounds executed.
 func (e *Engine) boruvkaRounds(q *querySession, forest *[]stream.Edge) (live, rounds int, err error) {
 	for round := 0; round < e.cfg.Rounds; round++ {
-		if live = q.prepareRound(); live == 0 {
+		var ran bool
+		if live, ran, err = e.boruvkaRound(q, round, forest); err != nil || !ran {
 			break
 		}
 		rounds++
-		cands, emptied, err := e.sampleRound(q, round)
-		if err != nil {
-			return live, rounds, err
-		}
-		for _, r := range emptied {
-			q.finished[r] = true
-			live--
-		}
-		// Union phase: candidates arrive in deterministic live-root order,
-		// so merge order — and therefore the recovered forest — is
-		// reproducible across runs and worker counts.
-		for _, c := range cands {
-			ra, rb := q.d.Find(c.edge.U), q.d.Find(c.edge.V)
-			if ra == rb {
-				// Another merge this round already connected them.
-				continue
-			}
-			root, _ := q.d.Union(ra, rb)
-			// The merged component has a fresh cut; with high probability
-			// neither constituent was finished (a finished component has
-			// no cut edges to be sampled), but never let a stale flag
-			// silence the new component.
-			q.finished[root] = false
-			*forest = append(*forest, c.edge)
-			live--
-		}
 	}
-	return live, rounds, nil
+	return live, rounds, err
+}
+
+// boruvkaRound runs one round: it samples a cut edge per live component and
+// merges along the edges found. ran is false, with nothing done, when no
+// component was live; live is the count left after the round.
+func (e *Engine) boruvkaRound(q *querySession, round int, forest *[]stream.Edge) (live int, ran bool, err error) {
+	if live = q.prepareRound(); live == 0 {
+		return 0, false, nil
+	}
+	cands, emptied, err := e.sampleRound(q, round)
+	if err != nil {
+		return live, true, err
+	}
+	for _, r := range emptied {
+		q.finished[r] = true
+		live--
+	}
+	// Union phase: candidates arrive in deterministic live-root order,
+	// so merge order — and therefore the recovered forest — is
+	// reproducible across runs and worker counts.
+	for _, c := range cands {
+		ra, rb := q.d.Find(c.edge.U), q.d.Find(c.edge.V)
+		if ra == rb {
+			// Another merge this round already connected them.
+			continue
+		}
+		root, _ := q.d.Union(ra, rb)
+		// The merged component has a fresh cut; with high probability
+		// neither constituent was finished (a finished component has
+		// no cut edges to be sampled), but never let a stale flag
+		// silence the new component.
+		q.finished[root] = false
+		*forest = append(*forest, c.edge)
+		live--
+	}
+	return live, true, nil
 }
 
 // runBoruvka executes the from-scratch lazy Boruvka rounds and returns
@@ -685,35 +716,64 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 // components). RAM mode fans both materialization and sampling across one
 // goroutine per shard; disk mode materializes first (one device, one pass
 // in node order), then fans only the sampling.
+//
+// The supernode sketches that have to be summed live in the engine's one
+// arena, re-formed per round (queries hold the quiesce write lock, so one
+// serves them all): mergeable with the shard slabs by construction (same
+// vector length, columns, and round seeds). In RAM mode a root whose one
+// contribution is a live sketch as is — every root of a from-scratch
+// query's first round — IS that member's slab sketch and is sampled in
+// place: its arenaSlot is -1 and the arena holds the other roots only.
+//
+// Disk mode sums every root into the arena, and a from-scratch scan at
+// round r with L live roots sums k = min(Rounds-r, max(1, V/L)) rounds per
+// root, not one: a union's aggregate is the XOR of its parts' aggregates,
+// so rounds r+1 .. r+k-1 fold what is already in RAM (foldHeld) and never
+// touch the device. L*k single-round sketches is never more than the V that
+// round 0 (L = V, k = 1) needs anyway. A delta query keeps k = 1: its
+// contributing groups are few and mostly resident.
 func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emptied []uint32, err error) {
 	nr := len(q.roots)
 	ramMode := e.store == nil
-	// One single-round arena holds the supernode sketches that have to be
-	// summed: two allocations, mergeable with the shard slabs by
-	// construction (same vector length, columns, and round seed). In RAM
-	// mode a root whose one contribution is a live sketch as is — every
-	// root of a from-scratch query's first round — IS that member's slab
-	// sketch and is sampled in place: its arenaSlot is -1 and the arena
-	// holds the other roots only. Disk mode sums every root into the arena.
-	q.arenaSlot = q.arenaSlot[:0]
-	summed := 0
+	arena := e.queryArena
 	if ramMode {
+		q.arenaSlot = q.arenaSlot[:0]
 		q.groupByRoot()
-	}
-	for i := 0; i < nr; i++ {
-		if ramMode && q.starts[i+1]-q.starts[i] == 1 && q.order[q.starts[i]].src == srcLive {
-			q.arenaSlot = append(q.arenaSlot, -1)
-			continue
+		summed := 0
+		for i := 0; i < nr; i++ {
+			if q.starts[i+1]-q.starts[i] == 1 && q.order[q.starts[i]].src == srcLive {
+				q.arenaSlot = append(q.arenaSlot, -1)
+				continue
+			}
+			q.arenaSlot = append(q.arenaSlot, int32(summed))
+			summed++
 		}
-		q.arenaSlot = append(q.arenaSlot, int32(summed))
-		summed++
-	}
-	arena := cubesketch.NewSlab(summed, e.vecLen, e.cfg.Columns, []uint64{e.roundSeed(round)})
-	if !ramMode {
-		if err := e.scanRoundFromDisk(q, arena, round); err != nil {
-			return nil, nil, err
+		q.arenaRound = round
+		arena.Reshape(summed, e.roundSeeds[round:round+1])
+	} else {
+		folded, err := q.foldHeld(arena, round)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: folding supernodes: %w", err)
+		}
+		if !folded {
+			k := 1
+			if q.plan == nil {
+				k = min(e.cfg.Rounds-round, max(1, int(e.cfg.NumNodes)/nr))
+			}
+			q.arenaSlot = q.arenaSlot[:0]
+			for i := 0; i < nr; i++ {
+				q.arenaSlot = append(q.arenaSlot, int32(i))
+			}
+			q.arenaRound, q.arenaEnd = round, round+k
+			arena.Reshape(nr, e.roundSeeds[round:round+k])
+			if err := e.scanRoundFromDisk(q, arena, round); err != nil {
+				return nil, nil, err
+			}
+			q.holdScanned()
 		}
 	}
+	// The arena round this Boruvka round samples.
+	depth := round - q.arenaRound
 
 	workers := len(e.shards)
 	if workers > nr {
@@ -746,7 +806,7 @@ func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emp
 					sh, local := e.shardOf(q.order[q.starts[i]].node)
 					sh.slab.View(local, round, &acc)
 				} else {
-					arena.View(int(slot), 0, &acc)
+					arena.View(int(slot), depth, &acc)
 				}
 				if ramMode && slot >= 0 {
 					// Materialize: XOR every contribution's round-r sketch
@@ -762,7 +822,7 @@ func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emp
 								return
 							}
 						}
-						if err := e.mergeImage(q, &acc, c, round); err != nil {
+						if err := q.mergeImage(arena, c, round); err != nil {
 							out.err = err
 							return
 						}
@@ -803,29 +863,95 @@ func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emp
 	return cands, emptied, nil
 }
 
-// mergeImage XORs the round-r bytes of c.node's before-image into acc when
-// the contribution asks for them.
-func (e *Engine) mergeImage(q *querySession, acc *cubesketch.Sketch, c contribution, round int) error {
+// holdScanned records what a scan just left in the arena: one aggregate
+// per live root, over as many members as the root had live contributions.
+// Only a look-ahead scan needs the record (a one-round arena is never
+// folded), and only from-scratch queries look ahead, where a root's live
+// contributions are exactly its members.
+func (q *querySession) holdScanned() {
+	q.held = q.held[:0]
+	if q.arenaEnd-q.arenaRound < 2 {
+		return
+	}
+	for i, root := range q.roots {
+		q.held = append(q.held, heldAggregate{root: root, slot: q.arenaSlot[i]})
+	}
+	for _, c := range q.contribs {
+		q.held[c.slot].members++
+	}
+}
+
+// foldHeld brings the arena's aggregates from the round they were scanned
+// at up to this round's partition, in RAM: a live root's aggregate is the
+// XOR of the held aggregates of the roots that merged into it, over the
+// rounds still ahead (the one about to be sampled included); aggregates of
+// components finished since drop out. It reports false, with arenaSlot
+// unusable, when this round has to scan instead: the arena does not reach
+// it, or some live root absorbed a component that was not live at the scan
+// (boruvkaRound revives a finished root that a late edge unions into) —
+// its held parts then miss members, and an aggregate is exact or it is
+// nothing. Held member sets are disjoint and each lies inside one current
+// root, so they cover every live root exactly when they cover as many
+// nodes as the live roots have.
+func (q *querySession) foldHeld(arena *cubesketch.Slab, round int) (bool, error) {
+	if round >= q.arenaEnd {
+		return false, nil
+	}
+	depth, rest := round-q.arenaRound, q.arenaEnd-round
+	q.heldNext = q.heldNext[:0]
+	for _, root := range q.roots {
+		q.heldNext = append(q.heldNext, heldAggregate{root: root, slot: -1})
+	}
+	covered := 0
+	for _, h := range q.held {
+		i := q.slot[q.rep[h.root]]
+		if i < 0 {
+			continue // part of a component since certified complete
+		}
+		into := &q.heldNext[i]
+		if into.slot < 0 {
+			into.slot = h.slot
+		} else if err := arena.MergeRounds(int(into.slot), depth, arena, int(h.slot), depth, rest); err != nil {
+			return false, err
+		}
+		into.members += h.members
+		covered += int(h.members)
+	}
+	if covered != len(q.contribs) {
+		return false, nil
+	}
+	q.held, q.heldNext = q.heldNext, q.held
+	q.arenaSlot = q.arenaSlot[:0]
+	for _, h := range q.held {
+		q.arenaSlot = append(q.arenaSlot, h.slot)
+	}
+	return true, nil
+}
+
+// mergeImage XORs c.node's before-image, over the arena's rounds from round
+// on, into its root's arena stack when the contribution asks for it.
+func (q *querySession) mergeImage(arena *cubesketch.Slab, c contribution, round int) error {
 	if c.src&srcImage == 0 {
 		return nil
 	}
-	off := round * e.sketchSize
-	return acc.MergeBinary(q.before[c.node][off : off+e.sketchSize])
+	off := round * arena.SketchSize()
+	return arena.MergeNodeBinary(int(q.arenaSlot[c.slot]), q.before[c.node][off:off+arena.NodeSize()])
 }
 
-// scanRoundFromDisk materializes the round-r supernode sketches out of the
-// tiered store, walking the contribution list in node order. Only groups
-// holding a contribution that needs live bytes are touched. Those resident
-// in the write-back cache are served from their decoded arenas with zero
-// device I/O — which is also what keeps the scan coherent: a dirty cached
-// group's device bytes are stale by design, so the cache copy is the
-// authoritative one (and a node dirtied since the last query was applied
-// through the cache, so a trickle's groups are normally still resident).
-// The remaining groups are coalesced into sequential runs (bridging gaps
-// cheaper than an extra operation), each run read with ReadRange in
-// QueryScanBytes-sized chunks, and each contributing slot's round-r bytes
-// XOR-merged into its root's arena sketch without decoding the other
-// rounds. One round costs O(uncachedContributingBytes/B) block reads in
+// scanRoundFromDisk materializes the supernode sketches of rounds
+// [round, round+arena.Rounds()) out of the tiered store, walking the
+// contribution list in node order. Only groups holding a contribution that
+// needs live bytes are touched. Those resident in the write-back cache are
+// served from their decoded arenas with zero device I/O — which is also
+// what keeps the scan coherent: a dirty cached group's device bytes are
+// stale by design, so the cache copy is the authoritative one (and a node
+// dirtied since the last query was applied through the cache, so a
+// trickle's groups are normally still resident). The remaining groups are
+// coalesced into sequential runs (bridging gaps cheaper than an extra
+// operation), each run read with ReadRange in QueryScanBytes-sized chunks,
+// and each contributing slot's bytes for those rounds — adjacent in the
+// slot — XOR-merged into its root's arena stack without decoding the
+// others. One scan costs O(uncachedContributingBytes/B) block reads in
 // O(runs × chunksPerRun) operations: the whole live store for a
 // from-scratch query, the dirty nodes and small pieces for a delta.
 func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, round int) error {
@@ -844,13 +970,12 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 	// A gap of non-contributing slots is bridged when reading through it
 	// costs no more blocks than starting a fresh operation would.
 	gapSlots := e.cfg.BlockSize / e.slotSize
-	roundOff := round * e.sketchSize
+	// The scanned rounds' bytes inside a slot.
+	roundOff, span := round*e.sketchSize, arena.NodeSize()
 	cs := q.contribs
 
-	var acc, view cubesketch.Sketch
-
 	// flushRun reads the pending uncached slot run [lo, hi) in chunks and
-	// merges the live round-r bytes of its contributions cs[ci:cj].
+	// merges the live bytes of its contributions cs[ci:cj].
 	flushRun := func(lo, hi, ci, cj int) error {
 		for cl := lo; cl < hi; cl += chunkSlots {
 			ch := cl + chunkSlots
@@ -866,10 +991,9 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 				if c.src&srcLive == 0 {
 					continue
 				}
-				arena.View(int(q.arenaSlot[c.slot]), 0, &acc)
 				off := (int(c.node)-cl)*e.slotSize + roundOff
-				if err := acc.MergeBinary(buf[off : off+e.sketchSize]); err != nil {
-					return fmt.Errorf("core: query decode of node %d round %d: %w", c.node, round, err)
+				if err := arena.MergeNodeBinary(int(q.arenaSlot[c.slot]), buf[off:off+span]); err != nil {
+					return fmt.Errorf("core: query decode of node %d from round %d: %w", c.node, round, err)
 				}
 			}
 		}
@@ -884,9 +1008,8 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 		for ; j < len(cs) && int(cs[j].node)/npg == g; j++ {
 			c := cs[j]
 			needLive = needLive || c.src&srcLive != 0
-			arena.View(int(q.arenaSlot[c.slot]), 0, &acc)
-			if err := e.mergeImage(q, &acc, c, round); err != nil {
-				return fmt.Errorf("core: query merge of node %d before-image round %d: %w", c.node, round, err)
+			if err := q.mergeImage(arena, c, round); err != nil {
+				return fmt.Errorf("core: query merge of node %d before-image from round %d: %w", c.node, round, err)
 			}
 		}
 		first := i
@@ -915,10 +1038,8 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 					if c.src&srcLive == 0 {
 						continue
 					}
-					arena.View(int(q.arenaSlot[c.slot]), 0, &acc)
-					slab.View(int(c.node)-lo, round, &view)
-					if err := acc.Merge(&view); err != nil {
-						return fmt.Errorf("core: query merge of cached node %d round %d: %w", c.node, round, err)
+					if err := arena.MergeRounds(int(q.arenaSlot[c.slot]), 0, slab, int(c.node)-lo, round, arena.Rounds()); err != nil {
+						return fmt.Errorf("core: query merge of cached node %d from round %d: %w", c.node, round, err)
 					}
 				}
 				continue

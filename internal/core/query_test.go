@@ -126,10 +126,12 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 
 // TestDiskQueryScanReadCount is the regression test for the seed bug
 // where the disk-mode query scan issued one store.Read per node across
-// all rounds: the lazy per-round scan must read sequential ranges, a
-// handful of ReadRange ops per round, never n point reads. The cache is
-// disabled so every group actually comes off the device; the cached-tier
-// behavior (zero reads) is pinned by TestDiskQueryServedFromCache.
+// all rounds: the scan must read sequential ranges, never n point reads —
+// and no more scans than the look-ahead rule needs for the live-root
+// counts of this very query, which a RAM twin on the same seed observes.
+// The cache is disabled so every group actually comes off the device; the
+// cached-tier behavior (zero reads) is pinned by
+// TestDiskQueryServedFromCache.
 func TestDiskQueryScanReadCount(t *testing.T) {
 	const n = 64
 	e := pathEngine(t, Config{
@@ -157,11 +159,21 @@ func TestDiskQueryScanReadCount(t *testing.T) {
 		t.Fatal("disk-mode query issued no reads at all")
 	}
 	// The whole store fits in one QueryScanBytes chunk and a connected
-	// path keeps a single live run, so each Boruvka round costs exactly
-	// one sequential ReadRange. The seed behavior was n point reads.
-	if reads > uint64(st.QueryRounds) {
-		t.Fatalf("query issued %d read ops over %d rounds; want one sequential range per round",
-			reads, st.QueryRounds)
+	// path keeps a single live run, so a scan is exactly one sequential
+	// ReadRange, and a scan at round r with L live roots serves
+	// max(1, n/L) rounds: on a path, whose live count falls by about two
+	// thirds a round, fewer scans than rounds. The seed behavior was n
+	// point reads per round.
+	twin := pathEngine(t, Config{NumNodes: n, Seed: 73}, n-1)
+	defer twin.Close()
+	_, _, live := stepRounds(t, twin, nil)
+	scans := scansFor(n, twin.cfg.Rounds, live)
+	if len(live) != st.QueryRounds || scans >= st.QueryRounds {
+		t.Fatalf("live counts %v give %d scans for a query of %d rounds; want fewer scans than rounds", live, scans, st.QueryRounds)
+	}
+	if reads != uint64(scans) {
+		t.Fatalf("query issued %d read ops over %d rounds with live counts %v; want %d scans of one sequential range each",
+			reads, st.QueryRounds, live, scans)
 	}
 	if reads >= n {
 		t.Fatalf("query issued %d read ops, the per-node point-read regression (n=%d)", reads, n)

@@ -13,8 +13,10 @@ import (
 // The static node % Shards partition serializes a skewed stream behind one
 // Graph Worker: if most updates hit nodes homed on shard 0, the other
 // workers idle while shard 0's queue saturates. The rebalancer fixes the
-// *processing* side of that without touching storage: the node space is
-// cut into numSlices slices (node % numSlices, with numSlices a multiple
+// *processing* side of that without touching storage: the node groups are
+// dealt round-robin into numSlices slices (Engine.sliceOf: group %
+// numSlices, a group being one node in RAM and one disk group slot out of
+// core, so no group is ever split between workers; numSlices is a multiple
 // of Shards so the initial slice → slice%Shards assignment reproduces the
 // static partition exactly), and a background policy goroutine migrates
 // hot slices from overloaded shards to underloaded ones. Sketch storage
@@ -216,8 +218,7 @@ func (e *Engine) completeMigration(slice uint32) {
 // the current owner until the sentinel. The done atomic's release/acquire
 // pair makes the old owner's slab writes visible here.
 func (e *Engine) awaitHandoff(sh *shard, node uint32) {
-	slice := node % e.numSlices
-	slot := &e.migrations[slice]
+	slot := &e.migrations[e.sliceOf(node)]
 	m := slot.Load()
 	if m == nil {
 		return

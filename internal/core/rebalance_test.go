@@ -270,3 +270,125 @@ func TestRebalancerDiskMode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGroupAppliedByOneWorker pins the ownership unit out of core: routing
+// is by disk group, so the four nodes of a group never have two workers
+// inside applyBatch at once — not in steady state, where each worker is the
+// only one faulting groups into its cache shard (no batch is foreign), and
+// not while slices migrate under live producers. The store must end
+// bit-identical to a one-shard engine's.
+func TestGroupAppliedByOneWorker(t *testing.T) {
+	const (
+		numNodes  = 256
+		shards    = 4
+		npg       = 4
+		producers = 4
+		perPhase  = 1500
+	)
+	cfg := Config{
+		NumNodes:       numNodes,
+		Seed:           0x9709,
+		Shards:         shards,
+		SketchesOnDisk: true,
+		NodesPerGroup:  npg,
+		Buffering:      BufferNone,
+		QueueCapacity:  2 * shards,
+		SlicesPerShard: 4,
+		NoRebalance:    true, // the test migrates by hand, deterministically
+		DeviceFactory:  memFactory(4096),
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	inGroup := make([]atomic.Int32, numNodes/npg)
+	var violations atomic.Int32
+	e.testApplyHook = func(node uint32) func() {
+		if inGroup[node/npg].Add(1) != 1 {
+			violations.Add(1)
+		}
+		return func() { inGroup[node/npg].Add(-1) }
+	}
+
+	var all []stream.Edge
+	ingest := func(phase int, during func()) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			rng := rand.New(rand.NewPCG(uint64(phase), uint64(p)))
+			var edges []stream.Edge
+			for len(edges) < perPhase {
+				if u, v := rng.Uint32N(numNodes), rng.Uint32N(numNodes); u != v {
+					edges = append(edges, stream.Edge{U: u, V: v})
+				}
+			}
+			all = append(all, edges...)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, eg := range edges {
+					if err := e.InsertEdge(eg.U, eg.V); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		if during != nil {
+			during()
+		}
+		wg.Wait()
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ingest(0, nil)
+	if st := e.Stats(); st.ForeignBatches != 0 || st.Rebalances != 0 {
+		t.Fatalf("no migration yet, but %d foreign batches (%d rebalances): a worker applied a group of another's cache shard",
+			st.ForeignBatches, st.Rebalances)
+	}
+	for s, sh := range e.shards {
+		if sh.batches.Load() == 0 {
+			t.Fatalf("shard %d applied nothing in the first phase", s)
+		}
+	}
+
+	// Hand every slice on to the next shard, over and over, while the
+	// producers run.
+	ingest(1, func() {
+		for lap := 0; lap < 3; lap++ {
+			for s := range e.assign {
+				from := e.assign[s].Load()
+				if !e.migrate(uint32(s), e.shards[from], e.shards[(from+1)%shards]) {
+					t.Error("migration refused")
+					return
+				}
+			}
+		}
+	})
+	// Every slice now sits three shards on from where it started.
+	ingest(2, nil)
+
+	st := e.Stats()
+	if v := violations.Load(); v != 0 {
+		t.Fatalf("%d times two workers were applying nodes of one group at once", v)
+	}
+	if want := uint64(3 * len(e.assign)); st.Rebalances != want || st.ForeignBatches == 0 {
+		t.Fatalf("rebalances=%d (want %d) foreign=%d (want > 0)", st.Rebalances, want, st.ForeignBatches)
+	}
+
+	ref, err := NewEngine(Config{NumNodes: numNodes, Seed: cfg.Seed, Shards: 1, Buffering: BufferNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.InsertEdges(all); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(allSketchBytes(t, e), allSketchBytes(t, ref)) {
+		t.Fatal("the store diverges from a one-shard engine fed the same edges")
+	}
+}

@@ -30,9 +30,26 @@
 // hashes four columns per pass over the batch and, by batch length, either
 // writes buckets directly like Update or folds the batch into stack
 // accumulators first and writes each bucket once per batch.
+//
+// Serialized form: a 32-byte header (n, seed, cols, rows as little-endian
+// uint64s) followed by the body, which is the little-endian image of the
+// bucket arrays themselves — every α as 8 bytes, then every γ as 4 — and a
+// node's slot (Slab.MarshalNode; the disk store's, the checkpoints' and
+// the before-images' unit) is its rounds' serialized sketches back to
+// back. On a little-endian host the body therefore IS the arrays' memory,
+// and everything that moves one between a buffer and a sketch relies on
+// it: Sketch.MarshalInto, UnmarshalBinary and MergeBinary,
+// Slab.MarshalNode(s), UnmarshalNode(s) and MergeNodeBinary are a header
+// plus byte copies or XORBytes over byte views of the typed arrays
+// (codec.go; the word-at-a-time loops there are the definition, the only
+// codec on a big-endian host, and the reference the byte one is tested
+// against). MergeSerialized needs no sketch at all: the XOR of two bodies
+// is the body of the XOR in either byte order, as is the XOR of two bucket
+// arrays in memory (Merge, Slab.MergeRounds).
 package cubesketch
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,11 +127,15 @@ func New(n uint64, cols int, seed uint64) *Sketch {
 // integers, linear combinations of salts) from ever landing on a
 // degenerate Mix64 seed whose first multiply round is zero.
 func colSeeds(seed uint64, cols int) []uint64 {
-	s := make([]uint64, cols)
-	for col := range s {
-		s[col] = hashing.Avalanche64(seed + uint64(col)*membershipSalt)
+	return appendColSeeds(make([]uint64, 0, cols), seed, cols)
+}
+
+// appendColSeeds appends colSeeds(seed, cols) to dst.
+func appendColSeeds(dst []uint64, seed uint64, cols int) []uint64 {
+	for col := 0; col < cols; col++ {
+		dst = append(dst, hashing.Avalanche64(seed+uint64(col)*membershipSalt))
 	}
-	return s
+	return dst
 }
 
 // N returns the vector length the sketch was built for.
@@ -207,12 +228,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 		return fmt.Errorf("cubesketch: incompatible sketches (n=%d/%d cols=%d/%d seed=%#x/%#x)",
 			s.n, other.n, s.cols, other.cols, s.seed, other.seed)
 	}
-	for i, a := range other.alphas {
-		s.alphas[i] ^= a
-	}
-	for i, g := range other.gammas {
-		s.gammas[i] ^= g
-	}
+	xorBuckets(s.alphas, other.alphas, s.gammas, other.gammas)
 	return nil
 }
 
@@ -233,15 +249,7 @@ func (s *Sketch) MergeBinary(buf []byte) error {
 		return fmt.Errorf("cubesketch: incompatible serialized sketch (n=%d/%d cols=%d/%d rows=%d/%d seed=%#x/%#x)",
 			n, s.n, cols, s.cols, rows, s.rows, seed, s.seed)
 	}
-	off := 32
-	for i := range s.alphas {
-		s.alphas[i] ^= binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
-	for i := range s.gammas {
-		s.gammas[i] ^= binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-	}
+	xorBody(s.alphas, s.gammas, buf[headerSize:s.SerializedSize()])
 	return nil
 }
 
@@ -249,8 +257,8 @@ func (s *Sketch) MergeBinary(buf []byte) error {
 // format) without deserializing either: dst becomes the serialization of
 // the merge. Because the body is raw little-endian bucket words, the XOR of
 // two serialized bodies IS the serialized body of the XOR — so checkpoint
-// merging of disk-resident slots needs no Sketch at all, just this byte
-// walk. The two headers must be byte-identical (same n, seed, cols, rows);
+// merging of disk-resident slots needs no Sketch at all, just one XORBytes
+// over the bodies. The two headers must be byte-identical (same n, seed, cols, rows);
 // both buffers must hold the full serialized sketch.
 func MergeSerialized(dst, src []byte) error {
 	if len(dst) < 32 || len(src) < 32 {
@@ -274,14 +282,7 @@ func MergeSerialized(dst, src []byte) error {
 	if len(dst) < size || len(src) < size {
 		return fmt.Errorf("cubesketch: serialized sketch is %d/%d bytes, need %d", len(dst), len(src), size)
 	}
-	i := 32
-	for ; i+8 <= size; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for ; i < size; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst[headerSize:size], dst[headerSize:size], src[headerSize:size])
 	return nil
 }
 
@@ -345,16 +346,9 @@ func (s *Sketch) MarshalInto(buf []byte) int {
 	binary.LittleEndian.PutUint64(buf[8:], s.seed)
 	binary.LittleEndian.PutUint64(buf[16:], uint64(s.cols))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(s.rows))
-	off := 32
-	for _, a := range s.alphas {
-		binary.LittleEndian.PutUint64(buf[off:], a)
-		off += 8
-	}
-	for _, g := range s.gammas {
-		binary.LittleEndian.PutUint32(buf[off:], g)
-		off += 4
-	}
-	return off
+	size := s.SerializedSize()
+	putBody(buf[headerSize:size], s.alphas, s.gammas)
+	return size
 }
 
 // UnmarshalBinary decodes a sketch previously encoded by MarshalBinary,
@@ -378,15 +372,7 @@ func (s *Sketch) UnmarshalBinary(buf []byte) error {
 	s.colSeeds = colSeeds(seed, cols)
 	s.alphas = make([]uint64, cols*rows)
 	s.gammas = make([]uint32, cols*rows)
-	off := 32
-	for i := range s.alphas {
-		s.alphas[i] = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-	}
-	for i := range s.gammas {
-		s.gammas[i] = binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-	}
+	getBody(s.alphas, s.gammas, buf[headerSize:need])
 	s.updates = 0
 	return nil
 }

@@ -1,0 +1,8 @@
+//go:build armbe || arm64be || m68k || mips || mips64 || mips64p32 || ppc || ppc64 || s390 || s390x || shbe || sparc || sparc64
+
+package cubesketch
+
+// hostLittleEndian selects the body codec (codec.go): here the portable
+// word-at-a-time loops, because a bucket array's memory is not its
+// serialized image on a big-endian host.
+const hostLittleEndian = false

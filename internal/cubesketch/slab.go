@@ -39,31 +39,43 @@ func NewSlab(nodes int, n uint64, cols int, seeds []uint64) *Slab {
 	if n == 0 {
 		panic("cubesketch: vector length must be positive")
 	}
+	if cols <= 0 {
+		cols = DefaultColumns
+	}
+	rows := NumRows(n)
+	sl := &Slab{n: n, cols: cols, rows: rows, stride: cols * rows}
+	sl.Reshape(nodes, seeds)
+	return sl
+}
+
+// Reshape re-forms the slab as a zeroed arena of nodes stacks with one
+// round per seed, over the same vector length and column count. The
+// bucket arrays are kept when they are large enough and only the part the
+// new shape uses is cleared, so an arena that is re-formed again and again
+// (the engine's per-round supernode arena) is allocated once, at its
+// largest shape. Views taken before the call are invalid after it.
+func (sl *Slab) Reshape(nodes int, seeds []uint64) {
 	if nodes < 0 {
 		panic(fmt.Sprintf("cubesketch: negative slab node count %d", nodes))
 	}
 	if len(seeds) == 0 {
 		panic("cubesketch: slab needs at least one round seed")
 	}
-	if cols <= 0 {
-		cols = DefaultColumns
+	sl.nodes, sl.rounds = nodes, len(seeds)
+	sl.seeds = append(sl.seeds[:0], seeds...)
+	sl.colSeeds = sl.colSeeds[:0]
+	for _, seed := range seeds {
+		sl.colSeeds = appendColSeeds(sl.colSeeds, seed, sl.cols)
 	}
-	rows := NumRows(n)
-	sl := &Slab{
-		n:      n,
-		cols:   cols,
-		rows:   rows,
-		rounds: len(seeds),
-		nodes:  nodes,
-		seeds:  append([]uint64(nil), seeds...),
-		stride: cols * rows,
+	need := nodes * sl.rounds * sl.stride
+	if cap(sl.alphas) < need {
+		sl.alphas = make([]uint64, need)
+		sl.gammas = make([]uint32, need)
+		return
 	}
-	for _, seed := range sl.seeds {
-		sl.colSeeds = append(sl.colSeeds, colSeeds(seed, cols)...)
-	}
-	sl.alphas = make([]uint64, nodes*sl.rounds*sl.stride)
-	sl.gammas = make([]uint32, nodes*sl.rounds*sl.stride)
-	return sl
+	sl.alphas, sl.gammas = sl.alphas[:need], sl.gammas[:need]
+	clear(sl.alphas)
+	clear(sl.gammas)
 }
 
 // Nodes returns the number of node sketches the slab holds.
@@ -138,6 +150,34 @@ func (sl *Slab) MergeNodeBinary(node int, buf []byte) error {
 		}
 		off += size
 	}
+	return nil
+}
+
+// MergeRounds XOR-combines count consecutive rounds of src's srcNode,
+// from srcRound on, into node's rounds from round on. The slabs must share
+// vector length and column count, and each pair of rounds its seed. A
+// node's rounds are adjacent in the arena, so the whole run is one XOR per
+// bucket array — how the engine's query sums a cached group's sketches
+// into a supernode's look-ahead rounds, and folds one supernode's into
+// another's (src may be sl itself, for two different nodes).
+func (sl *Slab) MergeRounds(node, round int, src *Slab, srcNode, srcRound, count int) error {
+	if sl.n != src.n || sl.cols != src.cols {
+		return fmt.Errorf("cubesketch: incompatible slabs (n=%d/%d cols=%d/%d)", sl.n, src.n, sl.cols, src.cols)
+	}
+	if count < 0 || round < 0 || srcRound < 0 || round+count > sl.rounds || srcRound+count > src.rounds {
+		return fmt.Errorf("cubesketch: rounds [%d,%d) of %d from rounds [%d,%d) of %d",
+			round, round+count, sl.rounds, srcRound, srcRound+count, src.rounds)
+	}
+	for j := 0; j < count; j++ {
+		if sl.seeds[round+j] != src.seeds[srcRound+j] {
+			return fmt.Errorf("cubesketch: round %d seed %#x does not match source round %d seed %#x",
+				round+j, sl.seeds[round+j], srcRound+j, src.seeds[srcRound+j])
+		}
+	}
+	d := (node*sl.rounds + round) * sl.stride
+	s := (srcNode*src.rounds + srcRound) * src.stride
+	run := count * sl.stride
+	xorBuckets(sl.alphas[d:d+run], src.alphas[s:s+run], sl.gammas[d:d+run], src.gammas[s:s+run])
 	return nil
 }
 
@@ -218,7 +258,7 @@ func (sl *Slab) UnmarshalNode(node int, buf []byte) error {
 	if len(buf) < sl.NodeSize() {
 		return fmt.Errorf("cubesketch: slab node blob is %d bytes, need %d", len(buf), sl.NodeSize())
 	}
-	off := 0
+	off, size := 0, sl.SketchSize()
 	for r := 0; r < sl.rounds; r++ {
 		n := binary.LittleEndian.Uint64(buf[off:])
 		seed := binary.LittleEndian.Uint64(buf[off+8:])
@@ -228,16 +268,9 @@ func (sl *Slab) UnmarshalNode(node int, buf []byte) error {
 			return fmt.Errorf("cubesketch: round %d header (n=%d seed=%#x cols=%d rows=%d) does not match slab (n=%d seed=%#x cols=%d rows=%d)",
 				r, n, seed, cols, rows, sl.n, sl.seeds[r], sl.cols, sl.rows)
 		}
-		off += 32
 		base := (node*sl.rounds + r) * sl.stride
-		for i := 0; i < sl.stride; i++ {
-			sl.alphas[base+i] = binary.LittleEndian.Uint64(buf[off:])
-			off += 8
-		}
-		for i := 0; i < sl.stride; i++ {
-			sl.gammas[base+i] = binary.LittleEndian.Uint32(buf[off:])
-			off += 4
-		}
+		getBody(sl.alphas[base:base+sl.stride], sl.gammas[base:base+sl.stride], buf[off+headerSize:off+size])
+		off += size
 	}
 	return nil
 }
