@@ -35,6 +35,9 @@ func (s *Set) Set(i uint64) { s.words[i/64] |= 1 << (i % 64) }
 // Clear clears bit i.
 func (s *Set) Clear(i uint64) { s.words[i/64] &^= 1 << (i % 64) }
 
+// ClearAll clears every bit, keeping the capacity.
+func (s *Set) ClearAll() { clear(s.words) }
+
 // Flip toggles bit i and returns its new value.
 func (s *Set) Flip(i uint64) bool {
 	s.words[i/64] ^= 1 << (i % 64)

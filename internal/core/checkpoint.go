@@ -111,31 +111,51 @@ var ErrIncompatibleCheckpoint = errors.New("core: incompatible checkpoint parame
 // CRC-32C check or the stream structure is malformed.
 var ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint")
 
-// checkpointCOWBudget caps the bytes of copy-on-write pre-images a
-// disk-mode snapshot may hold in RAM. Out-of-core engines exist precisely
-// because sketches exceed memory, so the capture must not degenerate into
-// an in-RAM duplicate of the store under a slow writer: once the budget is
-// exhausted, workers about to overwrite a not-yet-scanned slot wait until
-// the scanner frees budget or passes their section — ingestion throttles
-// to scan speed instead of exhausting memory. The scanner never waits on
-// workers, so the wait always resolves.
+// checkpointCOWBudget caps the bytes of copy-on-write pre-images an
+// out-of-core snapshot may hold in RAM. Out-of-core engines exist
+// precisely because sketches exceed memory, so the capture must not
+// degenerate into an in-RAM duplicate of the store under a slow writer:
+// once the budget is exhausted, workers about to overwrite a
+// not-yet-scanned slot wait until the scanner frees budget or passes their
+// section — ingestion throttles to scan speed instead of exhausting
+// memory. The scanner never waits on a worker that is waiting for budget,
+// so the wait always resolves. A RAM snapshot's budget is instead one
+// pre-image per node (sealCheckpointLocked): a seal holds at most one copy
+// of the sketches — only when every node changes ahead of the scan — and
+// since a node deposits at most once per snapshot, RAM ingestion never
+// waits on the writer.
 const checkpointCOWBudget = 64 << 20
 
-// ckptSnap is the copy-on-write capture of one in-flight disk-mode
-// snapshot. The snapshot stream scans the store section by section while
-// ingestion continues; any worker about to overwrite a slot in a
-// not-yet-scanned section first deposits the slot's pre-image here
-// (Engine.applyBatch), and the scanner substitutes deposited pre-images
-// when it captures the section. Either the scanner read the slot before
-// the worker's write (the device bytes are the pre-image) or the worker
-// checked the scan state before writing (and deposited the pre-image), so
-// every slot in the snapshot reflects exactly the drain-time cut.
+// ckptSnap is the copy-on-write capture of one in-flight full snapshot, in
+// both placements. The snapshot stream encodes section by section while
+// ingestion continues; any worker about to change a node in a
+// not-yet-scanned section first deposits the node's pre-image here, and the
+// scanner substitutes deposited pre-images when it captures the section.
+// Either the scanner read the node before the worker's write (the bytes it
+// read are the pre-image) or the worker checked the scan state before
+// writing (and deposited the pre-image), so every slot in the snapshot
+// reflects exactly the drain-time cut.
+//
+// Out of core the scanner reads the device and workers reach it through
+// preserve (the uncached apply path) or the write-back cache's barrier
+// (needsPreImage + preserve). In RAM the scanner marshals the live shard
+// slabs, which workers mutate in place, so value-correctness is not enough:
+// the marshal and a Slab.Apply must never touch one node at the same time.
+// A worker therefore brackets its pre-image deposit and apply with
+// acquire/release, counted per section in inflight, and the scanner claims
+// a section (claim) before marshalling it: the claim waits for the
+// section's in-flight applies to finish, and a worker arriving at a claimed
+// section waits for the capture, after which the section is no longer the
+// snapshot's concern.
 type ckptSnap struct {
 	mu              sync.Mutex
-	cond            *sync.Cond // signalled when capture frees budget / scans a section
+	cond            *sync.Cond // signalled when capture frees budget / scans a section / inflight drops
 	scanned         []bool     // per-section: section fully captured
+	claimed         []bool     // RAM, per section: the scanner is marshalling it
+	inflight        []int      // RAM, per section: workers between acquire and release
 	nodesPerSection uint32
 	pre             map[uint32][]byte // node -> pre-image slot bytes
+	free            [][]byte          // captured pre-image buffers, reused by later deposits
 	used            int               // bytes held in pre
 	budget          int
 }
@@ -143,12 +163,25 @@ type ckptSnap struct {
 func newCkptSnap(sections int, nps uint32, budget int) *ckptSnap {
 	s := &ckptSnap{
 		scanned:         make([]bool, sections),
+		claimed:         make([]bool, sections),
+		inflight:        make([]int, sections),
 		nodesPerSection: nps,
 		pre:             make(map[uint32][]byte),
 		budget:          budget,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// takeBuf returns a slot-sized pre-image buffer, reusing one a capture
+// released when there is one. Caller holds s.mu.
+func (s *ckptSnap) takeBuf(size int) []byte {
+	if n := len(s.free); n > 0 {
+		b := s.free[n-1]
+		s.free = s.free[:n-1]
+		return b
+	}
+	return make([]byte, size)
 }
 
 // preserve deposits node's current slot bytes if its section has not been
@@ -164,10 +197,69 @@ func (s *ckptSnap) preserve(node uint32, blob []byte) {
 			break
 		}
 		if s.used+len(blob) <= s.budget {
-			s.pre[node] = append([]byte(nil), blob...)
+			buf := s.takeBuf(len(blob))
+			copy(buf, blob)
+			s.pre[node] = buf
 			s.used += len(blob)
 			break
 		}
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// acquire is the RAM apply path's entry into the capture: called before a
+// worker changes node, it returns the section the worker must release
+// after the change (-1: the section is captured, nothing to release) and,
+// on the node's first change since the seal, a slot-sized buffer
+// registered as its pre-image, which the caller fills with the node's
+// current stack before changing it. While the section is claimed it waits
+// for the capture, and while the budget is exhausted for budget or the
+// capture; it never waits holding a section in flight, so the scanner's
+// claim always drains.
+func (s *ckptSnap) acquire(node uint32, slotSize int) (sec int, pre []byte) {
+	sec = int(node / s.nodesPerSection)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		switch {
+		case s.scanned[sec]:
+			return -1, nil
+		case s.claimed[sec]:
+		case s.pre[node] != nil:
+			s.inflight[sec]++
+			return sec, nil
+		case s.used+slotSize <= s.budget:
+			pre = s.takeBuf(slotSize)
+			s.pre[node] = pre
+			s.used += slotSize
+			s.inflight[sec]++
+			return sec, pre
+		}
+		s.cond.Wait()
+	}
+}
+
+// release ends what acquire began; sec < 0 is a no-op.
+func (s *ckptSnap) release(sec int) {
+	if sec < 0 {
+		return
+	}
+	s.mu.Lock()
+	if s.inflight[sec]--; s.inflight[sec] == 0 && s.claimed[sec] {
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
+}
+
+// claim reserves section sec for the RAM scanner: workers arriving from
+// now on wait in acquire, and claim returns once the ones already between
+// acquire and release have left, so the scanner can marshal the live slabs
+// race-free until it captures the section.
+func (s *ckptSnap) claim(sec int) {
+	s.mu.Lock()
+	s.claimed[sec] = true
+	for s.inflight[sec] > 0 {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -196,15 +288,17 @@ func (s *ckptSnap) needsPreImage(start uint32, count int) bool {
 
 // capture marks section sec scanned and substitutes any deposited
 // pre-images of nodes [start, start+count) into payload. Called by the
-// scanner after it has read the section's device bytes; from here on
-// workers write the section's slots freely.
+// scanner after it has read the section (the device bytes, or in RAM the
+// claimed slabs); from here on workers write the section's slots freely.
 func (s *ckptSnap) capture(sec int, start uint32, count int, payload []byte, slotSize int) {
 	s.mu.Lock()
 	s.scanned[sec] = true
-	for node, pre := range s.pre {
-		if node >= start && node < start+uint32(count) {
-			copy(payload[int(node-start)*slotSize:], pre)
+	for j := 0; j < count && len(s.pre) > 0; j++ {
+		node := start + uint32(j)
+		if pre := s.pre[node]; pre != nil {
+			copy(payload[j*slotSize:], pre)
 			s.used -= len(pre)
+			s.free = append(s.free, pre)
 			delete(s.pre, node)
 		}
 	}
@@ -213,14 +307,14 @@ func (s *ckptSnap) capture(sec int, start uint32, count int, payload []byte, slo
 }
 
 // finish releases the capture: every section is marked scanned so workers
-// blocked in preserve (budget backpressure) always wake, even when the
-// stream aborted before scanning them.
+// blocked in preserve or acquire always wake, even when the stream aborted
+// before scanning them.
 func (s *ckptSnap) finish() {
 	s.mu.Lock()
 	for i := range s.scanned {
 		s.scanned[i] = true
 	}
-	s.pre = nil
+	s.pre, s.free = nil, nil
 	s.used = 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -304,11 +398,14 @@ func (e *Engine) putSectionBuf(b []byte) {
 
 // WriteCheckpoint writes the engine's full sketch state as a checkpoint.
 // The quiesce lock is held only to drain buffered updates and seal the
-// snapshot (RAM mode: shard-at-a-time slab copy into reusable arenas; disk
-// mode: installing the copy-on-write capture), then released — the
-// sections are encoded by a worker pool and streamed to w while ingestion
-// continues, so the ingest stall is bounded by drain + O(slab copy)
-// (reported in Stats.CheckpointStallNanos), not by writer bandwidth. The
+// snapshot — installing the copy-on-write capture, after spilling the
+// write-back cache out of core — then released: the sections are encoded
+// by a worker pool straight out of the live sketches and streamed to w
+// while ingestion continues, so the ingest stall is the drain (plus the
+// cache spill out of core; reported in Stats.CheckpointStallNanos), not a
+// copy of the sketches and not writer bandwidth. What a seal holds in RAM
+// is the sections in flight plus the pre-images of nodes changed before
+// their section was encoded (ckptSnap, checkpointCOWBudget). The
 // checkpoint is an exact cut: it contains every update whose ingest call
 // returned before WriteCheckpoint began and none accepted after the seal.
 // Concurrent WriteCheckpoint/MergeCheckpoint calls are serialized.
@@ -384,7 +481,7 @@ type CheckpointSnapshot struct {
 	walLSN   uint64    // last WAL LSN the cut covers (0 with the WAL off)
 	meta     []byte    // chain envelope + caller metadata sealed with the cut
 	sections []nodeRun // the section plan: fullPlan, or deltaPlan over the dirty ids
-	snap     *ckptSnap // non-nil iff disk mode full checkpoint
+	snap     *ckptSnap // non-nil iff full checkpoint
 	written  bool
 	closed   bool
 
@@ -401,7 +498,9 @@ type CheckpointSnapshot struct {
 
 // SealCheckpoint drains buffered updates and seals a snapshot of the
 // current sketch state, excluding ingestion only for that long (the
-// drain + seal duration lands in Stats.CheckpointStallNanos). The caller
+// drain + seal duration lands in Stats.CheckpointStallNanos). Sealing a
+// full checkpoint copies no sketch: it installs the copy-on-write capture
+// (ckptSnap) that StreamTo reads the live sketches through. The caller
 // must Close the returned snapshot, after streaming it with StreamTo.
 func (e *Engine) SealCheckpoint() (*CheckpointSnapshot, error) {
 	return e.SealCheckpointSince(0)
@@ -477,43 +576,43 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error
 	}
 	cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, 0, 0, user)
 	cs.sections = e.fullPlan(nps)
-	if e.store == nil {
-		if err := e.sealSlabs(); err != nil {
+	// Out of core, make the device bytes the seal-time truth: spill every
+	// dirty cached group now (bounded by CacheBytes, so the stall stays
+	// drain + O(cache spill)). From here on the section scanner reads the
+	// device only; cached mutations stay invisible to it until a
+	// write-back, and the cache's write barrier deposits each group's
+	// pre-image into the capture before that write-back changes device
+	// bytes. In RAM the scanner reads the live slabs and the apply path
+	// deposits (applyBatch).
+	if e.cache != nil {
+		if err := e.cache.WriteBackAll(); err != nil {
 			e.quiesce.Unlock()
-			return nil, err
+			return nil, fmt.Errorf("core: sealing write-back cache: %w", err)
 		}
-	} else {
-		// Make the device bytes the seal-time truth: spill every dirty
-		// cached group now (bounded by CacheBytes, so the stall stays
-		// drain + O(cache spill)), then install the copy-on-write capture.
-		// From here on the section scanner reads the device only; cached
-		// mutations stay invisible to it until a write-back, and the
-		// cache's write barrier deposits each group's pre-image into the
-		// capture before that write-back changes device bytes.
-		if e.cache != nil {
-			if err := e.cache.WriteBackAll(); err != nil {
-				e.quiesce.Unlock()
-				return nil, fmt.Errorf("core: sealing write-back cache: %w", err)
-			}
+	}
+	budget := e.cowBudget
+	if budget == 0 {
+		budget = checkpointCOWBudget
+		if e.store == nil {
+			// One slot per node, the serialized size of every sketch: each
+			// node deposits at most once per snapshot, so this is never
+			// exhausted and the apply path never waits on the writer.
+			budget = int(e.cfg.NumNodes) * e.slotSize
 		}
-		budget := e.cowBudget
-		if budget == 0 {
-			budget = checkpointCOWBudget
-		}
-		cs.snap = newCkptSnap(len(cs.sections), nps, budget)
-		e.snap.Store(cs.snap)
-		if e.cache != nil {
-			snap := cs.snap
-			slot := e.slotSize
-			e.cache.SetWriteBarrier(&diskstore.WriteBarrier{
-				NeedPreImage: snap.needsPreImage,
-				Deposit: func(start uint32, count int, pre []byte) {
-					for j := 0; j < count; j++ {
-						snap.preserve(start+uint32(j), pre[j*slot:(j+1)*slot])
-					}
-				},
-			})
-		}
+	}
+	cs.snap = newCkptSnap(len(cs.sections), nps, budget)
+	e.snap.Store(cs.snap)
+	if e.cache != nil {
+		snap := cs.snap
+		slot := e.slotSize
+		e.cache.SetWriteBarrier(&diskstore.WriteBarrier{
+			NeedPreImage: snap.needsPreImage,
+			Deposit: func(start uint32, count int, pre []byte) {
+				for j := 0; j < count; j++ {
+					snap.preserve(start+uint32(j), pre[j*slot:(j+1)*slot])
+				}
+			},
+		})
 	}
 	e.quiesce.Unlock()
 	e.lastCkptStall.Store(int64(time.Since(stallStart)))
@@ -610,9 +709,9 @@ func (cs *CheckpointSnapshot) WriteFile(path string) error {
 	return nil
 }
 
-// Close releases the snapshot: the disk-mode capture is retired (waking
-// any worker blocked on its pre-image budget) and the engine's checkpoint
-// mutex is released. Idempotent.
+// Close releases the snapshot: the copy-on-write capture is retired
+// (waking any worker blocked on it) and the engine's checkpoint mutex is
+// released. Idempotent.
 func (cs *CheckpointSnapshot) Close() {
 	if cs.closed {
 		return
@@ -628,27 +727,9 @@ func (cs *CheckpointSnapshot) Close() {
 	cs.e.ckptMu.Unlock()
 }
 
-// sealSlabs copies every shard's live slab into the engine's snapshot
-// arenas (allocated once, reused by every later checkpoint). Caller holds
-// the quiesce write lock with the workers idle.
-func (e *Engine) sealSlabs() error {
-	if e.snapSlabs == nil {
-		e.snapSlabs = make([]*cubesketch.Slab, len(e.shards))
-		for s, sh := range e.shards {
-			e.snapSlabs[s] = e.newSlab(sh.slab.Nodes())
-		}
-	}
-	for s, sh := range e.shards {
-		if err := e.snapSlabs[s].CopyFrom(sh.slab); err != nil {
-			return fmt.Errorf("core: sealing shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
-// newSlab returns an empty slab of this engine's geometry: the seal
-// arenas, and the one-node scratch slabs that validate foreign slot bytes
-// before any live state is touched.
+// newSlab returns an empty slab of this engine's geometry: the one-node
+// scratch slabs that validate foreign slot bytes before any live state is
+// touched.
 func (e *Engine) newSlab(nodes int) *cubesketch.Slab {
 	return cubesketch.NewSlab(nodes, e.vecLen, e.cfg.Columns, e.roundSeeds)
 }
@@ -710,29 +791,46 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	// sem bounds encoded-but-unwritten sections so memory stays
-	// O(workers × section), not O(checkpoint). Acquired before claiming a
-	// section index: a claimed section therefore always holds a token and
-	// runs to completion, so the in-order writer below can never wait on a
-	// section whose worker is blocked here.
-	sem := make(chan struct{}, workers+1)
+	// free holds the stream's workers+1 payload buffers, each sized for the
+	// plan's largest section, and bounds encoded-but-unwritten sections so
+	// memory stays O(workers × section), not O(checkpoint). A buffer is
+	// taken before claiming a section index: a claimed section therefore
+	// always has one and runs to completion, so the in-order writer below
+	// can never wait on a section whose worker is blocked here.
+	maxCount := 0
+	for _, run := range plan {
+		maxCount = max(maxCount, run.count)
+	}
+	free := make(chan []byte, workers+1)
+	for range cap(free) {
+		free <- e.getSectionBuf(maxCount * e.slotSize)
+	}
 	var next atomic.Int64
+	var encoders sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
+		encoders.Add(1)
 		go func() {
+			defer encoders.Done()
 			for {
-				sem <- struct{}{}
+				buf := <-free
 				i := int(next.Add(1)) - 1
 				if i >= len(plan) {
-					<-sem
+					free <- buf
 					return
 				}
-				payload := e.getSectionBuf(plan[i].count * e.slotSize)
+				payload := buf[:plan[i].count*e.slotSize]
 				err := e.encodeSection(i, plan[i], payload, cs)
 				results[i] = encoded{payload: payload, crc: crc32.Checksum(payload, crcTable), err: err}
 				close(done[i])
 			}
 		}()
 	}
+	defer func() {
+		encoders.Wait()
+		for range cap(free) {
+			e.putSectionBuf(<-free)
+		}
+	}()
 
 	footer := make([]byte, 0, len(plan)*footerEntryLen+footerTrailerLen)
 	off := uint64(4+checkpointHeaderLen) + uint64(len(cs.meta))
@@ -757,10 +855,7 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 			}
 			off += sectionHeaderLen + uint64(len(res.payload))
 		}
-		if res.payload != nil {
-			e.putSectionBuf(res.payload)
-		}
-		<-sem
+		free <- res.payload
 	}
 	if firstErr != nil {
 		return firstErr
@@ -773,10 +868,11 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 
 // encodeSection fills payload with the serialized slots of section sec of
 // the snapshot's plan. A delta copies the run out of the buffer
-// materializeDelta filled under the seal; a full checkpoint marshals out
-// of the sealed snapshot slabs in RAM mode, and in disk mode scans the
-// store with coalesced range reads and then substitutes any copy-on-write
-// pre-images, yielding the drain-time cut.
+// materializeDelta filled under the seal. A full checkpoint reads the live
+// sketches — in RAM marshalled out of the shard slabs under the section's
+// claim, out of core scanned from the store with coalesced range reads —
+// and then substitutes any copy-on-write pre-images, yielding the
+// drain-time cut.
 func (e *Engine) encodeSection(sec int, run nodeRun, payload []byte, cs *CheckpointSnapshot) error {
 	if cs.IsDelta() {
 		copy(payload, cs.deltaBuf[run.off:])
@@ -784,12 +880,10 @@ func (e *Engine) encodeSection(sec int, run nodeRun, payload []byte, cs *Checkpo
 	}
 	start, count := run.start, run.count
 	if e.store == nil {
-		k := uint32(len(e.shards))
-		for j := 0; j < count; j++ {
-			node := start + uint32(j)
-			e.snapSlabs[node%k].MarshalNode(int(node/k), payload[j*e.slotSize:(j+1)*e.slotSize])
-		}
-		return nil
+		cs.snap.claim(sec)
+		err := e.readSlots(start, count, payload)
+		cs.snap.capture(sec, start, count, payload, e.slotSize)
+		return err
 	}
 	chunkSlots := e.cfg.QueryScanBytes / e.slotSize
 	if chunkSlots < 1 {

@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,9 +240,9 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // once, in both placements: (1) low stall — while the checkpoint stream is
 // blocked on a gated writer, an ingest call completes, so the quiesce lock
 // is not held for the stream write; (2) exact cut — the update accepted
-// mid-stream is NOT in the restored state (RAM mode seals the slabs, disk
-// mode preserves pre-images copy-on-write), which also pins that it is not
-// lost from the live engine.
+// mid-stream is NOT in the restored state (both placements preserve
+// pre-images copy-on-write), which also pins that it is not lost from the
+// live engine.
 func TestCheckpointLowStallAndExactCut(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		name := "ram"
@@ -552,5 +557,338 @@ func TestOpenCheckpointRejectsOverlappingFooter(t *testing.T) {
 	}
 	if _, err := OpenCheckpoint(path, Config{Shards: 4}); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("overlapping footer: err = %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// checkpointSlots returns the slot bytes a full checkpoint stream carries,
+// in node order: its sections' payloads, concatenated.
+func checkpointSlots(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var slots []byte
+	for _, run := range layoutOf(t, b).sections {
+		payload := run.off + sectionHeaderLen
+		slots = append(slots, b[payload:payload+int(binary.LittleEndian.Uint64(b[run.off+8:]))]...)
+	}
+	return slots
+}
+
+// referenceSlots returns the sketch bytes of a quiesced engine of cfg's
+// geometry that ingested exactly edges — the bytes any exact cut holding
+// those edges must equal, whatever the sharding or interleaving.
+func referenceSlots(t *testing.T, cfg Config, edges []stream.Edge) []byte {
+	t.Helper()
+	ref, err := NewEngine(Config{NumNodes: cfg.NumNodes, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.InsertEdges(edges); err != nil {
+		t.Fatal(err)
+	}
+	return rawSlots(t, ref)
+}
+
+// liveProducers toggles random edges on an engine from several goroutines,
+// draining every few updates so applies land while a checkpoint streams.
+// Each accepted edge is logged under gate's read lock, so whoever holds
+// the write lock sees exactly the edges ingested so far.
+type liveProducers struct {
+	gate     sync.RWMutex
+	mu       sync.Mutex
+	edges    []stream.Edge
+	drains   atomic.Int64
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+}
+
+func startProducers(t *testing.T, e *Engine, count int, seed uint64) *liveProducers {
+	p := &liveProducers{stop: make(chan struct{})}
+	n := uint64(e.cfg.NumNodes)
+	for k := 0; k < count; k++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			rng := rand.New(rand.NewPCG(seed, uint64(k)))
+			for i := 1; ; i++ {
+				select {
+				case <-p.stop:
+					return
+				default:
+				}
+				eg := stream.Edge{U: uint32(rng.Uint64N(n)), V: uint32(rng.Uint64N(n))}.Normalize()
+				if eg.U == eg.V {
+					continue
+				}
+				p.gate.RLock()
+				err := e.InsertEdge(eg.U, eg.V)
+				if err == nil {
+					p.mu.Lock()
+					p.edges = append(p.edges, eg)
+					p.mu.Unlock()
+				}
+				p.gate.RUnlock()
+				if err == nil && i%64 == 0 {
+					err = e.Drain()
+					p.drains.Add(1)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	return p
+}
+
+// seal seals a full checkpoint with the producers held off, and returns it
+// with the edges its cut holds beyond what was ingested before they started.
+func (p *liveProducers) seal(t *testing.T, e *Engine) (*CheckpointSnapshot, []stream.Edge) {
+	t.Helper()
+	p.gate.Lock()
+	defer p.gate.Unlock()
+	cs, err := e.SealCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return cs, slices.Clone(p.edges)
+}
+
+// finish stops the producers and returns every edge they ingested. Tests
+// also defer it, so a failing test stops them before closing the engine.
+func (p *liveProducers) finish() []stream.Edge {
+	p.stopOnce.Do(func() { close(p.stop) })
+	p.wg.Wait()
+	return p.edges
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting: %s", what)
+		}
+	}
+}
+
+// TestRAMCheckpointLiveProducersExactCut is the RAM twin of
+// TestCheckpointLowStallAndExactCut with producers running throughout:
+// while each stream is blocked on its writer, producers keep ingesting and
+// draining (ingestion never waits on the writer) and change nodes ahead of
+// the scan (pre-images are deposited); once released, the scan marshals the
+// live slabs under those applies. Every checkpoint must equal the seal-time
+// cut byte for byte, and the live engine must hold every update.
+func TestRAMCheckpointLiveProducersExactCut(t *testing.T) {
+	cfg := Config{NumNodes: 512, Seed: 73, Shards: 2}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	base := randomEdges(cfg.NumNodes, 2000, 21, 22)
+	if err := e.InsertEdges(base); err != nil {
+		t.Fatal(err)
+	}
+	p := startProducers(t, e, 3, 5)
+	defer p.finish()
+	for i := 0; i < 3; i++ {
+		func() {
+			cs, cut := p.seal(t, e)
+			defer cs.Close()
+			if len(cs.sections) < 4 {
+				t.Fatalf("%d sections: too few for the scan to lag the producers", len(cs.sections))
+			}
+			gw := newGatedWriter()
+			release := sync.OnceFunc(func() { close(gw.gate) })
+			var streamErr error
+			streamed := make(chan struct{})
+			go func() {
+				defer close(streamed)
+				streamErr = cs.StreamTo(gw)
+			}()
+			defer func() { release(); <-streamed }()
+			drains := p.drains.Load() + 4
+			waitUntil(t, "producers draining behind a blocked checkpoint writer", func() bool { return p.drains.Load() >= drains })
+			cs.snap.mu.Lock()
+			deposited := cs.snap.used
+			cs.snap.mu.Unlock()
+			if deposited == 0 {
+				t.Fatal("no pre-image deposited: the producers never raced the scan")
+			}
+			release()
+			<-streamed
+			if streamErr != nil {
+				t.Fatal(streamErr)
+			}
+			if !bytes.Equal(checkpointSlots(t, gw.buf.Bytes()), referenceSlots(t, cfg, slices.Concat(base, cut))) {
+				t.Fatalf("checkpoint %d taken under live producers is not the seal-time cut", i)
+			}
+		}()
+	}
+	all := p.finish()
+	if !bytes.Equal(rawSlots(t, e), referenceSlots(t, cfg, slices.Concat(base, all))) {
+		t.Fatal("the live engine does not hold exactly the updates ingested across the checkpoints")
+	}
+}
+
+// TestRAMCheckpointCOWBudgetBackpressure is the RAM twin of
+// TestDiskCheckpointCOWBudgetBackpressure: with the pre-image budget cut to
+// a few slots, changes ahead of the scan deposit until it runs out and then
+// wait for their section's capture; forced to zero, every one waits. Either
+// way the checkpoints under live producers are exact cuts.
+func TestRAMCheckpointCOWBudgetBackpressure(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		slots int // pre-image budget in slots; 0 forces it to zero
+	}{{"few-slots", 4}, {"zero", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{NumNodes: 512, Seed: 79, Shards: 2}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			e.cowBudget = tc.slots * e.slotSize
+			if tc.slots == 0 {
+				e.cowBudget = -1
+			}
+			base := randomEdges(cfg.NumNodes, 2000, 23, 24)
+			if err := e.InsertEdges(base); err != nil {
+				t.Fatal(err)
+			}
+			p := startProducers(t, e, 2, 9)
+			defer p.finish()
+			for i := 0; i < 3; i++ {
+				cs, cut := p.seal(t, e)
+				var buf bytes.Buffer
+				err := cs.StreamTo(&buf)
+				cs.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(checkpointSlots(t, buf.Bytes()), referenceSlots(t, cfg, slices.Concat(base, cut))) {
+					t.Fatalf("checkpoint %d is not the seal-time cut", i)
+				}
+			}
+			all := p.finish()
+			if !bytes.Equal(rawSlots(t, e), referenceSlots(t, cfg, slices.Concat(base, all))) {
+				t.Fatal("the live engine does not hold exactly the updates ingested across the checkpoints")
+			}
+		})
+	}
+}
+
+// TestRAMCheckpointCOWClaimWaitsForInflightApply holds a worker inside its
+// apply of a node (past acquire, before Slab.Apply) while the stream runs:
+// the scanner claims the node's section and must wait there — the stream
+// cannot finish — until the apply releases, after which the section is
+// captured with the node's pre-image.
+func TestRAMCheckpointCOWClaimWaitsForInflightApply(t *testing.T) {
+	cfg := Config{NumNodes: 512, Seed: 83, Shards: 1, Buffering: BufferNone}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const target = 500 // in the last section
+	var armed atomic.Bool
+	entered, proceed := make(chan struct{}), make(chan struct{})
+	e.testApplyHook = func(node uint32) func() {
+		if node == target && armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-proceed
+		}
+		return func() {}
+	}
+	base := randomEdges(cfg.NumNodes, 1000, 25, 26)
+	if err := e.InsertEdges(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	cs, err := e.SealCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// On failure, let the held apply finish and the snapshot go before the
+	// deferred engine Close drains.
+	defer cs.Close()
+	release := sync.OnceFunc(func() { close(proceed) })
+	defer release()
+	sec := int(target / cs.snap.nodesPerSection)
+	if sec == 0 {
+		t.Fatal("target node shares the first section")
+	}
+	armed.Store(true)
+	extra := stream.Edge{U: 3, V: target}
+	ingested := make(chan error, 1)
+	go func() { ingested <- e.InsertEdge(extra.U, extra.V) }()
+	<-entered // the worker holds target's section in flight
+
+	var buf bytes.Buffer
+	streamed := make(chan error, 1)
+	go func() { streamed <- cs.StreamTo(&buf) }()
+	waitUntil(t, "the scanner claiming the in-flight section", func() bool {
+		cs.snap.mu.Lock()
+		defer cs.snap.mu.Unlock()
+		return cs.snap.claimed[sec]
+	})
+	select {
+	case err := <-streamed:
+		t.Fatalf("the stream finished (err %v) with an apply in flight inside a claimed section", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-streamed; err != nil {
+		t.Fatal(err)
+	}
+	cs.Close()
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(checkpointSlots(t, buf.Bytes()), referenceSlots(t, cfg, base)) {
+		t.Fatal("the checkpoint holds the apply that was in flight at its claim")
+	}
+	if !bytes.Equal(rawSlots(t, e), referenceSlots(t, cfg, append(slices.Clone(base), extra))) {
+		t.Fatal("the live engine lost the apply that raced the scan")
+	}
+}
+
+// TestRAMCheckpointAllocatesSectionsNotSketches pins what a RAM full
+// checkpoint holds in memory: a quiet one allocates about the sections in
+// flight (one buffer per encoder, plus one), never a second copy of the
+// sketches.
+func TestRAMCheckpointAllocatesSectionsNotSketches(t *testing.T) {
+	e, err := NewEngine(Config{NumNodes: 1024, Seed: 89, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.InsertEdges(randomEdges(1024, 2000, 27, 28)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	sketches := int64(e.cfg.NumNodes) * int64(e.slotSize)
+	section := int64(e.sectionNodes()) * int64(e.slotSize)
+	limit := int64(len(e.shards)+1)*section + 1<<20
+	if limit > sketches/2 {
+		t.Fatalf("sketches (%d B) too small to tell %d B of sections from a copy", sketches, limit)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := e.WriteCheckpoint(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.TotalAlloc - before.TotalAlloc); grew > limit {
+		t.Fatalf("a quiet checkpoint allocated %d B; its sections in flight need %d B, the sketches are %d B", grew, limit, sketches)
 	}
 }

@@ -135,7 +135,9 @@ type Config struct {
 	RebalanceFactor float64
 	// SlicesPerShard is the granularity of the dynamic node→shard
 	// processing assignment: the node space is split into
-	// Shards × SlicesPerShard slices (by node modulo), each independently
+	// Shards × SlicesPerShard slices — node v falls in slice
+	// (v / NodesPerGroup) % slices, so a disk group is never split and in
+	// RAM (groups of one node) the slice is v % slices — each independently
 	// routable to any shard (default 16). More slices mean finer-grained
 	// rebalancing at slightly more routing state.
 	SlicesPerShard int

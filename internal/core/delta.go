@@ -156,7 +156,8 @@ func (e *Engine) materializeDelta(cs *CheckpointSnapshot) error {
 // [start, start+count): marshalled out of the live slabs in RAM, one
 // coalesced range read out of core (the caller has spilled or dropped the
 // write-back cache, so device bytes are current). The caller holds the
-// quiesce write lock with the workers idle.
+// quiesce write lock with the workers idle, or in RAM the snapshot claim
+// on the nodes' section (encodeSection).
 func (e *Engine) readSlots(start uint32, count int, buf []byte) error {
 	if e.store != nil {
 		if err := e.store.ReadRange(start, count, buf[:count*e.slotSize]); err != nil {

@@ -85,10 +85,11 @@ type Stats struct {
 	// count anyway).
 	SketchFailures uint64
 	// CheckpointStallNanos is how long the most recent WriteCheckpoint
-	// excluded ingestion, in nanoseconds: the drain plus the snapshot seal
-	// (RAM: shard-at-a-time slab copy; disk: installing the copy-on-write
-	// capture). The stream write itself runs with ingestion live, so this
-	// is bounded by drain + O(slab copy), not by writer bandwidth.
+	// excluded ingestion, in nanoseconds: the drain plus the snapshot seal,
+	// which installs the copy-on-write capture (out of core after spilling
+	// the write-back cache; a delta also copies its dirty slots). The
+	// stream write itself runs with ingestion live, so this is bounded by
+	// the drain, not by the sketch bytes or writer bandwidth.
 	CheckpointStallNanos uint64
 	// DeltaCheckpoints counts seals that produced a sparse delta
 	// checkpoint instead of a full one; DeltaCheckpointBytes and
@@ -178,8 +179,10 @@ type Engine struct {
 
 	// testApplyHook, when non-nil (tests only), brackets every batch
 	// apply: it is called with the node before the apply and the returned
-	// function after. The rebalancer tests use it to prove per-node apply
-	// exclusivity across migrations.
+	// function after — in RAM inside the checkpoint capture's in-flight
+	// window. The rebalancer tests use it to prove per-node apply
+	// exclusivity across migrations, the checkpoint tests to hold an apply
+	// open while the scanner claims its section.
 	testApplyHook func(node uint32) func()
 
 	// quiesce separates producers (read side: ingest entry points) from
@@ -245,21 +248,22 @@ type Engine struct {
 	// counts from the start so that MemoryBytes does not step at that query.
 	queryArena      *cubesketch.Slab
 	queryArenaBytes int64
+	// qs is the query session every query resets and reuses (query.go),
+	// made by the first query like the arena.
+	qs *querySession
 
 	// Checkpoint subsystem state (checkpoint.go). ckptMu serializes whole
 	// checkpoint operations and orders strictly before the quiesce lock
 	// (every path that needs both takes ckptMu first, including Close).
-	// snap, when non-nil, is the copy-on-write capture of an in-flight
-	// disk-mode snapshot that the workers feed pre-images into; snapSlabs
-	// are the reusable RAM-mode seal arenas; ckptBuf pools section payload
-	// buffers; lastCkptStall records the quiesce-held phase of the last
-	// WriteCheckpoint for Stats.
+	// snap, when non-nil, is the copy-on-write capture of an in-flight full
+	// snapshot that the workers feed pre-images into; ckptBuf pools section
+	// payload buffers; lastCkptStall records the quiesce-held phase of the
+	// last WriteCheckpoint for Stats.
 	ckptMu        sync.Mutex
 	snap          atomic.Pointer[ckptSnap]
-	snapSlabs     []*cubesketch.Slab
 	ckptBuf       sync.Pool
 	lastCkptStall atomic.Int64
-	cowBudget     int // 0 = checkpointCOWBudget; tests shrink it
+	cowBudget     int // 0 = the placement's default (ckptSnap); tests override it, -1 for none
 
 	// Delta-checkpoint chain state (delta.go). chainTag is a random
 	// per-lineage token minted at engine creation and adopted from the
@@ -911,9 +915,6 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	// dirtySeal gets the same treatment against the last checkpoint seal.
 	sh.dirty.Set(uint64(b.Node))
 	sh.dirtySeal.Set(uint64(b.Node))
-	if h := e.testApplyHook; h != nil {
-		defer h(b.Node)()
-	}
 	// Foreign: executed by a worker other than the slice's initial owner
 	// (slice % Shards) — in RAM the node's storage-home shard.
 	if int(e.sliceOf(b.Node))%len(e.shards) != sh.id {
@@ -930,8 +931,25 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 		if img != nil {
 			home.slab.MarshalNode(local, img)
 		}
+		// A full checkpoint may be marshalling this node's section out of
+		// the live slabs right now: acquire keeps the two apart and hands
+		// back the pre-image buffer the snapshot needs when this is the
+		// node's first change ahead of the scan (checkpoint.go).
+		if snap := e.snap.Load(); snap != nil {
+			sec, pre := snap.acquire(b.Node, e.slotSize)
+			if pre != nil {
+				home.slab.MarshalNode(local, pre)
+			}
+			defer snap.release(sec)
+		}
+		if h := e.testApplyHook; h != nil {
+			defer h(b.Node)()
+		}
 		home.slab.Apply(local, sh.indices)
 		return
+	}
+	if h := e.testApplyHook; h != nil {
+		defer h(b.Node)()
 	}
 
 	if e.cache != nil {

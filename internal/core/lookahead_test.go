@@ -28,7 +28,7 @@ func stepRounds(t *testing.T, e *Engine, each func(q *querySession, round int)) 
 		if each != nil {
 			each(q, round)
 		}
-		_, ran, err := e.boruvkaRound(q, round, &forest)
+		_, ran, err := e.boruvkaRound(q, round)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func stepRounds(t *testing.T, e *Engine, each func(q *querySession, round int)) 
 		}
 		live = append(live, len(q.roots))
 	}
-	return q, forest, live
+	return q, q.forest, live
 }
 
 // scansFor replays the look-ahead rule over a query's live-root counts: a
@@ -244,7 +244,7 @@ func TestLookaheadFreshScanOnUncoveredRoot(t *testing.T) {
 		if !slices.Equal(perRound, want) {
 			t.Fatalf("revive=%v: %v device reads in rounds 0-2, want %v", revive, perRound, want)
 		}
-		if _, count := q.buildRep(); count != 1 || len(forest)+len(extra) != n-1 {
+		if count := q.result(0).count; count != 1 || len(forest)+len(extra) != n-1 {
 			t.Fatalf("revive=%v: %d components and %d forest edges on a connected path", revive, count, len(forest)+len(extra))
 		}
 	}

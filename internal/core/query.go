@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"graphzeppelin/internal/bitset"
@@ -137,9 +138,11 @@ func (e *Engine) query() (*queryResult, error) {
 // otherwise. The caller holds the quiesce write lock with the workers
 // drained (so shard state, the dirty vectors included, is stable).
 func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
+	q := e.session()
 	prev := e.queryCache.Load()
 	if !e.cfg.NoDeltaQuery && prev != nil {
-		dirty := bitset.New(uint64(e.cfg.NumNodes))
+		dirty := q.dirty
+		dirty.ClearAll()
 		var nDirty uint64
 		for _, sh := range e.shards {
 			nDirty += sh.dirty.OrInto(dirty)
@@ -155,7 +158,7 @@ func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
 			}, nil
 		}
 		if float64(nDirty) <= e.cfg.DeltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
-			res, ok, err := e.runDeltaBoruvka(epoch, prev, dirty)
+			res, ok, err := e.runDeltaBoruvka(q, epoch, prev, dirty)
 			if err != nil {
 				return nil, err
 			}
@@ -165,10 +168,24 @@ func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
 			}
 			// The affected components failed to certify within the sketch
 			// depth; the from-scratch run is the correctness backstop.
+			q.reset()
 		}
 		e.deltaFallbacks.Add(1)
 	}
-	return e.runBoruvka(epoch)
+	return e.runBoruvka(q, epoch)
+}
+
+// session returns the engine's one query session, reset for a new query;
+// the first query makes it. Queries hold the quiesce write lock, so one
+// session serves them all and its scratch is allocated once, at its
+// largest shape.
+func (e *Engine) session() *querySession {
+	if e.qs == nil {
+		e.qs = newQuerySession(int(e.cfg.NumNodes))
+	} else {
+		e.qs.reset()
+	}
+	return e.qs
 }
 
 // cacheResultLocked publishes a successful query result and resets the
@@ -326,9 +343,18 @@ type heldAggregate struct {
 	members int32
 }
 
-// querySession is the per-query scratch of lazy Boruvka. The caller holds
-// the quiesce write lock with the workers idle, so shard state may be read
-// freely (and concurrently) for the duration.
+// sampleOut is what one sampling worker found in its range of live roots.
+type sampleOut struct {
+	cands   []candidate
+	emptied []uint32
+	err     error
+}
+
+// querySession is the scratch of lazy Boruvka. The caller holds the
+// quiesce write lock with the workers idle, so shard state may be read
+// freely (and concurrently) for the duration; the engine keeps one session
+// and resets it for every query (Engine.session), so a query allocates
+// its result and nothing else.
 type querySession struct {
 	d        *dsu.DSU
 	rep      []uint32 // node -> current root, rebuilt each round
@@ -343,9 +369,18 @@ type querySession struct {
 	// from its one member's slab sketch.
 	contribs  []contribution
 	starts    []int
+	fill      []int // groupByRoot's per-root cursor
 	order     []contribution
 	arenaSlot []int32
 	scanBuf   []byte // disk mode: sequential-scan chunk buffer
+
+	// The round's samples (sampleRound): one out per sampling worker, then
+	// their candidates and emptied roots in live-root order. forest
+	// collects the query's edges; the result takes a copy.
+	outs    []sampleOut
+	cands   []candidate
+	emptied []uint32
+	forest  []stream.Edge
 
 	// Out of core, what the engine's arena holds: the aggregates of rounds
 	// [arenaRound, arenaEnd), one per held entry. A from-scratch scan looks
@@ -355,10 +390,18 @@ type querySession struct {
 	held, heldNext       []heldAggregate
 
 	// The delta query's plan (runDeltaBoruvka): the nodes that contribute
-	// anything, ascending, and the images behind srcImage. plan == nil means
+	// anything, ascending, and the images behind srcImage. Without delta
 	// every live node contributes its live sketch (a from-scratch query).
-	plan   []planned
-	before map[uint32][]byte
+	// dirty, class, largest and pieceSize are its working sets: the dirty
+	// nodes, the class of each cached component, and each cut component's
+	// largest piece with the piece sizes it was picked by.
+	delta     bool
+	plan      []planned
+	before    map[uint32][]byte
+	dirty     *bitset.Set
+	class     []uint8
+	largest   []uint32
+	pieceSize []int32
 	// maxContribs is the longest contribution list of any round so far:
 	// the query's sketch work per round, which tests pin by count.
 	maxContribs int
@@ -386,13 +429,13 @@ func (q *querySession) prepareRound() int {
 		q.roots = append(q.roots, r)
 	}
 	q.contribs = q.contribs[:0]
-	if q.plan == nil {
-		for i := 0; i < n; i++ {
-			q.contribute(planned{node: uint32(i), role: roleCur})
-		}
-	} else {
+	if q.delta {
 		for _, p := range q.plan {
 			q.contribute(p)
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			q.contribute(planned{node: uint32(i), role: roleCur})
 		}
 	}
 	if len(q.contribs) > q.maxContribs {
@@ -442,37 +485,59 @@ func (q *querySession) contribute(p planned) {
 // node order within a root.
 func (q *querySession) groupByRoot() {
 	nr := len(q.roots)
-	q.starts = append(q.starts[:0], make([]int, nr+1)...)
+	q.starts = sized(q.starts, nr+1)
 	for _, c := range q.contribs {
 		q.starts[c.slot+1]++
 	}
 	for i := 1; i <= nr; i++ {
 		q.starts[i] += q.starts[i-1]
 	}
-	if cap(q.order) < len(q.contribs) {
-		q.order = make([]contribution, len(q.contribs))
-	}
-	q.order = q.order[:len(q.contribs)]
-	fill := append([]int(nil), q.starts[:nr]...)
+	q.order = sized(q.order, len(q.contribs))
+	q.fill = append(q.fill[:0], q.starts[:nr]...)
 	for _, c := range q.contribs {
-		q.order[fill[c.slot]] = c
-		fill[c.slot]++
+		q.order[q.fill[c.slot]] = c
+		q.fill[c.slot]++
 	}
 }
 
-// newQuerySession allocates the per-query scratch for an n-node session.
+// sized returns s re-formed as n zero elements, reusing its array when it
+// is large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// newQuerySession allocates the scratch of an n-node session.
 func newQuerySession(n int) *querySession {
 	return &querySession{
 		d:        dsu.New(n),
 		rep:      make([]uint32, n),
 		finished: make([]bool, n),
 		slot:     make([]int32, n),
+		dirty:    bitset.New(uint64(n)),
 	}
 }
 
-// buildRep refreshes the representative vector off the DSU one final time
-// and returns it with the component count.
-func (q *querySession) buildRep() ([]uint32, int) {
+// reset returns the session to the state newQuerySession leaves it in —
+// singletons, nothing finished, no plan, no held aggregates — keeping
+// every array for the next query.
+func (q *querySession) reset() {
+	q.d.Reset()
+	clear(q.finished)
+	q.delta, q.plan, q.before = false, q.plan[:0], nil
+	q.held, q.arenaRound, q.arenaEnd = q.held[:0], 0, 0
+	q.forest = q.forest[:0]
+	q.maxContribs = 0
+}
+
+// result packages the session's answer as a query result tagged with
+// epoch: the final representatives off the DSU, the component count and a
+// copy of the forest — the only allocations of a query.
+func (q *querySession) result(epoch uint64) *queryResult {
 	n := len(q.rep)
 	rep := make([]uint32, n)
 	count := 0
@@ -482,19 +547,22 @@ func (q *querySession) buildRep() ([]uint32, int) {
 			count++
 		}
 	}
-	return rep, count
+	return &queryResult{
+		epoch: epoch, watermark: epoch, delta: q.delta,
+		forest: slices.Clone(q.forest), rep: rep, count: count,
+	}
 }
 
 // boruvkaRounds runs the lazy Boruvka rounds over q's current state —
 // pristine singletons for a full query, the carried-over clean components
 // pre-merged and pre-finished for a delta query — until every component
 // certifies complete or the sketch depth runs out, appending recovered
-// edges to *forest. It returns the number of still-live components (zero
+// edges to q.forest. It returns the number of still-live components (zero
 // on success) and the rounds executed.
-func (e *Engine) boruvkaRounds(q *querySession, forest *[]stream.Edge) (live, rounds int, err error) {
+func (e *Engine) boruvkaRounds(q *querySession) (live, rounds int, err error) {
 	for round := 0; round < e.cfg.Rounds; round++ {
 		var ran bool
-		if live, ran, err = e.boruvkaRound(q, round, forest); err != nil || !ran {
+		if live, ran, err = e.boruvkaRound(q, round); err != nil || !ran {
 			break
 		}
 		rounds++
@@ -505,22 +573,21 @@ func (e *Engine) boruvkaRounds(q *querySession, forest *[]stream.Edge) (live, ro
 // boruvkaRound runs one round: it samples a cut edge per live component and
 // merges along the edges found. ran is false, with nothing done, when no
 // component was live; live is the count left after the round.
-func (e *Engine) boruvkaRound(q *querySession, round int, forest *[]stream.Edge) (live int, ran bool, err error) {
+func (e *Engine) boruvkaRound(q *querySession, round int) (live int, ran bool, err error) {
 	if live = q.prepareRound(); live == 0 {
 		return 0, false, nil
 	}
-	cands, emptied, err := e.sampleRound(q, round)
-	if err != nil {
+	if err := e.sampleRound(q, round); err != nil {
 		return live, true, err
 	}
-	for _, r := range emptied {
+	for _, r := range q.emptied {
 		q.finished[r] = true
 		live--
 	}
 	// Union phase: candidates arrive in deterministic live-root order,
 	// so merge order — and therefore the recovered forest — is
 	// reproducible across runs and worker counts.
-	for _, c := range cands {
+	for _, c := range q.cands {
 		ra, rb := q.d.Find(c.edge.U), q.d.Find(c.edge.V)
 		if ra == rb {
 			// Another merge this round already connected them.
@@ -532,26 +599,22 @@ func (e *Engine) boruvkaRound(q *querySession, round int, forest *[]stream.Edge)
 		// no cut edges to be sampled), but never let a stale flag
 		// silence the new component.
 		q.finished[root] = false
-		*forest = append(*forest, c.edge)
+		q.forest = append(q.forest, c.edge)
 		live--
 	}
 	return live, true, nil
 }
 
-// runBoruvka executes the from-scratch lazy Boruvka rounds and returns
-// the full query result tagged with epoch. On ErrQueryFailed the partial
-// result is still returned.
-func (e *Engine) runBoruvka(epoch uint64) (*queryResult, error) {
-	n := int(e.cfg.NumNodes)
-	q := newQuerySession(n)
-	var forest []stream.Edge
-	live, rounds, err := e.boruvkaRounds(q, &forest)
+// runBoruvka executes the from-scratch lazy Boruvka rounds on the reset
+// session q and returns the full query result tagged with epoch. On
+// ErrQueryFailed the partial result is still returned.
+func (e *Engine) runBoruvka(q *querySession, epoch uint64) (*queryResult, error) {
+	live, rounds, err := e.boruvkaRounds(q)
 	if err != nil {
 		return nil, err
 	}
 	e.lastRounds.Store(int64(rounds))
-	rep, count := q.buildRep()
-	res := &queryResult{epoch: epoch, watermark: epoch, forest: forest, rep: rep, count: count}
+	res := q.result(epoch)
 	if live > 0 {
 		// Rounds exhausted with uncertified components left: the forest
 		// may be incomplete and fresh sketches do not exist to extend it.
@@ -614,11 +677,12 @@ const (
 // certify within the sketch depth; the caller falls back to the
 // from-scratch run rather than surfacing a partial delta, keeping the
 // result contract identical to a full query.
-func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.Set) (res *queryResult, ok bool, err error) {
+func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResult, dirty *bitset.Set) (res *queryResult, ok bool, err error) {
 	n := int(e.cfg.NumNodes)
 	// Workers are idle under the write lock: the image map is stable.
 	before := e.before
-	class := make([]uint8, n) // indexed by prev representative
+	q.class = sized(q.class, n) // indexed by prev representative
+	class := q.class
 	dirty.ForEach(func(i uint64) bool {
 		r := prev.rep[i]
 		if before[uint32(i)] == nil {
@@ -639,10 +703,7 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 		}
 	}
 
-	q := newQuerySession(n)
-	q.before = before
-	q.plan = make([]planned, 0, dirty.Count())
-	var forest []stream.Edge
+	q.delta, q.before = true, before
 	for _, eg := range prev.forest {
 		// Clean and intact components keep their whole tree, a cut one the
 		// sub-trees between its removed edges; all but the clean stay live,
@@ -651,14 +712,16 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 			continue
 		}
 		q.d.Union(eg.U, eg.V)
-		forest = append(forest, eg)
+		q.forest = append(q.forest, eg)
 	}
 	// largest[r] is the DSU root of cut component r's largest piece (n, of
 	// size zero, until a piece is seen; the lowest-numbered wins a tie).
 	var largest []uint32
 	if anyCut {
-		largest = make([]uint32, n)
-		size := make([]int32, n+1) // piece root -> members
+		q.largest = sized(q.largest, n)
+		q.pieceSize = sized(q.pieceSize, n+1) // piece root -> members
+		largest = q.largest
+		size := q.pieceSize
 		for i := 0; i < n; i++ {
 			largest[i] = uint32(n)
 			if class[prev.rep[i]] == classCut {
@@ -693,7 +756,7 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 	for c, k := range classCount {
 		e.deltaClasses[c].Add(k)
 	}
-	live, rounds, err := e.boruvkaRounds(q, &forest)
+	live, rounds, err := e.boruvkaRounds(q)
 	if err != nil {
 		return nil, false, err
 	}
@@ -702,17 +765,13 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 	}
 	e.lastRounds.Store(int64(rounds))
 	e.lastDeltaContribs.Store(int64(q.maxContribs))
-	rep, count := q.buildRep()
-	return &queryResult{
-		epoch: epoch, watermark: epoch, delta: true,
-		forest: forest, rep: rep, count: count,
-	}, true, nil
+	return q.result(epoch), true, nil
 }
 
 // sampleRound materializes the round-r supernode sketch of every live root
 // from the round's contribution list and samples one candidate cut edge
-// from each (Boruvka phase 1). The returned candidate list is in live-root
-// order and emptied lists the roots whose cut sketch was empty (complete
+// from each (Boruvka phase 1), into q.cands in live-root order, with
+// q.emptied listing the roots whose cut sketch was empty (complete
 // components). RAM mode fans both materialization and sampling across one
 // goroutine per shard; disk mode materializes first (one device, one pass
 // in node order), then fans only the sampling.
@@ -732,11 +791,10 @@ func (e *Engine) runDeltaBoruvka(epoch uint64, prev *queryResult, dirty *bitset.
 // touch the device. L*k single-round sketches is never more than the V that
 // round 0 (L = V, k = 1) needs anyway. A delta query keeps k = 1: its
 // contributing groups are few and mostly resident.
-func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emptied []uint32, err error) {
+func (e *Engine) sampleRound(q *querySession, round int) error {
 	nr := len(q.roots)
-	ramMode := e.store == nil
 	arena := e.queryArena
-	if ramMode {
+	if e.store == nil {
 		q.arenaSlot = q.arenaSlot[:0]
 		q.groupByRoot()
 		summed := 0
@@ -753,11 +811,11 @@ func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emp
 	} else {
 		folded, err := q.foldHeld(arena, round)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: folding supernodes: %w", err)
+			return fmt.Errorf("core: folding supernodes: %w", err)
 		}
 		if !folded {
 			k := 1
-			if q.plan == nil {
+			if !q.delta {
 				k = min(e.cfg.Rounds-round, max(1, int(e.cfg.NumNodes)/nr))
 			}
 			q.arenaSlot = q.arenaSlot[:0]
@@ -767,100 +825,105 @@ func (e *Engine) sampleRound(q *querySession, round int) (cands []candidate, emp
 			q.arenaRound, q.arenaEnd = round, round+k
 			arena.Reshape(nr, e.roundSeeds[round:round+k])
 			if err := e.scanRoundFromDisk(q, arena, round); err != nil {
-				return nil, nil, err
+				return err
 			}
 			q.holdScanned()
 		}
 	}
-	// The arena round this Boruvka round samples.
-	depth := round - q.arenaRound
 
-	workers := len(e.shards)
-	if workers > nr {
-		workers = nr
-	}
-	type workerOut struct {
-		cands   []candidate
-		emptied []uint32
-		err     error
-	}
-	outs := make([]workerOut, workers)
+	// Workers own contiguous root ranges; the last runs on this goroutine.
+	workers := min(len(e.shards), nr)
 	chunk := (nr + workers - 1) / workers
+	for len(q.outs) < workers {
+		q.outs = append(q.outs, sampleOut{})
+	}
+	outs := q.outs[:workers]
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > nr {
-			hi = nr
-		}
-		if lo >= hi {
-			continue
+	for w := range outs {
+		out := &outs[w]
+		out.cands, out.emptied, out.err = out.cands[:0], out.emptied[:0], nil
+		lo, hi := w*chunk, min((w+1)*chunk, nr)
+		if w == workers-1 {
+			e.sampleRoots(q, round, lo, hi, out)
+			break
 		}
 		wg.Add(1)
-		go func(out *workerOut, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			var acc, view cubesketch.Sketch
-			for i := lo; i < hi; i++ {
-				slot := q.arenaSlot[i]
-				if slot < 0 {
-					// Read-only, like the merges below: Query mutates nothing.
-					sh, local := e.shardOf(q.order[q.starts[i]].node)
-					sh.slab.View(local, round, &acc)
-				} else {
-					arena.View(int(slot), depth, &acc)
-				}
-				if ramMode && slot >= 0 {
-					// Materialize: XOR every contribution's round-r sketch
-					// view straight out of the owning shard's slab (read-only;
-					// the workers are quiescent under the write lock), and its
-					// before-image's round-r bytes where the plan asks for them.
-					for _, c := range q.order[q.starts[i]:q.starts[i+1]] {
-						if c.src&srcLive != 0 {
-							sh, local := e.shardOf(c.node)
-							sh.slab.View(local, round, &view)
-							if err := acc.Merge(&view); err != nil {
-								out.err = err
-								return
-							}
-						}
-						if err := q.mergeImage(arena, c, round); err != nil {
-							out.err = err
-							return
-						}
-					}
-				}
-				root := q.roots[i]
-				idx, qerr := acc.Query()
-				switch {
-				case qerr == nil:
-					edge, ierr := stream.IndexEdge(uint64(e.cfg.NumNodes), idx)
-					if ierr != nil {
-						// A checksum collision produced a non-edge index;
-						// treated as a sampling failure for this component.
-						e.sketchFailures.Add(1)
-						continue
-					}
-					out.cands = append(out.cands, candidate{root: root, edge: edge})
-				case errors.Is(qerr, cubesketch.ErrEmpty):
-					// No edge crosses this component's cut; it is complete
-					// and drops out of every later round.
-					out.emptied = append(out.emptied, root)
-				case errors.Is(qerr, cubesketch.ErrFailed):
-					e.sketchFailures.Add(1)
-				}
-			}
-		}(&outs[w], lo, hi)
+			e.sampleRoots(q, round, lo, hi, out)
+		}()
 	}
 	wg.Wait()
-	// Workers own contiguous root ranges, so concatenating in worker
-	// order preserves the global deterministic live-root order.
+	// Concatenating in worker order preserves the global deterministic
+	// live-root order.
+	q.cands, q.emptied = q.cands[:0], q.emptied[:0]
 	for i := range outs {
 		if outs[i].err != nil {
-			return nil, nil, fmt.Errorf("core: merging supernodes: %w", outs[i].err)
+			return fmt.Errorf("core: merging supernodes: %w", outs[i].err)
 		}
-		cands = append(cands, outs[i].cands...)
-		emptied = append(emptied, outs[i].emptied...)
+		q.cands = append(q.cands, outs[i].cands...)
+		q.emptied = append(q.emptied, outs[i].emptied...)
 	}
-	return cands, emptied, nil
+	return nil
+}
+
+// sampleRoots is one sampling worker of sampleRound: for live roots
+// [lo, hi) it materializes each root's supernode sketch where RAM mode
+// still has to, and queries it for a cut edge.
+func (e *Engine) sampleRoots(q *querySession, round, lo, hi int, out *sampleOut) {
+	arena := e.queryArena
+	// The arena round this Boruvka round samples.
+	depth := round - q.arenaRound
+	var acc, view cubesketch.Sketch
+	for i := lo; i < hi; i++ {
+		slot := q.arenaSlot[i]
+		if slot < 0 {
+			// Read-only, like the merges below: Query mutates nothing.
+			sh, local := e.shardOf(q.order[q.starts[i]].node)
+			sh.slab.View(local, round, &acc)
+		} else {
+			arena.View(int(slot), depth, &acc)
+		}
+		if e.store == nil && slot >= 0 {
+			// Materialize: XOR every contribution's round-r sketch view
+			// straight out of the owning shard's slab (read-only; the
+			// workers are quiescent under the write lock), and its
+			// before-image's round-r bytes where the plan asks for them.
+			for _, c := range q.order[q.starts[i]:q.starts[i+1]] {
+				if c.src&srcLive != 0 {
+					sh, local := e.shardOf(c.node)
+					sh.slab.View(local, round, &view)
+					if err := acc.Merge(&view); err != nil {
+						out.err = err
+						return
+					}
+				}
+				if err := q.mergeImage(arena, c, round); err != nil {
+					out.err = err
+					return
+				}
+			}
+		}
+		root := q.roots[i]
+		idx, qerr := acc.Query()
+		switch {
+		case qerr == nil:
+			edge, ierr := stream.IndexEdge(uint64(e.cfg.NumNodes), idx)
+			if ierr != nil {
+				// A checksum collision produced a non-edge index;
+				// treated as a sampling failure for this component.
+				e.sketchFailures.Add(1)
+				continue
+			}
+			out.cands = append(out.cands, candidate{root: root, edge: edge})
+		case errors.Is(qerr, cubesketch.ErrEmpty):
+			// No edge crosses this component's cut; it is complete
+			// and drops out of every later round.
+			out.emptied = append(out.emptied, root)
+		case errors.Is(qerr, cubesketch.ErrFailed):
+			e.sketchFailures.Add(1)
+		}
+	}
 }
 
 // holdScanned records what a scan just left in the arena: one aggregate

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -459,5 +460,48 @@ func TestPartialForestOnRoundExhaustion(t *testing.T) {
 	}
 	if hits := e.Stats().QueryCacheHits; hits != 0 {
 		t.Fatalf("failed queries were cached (%d hits)", hits)
+	}
+}
+
+// TestWarmFromScratchQueryAllocatesOnlyItsResult pins the engine's one
+// query session: once a query has run, a from-scratch ConnectedComponents
+// allocates the result it caches (representatives and forest) and the
+// copy it returns — not the DSU, the contribution lists or the per-round
+// candidates, which the session keeps.
+func TestWarmFromScratchQueryAllocatesOnlyItsResult(t *testing.T) {
+	const n = 1024
+	e, err := NewEngine(Config{NumNodes: n, Seed: 97, Shards: 2, NoDeltaQuery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	edges := randomEdges(n, 2100, 29, 30)
+	if err := e.InsertEdges(edges[:2000]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.ConnectedComponents(); err != nil { // warms the session and the arena
+		t.Fatal(err)
+	}
+	// The cached representatives and the returned copy (4 bytes a node
+	// each), the forest (at most n-1 edges of 8 bytes), and a little for
+	// the result header and the sampling goroutines.
+	limit := uint64(4*n+4*n+8*n) + 8<<10
+	for _, eg := range edges[2000:2010] {
+		mustUpdate(t, e, eg.U, eg.V)
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := e.ConnectedComponents(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+			t.Fatalf("a warm from-scratch query allocated %d B, its result and copy need %d B", grew, limit)
+		}
+	}
+	if st := e.Stats(); st.DeltaQueries != 0 {
+		t.Fatalf("%d delta queries with delta queries disabled", st.DeltaQueries)
 	}
 }

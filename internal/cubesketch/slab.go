@@ -111,26 +111,6 @@ func (sl *Slab) CloneSketch(node, round int) *Sketch {
 	return v.Clone()
 }
 
-// CopyFrom overwrites the slab's bucket arrays with src's, turning sl into
-// a deep snapshot of src. Both slabs must have been built with identical
-// parameters (node count, vector length, columns, seeds). It allocates
-// nothing — the checkpoint subsystem keeps one snapshot slab per shard and
-// reuses it across snapshots, so sealing a shard is two memmoves.
-func (sl *Slab) CopyFrom(src *Slab) error {
-	if sl.n != src.n || sl.cols != src.cols || sl.rounds != src.rounds || sl.nodes != src.nodes {
-		return fmt.Errorf("cubesketch: snapshot slab (nodes=%d n=%d cols=%d rounds=%d) does not match source (nodes=%d n=%d cols=%d rounds=%d)",
-			sl.nodes, sl.n, sl.cols, sl.rounds, src.nodes, src.n, src.cols, src.rounds)
-	}
-	for r := range sl.seeds {
-		if sl.seeds[r] != src.seeds[r] {
-			return fmt.Errorf("cubesketch: snapshot slab round %d seed %#x does not match source %#x", r, sl.seeds[r], src.seeds[r])
-		}
-	}
-	copy(sl.alphas, src.alphas)
-	copy(sl.gammas, src.gammas)
-	return nil
-}
-
 // MergeNodeBinary XOR-combines a serialized node stack (the MarshalNode
 // format: one serialized sketch per round) into node's sketches in place,
 // with zero allocations. Every round's serialized header must match the

@@ -176,36 +176,6 @@ func TestSlabZeroNodes(t *testing.T) {
 	}
 }
 
-// TestSlabCopyFrom seals one slab into another and checks the snapshot is
-// deep: later mutations of the source leave the copy untouched.
-func TestSlabCopyFrom(t *testing.T) {
-	const n, nodes, rounds = 1 << 10, 4, 3
-	seeds := slabSeeds(rounds, 99)
-	src := NewSlab(nodes, n, 0, seeds)
-	snap := NewSlab(nodes, n, 0, seeds)
-	src.Apply(1, []uint64{5, 9, 17})
-	src.Apply(3, []uint64{2})
-	if err := snap.CopyFrom(src); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, src.NodeSize())
-	src.MarshalNode(1, want)
-	src.Apply(1, []uint64{123, 456}) // mutate source after the seal
-	got := make([]byte, snap.NodeSize())
-	snap.MarshalNode(1, got)
-	if !bytes.Equal(got, want) {
-		t.Fatal("snapshot tracked source mutations")
-	}
-	// Mismatched shapes are rejected.
-	other := NewSlab(nodes+1, n, 0, seeds)
-	if err := snap.CopyFrom(other); err == nil {
-		t.Fatal("node-count mismatch accepted")
-	}
-	if err := snap.CopyFrom(NewSlab(nodes, n, 0, slabSeeds(rounds, 1234))); err == nil {
-		t.Fatal("seed mismatch accepted")
-	}
-}
-
 // TestSlabMergeNodeBinary checks the zero-alloc serialized node merge
 // equals an explicit per-round Merge, and that incompatible blobs are
 // rejected.

@@ -94,10 +94,11 @@ func NewSPSC(capacity int) *SPSC {
 // other side is (or can be) running right now, so we keep yielding and cap
 // the sleep tier at 10µs — the old 200µs tier added milliseconds of
 // wake-up latency to briefly-stalled workers, which flattens any scaling
-// curve measured across them.
-func backoff(spins *int) {
+// curve measured across them. multicore is GOMAXPROCS(0) > 1, read once per
+// blocked call by the caller: GOMAXPROCS takes the scheduler lock, which a
+// read per spin contends on.
+func backoff(spins *int, multicore bool) {
 	*spins++
-	multicore := runtime.GOMAXPROCS(0) > 1
 	switch {
 	case *spins < 64:
 		runtime.Gosched()
@@ -115,7 +116,7 @@ func backoff(spins *int) {
 // Push enqueues b, blocking while the queue is full. It returns false if
 // the queue has been closed.
 func (q *SPSC) Push(b Batch) bool {
-	spins := 0
+	spins, multicore := 0, false
 	for {
 		if q.closed.Load() {
 			return false
@@ -126,7 +127,10 @@ func (q *SPSC) Push(b Batch) bool {
 		if t-q.cachedHead >= q.capacity {
 			q.cachedHead = q.head.Load()
 			if t-q.cachedHead >= q.capacity {
-				backoff(&spins)
+				if spins == 0 {
+					multicore = runtime.GOMAXPROCS(0) > 1
+				}
+				backoff(&spins, multicore)
 				continue
 			}
 		}

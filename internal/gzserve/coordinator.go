@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -283,7 +284,15 @@ func (co *Coordinator) pullCheckpoints(ctx context.Context, since []uint64) ([]c
 				return
 			}
 			defer rc.Close()
+			// The frame header declared the body's length (within the
+			// frame cap): size the buffer once instead of re-growing it
+			// through every doubling on the way, plus ReadFrom's MinRead
+			// headroom so the final read that reports EOF does not grow it
+			// once more.
 			var buf bytes.Buffer
+			if size := pull.Bytes + bytes.MinRead; size <= math.MaxInt {
+				buf.Grow(int(size))
+			}
 			if _, err := buf.ReadFrom(rc); err != nil {
 				errs[i] = err
 				return

@@ -82,12 +82,18 @@ type PowerCutDevice struct {
 	persisted []byte    // the image that survives Cut
 	view      []byte    // what ReadAt observes: persisted + unsynced writes
 	journal   []pcWrite // unsynced writes, in order
-	loseSyncs int
-	failSyncs int
+	// journalData backs every journal entry's bytes, appended in order and
+	// reset with the journal, so a device synced as often as it is written
+	// copies each write without allocating.
+	journalData []byte
+	loseSyncs   int
+	failSyncs   int
 
 	counters
 }
 
+// pcWrite is one unsynced write: data is the copy WriteAt took, a slice
+// of journalData.
 type pcWrite struct {
 	off  int64
 	data []byte
@@ -112,16 +118,22 @@ func NewPowerCutFrom(image []byte, blockSize int) *PowerCutDevice {
 	}
 }
 
+// growTo extends b to end bytes, zero-filled, at least doubling the
+// capacity when it must reallocate, so an image that grows by appends
+// reallocates O(log size) times.
 func growTo(b []byte, end int64) []byte {
-	if int64(len(b)) >= end {
+	n := int64(len(b))
+	if n >= end {
 		return b
 	}
-	if int64(cap(b)) >= end {
-		return b[:end]
+	if int64(cap(b)) < end {
+		nb := make([]byte, n, max(end, 2*int64(cap(b))))
+		copy(nb, b)
+		b = nb
 	}
-	nb := make([]byte, end)
-	copy(nb, b)
-	return nb
+	b = b[:end]
+	clear(b[n:])
+	return b
 }
 
 // ReadAt implements Device; reads observe unsynced writes, as through a
@@ -141,7 +153,11 @@ func (d *PowerCutDevice) WriteAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	d.view = growTo(d.view, off+int64(len(p)))
 	n := copy(d.view[off:], p)
-	d.journal = append(d.journal, pcWrite{off: off, data: append([]byte(nil), p...)})
+	start := len(d.journalData)
+	d.journalData = append(d.journalData, p...)
+	// A reallocation above leaves earlier entries on the old array, whose
+	// bytes are never written again.
+	d.journal = append(d.journal, pcWrite{off: off, data: d.journalData[start:len(d.journalData):len(d.journalData)]})
 	d.mu.Unlock()
 	d.record(true, n, off, d.block)
 	return n, nil
@@ -164,6 +180,7 @@ func (d *PowerCutDevice) Sync() error {
 	}
 	d.persisted = append(d.persisted[:0], d.view...)
 	d.journal = d.journal[:0]
+	d.journalData = d.journalData[:0]
 	return nil
 }
 
@@ -229,7 +246,7 @@ func (d *PowerCutDevice) Cut(keep, tornBytes int) {
 	d.mu.Lock()
 	d.persisted = img
 	d.view = append([]byte(nil), img...)
-	d.journal = nil
+	d.journal, d.journalData = nil, nil
 	d.mu.Unlock()
 }
 

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -208,7 +209,13 @@ type Log struct {
 	nextLSN uint64 // LSN the next Append assigns
 	written uint64 // last LSN handed to the device
 	synced  uint64 // last LSN known fsynced
-	buf     []byte // encoded, not-yet-written records
+	// buf holds the encoded, not-yet-written records; appends encode
+	// straight into it. spare is the batch the last leader wrote, handed
+	// back empty as the next buf once the leader in flight takes the
+	// current one — every Device copies on WriteAt, so the two alternate
+	// and steady-state appends allocate nothing.
+	buf     []byte
+	spare   []byte
 	bufRecs uint64
 	writing bool // a commit leader is running outside mu
 	rotate  bool // rotate before the next leader write
@@ -451,15 +458,18 @@ func (l *Log) newSegment(index, base, prevTail uint64) (*segment, error) {
 	return &segment{index: index, base: base, records: 0, size: segHeaderLen, dev: dev}, nil
 }
 
-// appendRecord encodes one record into dst.
-func appendRecord(dst []byte, seq uint64, payload []byte) []byte {
-	var hdr [recHeaderLen]byte
+// appendRecord encodes one record onto dst: the header, then the payload
+// that encode appends, then the header's length and CRC over what it
+// wrote. Encoding in place is what spares an append its payload buffer.
+func appendRecord(dst []byte, seq uint64, encode func([]byte) []byte) []byte {
+	var blank [recHeaderLen]byte
+	start := len(dst)
+	dst = encode(append(dst, blank[:]...))
+	hdr, payload := dst[start:start+recHeaderLen], dst[start+recHeaderLen:]
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(hdr[8:], seq)
-	crc := crc32.Update(crc32.Checksum(hdr[8:16], crcTable), crcTable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:], crc)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Update(crc32.Checksum(hdr[8:16], crcTable), crcTable, payload))
+	return dst
 }
 
 // Append logs one batch of updates under client sequence number seq
@@ -470,8 +480,9 @@ func (l *Log) Append(seq uint64, ups []stream.Update) (uint64, error) {
 	if len(ups) == 0 {
 		return 0, errors.New("wal: empty batch")
 	}
-	payload := stream.AppendUpdates(make([]byte, 0, len(ups)*stream.RecordSize), ups)
-	return l.append(seq, payload, uint64(len(ups)))
+	return l.append(seq, len(ups), func(dst []byte) []byte {
+		return stream.AppendUpdates(dst, ups)
+	})
 }
 
 // AppendEdges logs a batch of edge toggles (encoded as insert-type
@@ -481,14 +492,17 @@ func (l *Log) AppendEdges(seq uint64, edges []stream.Edge) (uint64, error) {
 	if len(edges) == 0 {
 		return 0, errors.New("wal: empty batch")
 	}
-	payload := make([]byte, 0, len(edges)*stream.RecordSize)
-	for _, eg := range edges {
-		payload = stream.AppendUpdate(payload, stream.Update{Edge: eg, Type: stream.Insert})
-	}
-	return l.append(seq, payload, uint64(len(edges)))
+	return l.append(seq, len(edges), func(dst []byte) []byte {
+		for _, eg := range edges {
+			dst = stream.AppendUpdate(dst, stream.Update{Edge: eg, Type: stream.Insert})
+		}
+		return dst
+	})
 }
 
-func (l *Log) append(seq uint64, payload []byte, nups uint64) (uint64, error) {
+// append encodes a record of nups updates into the group-commit buffer and
+// commits it per policy.
+func (l *Log) append(seq uint64, nups int, encode func([]byte) []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -499,10 +513,10 @@ func (l *Log) append(seq uint64, payload []byte, nups uint64) (uint64, error) {
 	}
 	lsn := l.nextLSN
 	l.nextLSN++
-	l.buf = appendRecord(l.buf, seq, payload)
+	l.buf = appendRecord(slices.Grow(l.buf, recHeaderLen+nups*stream.RecordSize), seq, encode)
 	l.bufRecs++
 	l.appends++
-	l.updates += nups
+	l.updates += uint64(nups)
 	if err := l.commit(lsn, l.o.Policy == FsyncBatch); err != nil {
 		return 0, err
 	}
@@ -527,7 +541,7 @@ func (l *Log) commit(target uint64, needSync bool) error {
 		if !l.writing {
 			l.writing = true
 			batch, records := l.buf, l.bufRecs
-			l.buf, l.bufRecs = nil, 0
+			l.buf, l.spare, l.bufRecs = l.spare, nil, 0
 			upto := l.nextLSN - 1
 			first := l.written + 1
 			doSync := needSync || l.o.Policy == FsyncBatch
@@ -535,6 +549,12 @@ func (l *Log) commit(target uint64, needSync bool) error {
 			fsyncs, err := l.writeOut(batch, records, first, doSync)
 			l.mu.Lock()
 			l.writing = false
+			// The device copied the batch: its buffer serves the next
+			// leader's appenders, unless one outsized group commit grew it
+			// past a segment's worth.
+			if cap(batch) <= int(l.o.SegmentBytes) {
+				l.spare = batch[:0]
+			}
 			l.fsyncs += fsyncs
 			if err != nil {
 				if l.werr == nil {
