@@ -637,21 +637,19 @@ func reservedTrickle(res kron.Result, k int) (updates, attach, detach []graphzep
 // --- Out-of-core tier: grouped slots + write-back cache ---
 
 // BenchmarkIngestDiskCached measures disk-mode ingestion through the
-// tiered store (grouped slots + sharded write-back cache) against the
-// uncached per-slot read–modify–write path, reporting updates/s and
-// sketch-store block I/Os per update. The measured window runs through
-// Close, so the cached modes are charged their deferred dirty-group
-// spill (one coalesced write per resident group) — the comparison with
-// the baseline's inline writes is full-lifecycle, not deferral-flattered.
-// Construction-time slot initialization is excluded. Recorded in
-// BENCH_outofcore.json and smoke-run in CI.
+// tiered store (grouped slots + sharded write-back cache), reporting
+// updates/s and absolute sketch-store block I/Os per update. The measured
+// window runs through Close, so each mode is charged its deferred
+// dirty-group spill (one coalesced write per resident group) — the figure
+// is full-lifecycle, not deferral-flattered. Construction-time slot
+// initialization is excluded. Recorded in BENCH_outofcore.json and
+// smoke-run in CI.
 func BenchmarkIngestDiskCached(b *testing.B) {
 	res := benchStream()
 	for _, mode := range []struct {
 		name string
 		opts []graphzeppelin.Option
 	}{
-		{"uncached", []graphzeppelin.Option{graphzeppelin.WithCacheBytes(-1)}},
 		{"cached", nil},
 		{"cached-npg16", []graphzeppelin.Option{graphzeppelin.WithNodesPerGroup(16)}},
 	} {
@@ -678,7 +676,7 @@ func BenchmarkIngestDiskCached(b *testing.B) {
 			}
 			b.StopTimer()
 			// Close inside the measured I/O delta: the cache's deferred
-			// dirty write-backs are part of the cost being compared.
+			// dirty write-backs are part of the cost being measured.
 			if err := g.Close(); err != nil {
 				b.Fatal(err)
 			}

@@ -17,10 +17,9 @@
 //	gzrun -stream kron12.gzs -disk /mnt/ssd -cachebytes 67108864 -nodespergroup 16
 //
 // In disk mode the tiered store's knobs are exposed directly:
-// -cachebytes budgets the write-back cache of decoded node groups
-// (negative disables it, the per-slot RMW ablation) and -nodespergroup
-// sets the group-slot size; the final stats dump prints the cache
-// hit/miss/eviction counters.
+// -cachebytes budgets the write-back cache of decoded node groups and
+// -nodespergroup sets the group-slot size; the final stats dump prints the
+// cache hit/miss/eviction counters.
 //
 // Durability and distributed merge: -checkpoint writes the structure's
 // sketch state after the run (the low-stall checkpoint snapshot);
@@ -65,7 +64,7 @@ func main() {
 		buffering  = flag.String("buffering", "leaf", "buffering: leaf, tree, none")
 		factor     = flag.Float64("f", 0.5, "gutter size factor")
 		disk       = flag.String("disk", "", "directory for on-disk sketches (empty = RAM)")
-		cacheB     = flag.Int64("cachebytes", 0, "disk-mode write-back cache budget in bytes (0 = 32 MiB default, negative = uncached per-slot RMW)")
+		cacheB     = flag.Int64("cachebytes", 0, "disk-mode write-back cache budget in bytes (0 = 32 MiB default)")
 		npg        = flag.Int("nodespergroup", 0, "disk-mode node-group slot size in sketches (0 = sized to the device block)")
 		seed       = flag.Uint64("seed", 1, "sketch seed")
 		queries    = flag.Int("queries", 1, "evenly spaced connectivity queries (graph, single producer)")
@@ -80,7 +79,6 @@ func main() {
 		fsyncEvery = flag.Duration("fsyncinterval", 0, "WAL sync period for -fsync interval (0 = 50ms default)")
 		walSegB    = flag.Int64("walsegbytes", 0, "WAL segment rotation threshold in bytes (0 = 8 MiB default)")
 		mergeList  = flag.String("merge", "", "comma-separated checkpoint files merged in after ingestion, before the query")
-		noRebal    = flag.Bool("norebalance", false, "disable the skew-aware shard rebalancer (graph)")
 		noDelta    = flag.Bool("nodeltaquery", false, "disable incremental query maintenance (every cache miss runs a from-scratch Boruvka)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -149,9 +147,6 @@ func main() {
 	}
 	if *shards > 0 {
 		opts = append(opts, graphzeppelin.WithShards(*shards))
-	}
-	if *noRebal {
-		opts = append(opts, graphzeppelin.WithRebalancing(false))
 	}
 	if *noDelta {
 		opts = append(opts, graphzeppelin.WithDeltaQueries(false))

@@ -146,30 +146,13 @@ func WithWorkers(n int) Option {
 }
 
 // WithShards sets the number of ingest shards (default the WithWorkers
-// value). Nodes are partitioned by node % shards and each shard's
-// sketches are owned by one Graph Worker, so shards bound both the
-// ingest parallelism and the per-shard arena size. Values above the node
-// count are clamped.
+// value). Nodes are partitioned by node % shards (out of core, whole node
+// groups by group % shards) and each shard's nodes are owned by one Graph
+// Worker for the Graph's whole life, so shards bound both the ingest
+// parallelism and the per-shard arena size. Values above the node count
+// are clamped.
 func WithShards(n int) Option {
 	return func(c *core.Config) { c.Shards = n }
-}
-
-// WithRebalancing enables or disables the skew-aware shard rebalancer
-// (default enabled whenever there is more than one shard). When on, a
-// background policy migrates hot node slices from overloaded Graph
-// Workers to underloaded ones, so a skewed stream no longer serializes
-// behind the one worker that happens to own its hot nodes. Only the
-// processing assignment moves — sketch storage, queries and checkpoints
-// keep the static node % shards layout.
-func WithRebalancing(enabled bool) Option {
-	return func(c *core.Config) { c.NoRebalance = !enabled }
-}
-
-// WithRebalanceInterval sets the rebalancer's policy tick period (default
-// 2ms): each tick compares per-shard load over the previous window and
-// migrates at most a few slices.
-func WithRebalanceInterval(d time.Duration) Option {
-	return func(c *core.Config) { c.RebalanceInterval = d }
 }
 
 // WithBuffering selects the buffering structure (default LeafGutters).
@@ -210,9 +193,10 @@ func WithDir(dir string) Option {
 // of decoded sketch groups (default 32 MiB). Batches apply to cached
 // groups in RAM; dirty groups are written back with one coalesced device
 // access on eviction or flush, so ingest I/O is paid per group residency,
-// not per batch. A negative budget disables the cache entirely, making
-// every batch pay a full slot read–decode–apply–encode–write round trip
-// (the ablation baseline of gzbench -exp cache). No effect in RAM mode.
+// not per batch. Every positive budget keeps at least one group per shard
+// resident, so the smallest one (1) evicts on nearly every group switch.
+// New refuses a negative budget with sketches on disk. No effect in RAM
+// mode.
 func WithCacheBytes(n int64) Option {
 	return func(c *core.Config) { c.CacheBytes = n }
 }

@@ -91,6 +91,12 @@ func TestTooFewNodesRejected(t *testing.T) {
 	}
 }
 
+func TestNegativeCacheBytesRejectedOnDisk(t *testing.T) {
+	if _, err := graphzeppelin.New(16, graphzeppelin.WithSketchesOnDisk(""), graphzeppelin.WithCacheBytes(-1)); err == nil {
+		t.Fatal("negative cache budget accepted with sketches on disk")
+	}
+}
+
 func TestSpanningForestIsAcyclicAndSpanning(t *testing.T) {
 	const n = 128
 	g, err := graphzeppelin.New(n, graphzeppelin.WithSeed(4), graphzeppelin.WithWorkers(2))

@@ -168,10 +168,7 @@ func (a *Atomic) ForEach(fn func(i uint64) bool) {
 
 // OrInto ORs this vector into dst (a plain Set of at least the same
 // capacity) and returns the number of bits newly set in dst. The engine
-// uses it to union per-shard dirty vectors into one query-local set — the
-// same node may be marked in several shards' vectors (home apply, then a
-// rebalanced foreign apply), so the union, not the sum, is the dirty
-// count.
+// uses it to gather per-shard dirty vectors into one query-local set.
 func (a *Atomic) OrInto(dst *Set) uint64 {
 	var added uint64
 	ws := a.words()

@@ -75,10 +75,8 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 		shA.slab.MarshalNode(locA, mine)
 		shB.slab.MarshalNode(locB, theirs)
 		if string(mine) != string(theirs) {
-			// Any shard's vector works — queries union them all; the home
-			// shard keeps the choice deterministic.
 			nDiff++
-			shA.dirty.Set(uint64(node))
+			e.ownerOf(node).dirty.Set(uint64(node))
 			// prev's bytes are the state the transplanted baseline
 			// observed: exactly the before-image the delta query's diff
 			// materialization needs for this node. Past the capture limit

@@ -137,11 +137,11 @@ const checkpointCOWBudget = 64 << 20
 // reflects exactly the drain-time cut.
 //
 // Out of core the scanner reads the device and workers reach it through
-// preserve (the uncached apply path) or the write-back cache's barrier
-// (needsPreImage + preserve). In RAM the scanner marshals the live shard
-// slabs, which workers mutate in place, so value-correctness is not enough:
-// the marshal and a Slab.Apply must never touch one node at the same time.
-// A worker therefore brackets its pre-image deposit and apply with
+// the write-back cache's barrier (needsPreImage + preserve): a write-back
+// is the only change to device bytes. In RAM the scanner marshals the live
+// shard slabs, which workers mutate in place, so value-correctness is not
+// enough: the marshal and a Slab.Apply must never touch one node at the
+// same time. A worker therefore brackets its pre-image deposit and apply with
 // acquire/release, counted per section in inflight, and the scanner claims
 // a section (claim) before marshalling it: the claim waits for the
 // section's in-flight applies to finish, and a worker arriving at a claimed

@@ -61,10 +61,11 @@ type Config struct {
 	// the number of Graph Workers, as in the seed design.
 	Workers int
 	// Shards is the number of ingest shards (default Workers, clamped to
-	// NumNodes). Nodes are partitioned by node % Shards (out of core, whole
-	// disk groups by group % Shards); each shard's sketches are owned
-	// exclusively by one Graph Worker, which is what lets the ingest path
-	// run without any per-node locking.
+	// NumNodes). Node groups are partitioned by group % Shards, a group
+	// being NodesPerGroup consecutive nodes out of core and one node in RAM
+	// (so node % Shards there). Each group is owned by one Graph Worker for
+	// the engine's whole life, which is what lets the ingest path run
+	// without any per-node locking.
 	Shards int
 	// Columns is the per-CubeSketch column count (default 7, §5.1).
 	Columns int
@@ -96,11 +97,10 @@ type Config struct {
 	// dirty groups are written back as one coalesced device access on
 	// eviction or flush, so steady-state ingest I/O drops from one slot
 	// round trip per batch to one group round trip per cache residency.
-	// Zero picks the 32 MiB default; negative disables the cache entirely
-	// (every batch pays the per-slot read–decode–apply–encode–write round
-	// trip — the pre-cache behavior, kept for ablation). Ignored in RAM
-	// mode. After construction, Engine.Config() reports the effective
-	// value.
+	// Zero picks the 32 MiB default, and any positive budget keeps at
+	// least one group per shard resident; negative is an error. Ignored
+	// in RAM mode. After construction, Engine.Config() reports the
+	// effective value.
 	CacheBytes int64
 	// Dir is the directory for disk files (sketch store, gutter tree).
 	// Empty means in-memory devices are used even for "disk" structures,
@@ -116,31 +116,6 @@ type Config struct {
 	// shard keeps a floor of one slot, so values below Shards are
 	// effectively raised to Shards.
 	QueueCapacity int
-	// NoRebalance disables the skew-aware shard rebalancer. By default
-	// (with more than one shard) a background policy goroutine watches
-	// per-slice push rates and per-shard queue backlogs and migrates hot
-	// node slices from overloaded shards to underloaded ones, so a skewed
-	// stream no longer serializes behind one Graph Worker. Rebalancing
-	// moves only the *processing* assignment — sketch storage stays at the
-	// static node % Shards home, so query and checkpoint layouts are
-	// unchanged.
-	NoRebalance bool
-	// RebalanceInterval is the policy tick period (default 2ms). Each tick
-	// compares per-shard loads over the previous tick window and performs
-	// at most a few slice migrations.
-	RebalanceInterval time.Duration
-	// RebalanceFactor is the imbalance trigger: a migration is considered
-	// only when the hottest shard's load exceeds this multiple of the mean
-	// (default 1.25).
-	RebalanceFactor float64
-	// SlicesPerShard is the granularity of the dynamic node→shard
-	// processing assignment: the node space is split into
-	// Shards × SlicesPerShard slices — node v falls in slice
-	// (v / NodesPerGroup) % slices, so a disk group is never split and in
-	// RAM (groups of one node) the slice is v % slices — each independently
-	// routable to any shard (default 16). More slices mean finer-grained
-	// rebalancing at slightly more routing state.
-	SlicesPerShard int
 	// NoDeltaQuery disables incremental query maintenance. By default a
 	// full query whose previous result is still cached reuses that forest:
 	// only the components containing nodes whose sketches changed since
@@ -246,14 +221,13 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DeltaCheckpointThreshold > 1 {
 		c.DeltaCheckpointThreshold = 1
 	}
-	if c.RebalanceInterval <= 0 {
-		c.RebalanceInterval = 2 * time.Millisecond
-	}
-	if c.RebalanceFactor <= 1 {
-		c.RebalanceFactor = 1.25
-	}
-	if c.SlicesPerShard <= 0 {
-		c.SlicesPerShard = 16
+	if c.SketchesOnDisk {
+		if c.CacheBytes < 0 {
+			return c, fmt.Errorf("core: CacheBytes must not be negative with sketches on disk, got %d", c.CacheBytes)
+		}
+		if c.CacheBytes == 0 {
+			c.CacheBytes = DefaultCacheBytes
+		}
 	}
 	return c, nil
 }

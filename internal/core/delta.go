@@ -240,17 +240,19 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, env metaEnvelope) {
 // batch apply path) in both dirty epochs, capturing the node's pre-change
 // image for the delta query the way the apply path does when the stack is
 // at hand in a slab; an out-of-core mutation leaves the node imageless, and
-// the next delta query re-solves its component from singletons. Must run
-// BEFORE the mutation, under the quiesce write lock with the workers idle.
+// the next delta query re-solves its component from singletons. The marks
+// go to the node's owner, like an applied batch's. Must run BEFORE the
+// mutation, under the quiesce write lock with the workers idle.
 func (e *Engine) markChangedNode(node uint32) {
-	home, local := e.shardOf(node)
 	if e.store == nil {
 		if img := e.beforeImage(node); img != nil {
+			home, local := e.shardOf(node)
 			home.slab.MarshalNode(local, img)
 		}
 	}
-	home.dirty.Set(uint64(node))
-	home.dirtySeal.Set(uint64(node))
+	owner := e.ownerOf(node)
+	owner.dirty.Set(uint64(node))
+	owner.dirtySeal.Set(uint64(node))
 }
 
 // WriteDeltaCheckpoint seals and streams a checkpoint that is a delta
@@ -446,7 +448,6 @@ func CompactCheckpoints(outPath, basePath string, deltaPaths []string, cfg Confi
 	cfg.Dir = ""
 	cfg.WAL = false
 	cfg.WALStorage = nil
-	cfg.NoRebalance = true
 	e, err := OpenCheckpoint(basePath, cfg)
 	if err != nil {
 		return fmt.Errorf("core: compacting chain base %s: %w", basePath, err)

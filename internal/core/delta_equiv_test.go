@@ -11,7 +11,7 @@ import (
 
 // The randomized equivalence harness for incremental query maintenance:
 // every sub-test interleaves small edge deltas, larger batches, and one
-// structural event family (rebalancer migrations, disk placement,
+// structural event family (a skewed multi-shard stream, disk placement,
 // checkpoint restore + merge, WAL crash/recover cycles), querying after
 // every step and asserting the engine's partition matches a parity-map
 // reference computed from scratch. The point is that a delta query — the
@@ -38,8 +38,7 @@ func (h *equivHarness) retire() {
 }
 
 // randEdge picks a random normalized edge; with skew set, one endpoint is
-// drawn from a small hot range so a few shard slices absorb most pushes
-// (the rebalancer's trigger condition).
+// drawn from a small hot range, so its few nodes absorb most batches.
 func (h *equivHarness) randEdge(skew bool) stream.Edge {
 	for {
 		var u uint32
@@ -112,7 +111,7 @@ func (h *equivHarness) requireDeltas() {
 	}
 }
 
-func TestDeltaQueryEquivalenceRebalanced(t *testing.T) {
+func TestDeltaQueryEquivalenceSkewed(t *testing.T) {
 	t.Parallel()
 	const n = 128
 	eng, err := NewEngine(Config{
@@ -126,7 +125,7 @@ func TestDeltaQueryEquivalenceRebalanced(t *testing.T) {
 	h := &equivHarness{t: t, eng: eng, n: n,
 		rng: rand.New(rand.NewPCG(11, 1)), present: map[stream.Edge]bool{}}
 	for i := 0; i < 150; i++ {
-		h.step(true) // skewed stream: migrations move applies across shards
+		h.step(true) // skewed stream: a few hot nodes on four shards
 	}
 	h.requireDeltas()
 }
@@ -152,9 +151,9 @@ func TestDeltaQueryEquivalenceDisk(t *testing.T) {
 
 // TestDeltaQueryEquivalenceCheckpoint interleaves deltas with checkpoint
 // round trips (restore forgets the cache: next query is cold) and
-// checkpoint merges (XOR of another engine's state: dirty-everything, so
-// the next query must fall back to a full run, never serve a stale
-// baseline).
+// checkpoint merges (XOR of another engine's state, which marks exactly
+// its non-empty slots dirty: the next query must re-solve their
+// components, never serve a stale baseline).
 func TestDeltaQueryEquivalenceCheckpoint(t *testing.T) {
 	t.Parallel()
 	const n = 128
@@ -482,8 +481,7 @@ func (h *equivHarness) deleteAll(eng *Engine, edges []stream.Edge) {
 // forestCutModes are the placements the forest-cut harness runs in. The
 // one-group cache evicts a trickle's dirty nodes before the query reads
 // them (its derived image cap would be zero, so the test raises it: the
-// point is images in RAM over sketches on the device), and the uncached
-// path captures its images from the slot round trip.
+// point is images in RAM over sketches on the device).
 var forestCutModes = []struct {
 	name  string
 	cfg   Config
@@ -492,7 +490,6 @@ var forestCutModes = []struct {
 	{"ram", Config{Shards: 2}, 0},
 	{"disk-cached", Config{Shards: 2, SketchesOnDisk: true, NodesPerGroup: 4}, 0},
 	{"disk-one-group", Config{Shards: 1, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: 1}, 16},
-	{"disk-uncached", Config{Shards: 2, SketchesOnDisk: true, CacheBytes: -1}, 0},
 }
 
 // TestDeltaQueryEquivalenceForestCuts deletes 1-4 edges of the engine's

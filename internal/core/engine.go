@@ -32,20 +32,14 @@ type Stats struct {
 	// summed across shards.
 	Batches uint64
 	// Shards is the number of ingest shards (= Graph Workers), and
-	// ShardBatches the per-shard batch counts *by executing worker*; a
-	// skewed distribution means processing was unbalanced for this
-	// stream. With rebalancing on, a skewed stream should still show a
-	// near-flat ShardBatches because hot node slices migrate away from
-	// the overloaded worker.
+	// ShardBatches the per-shard batch counts. Shard s applies every batch
+	// of the node groups g with g % Shards == s, so a skewed distribution
+	// means this stream's hot groups share a shard.
 	Shards       int
 	ShardBatches []uint64
-	// Rebalances counts slice migrations performed by the skew-aware
-	// rebalancer; ForeignBatches counts batches applied by a worker other
-	// than the initial owner of the node's slice (i.e. work executed under
-	// a migrated assignment). In RAM the initial owner is the node's
-	// storage-home shard; out of core, where storage is one shared file, it
-	// is the worker whose write-back cache shard the node's group faults
-	// into. Both stay zero with rebalancing disabled.
+	// Rebalances and ForeignBatches are always zero: group ownership is
+	// static, so no group moves and no batch is applied by a worker other
+	// than its group's owner. They stay for readers of the struct.
 	Rebalances     uint64
 	ForeignBatches uint64
 	// SketchIO and BufferIO are block-device statistics for the sketch
@@ -55,8 +49,7 @@ type Stats struct {
 	// sketch groups: hits and misses count group lookups on the apply
 	// path, evictions and write-backs count budget-driven spills, and the
 	// residency fields give the cache's current RAM footprint (also
-	// included in MemoryBytes). All zero in RAM mode or with the cache
-	// disabled (CacheBytes < 0).
+	// included in MemoryBytes). All zero in RAM mode.
 	SketchCache diskstore.CacheStats
 	// QueryRounds is the Boruvka rounds used by the last full query.
 	QueryRounds int
@@ -71,14 +64,14 @@ type Stats struct {
 	// components touched by dirty nodes re-solved from sketches.
 	// DeltaFallbacks counts queries that were delta-eligible (a cached
 	// baseline existed) but ran the from-scratch path instead — the dirty
-	// fraction exceeded DeltaQueryMaxDirtyFrac, a checkpoint merge dirtied
-	// everything, or the delta rounds failed to certify (rare; the full
-	// run is the correctness backstop).
+	// fraction exceeded DeltaQueryMaxDirtyFrac (a bulk load, or a
+	// checkpoint merge carrying that many non-empty slots), or the delta
+	// rounds failed to certify (rare; the full run is the correctness
+	// backstop).
 	DeltaQueries, DeltaFallbacks uint64
 	// DirtyNodes is the number of nodes whose sketches changed since the
-	// last successfully cached query result (the union across shards'
-	// dirty vectors; NumNodes after a checkpoint merge, which dirties
-	// everything).
+	// last successfully cached query result: applied batches, and the
+	// non-empty slots of checkpoint merges, delta applies and node patches.
 	DirtyNodes uint64
 	// SketchFailures counts CubeSketch sampling failures observed across
 	// all queries (§6.3 observed zero in 5000 trials; so do we, but we
@@ -123,16 +116,16 @@ type Stats struct {
 // parallelized across shard-owning Graph Workers.
 //
 // Sharded ingest pipeline: updates are buffered per destination node by a
-// multi-producer gutter.Buffer; emitted batches are routed by node group
-// (sliceOf; a group is one node in RAM) onto one SPSC queue per shard
-// (pushes serialized by a per-shard mutex taken once per batch); and each
-// shard's single Graph Worker owns its shard's sketches outright (an
-// arena-backed cubesketch.Slab in RAM mode). In disk mode the workers share
-// the tiered sketch store instead: batches apply to decoded node groups in
-// a sharded write-back cache (diskstore.Cache, its own lock domain keyed by
-// group — and until a migration each worker is the only one faulting
-// groups into its shard of it), and the device sees only group-granular
-// fills and coalesced dirty write-backs.
+// multi-producer gutter.Buffer; emitted batches are routed to their node
+// group's owner (ownerOf; a group is one node in RAM) through one SPSC
+// queue per shard (pushes serialized by a per-shard mutex taken once per
+// batch); and each shard's single Graph Worker owns its groups' sketches
+// outright for the engine's whole life (an arena-backed cubesketch.Slab in
+// RAM mode). In disk mode the workers share the tiered sketch store
+// instead: batches apply to decoded node groups in a sharded write-back
+// cache (diskstore.Cache, its own lock domain keyed by group, whose shard
+// s only the worker of shard s faults groups into), and the device sees
+// only group-granular fills and coalesced dirty write-backs.
 // Exclusive ownership replaces the seed design's per-node mutexes: the
 // per-update path takes no engine-level lock beyond a read-lock on the
 // quiesce RWMutex (and, batched, that cost is amortized across the whole
@@ -151,7 +144,7 @@ type Engine struct {
 	shards []*shard
 
 	store    *diskstore.Store // non-nil in disk mode
-	cache    *diskstore.Cache // non-nil in disk mode unless CacheBytes < 0
+	cache    *diskstore.Cache // non-nil in disk mode
 	npg      int              // nodes per disk group (1 in RAM mode)
 	storeDev iomodel.Device
 
@@ -159,30 +152,12 @@ type Engine struct {
 	pending sync.WaitGroup
 	wg      sync.WaitGroup
 
-	// Skew-aware rebalancing state (rebalance.go). The node groups are dealt
-	// round-robin into numSlices slices (sliceOf); assign maps each slice to
-	// the shard currently *processing* its batches (RAM storage stays at the
-	// static node % Shards home). slicePushes counts batches routed per
-	// slice (the policy's load signal), migrations holds the in-flight
-	// handoff record per slice, and the rebal* fields drive the policy
-	// goroutine. rebalancing is false when the policy is off, in which
-	// case assign never changes and the pipeline behaves exactly like the
-	// static partition.
-	numSlices   uint32
-	assign      []atomic.Uint32
-	slicePushes []atomic.Uint64
-	migrations  []atomic.Pointer[migration]
-	rebalancing bool
-	rebalStop   chan struct{}
-	rebalWG     sync.WaitGroup
-	rebalances  atomic.Uint64
-
 	// testApplyHook, when non-nil (tests only), brackets every batch
 	// apply: it is called with the node before the apply and the returned
 	// function after — in RAM inside the checkpoint capture's in-flight
-	// window. The rebalancer tests use it to prove per-node apply
-	// exclusivity across migrations, the checkpoint tests to hold an apply
-	// open while the scanner claims its section.
+	// window. The ownership test uses it to prove that one worker applies
+	// each group, the checkpoint tests to hold an apply open while the
+	// scanner claims its section.
 	testApplyHook func(node uint32) func()
 
 	// quiesce separates producers (read side: ingest entry points) from
@@ -230,10 +205,9 @@ type Engine struct {
 	// serialized pre-change sketch stack — the state that result observed,
 	// which the delta query diffs the live sketches against (query.go).
 	// beforeFree pools the buffers the last cached query handed back. Both
-	// are guarded by beforeMu: any worker may register an image (a node's
-	// first dirtying can execute anywhere under a migrated assignment), and
-	// Stats reads their sizes; the filling of a registered buffer needs no
-	// lock, since apply exclusivity gives the node one writer. beforeLimit
+	// are guarded by beforeMu: every worker registers images into the one
+	// map, and Stats reads their sizes; the filling of a registered buffer
+	// needs no lock, since the node's owner is its one writer. beforeLimit
 	// bounds images and pool alike, engine-wide (beforeImage).
 	beforeMu    sync.Mutex
 	before      map[uint32][]byte
@@ -311,12 +285,12 @@ type Engine struct {
 	closeErr  error
 }
 
-// shard is the state owned exclusively by one Graph Worker: the sketches
-// of every node with node % Shards == id, the SPSC queue feeding it, and
-// its scratch buffers. No other goroutine touches these fields while the
-// worker runs; the driving goroutine reads them only in quiescent phases.
+// shard is the state owned exclusively by one Graph Worker: shard s owns
+// the node groups g with g % Shards == s (ownerOf) — in RAM, where a group
+// is one node, their sketches too — the SPSC queue feeding it, and its
+// scratch buffers. No other goroutine touches these fields while the worker runs;
+// the driving goroutine reads them only in quiescent phases.
 type shard struct {
-	id    int
 	queue *gutter.SPSC
 
 	// pushMu serializes producers pushing onto this shard's queue,
@@ -330,27 +304,21 @@ type shard struct {
 
 	slab *cubesketch.Slab // RAM mode: this shard's node sketches
 
-	// blob and scratch back the uncached disk path (CacheBytes < 0): a
-	// slot read/write buffer and a single-node decode arena. With the
-	// write-back cache enabled the apply path goes through the cache's
-	// group arenas instead and these stay nil.
-	blob    []byte
-	scratch *cubesketch.Slab
-
 	indices []uint64 // batch → characteristic-vector index scratch
 
-	// dirty marks the nodes whose sketches this *executing* worker changed
-	// since the last cached query (whole node universe, not just this
-	// shard's storage slice: under a migrated assignment this worker
-	// applies batches homed elsewhere, and two workers writing packed bits
-	// of one shared home-shard vector would race on whole words). Single
-	// writer (this worker), concurrent readers (Stats); cleared by queries
-	// under the quiesce write lock with the workers idle. The Atomic's own
-	// padding isolates its words; see bitset.NewAtomic.
+	// dirty marks the nodes of this shard's groups whose sketches changed
+	// since the last cached query, indexed by node id over the whole
+	// universe: the worker's applies, and changes that bypass the batch
+	// path (markChangedNode, AdoptQueryBaseline), all mark the owner's
+	// vector, so a node's bits live in exactly one shard. Single writer
+	// (this worker, or the driving goroutine while it is idle), concurrent
+	// readers (Stats); cleared by queries under the quiesce write lock with
+	// the workers idle. The Atomic's own padding isolates its words; see
+	// bitset.NewAtomic.
 	dirty *bitset.Atomic
 
-	// dirtySeal marks, in the same whole-universe single-writer shape as
-	// dirty, the nodes this worker changed since the last checkpoint seal.
+	// dirtySeal marks, in the same shape as dirty, the nodes of this
+	// shard's groups changed since the last checkpoint seal.
 	// Unlike dirty it is never touched by queries: it is captured into the
 	// seal history and cleared only at seal time, under the quiesce write
 	// lock with the workers idle, and feeds the sparse delta checkpoint
@@ -362,8 +330,7 @@ type shard struct {
 	// Worker-written counters, padded off the read-mostly fields above so
 	// per-batch increments never invalidate a neighbor's hot line.
 	batches atomic.Uint64 // batches applied by this worker
-	foreign atomic.Uint64 // of those, batches of slices first assigned to another shard
-	_       [gutter.CacheLine - 16]byte
+	_       [gutter.CacheLine - 8]byte
 }
 
 // shardNodeCount returns how many of numNodes nodes land in shard s under
@@ -405,11 +372,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// device, so they get a quarter of what the write-back cache gets: a
 		// dirty node past that cap has no image and its component re-solves
 		// from singletons — the price of a bounded footprint, not an error.
-		budget := cfg.CacheBytes
-		if budget <= 0 {
-			budget = DefaultCacheBytes
-		}
-		if limit := int(budget / 4 / int64(e.slotSize)); limit < e.beforeLimit {
+		if limit := int(cfg.CacheBytes / 4 / int64(e.slotSize)); limit < e.beforeLimit {
 			e.beforeLimit = limit
 		}
 	}
@@ -435,9 +398,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		e.npg = npg
 		e.cfg.NodesPerGroup = npg
-		if cfg.CacheBytes == 0 {
-			e.cfg.CacheBytes = DefaultCacheBytes
-		}
 		cfg = e.cfg
 
 		e.storeDev, err = e.openDevice("sketches.gz0")
@@ -472,15 +432,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("core: initializing sketch store: %w", err)
 			}
 		}
-		if cfg.CacheBytes >= 0 {
-			e.cache = diskstore.NewCache(e.store, diskstore.CacheConfig{
-				Bytes:  cfg.CacheBytes,
-				Shards: cfg.Shards,
-				NewSlab: func() *cubesketch.Slab {
-					return cubesketch.NewSlab(npg, e.vecLen, cfg.Columns, seeds)
-				},
-			})
-		}
+		e.cache = diskstore.NewCache(e.store, diskstore.CacheConfig{
+			Bytes:  cfg.CacheBytes,
+			Shards: cfg.Shards,
+			NewSlab: func() *cubesketch.Slab {
+				return cubesketch.NewSlab(npg, e.vecLen, cfg.Columns, seeds)
+			},
+		})
 	}
 
 	e.shards = make([]*shard, cfg.Shards)
@@ -493,74 +451,25 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	for s := range e.shards {
 		sh := &shard{
-			id:        s,
 			queue:     gutter.NewSPSC(queueCap),
 			dirty:     bitset.NewAtomic(uint64(cfg.NumNodes)),
 			dirtySeal: bitset.NewAtomic(uint64(cfg.NumNodes)),
 		}
-		if cfg.SketchesOnDisk {
-			if e.cache == nil {
-				sh.blob = make([]byte, e.slotSize)
-				sh.scratch = cubesketch.NewSlab(1, e.vecLen, cfg.Columns, seeds)
-			}
-		} else {
+		if !cfg.SketchesOnDisk {
 			count := shardNodeCount(cfg.NumNodes, cfg.Shards, s)
 			sh.slab = cubesketch.NewSlab(count, e.vecLen, cfg.Columns, seeds)
 		}
 		e.shards[s] = sh
 	}
 
-	// Dynamic slice → shard routing table. numSlices is a multiple of the
-	// shard count, and slice s starts at shard s % Shards, so the initial
-	// assignment routes group g to shard g % Shards: in RAM (groups of one
-	// node) the static storage partition, out of core the worker whose
-	// write-back cache shard (group % Shards) the group faults into — until
-	// the rebalancer moves something.
-	e.rebalancing = cfg.Shards > 1 && !cfg.NoRebalance
-	e.numSlices = 1
-	if cfg.Shards > 1 {
-		sps := cfg.SlicesPerShard
-		// Keep the routing tables sane if someone runs thousands of
-		// shards; numSlices must stay a multiple of Shards.
-		if max := (1 << 20) / cfg.Shards; sps > max {
-			sps = max
-		}
-		if sps < 1 {
-			sps = 1
-		}
-		e.numSlices = uint32(cfg.Shards * sps)
-	}
-	e.assign = make([]atomic.Uint32, e.numSlices)
-	e.slicePushes = make([]atomic.Uint64, e.numSlices)
-	e.migrations = make([]atomic.Pointer[migration], e.numSlices)
-	for s := range e.assign {
-		e.assign[s].Store(uint32(s % cfg.Shards))
-	}
-
 	sink := func(b gutter.Batch) {
 		e.pending.Add(1)
-		slice := e.sliceOf(b.Node)
-		for {
-			sid := e.assign[slice].Load()
-			sh := e.shards[sid]
-			sh.pushMu.Lock()
-			// Re-check under the push mutex: a migration updates the
-			// assignment while holding the old owner's pushMu, so a stale
-			// read here is caught before the push and retried — no batch
-			// can land behind the handoff sentinel in the old queue.
-			if e.assign[slice].Load() != sid {
-				sh.pushMu.Unlock()
-				continue
-			}
-			if e.rebalancing {
-				e.slicePushes[slice].Add(1)
-			}
-			ok := sh.queue.Push(b)
-			sh.pushMu.Unlock()
-			if !ok {
-				e.pending.Done()
-			}
-			return
+		sh := e.ownerOf(b.Node)
+		sh.pushMu.Lock()
+		ok := sh.queue.Push(b)
+		sh.pushMu.Unlock()
+		if !ok {
+			e.pending.Done()
 		}
 	}
 	switch cfg.Buffering {
@@ -607,9 +516,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for _, sh := range e.shards {
 		e.wg.Add(1)
 		go e.worker(sh)
-	}
-	if e.rebalancing {
-		e.startRebalancer()
 	}
 	return e, nil
 }
@@ -686,14 +592,16 @@ func (e *Engine) shardOf(node uint32) (*shard, int) {
 	return e.shards[node%k], int(node / k)
 }
 
-// sliceOf returns the routing slice of node: its disk group's, so that the
-// unit of I/O is also the unit of ownership. A group-aligned gutter flush
+// ownerOf returns the shard whose worker applies every batch of node: the
+// owner of its disk group, group % Shards, so that the unit of I/O is also
+// the unit of ownership and each worker is the only one faulting groups
+// into its shard of the write-back cache. A group-aligned gutter flush
 // emits a group's batches back to back; routed by node they would land on
 // every worker at once and serialize on the group's cache-shard lock, one
 // worker faulting the group in while the others wait. In RAM a group is
-// one node and this is node % numSlices.
-func (e *Engine) sliceOf(node uint32) uint32 {
-	return node / uint32(e.npg) % e.numSlices
+// one node, so the owner is shardOf's storage home.
+func (e *Engine) ownerOf(node uint32) *shard {
+	return e.shards[node/uint32(e.npg)%uint32(len(e.shards))]
 }
 
 // checkEdge validates and normalizes one edge against the node universe.
@@ -867,13 +775,10 @@ func (e *Engine) DeleteEdge(u, v uint32) error {
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
 // worker is a Graph Worker: it pops node-keyed batches from its shard's
-// queue and applies them to the owning node slices' sketches. While a
-// slice is assigned here, this worker is the only goroutine applying its
-// nodes (the migration handoff in rebalance.go preserves that exclusivity
-// across reassignments), so no locking is needed anywhere on the apply
-// path. Every real batch has at least one update; an empty Others slice
-// marks a migration sentinel, which is control flow, not sketch work (it
-// is not counted in pending).
+// queue and applies them to its groups' sketches. Every batch of a group
+// is routed here (ownerOf) for the engine's whole life, so this worker is
+// the only goroutine applying the group's nodes and no locking is needed
+// anywhere on the apply path.
 func (e *Engine) worker(sh *shard) {
 	defer e.wg.Done()
 	for {
@@ -881,18 +786,15 @@ func (e *Engine) worker(sh *shard) {
 		if !ok {
 			return
 		}
-		if len(b.Others) == 0 {
-			e.completeMigration(b.Node)
-			continue
-		}
-		e.awaitHandoff(sh, b.Node)
 		e.applyBatch(sh, b)
 		e.buf.Recycle(b.Others)
 		e.pending.Done()
 	}
 }
 
-// applyBatch applies all of a batch's updates to one node's sketches.
+// applyBatch applies all of a batch's updates to one node's sketches; sh
+// is the node's owner. There is one path per placement: the owner's RAM
+// slab, or the write-back cache.
 func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	// Translate far endpoints into characteristic-vector indices once;
 	// every round's sketch consumes the same indices.
@@ -907,7 +809,7 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	// observed, and the delta query's materialization is built on the
 	// difference from it. img is nil when no image is wanted; each
 	// placement below fills it from wherever the pre-change stack is at
-	// hand (the home slab, the decoded cache group, the slot just read).
+	// hand (the owner's slab, the decoded cache group).
 	img := e.beforeImage(b.Node)
 	// Record the delta before touching the sketches: once set, the bit is
 	// only cleared after a query observed (and cached over) the applied
@@ -915,21 +817,13 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	// dirtySeal gets the same treatment against the last checkpoint seal.
 	sh.dirty.Set(uint64(b.Node))
 	sh.dirtySeal.Set(uint64(b.Node))
-	// Foreign: executed by a worker other than the slice's initial owner
-	// (slice % Shards) — in RAM the node's storage-home shard.
-	if int(e.sliceOf(b.Node))%len(e.shards) != sh.id {
-		sh.foreign.Add(1)
-	}
 
 	if e.store == nil {
-		// Apply to the node's *storage home* slab (static node % Shards),
-		// which under a migrated assignment is not the executing worker's
-		// own. Safe without locks: Slab.Apply keeps all scratch per-call,
-		// and the handoff protocol guarantees at most one worker applies a
-		// given slice's nodes at any moment.
-		home, local := e.shardOf(b.Node)
+		// In RAM the owner's slab holds the node (groups of one node, so
+		// ownerOf is node % Shards).
+		local := int(b.Node) / len(e.shards)
 		if img != nil {
-			home.slab.MarshalNode(local, img)
+			sh.slab.MarshalNode(local, img)
 		}
 		// A full checkpoint may be marshalling this node's section out of
 		// the live slabs right now: acquire keeps the two apart and hands
@@ -938,61 +832,34 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 		if snap := e.snap.Load(); snap != nil {
 			sec, pre := snap.acquire(b.Node, e.slotSize)
 			if pre != nil {
-				home.slab.MarshalNode(local, pre)
+				sh.slab.MarshalNode(local, pre)
 			}
 			defer snap.release(sec)
 		}
 		if h := e.testApplyHook; h != nil {
 			defer h(b.Node)()
 		}
-		home.slab.Apply(local, sh.indices)
+		sh.slab.Apply(local, sh.indices)
 		return
 	}
 	if h := e.testApplyHook; h != nil {
 		defer h(b.Node)()
 	}
-
-	if e.cache != nil {
-		// Tiered path: the batch applies to the decoded group in the
-		// write-back cache; the device is touched only on miss fill and
-		// dirty write-back. Snapshot pre-image preservation happens at
-		// write-back time through the cache's write barrier, because
-		// that is the only point where device bytes change (the scanner
-		// reads the device, which a seal-time flush made coherent).
-		if err := e.cache.ApplyCapture(b.Node, sh.indices, img); err != nil {
-			e.setErr(fmt.Errorf("core: applying batch to node %d: %w", b.Node, err))
-		}
-		return
-	}
-
-	// Uncached ablation path (CacheBytes < 0): one slot round trip per
-	// batch.
-	if err := e.store.Read(b.Node, sh.blob); err != nil {
-		e.setErr(fmt.Errorf("core: reading sketches of node %d: %w", b.Node, err))
-		return
-	}
-	copy(img, sh.blob)
-	// A snapshot stream may be scanning the store right now; hand it this
-	// slot's pre-image before overwriting, so the snapshot stays an exact
-	// cut even though ingestion never stopped (checkpoint.go).
-	if snap := e.snap.Load(); snap != nil {
-		snap.preserve(b.Node, sh.blob)
-	}
-	if err := sh.scratch.UnmarshalNode(0, sh.blob); err != nil {
-		e.setErr(fmt.Errorf("core: decoding sketches of node %d: %w", b.Node, err))
-		return
-	}
-	sh.scratch.Apply(0, sh.indices)
-	sh.scratch.MarshalNode(0, sh.blob)
-	if err := e.store.Write(b.Node, sh.blob); err != nil {
-		e.setErr(fmt.Errorf("core: writing sketches of node %d: %w", b.Node, err))
+	// Out of core the batch applies to the decoded group in the write-back
+	// cache; the device is touched only on miss fill and dirty write-back.
+	// Snapshot pre-image preservation happens at write-back time through
+	// the cache's write barrier, because that is the only point where
+	// device bytes change (the scanner reads the device, which a seal-time
+	// flush made coherent).
+	if err := e.cache.ApplyCapture(b.Node, sh.indices, img); err != nil {
+		e.setErr(fmt.Errorf("core: applying batch to node %d: %w", b.Node, err))
 	}
 }
 
 // beforeImage registers a before-image for node if the mutation the
 // caller is about to make is the node's first dirtying since the last
-// cached query (no shard's dirty vector has it yet), and returns the
-// slot-sized buffer for the caller to fill with the node's pre-change
+// cached query (its owner's dirty vector does not have it yet), and returns
+// the slot-sized buffer for the caller to fill with the node's pre-change
 // serialized stack; nil means no image is wanted. Because no apply touched
 // the node in between, the image is the state the cached result observed —
 // which is what lets a delta query rebuild an affected supernode's cut
@@ -1002,25 +869,21 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 // current cut (query.go).
 //
 // Nothing is captured while no query could use it: before the first cached
-// result (a bulk load), with delta queries disabled, or under the coarse
-// dirty-all state. All three only change under the quiesce write lock with
-// the workers idle. Capture also stops once beforeLimit nodes hold images.
-// In RAM the limit sits just past the delta query's fallback threshold, so
-// a refusal implies the next query runs from scratch regardless; out of
-// core it is the smaller of that and the image byte budget (NewEngine), and
-// a refused node's component alone re-solves from singletons. The
-// cross-shard dirty test is safe concurrently: bits are only ever set by
-// appliers and apply exclusivity serializes all applies of one node, so
-// the one goroutine executing this node's first apply observes every
-// earlier apply's bit.
+// result (a bulk load), or with delta queries disabled. Both only change
+// under the quiesce write lock with the workers idle. Capture also stops
+// once beforeLimit nodes hold images. In RAM the limit sits just past the
+// delta query's fallback threshold, so a refusal implies the next query
+// runs from scratch regardless; out of core it is the smaller of that and
+// the image byte budget (NewEngine), and a refused node's component alone
+// re-solves from singletons. The test needs no lock: every mark of node
+// lands in its owner's vector, set by the owner's worker or by the driving
+// goroutine while the workers are idle, and the caller is one of those.
 func (e *Engine) beforeImage(node uint32) []byte {
 	if e.cfg.NoDeltaQuery || e.queryCache.Load() == nil {
 		return nil
 	}
-	for _, s := range e.shards {
-		if s.dirty.Test(uint64(node)) {
-			return nil // not the first dirtying: the image, if any, is already right
-		}
+	if e.ownerOf(node).dirty.Test(uint64(node)) {
+		return nil // not the first dirtying: the image, if any, is already right
 	}
 	return e.addBefore(node)
 }
@@ -1115,17 +978,13 @@ func (e *Engine) Stats() Stats {
 		LastCheckpointID:     e.ckptSeq.Load(),
 		LastCheckpointWALLSN: e.ckptLSN.Load(),
 	}
-	st.Rebalances = e.rebalances.Load()
-	// The dirty count is the union, not the sum, across shards: a node can
-	// be marked in several shards' vectors (home apply, then a rebalanced
-	// foreign apply).
-	dirtyUnion := bitset.New(uint64(e.cfg.NumNodes))
 	for i, sh := range e.shards {
 		b := sh.batches.Load()
 		st.ShardBatches[i] = b
 		st.Batches += b
-		st.ForeignBatches += sh.foreign.Load()
-		st.DirtyNodes += sh.dirty.OrInto(dirtyUnion)
+		// A node is marked in its owner's vector only, so the sum is the
+		// union.
+		st.DirtyNodes += sh.dirty.Count()
 		if sh.slab != nil {
 			st.MemoryBytes += int64(sh.slab.Bytes())
 		}
@@ -1169,10 +1028,6 @@ func (e *Engine) Stats() Stats {
 // the returned error.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
-		// Stop the rebalancer before quiescing: no new migrations start
-		// mid-close, and an in-flight handoff still completes because its
-		// sentinel is drained (or its queue closed) below.
-		e.stopRebalancer()
 		// ckptMu first (the global lock order): a checkpoint stream in
 		// flight finishes before its devices are released under it.
 		e.ckptMu.Lock()

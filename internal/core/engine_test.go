@@ -133,3 +133,17 @@ func TestEngineRandomGraphsMatchExact(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeCacheBytesRefused: out of core every batch applies through
+// the write-back cache, so a negative budget is a configuration error,
+// while RAM mode ignores the field.
+func TestNegativeCacheBytesRefused(t *testing.T) {
+	if _, err := NewEngine(Config{NumNodes: 16, SketchesOnDisk: true, CacheBytes: -1}); err == nil {
+		t.Fatal("NewEngine accepted CacheBytes -1 with sketches on disk")
+	}
+	e, err := NewEngine(Config{NumNodes: 16, CacheBytes: -1})
+	if err != nil {
+		t.Fatalf("RAM mode refused CacheBytes -1: %v", err)
+	}
+	e.Close()
+}

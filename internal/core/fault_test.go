@@ -20,7 +20,7 @@ func TestDiskFaultSurfacesThroughUpdates(t *testing.T) {
 		NumNodes:       16,
 		Seed:           51,
 		SketchesOnDisk: true,
-		CacheBytes:     -1,      // uncached path: every batch round-trips the store
+		CacheBytes:     1,       // one resident group: nearly every batch evicts one
 		BufferFactor:   0.00001, // tiny gutters: every update hits the store
 		DeviceFactory:  faultFactory(200),
 	})
@@ -44,13 +44,13 @@ func TestDiskFaultSurfacesThroughUpdates(t *testing.T) {
 
 func TestDiskFaultSurfacesThroughQuery(t *testing.T) {
 	// Enough budget to ingest, but the query's full scan trips the fault.
-	// The cache is disabled so the scan actually touches the device; the
-	// cached-path equivalent is TestCacheWriteBackFaultSurfaces.
+	// The cache holds one group, so the scan reads every other one off the
+	// device; the ingest-side equivalent is TestCacheWriteBackFaultSurfaces.
 	e, err := NewEngine(Config{
 		NumNodes:       8,
 		Seed:           52,
 		SketchesOnDisk: true,
-		CacheBytes:     -1,
+		CacheBytes:     1,
 		DeviceFactory:  faultFactory(60),
 	})
 	if err != nil {

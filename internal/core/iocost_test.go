@@ -108,37 +108,35 @@ func TestStatsDiskBytes(t *testing.T) {
 }
 
 // TestGroupedFlushIOBound is the acceptance regression for the tiered
-// store: on a kron stream, ingest block I/Os per applied batch through
-// the grouped write-back cache must land far below the per-slot
-// read–modify–write baseline, at equal correctness (the recovered
-// partition matches a RAM-mode engine over the same stream).
+// store: on a kron stream, ingest block I/Os through the grouped
+// write-back cache must land far below what a per-slot read–modify–write
+// of every batch would pay, at equal correctness (the recovered partition
+// matches a RAM-mode engine over the same stream).
 func TestGroupedFlushIOBound(t *testing.T) {
 	const scale = 7
 	const passes = 3 // odd: the net toggle parity equals one pass
+	const block = 16 * 1024
 	edges := kron.DenseKronecker(scale, 31)
 	res := kron.ToStream(edges, 1<<scale, kron.StreamOptions{}, 32)
 
-	base := Config{Seed: 83, SketchesOnDisk: true, CacheBytes: -1, DeviceFactory: memFactory(16 * 1024)}
-	baseline, baseIO := ingestKron(t, base, res, passes)
-	defer baseline.Close()
-
-	tiered := Config{Seed: 83, SketchesOnDisk: true, DeviceFactory: memFactory(16 * 1024)}
+	tiered := Config{Seed: 83, SketchesOnDisk: true, DeviceFactory: memFactory(block)}
 	cached, cachedIO := ingestKron(t, tiered, res, passes)
 	defer cached.Close()
 	cst := cached.Stats()
 
-	if baseline.Stats().Batches == 0 || cst.Batches == 0 {
+	if cst.Batches == 0 {
 		t.Fatal("no batches applied")
 	}
-	// The baseline pays a slot read + slot write per batch, every pass;
-	// the tiered store pays one group fill per residency and nothing at
-	// steady state (the whole store fits the default cache), so its
-	// ingest I/O is bounded by the grouped-fill term, not by the batch
-	// count. "Measurably fewer" is pinned at 4x; the observed gap grows
-	// with every extra pass.
-	if cachedIO.TotalBlocks()*4 > baseIO.TotalBlocks() {
-		t.Fatalf("tiered ingest used %d blocks vs baseline %d: less than the required 4x drop",
-			cachedIO.TotalBlocks(), baseIO.TotalBlocks())
+	// A per-slot read–modify–write pays a slot read + slot write per batch,
+	// every pass: at least 2·⌈slot/B⌉ blocks each. The tiered store pays
+	// one group fill per residency and nothing at steady state (the whole
+	// store fits the default cache), so its ingest I/O is bounded by the
+	// grouped-fill term, not by the batch count. "Measurably fewer" is
+	// pinned at 3x that lower bound; the gap grows with every extra pass.
+	perSlot := 2 * cst.Batches * uint64((cached.slotSize+block-1)/block)
+	if cachedIO.TotalBlocks()*3 > perSlot {
+		t.Fatalf("tiered ingest used %d blocks for %d batches; a per-slot round trip of each costs at least %d: less than the required 3x drop",
+			cachedIO.TotalBlocks(), cst.Batches, perSlot)
 	}
 	if cst.SketchCache.Hits == 0 {
 		t.Fatal("tiered ingest recorded no cache hits")
@@ -154,7 +152,6 @@ func TestGroupedFlushIOBound(t *testing.T) {
 	defer ramRef.Close()
 	checkAgainstExact(t, ramRef, res.NumNodes, res.FinalEdges)
 	checkAgainstExact(t, cached, res.NumNodes, res.FinalEdges)
-	checkAgainstExact(t, baseline, res.NumNodes, res.FinalEdges)
 }
 
 // TestCacheHitZeroIO pins the hot-group contract: once a node group is
@@ -321,7 +318,6 @@ func TestGroupedEngineMatchesExact(t *testing.T) {
 		{"npg4-tiny-cache", Config{NodesPerGroup: 4, CacheBytes: 1}},
 		{"npg7-default-cache", Config{NodesPerGroup: 7}},
 		{"npg64-one-group", Config{NodesPerGroup: 64}},
-		{"uncached", Config{CacheBytes: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

@@ -40,6 +40,18 @@ func stepRounds(t *testing.T, e *Engine, each func(q *querySession, round int)) 
 	return q, q.forest, live
 }
 
+// evictAll drains e and drops its write-back cache, spilling the dirty
+// groups first, so the next query's scans read every group off the device.
+func evictAll(t *testing.T, e *Engine) {
+	t.Helper()
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cache.Invalidate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // scansFor replays the look-ahead rule over a query's live-root counts: a
 // round scans when the previous scan's arena does not reach it.
 func scansFor(numNodes, rounds int, live []int) (scans int) {
@@ -74,7 +86,7 @@ func lookaheadGraphs(n uint32) map[string][]stream.Edge {
 }
 
 // TestLookaheadMatchesPerRound: on every shape and every placement of the
-// store — nothing cached, a cache of an eighth of it over groups of four,
+// store — a cache of one group, of an eighth of it over groups of four,
 // everything resident — the out-of-core query returns the forest, the
 // representatives and the round count of a RAM engine on the same seed,
 // whose rounds each sum exactly one round's sketches.
@@ -87,9 +99,9 @@ func TestLookaheadMatchesPerRound(t *testing.T) {
 	slot := int64(probe.slotSize)
 	probe.Close()
 	placements := map[string]Config{
-		"uncached": {SketchesOnDisk: true, CacheBytes: -1},
-		"eighth":   {SketchesOnDisk: true, CacheBytes: n * slot / 8, NodesPerGroup: 4, Shards: 2},
-		"resident": {SketchesOnDisk: true},
+		"one-group": {SketchesOnDisk: true, CacheBytes: 1},
+		"eighth":    {SketchesOnDisk: true, CacheBytes: n * slot / 8, NodesPerGroup: 4, Shards: 2},
+		"resident":  {SketchesOnDisk: true},
 	}
 	for shape, edges := range lookaheadGraphs(n) {
 		ram, err := NewEngine(Config{NumNodes: n, Seed: 101})
@@ -135,8 +147,9 @@ func TestLookaheadMatchesPerRound(t *testing.T) {
 	}
 }
 
-// TestLookaheadScanCount pins the device cost. With nothing cached and the
-// store inside one QueryScanBytes chunk a scan is one read, so the reads of
+// TestLookaheadScanCount pins the device cost. With nothing resident in
+// the cache and the store inside one QueryScanBytes chunk a scan is one
+// read, so the reads of
 // a query are its scans: as many as the k rule gives for the live counts a
 // RAM twin observes, exactly two for a connected dense graph (round 0, then
 // one look-ahead scan that reaches the last round) — and at no round does
@@ -159,7 +172,7 @@ func TestLookaheadScanCount(t *testing.T) {
 				t.Fatalf("live counts %v give %d scans; a connected dense graph is meant to give 2", live, want)
 			}
 
-			e, err := NewEngine(Config{NumNodes: n, Seed: 103, SketchesOnDisk: true, CacheBytes: -1, DeviceFactory: memFactory(512)})
+			e, err := NewEngine(Config{NumNodes: n, Seed: 103, SketchesOnDisk: true, CacheBytes: 1, DeviceFactory: memFactory(512)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,9 +180,7 @@ func TestLookaheadScanCount(t *testing.T) {
 			if err := e.InsertEdges(edges); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Drain(); err != nil {
-				t.Fatal(err)
-			}
+			evictAll(t, e)
 			before := e.Stats()
 			_, _, diskLive := stepRounds(t, e, func(_ *querySession, round int) {
 				if held := e.queryArena.Nodes() * e.queryArena.Rounds(); held > n {
@@ -206,9 +217,10 @@ func TestLookaheadFreshScanOnUncoveredRoot(t *testing.T) {
 	const n = 64
 	for _, revive := range []bool{false, true} {
 		e := pathEngine(t, Config{
-			NumNodes: n, Seed: 107, SketchesOnDisk: true, CacheBytes: -1, DeviceFactory: memFactory(512),
+			NumNodes: n, Seed: 107, SketchesOnDisk: true, CacheBytes: 1, DeviceFactory: memFactory(512),
 		}, n-1)
 		defer e.Close()
+		evictAll(t, e)
 		var before []uint64 // device reads before each round
 		var extra []stream.Edge
 		var left uint32 // last node of the path's head component after round 0

@@ -1085,28 +1085,26 @@ func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, roun
 		if hi > n {
 			hi = n
 		}
-		if e.cache != nil {
-			if slab, ok := e.cache.Peek(g); ok {
-				// Served from the decoded arena: no device traffic, and
-				// coherent even when the group is dirty. Close any pending
-				// device run first — bridging across this group would
-				// re-merge its slots from stale device bytes.
-				if runStart >= 0 {
-					if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
-						return err
-					}
-					runStart = -1
+		if slab, ok := e.cache.Peek(g); ok {
+			// Served from the decoded arena: no device traffic, and
+			// coherent even when the group is dirty. Close any pending
+			// device run first — bridging across this group would
+			// re-merge its slots from stale device bytes.
+			if runStart >= 0 {
+				if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
+					return err
 				}
-				for _, c := range cs[first:j] {
-					if c.src&srcLive == 0 {
-						continue
-					}
-					if err := arena.MergeRounds(int(q.arenaSlot[c.slot]), 0, slab, int(c.node)-lo, round, arena.Rounds()); err != nil {
-						return fmt.Errorf("core: query merge of cached node %d from round %d: %w", c.node, round, err)
-					}
-				}
-				continue
+				runStart = -1
 			}
+			for _, c := range cs[first:j] {
+				if c.src&srcLive == 0 {
+					continue
+				}
+				if err := arena.MergeRounds(int(q.arenaSlot[c.slot]), 0, slab, int(c.node)-lo, round, arena.Rounds()); err != nil {
+					return fmt.Errorf("core: query merge of cached node %d from round %d: %w", c.node, round, err)
+				}
+			}
+			continue
 		}
 		if runStart >= 0 && lo-runEnd <= gapSlots {
 			runEnd = hi // bridge the gap inside one sequential read

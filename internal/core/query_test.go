@@ -130,8 +130,8 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 // all rounds: the scan must read sequential ranges, never n point reads —
 // and no more scans than the look-ahead rule needs for the live-root
 // counts of this very query, which a RAM twin on the same seed observes.
-// The cache is disabled so every group actually comes off the device; the
-// cached-tier behavior (zero reads) is pinned by
+// The cache is emptied before the query so every group actually comes off
+// the device; the cached-tier behavior (zero reads) is pinned by
 // TestDiskQueryServedFromCache.
 func TestDiskQueryScanReadCount(t *testing.T) {
 	const n = 64
@@ -139,17 +139,15 @@ func TestDiskQueryScanReadCount(t *testing.T) {
 		NumNodes:       n,
 		Seed:           73,
 		SketchesOnDisk: true,
-		CacheBytes:     -1,
+		CacheBytes:     1,
 		DeviceFactory: func(string) (iomodel.Device, error) {
 			return iomodel.NewMem(512), nil
 		},
 	}, n-1)
 	defer e.Close()
 
-	// Drain explicitly so the measured delta is pure query I/O.
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	// Drain and spill explicitly so the measured delta is pure query I/O.
+	evictAll(t, e)
 	before := e.Stats().SketchIO
 	if _, err := e.SpanningForest(); err != nil {
 		t.Fatal(err)
@@ -244,7 +242,7 @@ func TestDiskScanFaultSurfaces(t *testing.T) {
 			NumNodes:       n,
 			Seed:           74,
 			SketchesOnDisk: true,
-			CacheBytes:     -1, // the scan must actually read the device
+			CacheBytes:     1, // one resident group: the scan reads the rest off the device
 			DeviceFactory:  factory,
 		}, n-1)
 	}

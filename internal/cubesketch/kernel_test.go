@@ -176,8 +176,8 @@ func TestKernelOutOfRangePanicsBeforeWriting(t *testing.T) {
 
 // TestSlabApplyConcurrentDistinctNodes verifies the kernel's scratch is
 // truly per-call in both regimes: concurrent Apply calls on distinct nodes
-// of one slab (what rebalanced Graph Workers do) must neither race nor
-// corrupt each other's arena ranges. Meaningful under -race.
+// of one slab must neither race nor corrupt each other's arena ranges.
+// Meaningful under -race.
 func TestSlabApplyConcurrentDistinctNodes(t *testing.T) {
 	const (
 		n     = 1 << 16

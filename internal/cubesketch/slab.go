@@ -169,9 +169,9 @@ func (sl *Slab) MergeRounds(node, round int, src *Slab, srcNode, srcRound, count
 // out-of-range index panics before the slab is touched.
 //
 // All scratch is per-call, so concurrent Apply calls on *distinct* nodes
-// of the same slab are safe: they write disjoint arena ranges (the
-// engine's rebalanced workers rely on this). Concurrent calls on the same
-// node race.
+// of the same slab are safe: they write disjoint arena ranges. Concurrent
+// calls on the same node race; the engine gives every node one applying
+// worker.
 func (sl *Slab) Apply(node int, batch []uint64) {
 	per := sl.rounds * sl.stride
 	off := node * per

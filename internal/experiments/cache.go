@@ -9,11 +9,10 @@ import (
 )
 
 // CacheSweep measures the tiered out-of-core store: disk-mode ingestion
-// across a write-back cache budget × node-group size grid, against the
-// uncached per-slot read–modify–write baseline. For every point it
-// reports the ingestion rate, the sketch-store block I/Os per update
-// (construction-time slot initialization excluded — the Lemma 4 quantity
-// the grouped flushes bound), the cache hit rate, and whether the
+// across a write-back cache budget × node-group size grid. For every point
+// it reports the ingestion rate, the absolute sketch-store block I/Os per
+// update (construction-time slot initialization excluded — the Lemma 4
+// quantity the grouped flushes bound), the cache hit rate, and whether the
 // recovered partition matches a RAM-mode engine over the same stream.
 func CacheSweep(o Options) (*Table, error) {
 	o = o.withDefaults()
@@ -28,7 +27,6 @@ func CacheSweep(o Options) (*Table, error) {
 		Title:  fmt.Sprintf("Write-back cache budget × node-group size, disk-mode ingest (kron%d)", scale),
 		Header: []string{"config", "rate", "blocks/update", "hit rate", "matches RAM"},
 		Notes: []string{
-			"baseline = per-slot read-modify-write per batch (CacheBytes < 0), the pre-cache disk path",
 			"blocks/update counts sketch-store block I/Os for ingest+drain plus the close-time dirty spill (one-time slot init and read-only query scans excluded) — full-lifecycle, not deferral-flattered",
 			"groups sized toward the 16 KiB device block unless npg is pinned; cache budgets in bytes",
 		},
@@ -50,7 +48,6 @@ func CacheSweep(o Options) (*Table, error) {
 		cfg  core.Config
 	}
 	points := []point{
-		{"uncached baseline", core.Config{CacheBytes: -1}},
 		{"cache=64KiB npg=1", core.Config{CacheBytes: 64 << 10, NodesPerGroup: 1}},
 		{"cache=64KiB npg=auto", core.Config{CacheBytes: 64 << 10}},
 		{"cache=1MiB npg=auto", core.Config{CacheBytes: 1 << 20}},

@@ -120,8 +120,8 @@ func TestCacheSweepMatchesRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 7 {
-		t.Fatalf("rows = %d, want 7", len(tbl.Rows))
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(tbl.Rows))
 	}
 	for _, row := range tbl.Rows {
 		if row[len(row)-1] != "MATCH" {

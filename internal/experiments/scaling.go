@@ -24,12 +24,10 @@ import (
 //     GOMAXPROCS/NumCPU metadata).
 //
 //   - skewed: a stream in which every edge touches one of 16 hot nodes,
-//     all homed on shard 0 under the static partition, run with and
-//     without the skew-aware rebalancer at 4 producers × 4 shards. The
-//     batch-skew column (max/mean of per-worker applied batches) is the
-//     hardware-independent signal: static assignment serializes behind
-//     shard 0 (skew → shards), rebalancing flattens it toward 1.0 by
-//     migrating hot node slices to idle workers.
+//     all owned by shard 0 under the static partition, at 4 producers ×
+//     4 shards. The batch-skew column (max/mean of per-worker applied
+//     batches) is the hardware-independent signal: group ownership is
+//     static, so the hot nodes' batches all go to shard 0 (skew → shards).
 func ScalingSweep(o Options) (*Table, error) {
 	o = o.withDefaults()
 	scale := o.MaxScale - 1
@@ -42,10 +40,10 @@ func ScalingSweep(o Options) (*Table, error) {
 		ID:    "scaling",
 		Title: fmt.Sprintf("Multi-core ingest scaling (kron%d uniform + skewed stream)", scale),
 		Header: []string{
-			"stream", "producers", "shards", "rebalance", "rate", "speedup", "batch skew", "rebalances",
+			"stream", "producers", "shards", "rate", "speedup", "batch skew",
 		},
 		Notes: []string{
-			"speedup: uniform rows vs the 1×1 row; skewed rows vs the static (rebalance=off) row",
+			"speedup: uniform rows vs the 1×1 row; the skewed row runs another stream and has none",
 			"batch skew = max/mean of per-worker applied batches (1.00 = perfectly balanced)",
 			"wall-clock speedup needs a multi-core host; batch skew is hardware-independent",
 		},
@@ -53,7 +51,7 @@ func ScalingSweep(o Options) (*Table, error) {
 
 	var base time.Duration
 	for _, w := range []int{1, 2, 4, 8} {
-		st, dur, err := runScaling(res.Updates, res.NumNodes, w, w, true, o.Seed)
+		st, dur, err := runScaling(res.Updates, res.NumNodes, w, w, o.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -61,11 +59,10 @@ func ScalingSweep(o Options) (*Table, error) {
 			base = dur
 		}
 		t.Rows = append(t.Rows, []string{
-			"uniform", fmt.Sprintf("%d", w), fmt.Sprintf("%d", w), "on",
+			"uniform", fmt.Sprintf("%d", w), fmt.Sprintf("%d", w),
 			rate(n, dur),
 			fmt.Sprintf("%.2fx", base.Seconds()/dur.Seconds()),
 			fmt.Sprintf("%.2f", batchSkew(st.ShardBatches)),
-			fmt.Sprintf("%d", st.Rebalances),
 		})
 		o.logf("scaling: uniform workers=%d done", w)
 	}
@@ -79,28 +76,17 @@ func ScalingSweep(o Options) (*Table, error) {
 		skewCount = 400_000
 	}
 	skewed := skewedStream(res.NumNodes, skewShards, skewCount, o.Seed)
-	var staticDur time.Duration
-	for _, reb := range []bool{false, true} {
-		st, dur, err := runScaling(skewed, res.NumNodes, skewShards, skewShards, reb, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		mode, speedup := "off", "1.00x"
-		if !reb {
-			staticDur = dur
-		} else {
-			mode = "on"
-			speedup = fmt.Sprintf("%.2fx", staticDur.Seconds()/dur.Seconds())
-		}
-		t.Rows = append(t.Rows, []string{
-			"skewed", fmt.Sprintf("%d", skewShards), fmt.Sprintf("%d", skewShards), mode,
-			rate(len(skewed), dur),
-			speedup,
-			fmt.Sprintf("%.2f", batchSkew(st.ShardBatches)),
-			fmt.Sprintf("%d", st.Rebalances),
-		})
-		o.logf("scaling: skewed rebalance=%v done", reb)
+	st, dur, err := runScaling(skewed, res.NumNodes, skewShards, skewShards, o.Seed)
+	if err != nil {
+		return nil, err
 	}
+	t.Rows = append(t.Rows, []string{
+		"skewed", fmt.Sprintf("%d", skewShards), fmt.Sprintf("%d", skewShards),
+		rate(len(skewed), dur),
+		"-",
+		fmt.Sprintf("%.2f", batchSkew(st.ShardBatches)),
+	})
+	o.logf("scaling: skewed done")
 	return t, nil
 }
 
@@ -109,7 +95,7 @@ func ScalingSweep(o Options) (*Table, error) {
 // under the static node % shards partition their batches land on shard 0
 // — and the other endpoint is hot half the time too (updates buffer under
 // both endpoints, so hot-hot edges double down on the overloaded shard:
-// ~81% of all batches are shard 0's under static assignment).
+// ~81% of all batches are shard 0's).
 func skewedStream(numNodes uint32, shards, count int, seed uint64) []graphzeppelin.Update {
 	rng := rand.New(rand.NewPCG(seed, 0x5eed))
 	hot := make([]uint32, 0, 16)
@@ -137,13 +123,12 @@ func skewedStream(numNodes uint32, shards, count int, seed uint64) []graphzeppel
 }
 
 // runScaling ingests ups with p concurrent producer sessions into a
-// graph with the given shard count and rebalancing mode, returning the
-// final stats and wall-clock ingest time (including the final flush).
-func runScaling(ups []graphzeppelin.Update, numNodes uint32, p, shards int, rebalance bool, seed uint64) (graphzeppelin.Stats, time.Duration, error) {
+// graph with the given shard count, returning the final stats and
+// wall-clock ingest time (including the final flush).
+func runScaling(ups []graphzeppelin.Update, numNodes uint32, p, shards int, seed uint64) (graphzeppelin.Stats, time.Duration, error) {
 	g, err := graphzeppelin.New(numNodes,
 		graphzeppelin.WithSeed(seed),
 		graphzeppelin.WithShards(shards),
-		graphzeppelin.WithRebalancing(rebalance),
 	)
 	if err != nil {
 		return graphzeppelin.Stats{}, 0, err

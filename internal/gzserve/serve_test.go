@@ -522,7 +522,7 @@ func TestWorkerEngineFaultCommitsSeq(t *testing.T) {
 		NumNodes:       32,
 		Seed:           51,
 		SketchesOnDisk: true,
-		CacheBytes:     -1,      // uncached: every batch round-trips the store
+		CacheBytes:     1,       // one resident group: nearly every batch evicts one
 		BufferFactor:   0.00001, // tiny gutters: every update hits the device
 		DeviceFactory: func(string) (iomodel.Device, error) {
 			return iomodel.NewFault(iomodel.NewMem(512), 200), nil
