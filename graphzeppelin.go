@@ -41,8 +41,8 @@
 // materialized: while the graph is unchanged, every query is answered from
 // the cached result (Connected/ConnectedMany point queries are O(1) on a
 // quiet graph); after a small delta, the next query re-solves only the
-// components whose nodes' sketches changed — tracked in per-shard dirty
-// bit vectors on the apply path — and carries the rest of the cached
+// components whose nodes' sketches changed — tracked by per-node change
+// stamps on the apply path — and carries the rest of the cached
 // forest over (WithDeltaQueries, on by default; WithDeltaQueryThreshold
 // bounds the dirty fraction before it falls back to a from-scratch run).
 // A from-scratch query runs the Boruvka emulation, materializing each
@@ -212,8 +212,8 @@ func WithNodesPerGroup(n int) Option {
 
 // WithDeltaQueries enables or disables incremental query maintenance
 // (default enabled). When on, a query that misses the epoch cache but has
-// a previous cached result reuses it: the apply path tracks which nodes'
-// sketches changed since that result in per-shard dirty bit vectors, the
+// a previous cached result reuses it: the apply path stamps each node whose
+// sketch changes, so the nodes changed since that result are known, the
 // untouched components' forest edges carry over wholesale, and only the
 // components containing dirty nodes are re-solved from sketches — so a
 // query after a small delta costs sketch work proportional to the

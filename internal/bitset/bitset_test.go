@@ -2,7 +2,6 @@ package bitset
 
 import (
 	"math/rand/v2"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -108,104 +107,5 @@ func TestAgainstMapModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAtomicBasics(t *testing.T) {
-	a := NewAtomic(200)
-	if a.Len() != 200 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	for _, i := range []uint64{0, 63, 64, 199} {
-		a.Set(i)
-		a.Set(i) // idempotent
-	}
-	for _, i := range []uint64{0, 63, 64, 199} {
-		if !a.Test(i) {
-			t.Fatalf("bit %d should be set", i)
-		}
-	}
-	if a.Test(1) || a.Test(100) {
-		t.Fatal("unset bits read as set")
-	}
-	if a.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", a.Count())
-	}
-	var got []uint64
-	a.ForEach(func(i uint64) bool {
-		got = append(got, i)
-		return true
-	})
-	want := []uint64{0, 63, 64, 199}
-	if len(got) != len(want) {
-		t.Fatalf("ForEach = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach = %v, want %v", got, want)
-		}
-	}
-	a.ClearAll()
-	if a.Count() != 0 {
-		t.Fatalf("Count after ClearAll = %d", a.Count())
-	}
-}
-
-func TestAtomicOrInto(t *testing.T) {
-	a := NewAtomic(300)
-	b := NewAtomic(300)
-	dst := New(300)
-	for _, i := range []uint64{1, 64, 128} {
-		a.Set(i)
-	}
-	for _, i := range []uint64{64, 200} {
-		b.Set(i)
-	}
-	if added := a.OrInto(dst); added != 3 {
-		t.Fatalf("first OrInto added %d, want 3", added)
-	}
-	// 64 is shared: the union count must not double-count it.
-	if added := b.OrInto(dst); added != 1 {
-		t.Fatalf("second OrInto added %d, want 1", added)
-	}
-	if dst.Count() != 4 {
-		t.Fatalf("union count = %d, want 4", dst.Count())
-	}
-	for _, i := range []uint64{1, 64, 128, 200} {
-		if !dst.Test(i) {
-			t.Fatalf("union missing bit %d", i)
-		}
-	}
-}
-
-// TestAtomicConcurrentReaders exercises one writer against concurrent
-// readers for the race detector's benefit.
-func TestAtomicConcurrentReaders(t *testing.T) {
-	const n = 1 << 12
-	a := NewAtomic(n)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				a.Count()
-				a.OrInto(New(n))
-			}
-		}()
-	}
-	for i := uint64(0); i < n; i++ {
-		a.Set(i)
-	}
-	close(stop)
-	wg.Wait()
-	if a.Count() != n {
-		t.Fatalf("Count = %d, want %d", a.Count(), n)
 	}
 }

@@ -9,11 +9,12 @@ package core
 // few updates since the previous refresh.
 //
 // Adoption compares the two engines' sketch states node by node at the
-// serialized-slot level: nodes whose bytes differ are marked dirty here
-// (replacing the every-non-empty-node marking the checkpoint merges left
-// behind), and prev's cached result is transplanted as the baseline, its
-// epoch deliberately staled so the lock-free fast path cannot serve it —
-// the next query goes through the locked path and re-solves exactly the
+// serialized-slot level: the baseline takes a fresh cut — which retires the
+// every-non-empty-node stamping the checkpoint merges left behind — and
+// only the nodes whose bytes differ are stamped after it. prev's cached
+// result is transplanted as the baseline at that cut, its epoch
+// deliberately staled so the lock-free fast path cannot serve it — the
+// next query goes through the locked path and re-solves exactly the
 // differing components. When no node differs, the transplant is installed
 // at the current epoch and queries hit the cache outright.
 //
@@ -53,14 +54,12 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 		return false // stale baseline: its forest may predate prev's sketches
 	}
 
-	// The diff below supersedes whatever dirty state this engine
-	// accumulated (typically every non-empty node, marked by the checkpoint
-	// merges that built it): a node with equal bytes is provably unchanged
-	// relative to the baseline. Workers are idle under both write locks,
-	// so the reset and re-mark cannot race a worker's Set.
-	for _, sh := range e.shards {
-		sh.dirty.ClearAll()
-	}
+	// The diff below supersedes whatever this engine changed before
+	// (typically every non-empty node, stamped by the checkpoint merges that
+	// built it): a node with equal bytes is provably unchanged relative to
+	// the baseline, so only the differing ones are stamped past the fresh
+	// cut. Workers are idle under both write locks.
+	cut := e.cut.Add(1)
 	e.releaseBeforeLocked()
 
 	// Diff the serialized node slots. Equal bytes mean equal sketches, so
@@ -76,7 +75,7 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 		shB.slab.MarshalNode(locB, theirs)
 		if string(mine) != string(theirs) {
 			nDiff++
-			e.ownerOf(node).dirty.Set(uint64(node))
+			e.touch(node)
 			// prev's bytes are the state the transplanted baseline
 			// observed: exactly the before-image the delta query's diff
 			// materialization needs for this node. Past the capture limit
@@ -87,20 +86,19 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 
 	cur := e.epoch.Load()
 	res := &queryResult{
-		watermark: base.watermark,
-		delta:     base.delta,
-		forest:    base.forest,
-		rep:       base.rep,
-		count:     base.count,
+		cut:    cut,
+		delta:  base.delta,
+		forest: base.forest,
+		rep:    base.rep,
+		count:  base.count,
 	}
 	if nDiff == 0 {
 		// Identical sketch state: the baseline answers the current graph.
 		res.epoch = cur
-		res.watermark = cur
 	} else {
 		// Staled on purpose (any value other than cur): the fast path must
-		// miss, and the locked path finds the baseline plus precise dirty
-		// bits and runs the delta.
+		// miss, and the locked path finds the baseline plus precise stamps
+		// and runs the delta.
 		res.epoch = cur - 1
 	}
 	e.queryCache.Store(res)

@@ -508,12 +508,14 @@ func (e *Engine) SealCheckpoint() (*CheckpointSnapshot, error) {
 
 // SealCheckpointSince seals a snapshot that, when possible, is a sparse
 // delta against the checkpoint this engine previously sealed with id
-// baseID: only the nodes dirtied since that seal are included, and the
+// baseID: only the nodes changed since that seal are included, and the
 // consumer chains it onto its copy of the base with ApplyDeltaCheckpoint.
-// The seal falls back to a full checkpoint — transparently; inspect
-// IsDelta — when baseID is 0 or unknown (not this engine's lineage, or
-// older than the retained seal history), when delta checkpoints are
-// disabled, or when the dirty fraction exceeds
+// Any number of consumers may each hold their own base: every seal is a
+// cut, and a delta against any of them carries exactly the nodes changed
+// after it. The seal falls back to a full checkpoint — transparently;
+// inspect IsDelta — when baseID is 0 or unknown (not this engine's lineage,
+// or more than maxSealMarks seals old), when delta checkpoints are
+// disabled, or when the changed fraction exceeds
 // Config.DeltaCheckpointThreshold. Delta snapshots never truncate the
 // WAL, whatever path writes them: the log remains the recovery truth past
 // the base, so a lost or corrupt delta file degrades to replay, never to
@@ -557,9 +559,8 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error
 	if e.ckptMeta != nil {
 		user = e.ckptMeta()
 	}
-	// Every seal advances the chain: capture and reset the dirty-since-seal
-	// vectors into the seal history and mint the new state id, full or not —
-	// a full checkpoint is as valid a delta base as any.
+	// Every seal advances the chain: take a cut, mark it with the new state
+	// id, full or not — a full checkpoint is as valid a delta base as any.
 	cs.ckptID = e.mintSealID(cs.walLSN)
 	nps := e.sectionNodes()
 	if ids, baseLSN, ok := e.planDelta(baseID, cs.ckptID); ok {
@@ -1015,13 +1016,17 @@ func (e *Engine) parseSectionHeader(sh []byte, cursor uint32, contiguous bool) (
 	return s, nil
 }
 
-// decodeSection installs a verified section payload into the engine's
-// sketch state by replacement — restore and delta apply alike: RAM mode
-// unmarshals each node into its owning shard's slab (validating every
-// round header), disk mode writes the whole range with one coalesced
+// decodeSection installs a CRC-verified section payload into the engine's
+// sketch state by replacement — restore and delta apply alike. Every slot's
+// round headers are validated before it lands: RAM mode unmarshals each
+// node into its owning shard's slab, disk mode unmarshals each into a
+// one-node scratch slab and then writes the whole range with one coalesced
 // device access. Safe to call concurrently for disjoint sections.
 func (e *Engine) decodeSection(start uint32, count int, payload []byte) error {
 	if e.store != nil {
+		if err := e.checkSlots(start, count, payload); err != nil {
+			return err
+		}
 		if err := e.store.WriteRange(start, count, payload); err != nil {
 			return fmt.Errorf("core: restoring nodes [%d,%d): %w", start, int(start)+count, err)
 		}
@@ -1033,6 +1038,19 @@ func (e *Engine) decodeSection(start uint32, count int, payload []byte) error {
 		sh := e.shards[node%k]
 		if err := sh.slab.UnmarshalNode(int(node/k), payload[j*e.slotSize:(j+1)*e.slotSize]); err != nil {
 			return fmt.Errorf("%w: slot of node %d: %v", ErrCorruptCheckpoint, node, err)
+		}
+	}
+	return nil
+}
+
+// checkSlots validates every slot of a section payload — each round's
+// header against this engine's geometry — in a one-node scratch slab,
+// touching no live state.
+func (e *Engine) checkSlots(start uint32, count int, payload []byte) error {
+	scratch := e.newSlab(1)
+	for j := 0; j < count; j++ {
+		if err := scratch.UnmarshalNode(0, payload[j*e.slotSize:(j+1)*e.slotSize]); err != nil {
+			return fmt.Errorf("%w: slot of node %d: %v", ErrCorruptCheckpoint, start+uint32(j), err)
 		}
 	}
 	return nil
@@ -1330,10 +1348,9 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 	}
 	// A slot equal to the empty-sketch encoding XORs as the identity, so
 	// the set of nodes the merge actually changes is exactly the incoming
-	// non-empty slots: mark those precisely (dirty for the incremental
-	// query, dirtySeal for the delta checkpoint chain), so the next query
-	// after a sparse merge runs the delta path over the touched components
-	// only.
+	// non-empty slots: stamp those precisely, so the next query after a
+	// sparse merge runs the delta path over the touched components only and
+	// the next delta seal ships just them.
 	empty := e.emptySlotBytes()
 	err = e.readSections(br, h, false, func(start uint32, count int, payload []byte) error {
 		return e.mergeSectionPayload(start, count, payload, empty)

@@ -253,14 +253,18 @@ func TestFullIsDeltaWithEverythingDirty(t *testing.T) {
 
 				// Dirty exactly tc.dirty: a path through the set touches
 				// each member and nothing else; a lone node has no edge
-				// inside the set, so its seal bit is set by hand.
+				// inside the set, so it is marked changed by hand.
 				for _, e := range []*Engine{src, twin} {
 					for i := 1; i < len(tc.dirty); i++ {
 						mustUpdate(t, e, tc.dirty[i-1], tc.dirty[i])
 					}
 					if len(tc.dirty) == 1 {
-						home, _ := e.shardOf(tc.dirty[0])
-						home.dirtySeal.Set(uint64(tc.dirty[0]))
+						e.quiesce.Lock()
+						if err := e.drainLocked(); err != nil {
+							t.Fatal(err)
+						}
+						e.markChangedNode(tc.dirty[0])
+						e.quiesce.Unlock()
 					}
 				}
 
@@ -425,17 +429,25 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 		return b
 	}
 	badFull, badDelta := reseal(full), reseal(delta)
-	if e, err := ReadCheckpoint(bytes.NewReader(badFull), Config{}); !errors.Is(err, ErrCorruptCheckpoint) {
-		if e != nil {
-			e.Close()
+	// Both placements: out of core a restore writes whole sections to the
+	// store, so it must check the slots it never decodes.
+	for _, cfg := range []Config{{}, {SketchesOnDisk: true}} {
+		where := "in RAM"
+		if cfg.SketchesOnDisk {
+			where = "out of core"
 		}
-		t.Fatalf("restore of a foreign slot: err = %v, want ErrCorruptCheckpoint", err)
-	}
-	if e, err := ReadCheckpointAt(bytes.NewReader(badFull), int64(len(badFull)), Config{}); !errors.Is(err, ErrCorruptCheckpoint) {
-		if e != nil {
-			e.Close()
+		if e, err := ReadCheckpoint(bytes.NewReader(badFull), cfg); !errors.Is(err, ErrCorruptCheckpoint) {
+			if e != nil {
+				e.Close()
+			}
+			t.Fatalf("restore of a foreign slot %s: err = %v, want ErrCorruptCheckpoint", where, err)
 		}
-		t.Fatalf("open of a foreign slot: err = %v, want ErrCorruptCheckpoint", err)
+		if e, err := ReadCheckpointAt(bytes.NewReader(badFull), int64(len(badFull)), cfg); !errors.Is(err, ErrCorruptCheckpoint) {
+			if e != nil {
+				e.Close()
+			}
+			t.Fatalf("open of a foreign slot %s: err = %v, want ErrCorruptCheckpoint", where, err)
+		}
 	}
 	dst := restoreConsumer(t, full)
 	if err := dst.MergeCheckpoint(bytes.NewReader(badFull)); !errors.Is(err, ErrCorruptCheckpoint) {

@@ -119,7 +119,7 @@ type Config struct {
 	// NoDeltaQuery disables incremental query maintenance. By default a
 	// full query whose previous result is still cached reuses that forest:
 	// only the components containing nodes whose sketches changed since
-	// (tracked in per-shard dirty vectors on the apply path) are re-solved
+	// (the per-node change stamps the apply path writes) are re-solved
 	// from sketches, and the untouched components' forest edges carry
 	// over. With it set, every cache miss runs the from-scratch parallel
 	// Boruvka, the pre-incremental behavior (kept for ablation).
@@ -131,7 +131,7 @@ type Config struct {
 	DeltaQueryMaxDirtyFrac float64
 	// DeltaCheckpointThreshold is the delta checkpoint fallback threshold:
 	// SealCheckpointSince cuts a sparse delta checkpoint only while the
-	// fraction of nodes dirtied since the base seal is at or below it —
+	// fraction of nodes changed since the base seal is at or below it —
 	// above, the delta saves little and its slots, copied inside the seal
 	// stall, lengthen it, so the seal falls back to a full checkpoint
 	// (captured with ingestion live). Zero picks

@@ -1,19 +1,19 @@
 package core
 
 import (
+	"cmp"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-
-	"graphzeppelin/internal/bitset"
+	"slices"
 )
 
 // Delta checkpoints and the checkpoint chain. The stream layout is the one
 // documented atop checkpoint.go; this file holds what makes a delta a
-// delta: the chain envelope, the seal history that plans one, and the
+// delta: the chain envelope, the seal marks that plan one, and the
 // apply/patch consumers.
 //
 // GZM1 chain envelope (40 bytes + user metadata), sealed as the meta blob
@@ -32,11 +32,10 @@ var (
 
 const (
 	metaEnvelopeLen = 40
-	// maxSealHist bounds the per-seal dirty-set history: a delta base may
-	// lag the tip by at most this many seals before the engine falls back
-	// to a full checkpoint. Sixteen covers any realistic refresh cadence
-	// while capping history RAM at 16 bit-vectors of the node universe.
-	maxSealHist = 16
+	// maxSealMarks bounds the seal marks an engine keeps, 24 bytes each: a
+	// delta base may lag the tip by this many seals, whatever readers took
+	// them, before the engine falls back to a full checkpoint.
+	maxSealMarks = 4096
 )
 
 // ErrDeltaCheckpoint is returned when a delta checkpoint stream is handed
@@ -63,33 +62,22 @@ func newChainTag() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// sealRecord is one entry of the seal history: the nodes dirtied between
-// the previous seal and the seal that minted id, and the WAL position that
-// seal covered. A delta against base b ships the union of the records with
-// id > b.
-type sealRecord struct {
-	id    uint64
-	lsn   uint64
-	dirty *bitset.Set
+// sealMark is what the engine keeps of one seal: the id it minted, the WAL
+// position it covered, and the cut it took. A delta against base b ships
+// the nodes stamped after b's cut.
+type sealMark struct {
+	id, lsn, cut uint64
 }
 
-// mintSealID advances the checkpoint chain at seal time: it captures and
-// clears every shard's dirty-since-seal vector into a new history record,
-// trims the history to maxSealHist (advancing the floor below which bases
-// are forgotten), and publishes the new state id and covered LSN. Caller
-// holds ckptMu and the quiesce write lock with the workers idle.
+// mintSealID advances the checkpoint chain at seal time: it takes a cut,
+// records the seal's mark — dropping the oldest once maxSealMarks are held —
+// and publishes the new state id and covered LSN. Caller holds ckptMu and
+// the quiesce write lock with the workers idle.
 func (e *Engine) mintSealID(lsn uint64) uint64 {
 	id := e.ckptSeq.Load() + 1
-	dirty := bitset.New(uint64(e.cfg.NumNodes))
-	for _, sh := range e.shards {
-		sh.dirtySeal.OrInto(dirty)
-		sh.dirtySeal.ClearAll()
-	}
-	e.sealHist = append(e.sealHist, sealRecord{id: id, lsn: lsn, dirty: dirty})
-	for len(e.sealHist) > maxSealHist {
-		e.histFloor = e.sealHist[0].id
-		e.histFloorLSN = e.sealHist[0].lsn
-		e.sealHist = e.sealHist[1:]
+	e.seals = append(e.seals, sealMark{id: id, lsn: lsn, cut: e.cut.Add(1)})
+	if len(e.seals) > maxSealMarks {
+		e.seals = e.seals[1:]
 	}
 	e.ckptSeq.Store(id)
 	e.ckptLSN.Store(lsn)
@@ -97,38 +85,29 @@ func (e *Engine) mintSealID(lsn uint64) uint64 {
 }
 
 // planDelta decides whether the seal minting newID can ship as a delta
-// against baseID, and if so returns the sorted dirty node ids and the WAL
-// LSN the base covered. It refuses when deltas are disabled, the base is
-// unknown (not this lineage's retained history), or the dirty fraction
-// exceeds Config.DeltaCheckpointThreshold — the caller then seals a full
+// against baseID, and if so returns the sorted ids of the nodes changed
+// since that seal and the WAL LSN the base covered. It refuses when deltas
+// are disabled, the base is unknown (not this lineage's, or older than the
+// oldest mark held), or the changed fraction exceeds
+// Config.DeltaCheckpointThreshold — the caller then seals a full
 // checkpoint, which is always a valid answer. Caller holds ckptMu and the
-// quiesce write lock; mintSealID has already pushed newID's record.
+// quiesce write lock; mintSealID has already recorded newID's mark.
 func (e *Engine) planDelta(baseID, newID uint64) ([]uint32, uint64, bool) {
 	thr := e.cfg.DeltaCheckpointThreshold
-	if baseID == 0 || thr < 0 || baseID >= newID || baseID < e.histFloor {
+	if baseID == 0 || thr < 0 || baseID >= newID {
 		return nil, 0, false
 	}
-	baseLSN := e.histFloorLSN
-	found := baseID == e.histFloor
-	union := bitset.New(uint64(e.cfg.NumNodes))
-	var count uint64
-	for _, rec := range e.sealHist {
-		if rec.id == baseID {
-			baseLSN, found = rec.lsn, true
-		}
-		if rec.id > baseID {
-			count += rec.dirty.OrInto(union)
-		}
-	}
-	if !found || float64(count) > thr*float64(e.cfg.NumNodes) {
-		return nil, 0, false
-	}
-	ids := make([]uint32, 0, count)
-	union.ForEach(func(i uint64) bool {
-		ids = append(ids, uint32(i))
-		return true
+	i, found := slices.BinarySearchFunc(e.seals, baseID, func(m sealMark, id uint64) int {
+		return cmp.Compare(m.id, id)
 	})
-	return ids, baseLSN, true
+	if !found {
+		return nil, 0, false
+	}
+	ids := e.changedSince(e.seals[i].cut, nil)
+	if float64(len(ids)) > thr*float64(e.cfg.NumNodes) {
+		return nil, 0, false
+	}
+	return ids, e.seals[i].lsn, true
 }
 
 // materializeDelta copies the current serialized stacks of the plan's
@@ -221,28 +200,28 @@ func parseMetaEnvelope(meta []byte) (env metaEnvelope, ok bool) {
 // applied delta's tip: WAL coverage, user metadata and chain identity. The
 // engine continues the writer's lineage, so deltas it later seals chain
 // onto this state and deltas the writer sealed against it still apply.
-// Any seal history described paths from other states and is dropped: the
-// next seal's delta base must be this position or later, which is the only
-// base a consumer of this state could hold anyway.
+// Earlier seal marks described paths from other states and are dropped:
+// the adopted position is marked at a fresh cut, so the next seal's delta
+// base must be this position or later — the only base a consumer of this
+// state could hold anyway — and a delta against it carries only what
+// changed after the adoption. The caller holds the quiesce write lock with
+// the workers idle, or owns a fresh engine.
 func (e *Engine) adoptChainMeta(h checkpointHeader, env metaEnvelope) {
 	e.restoredWALPos = h.walLSN
 	e.restoredMeta = env.user
 	e.chainTag = env.chainTag
 	e.ckptSeq.Store(env.ckptID)
 	e.ckptLSN.Store(h.walLSN)
-	e.sealHist = nil
-	e.histFloor = env.ckptID
-	e.histFloorLSN = h.walLSN
+	e.seals = append(e.seals[:0], sealMark{id: env.ckptID, lsn: h.walLSN, cut: e.cut.Add(1)})
 }
 
-// markChangedNode records an out-of-band sketch mutation of node (a
+// markChangedNode stamps an out-of-band sketch mutation of node (a
 // checkpoint merge, delta apply, or node patch — anything bypassing the
-// batch apply path) in both dirty epochs, capturing the node's pre-change
+// batch apply path) like an applied batch, capturing the node's pre-change
 // image for the delta query the way the apply path does when the stack is
 // at hand in a slab; an out-of-core mutation leaves the node imageless, and
-// the next delta query re-solves its component from singletons. The marks
-// go to the node's owner, like an applied batch's. Must run BEFORE the
-// mutation, under the quiesce write lock with the workers idle.
+// the next delta query re-solves its component from singletons. Must run
+// BEFORE the mutation, under the quiesce write lock with the workers idle.
 func (e *Engine) markChangedNode(node uint32) {
 	if e.store == nil {
 		if img := e.beforeImage(node); img != nil {
@@ -250,9 +229,7 @@ func (e *Engine) markChangedNode(node uint32) {
 			home.slab.MarshalNode(local, img)
 		}
 	}
-	owner := e.ownerOf(node)
-	owner.dirty.Set(uint64(node))
-	owner.dirtySeal.Set(uint64(node))
+	e.touch(node)
 }
 
 // WriteDeltaCheckpoint seals and streams a checkpoint that is a delta
@@ -284,8 +261,8 @@ func (e *Engine) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, e
 // before and after stacks (valid only during the call): an aggregator
 // feeds these straight into PatchNodes on a downstream engine, which is
 // how delta refresh composes with delta queries. The replaced nodes are
-// marked in both dirty epochs, so queries and later seals on this engine
-// see the change precisely.
+// stamped as changed, so the next query on this engine re-solves exactly
+// their components; later seals ship only what changes after the tip.
 func (e *Engine) ApplyDeltaCheckpoint(r io.Reader, onReplace func(node uint32, before, after []byte)) error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
@@ -323,12 +300,9 @@ func (e *Engine) ApplyDeltaCheckpoint(r io.Reader, onReplace func(node uint32, b
 		slots []byte
 	}
 	var runs []verifiedRun
-	scratch := e.newSlab(1)
 	err = e.readSections(br, h, true, func(start uint32, count int, payload []byte) error {
-		for j := 0; j < count; j++ {
-			if err := scratch.UnmarshalNode(0, payload[j*e.slotSize:(j+1)*e.slotSize]); err != nil {
-				return fmt.Errorf("%w: delta slot of node %d: %v", ErrCorruptCheckpoint, start+uint32(j), err)
-			}
+		if err := e.checkSlots(start, count, payload); err != nil {
+			return err
 		}
 		runs = append(runs, verifiedRun{start, count, append([]byte(nil), payload...)})
 		return nil
@@ -378,9 +352,9 @@ func (e *Engine) ApplyDeltaCheckpoint(r io.Reader, onReplace func(node uint32, b
 // onReplace — at O(patch) cost instead of re-merging every source.
 // updatesTotal replaces the engine's update count (the aggregate total is
 // recomputed by the caller from its sources). Slots are validated before
-// any state changes; the patched nodes are marked in both dirty epochs
-// with before-images captured, so the next query runs the delta path over
-// the touched components only.
+// any state changes; the patched nodes are stamped as changed with
+// before-images captured, so the next query runs the delta path over the
+// touched components only.
 func (e *Engine) PatchNodes(ids []uint32, before, after []byte, updatesTotal uint64) error {
 	if e.store != nil {
 		return errors.New("core: PatchNodes requires RAM-resident sketches")

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"graphzeppelin/internal/bitset"
 	"graphzeppelin/internal/cubesketch"
 	"graphzeppelin/internal/diskstore"
 	"graphzeppelin/internal/gutter"
@@ -186,14 +185,21 @@ type Engine struct {
 	queryCache atomic.Pointer[queryResult]
 	cacheHits  atomic.Uint64
 
-	// Incremental-query state (query.go). Each shard tracks, in a padded
-	// single-writer bit vector, the nodes whose sketches its worker changed
-	// since the last cached query; changes that bypass the batch path
-	// (checkpoint merges, delta applies, node patches) mark the same
-	// vectors through markChangedNode. They are cleared only when a query
-	// result is cached, under the quiesce write lock with the workers idle
-	// — a failed query (never cached) leaves them intact.
-	// deltaQueries/deltaFallbacks back the Stats counters.
+	// Change tracking, shared by every reader that asks what changed since
+	// its own cut: the query cache, each seal a delta may name as its base,
+	// and AdoptQueryBaseline. cut counts consumer cuts — a query result
+	// cached, a seal, a baseline or chain position adopted — each taken under
+	// the quiesce write lock with the workers idle. stamp[v] is cut+1 as of
+	// node v's last sketch change (applyBatch, or markChangedNode for the
+	// changes that bypass the batch path), so "v changed since cut X" is
+	// stamp[v] > X for any X, and nothing is ever cleared. Written by v's
+	// owner, or by the driving goroutine while the workers are idle; read
+	// concurrently by Stats.
+	stamp []atomic.Uint64
+	cut   atomic.Uint64
+
+	// Incremental-query state (query.go). deltaQueries/deltaFallbacks back
+	// the Stats counters.
 	deltaQueries   atomic.Uint64
 	deltaFallbacks atomic.Uint64
 	// What the delta path did, for tests to pin by count: components of the
@@ -246,17 +252,13 @@ type Engine struct {
 	// re-mints the same small ids can never be mistaken for its previous
 	// life. ckptSeq is the id of the engine's current checkpoint state
 	// (last sealed, restored or delta-applied); ckptLSN the WAL position
-	// that state covers. sealHist is a bounded ring of per-seal dirty-node
-	// sets: a delta against base id b is the union of the records with
-	// id > b, valid while b has not fallen below histFloor (the id of the
-	// state preceding the oldest retained record). sealHist/histFloor are
-	// guarded by ckptMu; the atomics feed Stats.
-	chainTag     uint64
-	ckptSeq      atomic.Uint64
-	ckptLSN      atomic.Uint64
-	sealHist     []sealRecord
-	histFloor    uint64
-	histFloorLSN uint64
+	// that state covers. seals holds one mark per seal, ascending by id, the
+	// oldest first: a delta against base id b ships the nodes stamped after
+	// b's cut. seals is guarded by ckptMu; the atomics feed Stats.
+	chainTag uint64
+	ckptSeq  atomic.Uint64
+	ckptLSN  atomic.Uint64
+	seals    []sealMark
 
 	deltaCkpts     atomic.Uint64
 	deltaCkptBytes atomic.Uint64
@@ -306,25 +308,6 @@ type shard struct {
 
 	indices []uint64 // batch → characteristic-vector index scratch
 
-	// dirty marks the nodes of this shard's groups whose sketches changed
-	// since the last cached query, indexed by node id over the whole
-	// universe: the worker's applies, and changes that bypass the batch
-	// path (markChangedNode, AdoptQueryBaseline), all mark the owner's
-	// vector, so a node's bits live in exactly one shard. Single writer
-	// (this worker, or the driving goroutine while it is idle), concurrent
-	// readers (Stats); cleared by queries under the quiesce write lock with
-	// the workers idle. The Atomic's own padding isolates its words; see
-	// bitset.NewAtomic.
-	dirty *bitset.Atomic
-
-	// dirtySeal marks, in the same shape as dirty, the nodes of this
-	// shard's groups changed since the last checkpoint seal.
-	// Unlike dirty it is never touched by queries: it is captured into the
-	// seal history and cleared only at seal time, under the quiesce write
-	// lock with the workers idle, and feeds the sparse delta checkpoint
-	// format (delta.go).
-	dirtySeal *bitset.Atomic
-
 	_ [gutter.CacheLine]byte
 
 	// Worker-written counters, padded off the read-mostly fields above so
@@ -351,6 +334,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		vecLen:   cfg.VectorLen(),
 		chainTag: newChainTag(),
+		stamp:    make([]atomic.Uint64, cfg.NumNodes),
 	}
 	seeds := make([]uint64, cfg.Rounds)
 	for r := range seeds {
@@ -450,11 +434,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		queueCap = 1
 	}
 	for s := range e.shards {
-		sh := &shard{
-			queue:     gutter.NewSPSC(queueCap),
-			dirty:     bitset.NewAtomic(uint64(cfg.NumNodes)),
-			dirtySeal: bitset.NewAtomic(uint64(cfg.NumNodes)),
-		}
+		sh := &shard{queue: gutter.NewSPSC(queueCap)}
 		if !cfg.SketchesOnDisk {
 			count := shardNodeCount(cfg.NumNodes, cfg.Shards, s)
 			sh.slab = cubesketch.NewSlab(count, e.vecLen, cfg.Columns, seeds)
@@ -811,12 +791,10 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	// placement below fills it from wherever the pre-change stack is at
 	// hand (the owner's slab, the decoded cache group).
 	img := e.beforeImage(b.Node)
-	// Record the delta before touching the sketches: once set, the bit is
-	// only cleared after a query observed (and cached over) the applied
-	// state, so the incremental query path can never miss this change.
-	// dirtySeal gets the same treatment against the last checkpoint seal.
-	sh.dirty.Set(uint64(b.Node))
-	sh.dirtySeal.Set(uint64(b.Node))
+	// Stamp the change before touching the sketches: no cut can be taken
+	// while the batch is in flight, so every reader whose cut precedes the
+	// applied state sees the node as changed.
+	e.touch(b.Node)
 
 	if e.store == nil {
 		// In RAM the owner's slab holds the node (groups of one node, so
@@ -856,9 +834,31 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	}
 }
 
+// touch stamps node as changed after the current cut. A node touched again
+// before the next cut already holds the stamp, so a hot node's later
+// batches only load it.
+func (e *Engine) touch(node uint32) {
+	s, c := &e.stamp[node], e.cut.Load()+1
+	if s.Load() != c {
+		s.Store(c)
+	}
+}
+
+// changedSince appends to dst, in ascending order, every node whose sketch
+// changed after cut. The caller holds the quiesce write lock with the
+// workers idle.
+func (e *Engine) changedSince(cut uint64, dst []uint32) []uint32 {
+	for v := range e.stamp {
+		if e.stamp[v].Load() > cut {
+			dst = append(dst, uint32(v))
+		}
+	}
+	return dst
+}
+
 // beforeImage registers a before-image for node if the mutation the
-// caller is about to make is the node's first dirtying since the last
-// cached query (its owner's dirty vector does not have it yet), and returns
+// caller is about to make is the node's first change since the cached
+// query result's cut (its stamp is not above that cut yet), and returns
 // the slot-sized buffer for the caller to fill with the node's pre-change
 // serialized stack; nil means no image is wanted. Because no apply touched
 // the node in between, the image is the state the cached result observed —
@@ -875,15 +875,16 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 // delta query's fallback threshold, so a refusal implies the next query
 // runs from scratch regardless; out of core it is the smaller of that and
 // the image byte budget (NewEngine), and a refused node's component alone
-// re-solves from singletons. The test needs no lock: every mark of node
-// lands in its owner's vector, set by the owner's worker or by the driving
-// goroutine while the workers are idle, and the caller is one of those.
+// re-solves from singletons. The test needs no lock: node's stamp is
+// written by its owner's worker or by the driving goroutine while the
+// workers are idle, and the caller is one of those.
 func (e *Engine) beforeImage(node uint32) []byte {
-	if e.cfg.NoDeltaQuery || e.queryCache.Load() == nil {
+	res := e.queryCache.Load()
+	if e.cfg.NoDeltaQuery || res == nil {
 		return nil
 	}
-	if e.ownerOf(node).dirty.Test(uint64(node)) {
-		return nil // not the first dirtying: the image, if any, is already right
+	if e.stamp[node].Load() > res.cut {
+		return nil // not the first change: the image, if any, is already right
 	}
 	return e.addBefore(node)
 }
@@ -982,11 +983,17 @@ func (e *Engine) Stats() Stats {
 		b := sh.batches.Load()
 		st.ShardBatches[i] = b
 		st.Batches += b
-		// A node is marked in its owner's vector only, so the sum is the
-		// union.
-		st.DirtyNodes += sh.dirty.Count()
 		if sh.slab != nil {
 			st.MemoryBytes += int64(sh.slab.Bytes())
+		}
+	}
+	var since uint64
+	if res := e.queryCache.Load(); res != nil {
+		since = res.cut
+	}
+	for v := range e.stamp {
+		if e.stamp[v].Load() > since {
+			st.DirtyNodes++
 		}
 	}
 	if e.storeDev != nil {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"graphzeppelin/internal/bitset"
 	"graphzeppelin/internal/cubesketch"
 	"graphzeppelin/internal/dsu"
 	"graphzeppelin/internal/stream"
@@ -46,15 +45,16 @@ import (
 //     from the cached result — point queries cost O(1) between updates.
 //
 //  4. Incremental maintenance between epochs. When the cache is stale but
-//     a previous result exists, the query consults the per-shard dirty
-//     vectors the apply path maintains (engine.go): a component of the
-//     cached forest with no dirty member had no incident edge toggled
-//     since that result — any toggle lands a batch on both endpoints'
-//     sketches, dirtying them — so its forest edges are still genuine and
-//     its cut is still empty. Those components carry over wholesale. An
-//     affected component is re-certified from the before-images the apply
-//     path captured at each node's first dirtying, in RAM and out of core
-//     alike, at a cost set by the dirty set rather than the component
+//     a previous result exists, the query reads the per-node change stamps
+//     the apply path maintains (engine.go) against the cut that result
+//     took: a component of the cached forest with no member stamped since
+//     had no incident edge toggled since that result — any toggle lands a
+//     batch on both endpoints' sketches, stamping them — so its forest
+//     edges are still genuine and its cut is still empty. Those
+//     components carry over wholesale. An affected component is
+//     re-certified from the before-images the apply path captured at each
+//     node's first change since that cut, in RAM and out of core alike, at
+//     a cost set by the dirty set rather than the component
 //     (runDeltaBoruvka has the three classes and the argument). Above
 //     DeltaQueryMaxDirtyFrac dirty nodes the query falls back to the
 //     from-scratch run; either way the caller sees an identical contract.
@@ -79,12 +79,12 @@ var ErrQueryFailed = errors.New("core: connectivity query ran out of sketch roun
 // could mutate it.
 type queryResult struct {
 	epoch uint64
-	// watermark is the dirty-epoch watermark: the ingest epoch whose
-	// sketch state this result actually observed, at which the dirty
-	// vectors were reset. Normally equal to epoch; an adopted baseline
-	// (AdoptQueryBaseline) keeps its observed watermark while its epoch is
-	// deliberately staled so the fast path cannot serve it.
-	watermark uint64
+	// cut is the change-tracking cut taken when the result was cached: the
+	// nodes stamped above it are exactly those changed since the sketch
+	// state the result observed (an adopted baseline's cut is the
+	// adoption's, its epoch deliberately staled so the fast path cannot
+	// serve it).
+	cut uint64
 	// delta marks a result produced by the incremental path (including a
 	// zero-dirty re-tag of the previous result).
 	delta  bool
@@ -136,29 +136,24 @@ func (e *Engine) query() (*queryResult, error) {
 // runQueryLocked answers a cache-missed query, incrementally off the
 // previous cached result when the dirty set allows it and from scratch
 // otherwise. The caller holds the quiesce write lock with the workers
-// drained (so shard state, the dirty vectors included, is stable).
+// drained (so shard state, the stamps included, is stable).
 func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
 	q := e.session()
 	prev := e.queryCache.Load()
 	if !e.cfg.NoDeltaQuery && prev != nil {
-		dirty := q.dirty
-		dirty.ClearAll()
-		var nDirty uint64
-		for _, sh := range e.shards {
-			nDirty += sh.dirty.OrInto(dirty)
-		}
-		if nDirty == 0 {
+		q.dirty = e.changedSince(prev.cut, q.dirty[:0])
+		if len(q.dirty) == 0 {
 			// The epoch moved but no sketch changed since prev was cached
 			// (e.g. an adopted baseline whose diff came up empty): prev's
 			// answer is exactly current — re-tag it at the new epoch.
 			e.deltaQueries.Add(1)
 			return &queryResult{
-				epoch: epoch, watermark: epoch, delta: true,
+				epoch: epoch, delta: true,
 				forest: prev.forest, rep: prev.rep, count: prev.count,
 			}, nil
 		}
-		if float64(nDirty) <= e.cfg.DeltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
-			res, ok, err := e.runDeltaBoruvka(q, epoch, prev, dirty)
+		if float64(len(q.dirty)) <= e.cfg.DeltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
+			res, ok, err := e.runDeltaBoruvka(q, epoch, prev)
 			if err != nil {
 				return nil, err
 			}
@@ -188,17 +183,14 @@ func (e *Engine) session() *querySession {
 	return e.qs
 }
 
-// cacheResultLocked publishes a successful query result and resets the
-// dirty tracking: the result observed every change the dirty bits
-// recorded, so the next query's delta starts from here. Failed results
-// are never cached, which is exactly why their callers must not clear
-// anything. The caller holds the quiesce write lock with the workers
-// idle.
+// cacheResultLocked publishes a successful query result at a fresh cut:
+// the result observed every change stamped so far, so the next query's
+// delta starts from here. Failed results are never cached and take no
+// cut, so the next query still sees everything they saw. The caller holds
+// the quiesce write lock with the workers idle.
 func (e *Engine) cacheResultLocked(res *queryResult) {
+	res.cut = e.cut.Add(1)
 	e.queryCache.Store(res)
-	for _, sh := range e.shards {
-		sh.dirty.ClearAll()
-	}
 	// The before-images' baseline is superseded by res: the next first
 	// dirtying of a node captures a fresh image relative to it.
 	e.releaseBeforeLocked()
@@ -392,13 +384,14 @@ type querySession struct {
 	// The delta query's plan (runDeltaBoruvka): the nodes that contribute
 	// anything, ascending, and the images behind srcImage. Without delta
 	// every live node contributes its live sketch (a from-scratch query).
-	// dirty, class, largest and pieceSize are its working sets: the dirty
-	// nodes, the class of each cached component, and each cut component's
-	// largest piece with the piece sizes it was picked by.
+	// dirty, class, largest and pieceSize are its working sets: the nodes
+	// changed since the cached result (ascending), the class of each cached
+	// component, and each cut component's largest piece with the piece
+	// sizes it was picked by.
 	delta     bool
 	plan      []planned
 	before    map[uint32][]byte
-	dirty     *bitset.Set
+	dirty     []uint32
 	class     []uint8
 	largest   []uint32
 	pieceSize []int32
@@ -518,7 +511,6 @@ func newQuerySession(n int) *querySession {
 		rep:      make([]uint32, n),
 		finished: make([]bool, n),
 		slot:     make([]int32, n),
-		dirty:    bitset.New(uint64(n)),
 	}
 }
 
@@ -548,7 +540,7 @@ func (q *querySession) result(epoch uint64) *queryResult {
 		}
 	}
 	return &queryResult{
-		epoch: epoch, watermark: epoch, delta: q.delta,
+		epoch: epoch, delta: q.delta,
 		forest: slices.Clone(q.forest), rep: rep, count: count,
 	}
 }
@@ -677,24 +669,23 @@ const (
 // certify within the sketch depth; the caller falls back to the
 // from-scratch run rather than surfacing a partial delta, keeping the
 // result contract identical to a full query.
-func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResult, dirty *bitset.Set) (res *queryResult, ok bool, err error) {
+func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResult) (res *queryResult, ok bool, err error) {
 	n := int(e.cfg.NumNodes)
-	// Workers are idle under the write lock: the image map is stable.
+	// Workers are idle under the write lock: the image map and the stamps
+	// are stable.
 	before := e.before
 	q.class = sized(q.class, n) // indexed by prev representative
 	class := q.class
-	dirty.ForEach(func(i uint64) bool {
-		r := prev.rep[i]
-		if before[uint32(i)] == nil {
+	for _, v := range q.dirty {
+		r := prev.rep[v]
+		if before[v] == nil {
 			class[r] = classSingletons
 		} else if class[r] == classClean {
 			class[r] = classIntact
 		}
-		return true
-	})
-	bothDirty := func(eg stream.Edge) bool {
-		return dirty.Test(uint64(eg.U)) && dirty.Test(uint64(eg.V))
 	}
+	isDirty := func(v uint32) bool { return e.stamp[v].Load() > prev.cut }
+	bothDirty := func(eg stream.Edge) bool { return isDirty(eg.U) && isDirty(eg.V) }
 	anyCut := false
 	for _, eg := range prev.forest {
 		if r := prev.rep[eg.U]; class[r] == classIntact && bothDirty(eg) {
@@ -749,7 +740,7 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 			q.plan = append(q.plan, planned{node: v, role: roleCur})
 		case c == classCut && q.d.Find(v) != largest[r]:
 			q.plan = append(q.plan, planned{node: v, role: rolePiece, anchor: largest[r]})
-		case dirty.Test(uint64(i)): // intact, or the largest piece of a cut
+		case isDirty(v): // intact, or the largest piece of a cut
 			q.plan = append(q.plan, planned{node: v, role: roleDiff})
 		}
 	}

@@ -1,10 +1,14 @@
 package gzserve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"graphzeppelin/internal/core"
@@ -230,5 +234,91 @@ func TestWorkerCheckpointSince(t *testing.T) {
 	doc := getJSON(t, srv.URL+PathStatsz)
 	if _, ok := doc["last_checkpoint_id"]; !ok {
 		t.Fatalf("statsz lacks last_checkpoint_id: %v", doc)
+	}
+}
+
+// TestDurableWorkerTwoReaders gives one durable worker its two checkpoint
+// readers at once: the local delta chain and the coordinator's ?since=
+// pulls. Many seals by either reader must not push the other off its base.
+func TestDurableWorkerTwoReaders(t *testing.T) {
+	const numNodes = 64
+	wk, _, err := NewDurableWorker(core.Config{NumNodes: numNodes, Seed: 43}, 0, numNodes,
+		Durability{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wk.Close()
+	srv := httptest.NewServer(wk.Handler())
+	defer srv.Close()
+
+	// Each trickle toggles one edge among nodes 0..5, far under the delta
+	// threshold however many accumulate.
+	trickles := 0
+	trickle := func() {
+		t.Helper()
+		u := uint32(trickles % 6)
+		trickles++
+		if err := wk.Engine().InsertEdge(u, (u+1)%6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull := func(since uint64) (id uint64, delta bool) {
+		t.Helper()
+		url := srv.URL + PathCheckpoint
+		if since != 0 {
+			url += fmt.Sprintf("?since=%d", since)
+		}
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+		}
+		if _, err := fmt.Sscanf(resp.Header.Get("X-GZ-Checkpoint-ID"), "%d", &id); err != nil {
+			t.Fatalf("GET %s: bad checkpoint id header: %v", url, err)
+		}
+		return id, resp.Header.Get("X-GZ-Checkpoint-Delta") == "1"
+	}
+
+	trickle()
+	if err := wk.CheckpointLocal(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(wk.ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twenty pulls between two local checkpoints.
+	var since uint64
+	for i := 0; i < 20; i++ {
+		trickle()
+		since, _ = pull(since)
+	}
+	trickle()
+	if err := wk.CheckpointLocal(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(filepath.Dir(wk.ckptPath), "delta-000000.gzd")); err != nil {
+		t.Fatalf("local checkpoint after 20 pulls wrote no delta file: %v", err)
+	}
+	if now, err := os.ReadFile(wk.ckptPath); err != nil || !bytes.Equal(now, full) {
+		t.Fatalf("local checkpoint after 20 pulls rewrote %s (err %v)", CheckpointFileName, err)
+	}
+
+	// Twenty local checkpoints between two pulls.
+	for i := 0; i < 20; i++ {
+		trickle()
+		if err := wk.CheckpointLocal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trickle()
+	if _, delta := pull(since); !delta {
+		t.Fatal("pull after 20 local checkpoints was not a delta")
 	}
 }

@@ -22,18 +22,6 @@ func TestUint64MatchesXXH64(t *testing.T) {
 	}
 }
 
-func TestUint64PairMatchesXXH64(t *testing.T) {
-	f := func(seed, x, y uint64) bool {
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:8], x)
-		binary.LittleEndian.PutUint64(b[8:], y)
-		return Uint64Pair(seed, x, y) == XXH64(seed, b[:])
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestXXH64AllLengthPaths(t *testing.T) {
 	// Exercise every tail-handling branch: <4, <8, 8..31, ≥32 bytes, and
 	// check determinism plus seed sensitivity on each.

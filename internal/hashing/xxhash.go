@@ -77,17 +77,6 @@ func Uint64(seed, x uint64) uint64 {
 	return avalanche64(h)
 }
 
-// Uint64Pair hashes two 64-bit values with the given seed, equivalent to
-// hashing their concatenated little-endian encodings.
-func Uint64Pair(seed, x, y uint64) uint64 {
-	h := seed + prime64x5 + 16
-	h ^= round64(0, x)
-	h = bits.RotateLeft64(h, 27)*prime64x1 + prime64x4
-	h ^= round64(0, y)
-	h = bits.RotateLeft64(h, 27)*prime64x1 + prime64x4
-	return avalanche64(h)
-}
-
 // Avalanche64 applies xxHash64's finalization avalanche: a cheap
 // bijective mixer used to harden derived seeds (e.g. the per-column
 // sketch seeds) so arithmetically related inputs become unrelated seeds.
