@@ -6,6 +6,7 @@ package graphzeppelin_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -984,4 +985,53 @@ func randomIndices(n uint64, count int) []uint64 {
 		idxs[i] = x % n
 	}
 	return idxs
+}
+
+// BenchmarkForestPeeler ingests a fixed random stream of 200k inserts into
+// a ForestPeeler(k=3) over 2,048 nodes through ApplyBatch, flushes, and
+// peels the three forests. Mupd/s counts logical (user) updates over
+// ingest + flush, forests-ms times Forests() alone, mem-MiB is the
+// structure's MemoryBytes.
+func BenchmarkForestPeeler(b *testing.B) {
+	const k, n, total, batch = 3, 2048, 200_000, 4096
+	rng := rand.New(rand.NewPCG(3, 3))
+	ups := make([]graphzeppelin.Update, 0, total)
+	for len(ups) < total {
+		u, v := uint32(rng.IntN(n)), uint32(rng.IntN(n))
+		if u != v {
+			ups = append(ups, graphzeppelin.Update{Edge: graphzeppelin.Edge{U: u, V: v}, Type: graphzeppelin.Insert})
+		}
+	}
+	var ingest, peel time.Duration
+	var mem int64
+	for i := 0; i < b.N; i++ {
+		p, err := graphzeppelin.NewForestPeeler(k, n, graphzeppelin.WithSeed(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		for lo := 0; lo < total; lo += batch {
+			if err := p.ApplyBatch(ups[lo:min(lo+batch, total)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := p.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		forests, err := p.Forests()
+		if err != nil {
+			b.Fatal(err)
+		}
+		peel += time.Since(t1)
+		ingest += t1.Sub(t0)
+		if len(forests[0]) != n-1 {
+			b.Fatalf("first forest has %d edges, want %d", len(forests[0]), n-1)
+		}
+		mem = p.Stats().MemoryBytes
+		p.Close()
+	}
+	b.ReportMetric(float64(total*b.N)/ingest.Seconds()/1e6, "Mupd/s")
+	b.ReportMetric(float64(peel.Microseconds())/1e3/float64(b.N), "forests-ms")
+	b.ReportMetric(float64(mem)/(1<<20), "mem-MiB")
 }

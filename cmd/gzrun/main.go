@@ -6,7 +6,7 @@
 // Every structure is driven through the shared StreamSketch interface, so
 // one ingest loop serves them all; -producers splits ingestion across
 // concurrent producer goroutines (per-producer Ingestor sessions on a
-// graph, shared ApplyBatch on the extensions).
+// graph, shared ApplyBatch on the extensions, each one engine).
 //
 // Usage:
 //
@@ -493,8 +493,8 @@ func ingestSerial(r *stream.Reader, sk graphzeppelin.StreamSketch, graph *graphz
 
 // ingestParallel fans chunks of the stream out to producer goroutines.
 // On a graph each producer ingests through its own Ingestor session; the
-// extensions take ApplyBatch directly (their engines are internally
-// synchronized). It returns the number of updates handed to producers.
+// extensions take ApplyBatch directly (each is one internally
+// synchronized engine). It returns the number of updates handed to producers.
 func ingestParallel(r *stream.Reader, sk graphzeppelin.StreamSketch, graph *graphzeppelin.Graph, producers, batch int) (uint64, error) {
 	chunks := make(chan []graphzeppelin.Update, 2*producers)
 	errc := make(chan error, producers+1)

@@ -219,19 +219,19 @@ func NewBipartiteTester(numNodes uint32, opts ...Option) (*BipartiteTester, erro
 	if err != nil {
 		return nil, err
 	}
-	return &BipartiteTester{sketchHandle: sketchHandle{impl: b}, b: b}, nil
+	return &BipartiteTester{sketchHandle{&b.Layered}, b}, nil
 }
 
-// IsBipartite reports whether the current graph is bipartite (w.h.p.).
-// The base graph and its double cover quiesce independently, so call it
-// with no producer mid-Apply (see the StreamSketch consistency note).
+// IsBipartite reports whether the current graph is bipartite (w.h.p.),
+// from one query over the graph and its double cover — one consistent
+// cut, even with producers mid-Apply.
 func (t *BipartiteTester) IsBipartite() (bool, error) { return t.b.IsBipartite() }
 
-// ForestPeeler maintains k independent sketch layers and peels k
-// edge-disjoint spanning forests — Ahn, Guha and McGregor's
-// k-edge-connectivity certificate (the Section 3.1 extension direction).
-// It implements StreamSketch; every ingested update lands in all k
-// layers.
+// ForestPeeler maintains k sketch layers and peels k edge-disjoint
+// spanning forests — Ahn, Guha and McGregor's k-edge-connectivity
+// certificate (the Section 3.1 extension direction). It implements
+// StreamSketch; every ingested update lands in all k layers of one engine
+// over k·numNodes nodes.
 type ForestPeeler struct {
 	sketchHandle
 	kf *sketchext.KForests
@@ -247,11 +247,12 @@ func NewForestPeeler(k int, numNodes uint32, opts ...Option) (*ForestPeeler, err
 	if err != nil {
 		return nil, err
 	}
-	return &ForestPeeler{sketchHandle: sketchHandle{impl: kf}, kf: kf}, nil
+	return &ForestPeeler{sketchHandle{&kf.Layered}, kf}, nil
 }
 
-// Forests peels and returns k edge-disjoint spanning forests. Terminal:
-// peel once, after the stream.
+// Forests peels and returns k edge-disjoint spanning forests, one query
+// per layer. Terminal: peel once, after the stream, with no producer
+// mid-Apply (see the StreamSketch consistency note).
 func (p *ForestPeeler) Forests() ([][]Edge, error) { return p.kf.Forests() }
 
 // EdgeConnectivity returns min(k, λ(G)) exactly, by Stoer–Wagner on the
@@ -279,7 +280,7 @@ func NewMSFWeightSketch(maxWeight int, numNodes uint32, opts ...Option) (*MSFWei
 	if err != nil {
 		return nil, err
 	}
-	return &MSFWeightSketch{sketchHandle: sketchHandle{impl: m}, m: m}, nil
+	return &MSFWeightSketch{sketchHandle{&m.Layered}, m}, nil
 }
 
 // Insert ingests a weighted edge insertion. (It shadows the unweighted
@@ -289,7 +290,7 @@ func (s *MSFWeightSketch) Insert(u, v uint32, weight int) error { return s.m.Ins
 // Delete ingests a weighted edge deletion (same weight as its insertion).
 func (s *MSFWeightSketch) Delete(u, v uint32, weight int) error { return s.m.Delete(u, v, weight) }
 
-// Weight returns the exact MSF weight; ingestion may continue
-// afterwards. The weight levels quiesce independently, so call it with
-// no producer mid-Apply (see the StreamSketch consistency note).
+// Weight returns the exact MSF weight from one query over every weight
+// level — one consistent cut, even with producers mid-Apply. Ingestion
+// may continue afterwards.
 func (s *MSFWeightSketch) Weight() (int64, error) { return s.m.Weight() }

@@ -391,7 +391,7 @@ func TestExtensionCheckpointRejectsWrongContainer(t *testing.T) {
 		t.Fatal("extension accepted a bare Graph checkpoint")
 	}
 	if err := g.MergeCheckpoint(bytes.NewReader(bbuf.Bytes())); err == nil {
-		t.Fatal("Graph accepted a GZX1 container")
+		t.Fatal("Graph accepted a BipartiteTester checkpoint")
 	}
 	p3, err := graphzeppelin.NewForestPeeler(3, 16, graphzeppelin.WithSeed(3))
 	if err != nil {
@@ -410,6 +410,107 @@ func TestExtensionCheckpointRejectsWrongContainer(t *testing.T) {
 	if err := p3.MergeCheckpoint(bytes.NewReader(pbuf.Bytes())); !errors.Is(err, graphzeppelin.ErrIncompatibleCheckpoint) {
 		t.Fatalf("layer-count mismatch error = %v, want ErrIncompatibleCheckpoint", err)
 	}
+
+	// A ForestPeeler(3, n), an MSFWeightSketch(3, n) and a Graph(3n) all
+	// run one engine over 3n nodes with the same user seed; the structure
+	// kind alone must keep their checkpoints apart.
+	m3, err := graphzeppelin.NewMSFWeightSketch(3, 16, graphzeppelin.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Close()
+	g3, err := graphzeppelin.New(48, graphzeppelin.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g3.Close()
+	same := map[string]graphzeppelin.StreamSketch{"ForestPeeler(3,16)": p3, "MSFWeightSketch(3,16)": m3, "Graph(48)": g3}
+	ckpts := map[string][]byte{}
+	for name, sk := range same {
+		var buf bytes.Buffer
+		if err := sk.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ckpts[name] = buf.Bytes()
+	}
+	for into, sk := range same {
+		for from, ckpt := range ckpts {
+			if from == into {
+				continue
+			}
+			if err := sk.MergeCheckpoint(bytes.NewReader(ckpt)); !errors.Is(err, graphzeppelin.ErrIncompatibleCheckpoint) {
+				t.Fatalf("%s merging a %s checkpoint: error = %v, want ErrIncompatibleCheckpoint", into, from, err)
+			}
+		}
+	}
+}
+
+// TestExtensionsOutOfCore runs every extension with its sketches on disk:
+// the layers share one engine, hence one store file, and the answers
+// must match the exact model after an explicit Flush.
+func TestExtensionsOutOfCore(t *testing.T) {
+	const n = 32
+	disk := func() graphzeppelin.Option { return graphzeppelin.WithSketchesOnDisk(t.TempDir()) }
+	// An 8-cycle, a triangle hanging off it and one deleted chord.
+	var ups []graphzeppelin.Update
+	for u := uint32(0); u < 8; u++ {
+		ups = append(ups, graphzeppelin.Update{Edge: graphzeppelin.Edge{U: u, V: (u + 1) % 8}, Type: graphzeppelin.Insert})
+	}
+	for _, e := range [][2]uint32{{7, 10}, {10, 11}, {11, 7}, {0, 4}} {
+		ups = append(ups, graphzeppelin.Update{Edge: graphzeppelin.Edge{U: e[0], V: e[1]}, Type: graphzeppelin.Insert})
+	}
+	ups = append(ups, graphzeppelin.Update{Edge: graphzeppelin.Edge{U: 0, V: 4}, Type: graphzeppelin.Delete})
+
+	ingest := func(t *testing.T, sk graphzeppelin.StreamSketch) {
+		t.Helper()
+		if err := sk.ApplyBatch(ups); err != nil {
+			t.Fatal(err)
+		}
+		if err := sk.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("bipartite", func(t *testing.T) {
+		bt, err := graphzeppelin.NewBipartiteTester(n, graphzeppelin.WithSeed(61), disk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bt.Close()
+		ingest(t, bt)
+		if bip, err := bt.IsBipartite(); err != nil || bip {
+			t.Fatalf("IsBipartite = %v, %v; want false (triangle)", bip, err)
+		}
+	})
+	t.Run("kforests", func(t *testing.T) {
+		p, err := graphzeppelin.NewForestPeeler(3, n, graphzeppelin.WithSeed(62), disk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		ingest(t, p)
+		if lambda, err := p.EdgeConnectivity(); err != nil || lambda != 2 {
+			t.Fatalf("EdgeConnectivity = %d, %v; want 2 (two cycles sharing node 7)", lambda, err)
+		}
+	})
+	t.Run("msf", func(t *testing.T) {
+		m, err := graphzeppelin.NewMSFWeightSketch(4, n, graphzeppelin.WithSeed(63), disk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		ingest(t, m) // weight 1 each: 10 nodes in one tree → 9
+		for _, e := range [][3]int{{20, 21, 3}, {21, 22, 2}, {20, 22, 4}} {
+			if err := m.Insert(uint32(e[0]), uint32(e[1]), e[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if w, err := m.Weight(); err != nil || w != 9+3+2 {
+			t.Fatalf("Weight = %d, %v; want 14", w, err)
+		}
+	})
 }
 
 // TestOpenCheckpointPublic exercises the parallel file restore through the
@@ -459,11 +560,11 @@ func (g *gatedSink) Write(p []byte) (int, error) {
 	return g.buf.Write(p)
 }
 
-// TestExtensionCheckpointSingleCutAcrossLayers pins that a GZX1 container
-// is one consistent cut across a structure's layer engines: the
+// TestExtensionCheckpointSingleCutAcrossLayers pins that an extension's
+// checkpoint is one consistent cut across the structure's layers: the
 // BipartiteTester holds a triangle (non-bipartite), a checkpoint stream
 // is blocked on a gated writer, and an update that deletes a triangle
-// edge completes mid-stream (low stall holds for the group too). Both the
+// edge completes mid-stream (low stall holds for extensions too). Both the
 // base graph AND its double cover must capture the pre-delete state — a
 // per-layer seal taken at each layer's stream time would put the delete
 // inside the cover's snapshot but outside the base's, breaking the
@@ -488,7 +589,7 @@ func TestExtensionCheckpointSingleCutAcrossLayers(t *testing.T) {
 	gw := newGatedSink()
 	ckptErr := make(chan error, 1)
 	go func() { ckptErr <- live.WriteCheckpoint(gw) }()
-	<-gw.started // every layer is sealed once the container header is out
+	<-gw.started // every layer is sealed once the first byte is out
 
 	// Delete a triangle edge while the stream is blocked: must complete
 	// (the seal window is over) and must land in NEITHER layer's snapshot.
@@ -532,5 +633,59 @@ func TestExtensionCheckpointSingleCutAcrossLayers(t *testing.T) {
 	}
 	if bip, err := live.IsBipartite(); err != nil || !bip {
 		t.Fatalf("live structure after delete: IsBipartite = %v, %v; want true", bip, err)
+	}
+}
+
+// TestBipartiteQueryIsOneCutUnderProducers queries a BipartiteTester while
+// producers stream edges of a planted bipartition into it. Every subset
+// of those edges is bipartite, so every answer must be true: the graph
+// and its double cover are answered from one cut, never from two cuts a
+// batch apart.
+func TestBipartiteQueryIsOneCutUnderProducers(t *testing.T) {
+	const n, producers, batches = 64, 4, 50
+	bt, err := graphzeppelin.NewBipartiteTester(n, graphzeppelin.WithSeed(71), graphzeppelin.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bt.Close()
+	var wg sync.WaitGroup
+	errc := make(chan error, producers)
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				ups := make([]graphzeppelin.Update, 8)
+				for i := range ups {
+					u := uint32(2 * ((p*batches*8 + b*8 + i) % (n / 2)))
+					v := uint32(2*((p+b+3*i)%(n/2)) + 1)
+					ups[i] = graphzeppelin.Update{Edge: graphzeppelin.Edge{U: u, V: v}, Type: graphzeppelin.Insert}
+				}
+				if err := bt.ApplyBatch(ups); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for queries := 0; ; queries++ {
+		bip, err := bt.IsBipartite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bip {
+			t.Fatalf("query %d answered non-bipartite over a planted bipartite stream", queries)
+		}
+		select {
+		case <-done:
+			close(errc)
+			for err := range errc {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
 	}
 }

@@ -69,9 +69,9 @@ import (
 // reads or writes its section with coalesced range I/O instead of one
 // device access per node. The inline section headers make a plain
 // io.Reader stream decodable front to back (and self-delimiting, so
-// checkpoints concatenate — the extension container format relies on
-// this); the streaming decoder rebuilds the footer from the sections it
-// read and requires the stream's to match byte for byte. The footer is
+// checkpoints concatenate); the streaming decoder rebuilds the footer
+// from the sections it read and requires the stream's to match byte for
+// byte. The footer is
 // what lets an io.ReaderAt restore (OpenCheckpoint) jump straight to
 // every section in parallel. Checksums are per section, so corruption is
 // detected before that section's state is installed and is localized to a
@@ -915,9 +915,9 @@ type checkpointHeader struct {
 	metaLen  int
 }
 
-// asBufReader reuses r when it already buffers (the extension container
-// shares one bufio.Reader across engine streams; double-buffering would
-// over-read past a stream's end).
+// asBufReader reuses r when it already buffers (a caller reading
+// concatenated checkpoints shares one bufio.Reader across them;
+// double-buffering would over-read past a stream's end).
 func asBufReader(r io.Reader) *bufio.Reader {
 	if br, ok := r.(*bufio.Reader); ok {
 		return br
@@ -1064,8 +1064,8 @@ func (e *Engine) checkSlots(start uint32, count int, payload []byte) error {
 // only ascend. The footer is rebuilt from the sections read and the
 // stream's must equal it byte for byte — so a stream that restores here
 // also opens with OpenCheckpoint once saved to a file — which leaves the
-// reader positioned exactly past the checkpoint: concatenated streams, as
-// the extension container writes, stay readable.
+// reader positioned exactly past the checkpoint: concatenated streams
+// stay readable.
 func (e *Engine) readSections(br *bufio.Reader, h checkpointHeader, delta bool, visit func(start uint32, count int, payload []byte) error) error {
 	want := make([]byte, 0, h.sections*footerEntryLen+footerTrailerLen)
 	off := uint64(4+checkpointHeaderLen) + uint64(h.metaLen)

@@ -1,14 +1,6 @@
-// Package sketchext implements the graph-sketching extensions the paper
-// points at in Section 3.1 — "CubeSketch may be useful for other sketching
-// algorithms for problems such as edge- or vertex-connectivity, testing
-// bipartiteness, and finding minimum spanning trees" — using the engine's
-// linear sketches as the substrate, following Ahn, Guha and McGregor's
-// constructions (the paper's references [2, 3]).
 package sketchext
 
 import (
-	"fmt"
-
 	"graphzeppelin/internal/core"
 	"graphzeppelin/internal/stream"
 )
@@ -19,78 +11,33 @@ import (
 // cc(D(G)) = 2·cc(G): each bipartite component lifts to two disjoint
 // copies, while any odd cycle wires its copies together.
 //
-// The tester maintains one engine over G and one over D(G), so its space
-// is three node-sketch universes — still O(V·log³V).
-type Bipartite struct {
-	engineGroup // engines[0] = G, engines[1] = D(G)
-	n           uint32
-}
+// The tester is one engine over three layers: G on [0,V), and D(G) on
+// [V,3V) with u° = V+u and u' = 2V+u. Its space is three node-sketch
+// universes — still O(V·log³V).
+type Bipartite struct{ Layered }
 
 // NewBipartite creates a tester over node ids [0, numNodes).
 func NewBipartite(numNodes uint32, cfg core.Config) (*Bipartite, error) {
-	cfg.NumNodes = numNodes
-	base, err := core.NewEngine(cfg)
+	n := numNodes
+	l, err := newLayered(kindBipartite, 3, numNodes, cfg, func(dst []stream.Edge, e stream.Edge) []stream.Edge {
+		return append(dst, e,
+			stream.Edge{U: n + e.U, V: 2*n + e.V},
+			stream.Edge{U: 2*n + e.U, V: n + e.V})
+	})
 	if err != nil {
 		return nil, err
 	}
-	coverCfg := cfg
-	coverCfg.NumNodes = 2 * numNodes
-	coverCfg.Seed = cfg.Seed ^ 0xd0b1ec0
-	cover, err := core.NewEngine(coverCfg)
-	if err != nil {
-		base.Close()
-		return nil, err
-	}
-	return &Bipartite{n: numNodes, engineGroup: engineGroup{engines: []*core.Engine{base, cover}}}, nil
+	return &Bipartite{l}, nil
 }
 
-// coverEdges appends the double-cover image of e to dst: (u°, v') and
-// (u', v°), with primed copies living at id+n.
-func (b *Bipartite) coverEdges(dst []stream.Edge, e stream.Edge) []stream.Edge {
-	e = e.Normalize()
-	return append(dst,
-		stream.Edge{U: e.U, V: e.V + b.n},
-		stream.Edge{U: e.U + b.n, V: e.V})
-}
-
-// Update ingests one stream update into both the graph and its double
-// cover, on the read side of the group seal lock so a checkpoint cut
-// never separates G from D(G).
-func (b *Bipartite) Update(u stream.Update) error {
-	return b.ingest(func() error {
-		if err := b.engines[0].Update(u); err != nil {
-			return err
-		}
-		var lifted [2]stream.Edge
-		return b.engines[1].InsertEdges(b.coverEdges(lifted[:0], u.Edge))
-	})
-}
-
-// UpdateBatch ingests a batch into the graph and its lifted double cover.
-func (b *Bipartite) UpdateBatch(ups []stream.Update) error {
-	return b.ingest(func() error {
-		if err := b.engines[0].UpdateBatch(ups); err != nil {
-			return err
-		}
-		lifted := make([]stream.Edge, 0, 2*len(ups))
-		for _, u := range ups {
-			lifted = b.coverEdges(lifted, u.Edge)
-		}
-		return b.engines[1].InsertEdges(lifted)
-	})
-}
-
-// IsBipartite reports whether the current graph is bipartite. Isolated
-// nodes are bipartite trivially; the double-cover identity handles them
-// because an isolated node contributes one component to G and two to D(G).
+// IsBipartite reports whether the current graph is bipartite, from one
+// query over G and D(G). Isolated nodes are bipartite trivially; the
+// double-cover identity handles them because an isolated node contributes
+// one component to G and two to D(G).
 func (b *Bipartite) IsBipartite() (bool, error) {
-	_, ccG, err := b.engines[0].ConnectedComponents()
+	cc, err := b.components()
 	if err != nil {
-		return false, fmt.Errorf("sketchext: base query: %w", err)
+		return false, err
 	}
-	_, ccD, err := b.engines[1].ConnectedComponents()
-	if err != nil {
-		return false, fmt.Errorf("sketchext: cover query: %w", err)
-	}
-	return ccD == 2*ccG, nil
+	return cc[1]+cc[2] == 2*cc[0], nil
 }

@@ -2,80 +2,59 @@ package sketchext
 
 import (
 	"errors"
-	"fmt"
 
 	"graphzeppelin/internal/core"
 	"graphzeppelin/internal/stream"
 )
 
-// KForests maintains k independent sketch engines over the same stream
-// and, at query time, peels k edge-disjoint spanning forests F1…Fk:
+// KForests peels k edge-disjoint spanning forests F1…Fk of the stream:
 // F1 spans G, F2 spans G−F1, and so on. Their union is Ahn, Guha and
 // McGregor's k-edge-connectivity certificate: the graph is k-edge-
 // connected iff the certificate is, and cuts of value < k are preserved
-// exactly. Peeling works because sketches are linear: deleting a forest's
-// edges from the next engine is just toggling them.
-type KForests struct {
-	engineGroup // one engine per layer
-	k           int
-	n           uint32
-}
+// exactly. Every update lands in all k layers; peeling works because
+// sketches are linear: deleting a forest from the deeper layers is just
+// toggling its edges there.
+type KForests struct{ Layered }
 
 // NewKForests creates a k-forest structure over node ids [0, numNodes).
-// Each layer uses an independently seeded engine (adaptivity between
-// layers is resolved by the peeling order, per AGM).
 func NewKForests(k int, numNodes uint32, cfg core.Config) (*KForests, error) {
 	if k < 1 {
 		return nil, errors.New("sketchext: k must be at least 1")
 	}
-	cfg.NumNodes = numNodes
-	kf := &KForests{k: k, n: numNodes}
-	for i := 0; i < k; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i+1)*0x9e3779b97f4a7c15
-		eng, err := core.NewEngine(c)
-		if err != nil {
-			kf.Close()
-			return nil, err
-		}
-		kf.engines = append(kf.engines, eng)
+	l, err := newLayered(kindKForests, k, numNodes, cfg, func(dst []stream.Edge, e stream.Edge) []stream.Edge {
+		return copies(dst, e, numNodes, 0, k)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return kf, nil
+	return &KForests{l}, nil
 }
 
-// Update ingests one stream update into every layer.
-func (kf *KForests) Update(u stream.Update) error { return kf.UpdateAll(u) }
-
-// Forests peels and returns the k edge-disjoint spanning forests. The
-// layers' sketches are consumed progressively by the peeled deletions, so
-// Forests is a terminal query: further Updates after it would summarize
-// G minus the peeled forests on the deeper layers. Peel once, at the end,
-// as the AGM construction does.
-//
-// The whole peel runs on the read side of the group seal lock: the peel
-// deletions mutate deeper layers directly (they must not re-enter ingest,
-// which would recursively RLock against a waiting checkpoint writer), and
-// holding the lock across the peel means a concurrent WriteCheckpoint
-// seals either the un-peeled or the fully-peeled structure — never a
-// half-peeled cut.
+// Forests peels and returns the k edge-disjoint spanning forests, one
+// query per layer: step i keeps the query's layer-i forest and deletes it
+// from layers i+1…k as one batch. The deeper layers are consumed by the
+// peel, so Forests is a terminal query: further Updates after it would
+// summarize G minus the peeled forests there. Peel once, at the end, as
+// the AGM construction does. The k steps are separate engine cuts, so
+// call it with no producer mid-update.
 func (kf *KForests) Forests() ([][]stream.Edge, error) {
-	kf.seal.RLock()
-	defer kf.seal.RUnlock()
-	forests := make([][]stream.Edge, kf.k)
-	for i := 0; i < kf.k; i++ {
-		forest, err := kf.engines[i].SpanningForest()
+	forests := make([][]stream.Edge, kf.layers)
+	for i := range forests {
+		all, err := kf.eng.SpanningForest()
 		if err != nil {
-			return nil, fmt.Errorf("sketchext: peeling layer %d: %w", i, err)
+			return nil, err
 		}
-		forests[i] = forest
-		// Remove this forest from all deeper layers (linearity: a delete
-		// is the same toggle as an insert).
-		for j := i + 1; j < kf.k; j++ {
-			for _, e := range forest {
-				if err := kf.engines[j].Update(stream.Update{Edge: e, Type: stream.Delete}); err != nil {
-					return nil, fmt.Errorf("sketchext: peeling into layer %d: %w", j, err)
-				}
+		lo, hi := uint32(i)*kf.n, uint32(i+1)*kf.n
+		var peel []stream.Edge
+		for _, e := range all {
+			if e.U >= lo && e.U < hi {
+				f := stream.Edge{U: e.U - lo, V: e.V - lo}
+				forests[i] = append(forests[i], f)
+				peel = copies(peel, f, kf.n, i+1, kf.layers)
 			}
+		}
+		if err := kf.eng.InsertEdges(peel); err != nil {
+			return nil, err
 		}
 	}
 	return forests, nil
@@ -124,8 +103,8 @@ func (kf *KForests) EdgeConnectivity() (int, error) {
 		compact[i] = stream.Edge{U: id(e.U), V: id(e.V)}
 	}
 	lambda := StoerWagner(uint32(len(remap)), compact)
-	if lambda > kf.k {
-		lambda = kf.k
+	if lambda > kf.layers {
+		lambda = kf.layers
 	}
 	return lambda, nil
 }

@@ -16,61 +16,42 @@ import (
 //	weight(MSF) = Σ_{i=0}^{W-1} ( cc(G_i) − cc(G_W) )
 //
 // where G_i is the subgraph of edges with weight ≤ i and cc counts
-// connected components over all V nodes (cc(G_0) = V). Each level G_i is
-// summarized by one connectivity engine, so the structure holds W engines
-// and supports insertions and deletions of weighted edges. (AGM obtain a
-// (1+ε)-approximation with O(log W / ε) geometric levels; with small
-// integer weights one level per weight value makes the identity exact.)
-type MSFWeight struct {
-	engineGroup // engines[i] summarizes G_{i+1}
-	n           uint32
-	maxW        int
-}
+// connected components over all V nodes (cc(G_0) = V). Layer i−1
+// summarizes G_i, so the structure has W layers and supports insertions
+// and deletions of weighted edges. (AGM obtain a (1+ε)-approximation with
+// O(log W / ε) geometric levels; with small integer weights one level per
+// weight value makes the identity exact.)
+type MSFWeight struct{ Layered }
 
 // NewMSFWeight creates the structure for weights in [1, maxWeight].
 func NewMSFWeight(maxWeight int, numNodes uint32, cfg core.Config) (*MSFWeight, error) {
 	if maxWeight < 1 {
 		return nil, errors.New("sketchext: maxWeight must be at least 1")
 	}
-	cfg.NumNodes = numNodes
-	m := &MSFWeight{n: numNodes, maxW: maxWeight}
-	for i := 0; i < maxWeight; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i+1)*0x6d737477
-		eng, err := core.NewEngine(c)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.engines = append(m.engines, eng)
+	// An unweighted update is weight 1, the lightest level, hence present
+	// in every G_i — this is what makes MSFWeight drivable through the
+	// generic StreamSketch interface.
+	l, err := newLayered(kindMSFWeight, maxWeight, numNodes, cfg, func(dst []stream.Edge, e stream.Edge) []stream.Edge {
+		return copies(dst, e, numNodes, 0, maxWeight)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &MSFWeight{l}, nil
 }
 
 // WeightedUpdate ingests a weighted edge insertion or deletion. The
 // weight is part of the edge's identity: deleting requires the same
-// weight the insertion used (the weighted-stream contract). Runs on the
-// read side of the group seal lock so a checkpoint cut never splits an
-// update across weight levels.
+// weight the insertion used (the weighted-stream contract).
 func (m *MSFWeight) WeightedUpdate(u stream.Update, weight int) error {
-	if weight < 1 || weight > m.maxW {
-		return fmt.Errorf("sketchext: weight %d outside [1, %d]", weight, m.maxW)
+	if weight < 1 || weight > m.layers {
+		return fmt.Errorf("sketchext: weight %d outside [1, %d]", weight, m.layers)
 	}
-	return m.ingest(func() error {
-		// Edge belongs to every level G_i with i >= weight.
-		for i := weight - 1; i < m.maxW; i++ {
-			if err := m.engines[i].Update(u); err != nil {
-				return fmt.Errorf("sketchext: level %d: %w", i+1, err)
-			}
-		}
-		return nil
+	// The edge belongs to every level G_i with i >= weight.
+	return m.ingest([]stream.Update{u}, func(dst []stream.Edge, e stream.Edge) []stream.Edge {
+		return copies(dst, e, m.n, weight-1, m.layers)
 	})
 }
-
-// Update ingests an unweighted stream update, treated as weight 1 (the
-// lightest level, hence present in every G_i) — this is what makes
-// MSFWeight drivable through the generic StreamSketch interface.
-func (m *MSFWeight) Update(u stream.Update) error { return m.UpdateAll(u) }
 
 // Insert ingests the insertion of edge (u, v) with the given weight.
 func (m *MSFWeight) Insert(u, v uint32, weight int) error {
@@ -83,22 +64,17 @@ func (m *MSFWeight) Delete(u, v uint32, weight int) error {
 	return m.WeightedUpdate(stream.Update{Edge: stream.Edge{U: u, V: v}, Type: stream.Delete}, weight)
 }
 
-// Weight returns the exact MSF weight of the current graph. Ingestion may
-// continue afterwards (each level queries a snapshot).
+// Weight returns the exact MSF weight of the current graph from one
+// query over every level. Ingestion may continue afterwards.
 func (m *MSFWeight) Weight() (int64, error) {
-	ccTop := 0
-	ccLevels := make([]int, m.maxW)
-	for i, eng := range m.engines {
-		_, cc, err := eng.ConnectedComponents()
-		if err != nil {
-			return 0, fmt.Errorf("sketchext: level %d query: %w", i+1, err)
-		}
-		ccLevels[i] = cc
+	cc, err := m.components()
+	if err != nil {
+		return 0, err
 	}
-	ccTop = ccLevels[m.maxW-1]
-	total := int64(int(m.n) - ccTop) // the i = 0 term: cc(G_0) = V
-	for i := 0; i < m.maxW-1; i++ {
-		total += int64(ccLevels[i] - ccTop)
+	top := cc[m.layers-1]
+	total := int64(int(m.n) - top) // the i = 0 term: cc(G_0) = V
+	for _, c := range cc[:m.layers-1] {
+		total += int64(c - top)
 	}
 	return total, nil
 }

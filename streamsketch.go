@@ -3,8 +3,7 @@ package graphzeppelin
 import (
 	"io"
 
-	"graphzeppelin/internal/core"
-	"graphzeppelin/internal/stream"
+	"graphzeppelin/internal/sketchext"
 )
 
 // StreamSketch is the interface every sketch structure in this package
@@ -22,13 +21,13 @@ import (
 // batch; prefer ApplyBatch — or a Graph Ingestor, which batches for you —
 // when ingesting at rate.
 //
-// Query consistency differs by structure: a Graph query answers over one
-// engine's consistent cut even with producers mid-flight, but the
-// extension structures span several engines that quiesce independently,
-// so their queries (IsBipartite, Forests, Weight) should be issued only
-// while no producer is mid-Apply — ingest concurrently, then pause (or
-// Close sessions) before querying. Racing them is memory-safe but can
-// observe different cuts per engine and return a wrong answer.
+// Every structure is one engine: an extension with L layers runs one
+// engine over L·NumNodes nodes (internal/sketchext), so IsBipartite and
+// Weight answer over one consistent cut even with producers mid-flight,
+// exactly like a Graph query. The one exception is the terminal
+// ForestPeeler.Forests, which runs one query per layer: issue it while
+// no producer is mid-Apply — racing it is memory-safe but can peel
+// different cuts per layer and return a wrong answer.
 //
 // Structures whose updates carry extra identity (MSFWeightSketch's
 // weights) treat StreamSketch updates as the unweighted default (weight
@@ -44,12 +43,12 @@ type StreamSketch interface {
 	// this implicitly; explicit flushes are for checkpoint-style cut
 	// points.
 	Flush() error
-	// Stats reports activity counters and footprint estimates,
-	// aggregated over the structure's engines.
+	// Stats reports activity counters and footprint estimates of the
+	// structure's engine (for an extension, Updates counts lifted edges).
 	Stats() Stats
-	// WriteCheckpoint writes the structure's full sketch state to w in a
-	// structure-specific durable format (one checkpoint for Graph, the GZX1
-	// multi-engine container for the extensions). Snapshots are low-stall:
+	// WriteCheckpoint writes the structure's full sketch state to w in the
+	// engine checkpoint format; an extension's layers are one engine,
+	// so its checkpoint is one cut across layers. Snapshots are low-stall:
 	// ingestion is excluded only while buffered updates drain and the
 	// sketch state is sealed, then continues while the stream is written.
 	// Because sketches are linear, a checkpoint written by one structure
@@ -95,42 +94,29 @@ var (
 	_ PointQuerier = (*Graph)(nil)
 )
 
-// sketchImpl is the contract the internal/sketchext structures share; the
-// public wrappers adapt it to StreamSketch through sketchHandle.
-type sketchImpl interface {
-	Update(stream.Update) error
-	UpdateBatch([]stream.Update) error
-	Flush() error
-	Stats() core.Stats
-	WriteCheckpoint(io.Writer) error
-	MergeCheckpoint(io.Reader) error
-	Close() error
-}
-
-// sketchHandle adapts a sketchImpl to the public StreamSketch surface,
-// replacing the per-wrapper Insert/Delete/Apply/Close boilerplate the
-// extension types used to duplicate. Wrappers embed it and keep only
-// their construction and query methods.
+// sketchHandle adapts an extension structure's layered engine to the
+// public StreamSketch surface, so the wrappers keep only their
+// construction and query methods.
 type sketchHandle struct {
-	impl sketchImpl
+	l *sketchext.Layered
 }
 
 // Apply ingests one stream update.
-func (h sketchHandle) Apply(u Update) error { return h.impl.Update(u) }
+func (h sketchHandle) Apply(u Update) error { return h.l.Update(u) }
 
-// ApplyBatch ingests a batch of stream updates through the amortized bulk
-// path.
-func (h sketchHandle) ApplyBatch(ups []Update) error { return h.impl.UpdateBatch(ups) }
+// ApplyBatch ingests a batch of stream updates as one engine batch; an
+// invalid update refuses the whole batch.
+func (h sketchHandle) ApplyBatch(ups []Update) error { return h.l.UpdateBatch(ups) }
 
 // Insert ingests the insertion of edge (u, v).
 func (h sketchHandle) Insert(u, v uint32) error {
-	return h.impl.Update(Update{Edge: Edge{U: u, V: v}, Type: Insert})
+	return h.l.Update(Update{Edge: Edge{U: u, V: v}, Type: Insert})
 }
 
 // Delete ingests the deletion of edge (u, v). The edge must currently be
 // present (the streaming-model contract).
 func (h sketchHandle) Delete(u, v uint32) error {
-	return h.impl.Update(Update{Edge: Edge{U: u, V: v}, Type: Delete})
+	return h.l.Update(Update{Edge: Edge{U: u, V: v}, Type: Delete})
 }
 
 // InsertBatch ingests a batch of edge insertions.
@@ -139,23 +125,22 @@ func (h sketchHandle) InsertBatch(edges []Edge) error {
 	for i, e := range edges {
 		ups[i] = Update{Edge: e, Type: Insert}
 	}
-	return h.impl.UpdateBatch(ups)
+	return h.l.UpdateBatch(ups)
 }
 
 // Flush forces every buffered update into the sketches.
-func (h sketchHandle) Flush() error { return h.impl.Flush() }
+func (h sketchHandle) Flush() error { return h.l.Flush() }
 
-// Stats aggregates activity counters and footprints over the structure's
-// engines.
-func (h sketchHandle) Stats() Stats { return h.impl.Stats() }
+// Stats reports the structure's engine statistics.
+func (h sketchHandle) Stats() Stats { return h.l.Stats() }
 
-// WriteCheckpoint writes the structure's full sketch state (every layer
-// engine) as one durable stream; see StreamSketch.WriteCheckpoint.
-func (h sketchHandle) WriteCheckpoint(w io.Writer) error { return h.impl.WriteCheckpoint(w) }
+// WriteCheckpoint writes the structure's full sketch state, every layer
+// in one cut; see StreamSketch.WriteCheckpoint.
+func (h sketchHandle) WriteCheckpoint(w io.Writer) error { return h.l.WriteCheckpoint(w) }
 
 // MergeCheckpoint merges a checkpoint written by an identically
 // constructed structure; see StreamSketch.MergeCheckpoint.
-func (h sketchHandle) MergeCheckpoint(r io.Reader) error { return h.impl.MergeCheckpoint(r) }
+func (h sketchHandle) MergeCheckpoint(r io.Reader) error { return h.l.MergeCheckpoint(r) }
 
-// Close releases the structure's engines.
-func (h sketchHandle) Close() error { return h.impl.Close() }
+// Close releases the structure's engine.
+func (h sketchHandle) Close() error { return h.l.Close() }
