@@ -1,17 +1,19 @@
 // Command gzserve runs one process of a networked GraphZeppelin
-// cluster. A worker owns a node-range partition of the update stream: a
-// full engine over the shared node universe that ingests whatever the
-// coordinator routes to it and serves batch-ingest, checkpoint, info
-// and stats endpoints. A coordinator partitions incoming edge batches
-// by node range across its workers, pipelines the sends with bounded
-// in-flight windows and retry/backoff, and answers global connectivity
-// queries by merging the workers' checkpoints into an aggregator
-// engine.
+// cluster. A worker owns one node range of the universe: its engine
+// sketches only those nodes, ingests the updates the coordinator routes
+// to it (every update touching the range) and serves batch-ingest,
+// checkpoint, info and stats endpoints. A coordinator sends each update
+// to the workers owning its two endpoints, pipelines the sends with
+// bounded in-flight windows and retry/backoff, and answers global
+// connectivity queries from one view that concatenates the workers'
+// ranges.
 //
-// A 2-worker localhost cluster:
+// A 2-worker localhost cluster (-worker-index/-worker-count give each
+// worker its range; the coordinator refuses a worker whose range is not
+// its partition's):
 //
-//	gzserve -mode worker -listen 127.0.0.1:7001 -nodes 1024 -seed 7 &
-//	gzserve -mode worker -listen 127.0.0.1:7002 -nodes 1024 -seed 7 &
+//	gzserve -mode worker -listen 127.0.0.1:7001 -nodes 1024 -seed 7 -worker-index 0 -worker-count 2 &
+//	gzserve -mode worker -listen 127.0.0.1:7002 -nodes 1024 -seed 7 -worker-index 1 -worker-count 2 &
 //	gzserve -mode coordinator -listen 127.0.0.1:7000 -nodes 1024 -seed 7 \
 //	        -workers http://127.0.0.1:7001,http://127.0.0.1:7002
 //
@@ -28,11 +30,10 @@
 // acked are deduplicated instead of double-applied:
 //
 //	gzserve -mode worker -listen 127.0.0.1:7001 -nodes 1024 -seed 7 \
-//	        -state-dir /var/lib/gz/w0 -checkpoint-interval 30s
+//	        -worker-index 0 -worker-count 2 -state-dir /var/lib/gz/w0 -checkpoint-interval 30s
 //
 // On SIGINT/SIGTERM both modes shut down gracefully: the coordinator
-// drains its send windows and ships one final checkpoint merge before
-// exiting; a worker drains its engine, writes its -state-dir checkpoint
+// drains its send windows and runs one final refresh before exiting; a worker drains its engine, writes its -state-dir checkpoint
 // if durable and, with -final-checkpoint, writes a checkpoint file of
 // its final state. Both log their /statsz document on the way out.
 package main
@@ -71,8 +72,8 @@ func run() int {
 		nodes     = flag.Uint("nodes", 0, "node-universe size (required; must match across the cluster)")
 		seed      = flag.Uint64("seed", 1, "sketch seed (must match across the cluster)")
 		shards    = flag.Int("shards", 0, "engine ingest shards in this process (default: engine default)")
-		workerIdx = flag.Int("worker-index", -1, "worker: this worker's partition index (with -worker-count, documents the node range in /v1/info)")
-		workerCnt = flag.Int("worker-count", 0, "worker: total workers in the cluster (for -worker-index)")
+		workerIdx = flag.Int("worker-index", -1, "worker: this worker's partition index; with -worker-count it sets the node range the worker sketches (required in a multi-worker cluster; without them the worker owns the whole universe)")
+		workerCnt = flag.Int("worker-count", 0, "worker: total workers in the cluster (with -worker-index)")
 		finalCkpt = flag.String("final-checkpoint", "", "worker: write a full checkpoint here on graceful shutdown")
 		stateDir  = flag.String("state-dir", "", "worker: durable state directory (checkpoint + write-ahead log); every acked batch survives a crash and the worker auto-recovers from it on startup")
 		fsync     = flag.String("fsync", "batch", "worker: WAL fsync policy with -state-dir: batch, interval, off")
@@ -86,8 +87,8 @@ func run() int {
 		batch     = flag.Int("batch", 4096, "coordinator: per-worker dispatch threshold in updates")
 		window    = flag.Int("window", 4, "coordinator: max in-flight sends per worker")
 		attempts  = flag.Int("attempts", 6, "coordinator: send attempts per batch before giving up")
-		mergeIntv = flag.Duration("merge-interval", 0, "coordinator: background checkpoint-merge period (0 = only on /v1/refresh and shutdown)")
-		noDeltaRf = flag.Bool("no-delta-refresh", false, "coordinator: disable incremental delta refresh (always pull full checkpoints and rebuild the merged view)")
+		mergeIntv = flag.Duration("merge-interval", 0, "coordinator: background refresh period (0 = only on /v1/refresh and shutdown)")
+		noDeltaRf = flag.Bool("no-delta-refresh", false, "coordinator: pull every worker's full checkpoint into a fresh view on every refresh, never a delta")
 	)
 	flag.Parse()
 
@@ -265,7 +266,7 @@ func runCoordinator(ctx context.Context, ln net.Listener, ecfg core.Config, work
 		log.Printf("coordinator: %v", err)
 		return 1
 	}
-	log.Printf("coordinator: %d workers, node ranges by %s", len(addrs), describeRanges(ecfg.NumNodes, len(addrs)))
+	log.Printf("coordinator: %d workers owning node ranges %s", len(addrs), describeRanges(ecfg.NumNodes, len(addrs)))
 	if err := serve(ctx, ln, co.Handler()); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("coordinator: serve: %v", err)
 		co.Close(context.Background())
@@ -273,16 +274,16 @@ func runCoordinator(ctx context.Context, ln net.Listener, ecfg core.Config, work
 	}
 
 	// Graceful shutdown: drain every send window, pull one final
-	// checkpoint from each worker and merge, then report.
+	// checkpoint from each worker, then report.
 	closeCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := co.Close(closeCtx); err != nil {
-		log.Printf("coordinator: final merge: %v", err)
+		log.Printf("coordinator: final refresh: %v", err)
 		logStatsz("coordinator", co.Stats())
 		return 1
 	}
 	st := co.Stats()
-	log.Printf("coordinator: final merge covered %d updates across %d workers", st.LastMergeUpdates, len(addrs))
+	log.Printf("coordinator: final refresh covered %d updates across %d workers", st.LastMergeUpdates, len(addrs))
 	logStatsz("coordinator", st)
 	return 0
 }

@@ -1,13 +1,13 @@
 // Command distributed demonstrates the paper's conclusion claim that
 // GraphZeppelin's sketches "can be partitioned throughout a distributed
 // cluster" — here over a real network stack. It stands up the gzserve
-// topology on localhost: K workers, each a full engine owning a node
-// range, behind HTTP servers; a coordinator that routes framed edge
-// batches to them with pipelined, idempotent sends; and a driver
-// speaking the GZW1 wire protocol to the coordinator. At query time the
-// coordinator pulls every worker's checkpoint, XOR-merges them
-// into an aggregator, and one Boruvka pass answers for the whole
-// stream.
+// topology on localhost: K workers, each an engine over the sketches of
+// one node range, behind HTTP servers; a coordinator that sends every
+// edge update to the owners of both its endpoints with pipelined,
+// idempotent sends; and a driver speaking the GZW1 wire protocol to the
+// coordinator. At query time the coordinator pulls every worker's
+// checkpoint into one view that concatenates their ranges, and one
+// Boruvka pass answers for the whole stream.
 //
 // Worker 0 additionally runs durable — write-ahead log plus local
 // checkpoint in a state directory — and the demo crashes it mid-stream

@@ -92,7 +92,7 @@ func (g *Graph) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, er
 // truncated streams are rejected with the body fully validated before
 // any installation, so a failed apply never leaves partial state.
 func (g *Graph) ApplyDeltaCheckpoint(r io.Reader) error {
-	return g.engine.ApplyDeltaCheckpoint(r, nil)
+	return g.engine.ApplyDeltaCheckpoint(r)
 }
 
 // CompactCheckpoints folds a full base checkpoint file plus an ordered

@@ -29,8 +29,8 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 	if prev == nil || e == prev {
 		return false
 	}
-	if e.store != nil || prev.store != nil {
-		return false // slot-byte comparison is wired for RAM slabs only
+	if e.store != nil || prev.store != nil || e.ranged || prev.ranged {
+		return false // slot-byte comparison is wired for whole-universe RAM slabs only
 	}
 	if e.cfg.NumNodes != prev.cfg.NumNodes || e.cfg.Seed != prev.cfg.Seed ||
 		e.cfg.Columns != prev.cfg.Columns || e.cfg.Rounds != prev.cfg.Rounds {

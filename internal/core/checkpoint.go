@@ -50,7 +50,9 @@ import (
 //	  trailer [16]byte: footerOffset uint64, sectionCount uint32,
 //	    magic [4]byte "GZF3"
 //
-// A full checkpoint's sections tile [0, numNodes) and its envelope's
+// A full checkpoint's sections tile the writer's owned range — [0,
+// numNodes) for a whole-universe engine, Config.Range for a range engine,
+// whose header still names the universe — and its envelope's
 // baseID is 0. A delta checkpoint (envelope baseID != 0) is the same
 // stream with only the runs of consecutive nodes dirtied since the base,
 // cut at the same section boundaries — possibly none; header updates and
@@ -321,7 +323,7 @@ func (s *ckptSnap) finish() {
 }
 
 // nodeRun is one section of a checkpoint plan: the serialized slots of
-// nodes [start, start+count). off is the byte offset of the run's first
+// local nodes [start, start+count). off is the byte offset of the run's first
 // slot in a delta snapshot's buffer (CheckpointSnapshot.deltaBuf); a full
 // checkpoint's plan leaves it 0.
 type nodeRun struct {
@@ -334,24 +336,24 @@ type nodeRun struct {
 // sections target sectionTargetBytes of payload, with at least one section
 // per shard worker so encode and restore fan out.
 func (e *Engine) sectionNodes() uint32 {
-	total := int64(e.cfg.NumNodes) * int64(e.slotSize)
+	total := int64(e.n) * int64(e.slotSize)
 	n := int((total + sectionTargetBytes - 1) / sectionTargetBytes)
 	if n < len(e.shards) {
 		n = len(e.shards)
 	}
-	if uint32(n) > e.cfg.NumNodes {
-		n = int(e.cfg.NumNodes)
+	if uint32(n) > e.n {
+		n = int(e.n)
 	}
-	return (e.cfg.NumNodes + uint32(n) - 1) / uint32(n)
+	return (e.n + uint32(n) - 1) / uint32(n)
 }
 
-// fullPlan is the section plan of a full checkpoint: [0, numNodes) tiled
-// into sections of nps nodes (the last one shorter).
+// fullPlan is the section plan of a full checkpoint: the owned nodes, by
+// local id, tiled into sections of nps nodes (the last one shorter).
 func (e *Engine) fullPlan(nps uint32) []nodeRun {
-	plan := make([]nodeRun, 0, (e.cfg.NumNodes+nps-1)/nps)
-	for start := uint64(0); start < uint64(e.cfg.NumNodes); start += uint64(nps) {
+	plan := make([]nodeRun, 0, (e.n+nps-1)/nps)
+	for start := uint64(0); start < uint64(e.n); start += uint64(nps) {
 		count := uint64(nps)
-		if rest := uint64(e.cfg.NumNodes) - start; count > rest {
+		if rest := uint64(e.n) - start; count > rest {
 			count = rest
 		}
 		plan = append(plan, nodeRun{start: uint32(start), count: int(count)})
@@ -598,7 +600,7 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error
 			// One slot per node, the serialized size of every sketch: each
 			// node deposits at most once per snapshot, so this is never
 			// exhausted and the apply path never waits on the writer.
-			budget = int(e.cfg.NumNodes) * e.slotSize
+			budget = int(e.n) * e.slotSize
 		}
 	}
 	cs.snap = newCkptSnap(len(cs.sections), nps, budget)
@@ -844,11 +846,11 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 		}
 		if firstErr == nil {
 			var sh [sectionHeaderLen]byte
-			binary.LittleEndian.PutUint32(sh[0:], run.start)
+			binary.LittleEndian.PutUint32(sh[0:], e.lo+run.start)
 			binary.LittleEndian.PutUint32(sh[4:], uint32(run.count))
 			binary.LittleEndian.PutUint64(sh[8:], uint64(len(res.payload)))
 			binary.LittleEndian.PutUint32(sh[16:], res.crc)
-			footer = appendFooterEntry(footer, run.start, run.count, off)
+			footer = appendFooterEntry(footer, e.lo+run.start, run.count, off)
 			if _, err := bw.Write(sh[:]); err != nil {
 				firstErr = err
 			} else if _, err := bw.Write(res.payload); err != nil {
@@ -1000,23 +1002,33 @@ type sectionHeader struct {
 // engine's geometry and the coverage cursor: a section starts at or past
 // the cursor (ascending, non-overlapping), exactly at it when contiguous
 // is set (a full checkpoint's tiling, or the footer entry that located
-// the section).
-func (e *Engine) parseSectionHeader(sh []byte, cursor uint32, contiguous bool) (sectionHeader, error) {
+// the section). A section inside the universe but outside the range
+// [lo, hi) the stream must lie in is ErrOutOfRange, not corruption: a
+// well-formed stream of the wrong node range.
+func (e *Engine) parseSectionHeader(sh []byte, lo, cursor, hi uint32, contiguous bool) (sectionHeader, error) {
 	s := sectionHeader{
 		start:   binary.LittleEndian.Uint32(sh[0:]),
 		count:   int(binary.LittleEndian.Uint32(sh[4:])),
 		payload: int(binary.LittleEndian.Uint64(sh[8:])),
 		crc:     binary.LittleEndian.Uint32(sh[16:]),
 	}
-	if s.start < cursor || (contiguous && s.start != cursor) || s.start >= e.cfg.NumNodes || s.count <= 0 ||
-		uint32(s.count) > e.cfg.NumNodes-s.start || s.payload != s.count*e.slotSize {
+	if s.start >= e.cfg.NumNodes || s.count <= 0 || uint32(s.count) > e.cfg.NumNodes-s.start || s.payload != s.count*e.slotSize {
 		return sectionHeader{}, fmt.Errorf("%w: section (start=%d count=%d payload=%d) at node cursor %d",
 			ErrCorruptCheckpoint, s.start, s.count, s.payload, cursor)
+	}
+	if s.start < lo || s.start+uint32(s.count) > hi {
+		return sectionHeader{}, fmt.Errorf("%w: section [%d,%d) outside [%d,%d)",
+			ErrOutOfRange, s.start, s.start+uint32(s.count), lo, hi)
+	}
+	if s.start < cursor || (contiguous && s.start != cursor) {
+		return sectionHeader{}, fmt.Errorf("%w: section (start=%d count=%d) at node cursor %d",
+			ErrCorruptCheckpoint, s.start, s.count, cursor)
 	}
 	return s, nil
 }
 
-// decodeSection installs a CRC-verified section payload into the engine's
+// decodeSection installs a CRC-verified section payload of local nodes
+// [start, start+count) into the engine's
 // sketch state by replacement — restore and delta apply alike. Every slot's
 // round headers are validated before it lands: RAM mode unmarshals each
 // node into its owning shard's slab, disk mode unmarshals each into a
@@ -1043,9 +1055,9 @@ func (e *Engine) decodeSection(start uint32, count int, payload []byte) error {
 	return nil
 }
 
-// checkSlots validates every slot of a section payload — each round's
-// header against this engine's geometry — in a one-node scratch slab,
-// touching no live state.
+// checkSlots validates every slot of a section payload starting at node
+// start — each round's header against this engine's geometry — in a
+// one-node scratch slab, touching no live state.
 func (e *Engine) checkSlots(start uint32, count int, payload []byte) error {
 	scratch := e.newSlab(1)
 	for j := 0; j < count; j++ {
@@ -1057,25 +1069,26 @@ func (e *Engine) checkSlots(start uint32, count int, payload []byte) error {
 }
 
 // readSections is the one loop that reads checkpoint sections from a
-// stream, for restore, merge and delta apply. Each section is checked
-// against the engine's geometry and the coverage cursor, read whole and
-// CRC-verified before visit sees it (the payload is only valid during the
-// call). A full checkpoint's sections must tile [0, numNodes); a delta's
-// only ascend. The footer is rebuilt from the sections read and the
+// stream, for restore, merge, delta apply and range installs. Each section
+// is checked against the engine's geometry, the coverage cursor and the
+// node range [lo, hi) the stream must lie in, read whole and CRC-verified
+// before visit sees it with its global start (the payload is only valid
+// during the call). A full checkpoint's sections must tile [lo, hi); a
+// delta's only ascend inside it. The footer is rebuilt from the sections read and the
 // stream's must equal it byte for byte — so a stream that restores here
 // also opens with OpenCheckpoint once saved to a file — which leaves the
 // reader positioned exactly past the checkpoint: concatenated streams
 // stay readable.
-func (e *Engine) readSections(br *bufio.Reader, h checkpointHeader, delta bool, visit func(start uint32, count int, payload []byte) error) error {
+func (e *Engine) readSections(br *bufio.Reader, h checkpointHeader, lo, hi uint32, delta bool, visit func(start uint32, count int, payload []byte) error) error {
 	want := make([]byte, 0, h.sections*footerEntryLen+footerTrailerLen)
 	off := uint64(4+checkpointHeaderLen) + uint64(h.metaLen)
-	cursor := uint32(0)
+	cursor := lo
 	for s := 0; s < h.sections; s++ {
 		var shdr [sectionHeaderLen]byte
 		if _, err := io.ReadFull(br, shdr[:]); err != nil {
 			return fmt.Errorf("core: checkpoint truncated at section header (node %d): %w", cursor, err)
 		}
-		sec, err := e.parseSectionHeader(shdr[:], cursor, !delta)
+		sec, err := e.parseSectionHeader(shdr[:], lo, cursor, hi, !delta)
 		if err != nil {
 			return err
 		}
@@ -1095,8 +1108,8 @@ func (e *Engine) readSections(br *bufio.Reader, h checkpointHeader, delta bool, 
 		off += sectionHeaderLen + uint64(sec.payload)
 		cursor = sec.start + uint32(sec.count)
 	}
-	if !delta && cursor != e.cfg.NumNodes {
-		return fmt.Errorf("%w: sections cover %d of %d nodes", ErrCorruptCheckpoint, cursor, e.cfg.NumNodes)
+	if !delta && cursor != hi {
+		return fmt.Errorf("%w: sections cover [%d,%d) of [%d,%d)", ErrCorruptCheckpoint, lo, cursor, lo, hi)
 	}
 	want = appendFooterTrailer(want, off, h.sections)
 	got := make([]byte, len(want))
@@ -1138,7 +1151,10 @@ func ReadCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.adoptChainMeta(h, env)
-	if err := e.readSections(br, h, false, e.decodeSection); err != nil {
+	err = e.readSections(br, h, e.lo, e.lo+e.n, false, func(start uint32, count int, payload []byte) error {
+		return e.decodeSection(start-e.lo, count, payload)
+	})
+	if err != nil {
 		e.Close()
 		return nil, err
 	}
@@ -1175,45 +1191,50 @@ func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
 	if env.baseID != 0 {
 		return nil, fmt.Errorf("%w: cannot restore from a delta file", ErrDeltaCheckpoint)
 	}
+	cfg, err = configFromHeader(cfg, h).withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	lo, n := cfg.owned()
 	// The divisions keep a crafted header from overflowing the products.
-	sketch := int64(cubesketch.SerializedSize(configFromHeader(cfg, h).VectorLen(), h.columns))
-	if sketch > size/int64(h.rounds) || sketch*int64(h.rounds) > size/int64(h.numNodes) {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold %d nodes", ErrCorruptCheckpoint, size, h.numNodes)
+	sketch := int64(cubesketch.SerializedSize(cfg.VectorLen(), h.columns))
+	if sketch > size/int64(h.rounds) || sketch*int64(h.rounds) > size/int64(n) {
+		return nil, fmt.Errorf("%w: %d bytes cannot hold %d nodes", ErrCorruptCheckpoint, size, n)
 	}
 	slotBytes := sketch * int64(h.rounds)
-	if want := checkpointSize(h.metaLen, h.sections, int64(h.numNodes), slotBytes); size != want {
+	if want := checkpointSize(h.metaLen, h.sections, int64(n), slotBytes); size != want {
 		return nil, fmt.Errorf("%w: %d bytes, header describes %d", ErrCorruptCheckpoint, size, want)
 	}
 	footer := make([]byte, h.sections*footerEntryLen+footerTrailerLen)
 	if _, err := ra.ReadAt(footer, size-int64(len(footer))); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint footer: %w", err)
 	}
-	// Validate the footer BEFORE fanning out: contiguous sections from node
-	// 0 to numNodes, each at the offset the layout puts it. A corrupt footer
+	// Validate the footer BEFORE fanning out: contiguous sections across
+	// the owned range, each at the offset the layout puts it. A corrupt footer
 	// with overlapping entries must never reach the decode workers — they
 	// install disjoint node ranges concurrently and overlap would be a data
 	// race, not just a bad decode. The cursor arithmetic runs in uint64 so a
 	// crafted count cannot wrap a uint32 cursor back into covered territory.
-	cursor := uint64(0)
+	cursor, hi := uint64(lo), uint64(lo)+uint64(n)
 	off := uint64(4+checkpointHeaderLen) + uint64(h.metaLen)
 	for i := 0; i < h.sections; i++ {
 		entry := footer[i*footerEntryLen:]
 		count := uint64(binary.LittleEndian.Uint32(entry[4:]))
 		if uint64(binary.LittleEndian.Uint32(entry[0:])) != cursor || count == 0 ||
-			cursor+count > uint64(h.numNodes) || binary.LittleEndian.Uint64(entry[8:]) != off {
+			cursor+count > hi || binary.LittleEndian.Uint64(entry[8:]) != off {
 			return nil, fmt.Errorf("%w: footer entry %d does not continue the tiling at node %d", ErrCorruptCheckpoint, i, cursor)
 		}
 		cursor += count
 		off += sectionHeaderLen + count*uint64(slotBytes)
 	}
-	if cursor != uint64(h.numNodes) {
-		return nil, fmt.Errorf("%w: sections cover %d of %d nodes", ErrCorruptCheckpoint, cursor, h.numNodes)
+	if cursor != hi {
+		return nil, fmt.Errorf("%w: sections cover [%d,%d) of [%d,%d)", ErrCorruptCheckpoint, lo, cursor, lo, hi)
 	}
 	if !bytes.Equal(footer[h.sections*footerEntryLen:], appendFooterTrailer(nil, off, h.sections)) {
 		return nil, fmt.Errorf("%w: bad footer trailer", ErrCorruptCheckpoint)
 	}
 
-	e, err := NewEngine(configFromHeader(cfg, h))
+	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -1246,7 +1267,7 @@ func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
 					*slot = fmt.Errorf("core: reading section header at node %d: %w", start, err)
 					continue
 				}
-				sec, err := e.parseSectionHeader(shdr[:], start, true)
+				sec, err := e.parseSectionHeader(shdr[:], lo, start, uint32(hi), true)
 				if err != nil {
 					*slot = err
 					continue
@@ -1271,7 +1292,7 @@ func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
 					*slot = fmt.Errorf("%w: checksum mismatch in section at node %d", ErrCorruptCheckpoint, sec.start)
 					continue
 				}
-				if err := e.decodeSection(sec.start, sec.count, payload); err != nil {
+				if err := e.decodeSection(sec.start-e.lo, sec.count, payload); err != nil {
 					*slot = err
 				}
 			}
@@ -1352,8 +1373,8 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 	// sparse merge runs the delta path over the touched components only and
 	// the next delta seal ships just them.
 	empty := e.emptySlotBytes()
-	err = e.readSections(br, h, false, func(start uint32, count int, payload []byte) error {
-		return e.mergeSectionPayload(start, count, payload, empty)
+	err = e.readSections(br, h, e.lo, e.lo+e.n, false, func(start uint32, count int, payload []byte) error {
+		return e.mergeSectionPayload(start-e.lo, count, payload, empty)
 	})
 	if err != nil {
 		return err
@@ -1374,8 +1395,8 @@ func (e *Engine) emptySlotBytes() []byte {
 	return buf
 }
 
-// mergeSectionPayload XORs one verified section of serialized slots into
-// the engine state, skipping (and leaving unmarked) slots equal to the
+// mergeSectionPayload XORs one verified section of serialized slots of
+// local nodes [start, start+count) into the engine state, skipping (and leaving unmarked) slots equal to the
 // empty encoding.
 func (e *Engine) mergeSectionPayload(start uint32, count int, incoming, empty []byte) error {
 	if e.store == nil {

@@ -174,7 +174,7 @@ func TestStreamReadersVerifyFooter(t *testing.T) {
 	for i := layoutOf(t, delta).footerOff; i < len(delta); i++ {
 		bad := append([]byte(nil), delta...)
 		bad[i] ^= 0xff
-		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(bad), nil); !errors.Is(err, ErrCorruptCheckpoint) {
+		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("apply with footer byte %d flipped: err = %v, want ErrCorruptCheckpoint", i, err)
 		}
 		if id, u := dst.Stats().LastCheckpointID, dst.Stats().Updates; id != baseID || u != baseUpdates {
@@ -184,7 +184,7 @@ func TestStreamReadersVerifyFooter(t *testing.T) {
 	if !bytes.Equal(rawSlots(t, dst), state) {
 		t.Fatal("refused applies changed the consumer's sketches")
 	}
-	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta), nil); err != nil {
+	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta)); err != nil {
 		t.Fatalf("intact apply after the refusals: %v", err)
 	}
 	if !bytes.Equal(checkpointBytes(t, src), checkpointBytes(t, dst)) {
@@ -295,7 +295,7 @@ func TestFullIsDeltaWithEverythingDirty(t *testing.T) {
 					}
 				}
 
-				if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta.Bytes()), nil); err != nil {
+				if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta.Bytes())); err != nil {
 					t.Fatalf("apply: %v", err)
 				}
 				if len(tc.dirty) == n {
@@ -383,7 +383,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		applyErr := dst.ApplyDeltaCheckpoint(bytes.NewReader(data), nil)
+		applyErr := dst.ApplyDeltaCheckpoint(bytes.NewReader(data))
 		mergeErr := other.MergeCheckpoint(bytes.NewReader(data))
 		opened, openErr := ReadCheckpointAt(bytes.NewReader(data), int64(len(data)), Config{})
 		runtime.ReadMemStats(&after)
@@ -454,7 +454,7 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 		t.Fatalf("merge of a foreign slot: err = %v, want ErrCorruptCheckpoint", err)
 	}
 	state := rawSlots(t, dst)
-	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(badDelta), nil); !errors.Is(err, ErrCorruptCheckpoint) {
+	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(badDelta)); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("apply of a foreign slot: err = %v, want ErrCorruptCheckpoint", err)
 	}
 	if !bytes.Equal(rawSlots(t, dst), state) {
@@ -463,7 +463,7 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 	if _, err := ReadCheckpoint(bytes.NewReader(delta), Config{}); !errors.Is(err, ErrDeltaCheckpoint) {
 		t.Fatalf("restore from a delta: err = %v, want ErrDeltaCheckpoint", err)
 	}
-	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(full), nil); !errors.Is(err, ErrCorruptCheckpoint) {
+	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(full)); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("apply of a full checkpoint: err = %v, want ErrCorruptCheckpoint", err)
 	}
 	// A file written before the magic bump is refused, not misread.

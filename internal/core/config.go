@@ -53,6 +53,17 @@ type Config struct {
 	// NumNodes is the (upper bound on the) number of graph nodes; node
 	// ids in updates must be < NumNodes. Required.
 	NumNodes uint32
+	// Range, when set, is the node range [Lo, Hi) this engine owns — one
+	// gzserve worker's partition. Only the range gets sketch slots,
+	// gutters and change stamps. Ingest buffers the endpoints inside the
+	// range, counts an update once, at the owner of its lower endpoint,
+	// and refuses a batch holding an update with neither endpoint inside
+	// (ErrOutOfRange). Checkpoint sections carry only the range, and
+	// queries fail with ErrRangeEngine. NumNodes stays the universe, so
+	// the sketch geometry, the checkpoint header and every owned node's
+	// sketch bytes equal a whole-universe engine's. The zero value (or
+	// [0, NumNodes)) is the whole universe.
+	Range NodeRange
 	// Seed drives all sketch hashing. Engines with equal NumNodes,
 	// Columns, Rounds and Seed have mergeable sketches.
 	Seed uint64
@@ -176,14 +187,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.NumNodes < 2 {
 		return c, fmt.Errorf("core: NumNodes must be at least 2, got %d", c.NumNodes)
 	}
+	if c.Range == (NodeRange{0, c.NumNodes}) {
+		c.Range = NodeRange{}
+	}
+	if c.Range != (NodeRange{}) && (c.Range.Lo >= c.Range.Hi || c.Range.Hi > c.NumNodes) {
+		return c, fmt.Errorf("core: Range [%d,%d) is not a nonempty range of %d nodes", c.Range.Lo, c.Range.Hi, c.NumNodes)
+	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
 	if c.Shards <= 0 {
 		c.Shards = c.Workers
 	}
-	if uint32(c.Shards) > c.NumNodes {
-		c.Shards = int(c.NumNodes)
+	if _, n := c.owned(); uint32(c.Shards) > n {
+		c.Shards = int(n)
 	}
 	if c.Columns <= 0 {
 		c.Columns = cubesketch.DefaultColumns
@@ -230,6 +247,17 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// NodeRange is a half-open node-id range [Lo, Hi).
+type NodeRange struct{ Lo, Hi uint32 }
+
+// owned returns the first node the engine owns and how many it owns.
+func (c Config) owned() (lo, n uint32) {
+	if c.Range == (NodeRange{}) {
+		return 0, c.NumNodes
+	}
+	return c.Range.Lo, c.Range.Hi - c.Range.Lo
 }
 
 // DefaultCacheBytes is the write-back cache budget used when

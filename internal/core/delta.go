@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"cmp"
 	crand "crypto/rand"
 	"encoding/binary"
@@ -104,7 +105,7 @@ func (e *Engine) planDelta(baseID, newID uint64) ([]uint32, uint64, bool) {
 		return nil, 0, false
 	}
 	ids := e.changedSince(e.seals[i].cut, nil)
-	if float64(len(ids)) > thr*float64(e.cfg.NumNodes) {
+	if float64(len(ids)) > thr*float64(e.n) {
 		return nil, 0, false
 	}
 	return ids, e.seals[i].lsn, true
@@ -131,7 +132,7 @@ func (e *Engine) materializeDelta(cs *CheckpointSnapshot) error {
 	return nil
 }
 
-// readSlots fills buf with the current serialized slots of nodes
+// readSlots fills buf with the current serialized slots of local nodes
 // [start, start+count): marshalled out of the live slabs in RAM, one
 // coalesced range read out of core (the caller has spilled or dropped the
 // write-back cache, so device bytes are current). The caller holds the
@@ -215,8 +216,8 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, env metaEnvelope) {
 	e.seals = append(e.seals[:0], sealMark{id: env.ckptID, lsn: h.walLSN, cut: e.cut.Add(1)})
 }
 
-// markChangedNode stamps an out-of-band sketch mutation of node (a
-// checkpoint merge, delta apply, or node patch — anything bypassing the
+// markChangedNode stamps an out-of-band sketch mutation of local node (a
+// checkpoint merge, delta apply, or range install — anything bypassing the
 // batch apply path) like an applied batch, capturing the node's pre-change
 // image for the delta query the way the apply path does when the stack is
 // at hand in a slab; an out-of-core mutation leaves the node imageless, and
@@ -256,14 +257,10 @@ func (e *Engine) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, e
 // or out-of-order delta fails with ErrCheckpointChain before any state
 // changes, and a corrupt or truncated stream fails with the body fully
 // validated in RAM first, so a failed apply never leaves partial state.
-//
-// onReplace, when non-nil, receives each replaced node's full serialized
-// before and after stacks (valid only during the call): an aggregator
-// feeds these straight into PatchNodes on a downstream engine, which is
-// how delta refresh composes with delta queries. The replaced nodes are
-// stamped as changed, so the next query on this engine re-solves exactly
-// their components; later seals ship only what changes after the tip.
-func (e *Engine) ApplyDeltaCheckpoint(r io.Reader, onReplace func(node uint32, before, after []byte)) error {
+// The replaced nodes are stamped as changed, so the next query on this
+// engine re-solves exactly their components; later seals ship only what
+// changes after the tip.
+func (e *Engine) ApplyDeltaCheckpoint(r io.Reader) error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 	e.quiesce.Lock()
@@ -275,99 +272,134 @@ func (e *Engine) ApplyDeltaCheckpoint(r io.Reader, onReplace func(node uint32, b
 		return err
 	}
 	br := asBufReader(r)
-	h, env, err := readCheckpointHeader(br)
+	rc, err := e.readHeader(br, e.lo, e.lo+e.n)
 	if err != nil {
 		return err
 	}
-	if env.baseID == 0 {
+	if !rc.IsDelta() {
 		return fmt.Errorf("%w: ApplyDeltaCheckpoint needs a delta, got a full checkpoint", ErrCorruptCheckpoint)
 	}
-	if err := e.checkCompatible(h); err != nil {
-		return err
-	}
-	if env.chainTag != e.chainTag || env.baseID != e.ckptSeq.Load() || env.baseLSN != e.ckptLSN.Load() {
+	if cur := e.chainPos(); rc.Base != cur {
 		return fmt.Errorf("%w: delta (tag=%#x base=%d@lsn %d) vs engine (tag=%#x state=%d@lsn %d)",
-			ErrCheckpointChain, env.chainTag, env.baseID, env.baseLSN,
-			e.chainTag, e.ckptSeq.Load(), e.ckptLSN.Load())
+			ErrCheckpointChain, rc.Base.Tag, rc.Base.ID, rc.Base.LSN, cur.Tag, cur.ID, cur.LSN)
 	}
-	// Read and validate the whole body into RAM — every section check and
-	// CRC of readSections, plus every slot's per-round encoding against a
-	// scratch slab — before touching live state: the install below must not
-	// be able to fail halfway.
-	type verifiedRun struct {
-		start uint32
-		count int
-		slots []byte
-	}
-	var runs []verifiedRun
-	err = e.readSections(br, h, true, func(start uint32, count int, payload []byte) error {
-		if err := e.checkSlots(start, count, payload); err != nil {
-			return err
-		}
-		runs = append(runs, verifiedRun{start, count, append([]byte(nil), payload...)})
-		return nil
-	})
-	if err != nil {
+	// Read and validate the whole body into RAM before touching live
+	// state: the install must not be able to fail halfway.
+	if err := e.readBody(br, rc); err != nil {
 		return err
 	}
-
-	// The cache's dirty state is ahead of the device and resident copies go
-	// stale under the replacement — spill and drop it.
-	if e.cache != nil {
-		if err := e.cache.Invalidate(); err != nil {
-			return fmt.Errorf("core: invalidating write-back cache for delta apply: %w", err)
-		}
+	if err := e.installLocked(rc); err != nil {
+		return err
 	}
-	for _, run := range runs {
-		var before []byte
-		if onReplace != nil {
-			before = make([]byte, len(run.slots))
-			if err := e.readSlots(run.start, run.count, before); err != nil {
-				return err
-			}
-		}
-		for j := 0; j < run.count; j++ {
-			e.markChangedNode(run.start + uint32(j))
-		}
-		if err := e.decodeSection(run.start, run.count, run.slots); err != nil {
-			return err
-		}
-		for j := 0; onReplace != nil && j < run.count; j++ {
-			onReplace(run.start+uint32(j), before[j*e.slotSize:(j+1)*e.slotSize], run.slots[j*e.slotSize:(j+1)*e.slotSize])
-		}
-	}
-
 	// The engine now holds exactly the tip state: adopt its position.
-	e.updates.Store(h.updates)
-	e.adoptChainMeta(h, env)
-	e.epoch.Add(1)
+	e.updates.Store(rc.Updates)
+	e.adoptChainMeta(rc.h, rc.env)
 	return nil
 }
 
-// PatchNodes XOR-merges per-node (before, after) serialized stack pairs
-// into this RAM-resident engine: each listed node's sketches become
-// node ⊕ before ⊕ after. An aggregator holding the sum of several source
-// engines uses this to replace one source's stale contribution with its
-// current one — the slot pairs come verbatim from ApplyDeltaCheckpoint's
-// onReplace — at O(patch) cost instead of re-merging every source.
-// updatesTotal replaces the engine's update count (the aggregate total is
-// recomputed by the caller from its sources). Slots are validated before
-// any state changes; the patched nodes are stamped as changed with
-// before-images captured, so the next query runs the delta path over the
-// touched components only.
-func (e *Engine) PatchNodes(ids []uint32, before, after []byte, updatesTotal uint64) error {
-	if e.store != nil {
-		return errors.New("core: PatchNodes requires RAM-resident sketches")
+// ChainPos is one state of an engine lineage's checkpoint chain: the
+// lineage's random tag, the checkpoint id the state was sealed (or
+// restored) under, and the WAL position it covers. A delta chains onto a
+// consumer's copy of a state only when its base is that exact position —
+// ids alone repeat across the lives of a restarted worker, and a durable
+// worker keeps its tag across them.
+type ChainPos struct{ Tag, ID, LSN uint64 }
+
+// chainPos returns the engine's current chain position.
+func (e *Engine) chainPos() ChainPos {
+	return ChainPos{e.chainTag, e.ckptSeq.Load(), e.ckptLSN.Load()}
+}
+
+// RangeCheckpoint is one checkpoint stream — full or delta — read against
+// an engine's geometry and verified to carry only nodes of the range it
+// was read for, a full one tiling it: how a gzserve coordinator takes in
+// one worker's range. ReadRangeCheckpoint holds its slots, verified, for
+// InstallRanges; RestoreRange streams them into the engine and keeps only
+// the header.
+type RangeCheckpoint struct {
+	// Updates is the writer's update count at the cut, Pos the writer's
+	// chain position at it, and Base, for a delta, the position the delta
+	// chains onto (zero for a full checkpoint).
+	Updates   uint64
+	Pos, Base ChainPos
+
+	lo, hi uint32
+	h      checkpointHeader
+	env    metaEnvelope
+	runs   []verifiedRun
+}
+
+// verifiedRun is one checkpoint section read and verified into RAM: the
+// slots of global nodes [start, start+count).
+type verifiedRun struct {
+	start uint32
+	count int
+	slots []byte
+}
+
+// IsDelta reports whether the stream was a delta checkpoint.
+func (rc *RangeCheckpoint) IsDelta() bool { return rc.Base.ID != 0 }
+
+// readHeader reads a checkpoint stream's header and checks that its
+// geometry matches the engine's and that [lo, hi) lies inside the
+// engine's owned range.
+func (e *Engine) readHeader(br *bufio.Reader, lo, hi uint32) (*RangeCheckpoint, error) {
+	if lo >= hi || lo < e.lo || hi > e.lo+e.n {
+		return nil, fmt.Errorf("%w: [%d,%d) is not a range of the engine's [%d,%d)", ErrOutOfRange, lo, hi, e.lo, e.lo+e.n)
 	}
-	if len(before) != len(ids)*e.slotSize || len(after) != len(ids)*e.slotSize {
-		return fmt.Errorf("core: PatchNodes: %d ids with %d/%d slot bytes, want %d each",
-			len(ids), len(before), len(after), len(ids)*e.slotSize)
+	h, env, err := readCheckpointHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	for _, node := range ids {
-		if node >= e.cfg.NumNodes {
-			return fmt.Errorf("core: PatchNodes: node %d out of range (%d nodes)", node, e.cfg.NumNodes)
+	if err := e.checkCompatible(h); err != nil {
+		return nil, err
+	}
+	rc := &RangeCheckpoint{lo: lo, hi: hi, Updates: h.updates, h: h, env: env,
+		Pos: ChainPos{env.chainTag, env.ckptID, h.walLSN}}
+	if env.baseID != 0 {
+		rc.Base = ChainPos{env.chainTag, env.baseID, env.baseLSN}
+	}
+	return rc, nil
+}
+
+// readBody reads the sections of the stream readHeader began into rc's
+// runs, every section check, CRC and slot encoding verified, touching no
+// live state.
+func (e *Engine) readBody(br *bufio.Reader, rc *RangeCheckpoint) error {
+	return e.readSections(br, rc.h, rc.lo, rc.hi, rc.IsDelta(), func(start uint32, count int, payload []byte) error {
+		if err := e.checkSlots(start, count, payload); err != nil {
+			return err
 		}
+		rc.runs = append(rc.runs, verifiedRun{start, count, append([]byte(nil), payload...)})
+		return nil
+	})
+}
+
+// ReadRangeCheckpoint reads a checkpoint stream — full or delta — that
+// must carry only nodes in [lo, hi) (a full one tiling it) and verifies
+// all of it into RAM without touching the engine's state: the first half
+// of an install that must not fail halfway. A section outside [lo, hi)
+// fails with ErrOutOfRange. Safe for concurrent use.
+func (e *Engine) ReadRangeCheckpoint(r io.Reader, lo, hi uint32) (*RangeCheckpoint, error) {
+	br := asBufReader(r)
+	rc, err := e.readHeader(br, lo, hi)
+	if err != nil {
+		return nil, err
 	}
+	if err := e.readBody(br, rc); err != nil {
+		return nil, err
+	}
+	return rc, nil
+}
+
+// InstallRanges replaces the slots of every node the checkpoints carry —
+// each node's current stack is the before-image the incremental query
+// diffs against, captured as the apply path does — in one step: the
+// engine's queries see all of them or none. Full checkpoints replace
+// their whole range, deltas only their nodes; no chain position is
+// checked or adopted (the caller tracks the writers'). The checkpoints
+// must come from ReadRangeCheckpoint on this engine.
+func (e *Engine) InstallRanges(rcs []*RangeCheckpoint) error {
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
 	e.quiesce.Lock()
@@ -378,35 +410,67 @@ func (e *Engine) PatchNodes(ids []uint32, before, after []byte, updatesTotal uin
 	if err := e.drainLocked(); err != nil {
 		return err
 	}
-	if len(ids) == 0 {
-		if updatesTotal != e.updates.Load() {
-			e.updates.Store(updatesTotal)
-			e.epoch.Add(1)
-		}
-		return nil
-	}
-	scratch := e.newSlab(1)
-	for i, node := range ids {
-		if err := scratch.UnmarshalNode(0, before[i*e.slotSize:(i+1)*e.slotSize]); err != nil {
-			return fmt.Errorf("core: PatchNodes before-slot of node %d: %w", node, err)
-		}
-		if err := scratch.UnmarshalNode(0, after[i*e.slotSize:(i+1)*e.slotSize]); err != nil {
-			return fmt.Errorf("core: PatchNodes after-slot of node %d: %w", node, err)
+	for _, rc := range rcs {
+		if err := e.installLocked(rc); err != nil {
+			return err
 		}
 	}
-	for i, node := range ids {
-		e.markChangedNode(node)
-		home, local := e.shardOf(node)
-		if err := home.slab.MergeNodeBinary(local, before[i*e.slotSize:(i+1)*e.slotSize]); err != nil {
-			return fmt.Errorf("core: patching node %d (before): %w", node, err)
-		}
-		if err := home.slab.MergeNodeBinary(local, after[i*e.slotSize:(i+1)*e.slotSize]); err != nil {
-			return fmt.Errorf("core: patching node %d (after): %w", node, err)
+	return nil
+}
+
+// installLocked replaces the slots of rc's verified runs, stamping each
+// node (with its before-image) first. The caller holds ckptMu and the
+// quiesce write lock with the workers drained.
+func (e *Engine) installLocked(rc *RangeCheckpoint) error {
+	// The cache's dirty state is ahead of the device and resident copies go
+	// stale under the replacement — spill and drop it.
+	if e.cache != nil {
+		if err := e.cache.Invalidate(); err != nil {
+			return fmt.Errorf("core: invalidating write-back cache for install: %w", err)
 		}
 	}
-	e.updates.Store(updatesTotal)
+	for _, run := range rc.runs {
+		start := run.start - e.lo
+		for j := 0; j < run.count; j++ {
+			e.markChangedNode(start + uint32(j))
+		}
+		if err := e.decodeSection(start, run.count, run.slots); err != nil {
+			return err
+		}
+	}
 	e.epoch.Add(1)
 	return nil
+}
+
+// RestoreRange streams a full checkpoint of [lo, hi) straight into this
+// engine's slots, section by section, without holding the body: how a
+// coordinator fills a fresh view. Sections are checked as ReadRangeCheckpoint
+// checks them, but one that fails leaves the range partially written, so
+// the engine must be one the caller discards on error, and nothing may
+// query, checkpoint or ingest into it meanwhile. Concurrent calls over
+// disjoint ranges are safe. Nodes are not stamped: a fresh view takes its
+// query baseline from AdoptQueryBaseline.
+func (e *Engine) RestoreRange(r io.Reader, lo, hi uint32) (*RangeCheckpoint, error) {
+	e.quiesce.RLock()
+	defer e.quiesce.RUnlock()
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	br := asBufReader(r)
+	rc, err := e.readHeader(br, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	if rc.IsDelta() {
+		return nil, fmt.Errorf("%w: RestoreRange needs a full checkpoint", ErrDeltaCheckpoint)
+	}
+	err = e.readSections(br, rc.h, lo, hi, false, func(start uint32, count int, payload []byte) error {
+		return e.decodeSection(start-e.lo, count, payload)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rc, nil
 }
 
 // CompactCheckpoints folds a base checkpoint file plus an ordered delta
@@ -432,7 +496,7 @@ func CompactCheckpoints(outPath, basePath string, deltaPaths []string, cfg Confi
 		if err != nil {
 			return fmt.Errorf("core: compacting chain delta %s: %w", p, err)
 		}
-		err = e.ApplyDeltaCheckpoint(f, nil)
+		err = e.ApplyDeltaCheckpoint(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("core: compacting chain delta %s: %w", p, err)

@@ -87,7 +87,7 @@ func TestDeltaCheckpointRoundTrip(t *testing.T) {
 				if buf.Len() >= full.Len()/4 {
 					t.Fatalf("link %d: delta is %d bytes, full is %d — not sparse", link, buf.Len(), full.Len())
 				}
-				if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(buf.Bytes()), nil); err != nil {
+				if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
 					t.Fatalf("link %d: apply: %v", link, err)
 				}
 				if got, want := dst.Stats().LastCheckpointID, src.Stats().LastCheckpointID; got != want {
@@ -242,7 +242,7 @@ func TestApplyDeltaTruncated(t *testing.T) {
 		if n >= len(delta) {
 			continue
 		}
-		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta[:n]), nil); err == nil {
+		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta[:n])); err == nil {
 			t.Fatalf("apply of %d/%d byte prefix succeeded", n, len(delta))
 		}
 		if id := dst.Stats().LastCheckpointID; id != baseID {
@@ -255,13 +255,13 @@ func TestApplyDeltaTruncated(t *testing.T) {
 	// Flipping a payload byte must be caught by the section CRC.
 	corrupt := append([]byte(nil), delta...)
 	corrupt[len(corrupt)-10] ^= 0xff
-	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(corrupt), nil); err == nil {
+	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(corrupt)); err == nil {
 		t.Fatal("apply of corrupted payload succeeded")
 	}
 	// The intact stream still applies after all the failures, and lands
 	// the consumer bit-identical to the producer — so none of the failed
 	// applies can have installed a partial slot.
-	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta), nil); err != nil {
+	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta)); err != nil {
 		t.Fatalf("intact apply after failures: %v", err)
 	}
 	if !bytes.Equal(checkpointBytes(t, src), checkpointBytes(t, dst)) {
@@ -276,10 +276,10 @@ func TestApplyDeltaChainErrors(t *testing.T) {
 	t.Run("double apply", func(t *testing.T) {
 		src, full, delta := deltaChainFixture(t)
 		dst := restoreConsumer(t, full)
-		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta), nil); err != nil {
+		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta)); err != nil {
 			t.Fatal(err)
 		}
-		err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta), nil)
+		err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta))
 		if !errors.Is(err, ErrCheckpointChain) {
 			t.Fatalf("second apply: got %v, want ErrCheckpointChain", err)
 		}
@@ -320,14 +320,14 @@ func TestApplyDeltaChainErrors(t *testing.T) {
 		}
 		defer dst.Close()
 		// d2 chains onto d1's tip, not onto the base.
-		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(d2.Bytes()), nil); !errors.Is(err, ErrCheckpointChain) {
+		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(d2.Bytes())); !errors.Is(err, ErrCheckpointChain) {
 			t.Fatalf("skipping a link: got %v, want ErrCheckpointChain", err)
 		}
 		// In order, both apply, and the consumer lands on the producer.
-		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(d1.Bytes()), nil); err != nil {
+		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(d1.Bytes())); err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(d2.Bytes()), nil); err != nil {
+		if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(d2.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(checkpointBytes(t, src), checkpointBytes(t, dst)) {
@@ -350,7 +350,7 @@ func TestApplyDeltaChainErrors(t *testing.T) {
 		if err := other.WriteCheckpoint(&full); err != nil {
 			t.Fatal(err)
 		}
-		if err := other.ApplyDeltaCheckpoint(bytes.NewReader(delta), nil); !errors.Is(err, ErrCheckpointChain) {
+		if err := other.ApplyDeltaCheckpoint(bytes.NewReader(delta)); !errors.Is(err, ErrCheckpointChain) {
 			t.Fatalf("foreign delta: got %v, want ErrCheckpointChain", err)
 		}
 	})

@@ -640,7 +640,7 @@ func TestDeltaQueryEquivalenceApplyDelta(t *testing.T) {
 				if err != nil || !delta {
 					t.Fatalf("sealing a delta: delta=%v err=%v", delta, err)
 				}
-				if err := dst.ApplyDeltaCheckpoint(&buf, nil); err != nil {
+				if err := dst.ApplyDeltaCheckpoint(&buf); err != nil {
 					t.Fatal(err)
 				}
 				h.check()

@@ -23,9 +23,18 @@ const roundSeedSalt = 0x51ed270693a3f
 // operations after the engine has been closed.
 var ErrClosed = errors.New("core: engine is closed")
 
+// ErrOutOfRange is returned when an update, or a checkpoint section, lies
+// wholly outside the node range an engine owns or was asked to read.
+var ErrOutOfRange = errors.New("core: outside the owned node range")
+
+// ErrRangeEngine is returned by the queries of an engine that owns only a
+// node range (Config.Range): its sketches cannot answer for the graph.
+var ErrRangeEngine = errors.New("core: an engine owning a node range cannot answer queries")
+
 // Stats reports engine activity.
 type Stats struct {
-	// Updates is the number of stream updates ingested.
+	// Updates is the number of stream updates ingested — on a range
+	// engine, those whose lower endpoint it owns.
 	Updates uint64
 	// Batches is the number of node-keyed batches applied to sketches,
 	// summed across shards.
@@ -140,6 +149,14 @@ type Engine struct {
 	sketchSize int      // serialized bytes of one CubeSketch
 	slotSize   int      // serialized bytes of one node sketch (all rounds)
 
+	// The owned nodes are [lo, lo+n) (Config.Range; the whole universe
+	// unless ranged). Every structure below — slabs, store, gutters,
+	// stamps, checkpoint plans — is indexed by the local id node-lo; only
+	// the sketch index of an edge and checkpoint section headers use
+	// global ids.
+	lo, n  uint32
+	ranged bool
+
 	shards []*shard
 
 	store    *diskstore.Store // non-nil in disk mode
@@ -170,8 +187,12 @@ type Engine struct {
 	treeDev iomodel.Device
 
 	// edgeScratch recycles the normalized-edge slices the batch ingest
-	// path builds before handing them to the buffer.
-	edgeScratch sync.Pool
+	// path builds before handing them to the buffer. It and ckptBuf are
+	// allocated apart from the engine: the runtime keeps every pool used
+	// since the last collection reachable until the next, and a pool
+	// embedded by value would keep a closed engine's sketches with it — a
+	// coordinator retiring a view per refresh held several at once.
+	edgeScratch *sync.Pool
 
 	updates        atomic.Uint64
 	sketchFailures atomic.Uint64
@@ -241,7 +262,7 @@ type Engine struct {
 	// last WriteCheckpoint for Stats.
 	ckptMu        sync.Mutex
 	snap          atomic.Pointer[ckptSnap]
-	ckptBuf       sync.Pool
+	ckptBuf       *sync.Pool
 	lastCkptStall atomic.Int64
 	cowBudget     int // 0 = the placement's default (ckptSnap); tests override it, -1 for none
 
@@ -334,8 +355,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		vecLen:   cfg.VectorLen(),
 		chainTag: newChainTag(),
-		stamp:    make([]atomic.Uint64, cfg.NumNodes),
+		ranged:   cfg.Range != NodeRange{},
+
+		edgeScratch: new(sync.Pool),
+		ckptBuf:     new(sync.Pool),
 	}
+	e.lo, e.n = cfg.owned()
+	e.stamp = make([]atomic.Uint64, e.n)
 	seeds := make([]uint64, cfg.Rounds)
 	for r := range seeds {
 		seeds[r] = e.roundSeed(r)
@@ -344,12 +370,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.queryArena = cubesketch.NewSlab(0, e.vecLen, cfg.Columns, seeds[:1])
 	proto := cubesketch.New(e.vecLen, cfg.Columns, cfg.Seed)
 	e.sketchSize = proto.SerializedSize()
-	e.queryArenaBytes = int64(cfg.NumNodes) * int64(proto.Bytes())
+	if !e.ranged {
+		e.queryArenaBytes = int64(cfg.NumNodes) * int64(proto.Bytes())
+	}
 	e.slotSize = e.sketchSize * cfg.Rounds
 	// One past the fallback threshold: while every first-dirtying below the
 	// limit captured an image, a refused capture implies the dirty count
 	// already exceeds the threshold and the next query falls back anyway.
-	e.beforeLimit = int(cfg.DeltaQueryMaxDirtyFrac*float64(cfg.NumNodes)) + 1
+	e.beforeLimit = int(cfg.DeltaQueryMaxDirtyFrac*float64(e.n)) + 1
 	e.before = make(map[uint32][]byte)
 	if cfg.SketchesOnDisk {
 		// Out of core the images are RAM the deployment meant to keep on the
@@ -377,8 +405,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if npg < 1 {
 			npg = 1
 		}
-		if uint32(npg) > cfg.NumNodes {
-			npg = int(cfg.NumNodes)
+		if uint32(npg) > e.n {
+			npg = int(e.n)
 		}
 		e.npg = npg
 		e.cfg.NodesPerGroup = npg
@@ -388,7 +416,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.store, err = diskstore.New(e.storeDev, cfg.NumNodes, e.slotSize, npg)
+		e.store, err = diskstore.New(e.storeDev, e.n, e.slotSize, npg)
 		if err != nil {
 			return nil, err
 		}
@@ -400,16 +428,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if chunkSlots < 1 {
 			chunkSlots = 1
 		}
-		if uint32(chunkSlots) > cfg.NumNodes {
-			chunkSlots = int(cfg.NumNodes)
+		if uint32(chunkSlots) > e.n {
+			chunkSlots = int(e.n)
 		}
 		chunk := make([]byte, chunkSlots*e.slotSize)
 		for i := 0; i < chunkSlots; i++ {
 			init.MarshalNode(0, chunk[i*e.slotSize:])
 		}
-		for node := uint32(0); node < cfg.NumNodes; node += uint32(chunkSlots) {
+		for node := uint32(0); node < e.n; node += uint32(chunkSlots) {
 			count := chunkSlots
-			if rest := int(cfg.NumNodes - node); count > rest {
+			if rest := int(e.n - node); count > rest {
 				count = rest
 			}
 			if err := e.store.WriteRange(node, count, chunk[:count*e.slotSize]); err != nil {
@@ -436,7 +464,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	for s := range e.shards {
 		sh := &shard{queue: gutter.NewSPSC(queueCap)}
 		if !cfg.SketchesOnDisk {
-			count := shardNodeCount(cfg.NumNodes, cfg.Shards, s)
+			count := shardNodeCount(e.n, cfg.Shards, s)
 			sh.slab = cubesketch.NewSlab(count, e.vecLen, cfg.Columns, seeds)
 		}
 		e.shards[s] = sh
@@ -460,7 +488,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		// Leaf ranges align to the disk tier's node groups, so one group
 		// flush is one burst of batches against one group slot.
-		e.leaf = gutter.NewLeafGutters(cfg.NumNodes, capUpdates, cfg.GutterStripes, e.npg, sink)
+		e.leaf = gutter.NewLeafGutters(e.n, capUpdates, cfg.GutterStripes, e.npg, sink)
 		e.buf = e.leaf
 	case BufferTree:
 		e.treeDev, err = e.openDevice("guttertree.gz0")
@@ -476,7 +504,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			// Paper: leaf gutters sized at twice the node-group sketch.
 			tc.LeafRecords = 2 * e.slotSize * tc.NodesPerLeaf / 8
 		}
-		e.tree, err = gutter.NewTree(cfg.NumNodes, tc, e.treeDev, sink)
+		e.tree, err = gutter.NewTree(e.n, tc, e.treeDev, sink)
 		if err != nil {
 			return nil, err
 		}
@@ -566,7 +594,7 @@ func (e *Engine) roundSeed(r int) uint64 {
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// shardOf returns the shard owning node, and node's index within it.
+// shardOf returns the shard owning local node, and its index within it.
 func (e *Engine) shardOf(node uint32) (*shard, int) {
 	k := uint32(len(e.shards))
 	return e.shards[node%k], int(node / k)
@@ -594,12 +622,61 @@ func (e *Engine) checkEdge(eg stream.Edge) (stream.Edge, error) {
 }
 
 // CheckEdge reports whether the edge is ingestible (no self loop, both
-// endpoints inside the node universe) without ingesting anything — the
-// same rule every ingest path applies, exposed so session buffers can
-// reject bad updates eagerly instead of at flush time.
+// endpoints inside the node universe, and on a range engine at least one
+// inside the range) without ingesting anything — the same rule every
+// ingest path applies, exposed so session buffers can reject bad updates
+// eagerly instead of at flush time.
 func (e *Engine) CheckEdge(eg stream.Edge) error {
-	_, err := e.checkEdge(eg)
+	n, err := e.checkEdge(eg)
+	if err == nil && e.ranged {
+		err = e.checkOwned([]stream.Edge{n})
+	}
 	return err
+}
+
+// checkOwned refuses a batch of normalized edges holding one with neither
+// endpoint inside the owned range.
+func (e *Engine) checkOwned(edges []stream.Edge) error {
+	for _, eg := range edges {
+		if eg.U-e.lo >= e.n && eg.V-e.lo >= e.n {
+			return fmt.Errorf("%w: edge (%d,%d) has no endpoint in [%d,%d)", ErrOutOfRange, eg.U, eg.V, e.lo, e.lo+e.n)
+		}
+	}
+	return nil
+}
+
+// buffer hands validated, normalized edges to the buffering layer and
+// counts them. A universe engine buffers each edge under both endpoints. A
+// range engine buffers only the halves whose node it owns (at its local
+// id, the far endpoint kept global for the sketch index) and counts an
+// update once, at the owner of its lower endpoint, so the counts of a
+// cluster's range engines sum to the updates it ingested. The caller
+// holds the quiesce read lock.
+func (e *Engine) buffer(edges []stream.Edge) error {
+	if !e.ranged {
+		if err := e.buf.InsertEdges(edges); err != nil {
+			return err
+		}
+		e.updates.Add(uint64(len(edges)))
+		return nil
+	}
+	halves := e.getEdgeScratch(2 * len(edges))
+	defer e.putEdgeScratch(halves)
+	var owned uint64
+	for _, eg := range edges {
+		if u := eg.U - e.lo; u < e.n {
+			owned++
+			*halves = append(*halves, stream.Edge{U: u, V: eg.V})
+		}
+		if v := eg.V - e.lo; v < e.n {
+			*halves = append(*halves, stream.Edge{U: v, V: eg.U})
+		}
+	}
+	if err := e.buf.InsertHalves(*halves); err != nil {
+		return err
+	}
+	e.updates.Add(owned)
+	return nil
 }
 
 // Update ingests one stream update. Because CubeSketch works over Z_2,
@@ -612,9 +689,10 @@ func (e *Engine) Update(up stream.Update) error {
 	if err != nil {
 		return err
 	}
-	if e.log != nil {
+	if e.log != nil || e.ranged {
 		// The durable path funnels through ingestEdges so the WAL append
-		// happens exactly once, before buffering, like every batch path.
+		// happens exactly once, before buffering, like every batch path;
+		// so does a range engine, which buffers only its halves.
 		scratch := e.getEdgeScratch(1)
 		defer e.putEdgeScratch(scratch)
 		*scratch = append(*scratch, eg)
@@ -691,6 +769,11 @@ func (e *Engine) InsertEdges(edges []stream.Edge) error {
 // lock) completes — a sealed checkpoint's state covers exactly the LSNs
 // up to its recorded WAL position, never fewer.
 func (e *Engine) ingestEdges(edges []stream.Edge, seq uint64) error {
+	if e.ranged {
+		if err := e.checkOwned(edges); err != nil {
+			return err
+		}
+	}
 	e.quiesce.RLock()
 	defer e.quiesce.RUnlock()
 	if e.closed.Load() {
@@ -704,10 +787,9 @@ func (e *Engine) ingestEdges(edges []stream.Edge, seq uint64) error {
 			h(seq)
 		}
 	}
-	if err := e.buf.InsertEdges(edges); err != nil {
+	if err := e.buffer(edges); err != nil {
 		return err
 	}
-	e.updates.Add(uint64(len(edges)))
 	e.epoch.Add(1)
 	return e.err()
 }
@@ -720,10 +802,9 @@ func (e *Engine) replayEdges(edges []stream.Edge) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if err := e.buf.InsertEdges(edges); err != nil {
+	if err := e.buffer(edges); err != nil {
 		return err
 	}
-	e.updates.Add(uint64(len(edges)))
 	e.epoch.Add(1)
 	return e.err()
 }
@@ -779,8 +860,9 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	// Translate far endpoints into characteristic-vector indices once;
 	// every round's sketch consumes the same indices.
 	sh.indices = sh.indices[:0]
+	node := b.Node + e.lo // the batch is keyed by local id, the far ends are global
 	for _, other := range b.Others {
-		eg := stream.Edge{U: b.Node, V: other}
+		eg := stream.Edge{U: node, V: other}
 		sh.indices = append(sh.indices, stream.EdgeIndex(uint64(e.cfg.NumNodes), eg))
 	}
 	sh.batches.Add(1)
@@ -1016,7 +1098,7 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	if e.leaf != nil {
-		st.MemoryBytes += int64(e.leaf.Capacity()) * 4 * int64(e.cfg.NumNodes)
+		st.MemoryBytes += int64(e.leaf.Capacity()) * 4 * int64(e.n)
 	}
 	if e.log != nil {
 		st.WAL = e.log.Stats()

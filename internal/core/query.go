@@ -102,6 +102,9 @@ func (e *Engine) query() (*queryResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
+	if e.ranged {
+		return nil, ErrRangeEngine
+	}
 	// Fast path: no accepted update since the cached answer — serve it
 	// without quiescing the pipeline. A concurrent producer that bumps
 	// the epoch right after the check linearizes after this query.

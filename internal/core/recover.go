@@ -80,7 +80,7 @@ func RecoverChain(basePath string, deltaPaths []string, cfg Config) (*Engine, *R
 			if openErr != nil {
 				break
 			}
-			applyErr := e.ApplyDeltaCheckpoint(f, nil)
+			applyErr := e.ApplyDeltaCheckpoint(f)
 			f.Close()
 			if applyErr != nil {
 				break

@@ -101,7 +101,7 @@ func TestStampDeltaAcrossManySeals(t *testing.T) {
 			if got := deltaNodes(t, delta.Bytes()); !slices.Equal(got, want) {
 				t.Fatalf("delta carries nodes %v, want the %d changed since the base %v", got, len(want), want)
 			}
-			if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta.Bytes()), nil); err != nil {
+			if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta.Bytes())); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(checkpointBytes(t, src), checkpointBytes(t, dst)) {
@@ -118,7 +118,7 @@ func TestStampDeltaAcrossManySeals(t *testing.T) {
 func TestStampApplyDeltaAdoptsTip(t *testing.T) {
 	_, full, delta := deltaChainFixture(t)
 	dst := restoreConsumer(t, full)
-	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta), nil); err != nil {
+	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(delta)); err != nil {
 		t.Fatal(err)
 	}
 	if len(deltaNodes(t, delta)) == 0 {

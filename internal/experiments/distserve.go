@@ -20,7 +20,7 @@ import (
 // DistServe measures the networked distributed-ingestion service: a
 // coordinator plus K workers on localhost, the full Kronecker stream
 // driven through the coordinator's framed HTTP ingest endpoint, a
-// checkpoint pull + merge (refresh), and a global connectivity answer
+// checkpoint pull into the coordinator's view (refresh), and a global connectivity answer
 // compared against a single engine that saw the whole stream. With
 // Options.GzserveBin set, every role runs as its own gzserve process —
 // the true multi-process topology CI exercises; otherwise the servers
@@ -41,9 +41,9 @@ func DistServe(o Options) (*Table, error) {
 		Title:  fmt.Sprintf("Networked distributed ingestion, gzserve cluster on localhost (kron%d, %s)", scale, mode),
 		Header: []string{"workers", "ingest rate", "refresh", "merged updates", "batches", "retries", "dups", "vs reference"},
 		Notes: []string{
-			"stream driven through the coordinator's /v1/ingest (GZW1 frames over HTTP), node-range partitioned to workers",
+			"stream driven through the coordinator's /v1/ingest (GZW1 frames over HTTP), each update to the workers owning its endpoints",
 			"ingest rate = updates/sec of send+drain wall time, including partitioning, framing and acks",
-			"refresh = POST /v1/refresh wall time: drain windows, pull every worker's checkpoint, MergeCheckpoint into the aggregator",
+			"refresh = POST /v1/refresh wall time: drain windows, pull every worker's checkpoint, stream each range into the view",
 			"vs reference = coordinator's component partition equals a single engine over the whole stream",
 		},
 	}

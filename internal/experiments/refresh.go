@@ -13,9 +13,9 @@ import (
 
 // RefreshSweep measures what delta checkpoints buy the coordinator's
 // refresh path: after a bulk load and a small trickle of further
-// updates, a full refresh re-ships and re-merges every worker's entire
-// checkpoint while a delta refresh ships only the nodes the trickle
-// touched and patches them into the live merged view. The sweep runs
+// updates, a full refresh re-ships every worker's whole range into a
+// fresh view while a delta refresh ships only the nodes the trickle
+// touched and replaces them in the live view. The sweep runs
 // trickle fraction x worker count; for each cell two coordinators over
 // the same workers refresh the identical cut — one with delta refresh,
 // one forced full — and the row records the shipped bytes, the refresh
@@ -35,7 +35,7 @@ func RefreshSweep(o Options) (*Table, error) {
 			"full refresh", "delta refresh", "speedup", "vs reference"},
 		Notes: []string{
 			"trickle = share of the node universe touched by updates ingested after the previous refresh",
-			"full = coordinator with NoDeltaRefresh: pulls every worker's complete checkpoint and rebuilds the merged view",
+			"full = coordinator with NoDeltaRefresh: pulls every worker's complete checkpoint into a fresh view",
 			"delta = default coordinator: pulls ?since= deltas and patches only the changed node sketches in place",
 			"both coordinators refresh the same worker cut; vs reference = both component partitions equal a single engine over the whole stream",
 		},
@@ -140,7 +140,7 @@ func runRefreshTrial(res kron.Result, o Options, k int, frac float64) ([]string,
 
 	// Bulk load through the delta coordinator, then bring both views to
 	// the pre-trickle cut (the delta coordinator's refresh is full here —
-	// it has no acknowledged base yet — and establishes its mirrors).
+	// it has no acknowledged base yet — and acknowledges every worker's cut).
 	if err := coDelta.Ingest(base); err != nil {
 		return nil, err
 	}

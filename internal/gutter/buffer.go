@@ -31,6 +31,10 @@ type Buffer interface {
 	// flushes and ApplyBatch callers. Edges must be normalized (U < V)
 	// and in-range; the engine validates before calling.
 	InsertEdges(edges []stream.Edge) error
+	// InsertHalves buffers each update (U, V) under U alone: the half of
+	// an edge update an engine owning only some nodes keeps (U is the
+	// node's buffer index, V the far endpoint as the sketch indexes it).
+	InsertHalves(halves []stream.Edge) error
 	// Flush forces every buffered update out to the sink (the cleanup
 	// step before a connectivity query).
 	Flush() error
@@ -128,6 +132,14 @@ func (u *Unbuffered) InsertEdges(edges []stream.Edge) error {
 		if err := u.InsertEdge(e.U, e.V); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// InsertHalves emits every half as one single-update batch.
+func (u *Unbuffered) InsertHalves(halves []stream.Edge) error {
+	for _, h := range halves {
+		u.sink(Batch{Node: h.U, Others: append(u.free.get(1), h.V)})
 	}
 	return nil
 }

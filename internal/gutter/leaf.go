@@ -58,7 +58,7 @@ type LeafGutters struct {
 	locks     []paddedMutex
 	sink      Sink
 	free      freelist
-	scratch   sync.Pool // *stripePlan
+	scratch   *sync.Pool // *stripePlan; apart, so a used pool cannot pin the gutters (and the sink's engine) past their life
 	buffered  atomic.Uint64
 	flushes   atomic.Uint64
 }
@@ -118,6 +118,7 @@ func NewLeafGutters(numNodes uint32, capacity, stripes, nodesPerGroup int, sink 
 		perStripe: uint32(perStripe),
 		locks:     make([]paddedMutex, stripes),
 		sink:      sink,
+		scratch:   new(sync.Pool),
 	}
 	if nodesPerGroup == 1 {
 		// A forced Flush hands out every nonempty gutter's buffer at once
@@ -215,15 +216,39 @@ func (g *LeafGutters) InsertEdge(u, v uint32) error {
 // endpoint updates by stripe first so each stripe lock is acquired at most
 // once for the whole batch.
 func (g *LeafGutters) InsertEdges(edges []stream.Edge) error {
-	plan, _ := g.scratch.Get().(*stripePlan)
-	if plan == nil {
-		plan = &stripePlan{byStripe: make([][]endpoint, g.stripes)}
-	}
+	plan := g.getPlan()
 	for _, e := range edges {
 		su, sv := g.stripeOf(e.U), g.stripeOf(e.V)
 		plan.byStripe[su] = append(plan.byStripe[su], endpoint{e.U, e.V})
 		plan.byStripe[sv] = append(plan.byStripe[sv], endpoint{e.V, e.U})
 	}
+	g.insertPlan(plan)
+	return nil
+}
+
+// InsertHalves buffers each half (U, V) in U's gutter alone, grouped by
+// stripe like InsertEdges.
+func (g *LeafGutters) InsertHalves(halves []stream.Edge) error {
+	plan := g.getPlan()
+	for _, h := range halves {
+		s := g.stripeOf(h.U)
+		plan.byStripe[s] = append(plan.byStripe[s], endpoint{h.U, h.V})
+	}
+	g.insertPlan(plan)
+	return nil
+}
+
+// getPlan returns an empty stripe plan from the scratch pool.
+func (g *LeafGutters) getPlan() *stripePlan {
+	if plan, _ := g.scratch.Get().(*stripePlan); plan != nil {
+		return plan
+	}
+	return &stripePlan{byStripe: make([][]endpoint, g.stripes)}
+}
+
+// insertPlan buffers a stripe-grouped plan, taking each stripe lock once,
+// and returns the plan to the scratch pool.
+func (g *LeafGutters) insertPlan(plan *stripePlan) {
 	for s := range plan.byStripe {
 		eps := plan.byStripe[s]
 		if len(eps) == 0 {
@@ -237,7 +262,6 @@ func (g *LeafGutters) InsertEdges(edges []stream.Edge) error {
 		plan.byStripe[s] = eps[:0]
 	}
 	g.scratch.Put(plan)
-	return nil
 }
 
 // Flush force-flushes every nonempty gutter (the cleanup step before a

@@ -208,6 +208,19 @@ func (t *Tree) InsertEdges(edges []stream.Edge) error {
 	return nil
 }
 
+// InsertHalves buffers each half (U, V) keyed by U under one lock
+// acquisition.
+func (t *Tree) InsertHalves(halves []stream.Edge) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, h := range halves {
+		if err := t.insertLocked(h.U, h.V); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (t *Tree) leafIndex(node uint32) int {
 	return int(node) / t.cfg.NodesPerLeaf
 }

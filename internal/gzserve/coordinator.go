@@ -1,12 +1,9 @@
 package gzserve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -26,36 +23,37 @@ const (
 	PathConnected  = "/v1/connected"
 )
 
+// ErrRangeMismatch is returned by NewCoordinator when a worker's node
+// range is not the one the coordinator's partition assigns it.
+var ErrRangeMismatch = errors.New("gzserve: worker node range does not match its partition")
+
 // CoordinatorConfig parameterizes a coordinator.
 type CoordinatorConfig struct {
 	// Engine carries the cluster-wide engine parameters (NumNodes and
 	// Seed required; every worker must have been started with the same
-	// NumNodes/Seed/Columns/Rounds or /v1/info validation fails). The
-	// aggregator engine queries run on is built from it, always in RAM.
+	// NumNodes/Seed/Columns/Rounds and with its partition's node range,
+	// or /v1/info validation fails). The view queries run on is built
+	// from it, always in RAM.
 	Engine core.Config
-	// Workers is the base URL of every worker, in partition order.
+	// Workers is the base URL of every worker, in partition order:
+	// worker i owns NewRangePartitioner(NumNodes, len(Workers)).Range(i).
 	Workers []string
 	// BatchSize is the per-worker dispatch threshold in updates
 	// (default 4096): a worker's pending buffer ships when it fills.
 	BatchSize int
 	// Client tunes every worker connection (window, retries, transport).
 	Client ClientConfig
-	// MergeInterval, when positive, refreshes the merged view
-	// periodically in the background; queries between refreshes answer
-	// from the last merged checkpoint cut.
+	// MergeInterval, when positive, refreshes the view periodically in
+	// the background; queries between refreshes answer from the last
+	// refreshed cut.
 	MergeInterval time.Duration
 	// SkipValidate skips the startup /v1/info compatibility handshake
 	// (tests that fake workers).
 	SkipValidate bool
-	// NoDeltaRefresh disables incremental refresh. By default the
-	// coordinator retains a per-worker mirror engine of each worker's
-	// last acknowledged checkpoint and asks /v1/checkpoint?since=<id>
-	// for a sparse delta on the next pull; when every worker obliges,
-	// Refresh patches only the changed node sketches into the live merged
-	// view instead of re-shipping and re-merging every worker's full
-	// state. The mirrors cost one extra in-RAM engine per worker; set
-	// NoDeltaRefresh to trade that memory back for full pulls every
-	// round.
+	// NoDeltaRefresh makes every refresh pull every worker's full
+	// checkpoint into a fresh view. By default a refresh after the first
+	// asks each worker for a delta since the cut the view holds and
+	// replaces just the changed nodes in place.
 	NoDeltaRefresh bool
 }
 
@@ -66,11 +64,10 @@ type CoordStats struct {
 	Accepted        uint64 `json:"accepted"`
 	AcceptedBatches uint64 `json:"accepted_batches"`
 	// Merges counts refreshes; the Last* fields describe the most recent
-	// one: wall time of the pull+merge, the summed stream positions of
-	// the merged worker cuts, and its completion time. DeltaRefreshes
-	// counts the refreshes that ran the incremental path — every worker
-	// shipped a sparse delta and the merged view was patched in place
-	// rather than rebuilt.
+	// one: wall time of the pull and install, the summed stream positions
+	// of the worker cuts, and its completion time. DeltaRefreshes counts
+	// the refreshes in which every worker shipped a sparse delta, patched
+	// into the view in place.
 	Merges           uint64 `json:"merges"`
 	DeltaRefreshes   uint64 `json:"delta_refreshes"`
 	LastMergeNanos   uint64 `json:"last_merge_nanos"`
@@ -80,17 +77,25 @@ type CoordStats struct {
 	Workers []ClientStats `json:"workers"`
 }
 
-// aggView is one immutable merged result the query path answers from.
+// aggView is one published view the query path answers from.
 type aggView struct {
 	eng     *core.Engine
 	updates uint64 // summed worker cut positions
 }
 
-// Coordinator partitions incoming edge batches by node range across the
-// cluster's workers, pipelines the sends, and answers global queries by
-// merging the workers' checkpoints into an aggregator engine. Ingest
-// and queries are safe for concurrent use; queries reflect the last
-// merged checkpoint (call Refresh, or set MergeInterval, to advance it).
+// Coordinator routes every update to the workers owning its endpoints,
+// pipelines the sends, and answers global queries from one universe-sized
+// view in which node v's slot is its owner's, byte for byte. Ingest and
+// queries are safe for concurrent use; queries reflect the last refreshed
+// cut (call Refresh, or set MergeInterval, to advance it).
+//
+// Consistency contract: a view must never mix two cuts, or an edge would
+// be present at one endpoint and missing at the other. Refresh therefore
+// holds dispatch from its flush until every worker has sealed its cut (a
+// concurrent Ingest waits one checkpoint round trip), so the cuts hold the
+// same accepted updates. That requires one ingesting coordinator per
+// cluster — the sequence gate assumes it too. A coordinator that does not
+// ingest sees a consistent cut only while the ingesting one is flushed.
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	part    *Partitioner
@@ -102,24 +107,22 @@ type Coordinator struct {
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 
-	mu      sync.Mutex // guards pending and splitBufs
+	// mu guards pending. Refresh holds it from its flush until every
+	// worker has sealed, which is the dispatch barrier.
+	mu      sync.Mutex
 	pending [][]stream.Update
 
 	gate *seqGate // dedup for the network ingest endpoint
 
-	aggMu sync.RWMutex // held for write while swapping the merged view
+	aggMu sync.RWMutex // held for write while swapping the view
 	agg   *aggView
 
-	// refreshMu serializes Refresh end to end. mirrors[i] (guarded by
-	// refreshMu) is an in-RAM engine holding worker i's last acknowledged
-	// checkpoint state under the worker's own chain identity, and
-	// mirrorIDs[i] that cut's chain id: the base the next pull's
-	// ?since=<id> names, and the state the worker's delta is applied to.
-	// Nil entries mean no acknowledged base (first refresh, a full-pull
-	// round, or NoDeltaRefresh).
+	// refreshMu serializes Refresh end to end. acked[i] (guarded by it) is
+	// worker i's chain position whose range the view holds: the base the
+	// next pull's ?since= names and a delta must chain onto. Zero means
+	// none, and the next pull asks for a full checkpoint.
 	refreshMu sync.Mutex
-	mirrors   []*core.Engine
-	mirrorIDs []uint64
+	acked     []core.ChainPos
 
 	accepted     atomic.Uint64
 	acceptedB    atomic.Uint64
@@ -133,9 +136,9 @@ type Coordinator struct {
 	loopDone chan struct{}
 }
 
-// NewCoordinator connects to cfg.Workers, validates engine-parameter
-// compatibility with each (unless SkipValidate), and returns a ready
-// coordinator.
+// NewCoordinator connects to cfg.Workers, validates engine-parameter and
+// node-range compatibility with each (unless SkipValidate), and returns a
+// ready coordinator.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("gzserve: coordinator needs at least one worker")
@@ -151,12 +154,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	co := &Coordinator{
-		cfg:       cfg,
-		part:      part,
-		pending:   make([][]stream.Update, len(cfg.Workers)),
-		gate:      newSeqGate(),
-		mirrors:   make([]*core.Engine, len(cfg.Workers)),
-		mirrorIDs: make([]uint64, len(cfg.Workers)),
+		cfg:     cfg,
+		part:    part,
+		pending: make([][]stream.Update, len(cfg.Workers)),
+		gate:    newSeqGate(),
+		acked:   make([]core.ChainPos, len(cfg.Workers)),
 	}
 	co.lifeCtx, co.lifeCancel = context.WithCancel(context.Background())
 	for _, addr := range cfg.Workers {
@@ -173,6 +175,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			if info.NumNodes != cfg.Engine.NumNodes || info.Seed != cfg.Engine.Seed {
 				return nil, fmt.Errorf("gzserve: worker %d (%s) runs nodes=%d seed=%d, cluster wants nodes=%d seed=%d: %w",
 					i, cl.Addr(), info.NumNodes, info.Seed, cfg.Engine.NumNodes, cfg.Engine.Seed, ErrVersionMismatch)
+			}
+			if lo, hi := part.Range(i); info.RangeLo != lo || info.RangeHi != hi {
+				return nil, fmt.Errorf("gzserve: worker %d (%s) owns [%d,%d), its partition is [%d,%d): %w",
+					i, cl.Addr(), info.RangeLo, info.RangeHi, lo, hi, ErrRangeMismatch)
 			}
 		}
 	}
@@ -198,14 +204,14 @@ func (co *Coordinator) mergeLoop() {
 	}
 }
 
-// Ingest accepts a batch of updates, partitions it by node range, and
-// pipelines full per-worker sub-batches to their workers. Forwarding
-// continues after Ingest returns (it is bounded by the coordinator's
-// lifetime, not the call). A non-nil error (ErrClosed) means the batch
-// was NOT accepted and may safely be resent; asynchronous send failures
-// surface on Flush and Refresh instead, never here — an accepted batch
-// must not look retryable, or a resend would double-apply into the XOR
-// sketches.
+// Ingest accepts a batch of updates, routes each to the workers owning
+// its endpoints (once when one worker owns both), and pipelines full
+// per-worker sub-batches to their workers. Forwarding continues after
+// Ingest returns (it is bounded by the coordinator's lifetime, not the
+// call). A non-nil error (ErrClosed) means the batch was NOT accepted and
+// may safely be resent; asynchronous send failures surface on Flush and
+// Refresh instead, never here — an accepted batch must not look
+// retryable, or a resend would double-apply into the XOR sketches.
 func (co *Coordinator) Ingest(ups []stream.Update) error {
 	if co.closed.Load() {
 		return core.ErrClosed
@@ -214,28 +220,48 @@ func (co *Coordinator) Ingest(ups []stream.Update) error {
 	co.acceptedB.Add(1)
 	co.mu.Lock()
 	for _, u := range ups {
-		i := co.part.Part(u)
-		co.pending[i] = append(co.pending[i], u)
-		if len(co.pending[i]) >= co.cfg.BatchSize {
-			co.clients[i].SendAsync(co.lifeCtx, co.pending[i])
-			co.pending[i] = co.pending[i][:0]
+		i, j := co.part.Owners(u)
+		co.queueLocked(i, u)
+		if j != i {
+			co.queueLocked(j, u)
 		}
 	}
 	co.mu.Unlock()
 	return nil
 }
 
+// queueLocked appends u to worker i's pending buffer, shipping the buffer
+// once it is full. The caller holds mu.
+func (co *Coordinator) queueLocked(i int, u stream.Update) {
+	co.pending[i] = append(co.pending[i], u)
+	if len(co.pending[i]) >= co.cfg.BatchSize {
+		co.clients[i].SendAsync(co.lifeCtx, co.pending[i])
+		co.pending[i] = co.pending[i][:0]
+	}
+}
+
 // Flush ships every pending sub-batch and waits for all in-flight sends
 // to be acknowledged.
 func (co *Coordinator) Flush() error {
 	co.mu.Lock()
+	co.shipLocked()
+	co.mu.Unlock()
+	return co.drain()
+}
+
+// shipLocked sends every non-empty pending buffer. The caller holds mu.
+func (co *Coordinator) shipLocked() {
 	for i := range co.pending {
 		if len(co.pending[i]) > 0 {
 			co.clients[i].SendAsync(co.lifeCtx, co.pending[i])
 			co.pending[i] = co.pending[i][:0]
 		}
 	}
-	co.mu.Unlock()
+}
+
+// drain waits for every worker's in-flight sends and returns the first
+// send failure.
+func (co *Coordinator) drain() error {
 	var first error
 	for _, cl := range co.clients {
 		if err := cl.Drain(); err != nil && first == nil {
@@ -245,10 +271,11 @@ func (co *Coordinator) Flush() error {
 	return first
 }
 
-// ramCfg is the engine configuration mirrors and aggregators are built
-// from: the cluster parameters, forced into RAM with no WAL.
+// ramCfg is the engine configuration views are built from: the cluster
+// parameters over the whole universe, forced into RAM with no WAL.
 func (co *Coordinator) ramCfg() core.Config {
 	cfg := co.cfg.Engine
+	cfg.Range = core.NodeRange{}
 	cfg.SketchesOnDisk = false
 	cfg.Dir = ""
 	cfg.WAL = false
@@ -256,76 +283,77 @@ func (co *Coordinator) ramCfg() core.Config {
 	return cfg
 }
 
-// checkpointPull is one worker's buffered /v1/checkpoint response.
-type checkpointPull struct {
-	buf  *bytes.Buffer
-	pull CheckpointPull
-}
-
-// pullCheckpoints pulls every worker's checkpoint concurrently (each
-// worker seals its own cut and streams with ingestion live), buffering
-// the bodies. since[i] is the chain id sent as ?since= (nil means full
-// pulls everywhere).
-func (co *Coordinator) pullCheckpoints(ctx context.Context, since []uint64) ([]checkpointPull, error) {
-	pulls := make([]checkpointPull, len(co.clients))
-	errs := make([]error, len(co.clients))
-	var wg sync.WaitGroup
+// pull takes every worker's cut and reads worker i's body as range i of
+// view: streamed straight into view's slots when full (RestoreRange, for
+// a fresh view), or read and verified whole for an atomic install
+// (ReadRangeCheckpoint) when asking for deltas since acked. Dispatch is
+// held from the flush until every worker's response header has arrived —
+// a worker seals before it answers — so every cut holds exactly the
+// updates accepted before the refresh; the bodies are read concurrently
+// and need not wait for each other, so two coordinators pulling at once
+// cannot deadlock on the workers' checkpoint locks.
+func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) ([]*core.RangeCheckpoint, error) {
+	k := len(co.clients)
+	rcs := make([]*core.RangeCheckpoint, k)
+	errs := make([]error, k)
+	co.mu.Lock()
+	co.shipLocked()
+	if err := co.drain(); err != nil {
+		co.mu.Unlock()
+		return nil, err
+	}
+	var sealed, done sync.WaitGroup
+	sealed.Add(k)
+	done.Add(k)
 	for i, cl := range co.clients {
-		wg.Add(1)
-		go func(i int, cl *Client) {
-			defer wg.Done()
-			var s uint64
-			if since != nil {
-				s = since[i]
+		go func() {
+			defer done.Done()
+			var since uint64
+			if !full {
+				since = co.acked[i].ID
 			}
-			rc, pull, err := cl.Checkpoint(ctx, s)
+			body, _, err := cl.Checkpoint(ctx, since)
+			sealed.Done()
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			defer rc.Close()
-			// The frame header declared the body's length (within the
-			// frame cap): size the buffer once instead of re-growing it
-			// through every doubling on the way, plus ReadFrom's MinRead
-			// headroom so the final read that reports EOF does not grow it
-			// once more.
-			var buf bytes.Buffer
-			if size := pull.Bytes + bytes.MinRead; size <= math.MaxInt {
-				buf.Grow(int(size))
+			defer body.Close()
+			lo, hi := co.part.Range(i)
+			if full {
+				rcs[i], errs[i] = view.RestoreRange(body, lo, hi)
+			} else {
+				rcs[i], errs[i] = view.ReadRangeCheckpoint(body, lo, hi)
 			}
-			if _, err := buf.ReadFrom(rc); err != nil {
-				errs[i] = err
-				return
-			}
-			pulls[i] = checkpointPull{buf: &buf, pull: pull}
-		}(i, cl)
+		}()
 	}
-	wg.Wait()
+	sealed.Wait()
+	co.mu.Unlock()
+	done.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("gzserve: pulling checkpoint from worker %d (%s): %w", i, co.clients[i].Addr(), err)
 		}
 	}
-	return pulls, nil
+	return rcs, nil
 }
 
-// Refresh drains the send pipeline, pulls a sealed checkpoint from every
-// worker in parallel, and advances the view queries answer from to the
-// combined cut; the cut contains every update Ingest had accepted before
-// Refresh began. When possible the advance is incremental: the
-// coordinator asks each worker for a delta since its last acknowledged
-// checkpoint, and if every worker obliges, only the changed node
-// sketches are shipped and patched — XOR-ing each replaced slot out of
-// the live merged view and its replacement in, with the replaced slots
-// feeding the incremental-query baseline, so a following query runs
-// delta Boruvka over exactly the patched nodes. Any worker answering
-// with a full checkpoint (restart, aged-out base, too much churn) — or
-// NoDeltaRefresh — falls back to the full path: rebuild a fresh
-// aggregator from complete checkpoints and swap it in atomically.
+// Refresh advances the view queries answer from to a new cut that holds
+// every update Ingest had accepted before Refresh began: it flushes the
+// send pipeline, has every worker seal (holding dispatch until all have;
+// see Coordinator) and takes in each worker's body as the worker's node
+// range of the view. The first refresh, and every one with
+// NoDeltaRefresh, streams full checkpoints into a fresh view, adopts the
+// old view's query baseline (so the next query re-solves only the
+// components whose nodes changed) and swaps it in. Otherwise each worker
+// is asked for a delta since the cut the view holds of it; every answer is
+// read and verified — a delta must chain onto that cut, and every slot
+// must lie inside the worker's range — before the view is touched, and
+// then all of them are installed in one step, each replaced slot's old
+// bytes feeding the incremental query. A worker that answers full
+// (restarted, base aged out, too much churn) has its whole range replaced
+// in that same step. On any error the view is left as it was.
 func (co *Coordinator) Refresh(ctx context.Context) error {
-	if err := co.Flush(); err != nil {
-		return err
-	}
 	co.refreshMu.Lock()
 	defer co.refreshMu.Unlock()
 	start := time.Now()
@@ -334,169 +362,72 @@ func (co *Coordinator) Refresh(ctx context.Context) error {
 	old := co.agg
 	co.aggMu.RUnlock()
 
-	// Ask for deltas only when every worker has an acknowledged base and
-	// there is a live view to patch.
-	var since []uint64
-	if !co.cfg.NoDeltaRefresh && old != nil {
-		since = make([]uint64, len(co.clients))
-		for i, m := range co.mirrors {
-			if m == nil {
-				since = nil
-				break
-			}
-			since[i] = co.mirrorIDs[i]
+	var (
+		rcs   []*core.RangeCheckpoint
+		err   error
+		view  *aggView
+		delta = !co.cfg.NoDeltaRefresh && old != nil
+	)
+	if delta {
+		if rcs, err = co.pull(ctx, old.eng, false); err != nil {
+			return err
 		}
-	}
-	pulls, err := co.pullCheckpoints(ctx, since)
-	if err != nil {
-		return err
-	}
-
-	allDelta := since != nil
-	var cutSum uint64
-	for _, p := range pulls {
-		cutSum += p.pull.Updates
-		allDelta = allDelta && p.pull.Delta
-	}
-
-	if allDelta {
-		ok, err := co.applyDeltaRefresh(old, pulls, cutSum)
+		for i, rc := range rcs {
+			if rc.IsDelta() && rc.Base != co.acked[i] {
+				// The worker re-minted the id the view holds under another
+				// state (a durable restart keeps its lineage tag): pull its
+				// full range next time.
+				co.acked[i] = core.ChainPos{}
+				return fmt.Errorf("gzserve: worker %d (%s): %w", i, co.clients[i].Addr(), core.ErrCheckpointChain)
+			}
+		}
+		if err := old.eng.InstallRanges(rcs); err != nil {
+			return fmt.Errorf("gzserve: installing worker cuts: %w", err)
+		}
+		view = &aggView{eng: old.eng}
+	} else {
+		eng, err := core.NewEngine(co.ramCfg())
 		if err != nil {
 			return err
 		}
-		if ok {
-			co.merges.Add(1)
-			co.deltaRefr.Add(1)
-			co.lastMergeNs.Store(uint64(time.Since(start).Nanoseconds()))
-			co.lastMergeUpd.Store(cutSum)
-			return nil
-		}
-	}
-	if since != nil {
-		// Either some worker declined the delta (dirtied past its
-		// threshold, restarted with a new lineage) or a delta failed to
-		// chain onto its mirror. The pulled buffers are unusable for a
-		// rebuild — a delta stream cannot be merged on its own — and
-		// nothing was patched into the view; re-pull everything full.
-		pulls, err = co.pullCheckpoints(ctx, nil)
-		if err != nil {
+		if rcs, err = co.pull(ctx, eng, true); err != nil {
+			eng.Close()
 			return err
 		}
-		cutSum = 0
-		for _, p := range pulls {
-			cutSum += p.pull.Updates
+		// Seed the fresh view's incremental-query state from the outgoing
+		// one before publishing: the slot-level diff stamps exactly the
+		// nodes whose sketches changed, so the first query on the new view
+		// runs the delta path instead of a cold Boruvka. Done outside
+		// aggMu's write lock (the diff is an O(n) byte compare) so queries
+		// keep flowing off the old view.
+		if old != nil {
+			eng.AdoptQueryBaseline(old.eng)
 		}
+		view = &aggView{eng: eng}
 	}
-
-	if err := co.fullRefresh(old, pulls, cutSum); err != nil {
-		return err
-	}
-	co.merges.Add(1)
-	co.lastMergeNs.Store(uint64(time.Since(start).Nanoseconds()))
-	co.lastMergeUpd.Store(cutSum)
-	return nil
-}
-
-// applyDeltaRefresh runs the incremental path: chain each worker's delta
-// onto its mirror, collecting the replaced slots, then patch them all
-// into the live merged view. Mirrors advance first and the view is only
-// touched once every delta chained cleanly, so ok=false (some delta did
-// not chain) leaves the view exactly as it was and the caller falls back
-// to a full round. Caller holds refreshMu.
-func (co *Coordinator) applyDeltaRefresh(view *aggView, pulls []checkpointPull, cutSum uint64) (ok bool, err error) {
-	type patch struct {
-		ids           []uint32
-		before, after []byte
-	}
-	patches := make([]patch, len(pulls))
-	for i, p := range pulls {
-		pt := &patches[i]
-		err := co.mirrors[i].ApplyDeltaCheckpoint(bytes.NewReader(p.buf.Bytes()), func(node uint32, before, after []byte) {
-			pt.ids = append(pt.ids, node)
-			pt.before = append(pt.before, before...)
-			pt.after = append(pt.after, after...)
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrCheckpointChain) {
-				return false, nil
-			}
-			return false, fmt.Errorf("gzserve: applying delta from worker %d (%s): %w", i, co.clients[i].Addr(), err)
-		}
-		co.mirrorIDs[i] = p.pull.ID
-	}
-	// Every mirror advanced; patch the view in place. PatchNodes XORs the
-	// old slot out and the new one in under the engine's quiesce lock, so
-	// concurrent queries see either the old cut or the new one, and marks
-	// each patched node dirty for the incremental-query path.
-	for i := range patches {
-		pt := &patches[i]
-		if err := view.eng.PatchNodes(pt.ids, pt.before, pt.after, cutSum); err != nil {
-			return false, fmt.Errorf("gzserve: patching merged view from worker %d: %w", i, err)
-		}
-	}
-	co.aggMu.Lock()
-	co.agg = &aggView{eng: view.eng, updates: cutSum}
-	co.aggMu.Unlock()
-	return true, nil
-}
-
-// fullRefresh rebuilds the merged view from complete worker checkpoints
-// and swaps it in, rebuilding the per-worker mirrors alongside (from the
-// same buffered bytes, so each worker is pulled once). Caller holds
-// refreshMu.
-func (co *Coordinator) fullRefresh(old *aggView, pulls []checkpointPull, cutSum uint64) error {
-	sources := make([]CheckpointSource, len(pulls))
-	for i, p := range pulls {
-		b := p.buf.Bytes()
-		sources[i] = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(b)), nil }
-	}
-	agg, err := Aggregate(co.cfg.Engine, sources)
-	if err != nil {
-		return err
-	}
-	if !co.cfg.NoDeltaRefresh {
-		// Rebuild each mirror from the full checkpoint it just shipped:
-		// ReadCheckpoint restores the worker's exact sealed state and
-		// adopts its chain identity, which is what lets the next round's
-		// delta chain onto the mirror.
-		for i, p := range pulls {
-			m, err := core.ReadCheckpoint(bytes.NewReader(p.buf.Bytes()), co.ramCfg())
-			if err != nil {
-				agg.Close()
-				return fmt.Errorf("gzserve: mirroring checkpoint from worker %d (%s): %w", i, co.clients[i].Addr(), err)
-			}
-			if co.mirrors[i] != nil {
-				co.mirrors[i].Close()
-			}
-			co.mirrors[i] = m
-			co.mirrorIDs[i] = p.pull.ID
-		}
-	}
-	view := &aggView{eng: agg, updates: cutSum}
-
-	// Seed the fresh aggregator's incremental-query state from the
-	// outgoing view before publishing: the merges above dirtied every
-	// node, but if the old aggregator holds a current cached result, the
-	// slot-level diff replaces that with the precise set of nodes whose
-	// merged sketches actually changed — so the first query on the new
-	// view after a trickle of worker ingest runs the delta path instead of
-	// a cold full Boruvka. Done outside aggMu's write lock (the diff is an
-	// O(n) byte compare) so queries keep flowing off the old view.
-	if old != nil {
-		agg.AdoptQueryBaseline(old.eng)
+	allDelta := delta
+	for i, rc := range rcs {
+		co.acked[i] = rc.Pos
+		view.updates += rc.Updates
+		allDelta = allDelta && rc.IsDelta()
 	}
 
 	co.aggMu.Lock()
-	retired := co.agg
 	co.agg = view
 	co.aggMu.Unlock()
-	if retired != nil && retired.eng != view.eng {
-		retired.eng.Close()
+	if old != nil && old.eng != view.eng {
+		old.eng.Close()
 	}
+	co.merges.Add(1)
+	if allDelta {
+		co.deltaRefr.Add(1)
+	}
+	co.lastMergeNs.Store(uint64(time.Since(start).Nanoseconds()))
+	co.lastMergeUpd.Store(view.updates)
 	return nil
 }
 
-// view returns the current merged view, refreshing first if none exists
+// view returns the current view, refreshing first if none exists
 // yet.
 func (co *Coordinator) view(ctx context.Context) (*aggView, func(), error) {
 	co.aggMu.RLock()
@@ -510,12 +441,12 @@ func (co *Coordinator) view(ctx context.Context) (*aggView, func(), error) {
 	v := co.agg
 	if v == nil {
 		co.aggMu.RUnlock()
-		return nil, nil, errors.New("gzserve: no merged view")
+		return nil, nil, errors.New("gzserve: no view")
 	}
 	return v, co.aggMu.RUnlock, nil
 }
 
-// ConnectedComponents answers over the last merged checkpoint cut.
+// ConnectedComponents answers over the last refreshed cut.
 func (co *Coordinator) ConnectedComponents(ctx context.Context) ([]uint32, int, error) {
 	v, release, err := co.view(ctx)
 	if err != nil {
@@ -525,7 +456,7 @@ func (co *Coordinator) ConnectedComponents(ctx context.Context) ([]uint32, int, 
 	return v.eng.ConnectedComponents()
 }
 
-// SpanningForest answers over the last merged checkpoint cut.
+// SpanningForest answers over the last refreshed cut.
 func (co *Coordinator) SpanningForest(ctx context.Context) ([]stream.Edge, error) {
 	v, release, err := co.view(ctx)
 	if err != nil {
@@ -535,7 +466,7 @@ func (co *Coordinator) SpanningForest(ctx context.Context) ([]stream.Edge, error
 	return v.eng.SpanningForest()
 }
 
-// Connected answers a point query over the last merged checkpoint cut.
+// Connected answers a point query over the last refreshed cut.
 func (co *Coordinator) Connected(ctx context.Context, u, vtx uint32) (bool, error) {
 	v, release, err := co.view(ctx)
 	if err != nil {
@@ -545,8 +476,9 @@ func (co *Coordinator) Connected(ctx context.Context, u, vtx uint32) (bool, erro
 	return v.eng.Connected(u, vtx)
 }
 
-// MergedUpdates returns the summed worker stream positions of the last
-// merged cut (0 before the first refresh).
+// MergedUpdates returns the number of updates in the last refreshed cut
+// (0 before the first refresh): the sum of the workers' counts, each
+// worker counting the updates whose lower endpoint it owns.
 func (co *Coordinator) MergedUpdates() uint64 { return co.lastMergeUpd.Load() }
 
 // Stats snapshots the coordinator's /statsz document.
@@ -566,9 +498,9 @@ func (co *Coordinator) Stats() CoordStats {
 }
 
 // Close gracefully shuts the coordinator down: it stops the background
-// merge loop, drains every worker's send window, and ships one final
-// refresh so the last merged view covers everything accepted. The final
-// aggregator is then released.
+// merge loop, drains every worker's send window, and runs one final
+// refresh so the last view covers everything accepted. The view is then
+// released.
 func (co *Coordinator) Close(ctx context.Context) error {
 	if co.closed.Swap(true) {
 		return nil
@@ -577,7 +509,7 @@ func (co *Coordinator) Close(ctx context.Context) error {
 		close(co.loopStop)
 		<-co.loopDone
 	}
-	err := co.Refresh(ctx) // Flush + final checkpoint pull + merge
+	err := co.Refresh(ctx) // flush + final checkpoint pull
 	co.lifeCancel()        // abort anything still in flight after the drain
 	co.aggMu.Lock()
 	if co.agg != nil {
@@ -585,14 +517,6 @@ func (co *Coordinator) Close(ctx context.Context) error {
 		co.agg = nil
 	}
 	co.aggMu.Unlock()
-	co.refreshMu.Lock()
-	for i, m := range co.mirrors {
-		if m != nil {
-			m.Close()
-			co.mirrors[i] = nil
-		}
-	}
-	co.refreshMu.Unlock()
 	return err
 }
 

@@ -97,12 +97,11 @@ func TestCoordinatorDeltaRefreshPath(t *testing.T) {
 	}
 }
 
-// TestCoordinatorMixedDeltaFallback is the regression for the mixed-pull
-// round: one worker dirties past its delta threshold and answers a
-// ?since= pull with a full checkpoint while the other answers with a
-// delta. The coordinator cannot rebuild from that mix (a delta stream is
-// unusable without its base) — it must re-pull everything full and still
-// answer exactly.
+// TestCoordinatorMixedDeltaFallback covers the mixed-pull round: one
+// worker dirties past its delta threshold and answers a ?since= pull with
+// a full checkpoint while the other answers with a delta. The coordinator
+// installs the full range and the delta in one step — no re-pull — and
+// answers exactly; the round is not counted as a delta refresh.
 func TestCoordinatorMixedDeltaFallback(t *testing.T) {
 	const numNodes = 96 // ranges [0,48) and [48,96); threshold 0.20 → 19 nodes
 	tc := startCluster(t, numNodes, 37, 2, ClientConfig{}, nil)
@@ -133,7 +132,15 @@ func TestCoordinatorMixedDeltaFallback(t *testing.T) {
 
 	st := tc.co.Stats()
 	if st.DeltaRefreshes != 0 {
-		t.Fatalf("DeltaRefreshes = %d, want 0 (mixed round must fall back to full)", st.DeltaRefreshes)
+		t.Fatalf("DeltaRefreshes = %d, want 0 (a mixed round is not a delta refresh)", st.DeltaRefreshes)
+	}
+	for i, w := range st.Workers {
+		if w.Checkpoints != 2 {
+			t.Fatalf("worker %d served %d checkpoints over two refreshes, want 2 (no re-pull)", i, w.Checkpoints)
+		}
+	}
+	if st.Workers[0].DeltaCheckpoints != 0 || st.Workers[1].DeltaCheckpoints != 1 {
+		t.Fatalf("delta pulls %d/%d, want 0/1", st.Workers[0].DeltaCheckpoints, st.Workers[1].DeltaCheckpoints)
 	}
 	if st.LastMergeUpdates != uint64(len(ups)+len(extra)) {
 		t.Fatalf("merged cut covers %d updates, want %d", st.LastMergeUpdates, len(ups)+len(extra))
@@ -150,7 +157,7 @@ func TestCoordinatorMixedDeltaFallback(t *testing.T) {
 		t.Fatal("fallback partition does not match the exact reference")
 	}
 
-	// The fallback repaired the mirrors: the next trickle rides the delta
+	// The full range was acknowledged: the next trickle rides the delta
 	// path again.
 	more := []stream.Update{{Edge: stream.Edge{U: 4, V: 7}, Type: stream.Insert}}
 	if err := tc.co.Ingest(more); err != nil {

@@ -2,30 +2,25 @@ package gzserve
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"graphzeppelin/internal/stream"
 )
 
-// Partitioner routes stream updates across K parts. Linearity makes any
-// routing policy correct — the merged sketches are the XOR of whatever
-// each part saw — so the policy only decides locality and balance:
-//
-//   - Range: an update goes to the part owning its lower endpoint's
-//     node range (contiguous ⌈n/K⌉-node slices). Deterministic, so a
-//     retried batch re-partitions identically, and range-local: edges
-//     inside a community tend to revisit one worker's gutters.
-//   - RoundRobin: updates rotate across parts — the maximally balanced
-//     policy.
+// Partitioner assigns every node of the universe [0, numNodes) one owner
+// among K parts: contiguous ⌈n/K⌉-node ranges, so part i's worker
+// sketches exactly the nodes Range(i). A node's sketch is a function of
+// its own incident updates alone, so an update is sent to the owners of
+// both its endpoints — once when they coincide — and the cluster's
+// sketch state is the concatenation of the parts' ranges. Pure and
+// deterministic: a retried batch re-partitions identically.
 type Partitioner struct {
 	k        int
 	numNodes uint32
-	nodesPer uint32 // range policy: nodes per part (0 = round-robin)
-	next     atomic.Uint64
+	nodesPer uint32
 }
 
 // NewRangePartitioner partitions the node universe [0, numNodes) into k
-// contiguous ranges; updates route by their lower endpoint.
+// contiguous ranges.
 func NewRangePartitioner(numNodes uint32, k int) (*Partitioner, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("gzserve: partitioner needs k >= 1, got %d", k)
@@ -37,41 +32,22 @@ func NewRangePartitioner(numNodes uint32, k int) (*Partitioner, error) {
 	return &Partitioner{k: k, numNodes: numNodes, nodesPer: nodesPer}, nil
 }
 
-// NewRoundRobinPartitioner rotates updates across k parts.
-func NewRoundRobinPartitioner(k int) (*Partitioner, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("gzserve: partitioner needs k >= 1, got %d", k)
-	}
-	return &Partitioner{k: k}, nil
-}
-
 // Parts returns K.
 func (p *Partitioner) Parts() int { return p.k }
 
-// Part returns the destination part for one update. Round-robin mutates
-// a cursor and is safe for concurrent use; range is pure.
-func (p *Partitioner) Part(u stream.Update) int {
-	if p.nodesPer == 0 {
-		return int(p.next.Add(1)-1) % p.k
-	}
-	lo := u.Edge.U
-	if u.Edge.V < lo {
-		lo = u.Edge.V
-	}
-	part := int(lo / p.nodesPer)
-	if part >= p.k { // nodes beyond k*nodesPer when k doesn't divide n
-		part = p.k - 1
-	}
-	return part
+// Owner returns the part owning node.
+func (p *Partitioner) Owner(node uint32) int {
+	return min(int(node/p.nodesPer), p.k-1) // nodes beyond k*nodesPer when k doesn't divide n
 }
 
-// Range returns the node range [lo, hi) owned by part i under the range
-// policy (the full universe for round-robin, where ownership is not by
-// node).
+// Owners returns the parts an update goes to: the owners of its two
+// endpoints, equal when one part owns both.
+func (p *Partitioner) Owners(u stream.Update) (int, int) {
+	return p.Owner(u.Edge.U), p.Owner(u.Edge.V)
+}
+
+// Range returns the node range [lo, hi) owned by part i.
 func (p *Partitioner) Range(i int) (lo, hi uint32) {
-	if p.nodesPer == 0 {
-		return 0, p.numNodes
-	}
 	lo = uint32(i) * p.nodesPer
 	hi = lo + p.nodesPer
 	if hi > p.numNodes || i == p.k-1 {
@@ -84,8 +60,9 @@ func (p *Partitioner) Range(i int) (lo, hi uint32) {
 }
 
 // Split partitions a batch into per-part sub-batches, appending onto the
-// provided buffers (resliced to zero length first when reuse is nil).
-// The returned slice aliases bufs when it has k entries.
+// provided buffers (resliced to zero length first); an update whose
+// endpoints have different owners lands in both. The returned slice
+// aliases bufs when it has k entries.
 func (p *Partitioner) Split(ups []stream.Update, bufs [][]stream.Update) [][]stream.Update {
 	if len(bufs) != p.k {
 		bufs = make([][]stream.Update, p.k)
@@ -94,8 +71,11 @@ func (p *Partitioner) Split(ups []stream.Update, bufs [][]stream.Update) [][]str
 		bufs[i] = bufs[i][:0]
 	}
 	for _, u := range ups {
-		i := p.Part(u)
+		i, j := p.Owners(u)
 		bufs[i] = append(bufs[i], u)
+		if j != i {
+			bufs[j] = append(bufs[j], u)
+		}
 	}
 	return bufs
 }

@@ -3,12 +3,9 @@ package gzserve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
-	"graphzeppelin/internal/core"
 	"graphzeppelin/internal/dsu"
 	"graphzeppelin/internal/stream"
 )
@@ -32,86 +29,9 @@ func getJSON(t *testing.T, url string) map[string]any {
 	return doc
 }
 
-// TestWorkerQueryEndpoints covers the partition-local query surface: a
-// standalone worker answers components/forest/connected over its own
-// engine, annotates every response with the incremental-query counters,
-// and rejects malformed point queries.
-func TestWorkerQueryEndpoints(t *testing.T) {
-	const numNodes = 64
-	wk, err := NewWorker(core.Config{NumNodes: numNodes, Seed: 21}, 0, numNodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wk.Close()
-	srv := httptest.NewServer(wk.Handler())
-	defer srv.Close()
-
-	// A path 0-1-2-3 plus the isolated rest.
-	for u := uint32(0); u < 3; u++ {
-		if err := wk.Engine().InsertEdge(u, u+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	doc := getJSON(t, srv.URL+PathComponents)
-	if got := int(doc["count"].(float64)); got != numNodes-3 {
-		t.Fatalf("components = %d, want %d", got, numNodes-3)
-	}
-	if rep := doc["rep"].([]any); len(rep) != numNodes {
-		t.Fatalf("rep has %d entries, want %d", len(rep), numNodes)
-	}
-
-	doc = getJSON(t, srv.URL+PathForest)
-	if edges := doc["edges"].([]any); len(edges) != 3 {
-		t.Fatalf("forest has %d edges, want 3", len(edges))
-	}
-
-	for _, q := range []struct {
-		u, v uint32
-		want bool
-	}{{0, 3, true}, {0, 5, false}} {
-		doc = getJSON(t, fmt.Sprintf("%s%s?u=%d&v=%d", srv.URL, PathConnected, q.u, q.v))
-		if doc["connected"].(bool) != q.want {
-			t.Fatalf("connected(%d,%d) = %v, want %v", q.u, q.v, doc["connected"], q.want)
-		}
-	}
-
-	// A small toggle then a re-query: the answer must come off the delta
-	// path, and the response says so.
-	if err := wk.Engine().InsertEdge(10, 11); err != nil {
-		t.Fatal(err)
-	}
-	doc = getJSON(t, srv.URL+PathComponents)
-	if got := int(doc["count"].(float64)); got != numNodes-4 {
-		t.Fatalf("post-toggle components = %d, want %d", got, numNodes-4)
-	}
-	if dq := uint64(doc["delta_queries"].(float64)); dq == 0 {
-		t.Fatal("re-query after a small toggle did not run incrementally")
-	}
-
-	// Malformed and out-of-range point queries are the caller's fault.
-	for _, bad := range []string{"?u=x&v=1", "?u=1", fmt.Sprintf("?u=1&v=%d", numNodes)} {
-		resp, err := http.Get(srv.URL + PathConnected + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET %s%s: status %d, want 400", PathConnected, bad, resp.StatusCode)
-		}
-	}
-
-	// /statsz surfaces the same counters for scrapers.
-	doc = getJSON(t, srv.URL+PathStatsz)
-	eng := doc["engine"].(map[string]any)
-	if _, ok := eng["DeltaQueries"]; !ok {
-		t.Fatalf("statsz engine document lacks DeltaQueries: %v", eng)
-	}
-}
-
-// TestCoordinatorIncrementalRefresh pins the aggregator-adoption path: a
-// second refresh after a trickle of further ingest produces an aggregator
-// whose first query runs the delta path off the previous view's cached
+// TestCoordinatorIncrementalRefresh pins the incremental query after a
+// refresh: a second refresh after a trickle of further ingest leaves a
+// view whose first query runs the delta path off the previous cached
 // result, and the answers still match the exact reference.
 func TestCoordinatorIncrementalRefresh(t *testing.T) {
 	const numNodes = 96
@@ -131,7 +51,7 @@ func TestCoordinatorIncrementalRefresh(t *testing.T) {
 	}
 
 	// Trickle: a few fresh edges between nodes untouched by deletes, then
-	// refresh into a brand-new aggregator.
+	// refresh.
 	extra := []stream.Update{
 		{Edge: stream.Edge{U: 0, V: 1}, Type: stream.Insert},
 		{Edge: stream.Edge{U: 1, V: 2}, Type: stream.Insert},
@@ -168,8 +88,8 @@ func TestCoordinatorIncrementalRefresh(t *testing.T) {
 		t.Fatal("merged partition does not match the exact reference")
 	}
 
-	// The fresh aggregator must have answered incrementally: the merge
-	// dirtied everything, adoption narrowed it to the trickle's nodes.
+	// The view must have answered incrementally: the install stamped only
+	// the trickle's nodes.
 	tc.co.aggMu.RLock()
 	agg := tc.co.agg.eng
 	tc.co.aggMu.RUnlock()

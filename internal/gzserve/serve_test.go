@@ -432,12 +432,19 @@ func TestStatszEndpoints(t *testing.T) {
 	if len(cst.Workers) != 2 {
 		t.Fatalf("coordinator reports %d workers", len(cst.Workers))
 	}
-	var sent uint64
+	// An update crossing the two ranges is sent to both owners.
+	var sent, want uint64
 	for _, w := range cst.Workers {
 		sent += w.Updates
 	}
-	if sent != uint64(len(ups)) {
-		t.Fatalf("per-worker sends total %d, want %d", sent, len(ups))
+	for _, u := range ups {
+		if i, j := tc.co.part.Owners(u); i != j {
+			want++
+		}
+		want++
+	}
+	if sent != want {
+		t.Fatalf("per-worker sends total %d, want %d", sent, want)
 	}
 	if cst.Merges == 0 || cst.LastMergeUpdates != uint64(len(ups)) {
 		t.Fatalf("merge accounting: %+v", cst)

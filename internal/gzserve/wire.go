@@ -1,27 +1,27 @@
 // Package gzserve is the networked distributed-ingestion subsystem: it
 // turns the paper's conclusion — linear sketches "can be partitioned
 // throughout a distributed cluster without sacrificing stream ingestion
-// rate" — into a deployable service. A cluster is K worker processes,
-// each running a full engine over the shared node universe and ingesting
-// the slice of the stream routed to it, plus one coordinator that
-// partitions incoming edge batches by node range, pipelines them to the
-// workers with bounded in-flight windows and retry/backoff, periodically
-// pulls checkpoints, and answers global connectivity queries by
-// streaming those checkpoints through core.MergeCheckpoint into an
-// aggregator engine.
+// rate" — into a deployable service. A node's sketch is a linear
+// function of its own incident updates alone, so every node has one
+// owner: a cluster is K worker processes, each an engine over one node
+// range (core.Config.Range) that ingests every update touching it, plus
+// one coordinator that sends each update to the owners of both its
+// endpoints, pipelines the sends with bounded in-flight windows and
+// retry/backoff, periodically pulls the workers' checkpoints, and answers
+// global connectivity queries from one view in which each range is its
+// owner's, byte for byte.
 //
 // The package splits into the wire protocol (this file), the node-range
 // Partitioner (partition.go), the Worker server (worker.go), the
-// sequence-numbered retrying client (client.go), the Coordinator
-// (coordinator.go), and the checkpoint-merge Aggregate helper
-// (aggregate.go).
+// sequence-numbered retrying client (client.go) and the Coordinator
+// (coordinator.go).
 //
-// Consistency model: ingestion is eventually consistent with queries —
-// a query reflects exactly the worker checkpoints merged by the most
-// recent refresh (a single consistent cut per worker, all updates the
-// worker had accepted at seal time). Refresh drains the coordinator's
-// send windows first, so "refresh then query" observes every batch the
-// coordinator had accepted before the refresh began.
+// Consistency model: ingestion is eventually consistent with queries — a
+// query reflects exactly the worker cuts the most recent refresh took in.
+// Refresh drains the coordinator's send windows and holds dispatch until
+// every worker has sealed, so the cuts hold the same updates — every
+// batch the coordinator had accepted before the refresh began — and no
+// edge is present at one endpoint and missing at the other.
 package gzserve
 
 import (

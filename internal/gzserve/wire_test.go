@@ -169,44 +169,29 @@ func TestPartitionerRange(t *testing.T) {
 			t.Fatalf("range %d = [%d,%d), want [%d,%d)", i, lo, hi, want[0], want[1])
 		}
 	}
-	// Routing is by lower endpoint.
+	// Every node has one owner; an edge goes to both endpoints' owners.
 	u := stream.Update{Edge: stream.Edge{U: 9, V: 2}}
-	if got := p.Part(u); got != 0 {
-		t.Fatalf("edge (9,2) routed to %d, want 0 (lower endpoint 2)", got)
+	if i, j := p.Owners(u); i != 2 || j != 0 {
+		t.Fatalf("edge (9,2) routed to %d and %d, want 2 and 0", i, j)
 	}
-	// Deterministic: a retried batch re-partitions identically.
-	if p.Part(u) != p.Part(u) {
-		t.Fatal("range partitioner not deterministic")
-	}
-}
-
-func TestPartitionerRoundRobin(t *testing.T) {
-	p, err := NewRoundRobinPartitioner(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := stream.Update{Edge: stream.Edge{U: 0, V: 1}}
-	seen := map[int]int{}
-	for i := 0; i < 9; i++ {
-		seen[p.Part(u)]++
-	}
-	for part := 0; part < 3; part++ {
-		if seen[part] != 3 {
-			t.Fatalf("round-robin distribution %v", seen)
-		}
+	if got := p.Owner(9); got != 2 {
+		t.Fatalf("node 9 owned by %d, want 2", got)
 	}
 }
 
 func TestPartitionerSplit(t *testing.T) {
 	p, _ := NewRangePartitioner(8, 2)
 	ups := []stream.Update{
-		{Edge: stream.Edge{U: 0, V: 5}}, // lower endpoint 0 → part 0
-		{Edge: stream.Edge{U: 6, V: 7}}, // → part 1
-		{Edge: stream.Edge{U: 1, V: 2}}, // → part 0
+		{Edge: stream.Edge{U: 0, V: 5}}, // crosses: parts 0 and 1
+		{Edge: stream.Edge{U: 6, V: 7}}, // part 1 only
+		{Edge: stream.Edge{U: 1, V: 2}}, // part 0 only
 	}
 	parts := p.Split(ups, nil)
-	if len(parts[0]) != 2 || len(parts[1]) != 1 {
-		t.Fatalf("split sizes %d/%d, want 2/1", len(parts[0]), len(parts[1]))
+	if len(parts[0]) != 2 || len(parts[1]) != 2 {
+		t.Fatalf("split sizes %d/%d, want 2/2", len(parts[0]), len(parts[1]))
+	}
+	if parts[0][0] != ups[0] || parts[0][1] != ups[2] || parts[1][0] != ups[0] || parts[1][1] != ups[1] {
+		t.Fatalf("split %v, want the crossing edge in both parts in stream order", parts)
 	}
 }
 

@@ -35,8 +35,10 @@ type Info struct {
 	Seed        uint64 `json:"seed"`
 	Columns     int    `json:"columns"`
 	Rounds      int    `json:"rounds"`
-	// RangeLo/RangeHi is the node range the coordinator routes to this
-	// worker (informational — linearity means any update is acceptable).
+	// RangeLo/RangeHi is the node range this worker sketches: its engine
+	// holds only those nodes, it refuses an update with neither endpoint
+	// inside, and a coordinator refuses a worker whose range is not the
+	// one its partition assigns (the whole universe on a coordinator).
 	RangeLo uint32 `json:"range_lo"`
 	RangeHi uint32 `json:"range_hi"`
 }
@@ -71,8 +73,9 @@ type WorkerStats struct {
 	Engine            core.Stats `json:"engine"`
 }
 
-// Worker owns one partition's engine and serves the batch-ingest,
-// checkpoint, info and stats endpoints. Create with NewWorker, expose
+// Worker owns one partition's engine — the sketches of its node range
+// only — and serves the batch-ingest, checkpoint, info and stats
+// endpoints. It answers no queries: its range alone cannot. Create with NewWorker, expose
 // via Handler on any http.Server, and Close when done (after the HTTP
 // server has shut down).
 //
@@ -157,10 +160,11 @@ const (
 	DeltaFilePattern   = "delta-*.gzd"
 )
 
-// NewWorker builds a worker over a fresh engine from cfg. rangeLo/Hi
-// document the node range the coordinator routes here (use 0, NumNodes
-// when standalone).
+// NewWorker builds a worker over a fresh engine from cfg that owns the
+// node range [rangeLo, rangeHi) (core.Config.Range; use 0, NumNodes for
+// a single-worker cluster).
 func NewWorker(cfg core.Config, rangeLo, rangeHi uint32) (*Worker, error) {
+	cfg.Range = core.NodeRange{Lo: rangeLo, Hi: rangeHi}
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -182,10 +186,12 @@ func NewWorker(cfg core.Config, rangeLo, rangeHi uint32) (*Worker, error) {
 // duplicate ack instead of XOR-cancelling the original apply. The
 // returned Recovery reports what was replayed.
 //
-// cfg's WAL fields are overridden from d; everything else (NumNodes,
-// Seed, sharding, buffering) must match what the crashed worker ran
-// with, exactly as for core.Recover.
+// cfg's WAL fields are overridden from d, and its Range from rangeLo/Hi
+// as for NewWorker; everything else (NumNodes, Seed, sharding,
+// buffering) must match what the crashed worker ran with, exactly as for
+// core.Recover.
 func NewDurableWorker(cfg core.Config, rangeLo, rangeHi uint32, d Durability) (*Worker, *core.Recovery, error) {
+	cfg.Range = core.NodeRange{Lo: rangeLo, Hi: rangeHi}
 	if d.StateDir == "" {
 		return nil, nil, fmt.Errorf("gzserve: Durability.StateDir is required")
 	}
@@ -386,93 +392,15 @@ func (wk *Worker) Close() error {
 	return errors.Join(ckptErr, wk.eng.Close())
 }
 
-// Handler returns the worker's HTTP routes. Beyond ingest, checkpoint,
-// info and stats, a worker serves the query endpoints over its own
-// partition-local engine: the answers cover only the updates routed to
-// this worker (the coordinator's merged view answers for the cluster),
-// which is what makes them useful — a per-partition connectivity probe
-// with the engine's full query stack behind it, incremental maintenance
-// included.
+// Handler returns the worker's HTTP routes: ingest, checkpoint, info and
+// stats.
 func (wk *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathIngest, wk.handleIngest)
 	mux.HandleFunc("GET "+PathCheckpoint, wk.handleCheckpoint)
-	mux.HandleFunc("GET "+PathComponents, wk.handleComponents)
-	mux.HandleFunc("GET "+PathForest, wk.handleForest)
-	mux.HandleFunc("GET "+PathConnected, wk.handleConnected)
 	mux.HandleFunc("GET "+PathInfo, wk.handleInfo)
 	mux.HandleFunc("GET "+PathStatsz, wk.handleStatsz)
 	return mux
-}
-
-// queryMeta annotates a worker-local query response with how the answer
-// was produced, surfacing the incremental-query counters next to the
-// result they explain.
-func (wk *Worker) queryMeta() map[string]any {
-	st := wk.eng.Stats()
-	return map[string]any{
-		"updates":          st.Updates,
-		"delta_queries":    st.DeltaQueries,
-		"delta_fallbacks":  st.DeltaFallbacks,
-		"query_cache_hits": st.QueryCacheHits,
-	}
-}
-
-func (wk *Worker) handleComponents(w http.ResponseWriter, r *http.Request) {
-	rep, count, err := wk.eng.ConnectedComponents()
-	if err != nil {
-		http.Error(w, err.Error(), queryErrStatus(err))
-		return
-	}
-	doc := wk.queryMeta()
-	doc["count"] = count
-	doc["rep"] = rep
-	writeJSON(w, doc)
-}
-
-func (wk *Worker) handleForest(w http.ResponseWriter, r *http.Request) {
-	forest, err := wk.eng.SpanningForest()
-	if err != nil {
-		http.Error(w, err.Error(), queryErrStatus(err))
-		return
-	}
-	edges := make([][2]uint32, len(forest))
-	for i, e := range forest {
-		edges[i] = [2]uint32{e.U, e.V}
-	}
-	doc := wk.queryMeta()
-	doc["edges"] = edges
-	writeJSON(w, doc)
-}
-
-func (wk *Worker) handleConnected(w http.ResponseWriter, r *http.Request) {
-	u, err1 := strconv.ParseUint(r.URL.Query().Get("u"), 10, 32)
-	v, err2 := strconv.ParseUint(r.URL.Query().Get("v"), 10, 32)
-	if err1 != nil || err2 != nil {
-		http.Error(w, "u and v query parameters must be node ids", http.StatusBadRequest)
-		return
-	}
-	conn, err := wk.eng.Connected(uint32(u), uint32(v))
-	if err != nil {
-		status := queryErrStatus(err)
-		if !errors.Is(err, core.ErrClosed) && !errors.Is(err, core.ErrQueryFailed) {
-			// Out-of-range node ids are the caller's mistake.
-			status = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	doc := wk.queryMeta()
-	doc["connected"] = conn
-	writeJSON(w, doc)
-}
-
-// queryErrStatus maps an engine query error onto an HTTP status.
-func queryErrStatus(err error) int {
-	if errors.Is(err, core.ErrClosed) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
 }
 
 // writeWireError sends a typed MsgError frame alongside the HTTP status.
@@ -513,7 +441,8 @@ func (wk *Worker) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeWireError(w, http.StatusServiceUnavailable, CodeClosed, "worker shutting down")
 		return
 	}
-	// Validate every edge before touching the gate or the engine, so the
+	// Validate every edge before touching the gate or the engine — an
+	// edge with neither endpoint in this worker's range included — so the
 	// only failures UpdateBatch can hit below are ErrClosed (checked
 	// before anything buffers) or a post-buffer engine error — never a
 	// validation error for a batch that is safe to resend.
@@ -586,6 +515,8 @@ func (wk *Worker) writeAck(w http.ResponseWriter, seq uint64, applied bool) {
 // handleCheckpoint seals a consistent cut and streams it as one
 // length-prefixed MsgCheckpoint frame. The seal excludes ingestion only
 // for drain + snapshot; the network transfer runs with ingestion live.
+// The seal precedes the response header, so a caller holding the header
+// knows the cut is taken — the coordinator's refresh barrier rests on it.
 // A ?since=<id> query asks for a sparse delta checkpoint against the
 // checkpoint this worker previously sealed under that chain id; the
 // response's X-GZ-Checkpoint-Delta header reports whether the worker
