@@ -57,8 +57,11 @@ func (g *Graph) SaveCheckpoint(path string) error {
 // the mod-2 sum of both streams (for disjoint stream shards, their union).
 // The checkpoint must have the same node count, seed, columns and rounds
 // (ErrIncompatibleCheckpoint otherwise, naming both parameter sets). The
-// merge streams serialized slots straight into the sketch arenas with zero
-// per-sketch allocations.
+// merge streams serialized slots straight into the sketches with zero
+// per-sketch allocations, section by section: a stream that fails after
+// its first section (a bad checksum, a truncation) returns the error with
+// the earlier sections already merged and the update count unchanged, so
+// the Graph matches no stream and must be discarded.
 func (g *Graph) MergeCheckpoint(r io.Reader) error {
 	return g.engine.MergeCheckpoint(r)
 }

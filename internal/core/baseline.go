@@ -1,5 +1,7 @@
 package core
 
+import "bytes"
+
 // AdoptQueryBaseline seeds this engine's incremental-query state from
 // another engine's current cached result, so the first query here can run
 // the delta path instead of a cold from-scratch Boruvka. The intended
@@ -19,18 +21,16 @@ package core
 // at the current epoch and queries hit the cache outright.
 //
 // Preconditions, checked and reported by the return value (false means no
-// state was changed): both engines hold their sketches in RAM, their
-// sketch geometries agree (NumNodes, Seed, Columns, Rounds — the same
-// compatibility rule as checkpoint merging), and prev's cached result is
-// current (prev has not ingested past it). The engines must be otherwise
-// idle — the coordinator adopts before publishing the new aggregator and
-// before closing the old one.
+// state was changed): both engines own the whole universe (a range
+// engine answers no query), their sketch geometries agree (NumNodes, Seed,
+// Columns, Rounds — the same compatibility rule as checkpoint merging),
+// and prev's cached result is current (prev has not ingested past it).
+// Either engine may keep its sketches in RAM or on a device. The engines
+// must be otherwise idle — the coordinator adopts before publishing the
+// new aggregator and before closing the old one.
 func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
-	if prev == nil || e == prev {
+	if prev == nil || e == prev || e.ranged || prev.ranged {
 		return false
-	}
-	if e.store != nil || prev.store != nil || e.ranged || prev.ranged {
-		return false // slot-byte comparison is wired for whole-universe RAM slabs only
 	}
 	if e.cfg.NumNodes != prev.cfg.NumNodes || e.cfg.Seed != prev.cfg.Seed ||
 		e.cfg.Columns != prev.cfg.Columns || e.cfg.Rounds != prev.cfg.Rounds {
@@ -40,18 +40,15 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 	defer e.quiesce.Unlock()
 	prev.quiesce.Lock()
 	defer prev.quiesce.Unlock()
-	if e.closed.Load() || prev.closed.Load() {
-		return false
-	}
-	if err := e.drainLocked(); err != nil {
-		return false
-	}
-	if err := prev.drainLocked(); err != nil {
+	if e.closed.Load() || prev.closed.Load() || e.drainLocked() != nil || prev.drainLocked() != nil {
 		return false
 	}
 	base := prev.queryCache.Load()
 	if base == nil || base.epoch != prev.epoch.Load() {
 		return false // stale baseline: its forest may predate prev's sketches
+	}
+	if e.sketches.flush() != nil || prev.sketches.flush() != nil {
+		return false
 	}
 
 	// The diff below supersedes whatever this engine changed before
@@ -62,25 +59,32 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 	cut := e.cut.Add(1)
 	e.releaseBeforeLocked()
 
-	// Diff the serialized node slots. Equal bytes mean equal sketches, so
-	// the set of differing nodes is exactly the set whose cut information
-	// may have changed relative to the state base observed.
-	mine := make([]byte, e.slotSize)
-	theirs := make([]byte, e.slotSize)
+	// Diff the serialized node slots a node group — the unit of I/O — at a
+	// time. Equal bytes mean equal sketches, so the set of differing nodes
+	// is exactly the set whose cut information may have changed relative
+	// to the state base observed. A slot that cannot be read counts as
+	// differing.
+	chunk := e.npg
+	mine, theirs := make([]byte, chunk*e.slotSize), make([]byte, chunk*e.slotSize)
 	var nDiff uint64
-	for node := uint32(0); node < e.cfg.NumNodes; node++ {
-		shA, locA := e.shardOf(node)
-		shB, locB := prev.shardOf(node)
-		shA.slab.MarshalNode(locA, mine)
-		shB.slab.MarshalNode(locB, theirs)
-		if string(mine) != string(theirs) {
+	for start := uint32(0); start < e.n; start += uint32(chunk) {
+		count := min(chunk, int(e.n-start))
+		errMine := e.sketches.readSlots(start, count, mine)
+		errTheirs := prev.sketches.readSlots(start, count, theirs)
+		for j := 0; j < count; j++ {
+			a, b := mine[j*e.slotSize:(j+1)*e.slotSize], theirs[j*e.slotSize:(j+1)*e.slotSize]
+			if errMine == nil && errTheirs == nil && bytes.Equal(a, b) {
+				continue
+			}
 			nDiff++
-			e.touch(node)
+			e.touch(start + uint32(j))
 			// prev's bytes are the state the transplanted baseline
 			// observed: exactly the before-image the delta query's diff
 			// materialization needs for this node. Past the capture limit
-			// (nil) the query falls back anyway.
-			copy(e.addBefore(node), theirs)
+			// (nil) it is imageless, as on the apply path (beforeImage).
+			if errTheirs == nil {
+				copy(e.addBefore(start+uint32(j)), b)
+			}
 		}
 	}
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"graphzeppelin/internal/cubesketch"
-	"graphzeppelin/internal/diskstore"
 	"graphzeppelin/internal/wal"
 )
 
@@ -113,48 +112,29 @@ var ErrIncompatibleCheckpoint = errors.New("core: incompatible checkpoint parame
 // CRC-32C check or the stream structure is malformed.
 var ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint")
 
-// checkpointCOWBudget caps the bytes of copy-on-write pre-images an
-// out-of-core snapshot may hold in RAM. Out-of-core engines exist
-// precisely because sketches exceed memory, so the capture must not
-// degenerate into an in-RAM duplicate of the store under a slow writer:
-// once the budget is exhausted, workers about to overwrite a
-// not-yet-scanned slot wait until the scanner frees budget or passes their
-// section — ingestion throttles to scan speed instead of exhausting
-// memory. The scanner never waits on a worker that is waiting for budget,
-// so the wait always resolves. A RAM snapshot's budget is instead one
-// pre-image per node (sealCheckpointLocked): a seal holds at most one copy
-// of the sketches — only when every node changes ahead of the scan — and
-// since a node deposits at most once per snapshot, RAM ingestion never
-// waits on the writer.
-const checkpointCOWBudget = 64 << 20
-
-// ckptSnap is the copy-on-write capture of one in-flight full snapshot, in
-// both placements. The snapshot stream encodes section by section while
-// ingestion continues; any worker about to change a node in a
-// not-yet-scanned section first deposits the node's pre-image here, and the
-// scanner substitutes deposited pre-images when it captures the section.
-// Either the scanner read the node before the worker's write (the bytes it
-// read are the pre-image) or the worker checked the scan state before
-// writing (and deposited the pre-image), so every slot in the snapshot
-// reflects exactly the drain-time cut.
+// ckptSnap is the copy-on-write capture of one in-flight full snapshot.
+// The snapshot stream encodes section by section while ingestion
+// continues; any worker about to change a node in a not-yet-scanned
+// section first deposits the node's pre-image here, and the scanner
+// substitutes deposited pre-images when it captures the section. Either
+// the scanner read the node before the worker's write (the bytes it read
+// are the pre-image) or the worker checked the scan state before writing
+// (and deposited the pre-image), so every slot in the snapshot reflects
+// exactly the drain-time cut.
 //
-// Out of core the scanner reads the device and workers reach it through
-// the write-back cache's barrier (needsPreImage + preserve): a write-back
-// is the only change to device bytes. In RAM the scanner marshals the live
-// shard slabs, which workers mutate in place, so value-correctness is not
-// enough: the marshal and a Slab.Apply must never touch one node at the
-// same time. A worker therefore brackets its pre-image deposit and apply with
-// acquire/release, counted per section in inflight, and the scanner claims
-// a section (claim) before marshalling it: the claim waits for the
-// section's in-flight applies to finish, and a worker arriving at a claimed
-// section waits for the capture, after which the section is no longer the
-// snapshot's concern.
+// A change is bracketed by acquire/release, counted per section in
+// inflight — ramStore's apply of a live slab, deviceStore's write-back of a
+// group (preserve, through the cache's write barrier) — and the scanner
+// claims a section before reading it: the claim waits for the section's
+// changes in flight, and a change arriving at a claimed section waits for
+// the capture, after which the section is no longer the snapshot's
+// concern. So the scan never reads a slot while it changes.
 type ckptSnap struct {
 	mu              sync.Mutex
 	cond            *sync.Cond // signalled when capture frees budget / scans a section / inflight drops
 	scanned         []bool     // per-section: section fully captured
-	claimed         []bool     // RAM, per section: the scanner is marshalling it
-	inflight        []int      // RAM, per section: workers between acquire and release
+	claimed         []bool     // per section: the scanner is reading it
+	inflight        []int      // per section: changes between acquire and release
 	nodesPerSection uint32
 	pre             map[uint32][]byte // node -> pre-image slot bytes
 	free            [][]byte          // captured pre-image buffers, reused by later deposits
@@ -186,32 +166,16 @@ func (s *ckptSnap) takeBuf(size int) []byte {
 	return make([]byte, size)
 }
 
-// preserve deposits node's current slot bytes if its section has not been
-// captured yet and no earlier pre-image exists (the first post-cut write
-// is the one holding the cut-time state). When the pre-image budget is
-// exhausted it blocks until the scanner frees some or scans past the
-// section — bounded-memory backpressure, never unbounded growth.
+// preserve deposits blob as node's pre-image, as a change bracketed by
+// acquire and release would: the write barrier's deposit.
 func (s *ckptSnap) preserve(node uint32, blob []byte) {
-	sec := int(node / s.nodesPerSection)
-	s.mu.Lock()
-	for !s.scanned[sec] {
-		if _, ok := s.pre[node]; ok {
-			break
-		}
-		if s.used+len(blob) <= s.budget {
-			buf := s.takeBuf(len(blob))
-			copy(buf, blob)
-			s.pre[node] = buf
-			s.used += len(blob)
-			break
-		}
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
+	sec, pre := s.acquire(node, len(blob))
+	copy(pre, blob)
+	s.release(sec)
 }
 
-// acquire is the RAM apply path's entry into the capture: called before a
-// worker changes node, it returns the section the worker must release
+// acquire is a change's entry into the capture: called before a worker
+// changes node, it returns the section the worker must release
 // after the change (-1: the section is captured, nothing to release) and,
 // on the node's first change since the seal, a slot-sized buffer
 // registered as its pre-image, which the caller fills with the node's
@@ -254,10 +218,10 @@ func (s *ckptSnap) release(sec int) {
 	s.mu.Unlock()
 }
 
-// claim reserves section sec for the RAM scanner: workers arriving from
-// now on wait in acquire, and claim returns once the ones already between
-// acquire and release have left, so the scanner can marshal the live slabs
-// race-free until it captures the section.
+// claim reserves section sec for the scanner: changes arriving from now on
+// wait in acquire, and claim returns once the ones already between acquire
+// and release have left, so the scanner reads the section race-free until
+// it captures it.
 func (s *ckptSnap) claim(sec int) {
 	s.mu.Lock()
 	s.claimed[sec] = true
@@ -290,8 +254,8 @@ func (s *ckptSnap) needsPreImage(start uint32, count int) bool {
 
 // capture marks section sec scanned and substitutes any deposited
 // pre-images of nodes [start, start+count) into payload. Called by the
-// scanner after it has read the section (the device bytes, or in RAM the
-// claimed slabs); from here on workers write the section's slots freely.
+// scanner after it has read the claimed section; from here on workers
+// write the section's slots freely.
 func (s *ckptSnap) capture(sec int, start uint32, count int, payload []byte, slotSize int) {
 	s.mu.Lock()
 	s.scanned[sec] = true
@@ -532,15 +496,19 @@ func (e *Engine) SealCheckpointSince(baseID uint64) (*CheckpointSnapshot, error)
 	return cs, nil
 }
 
-func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error) {
+func (e *Engine) sealCheckpointLocked(baseID uint64) (_ *CheckpointSnapshot, err error) {
 	stallStart := time.Now()
 	e.quiesce.Lock()
-	if e.closed.Load() {
+	defer func() {
 		e.quiesce.Unlock()
+		if err == nil {
+			e.lastCkptStall.Store(int64(time.Since(stallStart)))
+		}
+	}()
+	if e.closed.Load() {
 		return nil, ErrClosed
 	}
 	if err := e.drainLocked(); err != nil {
-		e.quiesce.Unlock()
 		return nil, err
 	}
 	cs := &CheckpointSnapshot{e: e, updates: e.updates.Load()}
@@ -570,55 +538,19 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (*CheckpointSnapshot, error
 		cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, baseID, baseLSN, user)
 		cs.sections = deltaPlan(ids, nps, e.slotSize)
 		if err := e.materializeDelta(cs); err != nil {
-			e.quiesce.Unlock()
 			return nil, err
 		}
-		e.quiesce.Unlock()
-		e.lastCkptStall.Store(int64(time.Since(stallStart)))
 		return cs, nil
 	}
 	cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, 0, 0, user)
 	cs.sections = e.fullPlan(nps)
-	// Out of core, make the device bytes the seal-time truth: spill every
-	// dirty cached group now (bounded by CacheBytes, so the stall stays
-	// drain + O(cache spill)). From here on the section scanner reads the
-	// device only; cached mutations stay invisible to it until a
-	// write-back, and the cache's write barrier deposits each group's
-	// pre-image into the capture before that write-back changes device
-	// bytes. In RAM the scanner reads the live slabs and the apply path
-	// deposits (applyBatch).
-	if e.cache != nil {
-		if err := e.cache.WriteBackAll(); err != nil {
-			e.quiesce.Unlock()
-			return nil, fmt.Errorf("core: sealing write-back cache: %w", err)
-		}
+	// From here on the section scanner reads the live sketches while the
+	// workers change them; the store feeds the capture the pre-image of
+	// every slot changed ahead of its section's scan (store.go).
+	cs.snap = newCkptSnap(len(cs.sections), nps, e.cowBudget)
+	if err := e.sketches.seal(cs.snap); err != nil {
+		return nil, err
 	}
-	budget := e.cowBudget
-	if budget == 0 {
-		budget = checkpointCOWBudget
-		if e.store == nil {
-			// One slot per node, the serialized size of every sketch: each
-			// node deposits at most once per snapshot, so this is never
-			// exhausted and the apply path never waits on the writer.
-			budget = int(e.n) * e.slotSize
-		}
-	}
-	cs.snap = newCkptSnap(len(cs.sections), nps, budget)
-	e.snap.Store(cs.snap)
-	if e.cache != nil {
-		snap := cs.snap
-		slot := e.slotSize
-		e.cache.SetWriteBarrier(&diskstore.WriteBarrier{
-			NeedPreImage: snap.needsPreImage,
-			Deposit: func(start uint32, count int, pre []byte) {
-				for j := 0; j < count; j++ {
-					snap.preserve(start+uint32(j), pre[j*slot:(j+1)*slot])
-				}
-			},
-		})
-	}
-	e.quiesce.Unlock()
-	e.lastCkptStall.Store(int64(time.Since(stallStart)))
 	return cs, nil
 }
 
@@ -721,18 +653,14 @@ func (cs *CheckpointSnapshot) Close() {
 	}
 	cs.closed = true
 	if cs.snap != nil {
-		if cs.e.cache != nil {
-			cs.e.cache.SetWriteBarrier(nil)
-		}
-		cs.e.snap.Store(nil)
+		cs.e.sketches.unseal()
 		cs.snap.finish()
 	}
 	cs.e.ckptMu.Unlock()
 }
 
-// newSlab returns an empty slab of this engine's geometry: the one-node
-// scratch slabs that validate foreign slot bytes before any live state is
-// touched.
+// newSlab returns an empty slab of nodes node sketches in this engine's
+// geometry.
 func (e *Engine) newSlab(nodes int) *cubesketch.Slab {
 	return cubesketch.NewSlab(nodes, e.vecLen, e.cfg.Columns, e.roundSeeds)
 }
@@ -871,38 +799,18 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 
 // encodeSection fills payload with the serialized slots of section sec of
 // the snapshot's plan. A delta copies the run out of the buffer
-// materializeDelta filled under the seal. A full checkpoint reads the live
-// sketches — in RAM marshalled out of the shard slabs under the section's
-// claim, out of core scanned from the store with coalesced range reads —
-// and then substitutes any copy-on-write pre-images, yielding the
-// drain-time cut.
+// materializeDelta filled under the seal. A full checkpoint claims the
+// section, scans the live sketches and substitutes the capture's
+// pre-images: the drain-time cut.
 func (e *Engine) encodeSection(sec int, run nodeRun, payload []byte, cs *CheckpointSnapshot) error {
 	if cs.IsDelta() {
 		copy(payload, cs.deltaBuf[run.off:])
 		return nil
 	}
-	start, count := run.start, run.count
-	if e.store == nil {
-		cs.snap.claim(sec)
-		err := e.readSlots(start, count, payload)
-		cs.snap.capture(sec, start, count, payload, e.slotSize)
-		return err
-	}
-	chunkSlots := e.cfg.QueryScanBytes / e.slotSize
-	if chunkSlots < 1 {
-		chunkSlots = 1
-	}
-	for lo := 0; lo < count; lo += chunkSlots {
-		hi := lo + chunkSlots
-		if hi > count {
-			hi = count
-		}
-		if err := e.store.ReadRange(start+uint32(lo), hi-lo, payload[lo*e.slotSize:hi*e.slotSize]); err != nil {
-			return fmt.Errorf("core: checkpoint scan of nodes [%d,%d): %w", int(start)+lo, int(start)+hi, err)
-		}
-	}
-	cs.snap.capture(sec, start, count, payload, e.slotSize)
-	return nil
+	cs.snap.claim(sec)
+	err := e.sketches.scanSlots(run.start, run.count, payload)
+	cs.snap.capture(sec, run.start, run.count, payload, e.slotSize)
+	return err
 }
 
 // checkpointHeader is the decoded fixed header.
@@ -1027,45 +935,46 @@ func (e *Engine) parseSectionHeader(sh []byte, lo, cursor, hi uint32, contiguous
 	return s, nil
 }
 
-// decodeSection installs a CRC-verified section payload of local nodes
-// [start, start+count) into the engine's
-// sketch state by replacement — restore and delta apply alike. Every slot's
-// round headers are validated before it lands: RAM mode unmarshals each
-// node into its owning shard's slab, disk mode unmarshals each into a
-// one-node scratch slab and then writes the whole range with one coalesced
-// device access. Safe to call concurrently for disjoint sections.
-func (e *Engine) decodeSection(start uint32, count int, payload []byte) error {
-	if e.store != nil {
-		if err := e.checkSlots(start, count, payload); err != nil {
-			return err
-		}
-		if err := e.store.WriteRange(start, count, payload); err != nil {
-			return fmt.Errorf("core: restoring nodes [%d,%d): %w", start, int(start)+count, err)
-		}
-		return nil
-	}
-	k := uint32(len(e.shards))
+// checkSlots validates every slot of a section payload starting at node
+// start, touching no live state: each round's header must be the one this
+// engine's empty slot carries (vector length, seed, columns, rows).
+func (e *Engine) checkSlots(start uint32, count int, payload []byte) error {
+	const header = 32
 	for j := 0; j < count; j++ {
-		node := start + uint32(j)
-		sh := e.shards[node%k]
-		if err := sh.slab.UnmarshalNode(int(node/k), payload[j*e.slotSize:(j+1)*e.slotSize]); err != nil {
-			return fmt.Errorf("%w: slot of node %d: %v", ErrCorruptCheckpoint, node, err)
+		slot := payload[j*e.slotSize : (j+1)*e.slotSize]
+		for off := 0; off < e.slotSize; off += e.sketchSize {
+			if !bytes.Equal(slot[off:off+header], e.emptySlot[off:off+header]) {
+				return fmt.Errorf("%w: slot of node %d: round %d header does not match the engine's",
+					ErrCorruptCheckpoint, start+uint32(j), off/e.sketchSize)
+			}
 		}
 	}
 	return nil
 }
 
-// checkSlots validates every slot of a section payload starting at node
-// start — each round's header against this engine's geometry — in a
-// one-node scratch slab, touching no live state.
-func (e *Engine) checkSlots(start uint32, count int, payload []byte) error {
-	scratch := e.newSlab(1)
-	for j := 0; j < count; j++ {
-		if err := scratch.UnmarshalNode(0, payload[j*e.slotSize:(j+1)*e.slotSize]); err != nil {
-			return fmt.Errorf("%w: slot of node %d: %v", ErrCorruptCheckpoint, start+uint32(j), err)
-		}
+// readSection reads the section at r's position: its header checked by
+// parseSectionHeader, its payload read whole into a pooled buffer (the
+// caller returns it with putSectionBuf) and CRC-verified.
+func (e *Engine) readSection(r io.Reader, lo, cursor, hi uint32, contiguous bool) (sectionHeader, []byte, error) {
+	var shdr [sectionHeaderLen]byte
+	if _, err := io.ReadFull(r, shdr[:]); err != nil {
+		return sectionHeader{}, nil, fmt.Errorf("core: checkpoint truncated at section header (node %d): %w", cursor, err)
 	}
-	return nil
+	sec, err := e.parseSectionHeader(shdr[:], lo, cursor, hi, contiguous)
+	if err != nil {
+		return sec, nil, err
+	}
+	payload := e.getSectionBuf(sec.payload)
+	if _, err = io.ReadFull(r, payload); err != nil {
+		err = fmt.Errorf("core: checkpoint truncated in section at node %d: %w", sec.start, err)
+	} else if crc32.Checksum(payload, crcTable) != sec.crc {
+		err = fmt.Errorf("%w: checksum mismatch in section at node %d", ErrCorruptCheckpoint, sec.start)
+	}
+	if err != nil {
+		e.putSectionBuf(payload)
+		return sec, nil, err
+	}
+	return sec, payload, nil
 }
 
 // readSections is the one loop that reads checkpoint sections from a
@@ -1084,22 +993,11 @@ func (e *Engine) readSections(br *bufio.Reader, h checkpointHeader, lo, hi uint3
 	off := uint64(4+checkpointHeaderLen) + uint64(h.metaLen)
 	cursor := lo
 	for s := 0; s < h.sections; s++ {
-		var shdr [sectionHeaderLen]byte
-		if _, err := io.ReadFull(br, shdr[:]); err != nil {
-			return fmt.Errorf("core: checkpoint truncated at section header (node %d): %w", cursor, err)
-		}
-		sec, err := e.parseSectionHeader(shdr[:], lo, cursor, hi, !delta)
+		sec, payload, err := e.readSection(br, lo, cursor, hi, !delta)
 		if err != nil {
 			return err
 		}
-		payload := e.getSectionBuf(sec.payload)
-		if _, err = io.ReadFull(br, payload); err != nil {
-			err = fmt.Errorf("core: checkpoint truncated in section at node %d: %w", sec.start, err)
-		} else if crc32.Checksum(payload, crcTable) != sec.crc {
-			err = fmt.Errorf("%w: checksum mismatch in section at node %d", ErrCorruptCheckpoint, sec.start)
-		} else {
-			err = visit(sec.start, sec.count, payload)
-		}
+		err = visit(sec.start, sec.count, payload)
 		e.putSectionBuf(payload)
 		if err != nil {
 			return err
@@ -1152,7 +1050,7 @@ func ReadCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 	}
 	e.adoptChainMeta(h, env)
 	err = e.readSections(br, h, e.lo, e.lo+e.n, false, func(start uint32, count int, payload []byte) error {
-		return e.decodeSection(start-e.lo, count, payload)
+		return e.sketches.writeSlots(start-e.lo, count, payload)
 	})
 	if err != nil {
 		e.Close()
@@ -1239,64 +1137,18 @@ func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.adoptChainMeta(h, env)
-	workers := len(e.shards)
-	if workers > h.sections {
-		workers = h.sections
-	}
-	errs := make([]error, workers)
+	// Decode fans out over whole sections, one goroutine per shard worker.
+	errs := make([]error, min(len(e.shards), h.sections))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
+	for w := range errs {
 		wg.Add(1)
-		go func(slot *error) {
+		go func() {
 			defer wg.Done()
-			var payload []byte
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= h.sections || *slot != nil {
-					if payload != nil {
-						e.putSectionBuf(payload)
-					}
-					return
-				}
-				entry := footer[i*footerEntryLen:]
-				start := binary.LittleEndian.Uint32(entry[0:])
-				off := int64(binary.LittleEndian.Uint64(entry[8:]))
-				var shdr [sectionHeaderLen]byte
-				if _, err := ra.ReadAt(shdr[:], off); err != nil {
-					*slot = fmt.Errorf("core: reading section header at node %d: %w", start, err)
-					continue
-				}
-				sec, err := e.parseSectionHeader(shdr[:], lo, start, uint32(hi), true)
-				if err != nil {
-					*slot = err
-					continue
-				}
-				// The inline count must match the validated footer entry —
-				// otherwise a lying section header could widen this worker's
-				// range into a neighbour section mid-decode.
-				if sec.count != int(binary.LittleEndian.Uint32(entry[4:])) {
-					*slot = fmt.Errorf("%w: section at node %d declares %d nodes, footer says %d",
-						ErrCorruptCheckpoint, sec.start, sec.count, binary.LittleEndian.Uint32(entry[4:]))
-					continue
-				}
-				if cap(payload) < sec.payload {
-					payload = make([]byte, sec.payload)
-				}
-				payload = payload[:sec.payload]
-				if _, err := ra.ReadAt(payload, off+sectionHeaderLen); err != nil {
-					*slot = fmt.Errorf("core: reading section at node %d: %w", sec.start, err)
-					continue
-				}
-				if crc32.Checksum(payload, crcTable) != sec.crc {
-					*slot = fmt.Errorf("%w: checksum mismatch in section at node %d", ErrCorruptCheckpoint, sec.start)
-					continue
-				}
-				if err := e.decodeSection(sec.start-e.lo, sec.count, payload); err != nil {
-					*slot = err
-				}
+			for i := int(next.Add(1)) - 1; i < h.sections && errs[w] == nil; i = int(next.Add(1)) - 1 {
+				errs[w] = e.restoreSectionAt(ra, size, footer[i*footerEntryLen:], lo, uint32(hi))
 			}
-		}(&errs[wk])
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -1307,6 +1159,25 @@ func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
 	}
 	e.updates.Store(h.updates)
 	return e, nil
+}
+
+// restoreSectionAt installs the section a validated footer entry of a
+// size-byte checkpoint locates.
+func (e *Engine) restoreSectionAt(ra io.ReaderAt, size int64, entry []byte, lo, hi uint32) error {
+	start, count := binary.LittleEndian.Uint32(entry[0:]), int(binary.LittleEndian.Uint32(entry[4:]))
+	off := int64(binary.LittleEndian.Uint64(entry[8:]))
+	sec, payload, err := e.readSection(io.NewSectionReader(ra, off, size-off), lo, start, hi, true)
+	if err != nil {
+		return err
+	}
+	defer e.putSectionBuf(payload)
+	// The inline count must match the validated footer entry — otherwise a
+	// lying section header could widen this worker's range into a
+	// neighbour section mid-decode.
+	if sec.count != count {
+		return fmt.Errorf("%w: section at node %d declares %d nodes, footer says %d", ErrCorruptCheckpoint, sec.start, sec.count, count)
+	}
+	return e.sketches.writeSlots(sec.start-e.lo, sec.count, payload)
 }
 
 // checkCompatible validates a checkpoint header against the engine's
@@ -1327,113 +1198,72 @@ func (e *Engine) checkCompatible(h checkpointHeader) error {
 // one stream — the distributed-ingestion pattern of the paper's
 // conclusion — the merged engine answers queries for the whole stream.
 //
-// The merge streams serialized slots straight into the sketch state with
-// zero per-sketch allocations: RAM mode XORs each slot into the owning
-// shard's slab through capacity-clamped views (Slab.MergeNodeBinary), and
-// disk mode XORs serialized bytes against a coalesced range read of the
-// local slots (cubesketch.MergeSerialized) and writes the range back with
-// one device access per section. No intermediate Sketch is ever built.
+// The merge streams each verified section into the sketch state as one
+// run: the local slots are read, each incoming slot is XORed into them at
+// the serialized level (cubesketch.MergeSerialized), and the run is written
+// back — no intermediate Sketch, one coalesced device access each way out
+// of core.
+//
+// A stream that fails after its first section (a bad CRC, a truncation)
+// returns the error with the sections before it already merged, and
+// Stats().Updates unchanged: the engine no longer matches any stream, so
+// the caller must discard it.
 func (e *Engine) MergeCheckpoint(r io.Reader) error {
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-	e.quiesce.Lock()
-	defer e.quiesce.Unlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if err := e.drainLocked(); err != nil {
-		return err
-	}
-	// The merge reads and writes the store directly, so the cache must be
-	// spilled (its dirty state is ahead of the device) and then dropped
-	// (the merge makes resident copies stale).
-	if e.cache != nil {
-		if err := e.cache.Invalidate(); err != nil {
-			return fmt.Errorf("core: invalidating write-back cache for merge: %w", err)
+	return e.exclusive(func() error {
+		if err := e.sketches.invalidate(); err != nil {
+			return err
 		}
-	}
-	br := asBufReader(r)
-	h, env, err := readCheckpointHeader(br)
-	if err != nil {
-		return err
-	}
-	// Beyond telling delta from full, the source's envelope and WAL
-	// position describe the *remote* worker's chain, log and gate,
-	// meaningless to the merging engine: verified with the header, then
-	// dropped.
-	if env.baseID != 0 {
-		return fmt.Errorf("%w: cannot merge a delta stream", ErrDeltaCheckpoint)
-	}
-	if err := e.checkCompatible(h); err != nil {
-		return err
-	}
-	// A slot equal to the empty-sketch encoding XORs as the identity, so
-	// the set of nodes the merge actually changes is exactly the incoming
-	// non-empty slots: stamp those precisely, so the next query after a
-	// sparse merge runs the delta path over the touched components only and
-	// the next delta seal ships just them.
-	empty := e.emptySlotBytes()
-	err = e.readSections(br, h, e.lo, e.lo+e.n, false, func(start uint32, count int, payload []byte) error {
-		return e.mergeSectionPayload(start-e.lo, count, payload, empty)
-	})
-	if err != nil {
-		return err
-	}
-	e.updates.Add(h.updates)
-	e.epoch.Add(1)
-	return nil
-}
-
-// emptySlotBytes returns the serialized encoding of a node that never
-// received an update. It is identical for every node of a given geometry
-// (the per-round headers depend only on the engine parameters), which is
-// what lets the merge and delta paths recognize no-op slots by byte
-// comparison. Allocates; callers are whole-checkpoint operations.
-func (e *Engine) emptySlotBytes() []byte {
-	buf := make([]byte, e.slotSize)
-	e.newSlab(1).MarshalNode(0, buf)
-	return buf
-}
-
-// mergeSectionPayload XORs one verified section of serialized slots of
-// local nodes [start, start+count) into the engine state, skipping (and leaving unmarked) slots equal to the
-// empty encoding.
-func (e *Engine) mergeSectionPayload(start uint32, count int, incoming, empty []byte) error {
-	if e.store == nil {
-		k := uint32(len(e.shards))
-		for j := 0; j < count; j++ {
-			node := start + uint32(j)
-			slot := incoming[j*e.slotSize : (j+1)*e.slotSize]
-			if bytes.Equal(slot, empty) {
-				continue
-			}
-			e.markChangedNode(node)
-			sh := e.shards[node%k]
-			if err := sh.slab.MergeNodeBinary(int(node/k), slot); err != nil {
-				return fmt.Errorf("%w: merging node %d: %v", ErrCorruptCheckpoint, node, err)
-			}
+		br := asBufReader(r)
+		h, env, err := readCheckpointHeader(br)
+		if err != nil {
+			return err
 		}
+		// Beyond telling delta from full, the source's envelope and WAL
+		// position describe the *remote* worker's chain, log and gate,
+		// meaningless to the merging engine: verified with the header, then
+		// dropped.
+		if env.baseID != 0 {
+			return fmt.Errorf("%w: cannot merge a delta stream", ErrDeltaCheckpoint)
+		}
+		if err := e.checkCompatible(h); err != nil {
+			return err
+		}
+		err = e.readSections(br, h, e.lo, e.lo+e.n, false, func(start uint32, count int, payload []byte) error {
+			return e.mergeRun(start-e.lo, count, payload)
+		})
+		if err != nil {
+			return err
+		}
+		e.updates.Add(h.updates)
+		e.epoch.Add(1)
 		return nil
-	}
+	})
+}
+
+// mergeRun XORs one verified section of serialized slots of local nodes
+// [start, start+count) into the engine state. A slot equal to the
+// empty-sketch encoding XORs as the identity, so the nodes the merge
+// actually changes are exactly the incoming non-empty slots: only those
+// are stamped, so the next query after a sparse merge runs the delta path
+// over the touched components only and the next delta seal ships just
+// them. Their before-images come from the run already read.
+func (e *Engine) mergeRun(start uint32, count int, incoming []byte) error {
 	local := e.getSectionBuf(count * e.slotSize)
 	defer e.putSectionBuf(local)
-	if err := e.readSlots(start, count, local); err != nil {
+	if err := e.sketches.readSlots(start, count, local); err != nil {
 		return err
 	}
 	for j := 0; j < count; j++ {
-		if bytes.Equal(incoming[j*e.slotSize:(j+1)*e.slotSize], empty) {
+		in, cur := incoming[j*e.slotSize:(j+1)*e.slotSize], local[j*e.slotSize:(j+1)*e.slotSize]
+		if bytes.Equal(in, e.emptySlot) {
 			continue
 		}
-		e.markChangedNode(start + uint32(j))
-		for r := 0; r < e.cfg.Rounds; r++ {
-			off := j*e.slotSize + r*e.sketchSize
-			if err := cubesketch.MergeSerialized(local[off:off+e.sketchSize], incoming[off:off+e.sketchSize]); err != nil {
-				return fmt.Errorf("%w: merging node %d round %d: %v", ErrCorruptCheckpoint, start+uint32(j), r, err)
+		e.markChangedNode(start+uint32(j), cur)
+		for off := 0; off < e.slotSize; off += e.sketchSize {
+			if err := cubesketch.MergeSerialized(cur[off:off+e.sketchSize], in[off:off+e.sketchSize]); err != nil {
+				return fmt.Errorf("%w: merging node %d round %d: %v", ErrCorruptCheckpoint, start+uint32(j), off/e.sketchSize, err)
 			}
 		}
 	}
-	if err := e.store.WriteRange(start, count, local); err != nil {
-		return fmt.Errorf("core: merge write of nodes [%d,%d): %w", start, int(start)+count, err)
-	}
-	return nil
+	return e.sketches.writeSlots(start, count, local)
 }

@@ -53,13 +53,11 @@ func rawSlots(t testing.TB, e *Engine) []byte {
 	}
 	e.quiesce.Lock()
 	defer e.quiesce.Unlock()
-	if e.cache != nil {
-		if err := e.cache.WriteBackAll(); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.sketches.flush(); err != nil {
+		t.Fatal(err)
 	}
 	buf := make([]byte, int(e.cfg.NumNodes)*e.slotSize)
-	if err := e.readSlots(0, int(e.cfg.NumNodes), buf); err != nil {
+	if err := e.sketches.readSlots(0, int(e.cfg.NumNodes), buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf
@@ -263,7 +261,7 @@ func TestFullIsDeltaWithEverythingDirty(t *testing.T) {
 						if err := e.drainLocked(); err != nil {
 							t.Fatal(err)
 						}
-						e.markChangedNode(tc.dirty[0])
+						e.markChangedNode(tc.dirty[0], nil) // no query ran: no image is wanted
 						e.quiesce.Unlock()
 					}
 				}

@@ -115,39 +115,16 @@ func (e *Engine) planDelta(baseID, newID uint64) ([]uint32, uint64, bool) {
 // dirty runs into the snapshot's delta buffer, under the quiesce write lock
 // (a delta is at most a threshold fraction of the universe, so the copy is
 // cheap enough to live inside the seal stall — no copy-on-write machinery
-// needed). Disk mode first spills the write-back cache so device bytes are
-// the seal-time truth.
+// needed).
 func (e *Engine) materializeDelta(cs *CheckpointSnapshot) error {
 	cs.deltaBuf = make([]byte, cs.Nodes()*e.slotSize)
-	if e.cache != nil {
-		if err := e.cache.WriteBackAll(); err != nil {
-			return fmt.Errorf("core: sealing write-back cache for delta: %w", err)
-		}
+	if err := e.sketches.flush(); err != nil {
+		return err
 	}
 	for _, run := range cs.sections {
-		if err := e.readSlots(run.start, run.count, cs.deltaBuf[run.off:]); err != nil {
+		if err := e.sketches.readSlots(run.start, run.count, cs.deltaBuf[run.off:]); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// readSlots fills buf with the current serialized slots of local nodes
-// [start, start+count): marshalled out of the live slabs in RAM, one
-// coalesced range read out of core (the caller has spilled or dropped the
-// write-back cache, so device bytes are current). The caller holds the
-// quiesce write lock with the workers idle, or in RAM the snapshot claim
-// on the nodes' section (encodeSection).
-func (e *Engine) readSlots(start uint32, count int, buf []byte) error {
-	if e.store != nil {
-		if err := e.store.ReadRange(start, count, buf[:count*e.slotSize]); err != nil {
-			return fmt.Errorf("core: reading slots of nodes [%d,%d): %w", start, int(start)+count, err)
-		}
-		return nil
-	}
-	for j := 0; j < count; j++ {
-		home, local := e.shardOf(start + uint32(j))
-		home.slab.MarshalNode(local, buf[j*e.slotSize:(j+1)*e.slotSize])
 	}
 	return nil
 }
@@ -219,16 +196,13 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, env metaEnvelope) {
 // markChangedNode stamps an out-of-band sketch mutation of local node (a
 // checkpoint merge, delta apply, or range install — anything bypassing the
 // batch apply path) like an applied batch, capturing the node's pre-change
-// image for the delta query the way the apply path does when the stack is
-// at hand in a slab; an out-of-core mutation leaves the node imageless, and
-// the next delta query re-solves its component from singletons. Must run
-// BEFORE the mutation, under the quiesce write lock with the workers idle.
-func (e *Engine) markChangedNode(node uint32) {
-	if e.store == nil {
-		if img := e.beforeImage(node); img != nil {
-			home, local := e.shardOf(node)
-			home.slab.MarshalNode(local, img)
-		}
+// image for the delta query from cur, its current slot bytes as the caller
+// read them from the store; cur is read only when an image is wanted
+// (wantsImage). Must run BEFORE the mutation, under the quiesce write lock
+// with the workers idle.
+func (e *Engine) markChangedNode(node uint32, cur []byte) {
+	if img := e.beforeImage(node); img != nil {
+		copy(img, cur)
 	}
 	e.touch(node)
 }
@@ -261,40 +235,32 @@ func (e *Engine) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, e
 // engine re-solves exactly their components; later seals ship only what
 // changes after the tip.
 func (e *Engine) ApplyDeltaCheckpoint(r io.Reader) error {
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-	e.quiesce.Lock()
-	defer e.quiesce.Unlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if err := e.drainLocked(); err != nil {
-		return err
-	}
-	br := asBufReader(r)
-	rc, err := e.readHeader(br, e.lo, e.lo+e.n)
-	if err != nil {
-		return err
-	}
-	if !rc.IsDelta() {
-		return fmt.Errorf("%w: ApplyDeltaCheckpoint needs a delta, got a full checkpoint", ErrCorruptCheckpoint)
-	}
-	if cur := e.chainPos(); rc.Base != cur {
-		return fmt.Errorf("%w: delta (tag=%#x base=%d@lsn %d) vs engine (tag=%#x state=%d@lsn %d)",
-			ErrCheckpointChain, rc.Base.Tag, rc.Base.ID, rc.Base.LSN, cur.Tag, cur.ID, cur.LSN)
-	}
-	// Read and validate the whole body into RAM before touching live
-	// state: the install must not be able to fail halfway.
-	if err := e.readBody(br, rc); err != nil {
-		return err
-	}
-	if err := e.installLocked(rc); err != nil {
-		return err
-	}
-	// The engine now holds exactly the tip state: adopt its position.
-	e.updates.Store(rc.Updates)
-	e.adoptChainMeta(rc.h, rc.env)
-	return nil
+	return e.exclusive(func() error {
+		br := asBufReader(r)
+		rc, err := e.readHeader(br, e.lo, e.lo+e.n)
+		if err != nil {
+			return err
+		}
+		if !rc.IsDelta() {
+			return fmt.Errorf("%w: ApplyDeltaCheckpoint needs a delta, got a full checkpoint", ErrCorruptCheckpoint)
+		}
+		if cur := e.chainPos(); rc.Base != cur {
+			return fmt.Errorf("%w: delta (tag=%#x base=%d@lsn %d) vs engine (tag=%#x state=%d@lsn %d)",
+				ErrCheckpointChain, rc.Base.Tag, rc.Base.ID, rc.Base.LSN, cur.Tag, cur.ID, cur.LSN)
+		}
+		// Read and validate the whole body into RAM before touching live
+		// state: the install must not be able to fail halfway.
+		if err := e.readBody(br, rc); err != nil {
+			return err
+		}
+		if err := e.installLocked(rc); err != nil {
+			return err
+		}
+		// The engine now holds exactly the tip state: adopt its position.
+		e.updates.Store(rc.Updates)
+		e.adoptChainMeta(rc.h, rc.env)
+		return nil
+	})
 }
 
 // ChainPos is one state of an engine lineage's checkpoint chain: the
@@ -400,46 +366,55 @@ func (e *Engine) ReadRangeCheckpoint(r io.Reader, lo, hi uint32) (*RangeCheckpoi
 // checked or adopted (the caller tracks the writers'). The checkpoints
 // must come from ReadRangeCheckpoint on this engine.
 func (e *Engine) InstallRanges(rcs []*RangeCheckpoint) error {
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-	e.quiesce.Lock()
-	defer e.quiesce.Unlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if err := e.drainLocked(); err != nil {
-		return err
-	}
-	for _, rc := range rcs {
-		if err := e.installLocked(rc); err != nil {
-			return err
+	return e.exclusive(func() error {
+		for _, rc := range rcs {
+			if err := e.installLocked(rc); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // installLocked replaces the slots of rc's verified runs, stamping each
 // node (with its before-image) first. The caller holds ckptMu and the
 // quiesce write lock with the workers drained.
 func (e *Engine) installLocked(rc *RangeCheckpoint) error {
-	// The cache's dirty state is ahead of the device and resident copies go
-	// stale under the replacement — spill and drop it.
-	if e.cache != nil {
-		if err := e.cache.Invalidate(); err != nil {
-			return fmt.Errorf("core: invalidating write-back cache for install: %w", err)
-		}
+	if err := e.sketches.invalidate(); err != nil {
+		return err
 	}
 	for _, run := range rc.runs {
-		start := run.start - e.lo
-		for j := 0; j < run.count; j++ {
-			e.markChangedNode(start + uint32(j))
-		}
-		if err := e.decodeSection(start, run.count, run.slots); err != nil {
+		if err := e.installRun(run.start-e.lo, run.count, run.slots); err != nil {
 			return err
 		}
 	}
 	e.epoch.Add(1)
 	return nil
+}
+
+// installRun replaces the slots of local nodes [start, start+count) with
+// slots, stamping each node first. The run's current slots are read — once
+// — only when some node in it wants a before-image.
+func (e *Engine) installRun(start uint32, count int, slots []byte) error {
+	var cur []byte
+	for j := 0; j < count; j++ {
+		if e.wantsImage(start + uint32(j)) {
+			cur = e.getSectionBuf(count * e.slotSize)
+			defer e.putSectionBuf(cur)
+			if err := e.sketches.readSlots(start, count, cur); err != nil {
+				return err
+			}
+			break
+		}
+	}
+	for j := 0; j < count; j++ {
+		var img []byte
+		if cur != nil {
+			img = cur[j*e.slotSize : (j+1)*e.slotSize]
+		}
+		e.markChangedNode(start+uint32(j), img)
+	}
+	return e.sketches.writeSlots(start, count, slots)
 }
 
 // RestoreRange streams a full checkpoint of [lo, hi) straight into this
@@ -465,7 +440,7 @@ func (e *Engine) RestoreRange(r io.Reader, lo, hi uint32) (*RangeCheckpoint, err
 		return nil, fmt.Errorf("%w: RestoreRange needs a full checkpoint", ErrDeltaCheckpoint)
 	}
 	err = e.readSections(br, rc.h, lo, hi, false, func(start uint32, count int, payload []byte) error {
-		return e.decodeSection(start-e.lo, count, payload)
+		return e.sketches.writeSlots(start-e.lo, count, payload)
 	})
 	if err != nil {
 		return nil, err

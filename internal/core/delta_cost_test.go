@@ -71,7 +71,7 @@ func TestDeltaQueryDiskReads(t *testing.T) {
 					t.Fatal(err)
 				}
 				if evict {
-					if err := e.cache.Invalidate(); err != nil {
+					if err := e.sketches.invalidate(); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -317,42 +317,47 @@ func TestAdoptQueryBaseline(t *testing.T) {
 
 	// Rebuild "the next refresh": same state plus a couple of new edges,
 	// arriving via checkpoint merge (which marks exactly the non-empty
-	// incoming slots dirty).
+	// incoming slots dirty) — into a fresh engine in RAM and one on disk.
 	var buf bytes.Buffer
 	if err := old.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if err := fresh.MergeCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	mustUpdate(t, fresh, 40, 41)
 	edges = append(edges, stream.Edge{U: 40, V: 41})
+	var fresh *Engine
+	for _, onDisk := range []bool{false, true} {
+		fcfg := cfg
+		fcfg.SketchesOnDisk = onDisk
+		fresh, err = NewEngine(fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		if err := fresh.MergeCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		mustUpdate(t, fresh, 40, 41)
 
-	// The merged checkpoint's non-empty slots are nodes 0..30 (31 nodes);
-	// the direct update dirties 40 and 41 on top.
-	if err := fresh.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if st := fresh.Stats(); st.DirtyNodes != 33 {
-		t.Fatalf("pre-adoption DirtyNodes = %d, want 33 (merge marks exactly the non-empty slots)", st.DirtyNodes)
-	}
-	if !fresh.AdoptQueryBaseline(old) {
-		t.Fatal("AdoptQueryBaseline refused compatible engines")
-	}
-	if st := fresh.Stats(); st.DirtyNodes != 2 {
-		t.Fatalf("post-adoption DirtyNodes = %d, want 2 (only the new edge's endpoints differ)", st.DirtyNodes)
-	}
-	checkAgainstExact(t, fresh, n, edges)
-	if st := fresh.Stats(); st.DeltaQueries != 1 {
-		t.Fatalf("adopted baseline query: DeltaQueries=%d, want 1", st.DeltaQueries)
+		// The merged checkpoint's non-empty slots are nodes 0..30 (31 nodes);
+		// the direct update dirties 40 and 41 on top.
+		if err := fresh.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if st := fresh.Stats(); st.DirtyNodes != 33 {
+			t.Fatalf("onDisk=%v: pre-adoption DirtyNodes = %d, want 33 (merge marks exactly the non-empty slots)", onDisk, st.DirtyNodes)
+		}
+		if !fresh.AdoptQueryBaseline(old) {
+			t.Fatalf("onDisk=%v: AdoptQueryBaseline refused compatible engines", onDisk)
+		}
+		if st := fresh.Stats(); st.DirtyNodes != 2 {
+			t.Fatalf("onDisk=%v: post-adoption DirtyNodes = %d, want 2 (only the new edge's endpoints differ)", onDisk, st.DirtyNodes)
+		}
+		checkAgainstExact(t, fresh, n, edges)
+		if st := fresh.Stats(); st.DeltaQueries != 1 {
+			t.Fatalf("onDisk=%v: adopted baseline query: DeltaQueries=%d, want 1", onDisk, st.DeltaQueries)
+		}
 	}
 
-	// Geometry mismatch and disk placement are refused without touching state.
+	// A geometry mismatch is refused without touching state.
 	other, err := NewEngine(Config{NumNodes: n, Seed: 10, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -494,10 +499,10 @@ var forestCutModes = []struct {
 
 // TestDeltaQueryEquivalenceForestCuts deletes 1-4 edges of the engine's
 // own cached forest per step, queries, puts most of them back, queries
-// again, and now and then merges a sparse side checkpoint in (which out of
-// core leaves its nodes imageless: the from-singletons class) — every
-// answer checked against the exact components, in every placement, on
-// graphs whose pieces come in every size.
+// again, and now and then merges a sparse side checkpoint in (whose nodes
+// take their images from the run the merge reads) — every answer checked
+// against the exact components, in every placement, on graphs whose
+// pieces come in every size.
 func TestDeltaQueryEquivalenceForestCuts(t *testing.T) {
 	const n = 128
 	for _, mode := range forestCutModes {
@@ -552,10 +557,10 @@ func TestDeltaQueryEquivalenceForestCuts(t *testing.T) {
 				if c[classIntact] == 0 || c[classCut] == 0 {
 					t.Fatalf("classes intact=%d cut=%d: harness is vacuous", c[classIntact], c[classCut])
 				}
-				// In RAM every dirty node under the fallback threshold holds an
-				// image; out of core the merges above leave theirs without.
-				if cfg.SketchesOnDisk && c[classSingletons] == 0 {
-					t.Fatal("no component re-solved from singletons: the imageless fallback never ran")
+				// Every dirty node under the fallback threshold holds an
+				// image, in both placements, the merges' nodes included.
+				if c[classSingletons] != 0 {
+					t.Fatalf("%d components re-solved from singletons: a dirty node had no image", c[classSingletons])
 				}
 			})
 		}
@@ -600,8 +605,8 @@ func (h *equivHarness) mergeSide(cfg Config, k int) {
 // TestDeltaQueryEquivalenceApplyDelta feeds the engine under test through
 // ApplyDeltaCheckpoint only: a RAM producer takes the forest-edge
 // deletions and re-insertions, seals a sparse delta per step, and the
-// consumer — in RAM, where the replaced slots leave images behind, and on
-// disk, where they do not — must answer every step exactly.
+// consumer — in RAM and on disk, where the replaced slots leave images
+// behind alike — must answer every step exactly.
 func TestDeltaQueryEquivalenceApplyDelta(t *testing.T) {
 	const n = 128
 	for _, onDisk := range []bool{false, true} {
@@ -652,13 +657,8 @@ func TestDeltaQueryEquivalenceApplyDelta(t *testing.T) {
 				h.insertAll(src, cut[:len(cut)-1])
 				ship()
 			}
-			c := deltaClassCounts(dst)
-			if onDisk {
-				if c[classSingletons] == 0 {
-					t.Fatalf("disk consumer never re-solved from singletons: %v", c)
-				}
-			} else if c[classCut] == 0 || c[classIntact] == 0 {
-				t.Fatalf("RAM consumer classes %v: cut and intact must both run", c)
+			if c := deltaClassCounts(dst); c[classCut] == 0 || c[classIntact] == 0 {
+				t.Fatalf("%s consumer classes %v: cut and intact must both run", name, c)
 			}
 		})
 	}

@@ -125,23 +125,21 @@ type Stats struct {
 //
 // Sharded ingest pipeline: updates are buffered per destination node by a
 // multi-producer gutter.Buffer; emitted batches are routed to their node
-// group's owner (ownerOf; a group is one node in RAM) through one SPSC
-// queue per shard (pushes serialized by a per-shard mutex taken once per
-// batch); and each shard's single Graph Worker owns its groups' sketches
-// outright for the engine's whole life (an arena-backed cubesketch.Slab in
-// RAM mode). In disk mode the workers share the tiered sketch store
-// instead: batches apply to decoded node groups in a sharded write-back
-// cache (diskstore.Cache, its own lock domain keyed by group, whose shard
-// s only the worker of shard s faults groups into), and the device sees
-// only group-granular fills and coalesced dirty write-backs.
-// Exclusive ownership replaces the seed design's per-node mutexes: the
-// per-update path takes no engine-level lock beyond a read-lock on the
-// quiesce RWMutex (and, batched, that cost is amortized across the whole
-// batch). Quiescent phases (Drain, queries, Close) take the quiesce write
-// lock, flush the buffer, and wait on the pending-batch WaitGroup;
-// producers blocked on the read lock cannot race them. Checkpoint writes
-// hold the write lock only long enough to drain and seal a snapshot, then
-// stream with ingestion live (checkpoint.go).
+// group's owner (ownerOf) through one SPSC queue per shard (pushes
+// serialized by a per-shard mutex taken once per batch); and each shard's
+// single Graph Worker applies every batch of its groups for the engine's
+// whole life. The sketches live in one of two stores (store.go), picked
+// by NewEngine: ramStore, an arena-backed cubesketch.Slab per shard that
+// its worker owns outright, or deviceStore, node-group slots on a block
+// device behind a sharded write-back cache whose shard s only the worker
+// of shard s faults groups into. Exclusive ownership replaces the seed
+// design's per-node mutexes: the per-update path takes no engine-level
+// lock beyond a read-lock on the quiesce RWMutex (and, batched, that cost
+// is amortized across the whole batch). Quiescent phases (Drain, queries,
+// Close) take the quiesce write lock, flush the buffer, and wait on the
+// pending-batch WaitGroup; producers blocked on the read lock cannot race
+// them. Checkpoint writes hold the write lock only long enough to drain
+// and seal a snapshot, then stream with ingestion live (checkpoint.go).
 type Engine struct {
 	cfg        Config
 	vecLen     uint64
@@ -159,21 +157,26 @@ type Engine struct {
 
 	shards []*shard
 
-	store    *diskstore.Store // non-nil in disk mode
-	cache    *diskstore.Cache // non-nil in disk mode
-	npg      int              // nodes per disk group (1 in RAM mode)
-	storeDev iomodel.Device
+	// sketches is where the node sketches live (store.go); npg is the node
+	// group every batch of which one worker applies (ownerOf): the device
+	// store's group of slots, one node in RAM.
+	sketches sketchStore
+	npg      int
+	// emptySlot is the slot of a node that never received an update: the
+	// same bytes for every node, so the merge recognizes no-op slots by
+	// comparison, and its round headers are what checkSlots requires.
+	emptySlot []byte
 
 	buf     gutter.Buffer
 	pending sync.WaitGroup
 	wg      sync.WaitGroup
 
 	// testApplyHook, when non-nil (tests only), brackets every batch
-	// apply: it is called with the node before the apply and the returned
-	// function after — in RAM inside the checkpoint capture's in-flight
-	// window. The ownership test uses it to prove that one worker applies
-	// each group, the checkpoint tests to hold an apply open while the
-	// scanner claims its section.
+	// apply: the store calls it with the node before the apply and the
+	// returned function after — in RAM inside the checkpoint capture's
+	// in-flight window. The ownership test uses it to prove that one
+	// worker applies each group, the checkpoint tests to hold an apply
+	// open while the scanner claims its section.
 	testApplyHook func(node uint32) func()
 
 	// quiesce separates producers (read side: ingest entry points) from
@@ -256,15 +259,12 @@ type Engine struct {
 	// Checkpoint subsystem state (checkpoint.go). ckptMu serializes whole
 	// checkpoint operations and orders strictly before the quiesce lock
 	// (every path that needs both takes ckptMu first, including Close).
-	// snap, when non-nil, is the copy-on-write capture of an in-flight full
-	// snapshot that the workers feed pre-images into; ckptBuf pools section
-	// payload buffers; lastCkptStall records the quiesce-held phase of the
-	// last WriteCheckpoint for Stats.
+	// ckptBuf pools section payload buffers; lastCkptStall records the
+	// quiesce-held phase of the last WriteCheckpoint for Stats.
 	ckptMu        sync.Mutex
-	snap          atomic.Pointer[ckptSnap]
 	ckptBuf       *sync.Pool
 	lastCkptStall atomic.Int64
-	cowBudget     int // 0 = the placement's default (ckptSnap); tests override it, -1 for none
+	cowBudget     int // 0 = the store's default (seal); tests override it, -1 for none
 
 	// Delta-checkpoint chain state (delta.go). chainTag is a random
 	// per-lineage token minted at engine creation and adopted from the
@@ -308,11 +308,11 @@ type Engine struct {
 	closeErr  error
 }
 
-// shard is the state owned exclusively by one Graph Worker: shard s owns
-// the node groups g with g % Shards == s (ownerOf) — in RAM, where a group
-// is one node, their sketches too — the SPSC queue feeding it, and its
-// scratch buffers. No other goroutine touches these fields while the worker runs;
-// the driving goroutine reads them only in quiescent phases.
+// shard is the state of one Graph Worker, which applies every batch of
+// the node groups g with g % Shards == s (ownerOf) to the store: the SPSC
+// queue feeding it and its scratch. No other goroutine touches these
+// fields while the worker runs; the driving goroutine reads them only in
+// quiescent phases.
 type shard struct {
 	queue *gutter.SPSC
 
@@ -324,8 +324,6 @@ type shard struct {
 	// often enough for the padding to matter on both sides).
 	pushMu sync.Mutex
 	_      [gutter.CacheLine - 8]byte
-
-	slab *cubesketch.Slab // RAM mode: this shard's node sketches
 
 	indices []uint64 // batch → characteristic-vector index scratch
 
@@ -379,6 +377,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// already exceeds the threshold and the next query falls back anyway.
 	e.beforeLimit = int(cfg.DeltaQueryMaxDirtyFrac*float64(e.n)) + 1
 	e.before = make(map[uint32][]byte)
+	e.emptySlot = make([]byte, e.slotSize)
+	e.newSlab(1).MarshalNode(0, e.emptySlot)
+
+	e.npg = 1
 	if cfg.SketchesOnDisk {
 		// Out of core the images are RAM the deployment meant to keep on the
 		// device, so they get a quarter of what the write-back cache gets: a
@@ -387,70 +389,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if limit := int(cfg.CacheBytes / 4 / int64(e.slotSize)); limit < e.beforeLimit {
 			e.beforeLimit = limit
 		}
-	}
-
-	// Resolve the disk-tier geometry: group slots sized toward the device
-	// block (the paper's max{1, B / sketch bytes} node grouping), and the
-	// write-back cache budget. RAM mode keeps groups of 1 — grouping only
-	// changes disk access granularity.
-	e.npg = 1
-	if cfg.SketchesOnDisk {
-		npg := cfg.NodesPerGroup
-		if npg <= 0 {
-			npg = cfg.BlockSize / e.slotSize
-			if npg > 256 {
-				npg = 256
-			}
+		ds, err := newDeviceStore(e)
+		if err != nil {
+			return nil, err
 		}
-		if npg < 1 {
-			npg = 1
-		}
-		if uint32(npg) > e.n {
-			npg = int(e.n)
-		}
-		e.npg = npg
-		e.cfg.NodesPerGroup = npg
+		e.sketches, e.npg = ds, ds.npg
+		e.cfg.NodesPerGroup = ds.npg
 		cfg = e.cfg
-
-		e.storeDev, err = e.openDevice("sketches.gz0")
-		if err != nil {
-			return nil, err
-		}
-		e.store, err = diskstore.New(e.storeDev, e.n, e.slotSize, npg)
-		if err != nil {
-			return nil, err
-		}
-		// Initialize every slot with the empty-sketch encoding so reads
-		// before first write decode correctly, in coalesced chunks rather
-		// than one device write per node.
-		init := cubesketch.NewSlab(1, e.vecLen, cfg.Columns, seeds)
-		chunkSlots := cfg.QueryScanBytes / e.slotSize
-		if chunkSlots < 1 {
-			chunkSlots = 1
-		}
-		if uint32(chunkSlots) > e.n {
-			chunkSlots = int(e.n)
-		}
-		chunk := make([]byte, chunkSlots*e.slotSize)
-		for i := 0; i < chunkSlots; i++ {
-			init.MarshalNode(0, chunk[i*e.slotSize:])
-		}
-		for node := uint32(0); node < e.n; node += uint32(chunkSlots) {
-			count := chunkSlots
-			if rest := int(e.n - node); count > rest {
-				count = rest
-			}
-			if err := e.store.WriteRange(node, count, chunk[:count*e.slotSize]); err != nil {
-				return nil, fmt.Errorf("core: initializing sketch store: %w", err)
-			}
-		}
-		e.cache = diskstore.NewCache(e.store, diskstore.CacheConfig{
-			Bytes:  cfg.CacheBytes,
-			Shards: cfg.Shards,
-			NewSlab: func() *cubesketch.Slab {
-				return cubesketch.NewSlab(npg, e.vecLen, cfg.Columns, seeds)
-			},
-		})
+	} else {
+		e.sketches = newRAMStore(e)
 	}
 
 	e.shards = make([]*shard, cfg.Shards)
@@ -462,12 +409,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		queueCap = 1
 	}
 	for s := range e.shards {
-		sh := &shard{queue: gutter.NewSPSC(queueCap)}
-		if !cfg.SketchesOnDisk {
-			count := shardNodeCount(e.n, cfg.Shards, s)
-			sh.slab = cubesketch.NewSlab(count, e.vecLen, cfg.Columns, seeds)
-		}
-		e.shards[s] = sh
+		e.shards[s] = &shard{queue: gutter.NewSPSC(queueCap)}
 	}
 
 	sink := func(b gutter.Batch) {
@@ -594,12 +536,6 @@ func (e *Engine) roundSeed(r int) uint64 {
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// shardOf returns the shard owning local node, and its index within it.
-func (e *Engine) shardOf(node uint32) (*shard, int) {
-	k := uint32(len(e.shards))
-	return e.shards[node%k], int(node / k)
-}
-
 // ownerOf returns the shard whose worker applies every batch of node: the
 // owner of its disk group, group % Shards, so that the unit of I/O is also
 // the unit of ownership and each worker is the only one faulting groups
@@ -607,7 +543,7 @@ func (e *Engine) shardOf(node uint32) (*shard, int) {
 // emits a group's batches back to back; routed by node they would land on
 // every worker at once and serialize on the group's cache-shard lock, one
 // worker faulting the group in while the others wait. In RAM a group is
-// one node, so the owner is shardOf's storage home.
+// one node, so shard s owns ramStore's slab s.
 func (e *Engine) ownerOf(node uint32) *shard {
 	return e.shards[node/uint32(e.npg)%uint32(len(e.shards))]
 }
@@ -854,8 +790,7 @@ func (e *Engine) worker(sh *shard) {
 }
 
 // applyBatch applies all of a batch's updates to one node's sketches; sh
-// is the node's owner. There is one path per placement: the owner's RAM
-// slab, or the write-back cache.
+// is the node's owner.
 func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	// Translate far endpoints into characteristic-vector indices once;
 	// every round's sketch consumes the same indices.
@@ -869,49 +804,15 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	// A node's first dirtying since the last cached query snapshots its
 	// pre-change sketch bytes: that state is exactly what the cached result
 	// observed, and the delta query's materialization is built on the
-	// difference from it. img is nil when no image is wanted; each
-	// placement below fills it from wherever the pre-change stack is at
-	// hand (the owner's slab, the decoded cache group).
+	// difference from it. img is nil when no image is wanted; the store
+	// fills it from wherever the pre-change stack is at hand (the owner's
+	// slab, the decoded cache group).
 	img := e.beforeImage(b.Node)
 	// Stamp the change before touching the sketches: no cut can be taken
 	// while the batch is in flight, so every reader whose cut precedes the
 	// applied state sees the node as changed.
 	e.touch(b.Node)
-
-	if e.store == nil {
-		// In RAM the owner's slab holds the node (groups of one node, so
-		// ownerOf is node % Shards).
-		local := int(b.Node) / len(e.shards)
-		if img != nil {
-			sh.slab.MarshalNode(local, img)
-		}
-		// A full checkpoint may be marshalling this node's section out of
-		// the live slabs right now: acquire keeps the two apart and hands
-		// back the pre-image buffer the snapshot needs when this is the
-		// node's first change ahead of the scan (checkpoint.go).
-		if snap := e.snap.Load(); snap != nil {
-			sec, pre := snap.acquire(b.Node, e.slotSize)
-			if pre != nil {
-				sh.slab.MarshalNode(local, pre)
-			}
-			defer snap.release(sec)
-		}
-		if h := e.testApplyHook; h != nil {
-			defer h(b.Node)()
-		}
-		sh.slab.Apply(local, sh.indices)
-		return
-	}
-	if h := e.testApplyHook; h != nil {
-		defer h(b.Node)()
-	}
-	// Out of core the batch applies to the decoded group in the write-back
-	// cache; the device is touched only on miss fill and dirty write-back.
-	// Snapshot pre-image preservation happens at write-back time through
-	// the cache's write barrier, because that is the only point where
-	// device bytes change (the scanner reads the device, which a seal-time
-	// flush made coherent).
-	if err := e.cache.ApplyCapture(b.Node, sh.indices, img); err != nil {
+	if err := e.sketches.apply(b.Node, sh.indices, img); err != nil {
 		e.setErr(fmt.Errorf("core: applying batch to node %d: %w", b.Node, err))
 	}
 }
@@ -961,14 +862,19 @@ func (e *Engine) changedSince(cut uint64, dst []uint32) []uint32 {
 // written by its owner's worker or by the driving goroutine while the
 // workers are idle, and the caller is one of those.
 func (e *Engine) beforeImage(node uint32) []byte {
-	res := e.queryCache.Load()
-	if e.cfg.NoDeltaQuery || res == nil {
+	if !e.wantsImage(node) {
 		return nil
 	}
-	if e.stamp[node].Load() > res.cut {
-		return nil // not the first change: the image, if any, is already right
-	}
 	return e.addBefore(node)
+}
+
+// wantsImage reports whether a change to node now would be its first
+// since the cached query result's cut, with delta queries on — whether
+// beforeImage asks for an image (beforeLimit aside). A node stamped above
+// the cut already has its image, if any.
+func (e *Engine) wantsImage(node uint32) bool {
+	res := e.queryCache.Load()
+	return !e.cfg.NoDeltaQuery && res != nil && e.stamp[node].Load() <= res.cut
 }
 
 // addBefore registers a before-image for node and returns its slot-sized
@@ -1043,6 +949,24 @@ func (e *Engine) drainLocked() error {
 	return e.err()
 }
 
+// exclusive runs f holding ckptMu and the quiesce write lock with the
+// workers drained: how an operation that rewrites sketch state outside the
+// apply path (a merge, a delta apply, a range install) excludes ingestion,
+// queries and checkpoints.
+func (e *Engine) exclusive(f func() error) error {
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
+	e.quiesce.Lock()
+	defer e.quiesce.Unlock()
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	if err := e.drainLocked(); err != nil {
+		return err
+	}
+	return f()
+}
+
 // Stats returns a snapshot of engine statistics.
 func (e *Engine) Stats() Stats {
 	st := Stats{
@@ -1065,10 +989,8 @@ func (e *Engine) Stats() Stats {
 		b := sh.batches.Load()
 		st.ShardBatches[i] = b
 		st.Batches += b
-		if sh.slab != nil {
-			st.MemoryBytes += int64(sh.slab.Bytes())
-		}
 	}
+	e.sketches.stats(&st)
 	var since uint64
 	if res := e.queryCache.Load(); res != nil {
 		since = res.cut
@@ -1077,14 +999,6 @@ func (e *Engine) Stats() Stats {
 		if e.stamp[v].Load() > since {
 			st.DirtyNodes++
 		}
-	}
-	if e.storeDev != nil {
-		st.SketchIO = e.storeDev.Stats()
-		st.DiskBytes += e.store.TotalBytes()
-	}
-	if e.cache != nil {
-		st.SketchCache = e.cache.Stats()
-		st.MemoryBytes += st.SketchCache.CachedBytes
 	}
 	e.beforeMu.Lock()
 	st.MemoryBytes += int64(len(e.before)+len(e.beforeFree)) * int64(e.slotSize)
@@ -1135,14 +1049,7 @@ func (e *Engine) Close() error {
 			// shutdown regardless of fsync policy.
 			errs = append(errs, e.log.Close())
 		}
-		if e.cache != nil {
-			// Spill dirty cached groups before the device goes away, so
-			// the on-device state reflects every applied update.
-			errs = append(errs, e.cache.WriteBackAll())
-		}
-		if e.storeDev != nil {
-			errs = append(errs, e.storeDev.Close())
-		}
+		errs = append(errs, e.sketches.close())
 		if e.treeDev != nil {
 			errs = append(errs, e.treeDev.Close())
 		}

@@ -84,16 +84,16 @@ func TestStatsDiskBytes(t *testing.T) {
 
 	disk := build(Config{SketchesOnDisk: true})
 	defer disk.Close()
-	if got, want := disk.Stats().DiskBytes, disk.store.TotalBytes(); got != want {
+	if got, want := disk.Stats().DiskBytes, deviceOf(disk).store.TotalBytes(); got != want {
 		t.Fatalf("disk-mode DiskBytes = %d, want sketch store %d", got, want)
 	}
 
 	hybrid := build(Config{SketchesOnDisk: true, Buffering: BufferTree})
 	defer hybrid.Close()
-	wantHybrid := hybrid.store.TotalBytes() + hybrid.tree.TotalBytes()
+	wantHybrid := deviceOf(hybrid).store.TotalBytes() + hybrid.tree.TotalBytes()
 	if got := hybrid.Stats().DiskBytes; got != wantHybrid {
 		t.Fatalf("hybrid DiskBytes = %d, want store %d + tree %d = %d",
-			got, hybrid.store.TotalBytes(), hybrid.tree.TotalBytes(), wantHybrid)
+			got, deviceOf(hybrid).store.TotalBytes(), hybrid.tree.TotalBytes(), wantHybrid)
 	}
 	if hybrid.tree.TotalBytes() == 0 {
 		t.Fatal("gutter tree reports a zero footprint")
@@ -142,7 +142,7 @@ func TestGroupedFlushIOBound(t *testing.T) {
 		t.Fatal("tiered ingest recorded no cache hits")
 	}
 	// With no evictions, ingest reads are bounded by one fill per group.
-	if groups := cached.store.NumGroups(); cachedIO.ReadOps > uint64(groups) {
+	if groups := deviceOf(cached).store.NumGroups(); cachedIO.ReadOps > uint64(groups) {
 		t.Fatalf("tiered ingest issued %d read ops for %d groups; want at most one fill per group",
 			cachedIO.ReadOps, groups)
 	}

@@ -47,7 +47,7 @@ func evictAll(t *testing.T, e *Engine) {
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.cache.Invalidate(); err != nil {
+	if err := e.sketches.invalidate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -32,13 +32,14 @@ func skewedEdges(seed uint64, numNodes, stride uint32, count int) []stream.Edge 
 	return edges
 }
 
-// nodeSketchBytes marshals node's sketches out of its home shard's slab.
-// The engine must be drained (workers idle) when this is called.
+// nodeSketchBytes reads node's slot out of a RAM engine's store. The
+// engine must be drained (workers idle) when this is called.
 func nodeSketchBytes(t *testing.T, e *Engine, node uint32) []byte {
 	t.Helper()
-	sh, local := e.shardOf(node)
-	buf := make([]byte, sh.slab.NodeSize())
-	sh.slab.MarshalNode(local, buf)
+	buf := make([]byte, e.slotSize)
+	if err := e.sketches.readSlots(node, 1, buf); err != nil {
+		t.Fatal(err)
+	}
 	return buf
 }
 

@@ -23,20 +23,12 @@ import (
 //     out of every later round.
 //
 //  2. One contribution list per round. prepareRound lists, in node order,
-//     every (node, root, source) term of every live root's aggregate; both
-//     placements materialize from that one list. RAM mode groups it by
-//     root and fans the XORs across goroutines; out of core the live bytes
-//     of contributing nodes come from the write-back cache's resident
-//     groups (zero device reads) or from coalesced ReadRange runs over the
-//     remaining contributing groups, QueryScanBytes at a time. When every
-//     live node contributes — a from-scratch query — that is the paper's
+//     every (node, root, source) term of every live root's aggregate, and
+//     the sketch store sums it (sampleRound). Out of core, when every live
+//     node contributes — a from-scratch query — that is the paper's
 //     sequential scan (Lemma 5): O(liveBytes/B) blocks in a handful of ops,
-//     never one point Read per node. And because a slot read for round r
-//     carries the node's later rounds too, a from-scratch scan sums as
-//     many rounds ahead as the arena round 0 needed has room for, and the
-//     rounds after it fold those aggregates along the DSU's unions in RAM
-//     (sampleRound): a query reads the store about twice, not once per
-//     round.
+//     never one point Read per node, looking as many rounds ahead as the
+//     arena holds: a query reads the store about twice, not once per round.
 //
 //  3. Ingest-epoch caching. The engine bumps an epoch counter on every
 //     accepted update batch; a full query stores its result tagged with
@@ -357,17 +349,16 @@ type querySession struct {
 	slot     []int32  // root -> index into roots this round, -1 otherwise
 	roots    []uint32 // live roots this round, in deterministic order
 	// contribs lists this round's contributions in ascending node order —
-	// the order the out-of-core scan reads them in. starts/order are the
-	// same list grouped by root (RAM mode: contributions of roots[i] are
-	// order[starts[i]:starts[i+1]]), and arenaSlot is sampleRound's root ->
-	// arena node map, parallel to roots; -1 marks a root sampled in place
-	// from its one member's slab sketch.
+	// the order the device scan reads them in. starts/order are the same
+	// list grouped by root (ramStore: contributions of roots[i] are
+	// order[starts[i]:starts[i+1]]), and arenaSlot is the store's root ->
+	// arena node map, parallel to roots; -1 marks a root ramStore samples
+	// in place from its one member's slab sketch.
 	contribs  []contribution
 	starts    []int
 	fill      []int // groupByRoot's per-root cursor
 	order     []contribution
 	arenaSlot []int32
-	scanBuf   []byte // disk mode: sequential-scan chunk buffer
 
 	// The round's samples (sampleRound): one out per sampling worker, then
 	// their candidates and emptied roots in live-root order. forest
@@ -377,7 +368,7 @@ type querySession struct {
 	emptied []uint32
 	forest  []stream.Edge
 
-	// Out of core, what the engine's arena holds: the aggregates of rounds
+	// In deviceStore, what the engine's arena holds: the aggregates of rounds
 	// [arenaRound, arenaEnd), one per held entry. A from-scratch scan looks
 	// ahead (arenaEnd > arenaRound+1) and the rounds in between fold held
 	// along the unions instead of scanning again (foldHeld).
@@ -664,9 +655,8 @@ const (
 // leaf and the dirty nodes, never the giant's members.
 //
 // From singletons: a dirty member has no before-image (capture stopped at
-// the limit, or the mutation bypassed the apply path out of core), so prev
-// is unknown for it. The component splits back to singletons and re-solves
-// with full member materialization.
+// the limit), so prev is unknown for it. The component splits back to
+// singletons and re-solves with full member materialization.
 //
 // ok=false (with no error) means the affected components failed to
 // certify within the sketch depth; the caller falls back to the
@@ -766,65 +756,22 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 // from the round's contribution list and samples one candidate cut edge
 // from each (Boruvka phase 1), into q.cands in live-root order, with
 // q.emptied listing the roots whose cut sketch was empty (complete
-// components). RAM mode fans both materialization and sampling across one
-// goroutine per shard; disk mode materializes first (one device, one pass
-// in node order), then fans only the sampling.
+// components).
 //
 // The supernode sketches that have to be summed live in the engine's one
 // arena, re-formed per round (queries hold the quiesce write lock, so one
-// serves them all): mergeable with the shard slabs by construction (same
-// vector length, columns, and round seeds). In RAM mode a root whose one
-// contribution is a live sketch as is — every root of a from-scratch
-// query's first round — IS that member's slab sketch and is sampled in
-// place: its arenaSlot is -1 and the arena holds the other roots only.
-//
-// Disk mode sums every root into the arena, and a from-scratch scan at
-// round r with L live roots sums k = min(Rounds-r, max(1, V/L)) rounds per
-// root, not one: a union's aggregate is the XOR of its parts' aggregates,
-// so rounds r+1 .. r+k-1 fold what is already in RAM (foldHeld) and never
-// touch the device. L*k single-round sketches is never more than the V that
-// round 0 (L = V, k = 1) needs anyway. A delta query keeps k = 1: its
-// contributing groups are few and mostly resident.
+// serves them all): mergeable with the stored sketches by construction
+// (same vector length, columns, and round seeds). Each store sums them its
+// own way, and each way wins on some workload. In RAM the sampling
+// workers sum their roots out of the slabs, and a root that is one live
+// sketch is sampled in place. Out of core one pass in node order reads the
+// device (scanning ahead as many rounds as the arena holds, folded along
+// the unions in RAM afterwards) before the workers only sample.
 func (e *Engine) sampleRound(q *querySession, round int) error {
-	nr := len(q.roots)
-	arena := e.queryArena
-	if e.store == nil {
-		q.arenaSlot = q.arenaSlot[:0]
-		q.groupByRoot()
-		summed := 0
-		for i := 0; i < nr; i++ {
-			if q.starts[i+1]-q.starts[i] == 1 && q.order[q.starts[i]].src == srcLive {
-				q.arenaSlot = append(q.arenaSlot, -1)
-				continue
-			}
-			q.arenaSlot = append(q.arenaSlot, int32(summed))
-			summed++
-		}
-		q.arenaRound = round
-		arena.Reshape(summed, e.roundSeeds[round:round+1])
-	} else {
-		folded, err := q.foldHeld(arena, round)
-		if err != nil {
-			return fmt.Errorf("core: folding supernodes: %w", err)
-		}
-		if !folded {
-			k := 1
-			if !q.delta {
-				k = min(e.cfg.Rounds-round, max(1, int(e.cfg.NumNodes)/nr))
-			}
-			q.arenaSlot = q.arenaSlot[:0]
-			for i := 0; i < nr; i++ {
-				q.arenaSlot = append(q.arenaSlot, int32(i))
-			}
-			q.arenaRound, q.arenaEnd = round, round+k
-			arena.Reshape(nr, e.roundSeeds[round:round+k])
-			if err := e.scanRoundFromDisk(q, arena, round); err != nil {
-				return err
-			}
-			q.holdScanned()
-		}
+	if err := e.sketches.sumRound(q, round); err != nil {
+		return err
 	}
-
+	nr := len(q.roots)
 	// Workers own contiguous root ranges; the last runs on this goroutine.
 	workers := min(len(e.shards), nr)
 	chunk := (nr + workers - 1) / workers
@@ -862,41 +809,14 @@ func (e *Engine) sampleRound(q *querySession, round int) error {
 }
 
 // sampleRoots is one sampling worker of sampleRound: for live roots
-// [lo, hi) it materializes each root's supernode sketch where RAM mode
-// still has to, and queries it for a cut edge.
+// [lo, hi) it has the store materialize each root's supernode sketch and
+// queries it for a cut edge.
 func (e *Engine) sampleRoots(q *querySession, round, lo, hi int, out *sampleOut) {
-	arena := e.queryArena
-	// The arena round this Boruvka round samples.
-	depth := round - q.arenaRound
-	var acc, view cubesketch.Sketch
+	var acc cubesketch.Sketch
 	for i := lo; i < hi; i++ {
-		slot := q.arenaSlot[i]
-		if slot < 0 {
-			// Read-only, like the merges below: Query mutates nothing.
-			sh, local := e.shardOf(q.order[q.starts[i]].node)
-			sh.slab.View(local, round, &acc)
-		} else {
-			arena.View(int(slot), depth, &acc)
-		}
-		if e.store == nil && slot >= 0 {
-			// Materialize: XOR every contribution's round-r sketch view
-			// straight out of the owning shard's slab (read-only; the
-			// workers are quiescent under the write lock), and its
-			// before-image's round-r bytes where the plan asks for them.
-			for _, c := range q.order[q.starts[i]:q.starts[i+1]] {
-				if c.src&srcLive != 0 {
-					sh, local := e.shardOf(c.node)
-					sh.slab.View(local, round, &view)
-					if err := acc.Merge(&view); err != nil {
-						out.err = err
-						return
-					}
-				}
-				if err := q.mergeImage(arena, c, round); err != nil {
-					out.err = err
-					return
-				}
-			}
+		if err := e.sketches.rootSketch(q, i, round, &acc); err != nil {
+			out.err = err
+			return
 		}
 		root := q.roots[i]
 		idx, qerr := acc.Query()
@@ -993,126 +913,4 @@ func (q *querySession) mergeImage(arena *cubesketch.Slab, c contribution, round 
 	}
 	off := round * arena.SketchSize()
 	return arena.MergeNodeBinary(int(q.arenaSlot[c.slot]), q.before[c.node][off:off+arena.NodeSize()])
-}
-
-// scanRoundFromDisk materializes the supernode sketches of rounds
-// [round, round+arena.Rounds()) out of the tiered store, walking the
-// contribution list in node order. Only groups holding a contribution that
-// needs live bytes are touched. Those resident in the write-back cache are
-// served from their decoded arenas with zero device I/O — which is also
-// what keeps the scan coherent: a dirty cached group's device bytes are
-// stale by design, so the cache copy is the authoritative one (and a node
-// dirtied since the last query was applied through the cache, so a
-// trickle's groups are normally still resident). The remaining groups are
-// coalesced into sequential runs (bridging gaps cheaper than an extra
-// operation), each run read with ReadRange in QueryScanBytes-sized chunks,
-// and each contributing slot's bytes for those rounds — adjacent in the
-// slot — XOR-merged into its root's arena stack without decoding the
-// others. One scan costs O(uncachedContributingBytes/B) block reads in
-// O(runs × chunksPerRun) operations: the whole live store for a
-// from-scratch query, the dirty nodes and small pieces for a delta.
-func (e *Engine) scanRoundFromDisk(q *querySession, arena *cubesketch.Slab, round int) error {
-	n := int(e.cfg.NumNodes)
-	npg := e.npg
-	chunkSlots := e.cfg.QueryScanBytes / e.slotSize
-	if chunkSlots < 1 {
-		chunkSlots = 1
-	}
-	if chunkSlots > n {
-		chunkSlots = n
-	}
-	if cap(q.scanBuf) < chunkSlots*e.slotSize {
-		q.scanBuf = make([]byte, chunkSlots*e.slotSize)
-	}
-	// A gap of non-contributing slots is bridged when reading through it
-	// costs no more blocks than starting a fresh operation would.
-	gapSlots := e.cfg.BlockSize / e.slotSize
-	// The scanned rounds' bytes inside a slot.
-	roundOff, span := round*e.sketchSize, arena.NodeSize()
-	cs := q.contribs
-
-	// flushRun reads the pending uncached slot run [lo, hi) in chunks and
-	// merges the live bytes of its contributions cs[ci:cj].
-	flushRun := func(lo, hi, ci, cj int) error {
-		for cl := lo; cl < hi; cl += chunkSlots {
-			ch := cl + chunkSlots
-			if ch > hi {
-				ch = hi
-			}
-			buf := q.scanBuf[:(ch-cl)*e.slotSize]
-			if err := e.store.ReadRange(uint32(cl), ch-cl, buf); err != nil {
-				return fmt.Errorf("core: query scan of nodes [%d,%d): %w", cl, ch, err)
-			}
-			for ; ci < cj && int(cs[ci].node) < ch; ci++ {
-				c := cs[ci]
-				if c.src&srcLive == 0 {
-					continue
-				}
-				off := (int(c.node)-cl)*e.slotSize + roundOff
-				if err := arena.MergeNodeBinary(int(q.arenaSlot[c.slot]), buf[off:off+span]); err != nil {
-					return fmt.Errorf("core: query decode of node %d from round %d: %w", c.node, round, err)
-				}
-			}
-		}
-		return nil
-	}
-
-	// Pending uncached run, in slot units, and its contributions.
-	runStart, runEnd, runFirst := -1, -1, 0
-	for i := 0; i < len(cs); {
-		g := int(cs[i].node) / npg
-		j, needLive := i, false
-		for ; j < len(cs) && int(cs[j].node)/npg == g; j++ {
-			c := cs[j]
-			needLive = needLive || c.src&srcLive != 0
-			if err := q.mergeImage(arena, c, round); err != nil {
-				return fmt.Errorf("core: query merge of node %d before-image from round %d: %w", c.node, round, err)
-			}
-		}
-		first := i
-		i = j
-		if !needLive {
-			continue // images only: a gap, bridged below if the next group is near
-		}
-		lo := g * npg
-		hi := lo + npg
-		if hi > n {
-			hi = n
-		}
-		if slab, ok := e.cache.Peek(g); ok {
-			// Served from the decoded arena: no device traffic, and
-			// coherent even when the group is dirty. Close any pending
-			// device run first — bridging across this group would
-			// re-merge its slots from stale device bytes.
-			if runStart >= 0 {
-				if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
-					return err
-				}
-				runStart = -1
-			}
-			for _, c := range cs[first:j] {
-				if c.src&srcLive == 0 {
-					continue
-				}
-				if err := arena.MergeRounds(int(q.arenaSlot[c.slot]), 0, slab, int(c.node)-lo, round, arena.Rounds()); err != nil {
-					return fmt.Errorf("core: query merge of cached node %d from round %d: %w", c.node, round, err)
-				}
-			}
-			continue
-		}
-		if runStart >= 0 && lo-runEnd <= gapSlots {
-			runEnd = hi // bridge the gap inside one sequential read
-			continue
-		}
-		if runStart >= 0 {
-			if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
-				return err
-			}
-		}
-		runStart, runEnd, runFirst = lo, hi, first
-	}
-	if runStart >= 0 {
-		return flushRun(runStart, runEnd, runFirst, len(cs))
-	}
-	return nil
 }

@@ -9,31 +9,14 @@ import (
 )
 
 // allSketchBytes returns every node's serialized sketch stack in node
-// order, out of the shard slabs in RAM mode and out of the sketch store
-// (after spilling the write-back cache) in disk mode.
+// order, out of the store (after spilling the write-back cache out of
+// core).
 func allSketchBytes(t *testing.T, e *Engine) []byte {
 	t.Helper()
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if e.cache != nil {
-		if err := e.cache.WriteBackAll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out := make([]byte, 0, int(e.cfg.NumNodes)*e.slotSize)
-	buf := make([]byte, e.slotSize)
-	for node := uint32(0); node < e.cfg.NumNodes; node++ {
-		if e.store == nil {
-			out = append(out, nodeSketchBytes(t, e, node)...)
-			continue
-		}
-		if err := e.store.Read(node, buf); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, buf...)
-	}
-	return out
+	return rawSlots(t, e)
 }
 
 // TestServeCyclesBitIdentical runs the interleaved workload — a slice of

@@ -1,0 +1,194 @@
+package core
+
+import (
+	"sync/atomic"
+
+	"graphzeppelin/internal/cubesketch"
+)
+
+// sketchStore is where an engine's node sketches live: ramStore keeps
+// them in per-shard RAM arenas, deviceStore on a block device behind a
+// write-back cache (store_device.go). NewEngine picks one and nothing else
+// asks which. Slots are the checkpoint codec's serialized node stacks, by
+// local node id. Each method runs once per batch, run, section, round or
+// root, never per index or bucket. Unless noted, the caller holds the
+// quiesce write lock with the workers idle.
+type sketchStore interface {
+	// apply toggles indices in node's sketches, first marshalling the
+	// node's slot into img when img is non-nil; called by the node's
+	// owning worker, bracketed by Engine.testApplyHook.
+	apply(node uint32, indices []uint64, img []byte) error
+	// readSlots reads the slots of nodes [start, start+count), current
+	// after flush; writeSlots replaces them, refusing the whole run if one
+	// slot fails checkSlots. invalidate is flush plus dropping every copy
+	// a writeSlots would leave stale.
+	readSlots(start uint32, count int, buf []byte) error
+	writeSlots(start uint32, count int, buf []byte) error
+	flush() error
+	invalidate() error
+	// seal installs a full checkpoint's copy-on-write capture (setting
+	// its budget when the engine left it 0), which every change then goes
+	// through, and unseal retires it. scanSlots is readSlots for the
+	// capture's scan of a claimed section while the workers apply,
+	// concurrently for distinct sections.
+	seal(snap *ckptSnap) error
+	unseal()
+	scanSlots(start uint32, count int, buf []byte) error
+	// sumRound prepares the query arena for a Boruvka round over q's live
+	// roots; rootSketch then points acc at live root i's round sketch,
+	// concurrently for distinct roots.
+	sumRound(q *querySession, round int) error
+	rootSketch(q *querySession, i, round int, acc *cubesketch.Sketch) error
+	// stats adds the store's footprint and I/O to st (from any
+	// goroutine); close releases the store after the workers stop.
+	stats(st *Stats)
+	close() error
+}
+
+// ramStore keeps every sketch in RAM: shard s's worker owns slabs[s], the
+// nodes v with v % Shards == s at index v / Shards, and applies batches to
+// it in place. A full checkpoint reads the same slabs while the workers
+// change them, so apply brackets its change with the capture's
+// acquire/release (ckptSnap), whose budget is one slot per node: the
+// apply path never waits for budget.
+type ramStore struct {
+	e     *Engine
+	slabs []*cubesketch.Slab
+	snap  atomic.Pointer[ckptSnap] // the sealed full checkpoint, if any
+}
+
+func newRAMStore(e *Engine) *ramStore {
+	s := &ramStore{e: e, slabs: make([]*cubesketch.Slab, e.cfg.Shards)}
+	for i := range s.slabs {
+		s.slabs[i] = e.newSlab(shardNodeCount(e.n, e.cfg.Shards, i))
+	}
+	return s
+}
+
+// slabOf returns the slab holding local node, and its index within it.
+func (s *ramStore) slabOf(node uint32) (*cubesketch.Slab, int) {
+	k := uint32(len(s.slabs))
+	return s.slabs[node%k], int(node / k)
+}
+
+func (s *ramStore) apply(node uint32, indices []uint64, img []byte) error {
+	slab, local := s.slabOf(node)
+	if img != nil {
+		slab.MarshalNode(local, img)
+	}
+	// A full checkpoint may be marshalling this node's section out of the
+	// slab right now: acquire keeps the two apart and hands back the
+	// pre-image buffer the snapshot needs when this is the node's first
+	// change ahead of the scan.
+	if snap := s.snap.Load(); snap != nil {
+		sec, pre := snap.acquire(node, s.e.slotSize)
+		if pre != nil {
+			slab.MarshalNode(local, pre)
+		}
+		defer snap.release(sec)
+	}
+	if h := s.e.testApplyHook; h != nil {
+		defer h(node)()
+	}
+	slab.Apply(local, indices)
+	return nil
+}
+
+func (s *ramStore) readSlots(start uint32, count int, buf []byte) error {
+	size := s.e.slotSize
+	for j := 0; j < count; j++ {
+		slab, local := s.slabOf(start + uint32(j))
+		slab.MarshalNode(local, buf[j*size:(j+1)*size])
+	}
+	return nil
+}
+
+func (s *ramStore) writeSlots(start uint32, count int, buf []byte) error {
+	if err := s.e.checkSlots(start, count, buf); err != nil {
+		return err
+	}
+	size := s.e.slotSize
+	for j := 0; j < count; j++ {
+		slab, local := s.slabOf(start + uint32(j))
+		if err := slab.UnmarshalNode(local, buf[j*size:(j+1)*size]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *ramStore) flush() error      { return nil }
+func (s *ramStore) invalidate() error { return nil }
+
+func (s *ramStore) seal(snap *ckptSnap) error {
+	if snap.budget == 0 {
+		// Each node deposits at most once per snapshot, so one slot per
+		// node is never exhausted.
+		snap.budget = int(s.e.n) * s.e.slotSize
+	}
+	s.snap.Store(snap)
+	return nil
+}
+
+func (s *ramStore) unseal() { s.snap.Store(nil) }
+
+func (s *ramStore) scanSlots(start uint32, count int, buf []byte) error {
+	return s.readSlots(start, count, buf)
+}
+
+// sumRound forms a one-round arena for the roots that need summing: a root
+// whose one contribution is a live sketch as is — every root of a
+// from-scratch query's first round — IS that member's slab sketch and is
+// sampled in place (arenaSlot -1). The sums themselves run in rootSketch,
+// across the sampling workers.
+func (s *ramStore) sumRound(q *querySession, round int) error {
+	q.arenaSlot = q.arenaSlot[:0]
+	q.groupByRoot()
+	summed := 0
+	for i := range q.roots {
+		if q.starts[i+1]-q.starts[i] == 1 && q.order[q.starts[i]].src == srcLive {
+			q.arenaSlot = append(q.arenaSlot, -1)
+			continue
+		}
+		q.arenaSlot = append(q.arenaSlot, int32(summed))
+		summed++
+	}
+	q.arenaRound = round
+	s.e.queryArena.Reshape(summed, s.e.roundSeeds[round:round+1])
+	return nil
+}
+
+// rootSketch XORs every contribution's round sketch straight out of its
+// slab (read-only, like Query), and its before-image's round bytes where
+// the plan asks for them, into the root's arena sketch.
+func (s *ramStore) rootSketch(q *querySession, i, round int, acc *cubesketch.Sketch) error {
+	arena, slot := s.e.queryArena, q.arenaSlot[i]
+	if slot < 0 {
+		slab, local := s.slabOf(q.order[q.starts[i]].node)
+		slab.View(local, round, acc)
+		return nil
+	}
+	arena.View(int(slot), 0, acc)
+	var view cubesketch.Sketch
+	for _, c := range q.order[q.starts[i]:q.starts[i+1]] {
+		if c.src&srcLive != 0 {
+			slab, local := s.slabOf(c.node)
+			slab.View(local, round, &view)
+			if err := acc.Merge(&view); err != nil {
+				return err
+			}
+		}
+		if err := q.mergeImage(arena, c, round); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *ramStore) stats(st *Stats) {
+	for _, slab := range s.slabs {
+		st.MemoryBytes += int64(slab.Bytes())
+	}
+}
+
+func (s *ramStore) close() error { return nil }

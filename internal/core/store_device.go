@@ -1,0 +1,315 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"graphzeppelin/internal/cubesketch"
+	"graphzeppelin/internal/diskstore"
+	"graphzeppelin/internal/iomodel"
+)
+
+// deviceStore keeps every sketch on a block device (diskstore.Store,
+// node groups of npg slots sized toward the device block) behind a sharded
+// write-back cache of decoded groups (diskstore.Cache), whose shard s only
+// the worker of shard s faults groups into: batches apply to the decoded
+// groups, and the device sees only group fills and coalesced dirty
+// write-backs. Everything that reads the device directly — checkpoint
+// scans, merges, the query scan — runs after a flush or invalidate, or
+// serves resident groups through Cache.Peek, because a dirty cached group
+// makes the device bytes stale by design. A sealed full checkpoint scans
+// the device, and the cache's write barrier deposits a group's pre-image
+// into the capture before a write-back changes its device bytes.
+type deviceStore struct {
+	e     *Engine
+	dev   iomodel.Device
+	store *diskstore.Store
+	cache *diskstore.Cache
+	npg   int
+	// chunk is the slots one sequential device access of a scan reads
+	// (QueryScanBytes, at least one slot and at most the store), and
+	// scanBuf the query scan's buffer of that size.
+	chunk   int
+	scanBuf []byte
+}
+
+// checkpointCOWBudget caps the bytes of copy-on-write pre-images an
+// out-of-core snapshot may hold in RAM, so the capture cannot become an
+// in-RAM duplicate of the store under a slow writer: once it is exhausted,
+// a write-back about to overwrite a not-yet-scanned slot waits until the
+// scanner frees budget or passes its section — ingestion throttles to scan
+// speed. The scanner never waits on a worker, so the wait always resolves.
+const checkpointCOWBudget = 64 << 20
+
+// newDeviceStore resolves the disk-tier geometry — group slots sized
+// toward the device block (the paper's max{1, B / sketch bytes} node
+// grouping) unless Config.NodesPerGroup fixes it — and opens the store,
+// with every slot initialized to the empty sketch, and its cache.
+func newDeviceStore(e *Engine) (*deviceStore, error) {
+	cfg := e.cfg
+	npg := cfg.NodesPerGroup
+	if npg <= 0 {
+		npg = min(cfg.BlockSize/e.slotSize, 256)
+	}
+	npg = max(1, min(npg, int(e.n)))
+	s := &deviceStore{e: e, npg: npg, chunk: max(1, min(cfg.QueryScanBytes/e.slotSize, int(e.n)))}
+	var err error
+	if s.dev, err = e.openDevice("sketches.gz0"); err != nil {
+		return nil, err
+	}
+	if s.store, err = diskstore.New(s.dev, e.n, e.slotSize, npg); err != nil {
+		return nil, err
+	}
+	// Reads before a node's first write must decode, so every slot starts
+	// as the empty-sketch encoding, written in coalesced chunks.
+	chunk := make([]byte, s.chunk*e.slotSize)
+	for i := 0; i < s.chunk; i++ {
+		copy(chunk[i*e.slotSize:], e.emptySlot)
+	}
+	for node := uint32(0); node < e.n; node += uint32(s.chunk) {
+		count := min(s.chunk, int(e.n-node))
+		if err := s.store.WriteRange(node, count, chunk[:count*e.slotSize]); err != nil {
+			return nil, fmt.Errorf("core: initializing sketch store: %w", err)
+		}
+	}
+	s.cache = diskstore.NewCache(s.store, diskstore.CacheConfig{
+		Bytes:   cfg.CacheBytes,
+		Shards:  cfg.Shards,
+		NewSlab: func() *cubesketch.Slab { return e.newSlab(npg) },
+	})
+	return s, nil
+}
+
+func (s *deviceStore) apply(node uint32, indices []uint64, img []byte) error {
+	if h := s.e.testApplyHook; h != nil {
+		defer h(node)()
+	}
+	return s.cache.ApplyCapture(node, indices, img)
+}
+
+func (s *deviceStore) readSlots(start uint32, count int, buf []byte) error {
+	if err := s.store.ReadRange(start, count, buf[:count*s.e.slotSize]); err != nil {
+		return fmt.Errorf("core: reading slots of nodes [%d,%d): %w", start, int(start)+count, err)
+	}
+	return nil
+}
+
+func (s *deviceStore) writeSlots(start uint32, count int, buf []byte) error {
+	if err := s.e.checkSlots(start, count, buf); err != nil {
+		return err
+	}
+	if err := s.store.WriteRange(start, count, buf[:count*s.e.slotSize]); err != nil {
+		return fmt.Errorf("core: writing slots of nodes [%d,%d): %w", start, int(start)+count, err)
+	}
+	return nil
+}
+
+func (s *deviceStore) flush() error {
+	if err := s.cache.WriteBackAll(); err != nil {
+		return fmt.Errorf("core: flushing write-back cache: %w", err)
+	}
+	return nil
+}
+
+func (s *deviceStore) invalidate() error {
+	if err := s.cache.Invalidate(); err != nil {
+		return fmt.Errorf("core: invalidating write-back cache: %w", err)
+	}
+	return nil
+}
+
+// seal spills every dirty group, so the device bytes are the cut (bounded
+// by CacheBytes: the seal stall is the drain plus one cache spill), then
+// points the cache's write barrier at the capture.
+func (s *deviceStore) seal(snap *ckptSnap) error {
+	if err := s.flush(); err != nil {
+		return err
+	}
+	if snap.budget == 0 {
+		snap.budget = checkpointCOWBudget
+	}
+	slot := s.e.slotSize
+	s.cache.SetWriteBarrier(&diskstore.WriteBarrier{
+		NeedPreImage: snap.needsPreImage,
+		Deposit: func(start uint32, count int, pre []byte) {
+			for j := 0; j < count; j++ {
+				snap.preserve(start+uint32(j), pre[j*slot:(j+1)*slot])
+			}
+		},
+	})
+	return nil
+}
+
+func (s *deviceStore) unseal() { s.cache.SetWriteBarrier(nil) }
+
+// scanSlots reads in accesses of chunk slots, the checkpoint scan's size.
+func (s *deviceStore) scanSlots(start uint32, count int, buf []byte) error {
+	size := s.e.slotSize
+	for lo := 0; lo < count; lo += s.chunk {
+		hi := min(lo+s.chunk, count)
+		if err := s.store.ReadRange(start+uint32(lo), hi-lo, buf[lo*size:hi*size]); err != nil {
+			return fmt.Errorf("core: checkpoint scan of nodes [%d,%d): %w", int(start)+lo, int(start)+hi, err)
+		}
+	}
+	return nil
+}
+
+// sumRound sums every live root into the arena. A from-scratch scan at
+// round r with L live roots sums k = min(Rounds-r, max(1, V/L)) rounds per
+// root, not one: a union's aggregate is the XOR of its parts' aggregates,
+// so rounds r+1 .. r+k-1 fold what is already in RAM (foldHeld) and never
+// touch the device. L*k single-round sketches is never more than the V that
+// round 0 (L = V, k = 1) needs anyway. A delta query keeps k = 1: its
+// contributing groups are few and mostly resident.
+func (s *deviceStore) sumRound(q *querySession, round int) error {
+	e, arena := s.e, s.e.queryArena
+	folded, err := q.foldHeld(arena, round)
+	if err != nil {
+		return fmt.Errorf("core: folding supernodes: %w", err)
+	}
+	if folded {
+		return nil
+	}
+	nr, k := len(q.roots), 1
+	if !q.delta {
+		k = min(e.cfg.Rounds-round, max(1, int(e.n)/nr))
+	}
+	q.arenaSlot = q.arenaSlot[:0]
+	for i := 0; i < nr; i++ {
+		q.arenaSlot = append(q.arenaSlot, int32(i))
+	}
+	q.arenaRound, q.arenaEnd = round, round+k
+	arena.Reshape(nr, e.roundSeeds[round:round+k])
+	if err := s.scanRound(q, arena, round); err != nil {
+		return err
+	}
+	q.holdScanned()
+	return nil
+}
+
+func (s *deviceStore) rootSketch(q *querySession, i, round int, acc *cubesketch.Sketch) error {
+	s.e.queryArena.View(int(q.arenaSlot[i]), round-q.arenaRound, acc)
+	return nil
+}
+
+// scanRound materializes the supernode sketches of rounds
+// [round, round+arena.Rounds()) out of the tiered store, walking the
+// contribution list in node order. Only groups holding a contribution that
+// needs live bytes are touched. Those resident in the write-back cache are
+// served from their decoded arenas with zero device I/O — which is also
+// what keeps the scan coherent: a dirty cached group's device bytes are
+// stale by design, so the cache copy is the authoritative one (and a node
+// dirtied since the last query was applied through the cache, so a
+// trickle's groups are normally still resident). The remaining groups are
+// coalesced into sequential runs (bridging gaps cheaper than an extra
+// operation), each run read with ReadRange in chunk-slot pieces, and each
+// contributing slot's bytes for those rounds — adjacent in the slot —
+// XOR-merged into its root's arena stack without decoding the others. One
+// scan costs O(uncachedContributingBytes/B) block reads in
+// O(runs × chunksPerRun) operations: the whole live store for a
+// from-scratch query, the dirty nodes and small pieces for a delta.
+func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round int) error {
+	e := s.e
+	n, npg, slotSize := int(e.n), s.npg, e.slotSize
+	if s.scanBuf == nil {
+		s.scanBuf = make([]byte, s.chunk*slotSize)
+	}
+	// A gap of non-contributing slots is bridged when reading through it
+	// costs no more blocks than starting a fresh operation would.
+	gapSlots := e.cfg.BlockSize / slotSize
+	// The scanned rounds' bytes inside a slot.
+	roundOff, span := round*e.sketchSize, arena.NodeSize()
+	cs := q.contribs
+
+	// flushRun reads the pending uncached slot run [lo, hi) in chunks and
+	// merges the live bytes of its contributions cs[ci:cj].
+	flushRun := func(lo, hi, ci, cj int) error {
+		for cl := lo; cl < hi; cl += s.chunk {
+			ch := min(cl+s.chunk, hi)
+			buf := s.scanBuf[:(ch-cl)*slotSize]
+			if err := s.store.ReadRange(uint32(cl), ch-cl, buf); err != nil {
+				return fmt.Errorf("core: query scan of nodes [%d,%d): %w", cl, ch, err)
+			}
+			for ; ci < cj && int(cs[ci].node) < ch; ci++ {
+				c := cs[ci]
+				if c.src&srcLive == 0 {
+					continue
+				}
+				off := (int(c.node)-cl)*slotSize + roundOff
+				if err := arena.MergeNodeBinary(int(q.arenaSlot[c.slot]), buf[off:off+span]); err != nil {
+					return fmt.Errorf("core: query decode of node %d from round %d: %w", c.node, round, err)
+				}
+			}
+		}
+		return nil
+	}
+
+	// Pending uncached run, in slot units, and its contributions.
+	runStart, runEnd, runFirst := -1, -1, 0
+	for i := 0; i < len(cs); {
+		g := int(cs[i].node) / npg
+		j, needLive := i, false
+		for ; j < len(cs) && int(cs[j].node)/npg == g; j++ {
+			c := cs[j]
+			needLive = needLive || c.src&srcLive != 0
+			if err := q.mergeImage(arena, c, round); err != nil {
+				return fmt.Errorf("core: query merge of node %d before-image from round %d: %w", c.node, round, err)
+			}
+		}
+		first := i
+		i = j
+		if !needLive {
+			continue // images only: a gap, bridged below if the next group is near
+		}
+		lo := g * npg
+		hi := min(lo+npg, n)
+		if slab, ok := s.cache.Peek(g); ok {
+			// Served from the decoded arena: no device traffic, and
+			// coherent even when the group is dirty. Close any pending
+			// device run first — bridging across this group would
+			// re-merge its slots from stale device bytes.
+			if runStart >= 0 {
+				if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
+					return err
+				}
+				runStart = -1
+			}
+			for _, c := range cs[first:j] {
+				if c.src&srcLive == 0 {
+					continue
+				}
+				if err := arena.MergeRounds(int(q.arenaSlot[c.slot]), 0, slab, int(c.node)-lo, round, arena.Rounds()); err != nil {
+					return fmt.Errorf("core: query merge of cached node %d from round %d: %w", c.node, round, err)
+				}
+			}
+			continue
+		}
+		if runStart >= 0 && lo-runEnd <= gapSlots {
+			runEnd = hi // bridge the gap inside one sequential read
+			continue
+		}
+		if runStart >= 0 {
+			if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
+				return err
+			}
+		}
+		runStart, runEnd, runFirst = lo, hi, first
+	}
+	if runStart >= 0 {
+		return flushRun(runStart, runEnd, runFirst, len(cs))
+	}
+	return nil
+}
+
+func (s *deviceStore) stats(st *Stats) {
+	st.SketchIO = s.dev.Stats()
+	st.DiskBytes += s.store.TotalBytes()
+	st.SketchCache = s.cache.Stats()
+	st.MemoryBytes += st.SketchCache.CachedBytes
+}
+
+// close spills the dirty cached groups before the device goes away, so the
+// device holds every applied update.
+func (s *deviceStore) close() error {
+	return errors.Join(s.cache.WriteBackAll(), s.dev.Close())
+}

@@ -29,10 +29,6 @@ type Cache struct {
 	newSlab   func() *cubesketch.Slab
 	slabBytes int64
 	shards    []cacheShard
-	// spare parks one pre-allocated (or load-failed) arena for the next
-	// fill, so the construction probe is not wasted.
-	spareMu sync.Mutex
-	spare   *cubesketch.Slab
 	// barrier, when set, captures group pre-images before a write-back
 	// overwrites device bytes (the checkpoint copy-on-write hook).
 	barrier atomic.Pointer[WriteBarrier]
@@ -99,9 +95,9 @@ type cacheShard struct {
 	hits, misses, evictions, writeBacks uint64
 }
 
-// NewCache builds a write-back cache over store. One arena is allocated
-// up front to size the budget; steady-state fills reuse evicted arenas,
-// so the apply path allocates nothing once the cache is warm.
+// NewCache builds a write-back cache over store. Fills allocate arenas
+// until the budget is reached; from then on they reuse evicted ones, so
+// the apply path allocates nothing once the cache is warm.
 func NewCache(store *Store, cfg CacheConfig) *Cache {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -109,11 +105,10 @@ func NewCache(store *Store, cfg CacheConfig) *Cache {
 	if cfg.Shards > store.NumGroups() {
 		cfg.Shards = store.NumGroups()
 	}
-	probe := cfg.NewSlab()
 	c := &Cache{
 		store:     store,
 		newSlab:   cfg.NewSlab,
-		slabBytes: int64(probe.Bytes()),
+		slabBytes: int64(cfg.NewSlab().Bytes()),
 		shards:    make([]cacheShard, cfg.Shards),
 	}
 	perShard := cfg.Bytes / int64(cfg.Shards)
@@ -132,8 +127,6 @@ func NewCache(store *Store, cfg CacheConfig) *Cache {
 			pre:        make([]byte, store.GroupBytes()),
 		}
 	}
-	// Seed the first fill with the probe arena instead of dropping it.
-	c.spare = probe
 	return c
 }
 
@@ -205,44 +198,24 @@ func (c *Cache) entryLocked(sh *cacheShard, group int) (*groupEntry, error) {
 	}
 	sh.misses++
 	var slab *cubesketch.Slab
-	if len(sh.ring) >= sh.maxEntries {
-		victim, err := c.evictLocked(sh)
-		if err != nil {
-			return nil, err
-		}
-		slab = victim
-	} else {
-		c.spareMu.Lock()
-		slab = c.spare
-		c.spare = nil
-		c.spareMu.Unlock()
-		if slab == nil {
-			slab = c.newSlab()
-		}
+	var err error
+	if len(sh.ring) < sh.maxEntries {
+		slab = c.newSlab()
+	} else if slab, err = c.evictLocked(sh); err != nil {
+		return nil, err
 	}
 	start, count := c.store.GroupRange(group)
 	buf := sh.fill[:count*c.store.SlotSize()]
 	if err := c.store.ReadGroup(group, buf); err != nil {
-		c.reclaim(slab)
 		return nil, fmt.Errorf("diskstore: cache fill of group %d (nodes [%d,%d)): %w", group, start, int(start)+count, err)
 	}
 	if err := slab.UnmarshalNodes(0, count, buf); err != nil {
-		c.reclaim(slab)
 		return nil, fmt.Errorf("diskstore: cache decode of group %d: %w", group, err)
 	}
 	e := &groupEntry{group: group, count: count, slab: slab, ref: true}
 	sh.entries[group] = e
 	sh.ring = append(sh.ring, e)
 	return e, nil
-}
-
-// reclaim parks an arena for the next fill after a failed load.
-func (c *Cache) reclaim(slab *cubesketch.Slab) {
-	c.spareMu.Lock()
-	if c.spare == nil {
-		c.spare = slab
-	}
-	c.spareMu.Unlock()
 }
 
 // evictLocked runs the CLOCK hand until a victim with a clear reference

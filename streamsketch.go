@@ -59,7 +59,10 @@ type StreamSketch interface {
 	// constructed structure into this one: the result summarizes the
 	// mod-2 sum of both streams (for disjoint stream shards, their
 	// union). Incompatible checkpoints are rejected with
-	// ErrIncompatibleCheckpoint.
+	// ErrIncompatibleCheckpoint. A stream that fails after its first
+	// section (ErrCorruptCheckpoint, a truncation) leaves the earlier
+	// sections merged: the structure matches no stream and must be
+	// discarded.
 	MergeCheckpoint(r io.Reader) error
 	// Close drains buffered updates, stops the structure's workers and
 	// releases its resources. Afterwards every method returns ErrClosed.
