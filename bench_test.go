@@ -374,22 +374,13 @@ func BenchmarkSpanningForest(b *testing.B) {
 // its cut case (the attach query before it is reported as attach-ms); disk
 // is detach with the sketches out of core behind a cache of an eighth of
 // the store, where the delta reads the dirty nodes' groups and nothing
-// else. Uses a kron scale-10 stream (1024 nodes) so the ratios are robust.
+// else. Uses a kron scale-10 stream (1024 nodes) so the ratios are robust;
+// detach runs on a scale-12 stream (4096 nodes) as well, where a delta
+// query whose work is set by what changed costs what it costs at 1024.
 // Recorded in BENCH_query.json and smoke-run in CI.
 func BenchmarkConnectedAfterDelta(b *testing.B) {
 	res := experiments.KronStream(10, 1)
-	n := res.NumNodes
-	updates, attach, detach := reservedTrickle(res, 4)
-	modes := []struct {
-		name string
-		// frac is the node fraction dirtied before each timed query;
-		// -1 runs cold full queries, 0 queries a quiet warm cache.
-		frac float64
-		// detach replaces the fresh edges: every iteration attaches the
-		// reserved node and queries, off the clock, then detaches it.
-		detach bool
-		disk   bool
-	}{
+	modes := []afterDeltaMode{
 		{name: "cold", frac: -1},
 		{name: "cached", frac: 0},
 		{name: "dirty=0.1%", frac: 0.001},
@@ -400,122 +391,153 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
-			opts := []graphzeppelin.Option{graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2)}
-			if mode.frac < 0 {
-				opts = append(opts, graphzeppelin.WithDeltaQueries(false))
+			if !mode.detach || mode.disk {
+				benchAfterDelta(b, res, mode)
+				return
 			}
-			if mode.disk {
-				probe, err := graphzeppelin.New(n, graphzeppelin.WithSketchesOnDisk(b.TempDir()))
-				if err != nil {
-					b.Fatal(err)
+			for _, scale := range []int{10, 12} {
+				b.Run(fmt.Sprintf("n=%d", 1<<scale), func(b *testing.B) {
+					benchAfterDelta(b, experiments.KronStream(scale, 1), mode)
+				})
+			}
+		})
+	}
+}
+
+// afterDeltaMode is one mode of BenchmarkConnectedAfterDelta.
+type afterDeltaMode struct {
+	name string
+	// frac is the node fraction dirtied before each timed query;
+	// -1 runs cold full queries, 0 queries a quiet warm cache.
+	frac float64
+	// detach replaces the fresh edges: every iteration attaches the
+	// reserved node and queries, off the clock, then detaches it.
+	detach bool
+	disk   bool
+}
+
+// benchAfterDelta runs one mode of BenchmarkConnectedAfterDelta over res.
+func benchAfterDelta(b *testing.B, res kron.Result, mode afterDeltaMode) {
+	n := res.NumNodes
+	updates, attach, detach := reservedTrickle(res, 4)
+	opts := []graphzeppelin.Option{graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2)}
+	if mode.frac < 0 {
+		opts = append(opts, graphzeppelin.WithDeltaQueries(false))
+	}
+	if mode.disk {
+		probe, err := graphzeppelin.New(n, graphzeppelin.WithSketchesOnDisk(b.TempDir()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		store := probe.Stats().DiskBytes
+		probe.Close()
+		opts = append(opts, graphzeppelin.WithSketchesOnDisk(b.TempDir()),
+			graphzeppelin.WithCacheBytes(store/8), graphzeppelin.WithNodesPerGroup(4))
+	}
+	g, err := graphzeppelin.New(n, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	for _, u := range updates {
+		if err := g.Apply(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := g.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := g.SpanningForest(); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+	// Each inserted edge dirties exactly its two endpoints. The
+	// pair walk hands out fresh non-edges only — never an edge of
+	// the graph (whose deletion could void a cached forest edge
+	// and legitimately demote the delta to the slow path) and
+	// never the same pair twice (whose second toggle would be that
+	// deletion) — so the measured delta is the trickle-of-new-edges
+	// regime the incremental path is built for. The cached and detach
+	// modes walk no pairs and build no map.
+	var present map[stream.Edge]bool
+	if !mode.detach && mode.frac != 0 {
+		present = make(map[stream.Edge]bool, len(res.FinalEdges))
+		for _, eg := range res.FinalEdges {
+			present[eg.Normalize()] = true
+		}
+	}
+	pu, stride := uint32(0), uint32(1)
+	nextPair := func() stream.Edge {
+		for {
+			if pu+stride >= n {
+				pu, stride = 0, stride+1
+				if stride >= n {
+					b.Fatal("pair walk exhausted the non-edges")
 				}
-				store := probe.Stats().DiskBytes
-				probe.Close()
-				opts = append(opts, graphzeppelin.WithSketchesOnDisk(b.TempDir()),
-					graphzeppelin.WithCacheBytes(store/8), graphzeppelin.WithNodesPerGroup(4))
 			}
-			g, err := graphzeppelin.New(n, opts...)
-			if err != nil {
+			eg := stream.Edge{U: pu, V: pu + stride}
+			pu += 2
+			if !present[eg] {
+				present[eg] = true
+				return eg
+			}
+		}
+	}
+	k := int(mode.frac * float64(n) / 2)
+	if mode.frac > 0 && k < 1 {
+		k = 1
+	}
+	var attachTime time.Duration
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		if mode.detach {
+			if err := g.ApplyBatch(attach); err != nil {
 				b.Fatal(err)
 			}
-			defer g.Close()
-			for _, u := range updates {
-				if err := g.Apply(u); err != nil {
+			if err := g.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			t0 := time.Now()
+			if _, err := g.SpanningForest(); err != nil {
+				b.Fatal(err)
+			}
+			attachTime += time.Since(t0)
+			if err := g.ApplyBatch(detach); err != nil {
+				b.Fatal(err)
+			}
+			if err := g.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		} else if mode.frac != 0 {
+			toggles := k
+			if mode.frac < 0 {
+				toggles = 1 // cold mode: any toggle invalidates the cache
+			}
+			for j := 0; j < toggles; j++ {
+				eg := nextPair()
+				if err := g.Insert(eg.U, eg.V); err != nil {
 					b.Fatal(err)
 				}
 			}
 			if err := g.Flush(); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := g.SpanningForest(); err != nil { // warm the cache
-				b.Fatal(err)
-			}
-			// Each inserted edge dirties exactly its two endpoints. The
-			// pair walk hands out fresh non-edges only — never an edge of
-			// the graph (whose deletion could void a cached forest edge
-			// and legitimately demote the delta to the slow path) and
-			// never the same pair twice (whose second toggle would be that
-			// deletion) — so the measured delta is the trickle-of-new-edges
-			// regime the incremental path is built for.
-			present := make(map[stream.Edge]bool, len(res.FinalEdges))
-			for _, eg := range res.FinalEdges {
-				present[eg.Normalize()] = true
-			}
-			pu, stride := uint32(0), uint32(1)
-			nextPair := func() stream.Edge {
-				for {
-					if pu+stride >= n {
-						pu, stride = 0, stride+1
-						if stride >= n {
-							b.Fatal("pair walk exhausted the non-edges")
-						}
-					}
-					eg := stream.Edge{U: pu, V: pu + stride}
-					pu += 2
-					if !present[eg] {
-						present[eg] = true
-						return eg
-					}
-				}
-			}
-			k := int(mode.frac * float64(n) / 2)
-			if mode.frac > 0 && k < 1 {
-				k = 1
-			}
-			var attachTime time.Duration
-			b.ResetTimer()
-			b.StopTimer()
-			for i := 0; i < b.N; i++ {
-				if mode.detach {
-					if err := g.ApplyBatch(attach); err != nil {
-						b.Fatal(err)
-					}
-					if err := g.Flush(); err != nil {
-						b.Fatal(err)
-					}
-					t0 := time.Now()
-					if _, err := g.SpanningForest(); err != nil {
-						b.Fatal(err)
-					}
-					attachTime += time.Since(t0)
-					if err := g.ApplyBatch(detach); err != nil {
-						b.Fatal(err)
-					}
-					if err := g.Flush(); err != nil {
-						b.Fatal(err)
-					}
-				} else if mode.frac != 0 {
-					toggles := k
-					if mode.frac < 0 {
-						toggles = 1 // cold mode: any toggle invalidates the cache
-					}
-					for j := 0; j < toggles; j++ {
-						eg := nextPair()
-						if err := g.Insert(eg.U, eg.V); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if err := g.Flush(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-				if _, err := g.SpanningForest(); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-			}
-			st := g.Stats()
-			if mode.frac > 0 {
-				if st.DeltaQueries == 0 {
-					b.Fatalf("no delta queries ran (fallbacks=%d)", st.DeltaFallbacks)
-				}
-				b.ReportMetric(float64(st.DeltaFallbacks), "fallbacks")
-			}
-			if mode.detach {
-				b.ReportMetric(float64(attachTime.Microseconds())/1e3/float64(b.N), "attach-ms")
-			}
-		})
+		}
+		b.StartTimer()
+		if _, err := g.SpanningForest(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+	}
+	st := g.Stats()
+	if mode.frac > 0 {
+		if st.DeltaQueries == 0 {
+			b.Fatalf("no delta queries ran (fallbacks=%d)", st.DeltaFallbacks)
+		}
+		b.ReportMetric(float64(st.DeltaFallbacks), "fallbacks")
+	}
+	if mode.detach {
+		b.ReportMetric(float64(attachTime.Microseconds())/1e3/float64(b.N), "attach-ms")
 	}
 }
 

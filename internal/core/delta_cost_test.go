@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"graphzeppelin/internal/dsu"
@@ -8,9 +9,10 @@ import (
 )
 
 // This file pins what a delta query costs, by count: device reads out of
-// core, contribution terms per round in RAM, and the before-images'
-// footprint — captured only when a query can use them, bounded
-// engine-wide, and visible in Stats.MemoryBytes.
+// core, contribution terms per round in RAM, the DSU operations, piece
+// search visits and live roots that its bookkeeping takes, and the
+// before-images' footprint — captured only when a query can use them,
+// bounded engine-wide, and visible in Stats.MemoryBytes.
 
 // beforeCounts returns how many before-images are live and how many
 // buffers sit in the pool.
@@ -178,6 +180,51 @@ func TestDeltaQueryContributions(t *testing.T) {
 	}
 	if c := deltaClassCounts(e); c[classCut] != 2 || c[classSingletons] != 0 {
 		t.Fatalf("classes %v: want both deletions on the cut path", c)
+	}
+}
+
+// deltaCost is what one delta query's bookkeeping did, by count.
+type deltaCost struct {
+	ops, visits int64
+	live        []int // live roots per round
+}
+
+// TestDeltaQueryCostIndependentOfN is the bookkeeping cost pin: on the
+// benchmark's trickle shape, the attach query (the intact class) and the
+// detach query (the cut class, whose piece search must stop at the
+// reserved node and never walk the path) each perform the same DSU
+// operations, expand the same piece-search nodes and list the same live
+// roots per round at 160 nodes as at 640. Carrying the cached partition
+// over instead of re-unioning its forest, and listing roots off the plan
+// instead of every node, is what makes the counts independent of n.
+func TestDeltaQueryCostIndependentOfN(t *testing.T) {
+	sizes := []uint32{160, 640}
+	costs := make([][2]deltaCost, len(sizes)) // per size: attach, detach
+	for i, n := range sizes {
+		e, path, attach := reservedTrickle(t, Config{NumNodes: n, Seed: 99, Shards: 2})
+		checkAgainstExact(t, e, n, path)
+		for step, edges := range [][]stream.Edge{append(path, attach...), path} {
+			for _, eg := range attach { // a toggle either way
+				mustUpdate(t, e, eg.U, eg.V)
+			}
+			before := e.Stats().DeltaQueries
+			checkAgainstExact(t, e, n, edges)
+			if e.Stats().DeltaQueries != before+1 {
+				t.Fatalf("n=%d step %d: the trickle query was not a delta query", n, step)
+			}
+			costs[i][step] = deltaCost{e.lastDeltaOps.Load(), e.lastDeltaVisits.Load(), slices.Clone(e.qs.liveRoots)}
+		}
+	}
+	for step, name := range []string{"attach", "detach"} {
+		small, large := costs[0][step], costs[1][step]
+		t.Logf("%s: %d DSU ops, %d visits, live roots %v at n=%d; %d, %d, %v at n=%d",
+			name, small.ops, small.visits, small.live, sizes[0], large.ops, large.visits, large.live, sizes[1])
+		if small.ops != large.ops || small.visits != large.visits || !slices.Equal(small.live, large.live) {
+			t.Fatalf("%s: the delta query's bookkeeping grows with n", name)
+		}
+	}
+	if attach, detach := costs[0][0], costs[0][1]; attach.visits != 0 || detach.visits == 0 {
+		t.Fatalf("visits attach=%d detach=%d: only the detach searches for pieces", attach.visits, detach.visits)
 	}
 }
 

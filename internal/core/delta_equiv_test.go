@@ -715,3 +715,174 @@ func TestDeltaQueryEquivalenceAdopted(t *testing.T) {
 		t.Fatal("no adopted query took the cut path")
 	}
 }
+
+// --- The piece search's shapes ---
+
+// pieceTwin runs the engine under test beside a from-scratch twin (delta
+// queries off, sketches in RAM) over the same updates, and checks every
+// answer against both the exact components and the twin's.
+type pieceTwin struct {
+	t         *testing.T
+	eng, twin *Engine
+	n         uint32
+	present   map[stream.Edge]bool
+}
+
+// apply inserts or deletes edges on both engines.
+func (p *pieceTwin) apply(edges []stream.Edge, insert bool) {
+	p.t.Helper()
+	for _, e := range []*Engine{p.eng, p.twin} {
+		var err error
+		if insert {
+			err = e.InsertEdges(edges)
+		} else {
+			for _, eg := range edges {
+				if err = e.DeleteEdge(eg.U, eg.V); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			p.t.Fatal(err)
+		}
+	}
+	for _, eg := range edges {
+		p.present[eg.Normalize()] = insert
+	}
+}
+
+// check queries both engines and compares; delta says the engine under test
+// must have answered by the delta path.
+func (p *pieceTwin) check(delta bool) (rep []uint32) {
+	p.t.Helper()
+	var edges []stream.Edge
+	for eg, in := range p.present {
+		if in {
+			edges = append(edges, eg)
+		}
+	}
+	before := p.eng.Stats()
+	checkAgainstExact(p.t, p.eng, p.n, edges)
+	after := p.eng.Stats()
+	if delta && (after.DeltaQueries != before.DeltaQueries+1 || after.DeltaFallbacks != before.DeltaFallbacks) {
+		p.t.Fatalf("not answered by the delta path: delta %d -> %d, fallbacks %d -> %d",
+			before.DeltaQueries, after.DeltaQueries, before.DeltaFallbacks, after.DeltaFallbacks)
+	}
+	rep, count, err := p.eng.ConnectedComponents()
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	twinRep, twinCount, err := p.twin.ConnectedComponents()
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if count != twinCount || !samePartition(rep, twinRep) {
+		p.t.Fatalf("%d components, the from-scratch twin has %d, or the partitions differ", count, twinCount)
+	}
+	return rep
+}
+
+// newPieceTwin builds the engine under test in mode and its twin.
+func newPieceTwin(t *testing.T, mode int, n uint32, seed uint64) *pieceTwin {
+	cfg := forestCutModes[mode].cfg
+	cfg.NumNodes, cfg.Seed, cfg.Buffering = n, seed, BufferNone
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if limit := forestCutModes[mode].limit; limit > 0 {
+		eng.beforeLimit = limit
+	}
+	twin, err := NewEngine(Config{NumNodes: n, Seed: seed, Buffering: BufferNone, NoDeltaQuery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { twin.Close() })
+	return &pieceTwin{t: t, eng: eng, twin: twin, n: n, present: map[stream.Edge]bool{}}
+}
+
+// TestDeltaQueryPieceShapes drives the lockstep piece search through the
+// shapes it has to get right, on trees, whose cached forest is the tree
+// itself: removed forest edges nested on one root-to-leaf path of a binary
+// tree (each inner piece holds two searches' starts, 1 and 7, 15 and 63,
+// which must join),
+// fanned out at a hub (four removed edges, one start on the hub's side),
+// and a path cut into two pieces of equal size. Each cut is undone again,
+// which merges the pieces back as intact components. Every answer is
+// checked against the exact components and a from-scratch twin, in RAM
+// and out of core, and every cut must take the cut class.
+func TestDeltaQueryPieceShapes(t *testing.T) {
+	const n = 128
+	var heap, fan, path []stream.Edge
+	for v := uint32(1); v < n; v++ {
+		heap = append(heap, stream.Edge{U: (v - 1) / 2, V: v})
+		path = append(path, stream.Edge{U: v - 1, V: v})
+		if v < 8 {
+			fan = append(fan, stream.Edge{U: 0, V: v}) // seven spokes
+		} else {
+			fan = append(fan, stream.Edge{U: v - 7, V: v}) // each a path
+		}
+	}
+	shapes := []struct {
+		name       string
+		tree, cuts []stream.Edge
+	}{
+		{"nested", heap, []stream.Edge{{U: 0, V: 1}, {U: 7, V: 15}, {U: 63, V: 127}}},
+		{"fanned", fan, []stream.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}}},
+		{"equal", path, []stream.Edge{{U: n/2 - 1, V: n / 2}}},
+	}
+	for mode := range forestCutModes {
+		for si, shape := range shapes {
+			t.Run(forestCutModes[mode].name+"/"+shape.name, func(t *testing.T) {
+				t.Parallel()
+				p := newPieceTwin(t, mode, n, 131+uint64(si))
+				p.apply(shape.tree, true)
+				p.check(false)
+				for round := 0; round < 3; round++ {
+					before := deltaClassCounts(p.eng)
+					p.apply(shape.cuts, false)
+					p.check(true)
+					if c := deltaClassCounts(p.eng); c[classCut] != before[classCut]+1 || c[classSingletons] != before[classSingletons] {
+						t.Fatalf("round %d: classes %v after %v: the cut must take the cut class", round, c, before)
+					}
+					p.apply(shape.cuts, true)
+					p.check(true)
+				}
+			})
+		}
+	}
+}
+
+// TestDeltaQueryIntactMergeKeepsLabel: an edge joining a small intact
+// component to a larger one merges them by size — the merged component
+// keeps the larger one's cached label, even though the smaller one's
+// dirty node comes first in node order and its root is listed first.
+func TestDeltaQueryIntactMergeKeepsLabel(t *testing.T) {
+	const n = 96
+	for mode := range forestCutModes {
+		t.Run(forestCutModes[mode].name, func(t *testing.T) {
+			p := newPieceTwin(t, mode, n, 137)
+			var small, large []stream.Edge
+			for v := uint32(1); v < 10; v++ {
+				small = append(small, stream.Edge{U: v - 1, V: v}) // nodes 0..9
+			}
+			for v := uint32(11); v < 70; v++ {
+				large = append(large, stream.Edge{U: v - 1, V: v}) // nodes 10..69
+			}
+			p.apply(append(small, large...), true)
+			cached := p.check(false)
+			label := cached[10]
+			p.apply([]stream.Edge{{U: 5, V: 40}}, true)
+			rep := p.check(true)
+			if c := deltaClassCounts(p.eng); c[classIntact] != 2 || c[classCut] != 0 {
+				t.Fatalf("classes %v: both components must be intact", c)
+			}
+			for v := 0; v < 70; v++ {
+				if rep[v] != label {
+					t.Fatalf("node %d labelled %d after the merge, want the larger component's %d", v, rep[v], label)
+				}
+			}
+		})
+	}
+}

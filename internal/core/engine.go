@@ -227,10 +227,13 @@ type Engine struct {
 	deltaQueries   atomic.Uint64
 	deltaFallbacks atomic.Uint64
 	// What the delta path did, for tests to pin by count: components of the
-	// cached partition handled per class (runDeltaBoruvka), and the longest
-	// per-round contribution list of the last delta query.
+	// cached partition handled per class (runDeltaBoruvka), and of the last
+	// delta query the longest per-round contribution list, the DSU
+	// operations and the piece search's visits.
 	deltaClasses      [numDeltaClasses]atomic.Uint64
 	lastDeltaContribs atomic.Int64
+	lastDeltaOps      atomic.Int64
+	lastDeltaVisits   atomic.Int64
 	// before maps each node first-dirtied since the last cached query to its
 	// serialized pre-change sketch stack — the state that result observed,
 	// which the delta query diffs the live sketches against (query.go).

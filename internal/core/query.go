@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -43,11 +44,16 @@ import (
 //     had no incident edge toggled since that result — any toggle lands a
 //     batch on both endpoints' sketches, stamping them — so its forest
 //     edges are still genuine and its cut is still empty. Those
-//     components carry over wholesale. An affected component is
-//     re-certified from the before-images the apply path captured at each
-//     node's first change since that cut, in RAM and out of core alike, at
-//     a cost set by the dirty set rather than the component
-//     (runDeltaBoruvka has the three classes and the argument). Above
+//     components carry over wholesale: the DSU starts as the cached
+//     partition, one star per component, and only the affected components
+//     are split back. An affected component is re-certified from the
+//     before-images the apply path captured at each node's first change
+//     since that cut, in RAM and out of core alike. Its sketch work and its
+//     bookkeeping are both set by the dirty set rather than the component:
+//     a cut component's pieces are found by searching the cached forest
+//     outward from the removed edges, in lockstep, until one search is
+//     left, and the giant side of a detach is never enumerated
+//     (runDeltaBoruvka has the classes and the argument). Above
 //     DeltaQueryMaxDirtyFrac dirty nodes the query falls back to the
 //     from-scratch run; either way the caller sees an identical contract.
 
@@ -281,7 +287,7 @@ type candidate struct {
 // cached result observed it: its before-image if v is dirty, its live
 // sketch if not. A clean node whose component's previous aggregate is
 // already accounted for — as the zero sketch of an intact component, or
-// through the small pieces' prev terms of a cut one — has no role: it
+// through the other pieces' prev terms of a cut one — has no role: it
 // contributes nothing and is left out of the plan, which is what makes the
 // delta's sketch work scale with the dirty set rather than the component
 // size.
@@ -290,19 +296,20 @@ const (
 	// contributes its live sketch (the from-scratch materialization).
 	roleCur = uint8(iota)
 	// roleDiff: a dirty member of an intact component, or of a cut
-	// component's largest piece; contributes its live sketch XOR its
+	// component's anchor piece; contributes its live sketch XOR its
 	// before-image — the diff of its state since the cached result.
 	roleDiff
-	// rolePiece: a member of a cut component's smaller pieces. It
+	// rolePiece: a member of a cut component's other pieces. It
 	// contributes its live sketch to its own root and prev(v) to the root
-	// of its component's largest piece (planned.anchor), which folds into
+	// of its component's anchor piece (planned.anchor), which folds into
 	// the diff — nothing at all for a clean node — once the two roots have
 	// merged.
 	rolePiece
 )
 
 // planned is one node of a delta query's plan: its role, and for a
-// rolePiece node a node of its component's largest piece.
+// rolePiece node the node its component's star is centred on, which the
+// piece search always leaves in the anchor piece.
 type planned struct {
 	node, anchor uint32
 	role         uint8
@@ -344,7 +351,7 @@ type sampleOut struct {
 // its result and nothing else.
 type querySession struct {
 	d        *dsu.DSU
-	rep      []uint32 // node -> current root, rebuilt each round
+	rep      []uint32 // node -> current root, refreshed each round for the nodes it lists
 	finished []bool   // root-indexed: component certified complete
 	slot     []int32  // root -> index into roots this round, -1 otherwise
 	roots    []uint32 // live roots this round, in deterministic order
@@ -378,57 +385,118 @@ type querySession struct {
 	// The delta query's plan (runDeltaBoruvka): the nodes that contribute
 	// anything, ascending, and the images behind srcImage. Without delta
 	// every live node contributes its live sketch (a from-scratch query).
-	// dirty, class, largest and pieceSize are its working sets: the nodes
-	// changed since the cached result (ascending), the class of each cached
-	// component, and each cut component's largest piece with the piece
-	// sizes it was picked by.
-	delta     bool
-	plan      []planned
-	before    map[uint32][]byte
-	dirty     []uint32
-	class     []uint8
-	largest   []uint32
-	pieceSize []int32
-	// maxContribs is the longest contribution list of any round so far:
-	// the query's sketch work per round, which tests pin by count.
+	delta  bool
+	plan   []planned
+	before map[uint32][]byte
+	// The delta's working sets. dirty lists the nodes changed since the
+	// cached result (ascending), affected the cached representatives of
+	// the components they dirty, removed the cut components' removed
+	// forest edges, and moved the nodes to split out of their cached
+	// stars, each set of them ending at an offset in splits. isDirty
+	// (node-indexed), class and relabel (indexed by cached representative)
+	// and mark (node-indexed) are kept all-false, all classClean, the
+	// identity and all-zero between queries: a delta query sets entries
+	// only for what it touches and undoDelta puts them back. relabel[r] is
+	// the node the DSU centres component r's star on, then the root the
+	// star ends under; mark[v] is 1 + the id of the search that visited v,
+	// or splitMark once v is to be split out.
+	dirty    []uint32
+	affected []uint32
+	removed  []stream.Edge
+	moved    []uint32
+	splits   []int
+	isDirty  []bool
+	class    []uint8
+	relabel  []uint32
+	mark     []int32
+	// The piece search (cutPieces): the cached forest's adjacency lists —
+	// node v's neighbours are adj[adjStart[v]:adjStart[v+1]] — and one
+	// breadth-first search per start. Searches that meet join one group
+	// (group, a union-find over search ids), whose root search alone has
+	// nodes left to expand; every visited node sits in exactly one
+	// search's queue.
+	adjStart []int32
+	adj      []uint32
+	searches []pieceSearch
+	group    []int32
+
+	// What the query cost, by count, which tests pin: the longest
+	// contribution list of any round (its sketch work per round), the DSU
+	// operations (Find, Union, and one per element Split moves), the nodes
+	// the piece search expanded, and the live roots of each round.
 	maxContribs int
+	dsuOps      int
+	visits      int
+	liveRoots   []int
 }
 
-// prepareRound refreshes rep from the DSU, rebuilds the live-root index
-// (roots, slot) and lists the round's contributions. It returns the number
-// of live (unfinished) components. Single-threaded: DSU path compression
-// is not safe for concurrent Finds.
-func (q *querySession) prepareRound() int {
-	n := len(q.rep)
+// pieceSearch is one breadth-first search over the cached forest: queue
+// holds every node it visited, in visit order, and head the next to
+// expand.
+type pieceSearch struct {
+	queue []uint32
+	head  int
+}
+
+// find is the session's counted DSU Find.
+func (q *querySession) find(v uint32) uint32 {
+	q.dsuOps++
+	return q.d.Find(v)
+}
+
+// prepareRound resets the slots the previous round set, lists this round's
+// live roots in deterministic order (roots, slot), refreshing rep for the
+// nodes it lists, and lists the round's contributions. A delta query lists
+// its plan and the plan's anchors; a from-scratch query every node. It
+// returns the number of live (unfinished) components. Single-threaded: DSU
+// path compression is not safe for concurrent Finds.
+func (q *querySession) prepareRound(round int) int {
+	for _, r := range q.roots {
+		q.slot[r] = -1
+	}
 	q.roots = q.roots[:0]
-	for i := range q.slot {
-		q.slot[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		q.rep[i] = q.d.Find(uint32(i))
-	}
-	for i := 0; i < n; i++ {
-		r := q.rep[i]
-		if q.finished[r] || q.slot[r] >= 0 {
-			continue
-		}
-		q.slot[r] = int32(len(q.roots))
-		q.roots = append(q.roots, r)
-	}
 	q.contribs = q.contribs[:0]
+	first := round == 0
 	if q.delta {
+		for _, p := range q.plan {
+			q.listRoot(p.node, first)
+			if p.role == rolePiece {
+				q.listRoot(p.anchor, first)
+			}
+		}
 		for _, p := range q.plan {
 			q.contribute(p)
 		}
 	} else {
-		for i := 0; i < n; i++ {
+		for i := range q.rep {
+			q.listRoot(uint32(i), first)
+		}
+		for i := range q.rep {
 			q.contribute(planned{node: uint32(i), role: roleCur})
 		}
 	}
 	if len(q.contribs) > q.maxContribs {
 		q.maxContribs = len(q.contribs)
 	}
+	q.liveRoots = append(q.liveRoots, len(q.roots))
 	return len(q.roots)
+}
+
+// listRoot refreshes v's root and lists it as live unless it is listed
+// already or certified complete. A query's first round lists every root
+// the query can reach — every node from scratch; for a delta, the plan's
+// components, the only ones a candidate edge can join — so it clears
+// their finished flags, whatever an earlier query left there.
+func (q *querySession) listRoot(v uint32, first bool) {
+	r := q.find(v)
+	q.rep[v] = r
+	if first {
+		q.finished[r] = false
+	}
+	if !q.finished[r] && q.slot[r] < 0 {
+		q.slot[r] = int32(len(q.roots))
+		q.roots = append(q.roots, r)
+	}
 }
 
 // contribute appends a node's terms for this round, each only while the
@@ -452,7 +520,7 @@ func (q *querySession) contribute(p planned) {
 		}
 		a := q.slot[q.rep[p.anchor]]
 		if s == a {
-			// Merged with the largest piece: cur(v) and prev(v) meet in one
+			// Merged with the anchor piece: cur(v) and prev(v) meet in one
 			// aggregate and cancel unless v is dirty.
 			if s >= 0 && prev == srcImage {
 				q.contribs = append(q.contribs, contribution{v, s, srcLive | srcImage})
@@ -498,31 +566,41 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// newQuerySession allocates the scratch of an n-node session.
+// newQuerySession allocates the scratch of an n-node session: singletons,
+// nothing finished or listed, and the delta's arrays all clear.
 func newQuerySession(n int) *querySession {
-	return &querySession{
+	q := &querySession{
 		d:        dsu.New(n),
 		rep:      make([]uint32, n),
 		finished: make([]bool, n),
 		slot:     make([]int32, n),
+		isDirty:  make([]bool, n),
+		class:    make([]uint8, n),
+		relabel:  make([]uint32, n),
+		mark:     make([]int32, n),
 	}
+	for i := range q.slot {
+		q.slot[i] = -1
+		q.relabel[i] = uint32(i)
+	}
+	return q
 }
 
-// reset returns the session to the state newQuerySession leaves it in —
-// singletons, nothing finished, no plan, no held aggregates — keeping
-// every array for the next query.
+// reset clears what the last query left of a session — no plan, no held
+// aggregates, no forest, no counts — keeping every array for the next
+// query. The DSU is left as it is: each path starts it itself, from
+// singletons (runBoruvka) or from the cached partition (runDeltaBoruvka),
+// and the first round clears the finished flag of every root it lists.
 func (q *querySession) reset() {
-	q.d.Reset()
-	clear(q.finished)
 	q.delta, q.plan, q.before = false, q.plan[:0], nil
 	q.held, q.arenaRound, q.arenaEnd = q.held[:0], 0, 0
 	q.forest = q.forest[:0]
-	q.maxContribs = 0
+	q.maxContribs, q.dsuOps, q.visits, q.liveRoots = 0, 0, 0, q.liveRoots[:0]
 }
 
-// result packages the session's answer as a query result tagged with
-// epoch: the final representatives off the DSU, the component count and a
-// copy of the forest — the only allocations of a query.
+// result packages a from-scratch session's answer as a query result tagged
+// with epoch: the final representatives off the DSU, the component count
+// and a copy of the forest — the only allocations of a query.
 func (q *querySession) result(epoch uint64) *queryResult {
 	n := len(q.rep)
 	rep := make([]uint32, n)
@@ -539,12 +617,33 @@ func (q *querySession) result(epoch uint64) *queryResult {
 	}
 }
 
+// deltaResult packages a delta session's answer off prev: a copy of prev's
+// representatives relabelled — an affected component's label to the root
+// its star ended under, a node split out of its cached star to its own
+// root — the DSU's count and a copy of the forest.
+func (q *querySession) deltaResult(epoch uint64, prev *queryResult) *queryResult {
+	for _, r := range q.affected {
+		q.relabel[r] = q.find(q.relabel[r])
+	}
+	rep := make([]uint32, len(prev.rep))
+	for i, r := range prev.rep {
+		rep[i] = q.relabel[r]
+	}
+	for _, v := range q.moved {
+		rep[v] = q.find(v)
+	}
+	return &queryResult{
+		epoch: epoch, delta: true,
+		forest: slices.Clone(q.forest), rep: rep, count: q.d.Count(),
+	}
+}
+
 // boruvkaRounds runs the lazy Boruvka rounds over q's current state —
-// pristine singletons for a full query, the carried-over clean components
-// pre-merged and pre-finished for a delta query — until every component
-// certifies complete or the sketch depth runs out, appending recovered
-// edges to q.forest. It returns the number of still-live components (zero
-// on success) and the rounds executed.
+// pristine singletons for a full query, the cached partition with its
+// affected components split back for a delta query — until every
+// component certifies complete or the sketch depth runs out, appending
+// recovered edges to q.forest. It returns the number of still-live
+// components (zero on success) and the rounds executed.
 func (e *Engine) boruvkaRounds(q *querySession) (live, rounds int, err error) {
 	for round := 0; round < e.cfg.Rounds; round++ {
 		var ran bool
@@ -560,7 +659,7 @@ func (e *Engine) boruvkaRounds(q *querySession) (live, rounds int, err error) {
 // merges along the edges found. ran is false, with nothing done, when no
 // component was live; live is the count left after the round.
 func (e *Engine) boruvkaRound(q *querySession, round int) (live int, ran bool, err error) {
-	if live = q.prepareRound(); live == 0 {
+	if live = q.prepareRound(round); live == 0 {
 		return 0, false, nil
 	}
 	if err := e.sampleRound(q, round); err != nil {
@@ -574,12 +673,13 @@ func (e *Engine) boruvkaRound(q *querySession, round int) (live int, ran bool, e
 	// so merge order — and therefore the recovered forest — is
 	// reproducible across runs and worker counts.
 	for _, c := range q.cands {
-		ra, rb := q.d.Find(c.edge.U), q.d.Find(c.edge.V)
+		ra, rb := q.find(c.edge.U), q.find(c.edge.V)
 		if ra == rb {
 			// Another merge this round already connected them.
 			continue
 		}
 		root, _ := q.d.Union(ra, rb)
+		q.dsuOps++
 		// The merged component has a fresh cut; with high probability
 		// neither constituent was finished (a finished component has
 		// no cut edges to be sampled), but never let a stale flag
@@ -592,9 +692,10 @@ func (e *Engine) boruvkaRound(q *querySession, round int) (live int, ran bool, e
 }
 
 // runBoruvka executes the from-scratch lazy Boruvka rounds on the reset
-// session q and returns the full query result tagged with epoch. On
-// ErrQueryFailed the partial result is still returned.
+// session q, from singletons, and returns the full query result tagged with
+// epoch. On ErrQueryFailed the partial result is still returned.
 func (e *Engine) runBoruvka(q *querySession, epoch uint64) (*queryResult, error) {
+	q.d.Reset()
 	live, rounds, err := e.boruvkaRounds(q)
 	if err != nil {
 		return nil, err
@@ -611,23 +712,28 @@ func (e *Engine) runBoruvka(q *querySession, epoch uint64) (*queryResult, error)
 
 // Classes of a component of the cached partition under a delta query.
 const (
-	classClean      = iota // no dirty member: carried over pre-finished
+	classClean      = iota // no dirty member: its star carries over untouched
 	classIntact            // re-certified from its dirty members' diffs
 	classCut               // possibly-deleted forest edges removed, pieces kept
 	classSingletons        // a dirty member has no image: re-solved from scratch
 	numDeltaClasses
 )
 
+// splitMark marks a node split out of its cached star (cutPieces,
+// splitSingletons) until undoDelta clears it.
+const splitMark = -1
+
 // runDeltaBoruvka answers a query incrementally off the previous cached
 // result. A component of prev's partition containing no dirty node is
 // clean: every edge toggle since prev landed batches on both endpoints'
 // sketches, so a clean component had no incident toggle — its forest
-// edges are still genuine and its (empty) cut is unchanged. Clean
-// components carry over pre-merged and pre-finished. No candidate edge
-// can cross from an affected component into a clean one (such an edge
-// either existed at prev time, putting both sides in one prev component,
-// or was toggled since, dirtying both endpoints), so the carried-over
-// partition is never disturbed.
+// edges are still genuine and its (empty) cut is unchanged. The DSU starts
+// as prev's partition, one star per component on its cached
+// representative (dsu.Seed), and a clean star is never listed, so never
+// touched again. No candidate edge can cross from an affected component
+// into a clean one (such an edge either existed at prev time, putting both
+// sides in one prev component, or was toggled since, dirtying both
+// endpoints), so the carried-over partition is never disturbed.
 //
 // An affected component falls in one of three classes, the same in RAM and
 // out of core. Everything rests on one fact: a cached component's round
@@ -638,7 +744,7 @@ const (
 //
 // Intact: no forest edge has both endpoints dirty, so none can have been
 // deleted (a deletion dirties exactly its two endpoints) and the forest
-// still spans the component. It stays pre-merged, and its current round-r
+// still spans the component. It stays one star, and its current round-r
 // aggregate is the XOR of its dirty members' current-⊕-before diffs:
 // toggles internal to the component enter two members' diffs and cancel, a
 // toggle crossing its boundary enters one and survives, so the diffs alone
@@ -646,100 +752,108 @@ const (
 //
 // Cut: some forest edges have both endpoints dirty and may be gone. Only
 // those are removed; every other forest edge has a clean endpoint, cannot
-// have been toggled, and keeps its sub-tree (a piece) pre-merged. The
-// pieces' prev aggregates XOR to zero, so the largest piece's is the XOR
-// of prev(v) over all the OTHER pieces' members: those members contribute
-// cur(v) to their own root and prev(v) to the largest piece's, whose own
-// dirty members add their diffs. Work is O(dirty + members of all pieces
-// but the largest) — detaching a leaf from a giant component touches the
-// leaf and the dirty nodes, never the giant's members.
+// have been toggled, and keeps its sub-tree (a piece) together. The
+// pieces' prev aggregates XOR to zero, so any one piece's — the anchor's —
+// is the XOR of prev(v) over all the OTHER pieces' members: those members
+// contribute cur(v) to their own root and prev(v) to the anchor's, whose
+// own dirty members add their diffs. cutPieces finds the pieces by
+// searching the cached forest outward from the removed edges' endpoints in
+// lockstep, never crossing a removed edge, and stops when one search is
+// left: that unfinished piece is the anchor and stays in the star, the
+// enumerated ones are split out. Work is O(dirty + the enumerated pieces'
+// members) — detaching a leaf from a giant component touches the leaf and
+// the dirty nodes, never the giant's members.
 //
 // From singletons: a dirty member has no before-image (capture stopped at
-// the limit), so prev is unknown for it. The component splits back to
-// singletons and re-solves with full member materialization.
+// the limit), so prev is unknown for it. Every member is split out of the
+// star and the component re-solves with full member materialization.
+//
+// Merges go by size, so the larger side keeps its representative, and the
+// result relabels a copy of prev's representatives (deltaResult). What is
+// left linear in the node count is plain array work: the stamp scan that
+// found the dirty set, one pass over the cached forest, the seed, the
+// relabelled copy, the forest's copy and — only when a component is cut or
+// re-solved from singletons — one counting sort of the cached forest into
+// adjacency lists. No DSU operation and no round touches every node.
 //
 // ok=false (with no error) means the affected components failed to
 // certify within the sketch depth; the caller falls back to the
 // from-scratch run rather than surfacing a partial delta, keeping the
 // result contract identical to a full query.
 func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResult) (res *queryResult, ok bool, err error) {
-	n := int(e.cfg.NumNodes)
 	// Workers are idle under the write lock: the image map and the stamps
 	// are stable.
-	before := e.before
-	q.class = sized(q.class, n) // indexed by prev representative
-	class := q.class
+	q.delta, q.before = true, e.before
+	defer q.undoDelta()
 	for _, v := range q.dirty {
+		q.isDirty[v] = true
 		r := prev.rep[v]
-		if before[v] == nil {
-			class[r] = classSingletons
-		} else if class[r] == classClean {
-			class[r] = classIntact
+		if q.class[r] == classClean {
+			q.class[r] = classIntact
+			q.affected = append(q.affected, r)
+		}
+		if q.before[v] == nil {
+			q.class[r] = classSingletons
 		}
 	}
-	isDirty := func(v uint32) bool { return e.stamp[v].Load() > prev.cut }
-	bothDirty := func(eg stream.Edge) bool { return isDirty(eg.U) && isDirty(eg.V) }
-	anyCut := false
+	// Clean and intact components keep their whole tree, a cut one the
+	// sub-trees between its removed edges, one from singletons nothing.
 	for _, eg := range prev.forest {
-		if r := prev.rep[eg.U]; class[r] == classIntact && bothDirty(eg) {
-			class[r] = classCut
-			anyCut = true
-		}
-	}
-
-	q.delta, q.before = true, before
-	for _, eg := range prev.forest {
-		// Clean and intact components keep their whole tree, a cut one the
-		// sub-trees between its removed edges; all but the clean stay live,
-		// to be re-certified (or extended) below.
-		if c := class[prev.rep[eg.U]]; c == classSingletons || c == classCut && bothDirty(eg) {
-			continue
-		}
-		q.d.Union(eg.U, eg.V)
-		q.forest = append(q.forest, eg)
-	}
-	// largest[r] is the DSU root of cut component r's largest piece (n, of
-	// size zero, until a piece is seen; the lowest-numbered wins a tie).
-	var largest []uint32
-	if anyCut {
-		q.largest = sized(q.largest, n)
-		q.pieceSize = sized(q.pieceSize, n+1) // piece root -> members
-		largest = q.largest
-		size := q.pieceSize
-		for i := 0; i < n; i++ {
-			largest[i] = uint32(n)
-			if class[prev.rep[i]] == classCut {
-				size[q.d.Find(uint32(i))]++
-			}
-		}
-		for i := 0; i < n; i++ {
-			if r := prev.rep[i]; class[r] == classCut {
-				if p := q.d.Find(uint32(i)); size[p] > size[largest[r]] {
-					largest[r] = p
-				}
-			}
+		switch r := prev.rep[eg.U]; {
+		case q.class[r] == classSingletons:
+		case q.isDirty[eg.U] && q.isDirty[eg.V]:
+			q.class[r] = classCut
+			q.removed = append(q.removed, eg)
+		default:
+			q.forest = append(q.forest, eg)
 		}
 	}
 	var classCount [numDeltaClasses]uint64
-	for i := 0; i < n; i++ {
-		v, r := uint32(i), prev.rep[i]
-		if r == v {
-			classCount[class[r]]++
-		}
-		switch c := class[r]; {
-		case c == classClean:
-			q.finished[q.d.Find(v)] = true
-		case c == classSingletons:
-			q.plan = append(q.plan, planned{node: v, role: roleCur})
-		case c == classCut && q.d.Find(v) != largest[r]:
-			q.plan = append(q.plan, planned{node: v, role: rolePiece, anchor: largest[r]})
-		case isDirty(v): // intact, or the largest piece of a cut
-			q.plan = append(q.plan, planned{node: v, role: roleDiff})
-		}
+	classCount[classClean] = uint64(prev.count - len(q.affected))
+	search := false
+	for _, r := range q.affected {
+		classCount[q.class[r]]++
+		search = search || q.class[r] != classIntact
 	}
 	for c, k := range classCount {
 		e.deltaClasses[c].Add(k)
 	}
+
+	if search {
+		q.buildAdjacency(prev.forest)
+		// One piece search per cut component, over its removed edges.
+		slices.SortStableFunc(q.removed, func(a, b stream.Edge) int {
+			return cmp.Compare(prev.rep[a.U], prev.rep[b.U])
+		})
+		for rs := q.removed; len(rs) > 0; {
+			r, k := prev.rep[rs[0].U], 1
+			for k < len(rs) && prev.rep[rs[k].U] == r {
+				k++
+			}
+			q.cutPieces(r, rs[:k])
+			rs = rs[k:]
+		}
+		for _, r := range q.affected {
+			if q.class[r] == classSingletons {
+				q.splitSingletons(r)
+			}
+		}
+	}
+	q.d.Seed(prev.rep, q.relabel)
+	start := 0
+	for _, end := range q.splits {
+		q.d.Split(q.moved[start:end])
+		q.dsuOps += end - start
+		start = end
+	}
+	for _, v := range q.dirty {
+		// Intact, or the anchor piece of a cut.
+		if c := q.class[prev.rep[v]]; c == classIntact || c == classCut && q.mark[v] != splitMark {
+			q.plan = append(q.plan, planned{node: v, role: roleDiff})
+		}
+	}
+	slices.SortFunc(q.plan, func(a, b planned) int { return cmp.Compare(a.node, b.node) })
+
 	live, rounds, err := e.boruvkaRounds(q)
 	if err != nil {
 		return nil, false, err
@@ -747,9 +861,203 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 	if live > 0 {
 		return nil, false, nil
 	}
+	res = q.deltaResult(epoch, prev)
 	e.lastRounds.Store(int64(rounds))
 	e.lastDeltaContribs.Store(int64(q.maxContribs))
-	return q.result(epoch), true, nil
+	e.lastDeltaOps.Store(int64(q.dsuOps))
+	e.lastDeltaVisits.Store(int64(q.visits))
+	return res, true, nil
+}
+
+// undoDelta puts back the entries of the node- and label-indexed arrays
+// that the delta query set, so the next one finds them clear without a
+// pass over every node.
+func (q *querySession) undoDelta() {
+	for _, v := range q.dirty {
+		q.isDirty[v] = false
+	}
+	for _, r := range q.affected {
+		q.class[r], q.relabel[r] = classClean, r
+	}
+	for i := range q.searches {
+		for _, v := range q.searches[i].queue {
+			q.mark[v] = 0
+		}
+	}
+	q.affected, q.removed, q.moved, q.splits = q.affected[:0], q.removed[:0], q.moved[:0], q.splits[:0]
+	q.searches, q.group = q.searches[:0], q.group[:0]
+}
+
+// buildAdjacency lays forest out as adjacency lists, in forest order, by
+// one counting sort.
+func (q *querySession) buildAdjacency(forest []stream.Edge) {
+	n := len(q.rep)
+	// Degrees go in at v+2, so that after the prefix sum adjStart[v+1]
+	// is v's first entry, the cursor the fill advances to v+1's.
+	q.adjStart = sized(q.adjStart, n+2)
+	for _, eg := range forest {
+		q.adjStart[eg.U+2]++
+		q.adjStart[eg.V+2]++
+	}
+	for i := 2; i < n+2; i++ {
+		q.adjStart[i] += q.adjStart[i-1]
+	}
+	if m := 2 * len(forest); cap(q.adj) < m {
+		q.adj = make([]uint32, m)
+	} else {
+		q.adj = q.adj[:m]
+	}
+	for _, eg := range forest {
+		q.adj[q.adjStart[eg.U+1]] = eg.V
+		q.adjStart[eg.U+1]++
+		q.adj[q.adjStart[eg.V+1]] = eg.U
+		q.adjStart[eg.V+1]++
+	}
+}
+
+// neighbours returns v's neighbours in the cached forest.
+func (q *querySession) neighbours(v uint32) []uint32 {
+	return q.adj[q.adjStart[v]:q.adjStart[v+1]]
+}
+
+// newSearch starts a search at v, in a group of its own, and returns its
+// id.
+func (q *querySession) newSearch(v uint32) int {
+	i := len(q.searches)
+	if i < cap(q.searches) {
+		q.searches = q.searches[:i+1]
+	} else {
+		q.searches = append(q.searches, pieceSearch{})
+	}
+	s := &q.searches[i]
+	s.queue, s.head = append(s.queue[:0], v), 0
+	q.mark[v] = int32(i) + 1
+	q.group = append(q.group, int32(i))
+	return i
+}
+
+// groupOf returns the group search i belongs to.
+func (q *querySession) groupOf(i int32) int32 {
+	for q.group[i] != i {
+		q.group[i] = q.group[q.group[i]]
+		i = q.group[i]
+	}
+	return i
+}
+
+// expand expands search i's next node, never across a removed edge, and
+// returns by how much the count of unfinished groups fell. An unvisited
+// neighbour joins i's queue. A neighbour another group visited joins that
+// group to i's — they search one piece — and i takes over the other
+// root's unexpanded nodes, so a group expands one node a turn however
+// many searches it joined: the pieces finish in order of size. That group
+// is unfinished (a finished group has enumerated its piece, which nothing
+// outside it reaches), so the count falls by one per group joined, or by
+// one when i has nothing left to expand. A search with nothing left does
+// nothing.
+func (q *querySession) expand(i int) (fell int) {
+	s := &q.searches[i]
+	if s.head == len(s.queue) {
+		return 0
+	}
+	v := s.queue[s.head]
+	s.head++
+	q.visits++
+	for _, w := range q.neighbours(v) {
+		if q.isDirty[v] && q.isDirty[w] {
+			continue // a removed edge
+		}
+		if m := q.mark[w]; m == 0 {
+			q.mark[w] = int32(i) + 1
+			s.queue = append(s.queue, w)
+		} else if h := q.groupOf(m - 1); h != int32(i) {
+			t := &q.searches[h]
+			s.queue = append(s.queue, t.queue[t.head:]...)
+			t.queue = t.queue[:t.head]
+			q.group[h] = int32(i)
+			fell++
+		}
+	}
+	if s.head == len(s.queue) {
+		fell++
+	}
+	return fell
+}
+
+// cutPieces finds the pieces of cut component r. One search starts at each
+// endpoint of its removed edges, and the groups expand a node each in
+// turn, joining when they meet, until one group is left unfinished: every
+// piece holds a removed edge's endpoint, so every other piece has then
+// been enumerated whole. The unfinished piece — the giant side of a
+// detach — is the anchor and stays in r's star; each enumerated piece is
+// queued to be split out into a set of its own, its members planned as
+// rolePiece. Any piece is a correct anchor by linearity. When r itself lies
+// in an enumerated piece, the star is centred on the anchor's first
+// search start instead (relabel), so r can leave it like any other member.
+func (q *querySession) cutPieces(r uint32, removed []stream.Edge) {
+	first := len(q.searches)
+	for _, eg := range removed {
+		for _, v := range [2]uint32{eg.U, eg.V} {
+			if q.mark[v] == 0 {
+				q.newSearch(v)
+			}
+		}
+	}
+	end := len(q.searches)
+	for unfinished := end - first; unfinished > 1; {
+		for i := first; i < end && unfinished > 1; i++ {
+			unfinished -= q.expand(i)
+		}
+	}
+	anchor := int32(-1)
+	for i := first; i < end; i++ {
+		if s := &q.searches[i]; s.head < len(s.queue) {
+			anchor = int32(i)
+		}
+	}
+	if m := q.mark[r]; m != 0 && q.groupOf(m-1) != anchor {
+		q.relabel[r] = q.searches[anchor].queue[0]
+	}
+	for g := int32(first); g < int32(end); g++ {
+		if g == anchor || q.groupOf(g) != g {
+			continue
+		}
+		start := len(q.moved)
+		for i := first; i < end; i++ {
+			if q.groupOf(int32(i)) == g {
+				q.moved = append(q.moved, q.searches[i].queue...)
+			}
+		}
+		for _, v := range q.moved[start:] {
+			q.mark[v] = splitMark
+			q.plan = append(q.plan, planned{node: v, anchor: q.relabel[r], role: rolePiece})
+		}
+		q.splits = append(q.splits, len(q.moved))
+	}
+}
+
+// splitSingletons queues component r of the from-singletons class to be
+// split back into singletons and plans every member's live sketch. Its
+// members are found by a search from r over its whole cached tree: a
+// re-solve from singletons costs the component's size whatever the plan.
+func (q *querySession) splitSingletons(r uint32) {
+	s := &q.searches[q.newSearch(r)]
+	for ; s.head < len(s.queue); s.head++ {
+		q.visits++
+		for _, w := range q.neighbours(s.queue[s.head]) {
+			if q.mark[w] == 0 {
+				q.mark[w] = splitMark
+				s.queue = append(s.queue, w)
+			}
+		}
+	}
+	for j, v := range s.queue {
+		if j > 0 {
+			q.moved = append(q.moved, v)
+			q.splits = append(q.splits, len(q.moved))
+		}
+		q.plan = append(q.plan, planned{node: v, role: roleCur})
+	}
 }
 
 // sampleRound materializes the round-r supernode sketch of every live root

@@ -1,26 +1,24 @@
 // Package dsu implements a disjoint-set union (union-find) structure with
-// union by rank and path compression. GraphZeppelin's query path uses it to
-// track the current connected components between Boruvka rounds, and the
-// baselines use it for exact Kruskal-style connectivity references.
+// union by size and path compression. GraphZeppelin's query path uses it to
+// track the current connected components between Boruvka rounds — seeded
+// from a cached partition when a query maintains an earlier answer — and
+// the baselines use it for exact Kruskal-style connectivity references.
 package dsu
 
 // DSU is a disjoint-set forest over elements 0..n-1.
 type DSU struct {
 	parent []uint32
-	rank   []uint8
-	count  int // number of disjoint sets
+	size   []uint32 // root -> members of its set
+	count  int      // number of disjoint sets
 }
 
 // New returns a DSU with n singleton sets.
 func New(n int) *DSU {
 	d := &DSU{
 		parent: make([]uint32, n),
-		rank:   make([]uint8, n),
-		count:  n,
+		size:   make([]uint32, n),
 	}
-	for i := range d.parent {
-		d.parent[i] = uint32(i)
-	}
+	d.Reset()
 	return d
 }
 
@@ -44,19 +42,18 @@ func (d *DSU) Find(x uint32) uint32 {
 
 // Union merges the sets containing x and y. It returns the representative
 // of the merged set and whether a merge actually happened (false when x
-// and y were already in the same set).
+// and y were already in the same set). The larger set's representative
+// represents the merged set; of two equal sets, x's.
 func (d *DSU) Union(x, y uint32) (root uint32, merged bool) {
 	rx, ry := d.Find(x), d.Find(y)
 	if rx == ry {
 		return rx, false
 	}
-	if d.rank[rx] < d.rank[ry] {
+	if d.size[rx] < d.size[ry] {
 		rx, ry = ry, rx
 	}
 	d.parent[ry] = rx
-	if d.rank[rx] == d.rank[ry] {
-		d.rank[rx]++
-	}
+	d.size[rx] += d.size[ry]
 	d.count--
 	return rx, true
 }
@@ -85,7 +82,53 @@ func (d *DSU) Components() (rep []uint32, roots []uint32) {
 func (d *DSU) Reset() {
 	for i := range d.parent {
 		d.parent[i] = uint32(i)
-		d.rank[i] = 0
+		d.size[i] = 1
 	}
 	d.count = len(d.parent)
+}
+
+// Seed resets the structure to a given partition without reallocating:
+// element i joins the set labels[i] names, and every set becomes a star on
+// its representative — label l's is element rep[l], or l itself when rep is
+// nil. labels must have one entry per element, and each representative
+// must lie in the set it represents (labels[rep[l]] == l, or with a nil rep
+// labels[l] == l, as for the rep Components returns).
+func (d *DSU) Seed(labels, rep []uint32) {
+	if len(labels) != len(d.parent) {
+		panic("dsu: Seed with a partition of another size")
+	}
+	clear(d.size)
+	d.count = 0
+	for i, l := range labels {
+		if rep != nil {
+			l = rep[l]
+		}
+		d.parent[i] = l
+		d.size[l]++
+		if l == uint32(i) {
+			d.count++
+		}
+	}
+}
+
+// Split moves the elements xs out of their sets into one new set of their
+// own, which xs[0] represents. Each must be a leaf — not a representative,
+// its parent its set's representative, and no element's parent — as every
+// element but the labels is right after Seed.
+func (d *DSU) Split(xs []uint32) {
+	if len(xs) == 0 {
+		return
+	}
+	root := xs[0]
+	for _, x := range xs {
+		p := d.parent[x]
+		if p == x {
+			panic("dsu: Split of a representative")
+		}
+		d.size[p]--
+		d.parent[x] = root
+	}
+	d.parent[root] = root
+	d.size[root] = uint32(len(xs))
+	d.count++
 }

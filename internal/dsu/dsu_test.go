@@ -109,3 +109,146 @@ func TestFindIsIdempotentAndCanonical(t *testing.T) {
 		}
 	}
 }
+
+// randomPartition returns the labels of a random partition of n elements
+// into at most k sets, each labelled by one of its members.
+func randomPartition(rng *rand.Rand, n, k int) []uint32 {
+	set := make([]int, n)
+	first := make(map[int]uint32, k)
+	for i := range set {
+		set[i] = int(rng.Uint64N(uint64(k)))
+		if _, ok := first[set[i]]; !ok {
+			first[set[i]] = uint32(i)
+		}
+	}
+	labels := make([]uint32, n)
+	for i, s := range set {
+		labels[i] = first[s]
+	}
+	return labels
+}
+
+// checkPartition fails unless d encodes exactly the partition labels does,
+// each set represented by root(label).
+func checkPartition(t *testing.T, d *DSU, labels []uint32, root func(uint32) uint32) {
+	t.Helper()
+	sets := map[uint32]bool{}
+	for i, l := range labels {
+		sets[l] = true
+		if got := d.Find(uint32(i)); got != root(l) {
+			t.Fatalf("Find(%d) = %d, want %d (label %d)", i, got, root(l), l)
+		}
+	}
+	if d.Count() != len(sets) {
+		t.Fatalf("Count = %d, the partition has %d sets", d.Count(), len(sets))
+	}
+}
+
+// TestSeedAgreesWithPartition: seeded from a partition, over a DSU in any
+// prior state, Find returns each element's label and Count the number of
+// sets — and with a relabelling, the representative it names instead.
+func TestSeedAgreesWithPartition(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	d := New(500)
+	for trial := 0; trial < 20; trial++ {
+		for i := 0; i < 300; i++ { // leave some unrelated state behind
+			d.Union(uint32(rng.Uint64N(500)), uint32(rng.Uint64N(500)))
+		}
+		labels := randomPartition(rng, 500, 1+int(rng.Uint64N(60)))
+		d.Seed(labels, nil)
+		checkPartition(t, d, labels, func(l uint32) uint32 { return l })
+
+		// Re-centre each set on its last member.
+		rep := make([]uint32, len(labels))
+		for i, l := range labels {
+			rep[l] = uint32(i)
+		}
+		d.Seed(labels, rep)
+		checkPartition(t, d, labels, func(l uint32) uint32 { return rep[l] })
+	}
+}
+
+// TestSeedThenUnionMatchesNaive: unions over a seeded partition behave as
+// unions replayed over singletons that first rebuild the partition.
+func TestSeedThenUnionMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	const n = 200
+	labels := randomPartition(rng, n, 40)
+	seeded, ref := New(n), New(n)
+	seeded.Seed(labels, nil)
+	for i, l := range labels {
+		ref.Union(uint32(i), l)
+	}
+	for i := 0; i < 100; i++ {
+		x, y := uint32(rng.Uint64N(n)), uint32(rng.Uint64N(n))
+		_, a := seeded.Union(x, y)
+		_, b := ref.Union(x, y)
+		if a != b || seeded.Count() != ref.Count() {
+			t.Fatalf("union %d: merged %v/%v, Count %d/%d", i, a, b, seeded.Count(), ref.Count())
+		}
+	}
+	for x := uint32(0); x < n; x++ {
+		for y := uint32(0); y < n; y += 7 {
+			if seeded.Same(x, y) != ref.Same(x, y) {
+				t.Fatalf("Same(%d, %d) differs from the replayed reference", x, y)
+			}
+		}
+	}
+}
+
+// TestUnionBySizeKeepsLargerRoot: the larger set's representative
+// represents the union, whichever argument it is; of two equal sets, the
+// first argument's.
+func TestUnionBySizeKeepsLargerRoot(t *testing.T) {
+	d := New(10)
+	d.Union(0, 1)
+	d.Union(0, 2) // {0,1,2} on 0
+	big := d.Find(0)
+	d.Union(3, 4) // {3,4}
+	if root, _ := d.Union(3, 1); root != big {
+		t.Fatalf("small into large: root %d, want the larger set's %d", root, big)
+	}
+	if root, _ := d.Union(5, 6); root != 5 {
+		t.Fatalf("equal sets: root %d, want the first argument's 5", root)
+	}
+	// Seeded stars: the larger keeps its label however the call is made.
+	d.Seed([]uint32{0, 0, 0, 0, 4, 4, 6, 7, 8, 9}, nil)
+	if root, _ := d.Union(5, 2); root != 0 {
+		t.Fatalf("seeded stars: root %d, want the larger star's 0", root)
+	}
+	if d.Count() != 5 {
+		t.Fatalf("Count = %d after merging two of six seeded sets, want 5", d.Count())
+	}
+}
+
+// TestSplit: split leaves of seeded stars form a set of their own on the
+// first of them, the rest of their sets keep their representative, and
+// Count and later unions by size see the new sizes.
+func TestSplit(t *testing.T) {
+	d := New(8)
+	d.Seed([]uint32{0, 0, 0, 0, 0, 5, 5, 7}, nil)
+	d.Split([]uint32{3, 1, 4})
+	want := []uint32{0, 3, 0, 3, 3, 5, 5, 7}
+	for i, w := range want {
+		if got := d.Find(uint32(i)); got != w {
+			t.Fatalf("Find(%d) = %d, want %d", i, got, w)
+		}
+	}
+	if d.Count() != 4 {
+		t.Fatalf("Count = %d, want 4", d.Count())
+	}
+	// {1,3,4} (3 members) outweighs {0,2} (2).
+	if root, _ := d.Union(0, 4); root != 3 {
+		t.Fatalf("union after split: root %d, want the split set's 3", root)
+	}
+	d.Split([]uint32{6}) // a lone leaf becomes a singleton
+	if d.Find(6) != 6 || d.Find(5) != 5 || d.Count() != 4 {
+		t.Fatalf("single split: Find(6)=%d Find(5)=%d Count=%d", d.Find(6), d.Find(5), d.Count())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Split of a representative did not panic")
+		}
+	}()
+	d.Split([]uint32{7})
+}
