@@ -93,7 +93,9 @@ func (g *Graph) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, er
 // exactly the base state (same lineage, same base id and WAL coverage) —
 // ErrCheckpointChain otherwise, with no state changed; corrupt or
 // truncated streams are rejected with the body fully validated before
-// any installation, so a failed apply never leaves partial state.
+// the first write, again with no state changed. Only a storage fault can
+// fail the install itself, and one that does after the first write
+// leaves the Graph failing every later call with that error.
 func (g *Graph) ApplyDeltaCheckpoint(r io.Reader) error {
 	return g.engine.ApplyDeltaCheckpoint(r)
 }
@@ -105,25 +107,54 @@ func (g *Graph) ApplyDeltaCheckpoint(r io.Reader) error {
 // replaced the chain the delta files can be deleted and the log
 // truncated through the tip — this is what bounds chain length and log
 // growth for deployments that persist deltas.
+//
+// The fold runs in a throwaway in-memory Graph without a log (opts supply
+// deployment choices only), so nothing covers a link of the chain: the
+// base must open and every delta must apply.
 func CompactCheckpoints(outPath, basePath string, deltaPaths []string, opts ...Option) error {
 	var cfg core.Config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return core.CompactCheckpoints(outPath, basePath, deltaPaths, cfg)
+	cfg.SketchesOnDisk, cfg.Dir = false, ""
+	cfg.WAL, cfg.WALStorage = false, nil
+	eng, _, err := core.RecoverChain(basePath, deltaPaths, cfg)
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	return eng.WriteCheckpointFile(outPath)
 }
 
-// RecoverChain is Recover over a delta checkpoint chain: the full base
-// checkpoint plus ordered delta files, then the write-ahead log suffix
-// above whatever prefix of the chain applied. A missing or corrupt delta
-// file is not fatal — deltas never truncate the log, so replay covers
-// everything past the last good chain state. The result is bit-identical
-// to a Graph that never crashed, exactly as for Recover.
+// Recovery reports what RecoverChain replayed beyond the checkpoint; see
+// core.Recovery for field meanings.
+type Recovery = core.Recovery
+
+// RecoverChain rebuilds a Graph after a crash from its durable state: the
+// full base checkpoint at basePath (an empty or absent path starts from
+// an empty graph over numNodes ids), then the ordered delta checkpoint
+// files (nil for none), then the write-ahead log suffix above whatever
+// prefix of the chain applied, replayed through the normal ingest path.
+// opts must include the same WithWAL directory the crashed Graph ran
+// with; when a checkpoint exists its sketch parameters win, exactly as
+// for OpenCheckpoint. A missing or corrupt delta file is not fatal —
+// deltas never truncate the log, so replay covers everything past the
+// last good chain state. The result is equivalent to a Graph that
+// ingested every logged batch and never crashed — identical sketches,
+// identical checkpoint bytes.
+//
+// The usual pairing is WithWAL + periodic SaveCheckpoint while running,
+// then RecoverChain at startup:
+//
+//	g, rec, err := graphzeppelin.RecoverChain(1024, "state/ckpt.gze", nil, graphzeppelin.WithWAL("state/wal"))
+//	...
+//	log.Printf("replayed %d batches (%d updates)", rec.Records, rec.Updates)
 func RecoverChain(numNodes uint32, basePath string, deltaPaths []string, opts ...Option) (*Graph, *Recovery, error) {
 	cfg := core.Config{NumNodes: numNodes}
 	for _, o := range opts {
 		o(&cfg)
 	}
+	cfg.WAL = true
 	eng, rec, err := core.RecoverChain(basePath, deltaPaths, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -162,44 +193,6 @@ func OpenCheckpoint(path string, opts ...Option) (*Graph, error) {
 		return nil, err
 	}
 	return &Graph{engine: eng, numNodes: eng.Config().NumNodes}, nil
-}
-
-// LoadCheckpoint restores a Graph from a checkpoint file. It is
-// OpenCheckpoint under its historical name.
-func LoadCheckpoint(path string, opts ...Option) (*Graph, error) {
-	return OpenCheckpoint(path, opts...)
-}
-
-// Recovery reports what Recover replayed beyond the checkpoint; see
-// core.Recovery for field meanings.
-type Recovery = core.Recovery
-
-// Recover rebuilds a Graph after a crash from its durable state: the
-// checkpoint at checkpointPath (an empty or absent path starts from an
-// empty graph over numNodes ids) plus the write-ahead log suffix above
-// the checkpoint's covered position, replayed through the normal ingest
-// path. opts must include the same WithWAL directory the crashed Graph
-// ran with; when a checkpoint exists its sketch parameters win, exactly
-// as for OpenCheckpoint. The result is equivalent to a Graph that
-// ingested every logged batch and never crashed — identical sketches,
-// identical checkpoint bytes.
-//
-// The usual pairing is WithWAL + periodic SaveCheckpoint while running,
-// then Recover at startup:
-//
-//	g, rec, err := graphzeppelin.Recover(1024, "state/ckpt.gze", graphzeppelin.WithWAL("state/wal"))
-//	...
-//	log.Printf("replayed %d batches (%d updates)", rec.Records, rec.Updates)
-func Recover(numNodes uint32, checkpointPath string, opts ...Option) (*Graph, *Recovery, error) {
-	cfg := core.Config{NumNodes: numNodes}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	eng, rec, err := core.Recover(checkpointPath, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Graph{engine: eng, numNodes: eng.Config().NumNodes}, rec, nil
 }
 
 // BipartiteTester tests bipartiteness of a dynamic graph stream in small

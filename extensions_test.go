@@ -26,7 +26,7 @@ func TestCheckpointSaveLoadFile(t *testing.T) {
 	if err := g.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := graphzeppelin.LoadCheckpoint(path, graphzeppelin.WithWorkers(2))
+	back, err := graphzeppelin.OpenCheckpoint(path, graphzeppelin.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,7 +29,7 @@ import (
 //	  updates      uint64
 //	  sectionCount uint32
 //	  walLSN       uint64 — last WAL LSN covered by this checkpoint (0
-//	    with the WAL disabled); Recover replays only records above it,
+//	    with the WAL disabled); RecoverChain replays only records above it,
 //	    and a successful full checkpoint truncates the log up to it
 //	  metaLen      uint32, metaCRC uint32 (CRC-32C of the meta blob)
 //	meta     metaLen bytes — the GZM1 chain envelope (delta.go) wrapping
@@ -62,21 +63,21 @@ import (
 // tip state. That replacement semantic is only sound when the consumer
 // really holds the base, which is what the chain envelope enforces. A
 // full checkpoint is therefore the delta whose dirty set is the whole
-// universe, and one encoder (streamCheckpoint) and one stream decoder
-// (readSections) serve both.
+// universe, and one encoder (streamCheckpoint) serves both.
 //
-// Sections are whole node ranges, so both encode and decode fan out
-// across a worker pool: each worker owns whole sections, and in disk mode
-// reads or writes its section with coalesced range I/O instead of one
-// device access per node. The inline section headers make a plain
-// io.Reader stream decodable front to back (and self-delimiting, so
-// checkpoints concatenate); the streaming decoder rebuilds the footer
-// from the sections it read and requires the stream's to match byte for
-// byte. The footer is
-// what lets an io.ReaderAt restore (OpenCheckpoint) jump straight to
-// every section in parallel. Checksums are per section, so corruption is
-// detected before that section's state is installed and is localized to a
-// node range.
+// The read side is one reader and two verbs. The reader (readRuns) yields
+// runs checked against the geometry, the node range they must lie in and
+// their CRC, from an io.Reader front to back (the inline section headers
+// make a stream self-delimiting, so checkpoints concatenate; the footer is
+// rebuilt and must match the stream's byte for byte), or from an
+// io.ReaderAt, whose footer lets the sections decode in parallel. A
+// consumer then installs a run (install, the one writer of checkpoint
+// slots: restore, delta apply, range install) or XORs it in
+// (MergeCheckpoint). Restore is a fresh engine plus install; recovery is
+// restore, then install each delta, then WAL replay (RecoverChain).
+// Checksums are per section, so corruption is caught before its node
+// range is touched. Encode and the file restore fan out over whole
+// sections, in disk mode with one coalesced range access each.
 //
 // Linearity makes checkpoints composable: because sketches are mergeable,
 // a checkpoint written on one machine can be merged into a live engine
@@ -376,7 +377,7 @@ func (e *Engine) putSectionBuf(b []byte) {
 // returned before WriteCheckpoint began and none accepted after the seal.
 // Concurrent WriteCheckpoint/MergeCheckpoint calls are serialized.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
-	cs, err := e.SealCheckpoint()
+	cs, err := e.SealCheckpointSince(0)
 	if err != nil {
 		return err
 	}
@@ -389,7 +390,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	// "continuous durability" into bounded log growth. Callers handing in
 	// a writer whose durability lags the return (a network peer, an
 	// unsynced file) should prefer WriteCheckpointFile or the
-	// SealCheckpoint/StreamTo pair, which never truncates.
+	// SealCheckpointSince/StreamTo pair, which never truncates.
 	e.truncateWAL(cs.walLSN)
 	return nil
 }
@@ -413,7 +414,7 @@ func (e *Engine) truncateWAL(lsn uint64) {
 // new checkpoint plus the (possibly already shortened) log — never a
 // state that cannot recover.
 func (e *Engine) WriteCheckpointFile(path string) error {
-	cs, err := e.SealCheckpoint()
+	cs, err := e.SealCheckpointSince(0)
 	if err != nil {
 		return err
 	}
@@ -428,7 +429,7 @@ func (e *Engine) WriteCheckpointFile(path string) error {
 // TruncateWALThrough drops WAL segments wholly covered by lsn.
 // Best-effort, like the truncation WriteCheckpointFile performs. Call it
 // only once state covering lsn is durably on disk — for the delta chain
-// that means a *full* checkpoint file landed (or CompactCheckpoints
+// that means a *full* checkpoint file landed (or a WAL-less RecoverChain
 // folded the chain into one): a delta file alone never licenses
 // truncation, because the log past the base is what recovers a lost or
 // corrupt delta.
@@ -462,19 +463,16 @@ type CheckpointSnapshot struct {
 	deltaBuf []byte
 }
 
-// SealCheckpoint drains buffered updates and seals a snapshot of the
+// SealCheckpointSince drains buffered updates and seals a snapshot of the
 // current sketch state, excluding ingestion only for that long (the
 // drain + seal duration lands in Stats.CheckpointStallNanos). Sealing a
 // full checkpoint copies no sketch: it installs the copy-on-write capture
 // (ckptSnap) that StreamTo reads the live sketches through. The caller
 // must Close the returned snapshot, after streaming it with StreamTo.
-func (e *Engine) SealCheckpoint() (*CheckpointSnapshot, error) {
-	return e.SealCheckpointSince(0)
-}
-
-// SealCheckpointSince seals a snapshot that, when possible, is a sparse
-// delta against the checkpoint this engine previously sealed with id
-// baseID: only the nodes changed since that seal are included, and the
+//
+// When possible the snapshot is a sparse delta against the checkpoint
+// this engine previously sealed with id baseID (0: always full): only the
+// nodes changed since that seal are included, and the
 // consumer chains it onto its copy of the base with ApplyDeltaCheckpoint.
 // Any number of consumers may each hold their own base: every seal is a
 // cut, and a delta against any of them carries exactly the nodes changed
@@ -518,9 +516,9 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (_ *CheckpointSnapshot, err
 	// covers exactly the LSNs up to this tail; and the meta supplier
 	// observes precisely the committed-gate state of the same cut. A
 	// WAL-less engine restored from a checkpoint still covers the restored
-	// position and meta — propagating both is what lets CompactCheckpoints
-	// fold a chain into a full checkpoint that carries the tip's WAL
-	// coverage and gate snapshot.
+	// position and meta — propagating both is what lets a WAL-less
+	// RecoverChain fold a chain into a full checkpoint that carries the
+	// tip's WAL coverage and gate snapshot.
 	cs.walLSN = e.restoredWALPos
 	if e.log != nil {
 		cs.walLSN = e.log.TailLSN()
@@ -574,10 +572,6 @@ func (cs *CheckpointSnapshot) WALPos() uint64 { return cs.walLSN }
 // ID returns the chain id this seal minted: pass it back as the `since`
 // of a later SealCheckpointSince to receive a delta against this state.
 func (cs *CheckpointSnapshot) ID() uint64 { return cs.ckptID }
-
-// BaseID returns the chain id of the base checkpoint a delta snapshot
-// chains onto (0 for a full checkpoint).
-func (cs *CheckpointSnapshot) BaseID() uint64 { return cs.baseID }
 
 // IsDelta reports whether the seal produced a sparse delta (nodes dirtied
 // since the base) rather than a full checkpoint.
@@ -977,45 +971,122 @@ func (e *Engine) readSection(r io.Reader, lo, cursor, hi uint32, contiguous bool
 	return sec, payload, nil
 }
 
-// readSections is the one loop that reads checkpoint sections from a
-// stream, for restore, merge, delta apply and range installs. Each section
-// is checked against the engine's geometry, the coverage cursor and the
-// node range [lo, hi) the stream must lie in, read whole and CRC-verified
-// before visit sees it with its global start (the payload is only valid
-// during the call). A full checkpoint's sections must tile [lo, hi); a
-// delta's only ascend inside it. The footer is rebuilt from the sections read and the
-// stream's must equal it byte for byte — so a stream that restores here
-// also opens with OpenCheckpoint once saved to a file — which leaves the
-// reader positioned exactly past the checkpoint: concatenated streams
-// stay readable.
-func (e *Engine) readSections(br *bufio.Reader, h checkpointHeader, lo, hi uint32, delta bool, visit func(start uint32, count int, payload []byte) error) error {
-	want := make([]byte, 0, h.sections*footerEntryLen+footerTrailerLen)
+// runVisitor takes one verified run of global nodes [start,
+// start+count) of e; payload is only valid during the call.
+type runVisitor func(e *Engine, start uint32, count int, payload []byte) error
+
+// ckptBody is where a checkpoint's sections are read from: a stream
+// positioned just past the header, or a file image of size bytes.
+type ckptBody struct {
+	br   *bufio.Reader
+	ra   io.ReaderAt
+	size int64
+}
+
+// readRuns is the one checkpoint reader, for restore, merge, delta apply
+// and range installs. It hands visit each section of the body as a run,
+// checked against the geometry, the coverage cursor and the node range
+// [lo, hi) the checkpoint must lie in (a full checkpoint's sections tile
+// it, a delta's ascend inside it), read whole and CRC-verified. visit
+// takes the engine so that the verbs pass as method expressions, which
+// cost no allocation.
+//
+// From a stream, sections are read in order and the footer rebuilt from
+// them must equal the stream's — so a stream that restores here also
+// opens from a file — which leaves the reader exactly past the
+// checkpoint. From a ReaderAt (full checkpoints only), the footer's tiling
+// is validated before anything fans out (overlapping entries would race
+// two decoders on one node), then sections decode one goroutine per shard
+// worker, visit running concurrently on disjoint runs.
+func (e *Engine) readRuns(body ckptBody, h checkpointHeader, lo, hi uint32, delta bool, visit runVisitor) error {
 	off := uint64(4+checkpointHeaderLen) + uint64(h.metaLen)
-	cursor := lo
-	for s := 0; s < h.sections; s++ {
-		sec, payload, err := e.readSection(br, lo, cursor, hi, !delta)
-		if err != nil {
-			return err
+	if body.ra == nil {
+		want := make([]byte, 0, h.sections*footerEntryLen+footerTrailerLen)
+		cursor := lo
+		for s := 0; s < h.sections; s++ {
+			sec, payload, err := e.readSection(body.br, lo, cursor, hi, !delta)
+			if err != nil {
+				return err
+			}
+			err = visit(e, sec.start, sec.count, payload)
+			e.putSectionBuf(payload)
+			if err != nil {
+				return err
+			}
+			want = appendFooterEntry(want, sec.start, sec.count, off)
+			off += sectionHeaderLen + uint64(sec.payload)
+			cursor = sec.start + uint32(sec.count)
 		}
-		err = visit(sec.start, sec.count, payload)
-		e.putSectionBuf(payload)
-		if err != nil {
-			return err
+		if !delta && cursor != hi {
+			return fmt.Errorf("%w: sections cover [%d,%d) of [%d,%d)", ErrCorruptCheckpoint, lo, cursor, lo, hi)
 		}
-		want = appendFooterEntry(want, sec.start, sec.count, off)
-		off += sectionHeaderLen + uint64(sec.payload)
-		cursor = sec.start + uint32(sec.count)
+		want = appendFooterTrailer(want, off, h.sections)
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(body.br, got); err != nil {
+			return fmt.Errorf("core: checkpoint truncated in footer: %w", err)
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("%w: footer does not match the sections read", ErrCorruptCheckpoint)
+		}
+		return nil
 	}
-	if !delta && cursor != hi {
+
+	footer := make([]byte, h.sections*footerEntryLen+footerTrailerLen)
+	if _, err := body.ra.ReadAt(footer, body.size-int64(len(footer))); err != nil {
+		return fmt.Errorf("core: reading checkpoint footer: %w", err)
+	}
+	// The cursor arithmetic runs in uint64 so a crafted count cannot wrap
+	// a uint32 cursor back into covered territory.
+	cursor := uint64(lo)
+	for i := 0; i < h.sections; i++ {
+		entry := footer[i*footerEntryLen:]
+		count := uint64(binary.LittleEndian.Uint32(entry[4:]))
+		if uint64(binary.LittleEndian.Uint32(entry[0:])) != cursor || count == 0 ||
+			cursor+count > uint64(hi) || binary.LittleEndian.Uint64(entry[8:]) != off {
+			return fmt.Errorf("%w: footer entry %d does not continue the tiling at node %d", ErrCorruptCheckpoint, i, cursor)
+		}
+		cursor += count
+		off += sectionHeaderLen + count*uint64(e.slotSize)
+	}
+	if cursor != uint64(hi) {
 		return fmt.Errorf("%w: sections cover [%d,%d) of [%d,%d)", ErrCorruptCheckpoint, lo, cursor, lo, hi)
 	}
-	want = appendFooterTrailer(want, off, h.sections)
-	got := make([]byte, len(want))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return fmt.Errorf("core: checkpoint truncated in footer: %w", err)
+	if !bytes.Equal(footer[h.sections*footerEntryLen:], appendFooterTrailer(nil, off, h.sections)) {
+		return fmt.Errorf("%w: bad footer trailer", ErrCorruptCheckpoint)
 	}
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("%w: footer does not match the sections read", ErrCorruptCheckpoint)
+	errs := make([]error, min(len(e.shards), h.sections))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < h.sections && errs[w] == nil; i = int(next.Add(1)) - 1 {
+				entry := footer[i*footerEntryLen:]
+				start, count := binary.LittleEndian.Uint32(entry[0:]), int(binary.LittleEndian.Uint32(entry[4:]))
+				off := int64(binary.LittleEndian.Uint64(entry[8:]))
+				sec, payload, err := e.readSection(io.NewSectionReader(body.ra, off, body.size-off), lo, start, hi, true)
+				// The inline count must match the validated footer entry —
+				// otherwise a lying section header could widen this worker's
+				// run into a neighbour section mid-decode.
+				if err == nil && sec.count != count {
+					err = fmt.Errorf("%w: section at node %d declares %d nodes, footer says %d", ErrCorruptCheckpoint, sec.start, sec.count, count)
+				}
+				if err == nil {
+					err = visit(e, sec.start, sec.count, payload)
+				}
+				if payload != nil {
+					e.putSectionBuf(payload)
+				}
+				errs[w] = err
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -1041,27 +1112,12 @@ func ReadCheckpoint(r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if env.baseID != 0 {
-		return nil, fmt.Errorf("%w: cannot restore from a delta stream", ErrDeltaCheckpoint)
-	}
-	e, err := NewEngine(configFromHeader(cfg, h))
-	if err != nil {
-		return nil, err
-	}
-	e.adoptChainMeta(h, env)
-	err = e.readSections(br, h, e.lo, e.lo+e.n, false, func(start uint32, count int, payload []byte) error {
-		return e.sketches.writeSlots(start-e.lo, count, payload)
-	})
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	e.updates.Store(h.updates)
-	return e, nil
+	return restore(h, env, ckptBody{br: br}, cfg)
 }
 
 // OpenCheckpoint restores an engine from a full checkpoint file, decoding
-// sections in parallel across the shard worker pool via the footer.
+// sections in parallel across the shard worker pool via the footer (disk
+// mode writes each with a single coalesced range access).
 func OpenCheckpoint(path string, cfg Config) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1072,112 +1128,54 @@ func OpenCheckpoint(path string, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ReadCheckpointAt(f, st.Size(), cfg)
+	return readCheckpointAt(f, st.Size(), cfg)
 }
 
-// ReadCheckpointAt restores an engine from a random-access full
-// checkpoint: the footer locates every section, and decode fans out one
-// goroutine per shard worker over whole sections (disk mode writes each
-// with a single coalesced range access). Header, meta and footer fully
-// determine the layout, so the file's size and every footer entry are
-// checked against it before anything is allocated by the header's claim.
-func ReadCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
+// readCheckpointAt is OpenCheckpoint over any random-access image.
+func readCheckpointAt(ra io.ReaderAt, size int64, cfg Config) (*Engine, error) {
 	h, env, err := readCheckpointHeader(bufio.NewReader(io.NewSectionReader(ra, 0, size)))
 	if err != nil {
 		return nil, err
 	}
+	return restore(h, env, ckptBody{ra: ra, size: size}, cfg)
+}
+
+// restore is the one restore: a fresh engine over the checkpoint's
+// geometry, with cfg's deployment choices, every run of the body
+// installed, then the writer's update count and chain position adopted
+// (after the install, so the install's stamps predate the adopted cut).
+// A file's header, meta and footer fully determine its layout, so its size
+// is checked against them before the header's claim allocates anything.
+func restore(h checkpointHeader, env metaEnvelope, body ckptBody, cfg Config) (*Engine, error) {
 	if env.baseID != 0 {
-		return nil, fmt.Errorf("%w: cannot restore from a delta file", ErrDeltaCheckpoint)
+		return nil, fmt.Errorf("%w: cannot restore from a delta", ErrDeltaCheckpoint)
 	}
-	cfg, err = configFromHeader(cfg, h).withDefaults()
+	cfg, err := configFromHeader(cfg, h).withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	lo, n := cfg.owned()
-	// The divisions keep a crafted header from overflowing the products.
-	sketch := int64(cubesketch.SerializedSize(cfg.VectorLen(), h.columns))
-	if sketch > size/int64(h.rounds) || sketch*int64(h.rounds) > size/int64(n) {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold %d nodes", ErrCorruptCheckpoint, size, n)
-	}
-	slotBytes := sketch * int64(h.rounds)
-	if want := checkpointSize(h.metaLen, h.sections, int64(n), slotBytes); size != want {
-		return nil, fmt.Errorf("%w: %d bytes, header describes %d", ErrCorruptCheckpoint, size, want)
-	}
-	footer := make([]byte, h.sections*footerEntryLen+footerTrailerLen)
-	if _, err := ra.ReadAt(footer, size-int64(len(footer))); err != nil {
-		return nil, fmt.Errorf("core: reading checkpoint footer: %w", err)
-	}
-	// Validate the footer BEFORE fanning out: contiguous sections across
-	// the owned range, each at the offset the layout puts it. A corrupt footer
-	// with overlapping entries must never reach the decode workers — they
-	// install disjoint node ranges concurrently and overlap would be a data
-	// race, not just a bad decode. The cursor arithmetic runs in uint64 so a
-	// crafted count cannot wrap a uint32 cursor back into covered territory.
-	cursor, hi := uint64(lo), uint64(lo)+uint64(n)
-	off := uint64(4+checkpointHeaderLen) + uint64(h.metaLen)
-	for i := 0; i < h.sections; i++ {
-		entry := footer[i*footerEntryLen:]
-		count := uint64(binary.LittleEndian.Uint32(entry[4:]))
-		if uint64(binary.LittleEndian.Uint32(entry[0:])) != cursor || count == 0 ||
-			cursor+count > hi || binary.LittleEndian.Uint64(entry[8:]) != off {
-			return nil, fmt.Errorf("%w: footer entry %d does not continue the tiling at node %d", ErrCorruptCheckpoint, i, cursor)
+	if body.ra != nil {
+		_, n := cfg.owned()
+		// The divisions keep a crafted header from overflowing the products.
+		sketch := int64(cubesketch.SerializedSize(cfg.VectorLen(), h.columns))
+		if sketch > body.size/int64(h.rounds) || sketch*int64(h.rounds) > body.size/int64(n) {
+			return nil, fmt.Errorf("%w: %d bytes cannot hold %d nodes", ErrCorruptCheckpoint, body.size, n)
 		}
-		cursor += count
-		off += sectionHeaderLen + count*uint64(slotBytes)
+		if want := checkpointSize(h.metaLen, h.sections, int64(n), sketch*int64(h.rounds)); body.size != want {
+			return nil, fmt.Errorf("%w: %d bytes, header describes %d", ErrCorruptCheckpoint, body.size, want)
+		}
 	}
-	if cursor != hi {
-		return nil, fmt.Errorf("%w: sections cover [%d,%d) of [%d,%d)", ErrCorruptCheckpoint, lo, cursor, lo, hi)
-	}
-	if !bytes.Equal(footer[h.sections*footerEntryLen:], appendFooterTrailer(nil, off, h.sections)) {
-		return nil, fmt.Errorf("%w: bad footer trailer", ErrCorruptCheckpoint)
-	}
-
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.adoptChainMeta(h, env)
-	// Decode fans out over whole sections, one goroutine per shard worker.
-	errs := make([]error, min(len(e.shards), h.sections))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < h.sections && errs[w] == nil; i = int(next.Add(1)) - 1 {
-				errs[w] = e.restoreSectionAt(ra, size, footer[i*footerEntryLen:], lo, uint32(hi))
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
+	if err := e.readRuns(body, h, e.lo, e.lo+e.n, false, (*Engine).install); err != nil {
+		e.Close()
+		return nil, err
 	}
 	e.updates.Store(h.updates)
+	e.adoptChainMeta(h, env)
 	return e, nil
-}
-
-// restoreSectionAt installs the section a validated footer entry of a
-// size-byte checkpoint locates.
-func (e *Engine) restoreSectionAt(ra io.ReaderAt, size int64, entry []byte, lo, hi uint32) error {
-	start, count := binary.LittleEndian.Uint32(entry[0:]), int(binary.LittleEndian.Uint32(entry[4:]))
-	off := int64(binary.LittleEndian.Uint64(entry[8:]))
-	sec, payload, err := e.readSection(io.NewSectionReader(ra, off, size-off), lo, start, hi, true)
-	if err != nil {
-		return err
-	}
-	defer e.putSectionBuf(payload)
-	// The inline count must match the validated footer entry — otherwise a
-	// lying section header could widen this worker's range into a
-	// neighbour section mid-decode.
-	if sec.count != count {
-		return fmt.Errorf("%w: section at node %d declares %d nodes, footer says %d", ErrCorruptCheckpoint, sec.start, sec.count, count)
-	}
-	return e.sketches.writeSlots(sec.start-e.lo, sec.count, payload)
 }
 
 // checkCompatible validates a checkpoint header against the engine's
@@ -1190,6 +1188,192 @@ func (e *Engine) checkCompatible(h checkpointHeader) error {
 			e.cfg.NumNodes, e.cfg.Seed, e.cfg.Columns, e.cfg.Rounds)
 	}
 	return nil
+}
+
+// Checkpoint is one checkpoint stream — full or delta — opened by ReadRange
+// as node range [lo, hi) of an engine: how a gzserve coordinator takes in
+// one worker's range. Its body is read once, by Load into RAM or by
+// Install straight into the engine.
+type Checkpoint struct {
+	// Updates is the writer's update count at the cut, Pos the writer's
+	// chain position at it, and Base, for a delta, the position the delta
+	// chains onto (zero for a full checkpoint).
+	Updates   uint64
+	Pos, Base ChainPos
+
+	e      *Engine
+	lo, hi uint32
+	h      checkpointHeader
+	env    metaEnvelope
+	br     *bufio.Reader // the unread body; nil once read
+	loaded bool
+	runs   []verifiedRun // the body Load read
+}
+
+// verifiedRun is one section Load read: the slots of global nodes
+// [start, start+count).
+type verifiedRun struct {
+	start uint32
+	count int
+	slots []byte
+}
+
+// IsDelta reports whether the stream is a delta checkpoint.
+func (cp *Checkpoint) IsDelta() bool { return cp.Base.ID != 0 }
+
+// ReadRange opens the checkpoint stream r as node range [lo, hi) of this
+// engine's owned range: the header is read now and must match the
+// engine's geometry, and every section must lie in [lo, hi), a full
+// checkpoint's tiling it (ErrOutOfRange otherwise, when the body is
+// read). Touches no engine state; safe for concurrent use.
+func (e *Engine) ReadRange(r io.Reader, lo, hi uint32) (*Checkpoint, error) {
+	if lo >= hi || lo < e.lo || hi > e.lo+e.n {
+		return nil, fmt.Errorf("%w: [%d,%d) is not a range of the engine's [%d,%d)", ErrOutOfRange, lo, hi, e.lo, e.lo+e.n)
+	}
+	br := asBufReader(r)
+	h, env, err := readCheckpointHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.checkCompatible(h); err != nil {
+		return nil, err
+	}
+	cp := &Checkpoint{Updates: h.updates, Pos: ChainPos{env.chainTag, env.ckptID, h.walLSN},
+		e: e, lo: lo, hi: hi, h: h, env: env, br: br}
+	if env.baseID != 0 {
+		cp.Base = ChainPos{env.chainTag, env.baseID, env.baseLSN}
+	}
+	return cp, nil
+}
+
+// Load reads the body into RAM, every section and slot verified, touching
+// no engine state: what makes an install all or nothing against bad
+// input. Safe for concurrent use on distinct checkpoints.
+func (cp *Checkpoint) Load() error {
+	if cp.loaded {
+		return nil
+	}
+	var runs []verifiedRun
+	err := cp.each(func(e *Engine, start uint32, count int, payload []byte) error {
+		if err := e.checkSlots(start, count, payload); err != nil {
+			return err
+		}
+		runs = append(runs, verifiedRun{start, count, append([]byte(nil), payload...)})
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	cp.runs, cp.loaded = runs, true
+	return nil
+}
+
+// each hands visit the runs Load read, or reads the body through the one
+// reader.
+func (cp *Checkpoint) each(visit runVisitor) error {
+	if cp.loaded {
+		for _, run := range cp.runs {
+			if err := visit(cp.e, run.start, run.count, run.slots); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if cp.br == nil {
+		return errors.New("core: checkpoint body already read")
+	}
+	br := cp.br
+	cp.br = nil
+	return cp.e.readRuns(ckptBody{br: br}, cp.h, cp.lo, cp.hi, cp.IsDelta(), visit)
+}
+
+// Install replaces the slots of every node the checkpoints carry in one
+// step under the engine's exclusive lock, so queries see all of them or
+// none: a full checkpoint its whole range, a delta its nodes. Each node is
+// stamped with its current stack as the incremental query's
+// before-image, as the apply path does. No chain position is checked or
+// adopted (the caller tracks the writers'). The checkpoints come from
+// ReadRange on this engine, over disjoint ranges, and install
+// concurrently: a loaded one (Load) from RAM, so only a store fault can
+// fail it; an unloaded one streamed straight in, holding no body (how a
+// fresh engine is filled), so bad input found mid-stream leaves it partly
+// written. An install that fails after its first write leaves an engine
+// that matches no stream: the error then sticks, as a failed batch
+// apply's does.
+func (e *Engine) Install(cps ...*Checkpoint) error {
+	return e.exclusive(func() error { return e.installLocked(cps) })
+}
+
+// installLocked is Install's body; the caller holds ckptMu and the
+// quiesce write lock with the workers drained.
+func (e *Engine) installLocked(cps []*Checkpoint) error {
+	for i, cp := range cps {
+		if cp.e != e {
+			return errors.New("core: checkpoint opened by another engine")
+		}
+		for _, o := range cps[:i] {
+			if cp.lo < o.hi && o.lo < cp.hi {
+				return fmt.Errorf("%w: [%d,%d) overlaps [%d,%d)", ErrOutOfRange, cp.lo, cp.hi, o.lo, o.hi)
+			}
+		}
+	}
+	if err := e.sketches.invalidate(); err != nil {
+		return err
+	}
+	var wrote atomic.Bool
+	write := func(e *Engine, start uint32, count int, slots []byte) error {
+		wrote.Store(true)
+		return e.install(start, count, slots)
+	}
+	errs := make([]error, len(cps))
+	var wg sync.WaitGroup
+	for i, cp := range cps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := cp.each(write); err != nil {
+				errs[i] = fmt.Errorf("core: installing nodes [%d,%d): %w", cp.lo, cp.hi, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := cmp.Or(errs...); err != nil {
+		if wrote.Load() {
+			e.epoch.Add(1)
+			e.setErr(err)
+		}
+		return err
+	}
+	e.epoch.Add(1)
+	return nil
+}
+
+// install is the one writer of checkpoint slots: it replaces the slots of
+// global nodes [start, start+count), stamping each node first with its
+// current stack as the before-image when the incremental query wants one
+// (the run is then read once). Concurrent calls on disjoint runs are safe;
+// the caller holds the quiesce write lock, or owns a fresh engine.
+func (e *Engine) install(start uint32, count int, slots []byte) error {
+	start -= e.lo
+	var cur []byte
+	for j := 0; j < count; j++ {
+		if e.wantsImage(start + uint32(j)) {
+			cur = e.getSectionBuf(count * e.slotSize)
+			defer e.putSectionBuf(cur)
+			if err := e.sketches.readSlots(start, count, cur); err != nil {
+				return err
+			}
+			break
+		}
+	}
+	for j := 0; j < count; j++ {
+		var img []byte
+		if cur != nil {
+			img = cur[j*e.slotSize : (j+1)*e.slotSize]
+		}
+		e.markChangedNode(start+uint32(j), img)
+	}
+	return e.sketches.writeSlots(start, count, slots)
 }
 
 // MergeCheckpoint XORs a checkpoint's sketch state into the live engine:
@@ -1228,10 +1412,7 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 		if err := e.checkCompatible(h); err != nil {
 			return err
 		}
-		err = e.readSections(br, h, e.lo, e.lo+e.n, false, func(start uint32, count int, payload []byte) error {
-			return e.mergeRun(start-e.lo, count, payload)
-		})
-		if err != nil {
+		if err := e.readRuns(ckptBody{br: br}, h, e.lo, e.lo+e.n, false, (*Engine).mergeRun); err != nil {
 			return err
 		}
 		e.updates.Add(h.updates)
@@ -1240,7 +1421,7 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 	})
 }
 
-// mergeRun XORs one verified section of serialized slots of local nodes
+// mergeRun XORs one verified section of serialized slots of global nodes
 // [start, start+count) into the engine state. A slot equal to the
 // empty-sketch encoding XORs as the identity, so the nodes the merge
 // actually changes are exactly the incoming non-empty slots: only those
@@ -1248,6 +1429,7 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 // over the touched components only and the next delta seal ships just
 // them. Their before-images come from the run already read.
 func (e *Engine) mergeRun(start uint32, count int, incoming []byte) error {
+	start -= e.lo
 	local := e.getSectionBuf(count * e.slotSize)
 	defer e.putSectionBuf(local)
 	if err := e.sketches.readSlots(start, count, local); err != nil {
@@ -1261,7 +1443,7 @@ func (e *Engine) mergeRun(start uint32, count int, incoming []byte) error {
 		e.markChangedNode(start+uint32(j), cur)
 		for off := 0; off < e.slotSize; off += e.sketchSize {
 			if err := cubesketch.MergeSerialized(cur[off:off+e.sketchSize], in[off:off+e.sketchSize]); err != nil {
-				return fmt.Errorf("%w: merging node %d round %d: %v", ErrCorruptCheckpoint, start+uint32(j), off/e.sketchSize, err)
+				return fmt.Errorf("%w: merging node %d round %d: %v", ErrCorruptCheckpoint, e.lo+start+uint32(j), off/e.sketchSize, err)
 			}
 		}
 	}

@@ -648,7 +648,7 @@ func (p *liveProducers) seal(t *testing.T, e *Engine) (*CheckpointSnapshot, []st
 	t.Helper()
 	p.gate.Lock()
 	defer p.gate.Unlock()
-	cs, err := e.SealCheckpoint()
+	cs, err := e.SealCheckpointSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -812,7 +812,7 @@ func TestRAMCheckpointCOWClaimWaitsForInflightApply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs, err := e.SealCheckpoint()
+	cs, err := e.SealCheckpointSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -92,7 +93,7 @@ func TestOpenCheckpointChecksSizeBeforeAllocating(t *testing.T) {
 	crafted := craftedCheckpoint(8192)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadCheckpointAt(bytes.NewReader(crafted), int64(len(crafted)), Config{})
+	_, err := readCheckpointAt(bytes.NewReader(crafted), int64(len(crafted)), Config{})
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("crafted %d-byte checkpoint: err = %v, want ErrCorruptCheckpoint", len(crafted), err)
@@ -126,7 +127,7 @@ func TestOpenCheckpointChecksSizeBeforeAllocating(t *testing.T) {
 			t.Fatalf("%s: err = %v, want ErrCorruptCheckpoint", name, err)
 		}
 	}
-	back, err := ReadCheckpointAt(bytes.NewReader(valid), int64(len(valid)), Config{})
+	back, err := readCheckpointAt(bytes.NewReader(valid), int64(len(valid)), Config{})
 	if err != nil {
 		t.Fatalf("intact file: %v", err)
 	}
@@ -326,7 +327,7 @@ func TestFullIsDeltaWithEverythingDirty(t *testing.T) {
 // decoders promise for bytes they did not write.
 func fuzzTyped(err error) bool {
 	for _, want := range []error{ErrCorruptCheckpoint, ErrIncompatibleCheckpoint, ErrDeltaCheckpoint,
-		ErrCheckpointChain, io.EOF, io.ErrUnexpectedEOF} {
+		ErrCheckpointChain, ErrOutOfRange, io.EOF, io.ErrUnexpectedEOF} {
 		if errors.Is(err, want) {
 			return true
 		}
@@ -334,11 +335,16 @@ func fuzzTyped(err error) bool {
 	return false
 }
 
-// FuzzCheckpointDecode drives the one section decoder through its three
-// consumers on a fixed 64-node geometry: whatever the bytes, each returns
-// a typed error or succeeds, never panics, allocates in proportion to the
-// input rather than to what its header claims, and a refused delta leaves
-// the consumer exactly where it was.
+// FuzzCheckpointDecode drives the one checkpoint reader through its
+// consumers on a fixed 64-node geometry — delta apply, merge, file
+// restore, stream restore, and the reader over the sub-range [32, 64) a
+// coordinator reads a worker's bytes as, then installs: whatever the
+// bytes, each returns a typed error or succeeds, never panics, allocates
+// in proportion to the input rather than to what its header claims, and a
+// refused delta or range leaves its consumer exactly where it was. A
+// stream has no length to check a header against, so the stream restore
+// sizes its engine by the header's claim: it runs on inputs that claim
+// the fuzz geometry (or fail before a header is read).
 func FuzzCheckpointDecode(f *testing.F) {
 	cfg := Config{NumNodes: 64, Seed: 77}
 	src, err := NewEngine(cfg)
@@ -365,6 +371,32 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(full.Bytes())
 	f.Add(delta.Bytes())
 	f.Add(craftedCheckpoint(8192))
+	// A range engine's full and delta checkpoints: what a worker of
+	// [32, 64) ships.
+	part, err := NewEngine(Config{NumNodes: 64, Seed: 77, Range: NodeRange{Lo: 32, Hi: 64}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer part.Close()
+	var partFull, partDelta bytes.Buffer
+	if err := part.InsertEdges([]stream.Edge{{U: 3, V: 40}, {U: 40, V: 41}, {U: 50, V: 63}}); err != nil {
+		f.Fatal(err)
+	}
+	if err := part.WriteCheckpoint(&partFull); err != nil {
+		f.Fatal(err)
+	}
+	if err := part.InsertEdge(33, 34); err != nil {
+		f.Fatal(err)
+	}
+	if isDelta, err := part.WriteDeltaCheckpoint(&partDelta, part.Stats().LastCheckpointID); err != nil || !isDelta {
+		f.Fatalf("range delta seed: delta=%v err=%v", isDelta, err)
+	}
+	f.Add(partFull.Bytes())
+	f.Add(partDelta.Bytes())
+	claimsGeometry := func(data []byte) bool {
+		h, _, err := readCheckpointHeader(bufio.NewReader(bytes.NewReader(data)))
+		return err != nil || h.numNodes == src.cfg.NumNodes && h.columns == src.cfg.Columns && h.rounds == src.cfg.Rounds
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst, err := ReadCheckpoint(bytes.NewReader(full.Bytes()), cfg)
@@ -377,25 +409,48 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer other.Close()
+		view, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer view.Close()
 		id, updates, state := dst.Stats().LastCheckpointID, dst.Stats().Updates, rawSlots(t, dst)
+		viewState := rawSlots(t, view)
+		streamed := claimsGeometry(data)
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		applyErr := dst.ApplyDeltaCheckpoint(bytes.NewReader(data))
 		mergeErr := other.MergeCheckpoint(bytes.NewReader(data))
-		opened, openErr := ReadCheckpointAt(bytes.NewReader(data), int64(len(data)), Config{})
+		opened, openErr := readCheckpointAt(bytes.NewReader(data), int64(len(data)), Config{})
+		var restored *Engine
+		var restoreErr error
+		if streamed {
+			restored, restoreErr = ReadCheckpoint(bytes.NewReader(data), Config{})
+		}
+		cp, rangeErr := loadRange(view, bytes.NewReader(data), 32, 64)
 		runtime.ReadMemStats(&after)
-		if opened != nil {
-			opened.Close()
+		for _, e := range []*Engine{opened, restored} {
+			if e != nil {
+				e.Close()
+			}
 		}
 
-		for op, err := range map[string]error{"apply": applyErr, "merge": mergeErr, "open": openErr} {
+		for op, err := range map[string]error{"apply": applyErr, "merge": mergeErr, "open": openErr,
+			"restore": restoreErr, "range": rangeErr} {
 			if err != nil && !fuzzTyped(err) {
 				t.Fatalf("%s: untyped error %v", op, err)
 			}
 		}
-		// Three decoders, each at most a few copies of what it read, over a
-		// fixed geometry of well under a MiB.
+		if rangeErr != nil {
+			if !bytes.Equal(rawSlots(t, view), viewState) {
+				t.Fatal("refused range read changed the consumer's sketches")
+			}
+		} else if err := view.Install(cp); err != nil {
+			t.Fatalf("install of a loaded range: %v", err)
+		}
+		// Each decoder at most a few copies of what it read, over a fixed
+		// geometry of well under a MiB.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(data))+8<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
@@ -440,7 +495,7 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 			}
 			t.Fatalf("restore of a foreign slot %s: err = %v, want ErrCorruptCheckpoint", where, err)
 		}
-		if e, err := ReadCheckpointAt(bytes.NewReader(badFull), int64(len(badFull)), cfg); !errors.Is(err, ErrCorruptCheckpoint) {
+		if e, err := readCheckpointAt(bytes.NewReader(badFull), int64(len(badFull)), cfg); !errors.Is(err, ErrCorruptCheckpoint) {
 			if e != nil {
 				e.Close()
 			}

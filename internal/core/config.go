@@ -162,7 +162,7 @@ type Config struct {
 	// WAL enables the write-ahead log: every accepted ingest batch is
 	// appended (and, per WALFsync, synced) to a segmented log before it
 	// enters the pipeline, so a crash loses at most the un-acked suffix
-	// and Recover rebuilds the engine from the latest checkpoint plus the
+	// and RecoverChain rebuilds the engine from the latest checkpoint plus the
 	// log (wal.go, recover.go).
 	WAL bool
 	// WALDir is the segment directory (default Dir+"/wal"; with Dir empty

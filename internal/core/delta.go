@@ -1,21 +1,19 @@
 package core
 
 import (
-	"bufio"
 	"cmp"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 )
 
 // Delta checkpoints and the checkpoint chain. The stream layout is the one
 // documented atop checkpoint.go; this file holds what makes a delta a
-// delta: the chain envelope, the seal marks that plan one, and the
-// apply/patch consumers.
+// delta: the chain envelope, the seal marks that plan one, and the delta
+// apply.
 //
 // GZM1 chain envelope (40 bytes + user metadata), sealed as the meta blob
 // of every checkpoint this engine writes:
@@ -194,12 +192,12 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, env metaEnvelope) {
 }
 
 // markChangedNode stamps an out-of-band sketch mutation of local node (a
-// checkpoint merge, delta apply, or range install — anything bypassing the
-// batch apply path) like an applied batch, capturing the node's pre-change
-// image for the delta query from cur, its current slot bytes as the caller
-// read them from the store; cur is read only when an image is wanted
-// (wantsImage). Must run BEFORE the mutation, under the quiesce write lock
-// with the workers idle.
+// checkpoint install or merge — anything bypassing the batch apply path)
+// like an applied batch, capturing the node's pre-change image for the
+// delta query from cur, its current slot bytes as the caller read them
+// from the store; cur is read only when an image is wanted (wantsImage).
+// Must run BEFORE the mutation, under the quiesce write lock with the
+// workers idle, or on a fresh engine being restored.
 func (e *Engine) markChangedNode(node uint32, cur []byte) {
 	if img := e.beforeImage(node); img != nil {
 		copy(img, cur)
@@ -225,40 +223,39 @@ func (e *Engine) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, e
 }
 
 // ApplyDeltaCheckpoint advances this engine's state from the delta's base
-// to its tip by replacing the dirty nodes' serialized stacks. The engine
+// to its tip by installing the dirty nodes' serialized stacks. The engine
 // must hold exactly the base state, enforced by the (chainTag, baseID,
 // baseLSN) check against the current chain position — a stale, repeated,
 // or out-of-order delta fails with ErrCheckpointChain before any state
-// changes, and a corrupt or truncated stream fails with the body fully
-// validated in RAM first, so a failed apply never leaves partial state.
+// changes — and a corrupt or truncated stream is refused with the body
+// fully read and verified before the first write. Past that point only a
+// store fault can fail the install, and one that does after the first
+// write leaves the engine poisoned with the sticky error (see Install).
 // The replaced nodes are stamped as changed, so the next query on this
 // engine re-solves exactly their components; later seals ship only what
 // changes after the tip.
 func (e *Engine) ApplyDeltaCheckpoint(r io.Reader) error {
 	return e.exclusive(func() error {
-		br := asBufReader(r)
-		rc, err := e.readHeader(br, e.lo, e.lo+e.n)
+		cp, err := e.ReadRange(r, e.lo, e.lo+e.n)
 		if err != nil {
 			return err
 		}
-		if !rc.IsDelta() {
+		if !cp.IsDelta() {
 			return fmt.Errorf("%w: ApplyDeltaCheckpoint needs a delta, got a full checkpoint", ErrCorruptCheckpoint)
 		}
-		if cur := e.chainPos(); rc.Base != cur {
+		if cur := e.chainPos(); cp.Base != cur {
 			return fmt.Errorf("%w: delta (tag=%#x base=%d@lsn %d) vs engine (tag=%#x state=%d@lsn %d)",
-				ErrCheckpointChain, rc.Base.Tag, rc.Base.ID, rc.Base.LSN, cur.Tag, cur.ID, cur.LSN)
+				ErrCheckpointChain, cp.Base.Tag, cp.Base.ID, cp.Base.LSN, cur.Tag, cur.ID, cur.LSN)
 		}
-		// Read and validate the whole body into RAM before touching live
-		// state: the install must not be able to fail halfway.
-		if err := e.readBody(br, rc); err != nil {
+		if err := cp.Load(); err != nil {
 			return err
 		}
-		if err := e.installLocked(rc); err != nil {
+		if err := e.installLocked([]*Checkpoint{cp}); err != nil {
 			return err
 		}
 		// The engine now holds exactly the tip state: adopt its position.
-		e.updates.Store(rc.Updates)
-		e.adoptChainMeta(rc.h, rc.env)
+		e.updates.Store(cp.Updates)
+		e.adoptChainMeta(cp.h, cp.env)
 		return nil
 	})
 }
@@ -274,208 +271,4 @@ type ChainPos struct{ Tag, ID, LSN uint64 }
 // chainPos returns the engine's current chain position.
 func (e *Engine) chainPos() ChainPos {
 	return ChainPos{e.chainTag, e.ckptSeq.Load(), e.ckptLSN.Load()}
-}
-
-// RangeCheckpoint is one checkpoint stream — full or delta — read against
-// an engine's geometry and verified to carry only nodes of the range it
-// was read for, a full one tiling it: how a gzserve coordinator takes in
-// one worker's range. ReadRangeCheckpoint holds its slots, verified, for
-// InstallRanges; RestoreRange streams them into the engine and keeps only
-// the header.
-type RangeCheckpoint struct {
-	// Updates is the writer's update count at the cut, Pos the writer's
-	// chain position at it, and Base, for a delta, the position the delta
-	// chains onto (zero for a full checkpoint).
-	Updates   uint64
-	Pos, Base ChainPos
-
-	lo, hi uint32
-	h      checkpointHeader
-	env    metaEnvelope
-	runs   []verifiedRun
-}
-
-// verifiedRun is one checkpoint section read and verified into RAM: the
-// slots of global nodes [start, start+count).
-type verifiedRun struct {
-	start uint32
-	count int
-	slots []byte
-}
-
-// IsDelta reports whether the stream was a delta checkpoint.
-func (rc *RangeCheckpoint) IsDelta() bool { return rc.Base.ID != 0 }
-
-// readHeader reads a checkpoint stream's header and checks that its
-// geometry matches the engine's and that [lo, hi) lies inside the
-// engine's owned range.
-func (e *Engine) readHeader(br *bufio.Reader, lo, hi uint32) (*RangeCheckpoint, error) {
-	if lo >= hi || lo < e.lo || hi > e.lo+e.n {
-		return nil, fmt.Errorf("%w: [%d,%d) is not a range of the engine's [%d,%d)", ErrOutOfRange, lo, hi, e.lo, e.lo+e.n)
-	}
-	h, env, err := readCheckpointHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.checkCompatible(h); err != nil {
-		return nil, err
-	}
-	rc := &RangeCheckpoint{lo: lo, hi: hi, Updates: h.updates, h: h, env: env,
-		Pos: ChainPos{env.chainTag, env.ckptID, h.walLSN}}
-	if env.baseID != 0 {
-		rc.Base = ChainPos{env.chainTag, env.baseID, env.baseLSN}
-	}
-	return rc, nil
-}
-
-// readBody reads the sections of the stream readHeader began into rc's
-// runs, every section check, CRC and slot encoding verified, touching no
-// live state.
-func (e *Engine) readBody(br *bufio.Reader, rc *RangeCheckpoint) error {
-	return e.readSections(br, rc.h, rc.lo, rc.hi, rc.IsDelta(), func(start uint32, count int, payload []byte) error {
-		if err := e.checkSlots(start, count, payload); err != nil {
-			return err
-		}
-		rc.runs = append(rc.runs, verifiedRun{start, count, append([]byte(nil), payload...)})
-		return nil
-	})
-}
-
-// ReadRangeCheckpoint reads a checkpoint stream — full or delta — that
-// must carry only nodes in [lo, hi) (a full one tiling it) and verifies
-// all of it into RAM without touching the engine's state: the first half
-// of an install that must not fail halfway. A section outside [lo, hi)
-// fails with ErrOutOfRange. Safe for concurrent use.
-func (e *Engine) ReadRangeCheckpoint(r io.Reader, lo, hi uint32) (*RangeCheckpoint, error) {
-	br := asBufReader(r)
-	rc, err := e.readHeader(br, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.readBody(br, rc); err != nil {
-		return nil, err
-	}
-	return rc, nil
-}
-
-// InstallRanges replaces the slots of every node the checkpoints carry —
-// each node's current stack is the before-image the incremental query
-// diffs against, captured as the apply path does — in one step: the
-// engine's queries see all of them or none. Full checkpoints replace
-// their whole range, deltas only their nodes; no chain position is
-// checked or adopted (the caller tracks the writers'). The checkpoints
-// must come from ReadRangeCheckpoint on this engine.
-func (e *Engine) InstallRanges(rcs []*RangeCheckpoint) error {
-	return e.exclusive(func() error {
-		for _, rc := range rcs {
-			if err := e.installLocked(rc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// installLocked replaces the slots of rc's verified runs, stamping each
-// node (with its before-image) first. The caller holds ckptMu and the
-// quiesce write lock with the workers drained.
-func (e *Engine) installLocked(rc *RangeCheckpoint) error {
-	if err := e.sketches.invalidate(); err != nil {
-		return err
-	}
-	for _, run := range rc.runs {
-		if err := e.installRun(run.start-e.lo, run.count, run.slots); err != nil {
-			return err
-		}
-	}
-	e.epoch.Add(1)
-	return nil
-}
-
-// installRun replaces the slots of local nodes [start, start+count) with
-// slots, stamping each node first. The run's current slots are read — once
-// — only when some node in it wants a before-image.
-func (e *Engine) installRun(start uint32, count int, slots []byte) error {
-	var cur []byte
-	for j := 0; j < count; j++ {
-		if e.wantsImage(start + uint32(j)) {
-			cur = e.getSectionBuf(count * e.slotSize)
-			defer e.putSectionBuf(cur)
-			if err := e.sketches.readSlots(start, count, cur); err != nil {
-				return err
-			}
-			break
-		}
-	}
-	for j := 0; j < count; j++ {
-		var img []byte
-		if cur != nil {
-			img = cur[j*e.slotSize : (j+1)*e.slotSize]
-		}
-		e.markChangedNode(start+uint32(j), img)
-	}
-	return e.sketches.writeSlots(start, count, slots)
-}
-
-// RestoreRange streams a full checkpoint of [lo, hi) straight into this
-// engine's slots, section by section, without holding the body: how a
-// coordinator fills a fresh view. Sections are checked as ReadRangeCheckpoint
-// checks them, but one that fails leaves the range partially written, so
-// the engine must be one the caller discards on error, and nothing may
-// query, checkpoint or ingest into it meanwhile. Concurrent calls over
-// disjoint ranges are safe. Nodes are not stamped: a fresh view takes its
-// query baseline from AdoptQueryBaseline.
-func (e *Engine) RestoreRange(r io.Reader, lo, hi uint32) (*RangeCheckpoint, error) {
-	e.quiesce.RLock()
-	defer e.quiesce.RUnlock()
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	br := asBufReader(r)
-	rc, err := e.readHeader(br, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	if rc.IsDelta() {
-		return nil, fmt.Errorf("%w: RestoreRange needs a full checkpoint", ErrDeltaCheckpoint)
-	}
-	err = e.readSections(br, rc.h, lo, hi, false, func(start uint32, count int, payload []byte) error {
-		return e.sketches.writeSlots(start-e.lo, count, payload)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rc, nil
-}
-
-// CompactCheckpoints folds a base checkpoint file plus an ordered delta
-// chain into one full checkpoint at outPath, written with the crash-safe
-// temp-fsync-rename discipline. The compacted file carries the tip's WAL
-// coverage and user metadata, so once it has durably replaced the chain
-// the caller may drop the delta files and truncate the WAL through the
-// tip's position (TruncateWALThrough) — this is what bounds chain length
-// and log growth. Compaction runs in a throwaway RAM engine; cfg supplies
-// deployment knobs but sketches are forced into memory and the WAL off.
-func CompactCheckpoints(outPath, basePath string, deltaPaths []string, cfg Config) error {
-	cfg.SketchesOnDisk = false
-	cfg.Dir = ""
-	cfg.WAL = false
-	cfg.WALStorage = nil
-	e, err := OpenCheckpoint(basePath, cfg)
-	if err != nil {
-		return fmt.Errorf("core: compacting chain base %s: %w", basePath, err)
-	}
-	defer e.Close()
-	for _, p := range deltaPaths {
-		f, err := os.Open(p)
-		if err != nil {
-			return fmt.Errorf("core: compacting chain delta %s: %w", p, err)
-		}
-		err = e.ApplyDeltaCheckpoint(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("core: compacting chain delta %s: %w", p, err)
-		}
-	}
-	return e.WriteCheckpointFile(outPath)
 }

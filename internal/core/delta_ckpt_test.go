@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
+	"graphzeppelin/internal/iomodel"
 	"graphzeppelin/internal/stream"
 	"graphzeppelin/internal/wal"
 )
@@ -483,9 +485,9 @@ func TestRecoverChainKillPoints(t *testing.T) {
 				// recovery that ignores the delta files — same log, same truth.
 				rcfg2 := cfg
 				rcfg2.WALStorage = crashed
-				rec2, _, err := Recover(basePath, rcfg2)
+				rec2, _, err := RecoverChain(basePath, nil, rcfg2)
 				if err != nil {
-					t.Fatalf("Recover: %v", err)
+					t.Fatalf("RecoverChain: %v", err)
 				}
 				defer rec2.Close()
 				if !bytes.Equal(checkpointBytes(t, rec), checkpointBytes(t, rec2)) {
@@ -497,7 +499,9 @@ func TestRecoverChainKillPoints(t *testing.T) {
 }
 
 // TestCompactCheckpoints folds a base + delta chain into one full
-// checkpoint and checks it restores identically to the chain tip.
+// checkpoint — a WAL-less RecoverChain, then a checkpoint file — and checks
+// it restores identically to the chain tip. Without a log to cover a link
+// the chain must apply whole: a torn delta fails the fold.
 func TestCompactCheckpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const numNodes = 96
@@ -536,8 +540,14 @@ func TestCompactCheckpoints(t *testing.T) {
 		deltaPaths = append(deltaPaths, p)
 	}
 	outPath := filepath.Join(dir, "compacted.gze")
-	if err := CompactCheckpoints(outPath, basePath, deltaPaths, cfg); err != nil {
-		t.Fatalf("CompactCheckpoints: %v", err)
+	folded, _, err := RecoverChain(basePath, deltaPaths, cfg)
+	if err != nil {
+		t.Fatalf("folding the chain: %v", err)
+	}
+	err = folded.WriteCheckpointFile(outPath)
+	folded.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	got, err := OpenCheckpoint(outPath, cfg)
 	if err != nil {
@@ -549,6 +559,19 @@ func TestCompactCheckpoints(t *testing.T) {
 	}
 	if !bytes.Equal(checkpointBytes(t, got), checkpointBytes(t, src)) {
 		t.Fatal("compacted checkpoint differs from the chain tip")
+	}
+
+	last := deltaPaths[len(deltaPaths)-1]
+	b, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if e, _, err := RecoverChain(basePath, deltaPaths, cfg); err == nil {
+		e.Close()
+		t.Fatal("a WAL-less chain with a torn delta folded without error")
 	}
 }
 
@@ -603,4 +626,124 @@ func BenchmarkDeltaCheckpoint(b *testing.B) {
 			b.SetBytes(int64(buf.Len()))
 		}
 	})
+}
+
+// oneShotDevice fails the failAt-th WriteAt across every device its
+// factory made (counting from 1; 0 never fails), once, and counts them all.
+type oneShotDevice struct {
+	iomodel.Device
+	writes *atomic.Int64
+	failAt int64
+}
+
+func (d oneShotDevice) WriteAt(p []byte, off int64) (int, error) {
+	if d.writes.Add(1) == d.failAt {
+		return 0, iomodel.ErrInjected
+	}
+	return d.Device.WriteAt(p, off)
+}
+
+// TestRecoverChainInstallFault sweeps a one-shot write fault over every
+// device write an out-of-core recovery makes — the base restore, the
+// install of a two-section delta, the WAL replay. Each point either fails
+// recovery or recovers bit-identical to a never-crashed reference. A
+// fault between the delta's two section writes must not be taken for a
+// refused delta: replaying the log over the half-installed state would
+// XOR the first section's updates in twice and return a wrong engine with
+// no error.
+func TestRecoverChainInstallFault(t *testing.T) {
+	const numNodes = 80
+	dir := t.TempDir()
+	basePath, deltaPath := filepath.Join(dir, "ckpt.gze"), filepath.Join(dir, "delta-000000.gzd")
+	st := wal.NewMemStorage(64)
+	cfg := Config{NumNodes: numNodes, Seed: 42, Shards: 2, WAL: true, WALStorage: st, DeltaCheckpointThreshold: 1}
+	src, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	batches := recoverTestBatches(rng, numNodes, 6)
+	// Sections hold 40 nodes each; the path 38-39-40-41 dirties one run
+	// across their boundary, so the delta carries exactly two sections.
+	batches = append(batches[:3:3], []stream.Update{
+		{Edge: stream.Edge{U: 38, V: 39}}, {Edge: stream.Edge{U: 39, V: 40}}, {Edge: stream.Edge{U: 40, V: 41}},
+	})
+	batches = append(batches, recoverTestBatches(rng, numNodes, 3)...)
+	for i, b := range batches {
+		if err := src.UpdateBatchSeq(b, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		switch i {
+		case 2:
+			if err := src.WriteCheckpointFile(basePath); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			cs, err := src.SealCheckpointSince(src.Stats().LastCheckpointID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = cs.WriteFile(deltaPath)
+			cs.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	image := st.Crash(nil)
+	src.Close()
+	delta, err := os.ReadFile(deltaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(layoutOf(t, delta).sections); n != 2 {
+		t.Fatalf("delta has %d sections, want 2", n)
+	}
+
+	ref, err := NewEngine(cfg2fresh(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for i, b := range batches {
+		if err := ref.UpdateBatchSeq(b, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := checkpointBytes(t, ref)
+
+	recoverWith := func(failAt int64) (*Engine, *Recovery, int64, error) {
+		var writes atomic.Int64
+		rcfg := cfg
+		rcfg.WALStorage = image.Crash(nil)
+		rcfg.SketchesOnDisk = true
+		rcfg.NodesPerGroup = 4
+		rcfg.DeviceFactory = func(string) (iomodel.Device, error) {
+			return oneShotDevice{iomodel.NewMem(512), &writes, failAt}, nil
+		}
+		e, info, err := RecoverChain(basePath, []string{deltaPath}, rcfg)
+		return e, info, writes.Load(), err
+	}
+	e, info, total, err := recoverWith(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.DeltaFiles != 1 {
+		t.Fatalf("fault-free recovery applied %d delta files, want 1", info.DeltaFiles)
+	}
+	if !bytes.Equal(checkpointBytes(t, e), want) {
+		t.Fatal("fault-free recovery differs from the reference")
+	}
+	e.Close()
+	for k := int64(1); k <= total; k++ {
+		e, info, _, err := recoverWith(k)
+		if err != nil {
+			continue
+		}
+		if !bytes.Equal(checkpointBytes(t, e), want) {
+			t.Errorf("write %d of %d failed: recovery returned no error, applied %d delta files, and differs from the reference",
+				k, total, info.DeltaFiles)
+		}
+		e.Close()
+	}
 }

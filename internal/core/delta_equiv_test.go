@@ -222,9 +222,9 @@ func TestDeltaQueryEquivalenceWAL(t *testing.T) {
 			h.eng.Close()
 			rcfg := cfg
 			rcfg.WALStorage = crashed
-			rec, _, err := Recover("", rcfg)
+			rec, _, err := RecoverChain("", nil, rcfg)
 			if err != nil {
-				t.Fatalf("Recover at step %d: %v", i, err)
+				t.Fatalf("RecoverChain at step %d: %v", i, err)
 			}
 			st = crashed
 			h.eng = rec

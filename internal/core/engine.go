@@ -514,14 +514,6 @@ func (e *Engine) SetLoggedHook(fn func(seq uint64)) { e.loggedHook = fn }
 // Call before any checkpoint; nil removes the supplier.
 func (e *Engine) SetCheckpointMeta(fn func() []byte) { e.ckptMeta = fn }
 
-// RestoredWALPos returns the WAL position (last covered LSN) recorded in
-// the checkpoint this engine was restored from, or 0.
-func (e *Engine) RestoredWALPos() uint64 { return e.restoredWALPos }
-
-// RestoredMeta returns the metadata blob of the checkpoint this engine
-// was restored from (nil if none).
-func (e *Engine) RestoredMeta() []byte { return e.restoredMeta }
-
 func (e *Engine) openDevice(name string) (iomodel.Device, error) {
 	if e.cfg.DeviceFactory != nil {
 		return e.cfg.DeviceFactory(name)
@@ -663,7 +655,7 @@ func (e *Engine) UpdateBatch(ups []stream.Update) error {
 }
 
 // UpdateBatchSeq is UpdateBatch carrying a client sequence number into
-// the WAL record (0 means none): after a crash, Recover reports the
+// the WAL record (0 means none): after a crash, RecoverChain reports the
 // replayed seqs so a networked ingest front end can rebuild its
 // at-most-once state and refuse a retry of a batch that survived. With
 // the WAL disabled seq is ignored.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -21,6 +22,15 @@ func rangeSplit(ups []stream.Update, ranges []NodeRange) [][]stream.Update {
 		}
 	}
 	return out
+}
+
+// loadRange opens r as range [lo, hi) of e and loads its body.
+func loadRange(e *Engine, r io.Reader, lo, hi uint32) (*Checkpoint, error) {
+	cp, err := e.ReadRange(r, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return cp, cp.Load()
 }
 
 // fullCheckpoint seals and streams e's full checkpoint.
@@ -103,7 +113,7 @@ func TestRangeEnginesConcatenateToUniverse(t *testing.T) {
 			defer view.Close()
 			ids := make([]uint64, len(parts))
 			for i, p := range parts {
-				cs, err := p.SealCheckpoint()
+				cs, err := p.SealCheckpointSince(0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +124,11 @@ func TestRangeEnginesConcatenateToUniverse(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := view.RestoreRange(&buf, ranges[i].Lo, ranges[i].Hi); err != nil {
+				cp, err := view.ReadRange(&buf, ranges[i].Lo, ranges[i].Hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := view.Install(cp); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -125,19 +139,19 @@ func TestRangeEnginesConcatenateToUniverse(t *testing.T) {
 
 			// A trickle, shipped as deltas and installed in one step.
 			ingest(deltaTestUpdates(rng, numNodes, 4))
-			var rcs []*RangeCheckpoint
+			var cps []*Checkpoint
 			for i, p := range parts {
 				var buf bytes.Buffer
 				if delta, err := p.WriteDeltaCheckpoint(&buf, ids[i]); err != nil || !delta {
 					t.Fatalf("range %v: delta=%v err=%v", ranges[i], delta, err)
 				}
-				rc, err := view.ReadRangeCheckpoint(&buf, ranges[i].Lo, ranges[i].Hi)
+				cp, err := loadRange(view, &buf, ranges[i].Lo, ranges[i].Hi)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rcs = append(rcs, rc)
+				cps = append(cps, cp)
 			}
-			if err := view.InstallRanges(rcs); err != nil {
+			if err := view.Install(cps...); err != nil {
 				t.Fatal(err)
 			}
 			want = checkpointSlots(t, fullCheckpoint(t, uni))
@@ -201,7 +215,7 @@ func TestRangeCheckpointRefusesForeignSections(t *testing.T) {
 	if err := uni.UpdateBatch(deltaTestUpdates(rand.New(rand.NewSource(1)), numNodes, 200)); err != nil {
 		t.Fatal(err)
 	}
-	cs, err := uni.SealCheckpoint()
+	cs, err := uni.SealCheckpointSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +234,11 @@ func TestRangeCheckpointRefusesForeignSections(t *testing.T) {
 		t.Fatalf("delta=%v err=%v", ok, err)
 	}
 	for name, body := range map[string][]byte{"full": full.Bytes(), "delta": delta.Bytes()} {
-		if _, err := uni.ReadRangeCheckpoint(bytes.NewReader(body), 32, 64); !errors.Is(err, ErrOutOfRange) {
+		if _, err := loadRange(uni, bytes.NewReader(body), 32, 64); !errors.Is(err, ErrOutOfRange) {
 			t.Fatalf("%s universe stream read as [32,64): %v, want ErrOutOfRange", name, err)
 		}
 	}
-	if _, err := uni.ReadRangeCheckpoint(bytes.NewReader(full.Bytes()), 0, 32); !errors.Is(err, ErrOutOfRange) {
+	if _, err := loadRange(uni, bytes.NewReader(full.Bytes()), 0, 32); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("full universe stream read as [0,32): %v, want ErrOutOfRange", err)
 	}
 

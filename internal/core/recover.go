@@ -8,7 +8,7 @@ import (
 	"graphzeppelin/internal/wal"
 )
 
-// Recovery reports what Recover rebuilt beyond the checkpoint.
+// Recovery reports what RecoverChain rebuilt beyond the checkpoint.
 type Recovery struct {
 	// Meta is the opaque metadata blob sealed into the checkpoint the
 	// engine was restored from (nil without one) — gzserve's ingest-gate
@@ -30,68 +30,64 @@ type Recovery struct {
 	CheckpointWALPos uint64
 	Torn             bool
 	// CheckpointID is the chain id of the restored checkpoint state (the
-	// tip of the applied delta chain for RecoverChain, the base's own id
-	// otherwise; 0 when starting fresh).
-	// DeltaFiles counts the chain deltas RecoverChain applied.
+	// tip of the applied delta chain; 0 when starting fresh).
+	// DeltaFiles counts the chain deltas applied.
 	CheckpointID uint64
 	DeltaFiles   int
 }
 
-// Recover rebuilds an engine after a crash from its durable state: the
-// checkpoint at checkpointPath (absent or empty path means start fresh)
-// plus the WAL suffix above the checkpoint's covered position, replayed
-// through the normal batch path. cfg must carry the same WAL settings
-// the crashed engine ran with (Recover forces cfg.WAL on); deployment
-// choices (workers, buffering, disk placement) are free, exactly as for
-// ReadCheckpoint. The result is equivalent to an engine that ingested
-// every logged batch and never crashed: identical sketches, identical
-// update count, identical checkpoint bytes.
-func Recover(checkpointPath string, cfg Config) (*Engine, *Recovery, error) {
-	return RecoverChain(checkpointPath, nil, cfg)
-}
-
-// RecoverChain is Recover over a delta checkpoint chain: the full base
-// checkpoint at basePath plus the ordered delta checkpoint files, then the
-// WAL suffix above the tip of whatever prefix of the chain applied. Because
-// a delta never truncates the WAL (the log stays the recovery truth past
-// the base), a missing, corrupt, or out-of-chain delta file is not fatal —
-// application stops at the first failure (ApplyDeltaCheckpoint is atomic,
-// so the engine still holds the last good state exactly) and WAL replay
-// covers the rest. The result is byte-identical to an engine that never
-// crashed, exactly as for Recover.
+// RecoverChain rebuilds an engine from its durable state: restore the full
+// base checkpoint at basePath, install each delta checkpoint file in
+// order, then — with cfg.WAL on — replay the WAL suffix above the chain
+// state reached through the normal batch path. cfg must carry the same
+// WAL settings the crashed engine ran with; deployment choices (workers,
+// buffering, disk placement) are free, exactly as for ReadCheckpoint. The
+// result is equivalent to an engine that ingested every logged batch and
+// never crashed: identical sketches, identical update count, identical
+// checkpoint bytes.
+//
+// With the WAL on, the log is the recovery truth past the base (a delta
+// never truncates it): an absent base (or empty path) starts a fresh
+// engine, and the chain stops quietly at the first delta refused before
+// any write — missing, corrupt, truncated or out of chain — the replay
+// covering the rest. A delta whose install fails after a write poisons
+// the engine (see Install) and is returned, never replayed over. Without
+// the WAL nothing covers a link, so the base must open and every delta
+// must apply: that is how a chain is folded into one checkpoint.
 func RecoverChain(basePath string, deltaPaths []string, cfg Config) (*Engine, *Recovery, error) {
-	cfg.WAL = true
 	var e *Engine
 	var err error
-	if basePath != "" {
-		if _, statErr := os.Stat(basePath); statErr == nil {
-			e, err = OpenCheckpoint(basePath, cfg)
-			if err != nil {
+	if basePath != "" || !cfg.WAL {
+		if _, err = os.Stat(basePath); err == nil || !cfg.WAL {
+			if e, err = OpenCheckpoint(basePath, cfg); err != nil {
 				return nil, nil, fmt.Errorf("core: recovering checkpoint %s: %w", basePath, err)
 			}
-		} else if !os.IsNotExist(statErr) {
-			return nil, nil, statErr
-		}
-	}
-	applied := 0
-	if e != nil {
-		for _, p := range deltaPaths {
-			f, openErr := os.Open(p)
-			if openErr != nil {
-				break
-			}
-			applyErr := e.ApplyDeltaCheckpoint(f)
-			f.Close()
-			if applyErr != nil {
-				break
-			}
-			applied++
+		} else if !os.IsNotExist(err) {
+			return nil, nil, err
 		}
 	}
 	if e == nil {
+		// No base: a fresh engine holds no chain position, so no delta
+		// chains onto it and the log alone recovers.
 		if e, err = NewEngine(cfg); err != nil {
 			return nil, nil, err
 		}
+	}
+	applied := 0
+	for _, p := range deltaPaths {
+		f, err := os.Open(p)
+		if err == nil {
+			err = e.ApplyDeltaCheckpoint(f)
+			f.Close()
+		}
+		if err != nil {
+			if !cfg.WAL || e.err() != nil {
+				e.Close()
+				return nil, nil, fmt.Errorf("core: recovering chain delta %s: %w", p, err)
+			}
+			break
+		}
+		applied++
 	}
 	rec, err := e.recoverWAL()
 	if err != nil {
@@ -104,18 +100,15 @@ func RecoverChain(basePath string, deltaPaths []string, cfg Config) (*Engine, *R
 }
 
 // recoverWAL replays the engine's WAL suffix above the restored
-// checkpoint position through the normal batch path. Called once, before
-// the engine is shared, on an engine whose WAL is open.
+// checkpoint position through the normal batch path (nothing without a
+// WAL). Called once, before the engine is shared.
 func (e *Engine) recoverWAL() (*Recovery, error) {
-	if e.log == nil {
-		return nil, fmt.Errorf("core: recovery requires the WAL enabled")
-	}
 	after := e.restoredWALPos
-	rec := &Recovery{
-		Meta:             e.restoredMeta,
-		CheckpointWALPos: after,
-		Torn:             e.log.Stats().RecoveredTorn,
+	rec := &Recovery{Meta: e.restoredMeta, CheckpointWALPos: after}
+	if e.log == nil {
+		return rec, nil
 	}
+	rec.Torn = e.log.Stats().RecoveredTorn
 	if e.log.TailLSN() < after {
 		// The checkpoint covers records the log no longer holds (its tail
 		// was truncated, or the whole log was lost with the checkpoint

@@ -73,7 +73,7 @@ func sortedForest(t *testing.T, e *Engine) []stream.Edge {
 // durability design: an engine with FsyncBatch logging ingests batches,
 // writes a mid-stream checkpoint, and "loses power" after a randomized
 // number of further batches (the WAL image keeps only what a real crash
-// would keep). Recover must then produce an engine bit-identical — same
+// would keep). RecoverChain must then produce an engine bit-identical — same
 // checkpoint bytes, same spanning forest — to a reference engine that
 // ingested exactly the surviving prefix and never crashed. Runs in RAM
 // and disk modes.
@@ -133,9 +133,9 @@ func TestRecoverCrashMidIngest(t *testing.T) {
 					}
 					rcfg := cfg
 					rcfg.WALStorage = crashed
-					rec, info, err := Recover(path, rcfg)
+					rec, info, err := RecoverChain(path, nil, rcfg)
 					if err != nil {
-						t.Fatalf("Recover: %v", err)
+						t.Fatalf("RecoverChain: %v", err)
 					}
 					defer rec.Close()
 					if got := int(info.Records); got != crashAt-ckptAt {
@@ -221,7 +221,7 @@ func TestRecoverFsyncOffPrefix(t *testing.T) {
 
 			rcfg := cfg
 			rcfg.WALStorage = crashed
-			rec, info, err := Recover("", rcfg)
+			rec, info, err := RecoverChain("", nil, rcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func TestRecoverCheckpointOnly(t *testing.T) {
 
 	rcfg := cfg
 	rcfg.WALStorage = wal.NewMemStorage(64) // the log is gone
-	rec, info, err := Recover(ckpt, rcfg)
+	rec, info, err := RecoverChain(ckpt, nil, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestRecoverCheckpointOnly(t *testing.T) {
 
 // TestRecoverMetaRoundTrip pins the checkpoint meta plumbing: the blob a
 // SetCheckpointMeta supplier seals travels through file and stream
-// restores and comes back from Recover.
+// restores and comes back from RecoverChain.
 func TestRecoverMetaRoundTrip(t *testing.T) {
 	st := wal.NewMemStorage(64)
 	cfg := Config{NumNodes: 16, Seed: 5, WAL: true, WALStorage: st}
@@ -327,15 +327,15 @@ func TestRecoverMetaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(se.RestoredMeta(), meta) {
-		t.Fatalf("streamed restore meta = %q", se.RestoredMeta())
+	if !bytes.Equal(se.restoredMeta, meta) {
+		t.Fatalf("streamed restore meta = %q", se.restoredMeta)
 	}
 	se.Close()
 	eng.Close()
 
 	rcfg := cfg
 	rcfg.WALStorage = st
-	rec, info, err := Recover(ckpt, rcfg)
+	rec, info, err := RecoverChain(ckpt, nil, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func BenchmarkRecover(b *testing.B) {
 	b.SetBytes(int64(total) * stream.RecordSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, info, err := Recover("", cfg)
+		rec, info, err := RecoverChain("", nil, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,7 +150,7 @@ func TestStoreContract(t *testing.T) {
 			}
 			return func() {}
 		}
-		cs, err := e.SealCheckpoint()
+		cs, err := e.SealCheckpointSince(0)
 		if err != nil {
 			t.Fatal(err)
 		}

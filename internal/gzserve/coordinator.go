@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -283,18 +284,27 @@ func (co *Coordinator) ramCfg() core.Config {
 	return cfg
 }
 
-// pull takes every worker's cut and reads worker i's body as range i of
-// view: streamed straight into view's slots when full (RestoreRange, for
-// a fresh view), or read and verified whole for an atomic install
-// (ReadRangeCheckpoint) when asking for deltas since acked. Dispatch is
-// held from the flush until every worker's response header has arrived —
-// a worker seals before it answers — so every cut holds exactly the
-// updates accepted before the refresh; the bodies are read concurrently
-// and need not wait for each other, so two coordinators pulling at once
-// cannot deadlock on the workers' checkpoint locks.
-func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) ([]*core.RangeCheckpoint, error) {
+// pull takes every worker's cut and opens worker i's body as range i of
+// view (ReadRange). A full pull installs the bodies straight into the
+// fresh view, streamed concurrently, holding none of them; a pull of
+// deltas since acked loads each body, read and verified whole, for
+// Refresh to install all of them in one step. Dispatch is held from the
+// flush until every worker's response header has arrived — a worker seals
+// before it answers — so every cut holds exactly the updates accepted
+// before the refresh; the bodies are read concurrently and need not wait
+// for each other, so two coordinators pulling at once cannot deadlock on
+// the workers' checkpoint locks.
+func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) ([]*core.Checkpoint, error) {
 	k := len(co.clients)
-	rcs := make([]*core.RangeCheckpoint, k)
+	cps := make([]*core.Checkpoint, k)
+	bodies := make([]io.Closer, k)
+	defer func() {
+		for _, b := range bodies {
+			if b != nil {
+				b.Close()
+			}
+		}
+	}()
 	errs := make([]error, k)
 	co.mu.Lock()
 	co.shipLocked()
@@ -318,13 +328,17 @@ func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) (
 				errs[i] = err
 				return
 			}
-			defer body.Close()
+			bodies[i] = body
 			lo, hi := co.part.Range(i)
-			if full {
-				rcs[i], errs[i] = view.RestoreRange(body, lo, hi)
-			} else {
-				rcs[i], errs[i] = view.ReadRangeCheckpoint(body, lo, hi)
+			cp, err := view.ReadRange(body, lo, hi)
+			switch {
+			case err != nil:
+			case full && cp.IsDelta():
+				err = fmt.Errorf("%w: a full pull was answered with a delta", core.ErrDeltaCheckpoint)
+			case !full:
+				err = cp.Load()
 			}
+			cps[i], errs[i] = cp, err
 		}()
 	}
 	sealed.Wait()
@@ -335,7 +349,12 @@ func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) (
 			return nil, fmt.Errorf("gzserve: pulling checkpoint from worker %d (%s): %w", i, co.clients[i].Addr(), err)
 		}
 	}
-	return rcs, nil
+	if full {
+		if err := view.Install(cps...); err != nil {
+			return nil, fmt.Errorf("gzserve: pulling worker checkpoints: %w", err)
+		}
+	}
+	return cps, nil
 }
 
 // Refresh advances the view queries answer from to a new cut that holds
@@ -363,17 +382,17 @@ func (co *Coordinator) Refresh(ctx context.Context) error {
 	co.aggMu.RUnlock()
 
 	var (
-		rcs   []*core.RangeCheckpoint
+		cps   []*core.Checkpoint
 		err   error
 		view  *aggView
 		delta = !co.cfg.NoDeltaRefresh && old != nil
 	)
 	if delta {
-		if rcs, err = co.pull(ctx, old.eng, false); err != nil {
+		if cps, err = co.pull(ctx, old.eng, false); err != nil {
 			return err
 		}
-		for i, rc := range rcs {
-			if rc.IsDelta() && rc.Base != co.acked[i] {
+		for i, cp := range cps {
+			if cp.IsDelta() && cp.Base != co.acked[i] {
 				// The worker re-minted the id the view holds under another
 				// state (a durable restart keeps its lineage tag): pull its
 				// full range next time.
@@ -381,7 +400,7 @@ func (co *Coordinator) Refresh(ctx context.Context) error {
 				return fmt.Errorf("gzserve: worker %d (%s): %w", i, co.clients[i].Addr(), core.ErrCheckpointChain)
 			}
 		}
-		if err := old.eng.InstallRanges(rcs); err != nil {
+		if err := old.eng.Install(cps...); err != nil {
 			return fmt.Errorf("gzserve: installing worker cuts: %w", err)
 		}
 		view = &aggView{eng: old.eng}
@@ -390,7 +409,7 @@ func (co *Coordinator) Refresh(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if rcs, err = co.pull(ctx, eng, true); err != nil {
+		if cps, err = co.pull(ctx, eng, true); err != nil {
 			eng.Close()
 			return err
 		}
@@ -406,10 +425,10 @@ func (co *Coordinator) Refresh(ctx context.Context) error {
 		view = &aggView{eng: eng}
 	}
 	allDelta := delta
-	for i, rc := range rcs {
-		co.acked[i] = rc.Pos
-		view.updates += rc.Updates
-		allDelta = allDelta && rc.IsDelta()
+	for i, cp := range cps {
+		co.acked[i] = cp.Pos
+		view.updates += cp.Updates
+		allDelta = allDelta && cp.IsDelta()
 	}
 
 	co.aggMu.Lock()

@@ -297,7 +297,7 @@ func TestRefreshRefusesOutOfRangeStream(t *testing.T) {
 			if noDelta {
 				fake.bad.Store(true)
 			} else {
-				cs, err := fake.uni.SealCheckpoint()
+				cs, err := fake.uni.SealCheckpointSince(0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -189,7 +189,7 @@ func NewWorker(cfg core.Config, rangeLo, rangeHi uint32) (*Worker, error) {
 // cfg's WAL fields are overridden from d, and its Range from rangeLo/Hi
 // as for NewWorker; everything else (NumNodes, Seed, sharding,
 // buffering) must match what the crashed worker ran with, exactly as for
-// core.Recover.
+// core.RecoverChain.
 func NewDurableWorker(cfg core.Config, rangeLo, rangeHi uint32, d Durability) (*Worker, *core.Recovery, error) {
 	cfg.Range = core.NodeRange{Lo: rangeLo, Hi: rangeHi}
 	if d.StateDir == "" {

@@ -249,7 +249,7 @@ func TestLiftRefusesForeignLayerIDs(t *testing.T) {
 // same sketches produce the same sketchBytes.
 func sketchBytes(t *testing.T, eng *core.Engine) []byte {
 	t.Helper()
-	cs, err := eng.SealCheckpoint()
+	cs, err := eng.SealCheckpointSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestWALRecoversLayeredEngine(t *testing.T) {
 			rcfg := cfg
 			rcfg.NumNodes = uint32(c.layers) * n
 			rcfg.Seed ^= c.kind
-			rec, info, err := core.Recover("", rcfg)
+			rec, info, err := core.RecoverChain("", nil, rcfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestWALRecoverAPI drives the public durability surface end to end:
-// WithWAL + SaveCheckpoint + Recover, checking the recovered Graph
+// WithWAL + SaveCheckpoint + RecoverChain, checking the recovered Graph
 // answers exactly like the original and that Stats surfaces the log
 // counters.
 func TestWALRecoverAPI(t *testing.T) {
@@ -45,7 +45,7 @@ func TestWALRecoverAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, rec, err := gz.Recover(64, ckpt, opts...)
+	r, rec, err := gz.RecoverChain(64, ckpt, nil, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWALRecoverAPI(t *testing.T) {
 	}
 
 	// Fresh-start recovery (no checkpoint file) must also work.
-	f, rec2, err := gz.Recover(64, filepath.Join(dir, "absent.gze"), gz.WithWAL(filepath.Join(dir, "wal2")))
+	f, rec2, err := gz.RecoverChain(64, filepath.Join(dir, "absent.gze"), nil, gz.WithWAL(filepath.Join(dir, "wal2")))
 	if err != nil {
 		t.Fatal(err)
 	}
