@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's evaluation artifacts (one family per
-// table/figure; see DESIGN.md §4 for the index). `go test -bench=. -benchmem`
-// runs laptop-scale versions; cmd/gzbench runs the full sweeps with table
-// output.
+// table or figure, named BenchmarkFig<N>...) beside the subsystem
+// benchmarks. `go test -bench=. -benchmem` runs laptop-scale versions;
+// cmd/gzbench prints the full Section 6 tables, and benchmark/run.sh
+// measures the system end to end.
 package graphzeppelin_test
 
 import (
@@ -273,8 +274,8 @@ func BenchmarkFig16QueryTerraceLike(b *testing.B) {
 
 // BenchmarkConnectedCached measures point queries on a quiet graph: after
 // one warming full query, every Connected call is answered in O(1) from
-// the epoch cache with no sketch work and no allocation. Recorded in
-// BENCH_query.json and smoke-run in CI.
+// the epoch cache with no sketch work and no allocation. Smoke-run in CI;
+// the repository benchmark's core.query.cached_ns times the same path.
 func BenchmarkConnectedCached(b *testing.B) {
 	res := benchStream()
 	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2))
@@ -304,8 +305,8 @@ func BenchmarkConnectedCached(b *testing.B) {
 // BenchmarkSpanningForest measures cold full queries (an edge toggle
 // before each query invalidates the cache) in RAM and out-of-core modes:
 // the lazy per-round materialization and, on disk, the sequential
-// range-read scan are what this times. Recorded in BENCH_query.json and
-// smoke-run in CI.
+// range-read scan are what this times. Smoke-run in CI; end to end it is
+// query_cold_ms of the ram-dense and disk-social workloads.
 func BenchmarkSpanningForest(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -377,7 +378,7 @@ func BenchmarkSpanningForest(b *testing.B) {
 // else. Uses a kron scale-10 stream (1024 nodes) so the ratios are robust;
 // detach runs on a scale-12 stream (4096 nodes) as well, where a delta
 // query whose work is set by what changed costs what it costs at 1024.
-// Recorded in BENCH_query.json and smoke-run in CI.
+// Smoke-run in CI; end to end it is every workload's query_delta_ms.
 func BenchmarkConnectedAfterDelta(b *testing.B) {
 	res := experiments.KronStream(10, 1)
 	modes := []afterDeltaMode{
@@ -665,8 +666,8 @@ func reservedTrickle(res kron.Result, k int) (updates, attach, detach []graphzep
 // window runs through Close, so each mode is charged its deferred
 // dirty-group spill (one coalesced write per resident group) — the figure
 // is full-lifecycle, not deferral-flattered. Construction-time slot
-// initialization is excluded. Recorded in BENCH_outofcore.json and
-// smoke-run in CI.
+// initialization is excluded. Smoke-run in CI; end to end it is
+// disk-social's ingest_mups and disk_blocks_per_update.
 func BenchmarkIngestDiskCached(b *testing.B) {
 	res := benchStream()
 	for _, mode := range []struct {
@@ -725,7 +726,7 @@ func BenchmarkIngestDiskCached(b *testing.B) {
 // the Boruvka rounds left to the query. read-blocks/query is what those
 // rounds read from the device, and scans/query their bytes in passes over
 // the part of the store that was not resident when they began.
-// Smoke-run in CI; before/after rows in BENCH_outofcore.json.
+// Smoke-run in CI; end to end it is disk-social's query_cold_ms.
 func BenchmarkDiskColdQuery(b *testing.B) {
 	const slices = 100
 	n := uint32(1) << 10
@@ -795,9 +796,8 @@ func BenchmarkDiskColdQuery(b *testing.B) {
 // BenchmarkIngestThroughput measures steady-state RAM-path ingestion
 // across shard counts, reporting updates/sec and allocs/op. The seed
 // configuration (per-node mutexes + one global mutex-guarded MPMC queue +
-// per-sketch heap slices) is gone from the tree; its measurement on this
-// host is recorded in BENCH_ingest.json alongside the sharded pipeline's,
-// which also benefits from the one-hash-one-bucket CubeSketch update.
+// per-sketch heap slices) is gone from the tree. End to end, the serial
+// figure is ram-dense-1c's ingest_mups.
 func BenchmarkIngestThroughput(b *testing.B) {
 	res := experiments.KronStream(10, 1)
 	for _, s := range []int{1, 2, 4, 8} {
@@ -833,8 +833,9 @@ func BenchmarkIngestThroughput(b *testing.B) {
 // workers saturate; on a single-vCPU host the value of the benchmark is
 // the overhead it does NOT show — the multi-producer machinery (stripe
 // locks, per-shard push mutexes, session buffers) should cost no
-// throughput versus producers=1. Results are recorded in
-// BENCH_ingest.json and smoke-run in CI.
+// throughput versus producers=1. Smoke-run in CI; end to end, the
+// ram-dense / ram-dense-1c ingest_mups ratio is the multi-core figure
+// (README.md, "Multi-core scaling").
 func BenchmarkIngestParallel(b *testing.B) {
 	res := experiments.KronStream(10, 1)
 	for _, p := range []int{1, 2, 4, 8} {
@@ -927,7 +928,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations: sketch width, sketch batch size and buffering off ---
 
 // BenchmarkAblationColumns sweeps the per-sketch column count log(1/δ):
 // fewer columns are faster and smaller but raise the per-query failure

@@ -1,18 +1,19 @@
-// Command gzbench regenerates the paper's evaluation tables and figures on
-// this machine. Each -exp value corresponds to one artifact of Section 6;
-// "all" runs the full evaluation. See DESIGN.md §4 for the experiment
-// index and EXPERIMENTS.md for recorded paper-vs-measured results.
+// Command gzbench regenerates the paper's Section 6 artifacts on this
+// machine: the sketch figures (fig4, fig5), the dataset table (table10),
+// the system figures (fig11 to fig16) and the sketch reliability check.
+// Each -exp value is one artifact; "all" runs them in order. System
+// throughput, latency and memory under mixed load are measured by the
+// repository benchmark instead (bash benchmark/run.sh; see README.md,
+// "Reproducing the paper's evaluation").
 //
 // Usage:
 //
 //	gzbench -exp fig4
 //	gzbench -exp all -max-scale 11 -trials 100
-//	gzbench -exp scaling -json BENCH_scaling.json
-//	gzbench -exp shards -cpuprofile cpu.out -memprofile mem.out
+//	gzbench -exp fig11 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +21,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"graphzeppelin/internal/experiments"
 )
@@ -35,15 +35,13 @@ func main() {
 // process exits with a status code.
 func run() int {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig4, fig5, table10, fig11, fig12, fig13, fig14, fig15, fig16, query, shards, producers, scaling, cache, distmerge, distserve, refresh, wal, crashrecover, reliability, all")
+		exp        = flag.String("exp", "all", "experiment: fig4, fig5, table10, fig11, fig12, fig13, fig14, fig15, fig16, reliability, all")
 		maxScale   = flag.Int("max-scale", 10, "largest Kronecker scale for system experiments")
 		trials     = flag.Int("trials", 25, "correctness checks per dataset (reliability)")
 		seed       = flag.Uint64("seed", 1, "generator/sketch seed")
 		quiet      = flag.Bool("q", false, "suppress progress output")
-		jsonPath   = flag.String("json", "", "also write results (with host metadata) to this JSON file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		gzserveBin = flag.String("gzserve", "", "path to a gzserve binary; distserve then runs each cluster role as its own process")
 	)
 	flag.Parse()
 
@@ -67,12 +65,11 @@ func run() int {
 	}
 
 	o := experiments.Options{
-		MaxScale:   *maxScale,
-		Trials:     *trials,
-		Seed:       *seed,
-		Verbose:    !*quiet,
-		Progress:   os.Stderr,
-		GzserveBin: *gzserveBin,
+		MaxScale: *maxScale,
+		Trials:   *trials,
+		Seed:     *seed,
+		Verbose:  !*quiet,
+		Progress: os.Stderr,
 	}
 
 	type runner func() (*experiments.Table, error)
@@ -89,16 +86,6 @@ func run() int {
 		{"fig14", func() (*experiments.Table, error) { return experiments.Fig14(o) }},
 		{"fig15", func() (*experiments.Table, error) { return experiments.Fig15(o) }},
 		{"fig16", func() (*experiments.Table, error) { return experiments.Fig16(o) }},
-		{"query", func() (*experiments.Table, error) { return experiments.QuerySweep(o) }},
-		{"shards", func() (*experiments.Table, error) { return experiments.ShardSweep(o) }},
-		{"producers", func() (*experiments.Table, error) { return experiments.ProducerSweep(o) }},
-		{"scaling", func() (*experiments.Table, error) { return experiments.ScalingSweep(o) }},
-		{"cache", func() (*experiments.Table, error) { return experiments.CacheSweep(o) }},
-		{"distmerge", func() (*experiments.Table, error) { return experiments.DistributedMerge(o) }},
-		{"distserve", func() (*experiments.Table, error) { return experiments.DistServe(o) }},
-		{"refresh", func() (*experiments.Table, error) { return experiments.RefreshSweep(o) }},
-		{"wal", func() (*experiments.Table, error) { return experiments.WALOverhead(o) }},
-		{"crashrecover", func() (*experiments.Table, error) { return experiments.CrashRecover(o) }},
 		{"reliability", func() (*experiments.Table, error) {
 			t, _, err := experiments.Reliability(o)
 			return t, err
@@ -107,8 +94,6 @@ func run() int {
 
 	want := strings.Split(*exp, ",")
 	matched := false
-	var tables []*experiments.Table
-	failed := ""
 	for _, e := range all {
 		if !selected(want, e.name) {
 			continue
@@ -116,26 +101,14 @@ func run() int {
 		matched = true
 		t, err := e.run()
 		if err != nil {
-			// Remember the failure but fall through, so profiles and the
-			// JSON for already-finished experiments are still written.
-			failed = fmt.Sprintf("%s: %v", e.name, err)
-			log.Print(failed)
-			break
+			// Returning (not exiting) still flushes the profiles.
+			log.Printf("%s: %v", e.name, err)
+			return 1
 		}
 		t.Print(os.Stdout)
-		tables = append(tables, t)
 	}
 	if !matched {
 		log.Printf("no experiment matches %q", *exp)
-		return 1
-	}
-	if *jsonPath != "" && len(tables) > 0 {
-		if err := writeJSON(*jsonPath, tables, o); err != nil {
-			log.Printf("json: %v", err)
-			failed = "json write failed"
-		}
-	}
-	if failed != "" {
 		return 1
 	}
 	fmt.Fprintln(os.Stderr, "done")
@@ -162,53 +135,4 @@ func writeHeapProfile(path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		log.Printf("memprofile: %v", err)
 	}
-}
-
-// jsonReport is the machine-readable result format: the host block pins
-// the parallelism actually available when the numbers were taken, so
-// 1-vCPU results are never mistaken for multi-core ones.
-type jsonReport struct {
-	Benchmark string `json:"benchmark"`
-	Date      string `json:"date"`
-	Host      struct {
-		NumCPU     int    `json:"num_cpu"`
-		GOMAXPROCS int    `json:"gomaxprocs"`
-		GoVersion  string `json:"go_version"`
-		OSArch     string `json:"os_arch"`
-	} `json:"host"`
-	Options struct {
-		MaxScale int    `json:"max_scale"`
-		Seed     uint64 `json:"seed"`
-	} `json:"options"`
-	Tables []jsonTable `json:"tables"`
-}
-
-type jsonTable struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
-}
-
-func writeJSON(path string, tables []*experiments.Table, o experiments.Options) error {
-	var r jsonReport
-	r.Benchmark = "gzbench"
-	r.Date = time.Now().UTC().Format("2006-01-02")
-	r.Host.NumCPU = runtime.NumCPU()
-	r.Host.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	r.Host.GoVersion = runtime.Version()
-	r.Host.OSArch = runtime.GOOS + "/" + runtime.GOARCH
-	r.Options.MaxScale = o.MaxScale
-	r.Options.Seed = o.Seed
-	for _, t := range tables {
-		r.Tables = append(r.Tables, jsonTable{
-			ID: t.ID, Title: t.Title, Header: t.Header, Rows: t.Rows, Notes: t.Notes,
-		})
-	}
-	out, err := json.MarshalIndent(&r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

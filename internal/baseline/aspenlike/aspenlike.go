@@ -6,7 +6,8 @@
 // per directed edge) with efficient *batched* inserts and deletes and
 // exact connectivity queries whose cost grows with the edge count. This
 // package reproduces that class with per-vertex sorted adjacency arrays
-// merged batch-at-a-time. See DESIGN.md §3 for the substitution note.
+// merged batch-at-a-time: the C++ system is not available to a pure-Go
+// build, and the comparisons need only its cost shape.
 package aspenlike
 
 import (

@@ -7,7 +7,7 @@
 // sparse/skewed graphs, degrading on dense ones because the shared PMA
 // pays growing redistribution costs, with no batch-deletion path — is
 // reproduced here with the same hierarchy (the B-tree tier realized as
-// sorted chunk lists). See DESIGN.md §3.
+// sorted chunk lists).
 package terracelike
 
 import (
@@ -67,8 +67,9 @@ func (g *Graph) NumEdges() uint64 { return g.numEdges }
 // Degree returns the degree of node u.
 func (g *Graph) Degree(u uint32) int { return g.verts[u].degree }
 
-// PMAMoves exposes the shared tier's cumulative redistribution work, the
-// density-degradation metric discussed in DESIGN.md §3.
+// PMAMoves exposes the shared tier's cumulative redistribution work: the
+// metric that shows the PMA degrading as the graph densifies (the last
+// column of gzbench's fig13).
 func (g *Graph) PMAMoves() uint64 { return g.shared.Moves() }
 
 func key(u, v uint32) uint64 { return uint64(u)<<32 | uint64(v) }

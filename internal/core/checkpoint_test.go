@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"os"
@@ -72,49 +73,42 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergeCheckpointShards splits one stream across two engines (the
-// distributed-ingestion pattern of the paper's conclusion), checkpoints
-// one shard, merges it into the other, and verifies the merged engine
-// answers for the union.
+// TestMergeCheckpointShards splits one stream round-robin across k
+// engines (the distributed-ingestion pattern of the paper's conclusion),
+// merges every shard's checkpoint into a fresh engine, and verifies the
+// merged engine answers for the union.
 func TestMergeCheckpointShards(t *testing.T) {
 	const n = 64
 	cfg := Config{NumNodes: n, Seed: 17}
-	a, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	edges := randomEdges(n, 250, 3, 4)
+	for _, k := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			merged, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer merged.Close()
+			for i := 0; i < k; i++ {
+				shard, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := i; j < len(edges); j += k {
+					mustUpdate(t, shard, edges[j].U, edges[j].V)
+				}
+				var buf bytes.Buffer
+				err = shard.WriteCheckpoint(&buf)
+				shard.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := merged.MergeCheckpoint(&buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkAgainstExact(t, merged, n, edges)
+		})
 	}
-	defer a.Close()
-	b, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	rng := rand.New(rand.NewPCG(3, 4))
-	var edges []stream.Edge
-	seen := map[stream.Edge]bool{}
-	for i := 0; i < 500; i++ {
-		e := stream.Edge{U: uint32(rng.Uint64N(n)), V: uint32(rng.Uint64N(n))}.Normalize()
-		if e.U == e.V || seen[e] {
-			continue
-		}
-		seen[e] = true
-		edges = append(edges, e)
-		shard := a
-		if i%2 == 1 {
-			shard = b
-		}
-		mustUpdate(t, shard, e.U, e.V)
-	}
-
-	var buf bytes.Buffer
-	if err := b.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.MergeCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstExact(t, a, n, edges)
 }
 
 func TestMergeCheckpointRejectsIncompatible(t *testing.T) {

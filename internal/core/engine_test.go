@@ -91,8 +91,12 @@ func mustUpdate(t *testing.T, e *Engine, u, v uint32) {
 	}
 }
 
+// TestEngineRandomGraphsMatchExact toggles random edges through every
+// buffering mode and, out of core, over the corners of the cache budget ×
+// node-group size grid (a one-group cache evicts on nearly every batch),
+// and checks each answer against the exact components.
 func TestEngineRandomGraphsMatchExact(t *testing.T) {
-	for _, cfgName := range []string{"leaf", "tree", "none", "disk"} {
+	for _, cfgName := range []string{"leaf", "tree", "none", "disk", "disk-cache1", "disk-cache1-npg1", "disk-npg16"} {
 		for trial := 0; trial < 3; trial++ {
 			t.Run(fmt.Sprintf("%s/%d", cfgName, trial), func(t *testing.T) {
 				n := uint32(64)
@@ -104,6 +108,12 @@ func TestEngineRandomGraphsMatchExact(t *testing.T) {
 					cfg.Buffering = BufferNone
 				case "disk":
 					cfg.SketchesOnDisk = true
+				case "disk-cache1":
+					cfg.SketchesOnDisk, cfg.CacheBytes = true, 1
+				case "disk-cache1-npg1":
+					cfg.SketchesOnDisk, cfg.CacheBytes, cfg.NodesPerGroup = true, 1, 1
+				case "disk-npg16":
+					cfg.SketchesOnDisk, cfg.NodesPerGroup = true, 16
 				}
 				e, err := NewEngine(cfg)
 				if err != nil {

@@ -1,10 +1,11 @@
-// Package experiments implements the paper's evaluation section: one
-// function per table/figure, each regenerating the corresponding rows on
-// this machine's substrate. The cmd/gzbench binary exposes them behind
-// -exp flags and the repository's benchmarks reuse the same workloads, so
-// EXPERIMENTS.md can be reproduced end to end. Scales default to sizes
-// that finish on a small machine and grow via Scale options; see
-// DESIGN.md §3 for the hardware substitutions.
+// Package experiments regenerates the paper's Section 6 artifacts: one
+// function per table or figure (Fig4, Fig5, Table10, Fig11 to Fig16) plus
+// the sketch reliability check, each producing its rows on this machine.
+// The cmd/gzbench binary exposes them behind -exp flags, and the root
+// package's benchmarks reuse KronStream. Scales default to sizes that
+// finish on a small machine and grow with Options.MaxScale; the datasets
+// are generated stand-ins because the paper's files are not bundled (see
+// internal/kron).
 package experiments
 
 import (
@@ -70,10 +71,6 @@ type Options struct {
 	// Verbose writes progress lines to Progress while running.
 	Verbose  bool
 	Progress io.Writer
-	// GzserveBin, when set, makes DistServe launch each cluster role as
-	// its own gzserve process on localhost (the true multi-process
-	// topology); empty runs the servers in-process over loopback HTTP.
-	GzserveBin string
 }
 
 func (o Options) withDefaults() Options {

@@ -114,33 +114,3 @@ func TestSamePartitionHelper(t *testing.T) {
 		t.Fatal("length mismatch accepted")
 	}
 }
-
-func TestCacheSweepMatchesRAM(t *testing.T) {
-	tbl, err := CacheSweep(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[len(row)-1] != "MATCH" {
-			t.Fatalf("%s: disk-mode partition diverged from the RAM reference", row[0])
-		}
-	}
-}
-
-func TestDistributedMergeMatchesReference(t *testing.T) {
-	tbl, err := DistributedMerge(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[len(row)-1] != "MATCH" {
-			t.Fatalf("shards=%s: merged engine diverged from the single-engine reference", row[0])
-		}
-	}
-}

@@ -140,168 +140,3 @@ func Fig16(o Options) (*Table, error) {
 	}
 	return t, nil
 }
-
-// QuerySweep characterizes the query subsystem on a kron stream: cold
-// full-query latency (cache invalidated by a toggle before each run,
-// delta maintenance disabled so the run really is from scratch),
-// incremental-query latency at a sweep of dirty fractions, epoch-cached
-// point-query latency through Connected and ConnectedMany, and the
-// disk-mode scan's I/O — sequential range reads per full query against
-// the NumNodes point reads of a per-node scan.
-func QuerySweep(o Options) (*Table, error) {
-	o = o.withDefaults()
-	scale := o.MaxScale - 1
-	if scale < 8 {
-		scale = 8
-	}
-	res := KronStream(scale, o.Seed)
-	t := &Table{
-		ID:     "query",
-		Title:  fmt.Sprintf("Query subsystem: cold vs cached vs incremental vs on-disk scan (kron%d)", scale),
-		Header: []string{"metric", "deltafrac", "value"},
-		Notes: []string{
-			"cached point queries run O(1) off the last full query's representatives;",
-			"incremental queries re-solve only the components dirtied since the cached forest;",
-			"disk-mode full queries scan live slots sequentially (Lemma 5), not per node",
-		},
-	}
-	const trials = 5
-	const pairs = 4096
-
-	run := func(onDisk bool) (cold time.Duration, readOps, readBlocks uint64, err error) {
-		cfg := core.Config{NumNodes: res.NumNodes, Seed: o.Seed, Workers: 2, SketchesOnDisk: onDisk,
-			NoDeltaQuery: true}
-		eng, err := core.NewEngine(cfg)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		defer eng.Close()
-		for _, u := range res.Updates {
-			if err := eng.Update(u); err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		var total time.Duration
-		readOps, readBlocks = 0, 0
-		for i := 0; i < trials; i++ {
-			// Toggle one edge so every trial is a genuine cold query, and
-			// drain before snapshotting stats so the toggle's sketch-apply
-			// I/O stays out of the measured query delta.
-			if err := eng.InsertEdge(0, 1); err != nil {
-				return 0, 0, 0, err
-			}
-			if err := eng.Drain(); err != nil {
-				return 0, 0, 0, err
-			}
-			before := eng.Stats().SketchIO
-			start := time.Now()
-			if _, err := eng.SpanningForest(); err != nil {
-				return 0, 0, 0, err
-			}
-			total += time.Since(start)
-			after := eng.Stats().SketchIO
-			readOps += after.ReadOps - before.ReadOps
-			readBlocks += after.ReadBlocks - before.ReadBlocks
-		}
-		return total / trials, readOps / trials, readBlocks / trials, nil
-	}
-
-	coldRAM, _, _, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	o.logf("query: RAM cold queries done")
-	coldDisk, readOps, readBlocks, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	o.logf("query: disk cold queries done")
-
-	// Cached point queries on a quiet RAM engine.
-	eng, err := core.NewEngine(core.Config{NumNodes: res.NumNodes, Seed: o.Seed, Workers: 2})
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	for _, u := range res.Updates {
-		if err := eng.Update(u); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := eng.SpanningForest(); err != nil { // warm the cache
-		return nil, err
-	}
-	batch := stream.RandomPairs(res.NumNodes, pairs, o.Seed)
-	start := time.Now()
-	for _, p := range batch {
-		if _, err := eng.Connected(p.U, p.V); err != nil {
-			return nil, err
-		}
-	}
-	perConnected := time.Since(start) / pairs
-	start = time.Now()
-	if _, err := eng.ConnectedMany(batch); err != nil {
-		return nil, err
-	}
-	manyTotal := time.Since(start)
-	hits := eng.Stats().QueryCacheHits
-	o.logf("query: cached point queries done")
-
-	// Incremental sweep: dirty a controlled fraction of nodes (each toggled
-	// edge (u, u+1) over fresh node pairs dirties exactly two nodes), then
-	// time the next query — the delta path reuses the cached forest and
-	// re-solves only the affected components. The engine above already
-	// holds a warm cache; the cursor walks disjoint even-aligned pairs so
-	// successive fractions never cancel each other's toggles.
-	n := res.NumNodes
-	cursor := uint32(0)
-	deltaRows := [][]string{}
-	for _, frac := range []float64{0.001, 0.01, 0.1} {
-		k := int(frac * float64(n) / 2)
-		if k < 1 {
-			k = 1
-		}
-		var total time.Duration
-		for i := 0; i < trials; i++ {
-			for j := 0; j < k; j++ {
-				u := cursor % (n - 1)
-				u -= u % 2
-				cursor += 2
-				if err := eng.InsertEdge(u, u+1); err != nil {
-					return nil, err
-				}
-			}
-			if err := eng.Drain(); err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if _, err := eng.SpanningForest(); err != nil {
-				return nil, err
-			}
-			total += time.Since(start)
-		}
-		deltaRows = append(deltaRows, []string{
-			"incremental query, RAM",
-			fmt.Sprintf("%.2g", float64(2*k)/float64(n)),
-			fmt.Sprintf("%.3fms", float64((total/trials).Microseconds())/1000),
-		})
-	}
-	dst := eng.Stats()
-	o.logf("query: incremental sweep done (%d delta queries, %d fallbacks)",
-		dst.DeltaQueries, dst.DeltaFallbacks)
-
-	t.Rows = append(t.Rows,
-		[]string{"cold full query, RAM", "-", fmt.Sprintf("%.3fms", float64(coldRAM.Microseconds())/1000)},
-		[]string{"cold full query, on-disk", "-", fmt.Sprintf("%.3fms", float64(coldDisk.Microseconds())/1000)},
-		[]string{"disk read ops per cold query", "-", fmt.Sprintf("%d (vs %d per-node point reads)", readOps, res.NumNodes)},
-		[]string{"disk read blocks per cold query", "-", fmt.Sprintf("%d", readBlocks)},
-	)
-	t.Rows = append(t.Rows, deltaRows...)
-	t.Rows = append(t.Rows,
-		[]string{fmt.Sprintf("cached Connected × %d", pairs), "-", fmt.Sprintf("%dns/query", perConnected.Nanoseconds())},
-		[]string{fmt.Sprintf("cached ConnectedMany(%d)", pairs), "-", fmt.Sprintf("%.3fms total", float64(manyTotal.Microseconds())/1000)},
-		[]string{"query cache hits", "-", fmt.Sprintf("%d", hits)},
-		[]string{"delta queries / fallbacks", "-", fmt.Sprintf("%d / %d", dst.DeltaQueries, dst.DeltaFallbacks)},
-	)
-	return t, nil
-}

@@ -108,7 +108,7 @@ func Table10(o Options) *Table {
 	o = o.withDefaults()
 	t := &Table{
 		ID:     "table10",
-		Title:  "Dataset dimensions (scaled-down substitutes; see DESIGN.md §3)",
+		Title:  "Dataset dimensions (scaled down: kron scales fit one small machine; * = generated stand-in)",
 		Header: []string{"name", "nodes", "edges", "stream updates"},
 	}
 	add := func(name string, n uint32, edges []stream.Edge) {
@@ -209,7 +209,7 @@ func Fig13(o Options) (*Table, error) {
 		Title:  "In-RAM ingestion rate (updates/second)",
 		Header: []string{"dataset", "Aspen-like", "Terrace-like", "GraphZeppelin", "Terrace PMA moves/update"},
 		Notes: []string{
-			"regime note (DESIGN.md §3): the paper's Figure 13 is measured with 46",
+			"regime note: the paper's Figure 13 is measured with 46",
 			"threads on billion-edge streams, where GraphZeppelin's embarrassingly",
 			"parallel sketch updates win and the baselines' working sets overflow cache;",
 			"GZ's single-thread rate (~0.16M/s in the paper's Figure 14) is below",

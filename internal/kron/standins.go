@@ -11,8 +11,7 @@ import (
 // files are not available offline; each stand-in matches the structural
 // family of its original (sparse random peer network, local co-purchase
 // lattice, heavy-tailed social graph, community-structured web graph) so
-// the Section 6.3 correctness experiments exercise the same shapes. See
-// DESIGN.md §3 for the substitution rationale.
+// the Section 6.3 correctness experiments exercise the same shapes.
 
 // dedupAppend adds e to edges if it is simple and unseen.
 func dedupAppend(edges []stream.Edge, seen map[stream.Edge]struct{}, u, v uint32) []stream.Edge {
