@@ -77,7 +77,7 @@ func benchStream() kron.Result { return experiments.KronStream(benchScale, 1) }
 
 func BenchmarkFig13IngestGraphZeppelin(b *testing.B) {
 	res := benchStream()
-	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2))
+	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithShards(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func BenchmarkFig12OutOfCoreIngest(b *testing.B) {
 			res := benchStream()
 			g, err := graphzeppelin.New(res.NumNodes,
 				graphzeppelin.WithSeed(1),
-				graphzeppelin.WithWorkers(2),
+				graphzeppelin.WithShards(2),
 				graphzeppelin.WithSketchesOnDisk(b.TempDir()),
 				graphzeppelin.WithBuffering(buffering.kind),
 			)
@@ -184,7 +184,7 @@ func BenchmarkFig14Workers(b *testing.B) {
 	res := benchStream()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(w))
+			g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithShards(w))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -207,7 +207,7 @@ func BenchmarkFig15BufferFactor(b *testing.B) {
 		b.Run(fmt.Sprintf("f=%g", f), func(b *testing.B) {
 			g, err := graphzeppelin.New(res.NumNodes,
 				graphzeppelin.WithSeed(1),
-				graphzeppelin.WithWorkers(2),
+				graphzeppelin.WithShards(2),
 				graphzeppelin.WithBufferFactor(f),
 			)
 			if err != nil {
@@ -228,7 +228,7 @@ func BenchmarkFig15BufferFactor(b *testing.B) {
 
 func BenchmarkFig16QueryGraphZeppelin(b *testing.B) {
 	res := benchStream()
-	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2))
+	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithShards(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func BenchmarkFig16QueryTerraceLike(b *testing.B) {
 // the repository benchmark's core.query.cached_ns times the same path.
 func BenchmarkConnectedCached(b *testing.B) {
 	res := benchStream()
-	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2))
+	g, err := graphzeppelin.New(res.NumNodes, graphzeppelin.WithSeed(1), graphzeppelin.WithShards(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func BenchmarkSpanningForest(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			res := benchStream()
 			opts := append([]graphzeppelin.Option{
-				graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2),
+				graphzeppelin.WithSeed(1), graphzeppelin.WithShards(2),
 			}, mode.opts(b)...)
 			g, err := graphzeppelin.New(res.NumNodes, opts...)
 			if err != nil {
@@ -421,7 +421,7 @@ type afterDeltaMode struct {
 func benchAfterDelta(b *testing.B, res kron.Result, mode afterDeltaMode) {
 	n := res.NumNodes
 	updates, attach, detach := reservedTrickle(res, 4)
-	opts := []graphzeppelin.Option{graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2)}
+	opts := []graphzeppelin.Option{graphzeppelin.WithSeed(1), graphzeppelin.WithShards(2)}
 	if mode.frac < 0 {
 		opts = append(opts, graphzeppelin.WithDeltaQueries(false))
 	}
@@ -558,7 +558,7 @@ func benchAfterDelta(b *testing.B, res kron.Result, mode afterDeltaMode) {
 func BenchmarkServeCycle(b *testing.B) {
 	const slices = 100
 	updates, attach, detach := reservedTrickle(experiments.KronStream(11, 1), 4)
-	g, err := graphzeppelin.New(1<<11, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(1))
+	g, err := graphzeppelin.New(1<<11, graphzeppelin.WithSeed(1), graphzeppelin.WithShards(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -680,7 +680,7 @@ func BenchmarkIngestDiskCached(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			opts := append([]graphzeppelin.Option{
 				graphzeppelin.WithSeed(1),
-				graphzeppelin.WithWorkers(2),
+				graphzeppelin.WithShards(2),
 				graphzeppelin.WithSketchesOnDisk(b.TempDir()),
 			}, mode.opts...)
 			g, err := graphzeppelin.New(res.NumNodes, opts...)
@@ -737,7 +737,7 @@ func BenchmarkDiskColdQuery(b *testing.B) {
 	}
 	store := probe.Stats().DiskBytes
 	probe.Close()
-	g, err := graphzeppelin.New(n, graphzeppelin.WithSeed(1), graphzeppelin.WithWorkers(2),
+	g, err := graphzeppelin.New(n, graphzeppelin.WithSeed(1), graphzeppelin.WithShards(2),
 		graphzeppelin.WithSketchesOnDisk(b.TempDir()), graphzeppelin.WithCacheBytes(store/8), graphzeppelin.WithNodesPerGroup(4))
 	if err != nil {
 		b.Fatal(err)

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	gzrun -stream kron12.gzs -workers 4
+//	gzrun -stream kron12.gzs -shards 4
 //	gzrun -stream kron12.gzs -producers 4 -shards 4
 //	gzrun -stream kron12.gzs -structure bipartite
 //	gzrun -stream kron12.gzs -disk /mnt/ssd -buffering tree
@@ -48,17 +48,18 @@ import (
 	"time"
 
 	"graphzeppelin"
+	"graphzeppelin/internal/core"
 	"graphzeppelin/internal/stream"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gzrun: ")
+	var ecfg core.Config
+	ecfg.RegisterFlags(flag.CommandLine)
 	var (
 		path       = flag.String("stream", "", "GZS1 stream file (required)")
 		structure  = flag.String("structure", "graph", "structure: graph, bipartite, kforests, msf")
-		workers    = flag.Int("workers", 1, "graph workers")
-		shards     = flag.Int("shards", 0, "ingest shards (0 = one per worker)")
 		producers  = flag.Int("producers", 1, "concurrent producer goroutines")
 		batch      = flag.Int("batch", 4096, "updates per ApplyBatch call (1 = per-update Apply)")
 		buffering  = flag.String("buffering", "leaf", "buffering: leaf, tree, none")
@@ -66,18 +67,13 @@ func main() {
 		disk       = flag.String("disk", "", "directory for on-disk sketches (empty = RAM)")
 		cacheB     = flag.Int64("cachebytes", 0, "disk-mode write-back cache budget in bytes (0 = 32 MiB default)")
 		npg        = flag.Int("nodespergroup", 0, "disk-mode node-group slot size in sketches (0 = sized to the device block)")
-		seed       = flag.Uint64("seed", 1, "sketch seed")
 		queries    = flag.Int("queries", 1, "evenly spaced connectivity queries (graph, single producer)")
 		pointQ     = flag.Int("pointqueries", 0, "random point-query pairs served after ingestion via ConnectedMany (graph)")
 		k          = flag.Int("k", 2, "layers for -structure kforests")
 		maxWeight  = flag.Int("maxweight", 4, "max edge weight for -structure msf")
 		ckptPath   = flag.String("checkpoint", "", "write a checkpoint of the final sketch state to this file")
 		restore    = flag.String("restore", "", "restore the graph before ingesting (graph only): one checkpoint file, or a comma-separated chain \"base.gze,delta1.gzd,...\" applied in order")
-		deltaThr   = flag.Float64("deltathreshold", 0, "dirty-node fraction above which a delta checkpoint seal falls back to full (0 = 0.20 default, negative disables delta checkpoints)")
 		walDir     = flag.String("wal", "", "write-ahead log directory: log every accepted batch before it enters the pipeline (graph only)")
-		fsync      = flag.String("fsync", "batch", "WAL fsync policy: batch, interval, off")
-		fsyncEvery = flag.Duration("fsyncinterval", 0, "WAL sync period for -fsync interval (0 = 50ms default)")
-		walSegB    = flag.Int64("walsegbytes", 0, "WAL segment rotation threshold in bytes (0 = 8 MiB default)")
 		mergeList  = flag.String("merge", "", "comma-separated checkpoint files merged in after ingestion, before the query")
 		noDelta    = flag.Bool("nodeltaquery", false, "disable incremental query maintenance (every cache miss runs a from-scratch Boruvka)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -141,18 +137,13 @@ func main() {
 	fmt.Printf("stream: %d nodes, %d updates\n", hdr.NumNodes, hdr.Count)
 
 	opts := []graphzeppelin.Option{
-		graphzeppelin.WithSeed(*seed),
-		graphzeppelin.WithWorkers(*workers),
+		graphzeppelin.WithSeed(ecfg.Seed),
+		graphzeppelin.WithShards(ecfg.Shards),
 		graphzeppelin.WithBufferFactor(*factor),
-	}
-	if *shards > 0 {
-		opts = append(opts, graphzeppelin.WithShards(*shards))
+		graphzeppelin.WithDeltaCheckpointThreshold(ecfg.DeltaCheckpointThreshold),
 	}
 	if *noDelta {
 		opts = append(opts, graphzeppelin.WithDeltaQueries(false))
-	}
-	if *deltaThr != 0 {
-		opts = append(opts, graphzeppelin.WithDeltaCheckpointThreshold(*deltaThr))
 	}
 	switch *buffering {
 	case "leaf":
@@ -173,17 +164,10 @@ func main() {
 		opts = append(opts, graphzeppelin.WithNodesPerGroup(*npg))
 	}
 	if *walDir != "" {
-		policy, err := graphzeppelin.ParseFsyncPolicy(*fsync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts = append(opts, graphzeppelin.WithWAL(*walDir), graphzeppelin.WithFsyncPolicy(policy))
-		if *fsyncEvery > 0 {
-			opts = append(opts, graphzeppelin.WithFsyncInterval(*fsyncEvery))
-		}
-		if *walSegB > 0 {
-			opts = append(opts, graphzeppelin.WithWALSegmentBytes(*walSegB))
-		}
+		opts = append(opts, graphzeppelin.WithWAL(*walDir),
+			graphzeppelin.WithFsyncPolicy(ecfg.WALFsync),
+			graphzeppelin.WithFsyncInterval(ecfg.WALFsyncInterval),
+			graphzeppelin.WithWALSegmentBytes(ecfg.WALSegmentBytes))
 	}
 
 	// Build the selected structure; all of them ingest through the one
@@ -319,7 +303,7 @@ func main() {
 	fmt.Printf(" in %.3fs\n", time.Since(qs).Seconds())
 
 	if *pointQ > 0 && graph != nil {
-		if err := servePointQueries(graph, *pointQ, *seed, hdr.NumNodes); err != nil {
+		if err := servePointQueries(graph, *pointQ, ecfg.Seed, hdr.NumNodes); err != nil {
 			log.Fatal(err)
 		}
 	}

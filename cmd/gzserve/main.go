@@ -24,10 +24,12 @@
 // With -state-dir a worker is durable: every acked ingest batch is in a
 // write-ahead log under the directory before the ack leaves (fsync
 // policy per -fsync), -checkpoint-interval bounds the log with periodic
-// local checkpoints, and a worker restarted after a crash — same
-// -state-dir — auto-recovers its engine and its ingest dedup gate
-// before serving, so coordinator retries of batches the dead process
-// acked are deduplicated instead of double-applied:
+// local checkpoints (sparse delta files while few nodes changed, up to 8
+// between fulls; -delta-threshold -1 makes every one full), and a worker
+// restarted after a crash — same -state-dir — auto-recovers its engine
+// and its ingest dedup gate before serving, so coordinator retries of
+// batches the dead process acked are deduplicated instead of
+// double-applied:
 //
 //	gzserve -mode worker -listen 127.0.0.1:7001 -nodes 1024 -seed 7 \
 //	        -worker-index 0 -worker-count 2 -state-dir /var/lib/gz/w0 -checkpoint-interval 30s
@@ -55,7 +57,6 @@ import (
 
 	"graphzeppelin/internal/core"
 	"graphzeppelin/internal/gzserve"
-	"graphzeppelin/internal/wal"
 )
 
 func main() {
@@ -65,24 +66,21 @@ func main() {
 }
 
 func run() int {
+	// -seed, -shards, -fsync, -fsync-interval, -wal-segment-bytes and
+	// -delta-threshold write the engine config directly; the WAL flags
+	// only take effect on a worker with -state-dir.
+	var ecfg core.Config
+	ecfg.RegisterFlags(flag.CommandLine)
 	var (
 		mode      = flag.String("mode", "", "role: worker or coordinator (required)")
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address (port 0 picks a free port)")
 		addrFile  = flag.String("addr-file", "", "write the actual listen address to this file once serving (for launchers using port 0)")
 		nodes     = flag.Uint("nodes", 0, "node-universe size (required; must match across the cluster)")
-		seed      = flag.Uint64("seed", 1, "sketch seed (must match across the cluster)")
-		shards    = flag.Int("shards", 0, "engine ingest shards in this process (default: engine default)")
 		workerIdx = flag.Int("worker-index", -1, "worker: this worker's partition index; with -worker-count it sets the node range the worker sketches (required in a multi-worker cluster; without them the worker owns the whole universe)")
 		workerCnt = flag.Int("worker-count", 0, "worker: total workers in the cluster (with -worker-index)")
 		finalCkpt = flag.String("final-checkpoint", "", "worker: write a full checkpoint here on graceful shutdown")
 		stateDir  = flag.String("state-dir", "", "worker: durable state directory (checkpoint + write-ahead log); every acked batch survives a crash and the worker auto-recovers from it on startup")
-		fsync     = flag.String("fsync", "batch", "worker: WAL fsync policy with -state-dir: batch, interval, off")
-		fsyncIntv = flag.Duration("fsync-interval", 0, "worker: WAL sync period for -fsync interval (0 = 50ms default)")
-		walSegB   = flag.Int64("wal-segment-bytes", 0, "worker: WAL segment rotation threshold (0 = 8 MiB default)")
 		ckptIntv  = flag.Duration("checkpoint-interval", 0, "worker: periodic local checkpoint period with -state-dir (0 = only on shutdown); full checkpoints truncate the covered WAL prefix")
-		deltaCkpt = flag.Bool("delta-checkpoints", true, "worker: allow sparse delta checkpoints (local chain files and /v1/checkpoint?since= responses); false seals every checkpoint full")
-		deltaThr  = flag.Float64("delta-threshold", 0, "worker: dirty-node fraction above which a seal falls back to a full checkpoint (0 = 0.20 default)")
-		deltaChn  = flag.Int("delta-chain", 0, "worker: max delta checkpoint files between fulls in -state-dir (0 = 8 default)")
 		workers   = flag.String("workers", "", "coordinator: comma-separated worker base URLs, in partition order (required)")
 		batch     = flag.Int("batch", 4096, "coordinator: per-worker dispatch threshold in updates")
 		window    = flag.Int("window", 4, "coordinator: max in-flight sends per worker")
@@ -125,33 +123,10 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ecfg := core.Config{NumNodes: uint32(*nodes), Seed: *seed, Shards: *shards}
-	ecfg.DeltaCheckpointThreshold = *deltaThr
-	if !*deltaCkpt {
-		ecfg.DeltaCheckpointThreshold = -1
-	}
+	ecfg.NumNodes = uint32(*nodes)
 	switch *mode {
 	case "worker":
-		var dur gzserve.Durability
-		if *stateDir != "" {
-			policy, err := wal.ParseFsyncPolicy(*fsync)
-			if err != nil {
-				log.Printf("worker: %v", err)
-				return 2
-			}
-			dur = gzserve.Durability{
-				StateDir:           *stateDir,
-				Fsync:              policy,
-				FsyncInterval:      *fsyncIntv,
-				SegmentBytes:       *walSegB,
-				CheckpointInterval: *ckptIntv,
-				DeltaThreshold:     ecfg.DeltaCheckpointThreshold,
-				MaxDeltaChain:      *deltaChn,
-			}
-			if !*deltaCkpt {
-				dur.MaxDeltaChain = -1
-			}
-		}
+		dur := gzserve.Durability{StateDir: *stateDir, CheckpointInterval: *ckptIntv}
 		return runWorker(ctx, ln, ecfg, *workerIdx, *workerCnt, *finalCkpt, dur)
 	default:
 		return runCoordinator(ctx, ln, ecfg, *workers, *batch, *window, *attempts, *mergeIntv, *noDeltaRf)
@@ -200,7 +175,7 @@ func runWorker(ctx context.Context, ln net.Listener, ecfg core.Config, idx, cnt 
 		wk, rec, err = gzserve.NewDurableWorker(ecfg, rangeLo, rangeHi, dur)
 		if err == nil {
 			log.Printf("worker: durable state in %s (fsync=%s); recovered %d batches / %d updates from the WAL%s",
-				dur.StateDir, dur.Fsync, rec.Records, rec.Updates,
+				dur.StateDir, ecfg.WALFsync, rec.Records, rec.Updates,
 				map[bool]string{true: " (torn tail truncated)", false: ""}[rec.Torn])
 		}
 	} else {

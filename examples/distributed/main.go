@@ -61,9 +61,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dur := gzserve.Durability{StateDir: stateDir, Fsync: wal.FsyncBatch}
+	dur := gzserve.Durability{StateDir: stateDir}
 	lo0, hi0 := part.Range(0)
-	w0, _, err := gzserve.NewDurableWorker(core.Config{NumNodes: res.NumNodes, Seed: seed}, lo0, hi0, dur)
+	w0cfg := core.Config{NumNodes: res.NumNodes, Seed: seed, WALFsync: wal.FsyncBatch}
+	w0, _, err := gzserve.NewDurableWorker(w0cfg, lo0, hi0, dur)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func main() {
 	// recovered dedup gate drops retries of batches the dead process had
 	// already logged, so nothing is double-applied.
 	w0ln = relisten(w0addr)
-	w0, rec, err := gzserve.NewDurableWorker(core.Config{NumNodes: res.NumNodes, Seed: seed}, lo0, hi0, dur)
+	w0, rec, err := gzserve.NewDurableWorker(w0cfg, lo0, hi0, dur)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 		graphzeppelin.WithSketchesOnDisk(dir),
 		graphzeppelin.WithBuffering(graphzeppelin.GutterTree),
 		graphzeppelin.WithDir(dir),
-		graphzeppelin.WithWorkers(2),
+		graphzeppelin.WithShards(2),
 		// The tiered-store knobs: an 8 MiB write-back cache of decoded
 		// node groups, 16 node sketches per group slot. Both default
 		// sensibly (32 MiB, block-sized groups); they are pinned here so

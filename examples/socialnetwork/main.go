@@ -21,7 +21,7 @@ const (
 func main() {
 	g, err := graphzeppelin.New(numUsers,
 		graphzeppelin.WithSeed(2022),
-		graphzeppelin.WithWorkers(2),
+		graphzeppelin.WithShards(2),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -26,7 +26,7 @@ func TestCheckpointSaveLoadFile(t *testing.T) {
 	if err := g.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := graphzeppelin.OpenCheckpoint(path, graphzeppelin.WithWorkers(2))
+	back, err := graphzeppelin.OpenCheckpoint(path, graphzeppelin.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +643,7 @@ func TestExtensionCheckpointSingleCutAcrossLayers(t *testing.T) {
 // batch apart.
 func TestBipartiteQueryIsOneCutUnderProducers(t *testing.T) {
 	const n, producers, batches = 64, 4, 50
-	bt, err := graphzeppelin.NewBipartiteTester(n, graphzeppelin.WithSeed(71), graphzeppelin.WithWorkers(2))
+	bt, err := graphzeppelin.NewBipartiteTester(n, graphzeppelin.WithSeed(71), graphzeppelin.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,8 @@
 // shard's Graph Worker goroutine, and buffered batches reach the workers
 // through per-shard lock-free queues whose pushes are serialized by a
 // per-shard mutex taken once per batch. The leaf gutters are lock-striped
-// so concurrent producers rarely contend. WithShards (default
-// WithWorkers) sets the apply-side parallelism.
+// so concurrent producers rarely contend. WithShards (default 1) sets the
+// apply-side parallelism: one Graph Worker per shard.
 //
 // Out-of-core mode (WithSketchesOnDisk) is tiered: node sketches live in
 // block-sized group slots on the device, batches apply to decoded groups
@@ -43,8 +43,8 @@
 // quiet graph); after a small delta, the next query re-solves only the
 // components whose nodes' sketches changed — tracked by per-node change
 // stamps on the apply path — and carries the rest of the cached
-// forest over (WithDeltaQueries, on by default; WithDeltaQueryThreshold
-// bounds the dirty fraction before it falls back to a from-scratch run).
+// forest over (WithDeltaQueries, on by default; above 10% dirty nodes the
+// query falls back to a from-scratch run).
 // A from-scratch query runs the Boruvka emulation, materializing each
 // round's supernode sketches on demand, with candidate sampling fanned
 // across the shard worker pool, and — out of core — one sequential scan
@@ -137,20 +137,12 @@ func WithSeed(seed uint64) Option {
 	return func(c *core.Config) { c.Seed = seed }
 }
 
-// WithWorkers sets the number of Graph Worker goroutines applying batched
-// sketch updates (default 1). The engine runs one worker per ingest
-// shard, so this is shorthand for WithShards(n); an explicit WithShards
-// wins.
-func WithWorkers(n int) Option {
-	return func(c *core.Config) { c.Workers = n }
-}
-
-// WithShards sets the number of ingest shards (default the WithWorkers
-// value). Nodes are partitioned by node % shards (out of core, whole node
-// groups by group % shards) and each shard's nodes are owned by one Graph
-// Worker for the Graph's whole life, so shards bound both the ingest
-// parallelism and the per-shard arena size. Values above the node count
-// are clamped.
+// WithShards sets the number of ingest shards (default 1), each applied by
+// its own Graph Worker goroutine. Nodes are partitioned by node % shards
+// (out of core, whole node groups by group % shards) and each shard's
+// nodes are owned by one Graph Worker for the Graph's whole life, so
+// shards bound both the ingest parallelism and the per-shard arena size.
+// Values above the node count are clamped.
 func WithShards(n int) Option {
 	return func(c *core.Config) { c.Shards = n }
 }
@@ -158,13 +150,6 @@ func WithShards(n int) Option {
 // WithBuffering selects the buffering structure (default LeafGutters).
 func WithBuffering(k Buffering) Option {
 	return func(c *core.Config) { c.Buffering = k }
-}
-
-// WithGutterStripes sets the number of lock stripes partitioning the leaf
-// gutters across concurrent producers (default max(shards, GOMAXPROCS)).
-// Purely a contention knob — correctness never depends on it.
-func WithGutterStripes(n int) Option {
-	return func(c *core.Config) { c.GutterStripes = n }
 }
 
 // WithBufferFactor sets the paper's gutter-size factor f: each leaf gutter
@@ -217,22 +202,16 @@ func WithNodesPerGroup(n int) Option {
 // untouched components' forest edges carry over wholesale, and only the
 // components containing dirty nodes are re-solved from sketches — so a
 // query after a small delta costs sketch work proportional to the
-// affected components, not the graph. When the dirty fraction exceeds
-// WithDeltaQueryThreshold (or after a checkpoint merge, which can change
-// any sketch), the query falls back to the from-scratch Boruvka run; the
-// answer contract is identical either way (see Stats.DeltaQueries,
-// Stats.DeltaFallbacks, Stats.DirtyNodes). Disabling restores the
-// pre-incremental all-or-nothing cache, kept for ablation.
+// affected components, not the graph. When more than 10% of the nodes
+// are dirty (or after a checkpoint merge, which can change any sketch) —
+// where re-solving most of the graph through the delta path would cost
+// more than the from-scratch run it shadows — the query falls back to
+// the from-scratch Boruvka run; the answer contract is identical either
+// way (see Stats.DeltaQueries, Stats.DeltaFallbacks, Stats.DirtyNodes).
+// Disabling restores the pre-incremental all-or-nothing cache, kept for
+// ablation.
 func WithDeltaQueries(enabled bool) Option {
 	return func(c *core.Config) { c.NoDeltaQuery = !enabled }
-}
-
-// WithDeltaQueryThreshold sets the incremental query's fallback
-// threshold: a delta query runs only while at most frac of all nodes are
-// dirty (default 0.10). Above it, re-solving most of the graph through
-// the delta path would cost more than the from-scratch run it shadows.
-func WithDeltaQueryThreshold(frac float64) Option {
-	return func(c *core.Config) { c.DeltaQueryMaxDirtyFrac = frac }
 }
 
 // WithDeltaCheckpointThreshold sets the delta checkpoint fallback

@@ -99,7 +99,7 @@ func TestNegativeCacheBytesRejectedOnDisk(t *testing.T) {
 
 func TestSpanningForestIsAcyclicAndSpanning(t *testing.T) {
 	const n = 128
-	g, err := graphzeppelin.New(n, graphzeppelin.WithSeed(4), graphzeppelin.WithWorkers(2))
+	g, err := graphzeppelin.New(n, graphzeppelin.WithSeed(4), graphzeppelin.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestOptionsArePlumbedThrough(t *testing.T) {
 	dir := t.TempDir()
 	g, err := graphzeppelin.New(32,
 		graphzeppelin.WithSeed(7),
-		graphzeppelin.WithWorkers(3),
+		graphzeppelin.WithShards(3),
 		graphzeppelin.WithBuffering(graphzeppelin.GutterTree),
 		graphzeppelin.WithGutterTreeConfig(4, 256, 64),
 		graphzeppelin.WithSketchesOnDisk(dir),

@@ -51,7 +51,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 			// Restore into the opposite placement to prove the format is
 			// placement-independent.
-			back, err := ReadCheckpoint(&buf, Config{SketchesOnDisk: !disk, Workers: 2})
+			back, err := ReadCheckpoint(&buf, Config{SketchesOnDisk: !disk, Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,9 +7,9 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"time"
 
 	"graphzeppelin/internal/cubesketch"
@@ -67,14 +67,11 @@ type Config struct {
 	// Seed drives all sketch hashing. Engines with equal NumNodes,
 	// Columns, Rounds and Seed have mergeable sketches.
 	Seed uint64
-	// Workers seeds the default shard count (default 1). The engine runs
-	// one Graph Worker goroutine per shard, so with Shards unset this is
-	// the number of Graph Workers, as in the seed design.
-	Workers int
-	// Shards is the number of ingest shards (default Workers, clamped to
-	// NumNodes). Node groups are partitioned by group % Shards, a group
-	// being NodesPerGroup consecutive nodes out of core and one node in RAM
-	// (so node % Shards there). Each group is owned by one Graph Worker for
+	// Shards is the number of ingest shards, each applied by its own Graph
+	// Worker goroutine (default 1, clamped to NumNodes). Node groups are
+	// partitioned by group % Shards, a group being NodesPerGroup
+	// consecutive nodes out of core and one node in RAM (so node % Shards
+	// there). Each group is owned by one Graph Worker for
 	// the engine's whole life, which is what lets the ingest path run
 	// without any per-node locking.
 	Shards int
@@ -88,10 +85,6 @@ type Config struct {
 	// BufferFactor is the paper's f: each leaf gutter holds
 	// f × (node-sketch bytes) of buffered updates (default 0.5, §5.1).
 	BufferFactor float64
-	// GutterStripes is the number of lock stripes partitioning the leaf
-	// gutters for concurrent producers (default max(Shards, GOMAXPROCS)).
-	// Purely a contention knob: correctness does not depend on it.
-	GutterStripes int
 	// SketchesOnDisk stores node sketches on a block device instead of
 	// RAM (the out-of-core mode of §4.1).
 	SketchesOnDisk bool
@@ -121,12 +114,6 @@ type Config struct {
 	Tree gutter.TreeConfig
 	// BlockSize is the device block size in bytes (default 16 KiB).
 	BlockSize int
-	// QueueCapacity bounds the total work queued between the buffering
-	// stage and the Graph Workers, in batches, spread evenly across the
-	// per-shard queues (default 8 × Shards, §5.1's 8 × Workers). Each
-	// shard keeps a floor of one slot, so values below Shards are
-	// effectively raised to Shards.
-	QueueCapacity int
 	// NoDeltaQuery disables incremental query maintenance. By default a
 	// full query whose previous result is still cached reuses that forest:
 	// only the components containing nodes whose sketches changed since
@@ -135,11 +122,6 @@ type Config struct {
 	// over. With it set, every cache miss runs the from-scratch parallel
 	// Boruvka, the pre-incremental behavior (kept for ablation).
 	NoDeltaQuery bool
-	// DeltaQueryMaxDirtyFrac is the incremental query's fallback
-	// threshold: when more than this fraction of nodes is dirty, the delta
-	// path would re-solve most of the graph anyway while paying its extra
-	// bookkeeping, so the query runs from scratch instead (default 0.10).
-	DeltaQueryMaxDirtyFrac float64
 	// DeltaCheckpointThreshold is the delta checkpoint fallback threshold:
 	// SealCheckpointSince cuts a sparse delta checkpoint only while the
 	// fraction of nodes changed since the base seal is at or below it —
@@ -149,12 +131,6 @@ type Config struct {
 	// the 0.20 default; negative disables delta checkpoints entirely
 	// (every seal is full, kept for ablation).
 	DeltaCheckpointThreshold float64
-	// QueryScanBytes is the target size of one sequential ReadRange the
-	// disk-mode query scan issues (default 1 MiB): each Boruvka round
-	// reads the still-live stretch of the sketch store in chunks of this
-	// many bytes instead of one point read per node (Lemma 5's sequential
-	// scan). Larger values mean fewer, bigger reads.
-	QueryScanBytes int
 	// DeviceFactory overrides block-device creation for the sketch store
 	// and gutter tree. Nil uses files under Dir (or in-memory devices when
 	// Dir is empty). Tests use it to inject faulty devices.
@@ -193,11 +169,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Range != (NodeRange{}) && (c.Range.Lo >= c.Range.Hi || c.Range.Hi > c.NumNodes) {
 		return c, fmt.Errorf("core: Range [%d,%d) is not a nonempty range of %d nodes", c.Range.Lo, c.Range.Hi, c.NumNodes)
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 	if c.Shards <= 0 {
-		c.Shards = c.Workers
+		c.Shards = 1
 	}
 	if _, n := c.owned(); uint32(c.Shards) > n {
 		c.Shards = int(n)
@@ -211,26 +184,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BufferFactor <= 0 {
 		c.BufferFactor = 0.5
 	}
-	if c.GutterStripes <= 0 {
-		c.GutterStripes = c.Shards
-		if p := runtime.GOMAXPROCS(0); p > c.GutterStripes {
-			c.GutterStripes = p
-		}
-	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = iomodel.DefaultBlockSize
-	}
-	if c.QueueCapacity <= 0 {
-		c.QueueCapacity = 8 * c.Shards
-	}
-	if c.QueryScanBytes <= 0 {
-		c.QueryScanBytes = 1 << 20
-	}
-	if c.DeltaQueryMaxDirtyFrac <= 0 {
-		c.DeltaQueryMaxDirtyFrac = 0.10
-	}
-	if c.DeltaQueryMaxDirtyFrac > 1 {
-		c.DeltaQueryMaxDirtyFrac = 1
 	}
 	if c.DeltaCheckpointThreshold == 0 {
 		c.DeltaCheckpointThreshold = 0.20
@@ -249,6 +204,19 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
+// RegisterFlags defines the engine flags the command-line tools share on
+// fs, each writing straight into its Config field: -seed (default 1),
+// -shards, -fsync, -fsync-interval, -wal-segment-bytes and
+// -delta-threshold. Zero values keep the engine defaults.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.Uint64Var(&c.Seed, "seed", 1, "sketch seed (must match across engines whose sketches are merged)")
+	fs.IntVar(&c.Shards, "shards", 0, "ingest shards, one Graph Worker each (0 = 1)")
+	fs.Var(&c.WALFsync, "fsync", "WAL fsync policy: batch (the default), interval, off")
+	fs.DurationVar(&c.WALFsyncInterval, "fsync-interval", 0, "WAL sync period for -fsync interval (0 = 50ms default)")
+	fs.Int64Var(&c.WALSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 8 MiB default)")
+	fs.Float64Var(&c.DeltaCheckpointThreshold, "delta-threshold", 0, "dirty-node fraction above which a delta checkpoint seal falls back to full (0 = 0.20 default, negative disables delta checkpoints)")
+}
+
 // NodeRange is a half-open node-id range [Lo, Hi).
 type NodeRange struct{ Lo, Hi uint32 }
 
@@ -263,6 +231,25 @@ func (c Config) owned() (lo, n uint32) {
 // DefaultCacheBytes is the write-back cache budget used when
 // Config.CacheBytes is zero in disk mode.
 const DefaultCacheBytes = 32 << 20
+
+// Engine constants: values the engine fixes rather than exposes, since
+// no caller ever needed a second one.
+const (
+	// queueSlotsPerShard bounds each shard's SPSC queue between the
+	// buffering stage and its Graph Worker, in batches: §5.1's work queue
+	// of 8 × workers, split evenly across the shards.
+	queueSlotsPerShard = 8
+	// deltaQueryMaxDirtyFrac is the incremental query's fallback
+	// threshold: when more than this fraction of nodes is dirty, the delta
+	// path would re-solve most of the graph anyway while paying its extra
+	// bookkeeping, so the query runs from scratch instead.
+	deltaQueryMaxDirtyFrac = 0.10
+	// queryScanBytes is the target size of one sequential ReadRange the
+	// disk-mode query scan issues: each Boruvka round reads the still-live
+	// stretch of the sketch store in chunks of this many bytes instead of
+	// one point read per node (Lemma 5's sequential scan).
+	queryScanBytes = 1 << 20
+)
 
 // DefaultRounds returns the node-sketch depth for a graph on numNodes
 // nodes: ⌈log2 numNodes⌉ + 2 Boruvka rounds, enough that the forest is

@@ -43,7 +43,7 @@ func TestDeltaCheckpointRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			const numNodes = 128
-			cfg := Config{NumNodes: numNodes, Seed: 11, Workers: 2, SketchesOnDisk: disk}
+			cfg := Config{NumNodes: numNodes, Seed: 11, Shards: 2, SketchesOnDisk: disk}
 			src, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -389,7 +389,7 @@ func TestRecoverChainKillPoints(t *testing.T) {
 				cfg := Config{
 					NumNodes:   numNodes,
 					Seed:       42,
-					Workers:    2,
+					Shards:     2,
 					WAL:        true,
 					WALStorage: st,
 					// The batches dirty most of the universe between seals;

@@ -115,7 +115,7 @@ func TestDeltaQueryEquivalenceSkewed(t *testing.T) {
 	t.Parallel()
 	const n = 128
 	eng, err := NewEngine(Config{
-		NumNodes: n, Seed: 11, Shards: 4, Workers: 4,
+		NumNodes: n, Seed: 11, Shards: 4,
 		Buffering: BufferNone, // apply immediately so every step's query sees its toggles
 	})
 	if err != nil {
@@ -134,7 +134,7 @@ func TestDeltaQueryEquivalenceDisk(t *testing.T) {
 	t.Parallel()
 	const n = 128
 	eng, err := NewEngine(Config{
-		NumNodes: n, Seed: 23, Shards: 2, Workers: 2,
+		NumNodes: n, Seed: 23, Shards: 2,
 		SketchesOnDisk: true, Buffering: BufferNone,
 	})
 	if err != nil {
@@ -157,7 +157,7 @@ func TestDeltaQueryEquivalenceDisk(t *testing.T) {
 func TestDeltaQueryEquivalenceCheckpoint(t *testing.T) {
 	t.Parallel()
 	const n = 128
-	cfg := Config{NumNodes: n, Seed: 31, Shards: 2, Workers: 2, Buffering: BufferNone}
+	cfg := Config{NumNodes: n, Seed: 31, Shards: 2, Buffering: BufferNone}
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestDeltaQueryEquivalenceWAL(t *testing.T) {
 	const n = 128
 	st := wal.NewMemStorage(64)
 	cfg := Config{
-		NumNodes: n, Seed: 41, Shards: 2, Workers: 2, Buffering: BufferNone,
+		NumNodes: n, Seed: 41, Shards: 2, Buffering: BufferNone,
 		WAL: true, WALStorage: st, WALSegmentBytes: 1 << 14,
 	}
 	eng, err := NewEngine(cfg)
@@ -240,7 +240,7 @@ func TestDeltaQueryEquivalenceWAL(t *testing.T) {
 // (an edge toggle dirties both endpoints; re-toggling adds nothing).
 func TestDeltaStatsCounters(t *testing.T) {
 	const n = 64
-	eng, err := NewEngine(Config{NumNodes: n, Seed: 5, Shards: 2, Workers: 2, Buffering: BufferNone})
+	eng, err := NewEngine(Config{NumNodes: n, Seed: 5, Shards: 2, Buffering: BufferNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestDeltaStatsCounters(t *testing.T) {
 		t.Fatalf("DirtyNodes = %d after successful query, want 0", st.DirtyNodes)
 	}
 
-	// Dirty more than DeltaQueryMaxDirtyFrac of the nodes: fallback.
+	// Dirty more than deltaQueryMaxDirtyFrac of the nodes: fallback.
 	for u := uint32(0); u < n/2; u += 2 {
 		mustUpdate(t, eng, u, u+1)
 	}
@@ -300,7 +300,7 @@ func TestDeltaStatsCounters(t *testing.T) {
 // exactly the nodes whose sketches differ.
 func TestAdoptQueryBaseline(t *testing.T) {
 	const n = 64
-	cfg := Config{NumNodes: n, Seed: 9, Workers: 2, Buffering: BufferNone}
+	cfg := Config{NumNodes: n, Seed: 9, Shards: 2, Buffering: BufferNone}
 	old, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestAdoptQueryBaseline(t *testing.T) {
 	}
 
 	// A geometry mismatch is refused without touching state.
-	other, err := NewEngine(Config{NumNodes: n, Seed: 10, Workers: 1})
+	other, err := NewEngine(Config{NumNodes: n, Seed: 10, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

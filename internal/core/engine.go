@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -72,7 +73,7 @@ type Stats struct {
 	// components touched by dirty nodes re-solved from sketches.
 	// DeltaFallbacks counts queries that were delta-eligible (a cached
 	// baseline existed) but ran the from-scratch path instead — the dirty
-	// fraction exceeded DeltaQueryMaxDirtyFrac (a bulk load, or a
+	// fraction exceeded deltaQueryMaxDirtyFrac, 10 % (a bulk load, or a
 	// checkpoint merge carrying that many non-empty slots), or the delta
 	// rounds failed to certify (rare; the full run is the correctness
 	// backstop).
@@ -378,7 +379,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// One past the fallback threshold: while every first-dirtying below the
 	// limit captured an image, a refused capture implies the dirty count
 	// already exceeds the threshold and the next query falls back anyway.
-	e.beforeLimit = int(cfg.DeltaQueryMaxDirtyFrac*float64(e.n)) + 1
+	e.beforeLimit = int(deltaQueryMaxDirtyFrac*float64(e.n)) + 1
 	e.before = make(map[uint32][]byte)
 	e.emptySlot = make([]byte, e.slotSize)
 	e.newSlab(1).MarshalNode(0, e.emptySlot)
@@ -404,15 +405,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 
 	e.shards = make([]*shard, cfg.Shards)
-	// Floor division keeps the total queued-batch bound at or under the
-	// configured QueueCapacity; each shard needs at least one slot, so
-	// with QueueCapacity < Shards the floor of one slot per shard wins.
-	queueCap := cfg.QueueCapacity / cfg.Shards
-	if queueCap < 1 {
-		queueCap = 1
-	}
 	for s := range e.shards {
-		e.shards[s] = &shard{queue: gutter.NewSPSC(queueCap)}
+		e.shards[s] = &shard{queue: gutter.NewSPSC(queueSlotsPerShard)}
 	}
 
 	sink := func(b gutter.Batch) {
@@ -433,7 +427,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 		// Leaf ranges align to the disk tier's node groups, so one group
 		// flush is one burst of batches against one group slot.
-		e.leaf = gutter.NewLeafGutters(e.n, capUpdates, cfg.GutterStripes, e.npg, sink)
+		// One lock stripe per shard or per core, whichever is more, so
+		// concurrent producers rarely contend; correctness does not
+		// depend on the count.
+		stripes := max(cfg.Shards, runtime.GOMAXPROCS(0))
+		e.leaf = gutter.NewLeafGutters(e.n, capUpdates, stripes, e.npg, sink)
 		e.buf = e.leaf
 	case BufferTree:
 		e.treeDev, err = e.openDevice("guttertree.gz0")
@@ -613,36 +611,17 @@ func (e *Engine) buffer(edges []stream.Edge) error {
 // Update ingests one stream update. Because CubeSketch works over Z_2,
 // insertions and deletions are the same toggle; stream well-formedness
 // (no duplicate inserts, no deletes of absent edges) is the caller's
-// contract, checkable with stream.Validator. Safe for concurrent use by
-// any number of producers.
+// contract, checkable with stream.Validator. It takes UpdateBatch's path
+// as a batch of one. Safe for concurrent use by any number of producers.
 func (e *Engine) Update(up stream.Update) error {
 	eg, err := e.checkEdge(up.Edge)
 	if err != nil {
 		return err
 	}
-	if e.log != nil || e.ranged {
-		// The durable path funnels through ingestEdges so the WAL append
-		// happens exactly once, before buffering, like every batch path;
-		// so does a range engine, which buffers only its halves.
-		scratch := e.getEdgeScratch(1)
-		defer e.putEdgeScratch(scratch)
-		*scratch = append(*scratch, eg)
-		return e.ingestEdges(*scratch, 0)
-	}
-	e.quiesce.RLock()
-	defer e.quiesce.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if err := e.buf.InsertEdge(eg.U, eg.V); err != nil {
-		return err
-	}
-	// Count only after the buffer accepted the update, so errored updates
-	// never inflate the Updates stat. The epoch bump invalidates any
-	// cached query answer predating this update.
-	e.updates.Add(1)
-	e.epoch.Add(1)
-	return e.err()
+	scratch := e.getEdgeScratch(1)
+	defer e.putEdgeScratch(scratch)
+	*scratch = append(*scratch, eg)
+	return e.ingestEdges(*scratch, 0)
 }
 
 // UpdateBatch ingests a batch of stream updates in one pass: the whole

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
+	"time"
 
 	"graphzeppelin/internal/dsu"
 	"graphzeppelin/internal/stream"
+	"graphzeppelin/internal/wal"
 )
 
 // exactComponents computes the reference partition with a DSU over edges.
@@ -100,7 +104,7 @@ func TestEngineRandomGraphsMatchExact(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			t.Run(fmt.Sprintf("%s/%d", cfgName, trial), func(t *testing.T) {
 				n := uint32(64)
-				cfg := Config{NumNodes: n, Seed: uint64(trial) + 42, Workers: 2}
+				cfg := Config{NumNodes: n, Seed: uint64(trial) + 42, Shards: 2}
 				switch cfgName {
 				case "tree":
 					cfg.Buffering = BufferTree
@@ -156,4 +160,32 @@ func TestNegativeCacheBytesRefused(t *testing.T) {
 		t.Fatalf("RAM mode refused CacheBytes -1: %v", err)
 	}
 	e.Close()
+}
+
+// TestRegisterFlags pins the engine flag table both command-line tools
+// share: each flag lands on its Config field, and the defaults leave
+// every field at its engine default (zero) except the seed.
+func TestRegisterFlags(t *testing.T) {
+	var def Config
+	fs := flag.NewFlagSet("defaults", flag.ContinueOnError)
+	def.RegisterFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(def, Config{Seed: 1}) {
+		t.Fatalf("defaults parse to %+v, want only Seed 1", def)
+	}
+	var c Config
+	fs = flag.NewFlagSet("set", flag.ContinueOnError)
+	c.RegisterFlags(fs)
+	err := fs.Parse([]string{"-seed", "7", "-shards", "3", "-fsync", "interval", "-fsync-interval", "5ms",
+		"-wal-segment-bytes", "4096", "-delta-threshold", "-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{Seed: 7, Shards: 3, WALFsync: wal.FsyncInterval, WALFsyncInterval: 5 * time.Millisecond,
+		WALSegmentBytes: 4096, DeltaCheckpointThreshold: -1}
+	if !reflect.DeepEqual(c, want) {
+		t.Fatalf("flags parse to %+v, want %+v", c, want)
+	}
 }

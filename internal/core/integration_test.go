@@ -18,10 +18,10 @@ func TestKronStreamEndToEnd(t *testing.T) {
 	res := kron.ToStream(edges, 1<<scale, kron.StreamOptions{ChurnFraction: 0.1}, 22)
 
 	configs := map[string]Config{
-		"leaf-ram":  {Seed: 5, Workers: 2},
-		"tree-ram":  {Seed: 5, Workers: 2, Buffering: BufferTree},
-		"leaf-disk": {Seed: 5, Workers: 2, SketchesOnDisk: true},
-		"tree-disk": {Seed: 5, Workers: 2, Buffering: BufferTree, SketchesOnDisk: true},
+		"leaf-ram":  {Seed: 5, Shards: 2},
+		"tree-ram":  {Seed: 5, Shards: 2, Buffering: BufferTree},
+		"leaf-disk": {Seed: 5, Shards: 2, SketchesOnDisk: true},
+		"tree-disk": {Seed: 5, Shards: 2, Buffering: BufferTree, SketchesOnDisk: true},
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -137,7 +137,7 @@ func TestQueryFailedWithInsufficientRounds(t *testing.T) {
 }
 
 func TestCloseIsIdempotentAndStopsWorkers(t *testing.T) {
-	e, err := NewEngine(Config{NumNodes: 8, Seed: 9, Workers: 4})
+	e, err := NewEngine(Config{NumNodes: 8, Seed: 9, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCloseIsIdempotentAndStopsWorkers(t *testing.T) {
 // TestManySmallBatchesUnderContention hammers one node from many batches
 // with several workers to exercise the per-node locking.
 func TestManySmallBatchesUnderContention(t *testing.T) {
-	e, err := NewEngine(Config{NumNodes: 8, Seed: 10, Workers: 8, BufferFactor: 0.00001})
+	e, err := NewEngine(Config{NumNodes: 8, Seed: 10, Shards: 8, BufferFactor: 0.00001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestGutterTreeCustomConfig(t *testing.T) {
 	e, err := NewEngine(Config{
 		NumNodes:  64,
 		Seed:      11,
-		Workers:   2,
+		Shards:    2,
 		Buffering: BufferTree,
 		Tree:      gutter.TreeConfig{Fanout: 2, BufferRecords: 8, LeafRecords: 4},
 	})

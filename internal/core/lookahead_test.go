@@ -148,7 +148,7 @@ func TestLookaheadMatchesPerRound(t *testing.T) {
 }
 
 // TestLookaheadScanCount pins the device cost. With nothing resident in
-// the cache and the store inside one QueryScanBytes chunk a scan is one
+// the cache and the store inside one queryScanBytes chunk a scan is one
 // read, so the reads of
 // a query are its scans: as many as the k rule gives for the live counts a
 // RAM twin observes, exactly two for a connected dense graph (round 0, then

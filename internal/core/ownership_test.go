@@ -72,9 +72,9 @@ func TestGroupAppliedByOneWorker(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.NumNodes, cfg.Seed, cfg.Shards = numNodes, 0x9709, shards
-			// Unbuffered with tiny queues: every update is a batch, under
-			// constant backpressure.
-			cfg.Buffering, cfg.QueueCapacity = BufferNone, 2*shards
+			// Unbuffered: every update is a batch, through the fixed
+			// 8-slot per-shard queues.
+			cfg.Buffering = BufferNone
 			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)

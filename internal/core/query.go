@@ -54,7 +54,7 @@ import (
 //     outward from the removed edges, in lockstep, until one search is
 //     left, and the giant side of a detach is never enumerated
 //     (runDeltaBoruvka has the classes and the argument). Above
-//     DeltaQueryMaxDirtyFrac dirty nodes the query falls back to the
+//     deltaQueryMaxDirtyFrac dirty nodes the query falls back to the
 //     from-scratch run; either way the caller sees an identical contract.
 
 // ErrQueryFailed is returned when Boruvka emulation exhausts the per-node
@@ -153,7 +153,7 @@ func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
 				forest: prev.forest, rep: prev.rep, count: prev.count,
 			}, nil
 		}
-		if float64(len(q.dirty)) <= e.cfg.DeltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
+		if float64(len(q.dirty)) <= deltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
 			res, ok, err := e.runDeltaBoruvka(q, epoch, prev)
 			if err != nil {
 				return nil, err

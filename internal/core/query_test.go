@@ -157,7 +157,7 @@ func TestDiskQueryScanReadCount(t *testing.T) {
 	if reads == 0 {
 		t.Fatal("disk-mode query issued no reads at all")
 	}
-	// The whole store fits in one QueryScanBytes chunk and a connected
+	// The whole store fits in one queryScanBytes chunk and a connected
 	// path keeps a single live run, so a scan is exactly one sequential
 	// ReadRange, and a scan at round r with L live roots serves
 	// max(1, n/L) rounds: on a path, whose live count falls by about two

@@ -102,7 +102,7 @@ func TestRecoverCrashMidIngest(t *testing.T) {
 					cfg := Config{
 						NumNodes:        numNodes,
 						Seed:            42,
-						Workers:         2,
+						Shards:          2,
 						SketchesOnDisk:  disk,
 						WAL:             true,
 						WALStorage:      st,
@@ -386,7 +386,7 @@ func BenchmarkRecover(b *testing.B) {
 	cfg := Config{
 		NumNodes: numNodes,
 		Seed:     11,
-		Workers:  4,
+		Shards:   4,
 		WAL:      true,
 		WALDir:   filepath.Join(dir, "wal"),
 		WALFsync: wal.FsyncOff, // the benchmark measures replay, not fsync

@@ -27,7 +27,7 @@ type deviceStore struct {
 	cache *diskstore.Cache
 	npg   int
 	// chunk is the slots one sequential device access of a scan reads
-	// (QueryScanBytes, at least one slot and at most the store), and
+	// (queryScanBytes, at least one slot and at most the store), and
 	// scanBuf the query scan's buffer of that size.
 	chunk   int
 	scanBuf []byte
@@ -52,7 +52,7 @@ func newDeviceStore(e *Engine) (*deviceStore, error) {
 		npg = min(cfg.BlockSize/e.slotSize, 256)
 	}
 	npg = max(1, min(npg, int(e.n)))
-	s := &deviceStore{e: e, npg: npg, chunk: max(1, min(cfg.QueryScanBytes/e.slotSize, int(e.n)))}
+	s := &deviceStore{e: e, npg: npg, chunk: max(1, min(queryScanBytes/e.slotSize, int(e.n)))}
 	var err error
 	if s.dev, err = e.openDevice("sketches.gz0"); err != nil {
 		return nil, err

@@ -38,7 +38,7 @@ func Fig12(o Options) (*Table, error) {
 		defer os.RemoveAll(dir)
 
 		engTree, treeDur, err := runGZ(res, core.Config{
-			Seed: o.Seed, Workers: 2, Dir: dir,
+			Seed: o.Seed, Shards: 2, Dir: dir,
 			SketchesOnDisk: true, Buffering: core.BufferTree,
 		})
 		if err != nil {
@@ -54,7 +54,7 @@ func Fig12(o Options) (*Table, error) {
 		engTree.Close()
 
 		engLeaf, leafDur, err := runGZ(res, core.Config{
-			Seed: o.Seed, Workers: 2, Dir: dir,
+			Seed: o.Seed, Shards: 2, Dir: dir,
 			SketchesOnDisk: true, Buffering: core.BufferLeaf,
 		})
 		if err != nil {
@@ -62,7 +62,7 @@ func Fig12(o Options) (*Table, error) {
 		}
 		engLeaf.Close()
 
-		engRAM, ramDur, err := runGZ(res, core.Config{Seed: o.Seed, Workers: 2})
+		engRAM, ramDur, err := runGZ(res, core.Config{Seed: o.Seed, Shards: 2})
 		if err != nil {
 			return nil, err
 		}
@@ -109,13 +109,13 @@ func Fig15(o Options) (*Table, error) {
 		},
 	}
 	for _, f := range []float64{0.0001, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0} {
-		engRAM, ramDur, err := runGZ(res, core.Config{Seed: o.Seed, Workers: 2, BufferFactor: f})
+		engRAM, ramDur, err := runGZ(res, core.Config{Seed: o.Seed, Shards: 2, BufferFactor: f})
 		if err != nil {
 			return nil, err
 		}
 		engRAM.Close()
 		engDisk, diskDur, err := runGZ(res, core.Config{
-			Seed: o.Seed, Workers: 2, BufferFactor: f, SketchesOnDisk: true,
+			Seed: o.Seed, Shards: 2, BufferFactor: f, SketchesOnDisk: true,
 		})
 		if err != nil {
 			return nil, err
@@ -155,7 +155,7 @@ func Fig14(o Options) (*Table, error) {
 	}
 	var base time.Duration
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		eng, dur, err := runGZ(res, core.Config{Seed: o.Seed, Workers: w})
+		eng, dur, err := runGZ(res, core.Config{Seed: o.Seed, Shards: w})
 		if err != nil {
 			return nil, err
 		}

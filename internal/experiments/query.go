@@ -98,7 +98,7 @@ func Fig16(o Options) (*Table, error) {
 	// experiment so queries are not dominated by buffer flushing.
 	smallBuffers := func(onDisk bool) core.Config {
 		return core.Config{
-			Seed: o.Seed, Workers: 2,
+			Seed: o.Seed, Shards: 2,
 			BufferFactor:   0.002,
 			SketchesOnDisk: onDisk,
 		}

@@ -225,7 +225,7 @@ func Fig13(o Options) (*Table, error) {
 		n := len(res.Updates)
 		_, aspenDur := runAspen(res)
 		ter, terraceDur := runTerrace(res)
-		eng, gzDur, err := runGZ(res, core.Config{Seed: o.Seed, Workers: 2})
+		eng, gzDur, err := runGZ(res, core.Config{Seed: o.Seed, Shards: 2})
 		if err != nil {
 			return nil, err
 		}

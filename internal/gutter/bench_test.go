@@ -11,7 +11,7 @@ func BenchmarkLeafGuttersInsert(b *testing.B) {
 	g := NewLeafGutters(1024, 512, 1, 1, func(Batch) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.InsertEdge(uint32(i)&1023, uint32(i*7)&1023)
+		g.InsertEdges([]stream.Edge{{U: uint32(i) & 1023, V: uint32(i*7) & 1023}})
 	}
 }
 
@@ -44,7 +44,7 @@ func BenchmarkTreeInsert(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tree.InsertEdge(uint32(i)&1023, uint32(i*7)&1023); err != nil {
+		if err := tree.InsertEdges([]stream.Edge{{U: uint32(i) & 1023, V: uint32(i*7) & 1023}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // implementation was built with.
 //
 // All implementations are multi-producer safe: any number of goroutines
-// may call InsertEdge and InsertEdges concurrently (the engine's Ingestor
+// may call InsertEdges and InsertHalves concurrently (the engine's Ingestor
 // sessions flush into the buffer from arbitrary producer goroutines).
 // Flush may also run concurrently with inserts, though the usual caller —
 // the engine's quiescent drain — excludes producers first. Sink callbacks
@@ -22,14 +22,11 @@ import (
 // (disk-backed gutter tree, single-locked — the disk is the bottleneck
 // there anyway), and Unbuffered (no batching; the f→0 ablation).
 type Buffer interface {
-	// InsertEdge buffers the edge update (u, v) under both endpoints,
-	// emitting batches to the sink as gutters fill.
-	InsertEdge(u, v uint32) error
 	// InsertEdges buffers a batch of edge updates, each under both
-	// endpoints. Equivalent to calling InsertEdge per edge but amortizes
-	// internal locking across the batch — the fast path for Ingestor
-	// flushes and ApplyBatch callers. Edges must be normalized (U < V)
-	// and in-range; the engine validates before calling.
+	// endpoints, emitting batches to the sink as gutters fill. Internal
+	// locking is amortized across the batch; a single update is a batch
+	// of one. Edges must be normalized (U < V) and in-range; the engine
+	// validates before calling.
 	InsertEdges(edges []stream.Edge) error
 	// InsertHalves buffers each update (U, V) under U alone: the half of
 	// an edge update an engine owning only some nodes keeps (U is the
@@ -117,21 +114,12 @@ func NewUnbuffered(sink Sink) *Unbuffered {
 	return &Unbuffered{sink: sink}
 }
 
-// InsertEdge emits (u,v) and (v,u) as single-update batches.
-func (u *Unbuffered) InsertEdge(a, b uint32) error {
-	buf := u.free.get(1)
-	u.sink(Batch{Node: a, Others: append(buf, b)})
-	buf = u.free.get(1)
-	u.sink(Batch{Node: b, Others: append(buf, a)})
-	return nil
-}
-
-// InsertEdges emits every edge as two single-update batches.
+// InsertEdges emits every edge (u,v) as two single-update batches, (u,v)
+// and (v,u).
 func (u *Unbuffered) InsertEdges(edges []stream.Edge) error {
 	for _, e := range edges {
-		if err := u.InsertEdge(e.U, e.V); err != nil {
-			return err
-		}
+		u.sink(Batch{Node: e.U, Others: append(u.free.get(1), e.V)})
+		u.sink(Batch{Node: e.V, Others: append(u.free.get(1), e.U)})
 	}
 	return nil
 }

@@ -143,7 +143,7 @@ func TestSPSCSingleProducerSingleConsumer(t *testing.T) {
 func TestUnbufferedEmitsImmediately(t *testing.T) {
 	r := newRecorder()
 	u := NewUnbuffered(r.sink)
-	if err := u.InsertEdge(1, 2); err != nil {
+	if err := u.InsertEdges([]stream.Edge{{U: 1, V: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if r.batches != 2 {
@@ -279,7 +279,7 @@ func TestLeafGuttersNoLossNoDuplication(t *testing.T) {
 		if u == v {
 			continue
 		}
-		g.InsertEdge(u, v)
+		g.InsertEdges([]stream.Edge{{U: u, V: v}})
 		want[u] = append(want[u], v)
 		want[v] = append(want[v], u)
 	}
@@ -291,7 +291,7 @@ func TestLeafGuttersNoLossNoDuplication(t *testing.T) {
 }
 
 // TestLeafGuttersBatchMatchesSingle checks InsertEdges delivers exactly
-// what the equivalent InsertEdge sequence would.
+// what the equivalent sequence of single-edge calls would.
 func TestLeafGuttersBatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	r := newRecorder()
@@ -358,6 +358,10 @@ func TestBuffersConcurrentProducers(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewPCG(uint64(p), 11))
 					local := map[uint32][]uint32{}
+					// Every third update goes in alone, the rest in
+					// batches of up to 7, so single-edge and multi-edge
+					// calls interleave across producers.
+					var pending []stream.Edge
 					for i := 0; i < perProd; i++ {
 						u := uint32(rng.Uint64N(n))
 						v := uint32(rng.Uint64N(n))
@@ -369,12 +373,19 @@ func TestBuffersConcurrentProducers(t *testing.T) {
 								t.Error(err)
 								return
 							}
-						} else if err := buf.InsertEdge(u, v); err != nil {
-							t.Error(err)
-							return
+						} else if pending = append(pending, stream.Edge{U: u, V: v}); len(pending) == 7 {
+							if err := buf.InsertEdges(pending); err != nil {
+								t.Error(err)
+								return
+							}
+							pending = pending[:0]
 						}
 						local[u] = append(local[u], v)
 						local[v] = append(local[v], u)
+					}
+					if err := buf.InsertEdges(pending); err != nil {
+						t.Error(err)
+						return
 					}
 					mu.Lock()
 					for node, vals := range local {
@@ -419,7 +430,7 @@ func TestTreeNoLossNoDuplication(t *testing.T) {
 				if u == v {
 					continue
 				}
-				if err := tree.InsertEdge(u, v); err != nil {
+				if err := tree.InsertEdges([]stream.Edge{{U: u, V: v}}); err != nil {
 					t.Fatal(err)
 				}
 				want[u] = append(want[u], v)

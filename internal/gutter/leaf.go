@@ -195,23 +195,6 @@ func (g *LeafGutters) Insert(u, v uint32) {
 	g.locks[s].Unlock()
 }
 
-// InsertEdge buffers the edge update under both endpoints.
-func (g *LeafGutters) InsertEdge(u, v uint32) error {
-	su, sv := g.stripeOf(u), g.stripeOf(v)
-	g.locks[su].Lock()
-	g.insertLocked(u, v)
-	if su == sv {
-		g.insertLocked(v, u)
-		g.locks[su].Unlock()
-		return nil
-	}
-	g.locks[su].Unlock()
-	g.locks[sv].Lock()
-	g.insertLocked(v, u)
-	g.locks[sv].Unlock()
-	return nil
-}
-
 // InsertEdges buffers a batch of edge updates, grouping the 2×len(edges)
 // endpoint updates by stripe first so each stripe lock is acquired at most
 // once for the whole batch.

@@ -183,16 +183,6 @@ func (t *Tree) Insert(u, v uint32) error {
 	return t.insertLocked(u, v)
 }
 
-// InsertEdge buffers the edge update under both endpoints.
-func (t *Tree) InsertEdge(u, v uint32) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.insertLocked(u, v); err != nil {
-		return err
-	}
-	return t.insertLocked(v, u)
-}
-
 // InsertEdges buffers a batch of edge updates under one lock acquisition.
 func (t *Tree) InsertEdges(edges []stream.Edge) error {
 	t.mu.Lock()

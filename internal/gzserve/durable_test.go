@@ -10,6 +10,7 @@ import (
 
 	"graphzeppelin/internal/core"
 	"graphzeppelin/internal/stream"
+	"graphzeppelin/internal/wal"
 )
 
 func pathBatch(edges ...[2]uint32) []stream.Update {
@@ -188,6 +189,23 @@ func TestDurableWorkerPeriodicCheckpoint(t *testing.T) {
 	}
 }
 
+// TestDurableWorkerKeepsEngineWALConfig checks that the engine config is
+// the one source of a durable worker's log settings: a non-default fsync
+// policy and segment size set on core.Config reach the recovered engine
+// instead of being replaced by defaults.
+func TestDurableWorkerKeepsEngineWALConfig(t *testing.T) {
+	cfg := core.Config{NumNodes: 16, Seed: 1, WALFsync: wal.FsyncInterval, WALSegmentBytes: 4096}
+	wk, _, err := NewDurableWorker(cfg, 0, 16, Durability{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wk.Close()
+	got := wk.Engine().Config()
+	if got.WALFsync != wal.FsyncInterval || got.WALSegmentBytes != 4096 {
+		t.Fatalf("engine runs fsync=%s segment=%d bytes, want interval and 4096", got.WALFsync, got.WALSegmentBytes)
+	}
+}
+
 // TestGateSnapshotRoundTrip pins the GZG1 codec including the
 // out-of-order tail above the low-water mark.
 func TestGateSnapshotRoundTrip(t *testing.T) {
@@ -227,8 +245,8 @@ func TestGateSnapshotRoundTrip(t *testing.T) {
 // survives inside a delta link must dedup, not re-apply.
 func TestDurableWorkerDeltaChainCrashRecovery(t *testing.T) {
 	const numNodes = 32
-	cfg := core.Config{NumNodes: numNodes, Seed: 3}
-	d := Durability{StateDir: t.TempDir(), DeltaThreshold: 1}
+	cfg := core.Config{NumNodes: numNodes, Seed: 3, DeltaCheckpointThreshold: 1}
+	d := Durability{StateDir: t.TempDir()}
 	ctx := context.Background()
 
 	wk1, _, err := NewDurableWorker(cfg, 0, numNodes, d)

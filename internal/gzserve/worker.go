@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"graphzeppelin/internal/core"
-	"graphzeppelin/internal/wal"
 )
 
 // Worker endpoints. Request and response bodies on the binary endpoints
@@ -99,16 +98,15 @@ type Worker struct {
 	// the on-disk checkpoint chain — the full checkpoint.gze plus the
 	// ordered delta-*.gzd files chained onto it — and are guarded by
 	// ckptMu, like every chain-file mutation.
-	durable       bool
-	ckptPath      string
-	ckptMu        sync.Mutex // serializes CheckpointLocal callers
-	stopCkpt      chan struct{}
-	ckptWG        sync.WaitGroup
-	closeOnce     sync.Once
-	recovered     core.Recovery
-	maxDeltaChain int
-	diskCkptID    uint64
-	deltaFiles    []string
+	durable    bool
+	ckptPath   string
+	ckptMu     sync.Mutex // serializes CheckpointLocal callers
+	stopCkpt   chan struct{}
+	ckptWG     sync.WaitGroup
+	closeOnce  sync.Once
+	recovered  core.Recovery
+	diskCkptID uint64
+	deltaFiles []string
 
 	batches   atomic.Uint64
 	updates   atomic.Uint64
@@ -120,37 +118,29 @@ type Worker struct {
 // Durability configures a worker that survives crashes: every acked
 // ingest batch is in the write-ahead log before the ack leaves, and
 // NewDurableWorker rebuilds the worker from checkpoint + log on restart.
+// The log's settings (core.Config.WALFsync, WALFsyncInterval,
+// WALSegmentBytes) and DeltaCheckpointThreshold come from the engine
+// config NewDurableWorker is given.
 type Durability struct {
 	// StateDir holds the worker's durable state: CheckpointFileName plus
 	// a wal/ segment directory. Required; created if absent. Each worker
 	// needs its own directory.
 	StateDir string
-	// Fsync is the log's fsync policy (default wal.FsyncBatch: an ingest
-	// ack implies the batch is on stable storage). See wal.FsyncPolicy.
-	Fsync wal.FsyncPolicy
-	// FsyncInterval is the wal.FsyncInterval period (default 50ms).
-	FsyncInterval time.Duration
-	// SegmentBytes is the log segment rotation threshold (default 8 MiB).
-	SegmentBytes int64
 	// CheckpointInterval, when positive, checkpoints the engine to
 	// StateDir on a background timer; each checkpoint truncates the
 	// covered log prefix, bounding both log growth and recovery time.
 	// Zero means checkpoints happen only on Close (and via
 	// CheckpointLocal).
 	CheckpointInterval time.Duration
-	// DeltaThreshold overrides core.Config.DeltaCheckpointThreshold for
-	// the recovered engine: the dirty-node fraction above which a seal
-	// falls back to a full checkpoint. Zero keeps the config (and its
-	// 0.20 default); negative disables delta checkpoints entirely.
-	DeltaThreshold float64
-	// MaxDeltaChain bounds consecutive delta checkpoint files between
-	// full checkpoints (default 8). Once the chain is that long the next
-	// local checkpoint is sealed full, which truncates the WAL and
-	// retires the chain — bounding both recovery work (base + chain +
-	// log suffix) and state-directory growth. Negative forces every
-	// local checkpoint full.
-	MaxDeltaChain int
 }
+
+// maxDeltaChain bounds consecutive delta checkpoint files between full
+// checkpoints in a durable worker's state directory. Once the chain is
+// that long the next local checkpoint is sealed full, which truncates the
+// WAL and retires the chain — bounding both recovery work (base + chain +
+// log suffix) and state-directory growth. A negative
+// core.Config.DeltaCheckpointThreshold makes every checkpoint full.
+const maxDeltaChain = 8
 
 // CheckpointFileName is the checkpoint file a durable worker maintains
 // inside its state directory; DeltaFilePattern names the delta chain
@@ -186,10 +176,12 @@ func NewWorker(cfg core.Config, rangeLo, rangeHi uint32) (*Worker, error) {
 // duplicate ack instead of XOR-cancelling the original apply. The
 // returned Recovery reports what was replayed.
 //
-// cfg's WAL fields are overridden from d, and its Range from rangeLo/Hi
-// as for NewWorker; everything else (NumNodes, Seed, sharding,
-// buffering) must match what the crashed worker ran with, exactly as for
-// core.RecoverChain.
+// cfg's WAL is switched on, its log placed under d.StateDir (unless
+// cfg.WALStorage overrides it) and its Range set from rangeLo/Hi as for
+// NewWorker; its other WAL fields (fsync policy, period, segment size) and
+// DeltaCheckpointThreshold apply as given. Everything else (NumNodes,
+// Seed, sharding, buffering) must match what the crashed worker ran with,
+// exactly as for core.RecoverChain.
 func NewDurableWorker(cfg core.Config, rangeLo, rangeHi uint32, d Durability) (*Worker, *core.Recovery, error) {
 	cfg.Range = core.NodeRange{Lo: rangeLo, Hi: rangeHi}
 	if d.StateDir == "" {
@@ -201,22 +193,6 @@ func NewDurableWorker(cfg core.Config, rangeLo, rangeHi uint32, d Durability) (*
 	cfg.WAL = true
 	if cfg.WALStorage == nil {
 		cfg.WALDir = filepath.Join(d.StateDir, "wal")
-	}
-	cfg.WALFsync = d.Fsync
-	if d.FsyncInterval > 0 {
-		cfg.WALFsyncInterval = d.FsyncInterval
-	}
-	if d.SegmentBytes > 0 {
-		cfg.WALSegmentBytes = d.SegmentBytes
-	}
-	if d.DeltaThreshold != 0 {
-		cfg.DeltaCheckpointThreshold = d.DeltaThreshold
-	}
-	maxChain := d.MaxDeltaChain
-	if maxChain == 0 {
-		maxChain = 8
-	} else if maxChain < 0 {
-		maxChain = 0
 	}
 	ckptPath := filepath.Join(d.StateDir, CheckpointFileName)
 	deltas, err := filepath.Glob(filepath.Join(d.StateDir, DeltaFilePattern))
@@ -242,17 +218,16 @@ func NewDurableWorker(cfg core.Config, rangeLo, rangeHi uint32, d Durability) (*
 	}
 	gate.markApplied(rec.Seqs)
 	wk := &Worker{
-		eng:           eng,
-		rangeLo:       rangeLo,
-		rangeHi:       rangeHi,
-		gate:          gate,
-		durable:       true,
-		ckptPath:      ckptPath,
-		stopCkpt:      make(chan struct{}),
-		recovered:     *rec,
-		maxDeltaChain: maxChain,
-		diskCkptID:    rec.CheckpointID,
-		deltaFiles:    deltas[:rec.DeltaFiles:rec.DeltaFiles],
+		eng:        eng,
+		rangeLo:    rangeLo,
+		rangeHi:    rangeHi,
+		gate:       gate,
+		durable:    true,
+		ckptPath:   ckptPath,
+		stopCkpt:   make(chan struct{}),
+		recovered:  *rec,
+		diskCkptID: rec.CheckpointID,
+		deltaFiles: deltas[:rec.DeltaFiles:rec.DeltaFiles],
 	}
 	// The hook runs inside the engine's ingest path, after the batch's
 	// WAL append succeeds and before the quiesce lock is released — the
@@ -274,7 +249,7 @@ func NewDurableWorker(cfg core.Config, rangeLo, rangeHi uint32, d Durability) (*
 
 // CheckpointLocal advances the worker's on-disk checkpoint chain
 // (atomically, via rename). While the chain is shorter than
-// MaxDeltaChain and few enough nodes changed since the previous seal,
+// maxDeltaChain and few enough nodes changed since the previous seal,
 // that means appending a sparse delta-NNNNNN.gzd file — which never
 // touches the WAL, since the log past the full base is what recovers a
 // lost or corrupt delta. Otherwise it writes a full checkpoint.gze,
@@ -294,7 +269,7 @@ func (wk *Worker) CheckpointLocal() error {
 // without replay). Caller holds ckptMu.
 func (wk *Worker) checkpointLocked(forceFull bool) error {
 	since := uint64(0)
-	if !forceFull && wk.maxDeltaChain > 0 && len(wk.deltaFiles) < wk.maxDeltaChain {
+	if !forceFull && len(wk.deltaFiles) < maxDeltaChain {
 		since = wk.diskCkptID
 	}
 	start := time.Now()

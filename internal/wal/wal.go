@@ -85,6 +85,16 @@ func (p FsyncPolicy) String() string {
 	}
 }
 
+// Set parses s like ParseFsyncPolicy into p, making *FsyncPolicy a
+// flag.Value.
+func (p *FsyncPolicy) Set(s string) error {
+	v, err := ParseFsyncPolicy(s)
+	if err == nil {
+		*p = v
+	}
+	return err
+}
+
 // ParseFsyncPolicy parses the CLI vocabulary: batch, interval, off.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch s {

@@ -516,9 +516,17 @@ func TestFsyncPolicies(t *testing.T) {
 			if err != nil || got != p {
 				t.Fatalf("round trip %v: %v %v", p, got, err)
 			}
+			// The flag.Value side: Set lands on the same policy.
+			var set FsyncPolicy = -1
+			if err := set.Set(p.String()); err != nil || set != p {
+				t.Fatalf("Set(%q) = %v, %v", p.String(), set, err)
+			}
 		}
 		if _, err := ParseFsyncPolicy("always"); err == nil {
 			t.Fatal("bogus policy parsed")
+		}
+		if p := FsyncOff; p.Set("always") == nil || p != FsyncOff {
+			t.Fatal("bogus policy set")
 		}
 	})
 }
