@@ -25,11 +25,15 @@ import (
 //
 //  2. One contribution list per round. prepareRound lists, in node order,
 //     every (node, root, source) term of every live root's aggregate, and
-//     the sketch store sums it (sampleRound). Out of core, when every live
-//     node contributes — a from-scratch query — that is the paper's
-//     sequential scan (Lemma 5): O(liveBytes/B) blocks in a handful of ops,
-//     never one point Read per node, looking as many rounds ahead as the
-//     arena holds: a query reads the store about twice, not once per round.
+//     the sketch store sums it (sampleRound). A from-scratch round lists
+//     no member of its giant, a live root with more members than all the
+//     others together: its aggregate is the XOR of theirs (dominant). Out
+//     of core, a from-scratch query's round 0 is the paper's sequential
+//     scan (Lemma 5): one pass in node order, O(V·slot/B) blocks in a
+//     handful of ops, never one point Read per node, that samples and
+//     unions round 0 as it goes and gathers the rounds after it per
+//     component (deviceStore.firstRound), so a query reads the store about
+//     once, not once per round.
 //
 //  3. Ingest-epoch caching. The engine bumps an epoch counter on every
 //     accepted update batch; a full query stores its result tagged with
@@ -337,10 +341,12 @@ type heldAggregate struct {
 	members int32
 }
 
-// sampleOut is what one sampling worker found in its range of live roots.
+// sampleOut is what one sampling worker found in its range of live roots;
+// giantAt is where among its candidates the giant's turn came, or -1.
 type sampleOut struct {
 	cands   []candidate
 	emptied []uint32
+	giantAt int
 	err     error
 }
 
@@ -366,14 +372,23 @@ type querySession struct {
 	fill      []int // groupByRoot's per-root cursor
 	order     []contribution
 	arenaSlot []int32
+	// A from-scratch round counts each live root's members (parallel to
+	// roots; liveMembers is their sum) and complements the dominant one:
+	// giant is the index in roots of the root that holds more members than
+	// all the others together, whose members are left out of contribs and
+	// whose aggregate is the XOR of the others' (dominant), or -1.
+	members     []int32
+	liveMembers int
+	giant       int
 
 	// The round's samples (sampleRound): one out per sampling worker, then
 	// their candidates and emptied roots in live-root order. forest
 	// collects the query's edges; the result takes a copy.
-	outs    []sampleOut
-	cands   []candidate
-	emptied []uint32
-	forest  []stream.Edge
+	outs     []sampleOut
+	giantOut sampleOut
+	cands    []candidate
+	emptied  []uint32
+	forest   []stream.Edge
 
 	// In deviceStore, what the engine's arena holds: the aggregates of rounds
 	// [arenaRound, arenaEnd), one per held entry. A from-scratch scan looks
@@ -381,6 +396,12 @@ type querySession struct {
 	// along the unions instead of scanning again (foldHeld).
 	arenaRound, arenaEnd int
 	held, heldNext       []heldAggregate
+	// The first-round pass's stacks (gather): stack[r] is the index in held
+	// of root r's stack, -1 when r has none — all -1 between passes — and
+	// free lists the held entries whose stack merged into another's, to be
+	// reused.
+	stack []int32
+	free  []int32
 
 	// The delta query's plan (runDeltaBoruvka): the nodes that contribute
 	// anything, ascending, and the images behind srcImage. Without delta
@@ -456,6 +477,7 @@ func (q *querySession) prepareRound(round int) int {
 	}
 	q.roots = q.roots[:0]
 	q.contribs = q.contribs[:0]
+	q.giant = -1
 	first := round == 0
 	if q.delta {
 		for _, p := range q.plan {
@@ -471,8 +493,20 @@ func (q *querySession) prepareRound(round int) int {
 		for i := range q.rep {
 			q.listRoot(uint32(i), first)
 		}
-		for i := range q.rep {
-			q.contribute(planned{node: uint32(i), role: roleCur})
+		q.members, q.liveMembers = sized(q.members, len(q.roots)), 0
+		for _, r := range q.rep {
+			if s := q.slot[r]; s >= 0 {
+				q.members[s]++
+				q.liveMembers++
+			}
+		}
+		if !first {
+			q.giant = q.dominant()
+		}
+		for i, r := range q.rep {
+			if s := q.slot[r]; s >= 0 && int(s) != q.giant {
+				q.contribs = append(q.contribs, contribution{uint32(i), s, srcLive})
+			}
 		}
 	}
 	if len(q.contribs) > q.maxContribs {
@@ -480,6 +514,29 @@ func (q *querySession) prepareRound(round int) int {
 	}
 	q.liveRoots = append(q.liveRoots, len(q.roots))
 	return len(q.roots)
+}
+
+// dominant returns the index in roots of a from-scratch round's giant: the
+// live root with more members than all the others together, or -1 when
+// there is none. Its aggregate need not be summed from its members. Every
+// edge toggles both of its endpoints, so the XOR of every node's round-r
+// sketch is zero; a component certified complete has a zero cut, so its
+// aggregate is zero too; hence the live roots' aggregates XOR to zero, and
+// any one of them is the XOR of the others. It is the argument the delta
+// query's cut class makes for its anchor piece, over the whole partition.
+// Round 0's roots are singletons, so it has no giant but on a one-node
+// graph, and is never asked.
+func (q *querySession) dominant() int {
+	big := 0
+	for i, m := range q.members {
+		if m > q.members[big] {
+			big = i
+		}
+	}
+	if len(q.members) > 0 && 2*int(q.members[big]) > q.liveMembers {
+		return big
+	}
+	return -1
 }
 
 // listRoot refreshes v's root and lists it as live unless it is listed
@@ -574,13 +631,15 @@ func newQuerySession(n int) *querySession {
 		rep:      make([]uint32, n),
 		finished: make([]bool, n),
 		slot:     make([]int32, n),
+		giant:    -1,
+		stack:    make([]int32, n),
 		isDirty:  make([]bool, n),
 		class:    make([]uint8, n),
 		relabel:  make([]uint32, n),
 		mark:     make([]int32, n),
 	}
 	for i := range q.slot {
-		q.slot[i] = -1
+		q.slot[i], q.stack[i] = -1, -1
 		q.relabel[i] = uint32(i)
 	}
 	return q
@@ -593,7 +652,7 @@ func newQuerySession(n int) *querySession {
 // and the first round clears the finished flag of every root it lists.
 func (q *querySession) reset() {
 	q.delta, q.plan, q.before = false, q.plan[:0], nil
-	q.held, q.arenaRound, q.arenaEnd = q.held[:0], 0, 0
+	q.held, q.arenaRound, q.arenaEnd, q.giant = q.held[:0], 0, 0, -1
 	q.forest = q.forest[:0]
 	q.maxContribs, q.dsuOps, q.visits, q.liveRoots = 0, 0, 0, q.liveRoots[:0]
 }
@@ -662,6 +721,14 @@ func (e *Engine) boruvkaRound(q *querySession, round int) (live int, ran bool, e
 	if live = q.prepareRound(round); live == 0 {
 		return 0, false, nil
 	}
+	if round == 0 && !q.delta {
+		// Out of core the store samples and unions round 0 in the pass that
+		// gathers the rounds after it (deviceStore.firstRound).
+		left, done, err := e.sketches.firstRound(q, live)
+		if err != nil || done {
+			return left, true, err
+		}
+	}
 	if err := e.sampleRound(q, round); err != nil {
 		return live, true, err
 	}
@@ -673,22 +740,32 @@ func (e *Engine) boruvkaRound(q *querySession, round int) (live int, ran bool, e
 	// so merge order — and therefore the recovered forest — is
 	// reproducible across runs and worker counts.
 	for _, c := range q.cands {
-		ra, rb := q.find(c.edge.U), q.find(c.edge.V)
-		if ra == rb {
-			// Another merge this round already connected them.
-			continue
+		if _, _, ok := q.join(c.edge); ok {
+			live--
 		}
-		root, _ := q.d.Union(ra, rb)
-		q.dsuOps++
-		// The merged component has a fresh cut; with high probability
-		// neither constituent was finished (a finished component has
-		// no cut edges to be sampled), but never let a stale flag
-		// silence the new component.
-		q.finished[root] = false
-		q.forest = append(q.forest, c.edge)
-		live--
 	}
 	return live, true, nil
+}
+
+// join unions the components of a candidate edge's endpoints and records
+// the edge in the forest, unless another merge this round already
+// connected them. It returns the merged root and the root it absorbed.
+func (q *querySession) join(eg stream.Edge) (root, absorbed uint32, ok bool) {
+	ra, rb := q.find(eg.U), q.find(eg.V)
+	if ra == rb {
+		return ra, ra, false
+	}
+	root, _ = q.d.Union(ra, rb)
+	q.dsuOps++
+	// The merged component has a fresh cut; with high probability neither
+	// constituent was finished (a finished component has no cut edges to
+	// be sampled), but never let a stale flag silence the new component.
+	q.finished[root] = false
+	q.forest = append(q.forest, eg)
+	if absorbed = ra; root == ra {
+		absorbed = rb
+	}
+	return root, absorbed, true
 }
 
 // runBoruvka executes the from-scratch lazy Boruvka rounds on the reset
@@ -1072,9 +1149,13 @@ func (q *querySession) splitSingletons(r uint32) {
 // (same vector length, columns, and round seeds). Each store sums them its
 // own way, and each way wins on some workload. In RAM the sampling
 // workers sum their roots out of the slabs, and a root that is one live
-// sketch is sampled in place. Out of core one pass in node order reads the
-// device (scanning ahead as many rounds as the arena holds, folded along
-// the unions in RAM afterwards) before the workers only sample.
+// sketch is sampled in place. Out of core the rounds after round 0 were
+// gathered by round 0's pass and fold along the unions in RAM; a round the
+// folded aggregates do not reach reads the device in one pass in node
+// order, looking ahead as many rounds as the arena holds, before the
+// workers only sample. Either way a from-scratch round's giant is the XOR
+// of the other live roots' aggregates (dominant), so it is sampled after
+// them, and its candidate takes its root's turn in the order.
 func (e *Engine) sampleRound(q *querySession, round int) error {
 	if err := e.sketches.sumRound(q, round); err != nil {
 		return err
@@ -1090,7 +1171,7 @@ func (e *Engine) sampleRound(q *querySession, round int) error {
 	var wg sync.WaitGroup
 	for w := range outs {
 		out := &outs[w]
-		out.cands, out.emptied, out.err = out.cands[:0], out.emptied[:0], nil
+		out.cands, out.emptied, out.giantAt, out.err = out.cands[:0], out.emptied[:0], -1, nil
 		lo, hi := w*chunk, min((w+1)*chunk, nr)
 		if w == workers-1 {
 			e.sampleRoots(q, round, lo, hi, out)
@@ -1103,78 +1184,125 @@ func (e *Engine) sampleRound(q *querySession, round int) error {
 		}()
 	}
 	wg.Wait()
-	// Concatenating in worker order preserves the global deterministic
-	// live-root order.
-	q.cands, q.emptied = q.cands[:0], q.emptied[:0]
 	for i := range outs {
 		if outs[i].err != nil {
 			return fmt.Errorf("core: merging supernodes: %w", outs[i].err)
 		}
-		q.cands = append(q.cands, outs[i].cands...)
+	}
+	g := &q.giantOut
+	g.cands, g.emptied = g.cands[:0], g.emptied[:0]
+	if q.giant >= 0 {
+		var acc cubesketch.Sketch
+		if err := e.sketches.rootSketch(q, q.giant, round, &acc); err != nil {
+			return fmt.Errorf("core: merging supernodes: %w", err)
+		}
+		e.sampleRoot(q, q.giant, &acc, g)
+	}
+	// Concatenating in worker order preserves the global deterministic
+	// live-root order.
+	q.cands, q.emptied = q.cands[:0], q.emptied[:0]
+	for i := range outs {
+		cands := outs[i].cands
+		if at := outs[i].giantAt; at >= 0 {
+			q.cands = append(q.cands, cands[:at]...)
+			q.cands = append(q.cands, g.cands...)
+			q.emptied = append(q.emptied, g.emptied...)
+			cands = cands[at:]
+		}
+		q.cands = append(q.cands, cands...)
 		q.emptied = append(q.emptied, outs[i].emptied...)
 	}
 	return nil
 }
 
 // sampleRoots is one sampling worker of sampleRound: for live roots
-// [lo, hi) it has the store materialize each root's supernode sketch and
-// queries it for a cut edge.
+// [lo, hi) but the giant it has the store materialize each root's
+// supernode sketch and queries it for a cut edge.
 func (e *Engine) sampleRoots(q *querySession, round, lo, hi int, out *sampleOut) {
 	var acc cubesketch.Sketch
 	for i := lo; i < hi; i++ {
+		if i == q.giant {
+			out.giantAt = len(out.cands)
+			continue
+		}
 		if err := e.sketches.rootSketch(q, i, round, &acc); err != nil {
 			out.err = err
 			return
 		}
-		root := q.roots[i]
-		idx, qerr := acc.Query()
-		switch {
-		case qerr == nil:
-			edge, ierr := stream.IndexEdge(uint64(e.cfg.NumNodes), idx)
-			if ierr != nil {
-				// A checksum collision produced a non-edge index;
-				// treated as a sampling failure for this component.
-				e.sketchFailures.Add(1)
-				continue
-			}
-			out.cands = append(out.cands, candidate{root: root, edge: edge})
-		case errors.Is(qerr, cubesketch.ErrEmpty):
-			// No edge crosses this component's cut; it is complete
-			// and drops out of every later round.
-			out.emptied = append(out.emptied, root)
-		case errors.Is(qerr, cubesketch.ErrFailed):
-			e.sketchFailures.Add(1)
-		}
+		e.sampleRoot(q, i, &acc, out)
 	}
 }
 
+// sampleRoot queries live root i's supernode sketch acc for a cut edge. A
+// candidate sampled from the giant's complement must leave it: it is an
+// exact cut edge only while every certified component's cut is truly
+// zero, so one with both endpoints on a side counts as a sketch failure,
+// never a union.
+func (e *Engine) sampleRoot(q *querySession, i int, acc *cubesketch.Sketch, out *sampleOut) {
+	root := q.roots[i]
+	edge, got := e.sample(acc)
+	switch {
+	case got == sampledEmpty:
+		// No edge crosses this component's cut; it is complete and drops
+		// out of every later round.
+		out.emptied = append(out.emptied, root)
+	case got == sampledEdge && (i != q.giant || (q.rep[edge.U] == root) != (q.rep[edge.V] == root)):
+		out.cands = append(out.cands, candidate{root: root, edge: edge})
+	case got == sampledEdge:
+		e.sketchFailures.Add(1)
+	}
+}
+
+// What querying a cut sketch found (Engine.sample).
+const (
+	sampledEdge = iota
+	sampledEmpty
+	sampledFailed
+)
+
+// sample queries a cut sketch: an edge leaving the component, an empty cut,
+// or a failure — no bucket isolated one entry, or a checksum collision
+// produced a non-edge index — which it counts in sketchFailures.
+func (e *Engine) sample(acc *cubesketch.Sketch) (stream.Edge, int) {
+	idx, err := acc.Query()
+	switch {
+	case err == nil:
+		edge, ierr := stream.IndexEdge(uint64(e.cfg.NumNodes), idx)
+		if ierr == nil {
+			return edge, sampledEdge
+		}
+	case errors.Is(err, cubesketch.ErrEmpty):
+		return stream.Edge{}, sampledEmpty
+	}
+	e.sketchFailures.Add(1)
+	return stream.Edge{}, sampledFailed
+}
+
 // holdScanned records what a scan just left in the arena: one aggregate
-// per live root, over as many members as the root had live contributions.
-// Only a look-ahead scan needs the record (a one-round arena is never
-// folded), and only from-scratch queries look ahead, where a root's live
-// contributions are exactly its members.
+// per live root, over its members. Only a look-ahead scan needs the record
+// (a one-round arena is never folded), and only from-scratch queries look
+// ahead, which count every live root's members (prepareRound).
 func (q *querySession) holdScanned() {
 	q.held = q.held[:0]
 	if q.arenaEnd-q.arenaRound < 2 {
 		return
 	}
 	for i, root := range q.roots {
-		q.held = append(q.held, heldAggregate{root: root, slot: q.arenaSlot[i]})
-	}
-	for _, c := range q.contribs {
-		q.held[c.slot].members++
+		q.held = append(q.held, heldAggregate{root: root, slot: q.arenaSlot[i], members: q.members[i]})
 	}
 }
 
 // foldHeld brings the arena's aggregates from the round they were scanned
-// at up to this round's partition, in RAM: a live root's aggregate is the
-// XOR of the held aggregates of the roots that merged into it, over the
-// rounds still ahead (the one about to be sampled included); aggregates of
-// components finished since drop out. It reports false, with arenaSlot
-// unusable, when this round has to scan instead: the arena does not reach
-// it, or some live root absorbed a component that was not live at the scan
-// (boruvkaRound revives a finished root that a late edge unions into) —
-// its held parts then miss members, and an aggregate is exact or it is
+// or gathered at up to this round's partition, in RAM: a live root's
+// aggregate is the XOR of the held aggregates of the roots that merged
+// into it, over the rounds still ahead (the one about to be sampled
+// included); aggregates of components finished since drop out. It reports
+// false, with arenaSlot unusable, when this round has to scan instead: the
+// arena does not reach it, or some live root has a member no held
+// aggregate covers — a component that was not live at the scan
+// (boruvkaRound revives a finished root that a late edge unions into), or
+// a node round 0's pass took for complete and gathered nothing of — its
+// held parts then miss members, and an aggregate is exact or it is
 // nothing. Held member sets are disjoint and each lies inside one current
 // root, so they cover every live root exactly when they cover as many
 // nodes as the live roots have.
@@ -1202,7 +1330,7 @@ func (q *querySession) foldHeld(arena *cubesketch.Slab, round int) (bool, error)
 		into.members += h.members
 		covered += int(h.members)
 	}
-	if covered != len(q.contribs) {
+	if covered != q.liveMembers {
 		return false, nil
 	}
 	q.held, q.heldNext = q.heldNext, q.held
@@ -1211,6 +1339,79 @@ func (q *querySession) foldHeld(arena *cubesketch.Slab, round int) (bool, error)
 		q.arenaSlot = append(q.arenaSlot, h.slot)
 	}
 	return true, nil
+}
+
+// beginGather re-forms the arena for round 0's pass (deviceStore.firstRound)
+// to gather rounds [1, 1+k) of the n nodes' sketches into stacks, one per
+// current root: n/k stacks, the budget of n single-round sketches that a
+// round-0 arena takes anyway.
+func (q *querySession) beginGather(arena *cubesketch.Slab, seeds []uint64, n, k int) {
+	q.held, q.free = q.held[:0], q.free[:0]
+	q.arenaRound, q.arenaEnd = 1, 1+k
+	if k > 0 {
+		arena.Reshape(n/k, seeds[1:1+k])
+	}
+}
+
+// stackFor returns the arena stack gathering root r's members, opening one
+// when r has none. When every stack is in use it first narrows them all by
+// a round, keeping the rounds nearest round 1: n/k stacks grow to n/(k-1),
+// and at one round the arena holds a stack per node.
+func (q *querySession) stackFor(arena *cubesketch.Slab, r uint32, n int) int32 {
+	if h := q.stack[r]; h >= 0 {
+		return h
+	}
+	var h int32
+	if f := len(q.free); f > 0 {
+		h, q.free = q.free[f-1], q.free[:f-1]
+	} else {
+		for len(q.held) == arena.Nodes() {
+			k := arena.Rounds() - 1
+			arena.Narrow(n/k, k)
+			q.arenaEnd = q.arenaRound + k
+		}
+		h = int32(len(q.held))
+		q.held = append(q.held, heldAggregate{slot: h})
+	}
+	q.held[h].root, q.stack[r] = r, h
+	return h
+}
+
+// mergeStacks follows a union of round 0's pass: the absorbed root's stack,
+// if it has one, becomes the merged root's, or is XORed into it and freed
+// (zeroed for reuse) when the merged root has one too.
+func (q *querySession) mergeStacks(arena *cubesketch.Slab, root, absorbed uint32) error {
+	ha := q.stack[absorbed]
+	if ha < 0 {
+		return nil
+	}
+	q.stack[absorbed] = -1
+	hr := q.stack[root]
+	if hr < 0 {
+		q.stack[root], q.held[ha].root = ha, root
+		return nil
+	}
+	if err := arena.MergeRounds(int(hr), 0, arena, int(ha), 0, arena.Rounds()); err != nil {
+		return err
+	}
+	q.held[hr].members += q.held[ha].members
+	q.held[ha].members = 0
+	arena.ClearNode(int(ha))
+	q.free = append(q.free, ha)
+	return nil
+}
+
+// endGather keeps the pass's stacks that gathered a member as the held
+// aggregates round 1 folds, and leaves stack all -1 again.
+func (q *querySession) endGather() {
+	kept := q.held[:0]
+	for _, h := range q.held {
+		q.stack[h.root] = -1
+		if h.members > 0 {
+			kept = append(kept, h)
+		}
+	}
+	q.held = kept
 }
 
 // mergeImage XORs c.node's before-image, over the arena's rounds from round

@@ -128,14 +128,14 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 // TestDiskQueryScanReadCount is the regression test for the seed bug
 // where the disk-mode query scan issued one store.Read per node across
 // all rounds: the scan must read sequential ranges, never n point reads —
-// and no more scans than the look-ahead rule needs for the live-root
-// counts of this very query, which a RAM twin on the same seed observes.
-// The cache is emptied before the query so every group actually comes off
-// the device; the cached-tier behavior (zero reads) is pinned by
+// and no more scans than the one-pass rule needs for the live-root counts
+// of this very query, which a twin on the same seed stepped round by round
+// observes. The cache is emptied before the query so every group actually
+// comes off the device; the cached-tier behavior (zero reads) is pinned by
 // TestDiskQueryServedFromCache.
 func TestDiskQueryScanReadCount(t *testing.T) {
 	const n = 64
-	e := pathEngine(t, Config{
+	cfg := Config{
 		NumNodes:       n,
 		Seed:           73,
 		SketchesOnDisk: true,
@@ -143,7 +143,8 @@ func TestDiskQueryScanReadCount(t *testing.T) {
 		DeviceFactory: func(string) (iomodel.Device, error) {
 			return iomodel.NewMem(512), nil
 		},
-	}, n-1)
+	}
+	e := pathEngine(t, cfg, n-1)
 	defer e.Close()
 
 	// Drain and spill explicitly so the measured delta is pure query I/O.
@@ -159,16 +160,20 @@ func TestDiskQueryScanReadCount(t *testing.T) {
 	}
 	// The whole store fits in one queryScanBytes chunk and a connected
 	// path keeps a single live run, so a scan is exactly one sequential
-	// ReadRange, and a scan at round r with L live roots serves
-	// max(1, n/L) rounds: on a path, whose live count falls by about two
-	// thirds a round, fewer scans than rounds. The seed behavior was n
-	// point reads per round.
-	twin := pathEngine(t, Config{NumNodes: n, Seed: 73}, n-1)
+	// ReadRange. Round 0's pass gathers the rounds after it, a later scan
+	// at round r with L live roots serves max(1, n/L) rounds, and a round
+	// whose one live root is the giant reads nothing: on a path, whose
+	// live count falls by about two thirds a round, the query reads the
+	// store once. The seed behavior was n point reads per round; before
+	// the pass gathered, it was 3 scans.
+	twin := pathEngine(t, cfg, n-1)
 	defer twin.Close()
-	_, _, live := stepRounds(t, twin, nil)
-	scans := scansFor(n, twin.cfg.Rounds, live)
-	if len(live) != st.QueryRounds || scans >= st.QueryRounds {
-		t.Fatalf("live counts %v give %d scans for a query of %d rounds; want fewer scans than rounds", live, scans, st.QueryRounds)
+	evictAll(t, twin)
+	perRound, passEnd, live := readRounds(t, twin, nil)
+	scans := scansFor(n, twin.cfg.Rounds, passEnd, live)
+	if len(live) != st.QueryRounds || scans != scanned(perRound) || scans != 1 {
+		t.Fatalf("live counts %v and a pass to round %d give %d scans, the twin read %v per round, over a query of %d rounds; want one",
+			live, passEnd, scans, perRound, st.QueryRounds)
 	}
 	if reads != uint64(scans) {
 		t.Fatalf("query issued %d read ops over %d rounds with live counts %v; want %d scans of one sequential range each",
@@ -464,42 +469,52 @@ func TestPartialForestOnRoundExhaustion(t *testing.T) {
 // TestWarmFromScratchQueryAllocatesOnlyItsResult pins the engine's one
 // query session: once a query has run, a from-scratch ConnectedComponents
 // allocates the result it caches (representatives and forest) and the
-// copy it returns — not the DSU, the contribution lists or the per-round
-// candidates, which the session keeps.
+// copy it returns — not the DSU, the contribution lists, the per-round
+// candidates or, out of core, round 0's stacks and the scan's buffers,
+// which the session and the store keep.
 func TestWarmFromScratchQueryAllocatesOnlyItsResult(t *testing.T) {
 	const n = 1024
-	e, err := NewEngine(Config{NumNodes: n, Seed: 97, Shards: 2, NoDeltaQuery: true})
-	if err != nil {
-		t.Fatal(err)
+	stores := map[string]Config{
+		"ram":  {},
+		"disk": {SketchesOnDisk: true, CacheBytes: 1 << 20, NodesPerGroup: 4, DeviceFactory: memFactory(4096)},
 	}
-	defer e.Close()
-	edges := randomEdges(n, 2100, 29, 30)
-	if err := e.InsertEdges(edges[:2000]); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.ConnectedComponents(); err != nil { // warms the session and the arena
-		t.Fatal(err)
-	}
-	// The cached representatives and the returned copy (4 bytes a node
-	// each), the forest (at most n-1 edges of 8 bytes), and a little for
-	// the result header and the sampling goroutines.
-	limit := uint64(4*n+4*n+8*n) + 8<<10
-	for _, eg := range edges[2000:2010] {
-		mustUpdate(t, e, eg.U, eg.V)
-		if err := e.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, _, err := e.ConnectedComponents(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
-			t.Fatalf("a warm from-scratch query allocated %d B, its result and copy need %d B", grew, limit)
-		}
-	}
-	if st := e.Stats(); st.DeltaQueries != 0 {
-		t.Fatalf("%d delta queries with delta queries disabled", st.DeltaQueries)
+	for name, cfg := range stores {
+		t.Run(name, func(t *testing.T) {
+			cfg.NumNodes, cfg.Seed, cfg.Shards, cfg.NoDeltaQuery = n, 97, 2, true
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			edges := randomEdges(n, 2100, 29, 30)
+			if err := e.InsertEdges(edges[:2000]); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.ConnectedComponents(); err != nil { // warms the session and the arena
+				t.Fatal(err)
+			}
+			// The cached representatives and the returned copy (4 bytes a
+			// node each), the forest (at most n-1 edges of 8 bytes), and a
+			// little for the result header and the sampling goroutines.
+			limit := uint64(4*n+4*n+8*n) + 8<<10
+			for _, eg := range edges[2000:2010] {
+				mustUpdate(t, e, eg.U, eg.V)
+				if err := e.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, _, err := e.ConnectedComponents(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
+					t.Fatalf("a warm from-scratch query allocated %d B, its result and copy need %d B", grew, limit)
+				}
+			}
+			if st := e.Stats(); st.DeltaQueries != 0 {
+				t.Fatalf("%d delta queries with delta queries disabled", st.DeltaQueries)
+			}
+		})
 	}
 }

@@ -34,9 +34,15 @@ type sketchStore interface {
 	seal(snap *ckptSnap) error
 	unseal()
 	scanSlots(start uint32, count int, buf []byte) error
+	// firstRound runs round 0 of a from-scratch query, samples and unions
+	// included, when the store does it in one pass that also gathers the
+	// rounds after it, returning what is left of the live count; done is
+	// false when it leaves the round to sumRound and rootSketch.
 	// sumRound prepares the query arena for a Boruvka round over q's live
 	// roots; rootSketch then points acc at live root i's round sketch,
-	// concurrently for distinct roots.
+	// concurrently for distinct roots, and for the giant (q.giant) only
+	// after every other root's.
+	firstRound(q *querySession, live int) (left int, done bool, err error)
 	sumRound(q *querySession, round int) error
 	rootSketch(q *querySession, i, round int, acc *cubesketch.Sketch) error
 	// stats adds the store's footprint and I/O to st (from any
@@ -136,6 +142,12 @@ func (s *ramStore) scanSlots(start uint32, count int, buf []byte) error {
 	return s.readSlots(start, count, buf)
 }
 
+// firstRound leaves round 0 to sumRound: its roots are singletons, each
+// sampled in place in its slab.
+func (s *ramStore) firstRound(q *querySession, live int) (int, bool, error) {
+	return live, false, nil
+}
+
 // sumRound forms a one-round arena for the roots that need summing: a root
 // whose one contribution is a live sketch as is — every root of a
 // from-scratch query's first round — IS that member's slab sketch and is
@@ -160,16 +172,27 @@ func (s *ramStore) sumRound(q *querySession, round int) error {
 
 // rootSketch XORs every contribution's round sketch straight out of its
 // slab (read-only, like Query), and its before-image's round bytes where
-// the plan asks for them, into the root's arena sketch.
+// the plan asks for them, into the root's arena sketch. The giant, which
+// lists none, gets the XOR of every other live root's aggregate instead.
 func (s *ramStore) rootSketch(q *querySession, i, round int, acc *cubesketch.Sketch) error {
-	arena, slot := s.e.queryArena, q.arenaSlot[i]
-	if slot < 0 {
-		slab, local := s.slabOf(q.order[q.starts[i]].node)
-		slab.View(local, round, acc)
+	s.view(q, i, round, acc)
+	if q.arenaSlot[i] < 0 {
 		return nil
 	}
-	arena.View(int(slot), 0, acc)
+	arena := s.e.queryArena
 	var view cubesketch.Sketch
+	if i == q.giant {
+		for j := range q.roots {
+			if j == i {
+				continue
+			}
+			s.view(q, j, round, &view)
+			if err := acc.Merge(&view); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for _, c := range q.order[q.starts[i]:q.starts[i+1]] {
 		if c.src&srcLive != 0 {
 			slab, local := s.slabOf(c.node)
@@ -183,6 +206,17 @@ func (s *ramStore) rootSketch(q *querySession, i, round int, acc *cubesketch.Ske
 		}
 	}
 	return nil
+}
+
+// view points acc at live root i's round sketch: its arena sketch, or the
+// slab sketch of a root sampled in place.
+func (s *ramStore) view(q *querySession, i, round int, acc *cubesketch.Sketch) {
+	if slot := q.arenaSlot[i]; slot >= 0 {
+		s.e.queryArena.View(int(slot), 0, acc)
+		return
+	}
+	slab, local := s.slabOf(q.order[q.starts[i]].node)
+	slab.View(local, round, acc)
 }
 
 func (s *ramStore) stats(st *Stats) {

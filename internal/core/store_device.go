@@ -27,11 +27,21 @@ type deviceStore struct {
 	cache *diskstore.Cache
 	npg   int
 	// chunk is the slots one sequential device access of a scan reads
-	// (queryScanBytes, at least one slot and at most the store), and
-	// scanBuf the query scan's buffer of that size.
+	// (queryScanBytes, at least one slot and at most the store), scanBuf
+	// the query scan's buffer of that size, and probe the round-0 sketch
+	// round 0's pass decodes a slot read off the device into to sample it.
 	chunk   int
 	scanBuf []byte
+	probe   *cubesketch.Sketch
 }
+
+// firstRoundDepth is the most rounds after round 0 that round 0's pass
+// gathers. The pass holds a stack for each component that round 0 has
+// built so far, and 4 rounds of those fit the arena's n single-round
+// sketches while they stay below n/4: their peak measured 0.16–0.21 n on
+// the dense Kronecker and the social streams at 2^11 nodes (stackFor
+// narrows the stacks when they do not fit).
+const firstRoundDepth = 4
 
 // checkpointCOWBudget caps the bytes of copy-on-write pre-images an
 // out-of-core snapshot may hold in RAM, so the capture cannot become an
@@ -154,13 +164,88 @@ func (s *deviceStore) scanSlots(start uint32, count int, buf []byte) error {
 	return nil
 }
 
-// sumRound sums every live root into the arena. A from-scratch scan at
-// round r with L live roots sums k = min(Rounds-r, max(1, V/L)) rounds per
-// root, not one: a union's aggregate is the XOR of its parts' aggregates,
-// so rounds r+1 .. r+k-1 fold what is already in RAM (foldHeld) and never
-// touch the device. L*k single-round sketches is never more than the V that
-// round 0 (L = V, k = 1) needs anyway. A delta query keeps k = 1: its
-// contributing groups are few and mostly resident.
+// scratch makes what the first query scan needs: the scan buffer, the
+// probe, and the arena at its bound of n single-round sketches, so that no
+// later round or query grows it.
+func (s *deviceStore) scratch() {
+	if s.scanBuf != nil {
+		return
+	}
+	e := s.e
+	s.scanBuf = make([]byte, s.chunk*e.slotSize)
+	s.probe = cubesketch.New(e.vecLen, e.cfg.Columns, e.roundSeeds[0])
+	e.queryArena.Reshape(int(e.n), e.roundSeeds[:1])
+}
+
+// firstRound runs round 0 of a from-scratch query as one pass over the
+// store in node order (walk). For each node it samples the round-0 sketch
+// out of the slot, unions along the edge found — boruvkaRound's union
+// phase, node by node, in the same order, since round 0's live roots are
+// the nodes in order — and XORs the slot's rounds 1..k into the stack of
+// the node's current root, merging two stacks on every union. Round 1 then
+// folds the stacks (foldHeld) and does not read the device: a query that
+// used to scan round 0 and then again for the look-ahead reads the store
+// once. k starts at min(Rounds-1, firstRoundDepth) and narrows when the
+// stacks outgrow the arena (stackFor), so neither the I/O nor the arena
+// ever exceeds a round-0 scan's. A node whose round-0 cut is empty while
+// it is still a singleton is complete and gathers nothing.
+func (s *deviceStore) firstRound(q *querySession, live int) (int, bool, error) {
+	e, arena := s.e, s.e.queryArena
+	s.scratch()
+	q.beginGather(arena, e.roundSeeds, int(e.n), min(e.cfg.Rounds-1, firstRoundDepth))
+	defer q.endGather()
+	var view cubesketch.Sketch
+	err := s.walk(q.contribs, func(c contribution, src stackSource) error {
+		v, acc := c.node, &view
+		if src.slab != nil {
+			src.slab.View(src.local, 0, acc)
+		} else {
+			acc = s.probe
+			acc.Reset()
+			if err := acc.MergeBinary(src.slot[:e.sketchSize]); err != nil {
+				return fmt.Errorf("core: query decode of node %d from round 0: %w", v, err)
+			}
+		}
+		switch edge, got := e.sample(acc); got {
+		case sampledEmpty:
+			live--
+			if q.d.Size(v) == 1 {
+				// boruvkaRound flags every emptied root before its unions,
+				// which clear the flag of each root they merge into.
+				q.finished[v] = true
+				return nil
+			}
+		case sampledEdge:
+			if root, absorbed, ok := q.join(edge); ok {
+				live--
+				if err := q.mergeStacks(arena, root, absorbed); err != nil {
+					return fmt.Errorf("core: folding supernodes: %w", err)
+				}
+			}
+		}
+		if q.arenaEnd == q.arenaRound {
+			return nil // a one-round sketch: nothing to gather
+		}
+		h := q.stackFor(arena, q.find(v), int(e.n))
+		q.held[h].members++
+		if err := src.mergeInto(arena, int(h), 1, e.sketchSize); err != nil {
+			return fmt.Errorf("core: query merge of node %d from round 1: %w", v, err)
+		}
+		return nil
+	})
+	return live, true, err
+}
+
+// sumRound sums every live root into the arena, unless the stacks round 0
+// gathered, or the previous scan's look-ahead, fold into this round
+// (foldHeld). A scan at round r with L live roots sums k = min(Rounds-r,
+// max(1, V/L)) rounds per root, not one: a union's aggregate is the XOR of
+// its parts' aggregates, so rounds r+1 .. r+k-1 fold what is already in
+// RAM and never touch the device. L*k single-round sketches is never more
+// than the V that round 0 (L = V, k = 1) needs anyway. The giant's stack
+// is the XOR of the others' (dominant), so its members are not read. A
+// delta query keeps k = 1: its contributing groups are few and mostly
+// resident.
 func (s *deviceStore) sumRound(q *querySession, round int) error {
 	e, arena := s.e, s.e.queryArena
 	folded, err := q.foldHeld(arena, round)
@@ -183,6 +268,16 @@ func (s *deviceStore) sumRound(q *querySession, round int) error {
 	if err := s.scanRound(q, arena, round); err != nil {
 		return err
 	}
+	if g := q.giant; g >= 0 {
+		for i := 0; i < nr; i++ {
+			if i == g {
+				continue
+			}
+			if err := arena.MergeRounds(g, 0, arena, i, 0, k); err != nil {
+				return fmt.Errorf("core: complementing supernode: %w", err)
+			}
+		}
+	}
 	q.holdScanned()
 	return nil
 }
@@ -193,36 +288,66 @@ func (s *deviceStore) rootSketch(q *querySession, i, round int, acc *cubesketch.
 }
 
 // scanRound materializes the supernode sketches of rounds
-// [round, round+arena.Rounds()) out of the tiered store, walking the
-// contribution list in node order. Only groups holding a contribution that
-// needs live bytes are touched. Those resident in the write-back cache are
-// served from their decoded arenas with zero device I/O — which is also
-// what keeps the scan coherent: a dirty cached group's device bytes are
-// stale by design, so the cache copy is the authoritative one (and a node
-// dirtied since the last query was applied through the cache, so a
+// [round, round+arena.Rounds()) from the round's contribution list: the
+// before-image bytes the plan asks for, then every contribution's live
+// rounds, off the tiered store in one walk, each slot's rounds — adjacent
+// in the slot — XOR-merged into its root's arena stack without decoding
+// the others. One scan costs O(uncachedContributingBytes/B) block reads in
+// O(runs × chunksPerRun) operations: the live store outside the giant for
+// a from-scratch query, the dirty nodes and small pieces for a delta.
+func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round int) error {
+	s.scratch()
+	for _, c := range q.contribs {
+		if err := q.mergeImage(arena, c, round); err != nil {
+			return fmt.Errorf("core: query merge of node %d before-image from round %d: %w", c.node, round, err)
+		}
+	}
+	return s.walk(q.contribs, func(c contribution, src stackSource) error {
+		if err := src.mergeInto(arena, int(q.arenaSlot[c.slot]), round, s.e.sketchSize); err != nil {
+			return fmt.Errorf("core: query merge of node %d from round %d: %w", c.node, round, err)
+		}
+		return nil
+	})
+}
+
+// stackSource is where a walk found one node's stored stack: decoded in a
+// resident cache group's slab, at local, or as the slot's bytes read off
+// the device.
+type stackSource struct {
+	slab  *cubesketch.Slab
+	local int
+	slot  []byte
+}
+
+// mergeInto XORs the node's rounds [from, from+dst.Rounds()) into dst's
+// stack i.
+func (src stackSource) mergeInto(dst *cubesketch.Slab, i, from, sketchSize int) error {
+	if src.slab != nil {
+		return dst.MergeRounds(i, 0, src.slab, src.local, from, dst.Rounds())
+	}
+	off := from * sketchSize
+	return dst.MergeNodeBinary(i, src.slot[off:off+dst.NodeSize()])
+}
+
+// walk visits, in node order, every contribution of cs (ascending by node)
+// that needs live bytes, with its node's stored stack. Only groups holding
+// such a contribution are touched. Those resident in the write-back cache
+// are served from their decoded arenas with zero device I/O — which is
+// also what keeps the walk coherent: a dirty cached group's device bytes
+// are stale by design, so the cache copy is the authoritative one (and a
+// node dirtied since the last query was applied through the cache, so a
 // trickle's groups are normally still resident). The remaining groups are
 // coalesced into sequential runs (bridging gaps cheaper than an extra
-// operation), each run read with ReadRange in chunk-slot pieces, and each
-// contributing slot's bytes for those rounds — adjacent in the slot —
-// XOR-merged into its root's arena stack without decoding the others. One
-// scan costs O(uncachedContributingBytes/B) block reads in
-// O(runs × chunksPerRun) operations: the whole live store for a
-// from-scratch query, the dirty nodes and small pieces for a delta.
-func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round int) error {
+// operation), each run read with ReadRange in chunk-slot pieces.
+func (s *deviceStore) walk(cs []contribution, visit func(c contribution, src stackSource) error) error {
 	e := s.e
 	n, npg, slotSize := int(e.n), s.npg, e.slotSize
-	if s.scanBuf == nil {
-		s.scanBuf = make([]byte, s.chunk*slotSize)
-	}
 	// A gap of non-contributing slots is bridged when reading through it
 	// costs no more blocks than starting a fresh operation would.
 	gapSlots := e.cfg.BlockSize / slotSize
-	// The scanned rounds' bytes inside a slot.
-	roundOff, span := round*e.sketchSize, arena.NodeSize()
-	cs := q.contribs
 
 	// flushRun reads the pending uncached slot run [lo, hi) in chunks and
-	// merges the live bytes of its contributions cs[ci:cj].
+	// visits its contributions cs[ci:cj].
 	flushRun := func(lo, hi, ci, cj int) error {
 		for cl := lo; cl < hi; cl += s.chunk {
 			ch := min(cl+s.chunk, hi)
@@ -235,9 +360,9 @@ func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round i
 				if c.src&srcLive == 0 {
 					continue
 				}
-				off := (int(c.node)-cl)*slotSize + roundOff
-				if err := arena.MergeNodeBinary(int(q.arenaSlot[c.slot]), buf[off:off+span]); err != nil {
-					return fmt.Errorf("core: query decode of node %d from round %d: %w", c.node, round, err)
+				off := (int(c.node) - cl) * slotSize
+				if err := visit(c, stackSource{slot: buf[off : off+slotSize]}); err != nil {
+					return err
 				}
 			}
 		}
@@ -250,11 +375,7 @@ func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round i
 		g := int(cs[i].node) / npg
 		j, needLive := i, false
 		for ; j < len(cs) && int(cs[j].node)/npg == g; j++ {
-			c := cs[j]
-			needLive = needLive || c.src&srcLive != 0
-			if err := q.mergeImage(arena, c, round); err != nil {
-				return fmt.Errorf("core: query merge of node %d before-image from round %d: %w", c.node, round, err)
-			}
+			needLive = needLive || cs[j].src&srcLive != 0
 		}
 		first := i
 		i = j
@@ -267,7 +388,7 @@ func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round i
 			// Served from the decoded arena: no device traffic, and
 			// coherent even when the group is dirty. Close any pending
 			// device run first — bridging across this group would
-			// re-merge its slots from stale device bytes.
+			// visit its slots from stale device bytes.
 			if runStart >= 0 {
 				if err := flushRun(runStart, runEnd, runFirst, first); err != nil {
 					return err
@@ -278,8 +399,8 @@ func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round i
 				if c.src&srcLive == 0 {
 					continue
 				}
-				if err := arena.MergeRounds(int(q.arenaSlot[c.slot]), 0, slab, int(c.node)-lo, round, arena.Rounds()); err != nil {
-					return fmt.Errorf("core: query merge of cached node %d from round %d: %w", c.node, round, err)
+				if err := visit(c, stackSource{slab: slab, local: int(c.node) - lo}); err != nil {
+					return err
 				}
 			}
 			continue

@@ -78,6 +78,37 @@ func (sl *Slab) Reshape(nodes int, seeds []uint64) {
 	clear(sl.gammas)
 }
 
+// Narrow keeps the first rounds rounds of every stack, in place, and
+// re-forms the slab as nodes stacks of that depth: stack i keeps its index,
+// and stacks past the current count start zeroed. It never allocates, so
+// the new shape must fit the bucket arrays' capacity; rounds must not
+// exceed the current depth. Views taken before the call are invalid after
+// it.
+func (sl *Slab) Narrow(nodes, rounds int) {
+	need := nodes * rounds * sl.stride
+	if rounds < 1 || rounds > sl.rounds || nodes < 0 || need > cap(sl.alphas) {
+		panic(fmt.Sprintf("cubesketch: cannot narrow %d stacks of %d rounds to %d of %d", sl.nodes, sl.rounds, nodes, rounds))
+	}
+	keep, old, run := min(nodes, sl.nodes), sl.rounds*sl.stride, rounds*sl.stride
+	for i := 1; i < keep; i++ {
+		copy(sl.alphas[i*run:(i+1)*run], sl.alphas[i*old:i*old+run])
+		copy(sl.gammas[i*run:(i+1)*run], sl.gammas[i*old:i*old+run])
+	}
+	sl.alphas, sl.gammas = sl.alphas[:need], sl.gammas[:need]
+	clear(sl.alphas[keep*run:])
+	clear(sl.gammas[keep*run:])
+	sl.nodes, sl.rounds = nodes, rounds
+	sl.seeds = sl.seeds[:rounds]
+	sl.colSeeds = sl.colSeeds[:rounds*sl.cols]
+}
+
+// ClearNode zeroes every round of node's stack.
+func (sl *Slab) ClearNode(node int) {
+	per := sl.rounds * sl.stride
+	clear(sl.alphas[node*per : (node+1)*per])
+	clear(sl.gammas[node*per : (node+1)*per])
+}
+
 // Nodes returns the number of node sketches the slab holds.
 func (sl *Slab) Nodes() int { return sl.nodes }
 

@@ -256,3 +256,49 @@ func TestMergeSerialized(t *testing.T) {
 		t.Fatal("truncated src accepted")
 	}
 }
+
+// TestSlabNarrow: narrowing keeps each stack's first rounds under its own
+// index, the stacks it adds start zeroed, and ClearNode zeroes one stack.
+func TestSlabNarrow(t *testing.T) {
+	const n = 1 << 10
+	seeds := slabSeeds(4, 11)
+	sl := NewSlab(3, n, 0, seeds)
+	ref := NewSlab(3, n, 0, seeds[:2])
+	for node := 0; node < 3; node++ {
+		batch := []uint64{uint64(node), uint64(node + 7), uint64(3 * node)}
+		sl.Apply(node, batch)
+		ref.Apply(node, batch)
+	}
+	sl.Narrow(6, 2)
+	if sl.Nodes() != 6 || sl.Rounds() != 2 {
+		t.Fatalf("narrowed to %d stacks of %d rounds, want 6 of 2", sl.Nodes(), sl.Rounds())
+	}
+	got, want := make([]byte, sl.NodeSize()), make([]byte, ref.NodeSize())
+	for node := 0; node < 3; node++ {
+		sl.MarshalNode(node, got)
+		ref.MarshalNode(node, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("stack %d lost its first rounds", node)
+		}
+	}
+	var v Sketch
+	for node := 3; node < 6; node++ {
+		for r := 0; r < 2; r++ {
+			if sl.View(node, r, &v); !v.IsZero() {
+				t.Fatalf("added stack %d round %d is not zero", node, r)
+			}
+		}
+	}
+	sl.ClearNode(1)
+	for r := 0; r < 2; r++ {
+		if sl.View(1, r, &v); !v.IsZero() {
+			t.Fatalf("cleared stack round %d is not zero", r)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("narrowing past the arrays' capacity did not panic")
+		}
+	}()
+	sl.Narrow(13, 1)
+}

@@ -58,6 +58,9 @@ func (d *DSU) Union(x, y uint32) (root uint32, merged bool) {
 	return rx, true
 }
 
+// Size returns the number of elements in x's set.
+func (d *DSU) Size(x uint32) int { return int(d.size[d.Find(x)]) }
+
 // Same reports whether x and y are in the same set.
 func (d *DSU) Same(x, y uint32) bool { return d.Find(x) == d.Find(y) }
 

@@ -237,6 +237,9 @@ func TestSplit(t *testing.T) {
 	if d.Count() != 4 {
 		t.Fatalf("Count = %d, want 4", d.Count())
 	}
+	if d.Size(1) != 3 || d.Size(2) != 2 || d.Size(7) != 1 {
+		t.Fatalf("Size = %d, %d, %d for the split, the rest and a singleton, want 3, 2, 1", d.Size(1), d.Size(2), d.Size(7))
+	}
 	// {1,3,4} (3 members) outweighs {0,2} (2).
 	if root, _ := d.Union(0, 4); root != 3 {
 		t.Fatalf("union after split: root %d, want the split set's 3", root)

@@ -184,12 +184,12 @@ func (g *seqGate) restore(p []byte) error {
 		return nil
 	}
 	if len(p) < gateSnapshotHeaderLen || [4]byte(p[:4]) != gateMagic {
-		return fmt.Errorf("gzserve: checkpoint metadata is not a GZG1 gate snapshot")
+		return fmt.Errorf("%w: checkpoint metadata is not a GZG1 gate snapshot", ErrBadPayload)
 	}
 	low := binary.LittleEndian.Uint64(p[4:])
 	count := binary.LittleEndian.Uint32(p[12:])
 	if uint64(len(p)-gateSnapshotHeaderLen) != uint64(count)*8 {
-		return fmt.Errorf("gzserve: gate snapshot declares %d seqs but carries %d bytes", count, len(p)-gateSnapshotHeaderLen)
+		return fmt.Errorf("%w: gate snapshot declares %d seqs but carries %d bytes", ErrBadPayload, count, len(p)-gateSnapshotHeaderLen)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()

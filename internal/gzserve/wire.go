@@ -227,12 +227,33 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, length)
+	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %s payload: got fewer than the declared %d bytes (%v)",
 			ErrTruncatedFrame, typ, length, err)
 	}
 	return typ, payload, nil
+}
+
+// payloadChunk is the most of a declared payload that readPayload
+// allocates before any of it arrives.
+const payloadChunk = 64 << 10
+
+// readPayload reads a length-byte payload into a buffer that grows with the
+// bytes that actually arrive — doubling from payloadChunk — so a header
+// that declares the cap and then stops costs one chunk, not the cap.
+func readPayload(r io.Reader, length int) ([]byte, error) {
+	buf := make([]byte, min(length, payloadChunk))
+	for n := 0; ; {
+		m, err := io.ReadFull(r, buf[n:])
+		if n += m; err != nil {
+			return nil, err
+		}
+		if n == length {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(length-n, n))...)
+	}
 }
 
 // EncodeIngest builds a MsgIngest payload: the batch's sequence number

@@ -2,8 +2,10 @@ package gzserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"graphzeppelin/internal/stream"
@@ -83,6 +85,99 @@ func TestFrameTruncated(t *testing.T) {
 			t.Fatalf("cut %d/%d: err = %v, want ErrTruncatedFrame", cut, len(full), err)
 		}
 	}
+}
+
+// TestFrameHostileLengthAllocatesLittle: a header that declares the 2^28
+// payload cap and then ends costs what arrived, not what it declared, and
+// still surfaces ErrTruncatedFrame; a payload over several of the reader's
+// chunks round-trips, and one cut short inside them is truncated too.
+func TestFrameHostileLengthAllocatesLittle(t *testing.T) {
+	hostile := AppendFrame(nil, MsgIngest, nil)
+	binary.LittleEndian.PutUint32(hostile[8:], maxFramePayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hostile))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncatedFrame) {
+		t.Fatalf("err = %v, want ErrTruncatedFrame", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a header declaring %d bytes allocated %d before any payload arrived", maxFramePayload, grew)
+	}
+
+	ups := make([]stream.Update, 3*payloadChunk/stream.RecordSize)
+	for i := range ups {
+		ups[i] = stream.Update{Edge: stream.Edge{U: uint32(i), V: uint32(i + 1)}}
+	}
+	full := AppendFrame(nil, MsgIngest, EncodeIngest(5, ups))
+	typ, payload, err := ReadFrame(bytes.NewReader(full))
+	if err != nil || typ != MsgIngest || !bytes.Equal(payload, full[frameHeaderLen:]) {
+		t.Fatalf("a %d-byte payload read back as %v, %d bytes, %v", len(full)-frameHeaderLen, typ, len(payload), err)
+	}
+	if _, _, err := ReadFrame(bytes.NewReader(full[:len(full)-1])); !errors.Is(err, ErrTruncatedFrame) {
+		t.Fatalf("cut one byte short: err = %v, want ErrTruncatedFrame", err)
+	}
+}
+
+// FuzzWireFrame drives arbitrary bytes through everything that reads what
+// a peer sent: ReadFrame, then the payload decoder of the frame's type,
+// and the same bytes as a GZG1 gate snapshot (seqGate.restore). Each
+// succeeds or returns a typed error, never panics, and allocates in
+// proportion to the input rather than to what a header declares.
+func FuzzWireFrame(f *testing.F) {
+	ups := []stream.Update{
+		{Edge: stream.Edge{U: 1, V: 2}, Type: stream.Insert},
+		{Edge: stream.Edge{U: 3, V: 9}, Type: stream.Delete},
+	}
+	f.Add(AppendFrame(nil, MsgIngest, EncodeIngest(42, ups)))
+	f.Add(AppendFrame(nil, MsgAck, EncodeAck(42, true)))
+	f.Add(AppendFrame(nil, MsgError, EncodeError(CodeBusy, "busy")))
+	f.Add(AppendFrame(nil, MsgCheckpoint, []byte("GZC")))
+	hostile := AppendFrame(nil, MsgIngest, nil)
+	binary.LittleEndian.PutUint32(hostile[8:], maxFramePayload)
+	f.Add(hostile)
+	g := newSeqGate()
+	for _, s := range []uint64{1, 2, 5, 8} {
+		g.Claim(s)
+		g.Commit(s)
+	}
+	f.Add(g.snapshot())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		typ, payload, frameErr := ReadFrame(bytes.NewReader(data))
+		if frameErr == nil {
+			switch typ {
+			case MsgIngest:
+				_, _, frameErr = DecodeIngest(payload)
+			case MsgAck:
+				_, _, frameErr = DecodeAck(payload)
+			case MsgError:
+				_, frameErr = DecodeError(payload)
+			}
+		}
+		gateErr := newSeqGate().restore(data)
+		runtime.ReadMemStats(&after)
+		for op, err := range map[string]error{"frame": frameErr, "gate": gateErr} {
+			if err != nil && !wireTyped(err) {
+				t.Fatalf("%s: untyped error %v", op, err)
+			}
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(data))+4*payloadChunk {
+			t.Fatalf("reading %d bytes allocated %d", len(data), grew)
+		}
+	})
+}
+
+// wireTyped reports whether err is one of the wire codec's typed errors.
+func wireTyped(err error) bool {
+	for _, want := range []error{ErrBadMagic, ErrVersionMismatch, ErrTruncatedFrame, ErrFrameTooLarge, ErrBadPayload} {
+		if errors.Is(err, want) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFrameTooLarge(t *testing.T) {
