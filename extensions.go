@@ -32,10 +32,10 @@ var ErrCheckpointChain = core.ErrCheckpointChain
 // sketch state to w in the sectioned checkpoint format (per-shard-pool parallel
 // encode, per-section CRC-32C checksums, a footer enabling parallel
 // restore). The snapshot is low-stall: ingestion is excluded only for the
-// drain and the snapshot seal — in-RAM sketches are copied shard-at-a-time
-// into reusable arenas, on-disk sketches are captured copy-on-write while
-// the scan streams — so concurrent producers keep running while the
-// checkpoint is written (see Stats.CheckpointStallNanos).
+// drain and the snapshot seal — no sketch is copied; a node changed ahead
+// of the scan leaves its image at the seal, in RAM and on disk alike — so
+// concurrent producers keep running while the checkpoint is written (see
+// Stats.CheckpointStallNanos).
 //
 // Because sketches are linear, checkpoints with equal parameters are
 // mergeable (see MergeCheckpoint), so checkpoints double as the

@@ -57,7 +57,7 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 	// the baseline, so only the differing ones are stamped past the fresh
 	// cut. Workers are idle under both write locks.
 	cut := e.cut.Add(1)
-	e.releaseBeforeLocked()
+	e.capture.releaseBase()
 
 	// Diff the serialized node slots a node group — the unit of I/O — at a
 	// time. Equal bytes mean equal sketches, so the set of differing nodes
@@ -79,11 +79,11 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 			nDiff++
 			e.touch(start + uint32(j))
 			// prev's bytes are the state the transplanted baseline
-			// observed: exactly the before-image the delta query's diff
-			// materialization needs for this node. Past the capture limit
-			// (nil) it is imageless, as on the apply path (beforeImage).
+			// observed: exactly the image the delta query's diff
+			// materialization needs for this node. When the baseline
+			// refuses (nil) it is imageless, as on the apply path.
 			if errTheirs == nil {
-				copy(e.addBefore(start+uint32(j)), b)
+				copy(e.capture.adopt(start+uint32(j)), b)
 			}
 		}
 	}

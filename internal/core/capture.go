@@ -1,0 +1,300 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// capture keeps, for each reader's cut, the bytes node v had at that cut,
+// taken at v's first change after it. Sketches are linear, so "the state v
+// had at cut c" is just v's slot bytes at c, and two readers need them: the
+// delta query, whose baseline is the cached result's cut (base), and a
+// full checkpoint stream, whose cut is its seal (sealCut). Every change to
+// a slot is bracketed by begin and end — Engine.applyBatch around a batch
+// apply, markChangedNode around an install, a merge or baseline adoption —
+// and the caller fills the buffer begin hands back with v's stack as it
+// stands before the change (the store does it from wherever the stack is
+// at hand: the owner's slab, the decoded cache group). This is the one
+// place that decides which bytes a reader sees for v at its cut, in both
+// stores.
+//
+// When both readers want v's image at one change, they share one buffer:
+// v then changed after neither cut, so its bytes at both are its current
+// ones.
+//
+// One pool of slot-sized buffers and one byte budget serve both readers;
+// the readers differ only in what happens when the budget runs out. A
+// seal's capture waits — for a buffer the scanner frees, or for the
+// scanner to pass the node's section, whose scan then no longer needs the
+// image — so ingestion throttles to scan speed and the checkpoint stays
+// exact. The baseline refuses and leaves the node imageless: its
+// component re-solves from singletons, the price of a bounded footprint,
+// not an error. The baseline also refuses past maxBase images, one past
+// the delta query's fallback threshold: while every first change below it
+// took an image, a refusal implies the dirty count already exceeds the
+// threshold and the next query runs from scratch anyway. In RAM the budget
+// is one slot per node plus maxBase, so it never binds; out of core it is
+// a quarter of the write-back cache (NewEngine).
+type capture struct {
+	slot    int // bytes of one image
+	budget  int // bytes of distinct buffers the readers may hold
+	maxBase int // most images the baseline holds
+
+	mu sync.Mutex
+	// cond is signalled when a scan frees buffers or captures a section, a
+	// section is claimed, or a change in a claimed section ends.
+	cond *sync.Cond
+	// base maps each node first changed since the cached query result's
+	// cut to its bytes at that cut. Written under mu by the change that
+	// takes the image; the delta query reads it without mu while the
+	// workers are idle (it holds the quiesce write lock), as only a
+	// concurrent scan, which reads it too, may run then.
+	base map[uint32][]byte
+	// sealed is the live full checkpoint's side, if any: set and cleared
+	// under mu, and loaded without it by begin's fast path.
+	sealed atomic.Pointer[sealCut]
+	free   [][]byte // buffers no reader holds, reused before allocating
+	held   int      // distinct buffers the readers hold
+	bufs   int      // buffers allocated and not dropped: held plus free
+}
+
+// sealCut is a live full checkpoint's side of the capture: its images, and
+// the section protocol that keeps its scan apart from the changes. A
+// change is counted per section in inflight between begin and end, and the
+// scanner claims a section before reading it: the claim waits for the
+// section's changes in flight, and a change arriving at a claimed section
+// waits for the section's capture, after which the section is no longer
+// the seal's concern. So the scan never reads a slot while it changes, nor
+// an image before it is filled.
+type sealCut struct {
+	nps      uint32            // nodes per section
+	images   map[uint32][]byte // node -> its bytes at the seal
+	scanned  []bool            // per section: captured
+	claimed  []bool            // per section: the scanner is reading it
+	inflight []int             // per section: changes between begin and end
+}
+
+// init sizes the capture for n nodes of slot bytes, with the RAM budget.
+func (c *capture) init(n uint32, slot int) {
+	c.slot = slot
+	c.maxBase = int(deltaQueryMaxDirtyFrac*float64(n)) + 1
+	c.budget = (int(n) + c.maxBase) * slot
+	c.base = make(map[uint32][]byte)
+	c.cond = sync.NewCond(&c.mu)
+}
+
+// baseLimit is the most images the baseline can hold: maxBase, or fewer
+// when the budget holds fewer.
+func (c *capture) baseLimit() int { return min(c.maxBase, c.budget/c.slot) }
+
+// begin is a change's entry into the capture, before node changes: base
+// says whether the baseline wants the image (the change is the node's
+// first since the cached result's cut). It returns the buffer the caller
+// fills with the node's pre-change stack — nil when no reader takes an
+// image — and the section the caller passes to end after the change (-1
+// when no seal is concerned). While a seal wants the image and the budget
+// is exhausted, or the node's section is claimed, it waits; it never waits
+// holding a section in flight, so the scanner's claim always drains.
+func (c *capture) begin(node uint32, base bool) (img []byte, sec int) {
+	s := c.sealed.Load()
+	if s == nil && !base {
+		return nil, -1
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sec, seal := -1, false
+	if s != nil {
+		sec = int(node / s.nps)
+		for !s.scanned[sec] && (s.claimed[sec] || s.images[node] == nil && !c.fits()) {
+			c.cond.Wait()
+		}
+		if s.scanned[sec] {
+			sec = -1
+		} else {
+			s.inflight[sec]++
+			seal = s.images[node] == nil
+		}
+	}
+	base = base && len(c.base) < c.maxBase && (seal || c.fits())
+	if !seal && !base {
+		return nil, sec
+	}
+	img = c.take()
+	if seal {
+		s.images[node] = img
+	}
+	if base {
+		c.base[node] = img
+	}
+	return img, sec
+}
+
+// end ends what begin began; sec < 0 is a no-op.
+func (c *capture) end(sec int) {
+	if sec < 0 {
+		return
+	}
+	c.mu.Lock()
+	// After finish the seal is gone and its sections no longer count.
+	if s := c.sealed.Load(); s != nil {
+		if s.inflight[sec]--; s.inflight[sec] == 0 && s.claimed[sec] {
+			c.cond.Broadcast()
+		}
+	}
+	c.mu.Unlock()
+}
+
+// adopt registers a baseline image for node and returns its buffer for the
+// caller to fill with the bytes the adopted baseline observed — nil when
+// the baseline refuses. The bytes are not this engine's, so a live seal
+// never shares them. The caller holds the quiesce write lock with the
+// workers idle.
+func (c *capture) adopt(node uint32) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.base) >= c.maxBase || !c.fits() {
+		return nil
+	}
+	img := c.take()
+	c.base[node] = img
+	return img
+}
+
+// releaseBase drops every baseline image — a new cached result, or an
+// adopted one, supersedes their cut — keeping the buffers for the next
+// captures, except one a live seal still shares. The caller holds the
+// quiesce write lock with the workers idle, and no query session reading
+// the images is still running.
+func (c *capture) releaseBase() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.sealed.Load()
+	for node, img := range c.base {
+		if s == nil || !sameBuf(img, s.images[node]) {
+			c.put(img)
+		}
+	}
+	clear(c.base)
+	c.trim()
+}
+
+// seal installs a full checkpoint's side over sections of nps nodes: from
+// now on each node's first change ahead of its section's scan takes its
+// image. The caller holds the quiesce write lock with the workers idle,
+// after a flush, so the store holds the cut.
+func (c *capture) seal(sections int, nps uint32) {
+	c.mu.Lock()
+	c.sealed.Store(&sealCut{
+		nps:      nps,
+		images:   make(map[uint32][]byte),
+		scanned:  make([]bool, sections),
+		claimed:  make([]bool, sections),
+		inflight: make([]int, sections),
+	})
+	c.mu.Unlock()
+}
+
+// claim reserves section sec for the scanner: changes arriving from now on
+// wait in begin, and claim returns once the ones already between begin
+// and end have left, so the scanner reads the section race-free until it
+// captures it.
+func (c *capture) claim(sec int) {
+	c.mu.Lock()
+	s := c.sealed.Load()
+	s.claimed[sec] = true
+	for s.inflight[sec] > 0 {
+		c.cond.Wait()
+	}
+	c.mu.Unlock()
+}
+
+// substitute marks section sec scanned and puts the seal's images of
+// nodes [start, start+count) over what the scanner read into payload,
+// which is then the seal's cut; from here on changes to the section take
+// no seal image.
+func (c *capture) substitute(sec int, start uint32, count int, payload []byte) {
+	c.mu.Lock()
+	s := c.sealed.Load()
+	s.scanned[sec] = true
+	for j := 0; j < count && len(s.images) > 0; j++ {
+		node := start + uint32(j)
+		if img := s.images[node]; img != nil {
+			copy(payload[j*c.slot:], img)
+			delete(s.images, node)
+			if !sameBuf(img, c.base[node]) {
+				c.put(img)
+			}
+		}
+	}
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+// finish retires the seal: every section counts as scanned, so changes
+// waiting in begin wake even when the stream aborted before scanning them,
+// and its images go back to the pool, which shrinks to what the baseline
+// can use.
+func (c *capture) finish() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.sealed.Load()
+	for i := range s.scanned {
+		s.scanned[i] = true
+	}
+	for node, img := range s.images {
+		if !sameBuf(img, c.base[node]) {
+			c.put(img)
+		}
+	}
+	c.sealed.Store(nil)
+	c.trim()
+	c.cond.Broadcast()
+}
+
+// bytes is what the capture holds in RAM: every buffer allocated and not
+// dropped, held by a reader or pooled.
+func (c *capture) bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int64(c.bufs) * int64(c.slot)
+}
+
+// fits reports whether one more buffer fits the budget. Caller holds mu.
+func (c *capture) fits() bool { return (c.held+1)*c.slot <= c.budget }
+
+// take hands out a buffer, a pooled one when there is one. Caller holds mu.
+func (c *capture) take() []byte {
+	c.held++
+	if n := len(c.free); n > 0 {
+		b := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		return b
+	}
+	c.bufs++
+	return make([]byte, c.slot)
+}
+
+// put returns a buffer no reader holds any more to the pool. Caller holds mu.
+func (c *capture) put(b []byte) {
+	c.held--
+	c.free = append(c.free, b)
+}
+
+// trim drops pooled buffers beyond what the baseline alone can hold once
+// no seal is live: a seal's buffers serve only its stream, while without
+// the pool every query cycle would allocate, zero and discard a buffer per
+// first-changed node. Caller holds mu.
+func (c *capture) trim() {
+	if c.sealed.Load() != nil {
+		return
+	}
+	for n := len(c.free); n > 0 && c.bufs > max(c.held, c.baseLimit()); n-- {
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		c.bufs--
+	}
+}
+
+// sameBuf reports whether b is buffer a (b may be nil).
+func sameBuf(a, b []byte) bool { return b != nil && &a[0] == &b[0] }

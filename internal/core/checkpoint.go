@@ -113,180 +113,6 @@ var ErrIncompatibleCheckpoint = errors.New("core: incompatible checkpoint parame
 // CRC-32C check or the stream structure is malformed.
 var ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint")
 
-// ckptSnap is the copy-on-write capture of one in-flight full snapshot.
-// The snapshot stream encodes section by section while ingestion
-// continues; any worker about to change a node in a not-yet-scanned
-// section first deposits the node's pre-image here, and the scanner
-// substitutes deposited pre-images when it captures the section. Either
-// the scanner read the node before the worker's write (the bytes it read
-// are the pre-image) or the worker checked the scan state before writing
-// (and deposited the pre-image), so every slot in the snapshot reflects
-// exactly the drain-time cut.
-//
-// A change is bracketed by acquire/release, counted per section in
-// inflight — ramStore's apply of a live slab, deviceStore's write-back of a
-// group (preserve, through the cache's write barrier) — and the scanner
-// claims a section before reading it: the claim waits for the section's
-// changes in flight, and a change arriving at a claimed section waits for
-// the capture, after which the section is no longer the snapshot's
-// concern. So the scan never reads a slot while it changes.
-type ckptSnap struct {
-	mu              sync.Mutex
-	cond            *sync.Cond // signalled when capture frees budget / scans a section / inflight drops
-	scanned         []bool     // per-section: section fully captured
-	claimed         []bool     // per section: the scanner is reading it
-	inflight        []int      // per section: changes between acquire and release
-	nodesPerSection uint32
-	pre             map[uint32][]byte // node -> pre-image slot bytes
-	free            [][]byte          // captured pre-image buffers, reused by later deposits
-	used            int               // bytes held in pre
-	budget          int
-}
-
-func newCkptSnap(sections int, nps uint32, budget int) *ckptSnap {
-	s := &ckptSnap{
-		scanned:         make([]bool, sections),
-		claimed:         make([]bool, sections),
-		inflight:        make([]int, sections),
-		nodesPerSection: nps,
-		pre:             make(map[uint32][]byte),
-		budget:          budget,
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// takeBuf returns a slot-sized pre-image buffer, reusing one a capture
-// released when there is one. Caller holds s.mu.
-func (s *ckptSnap) takeBuf(size int) []byte {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		return b
-	}
-	return make([]byte, size)
-}
-
-// preserve deposits blob as node's pre-image, as a change bracketed by
-// acquire and release would: the write barrier's deposit.
-func (s *ckptSnap) preserve(node uint32, blob []byte) {
-	sec, pre := s.acquire(node, len(blob))
-	copy(pre, blob)
-	s.release(sec)
-}
-
-// acquire is a change's entry into the capture: called before a worker
-// changes node, it returns the section the worker must release
-// after the change (-1: the section is captured, nothing to release) and,
-// on the node's first change since the seal, a slot-sized buffer
-// registered as its pre-image, which the caller fills with the node's
-// current stack before changing it. While the section is claimed it waits
-// for the capture, and while the budget is exhausted for budget or the
-// capture; it never waits holding a section in flight, so the scanner's
-// claim always drains.
-func (s *ckptSnap) acquire(node uint32, slotSize int) (sec int, pre []byte) {
-	sec = int(node / s.nodesPerSection)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		switch {
-		case s.scanned[sec]:
-			return -1, nil
-		case s.claimed[sec]:
-		case s.pre[node] != nil:
-			s.inflight[sec]++
-			return sec, nil
-		case s.used+slotSize <= s.budget:
-			pre = s.takeBuf(slotSize)
-			s.pre[node] = pre
-			s.used += slotSize
-			s.inflight[sec]++
-			return sec, pre
-		}
-		s.cond.Wait()
-	}
-}
-
-// release ends what acquire began; sec < 0 is a no-op.
-func (s *ckptSnap) release(sec int) {
-	if sec < 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.inflight[sec]--; s.inflight[sec] == 0 && s.claimed[sec] {
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-// claim reserves section sec for the scanner: changes arriving from now on
-// wait in acquire, and claim returns once the ones already between acquire
-// and release have left, so the scanner reads the section race-free until
-// it captures it.
-func (s *ckptSnap) claim(sec int) {
-	s.mu.Lock()
-	s.claimed[sec] = true
-	for s.inflight[sec] > 0 {
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
-}
-
-// needsPreImage reports whether any slot in [start, start+count) lies in
-// a not-yet-captured section — i.e. whether a write about to overwrite
-// those slots must deposit their pre-images first. Once every covering
-// section is scanned, writers skip both the deposit and the pre-image
-// device read that feeds it.
-func (s *ckptSnap) needsPreImage(start uint32, count int) bool {
-	lo := int(start / s.nodesPerSection)
-	hi := int((start + uint32(count) - 1) / s.nodesPerSection)
-	if hi >= len(s.scanned) {
-		hi = len(s.scanned) - 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for sec := lo; sec <= hi; sec++ {
-		if !s.scanned[sec] {
-			return true
-		}
-	}
-	return false
-}
-
-// capture marks section sec scanned and substitutes any deposited
-// pre-images of nodes [start, start+count) into payload. Called by the
-// scanner after it has read the claimed section; from here on workers
-// write the section's slots freely.
-func (s *ckptSnap) capture(sec int, start uint32, count int, payload []byte, slotSize int) {
-	s.mu.Lock()
-	s.scanned[sec] = true
-	for j := 0; j < count && len(s.pre) > 0; j++ {
-		node := start + uint32(j)
-		if pre := s.pre[node]; pre != nil {
-			copy(payload[j*slotSize:], pre)
-			s.used -= len(pre)
-			s.free = append(s.free, pre)
-			delete(s.pre, node)
-		}
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// finish releases the capture: every section is marked scanned so workers
-// blocked in preserve or acquire always wake, even when the stream aborted
-// before scanning them.
-func (s *ckptSnap) finish() {
-	s.mu.Lock()
-	for i := range s.scanned {
-		s.scanned[i] = true
-	}
-	s.pre, s.free = nil, nil
-	s.used = 0
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
 // nodeRun is one section of a checkpoint plan: the serialized slots of
 // local nodes [start, start+count). off is the byte offset of the run's first
 // slot in a delta snapshot's buffer (CheckpointSnapshot.deltaBuf); a full
@@ -365,14 +191,14 @@ func (e *Engine) putSectionBuf(b []byte) {
 
 // WriteCheckpoint writes the engine's full sketch state as a checkpoint.
 // The quiesce lock is held only to drain buffered updates and seal the
-// snapshot — installing the copy-on-write capture, after spilling the
-// write-back cache out of core — then released: the sections are encoded
-// by a worker pool straight out of the live sketches and streamed to w
-// while ingestion continues, so the ingest stall is the drain (plus the
-// cache spill out of core; reported in Stats.CheckpointStallNanos), not a
-// copy of the sketches and not writer bandwidth. What a seal holds in RAM
-// is the sections in flight plus the pre-images of nodes changed before
-// their section was encoded (ckptSnap, checkpointCOWBudget). The
+// snapshot — spilling the write-back cache out of core, then installing
+// the capture's seal — then released: the sections are encoded by a worker
+// pool straight out of the store and streamed to w while ingestion
+// continues, so the ingest stall is the drain (plus the cache spill out of
+// core; reported in Stats.CheckpointStallNanos), not a copy of the
+// sketches and not writer bandwidth. What a seal holds in RAM is the
+// sections in flight plus the images of nodes changed before their section
+// was encoded, within the capture's one budget (capture.go). The
 // checkpoint is an exact cut: it contains every update whose ingest call
 // returned before WriteCheckpoint began and none accepted after the seal.
 // Concurrent WriteCheckpoint/MergeCheckpoint calls are serialized.
@@ -448,7 +274,7 @@ type CheckpointSnapshot struct {
 	walLSN   uint64    // last WAL LSN the cut covers (0 with the WAL off)
 	meta     []byte    // chain envelope + caller metadata sealed with the cut
 	sections []nodeRun // the section plan: fullPlan, or deltaPlan over the dirty ids
-	snap     *ckptSnap // non-nil iff full checkpoint
+	full     bool      // a full checkpoint: the capture holds its seal until Close
 	written  bool
 	closed   bool
 
@@ -456,8 +282,7 @@ type CheckpointSnapshot struct {
 	// delta snapshot, baseID names the base checkpoint it chains onto (0
 	// for a full one) and deltaBuf holds the plan's slots, materialized at
 	// seal time under the quiesce lock (a delta is small by construction,
-	// so no copy-on-write machinery is needed to stream it with ingestion
-	// live).
+	// so no capture is needed to stream it with ingestion live).
 	ckptID   uint64
 	baseID   uint64
 	deltaBuf []byte
@@ -466,8 +291,9 @@ type CheckpointSnapshot struct {
 // SealCheckpointSince drains buffered updates and seals a snapshot of the
 // current sketch state, excluding ingestion only for that long (the
 // drain + seal duration lands in Stats.CheckpointStallNanos). Sealing a
-// full checkpoint copies no sketch: it installs the copy-on-write capture
-// (ckptSnap) that StreamTo reads the live sketches through. The caller
+// full checkpoint copies no sketch: it flushes the store and installs the
+// capture's seal, whose images StreamTo puts over the slots changed since.
+// The caller
 // must Close the returned snapshot, after streaming it with StreamTo.
 //
 // When possible the snapshot is a sparse delta against the checkpoint
@@ -542,13 +368,14 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (_ *CheckpointSnapshot, err
 	}
 	cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, 0, 0, user)
 	cs.sections = e.fullPlan(nps)
-	// From here on the section scanner reads the live sketches while the
-	// workers change them; the store feeds the capture the pre-image of
-	// every slot changed ahead of its section's scan (store.go).
-	cs.snap = newCkptSnap(len(cs.sections), nps, e.cowBudget)
-	if err := e.sketches.seal(cs.snap); err != nil {
+	// The store now holds the cut. From here on the section scanner reads
+	// it while the workers change it, and every slot changed ahead of its
+	// section's scan leaves its image at the seal in the capture.
+	if err := e.sketches.flush(); err != nil {
 		return nil, err
 	}
+	e.capture.seal(len(cs.sections), nps)
+	cs.full = true
 	return cs, nil
 }
 
@@ -638,17 +465,16 @@ func (cs *CheckpointSnapshot) WriteFile(path string) error {
 	return nil
 }
 
-// Close releases the snapshot: the copy-on-write capture is retired
-// (waking any worker blocked on it) and the engine's checkpoint mutex is
-// released. Idempotent.
+// Close releases the snapshot: the capture's seal is retired (waking any
+// worker blocked on it) and the engine's checkpoint mutex is released.
+// Idempotent.
 func (cs *CheckpointSnapshot) Close() {
 	if cs.closed {
 		return
 	}
 	cs.closed = true
-	if cs.snap != nil {
-		cs.e.sketches.unseal()
-		cs.snap.finish()
+	if cs.full {
+		cs.e.capture.finish()
 	}
 	cs.e.ckptMu.Unlock()
 }
@@ -794,16 +620,16 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 // encodeSection fills payload with the serialized slots of section sec of
 // the snapshot's plan. A delta copies the run out of the buffer
 // materializeDelta filled under the seal. A full checkpoint claims the
-// section, scans the live sketches and substitutes the capture's
-// pre-images: the drain-time cut.
+// section, reads the store and substitutes the capture's images: the
+// seal-time cut.
 func (e *Engine) encodeSection(sec int, run nodeRun, payload []byte, cs *CheckpointSnapshot) error {
 	if cs.IsDelta() {
 		copy(payload, cs.deltaBuf[run.off:])
 		return nil
 	}
-	cs.snap.claim(sec)
-	err := e.sketches.scanSlots(run.start, run.count, payload)
-	cs.snap.capture(sec, run.start, run.count, payload, e.slotSize)
+	e.capture.claim(sec)
+	err := e.sketches.readSlots(run.start, run.count, payload)
+	e.capture.substitute(sec, run.start, run.count, payload)
 	return err
 }
 
@@ -1290,8 +1116,8 @@ func (cp *Checkpoint) each(visit runVisitor) error {
 // Install replaces the slots of every node the checkpoints carry in one
 // step under the engine's exclusive lock, so queries see all of them or
 // none: a full checkpoint its whole range, a delta its nodes. Each node is
-// stamped with its current stack as the incremental query's
-// before-image, as the apply path does. No chain position is checked or
+// stamped with its current stack as the delta query's image, as the apply
+// path does. No chain position is checked or
 // adopted (the caller tracks the writers'). The checkpoints come from
 // ReadRange on this engine, over disjoint ranges, and install
 // concurrently: a loaded one (Load) from RAM, so only a store fault can
@@ -1350,14 +1176,14 @@ func (e *Engine) installLocked(cps []*Checkpoint) error {
 
 // install is the one writer of checkpoint slots: it replaces the slots of
 // global nodes [start, start+count), stamping each node first with its
-// current stack as the before-image when the incremental query wants one
+// current stack as the baseline's image when the delta query wants one
 // (the run is then read once). Concurrent calls on disjoint runs are safe;
 // the caller holds the quiesce write lock, or owns a fresh engine.
 func (e *Engine) install(start uint32, count int, slots []byte) error {
 	start -= e.lo
 	var cur []byte
 	for j := 0; j < count; j++ {
-		if e.wantsImage(start + uint32(j)) {
+		if e.wantsBase(start + uint32(j)) {
 			cur = e.getSectionBuf(count * e.slotSize)
 			defer e.putSectionBuf(cur)
 			if err := e.sketches.readSlots(start, count, cur); err != nil {
@@ -1427,7 +1253,7 @@ func (e *Engine) MergeCheckpoint(r io.Reader) error {
 // actually changes are exactly the incoming non-empty slots: only those
 // are stamped, so the next query after a sparse merge runs the delta path
 // over the touched components only and the next delta seal ships just
-// them. Their before-images come from the run already read.
+// them. Their images come from the run already read.
 func (e *Engine) mergeRun(start uint32, count int, incoming []byte) error {
 	start -= e.lo
 	local := e.getSectionBuf(count * e.slotSize)

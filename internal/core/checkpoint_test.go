@@ -459,21 +459,21 @@ func TestMergeCheckpointIncompatibleText(t *testing.T) {
 	}
 }
 
-// TestDiskCheckpointCOWBudgetBackpressure forces every copy-on-write
-// deposit to exceed the pre-image budget, so workers must wait for the
-// scan instead of buffering: the checkpoint still completes, stays an
-// exact cut, and no memory-unbounded pre-image map is needed.
+// TestDiskCheckpointCOWBudgetBackpressure forces every seal image to
+// exceed the capture's budget, so workers must wait for the scan instead
+// of buffering: the checkpoint still completes, stays an exact cut, and no
+// memory-unbounded image map is needed.
 func TestDiskCheckpointCOWBudgetBackpressure(t *testing.T) {
 	const n = 64
 	// CacheBytes 1 pins the write-back cache at its one-group floor, so
-	// nearly every post-seal batch evicts a dirty group and runs the COW
-	// write barrier — the deposits the budget backpressure throttles.
+	// nearly every post-seal batch evicts a dirty group and writes it back
+	// under the scan.
 	e, err := NewEngine(Config{NumNodes: n, Seed: 67, SketchesOnDisk: true, CacheBytes: 1, NodesPerGroup: 2, BufferFactor: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.cowBudget = -1 // every preserve waits for its section's scan
+	e.capture.budget = 0 // every seal image waits for its section's scan
 	var base []stream.Edge
 	for u := uint32(0); u+1 < n; u++ {
 		base = append(base, stream.Edge{U: u, V: u + 1})
@@ -669,20 +669,61 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRAMCheckpointLiveProducersExactCut is the RAM twin of
+// checkpointStores are the placements the capture's checkpoint tests run
+// in: RAM, and out of core at the write-back cache's one-group floor, where
+// nearly every batch evicts a dirty group and its write-back races the
+// scan.
+var checkpointStores = []struct {
+	name string
+	disk bool
+}{{"ram", false}, {"disk", true}}
+
+// placed returns cfg in the placement of checkpointStores[i].
+func placed(cfg Config, i int) Config {
+	if checkpointStores[i].disk {
+		cfg.SketchesOnDisk, cfg.CacheBytes = true, 1
+	}
+	return cfg
+}
+
+// unboundCapture gives e's capture RAM's budget, an image for every node,
+// for a test whose producers must go on while it holds the scan: out of
+// core at the one-group floor the budget is zero, and every seal image
+// waits for the scan.
+func unboundCapture(e *Engine) {
+	e.capture.budget = (int(e.n) + e.capture.maxBase) * e.slotSize
+}
+
+// sealImages returns how many images e's live seal holds.
+func sealImages(e *Engine) int {
+	e.capture.mu.Lock()
+	defer e.capture.mu.Unlock()
+	return len(e.capture.sealed.Load().images)
+}
+
+// TestRAMCheckpointLiveProducersExactCut is the twin of
 // TestCheckpointLowStallAndExactCut with producers running throughout:
 // while each stream is blocked on its writer, producers keep ingesting and
 // draining (ingestion never waits on the writer) and change nodes ahead of
-// the scan (pre-images are deposited); once released, the scan marshals the
-// live slabs under those applies. Every checkpoint must equal the seal-time
-// cut byte for byte, and the live engine must hold every update.
+// the scan (pre-images are deposited); once released, the scan reads the
+// store under those applies — out of core the device, while write-backs
+// rewrite it. Every checkpoint must equal the seal-time cut byte for byte,
+// and the live engine must hold every update; RAM and out of core.
 func TestRAMCheckpointLiveProducersExactCut(t *testing.T) {
-	cfg := Config{NumNodes: 512, Seed: 73, Shards: 2}
+	for si, store := range checkpointStores {
+		t.Run(store.name, func(t *testing.T) {
+			liveProducersExactCut(t, placed(Config{NumNodes: 512, Seed: 73, Shards: 2}, si))
+		})
+	}
+}
+
+func liveProducersExactCut(t *testing.T, cfg Config) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	unboundCapture(e)
 	base := randomEdges(cfg.NumNodes, 2000, 21, 22)
 	if err := e.InsertEdges(base); err != nil {
 		t.Fatal(err)
@@ -707,10 +748,7 @@ func TestRAMCheckpointLiveProducersExactCut(t *testing.T) {
 			defer func() { release(); <-streamed }()
 			drains := p.drains.Load() + 4
 			waitUntil(t, "producers draining behind a blocked checkpoint writer", func() bool { return p.drains.Load() >= drains })
-			cs.snap.mu.Lock()
-			deposited := cs.snap.used
-			cs.snap.mu.Unlock()
-			if deposited == 0 {
+			if sealImages(e) == 0 {
 				t.Fatal("no pre-image deposited: the producers never raced the scan")
 			}
 			release()
@@ -729,65 +767,80 @@ func TestRAMCheckpointLiveProducersExactCut(t *testing.T) {
 	}
 }
 
-// TestRAMCheckpointCOWBudgetBackpressure is the RAM twin of
-// TestDiskCheckpointCOWBudgetBackpressure: with the pre-image budget cut to
-// a few slots, changes ahead of the scan deposit until it runs out and then
-// wait for their section's capture; forced to zero, every one waits. Either
-// way the checkpoints under live producers are exact cuts.
+// TestRAMCheckpointCOWBudgetBackpressure is the live-producers twin of
+// TestDiskCheckpointCOWBudgetBackpressure, in RAM and out of core: with the
+// capture's budget cut to a few slots, changes ahead of the scan take
+// images until it runs out and then wait for their section's capture; cut
+// to zero, every one waits. Either way the checkpoints under live
+// producers are exact cuts.
 func TestRAMCheckpointCOWBudgetBackpressure(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		slots int // pre-image budget in slots; 0 forces it to zero
+		slots int // the capture's budget in slots
 	}{{"few-slots", 4}, {"zero", 0}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{NumNodes: 512, Seed: 79, Shards: 2}
-			e, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			e.cowBudget = tc.slots * e.slotSize
-			if tc.slots == 0 {
-				e.cowBudget = -1
-			}
-			base := randomEdges(cfg.NumNodes, 2000, 23, 24)
-			if err := e.InsertEdges(base); err != nil {
-				t.Fatal(err)
-			}
-			p := startProducers(t, e, 2, 9)
-			defer p.finish()
-			for i := 0; i < 3; i++ {
-				cs, cut := p.seal(t, e)
-				var buf bytes.Buffer
-				err := cs.StreamTo(&buf)
-				cs.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(checkpointSlots(t, buf.Bytes()), referenceSlots(t, cfg, slices.Concat(base, cut))) {
-					t.Fatalf("checkpoint %d is not the seal-time cut", i)
-				}
-			}
-			all := p.finish()
-			if !bytes.Equal(rawSlots(t, e), referenceSlots(t, cfg, slices.Concat(base, all))) {
-				t.Fatal("the live engine does not hold exactly the updates ingested across the checkpoints")
+			for si, store := range checkpointStores {
+				t.Run(store.name, func(t *testing.T) {
+					budgetBackpressure(t, placed(Config{NumNodes: 512, Seed: 79, Shards: 2}, si), tc.slots)
+				})
 			}
 		})
 	}
 }
 
-// TestRAMCheckpointCOWClaimWaitsForInflightApply holds a worker inside its
-// apply of a node (past acquire, before Slab.Apply) while the stream runs:
-// the scanner claims the node's section and must wait there — the stream
-// cannot finish — until the apply releases, after which the section is
-// captured with the node's pre-image.
-func TestRAMCheckpointCOWClaimWaitsForInflightApply(t *testing.T) {
-	cfg := Config{NumNodes: 512, Seed: 83, Shards: 1, Buffering: BufferNone}
+func budgetBackpressure(t *testing.T, cfg Config, slots int) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	e.capture.budget = slots * e.slotSize
+	base := randomEdges(cfg.NumNodes, 2000, 23, 24)
+	if err := e.InsertEdges(base); err != nil {
+		t.Fatal(err)
+	}
+	p := startProducers(t, e, 2, 9)
+	defer p.finish()
+	for i := 0; i < 3; i++ {
+		cs, cut := p.seal(t, e)
+		var buf bytes.Buffer
+		err := cs.StreamTo(&buf)
+		cs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(checkpointSlots(t, buf.Bytes()), referenceSlots(t, cfg, slices.Concat(base, cut))) {
+			t.Fatalf("checkpoint %d is not the seal-time cut", i)
+		}
+	}
+	all := p.finish()
+	if !bytes.Equal(rawSlots(t, e), referenceSlots(t, cfg, slices.Concat(base, all))) {
+		t.Fatal("the live engine does not hold exactly the updates ingested across the checkpoints")
+	}
+}
+
+// TestRAMCheckpointCOWClaimWaitsForInflightApply holds a worker inside its
+// apply of a node (past the capture's begin, before the store's apply)
+// while the stream runs: the scanner claims the node's section and must
+// wait there — the stream cannot finish — until the apply ends, after which
+// the section is captured with the node's pre-image. RAM and out of core.
+func TestRAMCheckpointCOWClaimWaitsForInflightApply(t *testing.T) {
+	for si, store := range checkpointStores {
+		t.Run(store.name, func(t *testing.T) {
+			claimWaitsForInflightApply(t, placed(Config{NumNodes: 512, Seed: 83, Shards: 1, Buffering: BufferNone}, si))
+		})
+	}
+}
+
+func claimWaitsForInflightApply(t *testing.T, cfg Config) {
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Both endpoints of the held apply's edge take an image before the
+	// scan starts.
+	unboundCapture(e)
 	const target = 500 // in the last section
 	var armed atomic.Bool
 	entered, proceed := make(chan struct{}), make(chan struct{})
@@ -815,7 +868,7 @@ func TestRAMCheckpointCOWClaimWaitsForInflightApply(t *testing.T) {
 	defer cs.Close()
 	release := sync.OnceFunc(func() { close(proceed) })
 	defer release()
-	sec := int(target / cs.snap.nodesPerSection)
+	sec := int(target / e.capture.sealed.Load().nps)
 	if sec == 0 {
 		t.Fatal("target node shares the first section")
 	}
@@ -829,9 +882,9 @@ func TestRAMCheckpointCOWClaimWaitsForInflightApply(t *testing.T) {
 	streamed := make(chan error, 1)
 	go func() { streamed <- cs.StreamTo(&buf) }()
 	waitUntil(t, "the scanner claiming the in-flight section", func() bool {
-		cs.snap.mu.Lock()
-		defer cs.snap.mu.Unlock()
-		return cs.snap.claimed[sec]
+		e.capture.mu.Lock()
+		defer e.capture.mu.Unlock()
+		return e.capture.sealed.Load().claimed[sec]
 	})
 	select {
 	case err := <-streamed:

@@ -112,8 +112,7 @@ func (e *Engine) planDelta(baseID, newID uint64) ([]uint32, uint64, bool) {
 // materializeDelta copies the current serialized stacks of the plan's
 // dirty runs into the snapshot's delta buffer, under the quiesce write lock
 // (a delta is at most a threshold fraction of the universe, so the copy is
-// cheap enough to live inside the seal stall — no copy-on-write machinery
-// needed).
+// cheap enough to live inside the seal stall — no capture needed).
 func (e *Engine) materializeDelta(cs *CheckpointSnapshot) error {
 	cs.deltaBuf = make([]byte, cs.Nodes()*e.slotSize)
 	if err := e.sketches.flush(); err != nil {
@@ -193,16 +192,17 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, env metaEnvelope) {
 
 // markChangedNode stamps an out-of-band sketch mutation of local node (a
 // checkpoint install or merge — anything bypassing the batch apply path)
-// like an applied batch, capturing the node's pre-change image for the
-// delta query from cur, its current slot bytes as the caller read them
-// from the store; cur is read only when an image is wanted (wantsImage).
-// Must run BEFORE the mutation, under the quiesce write lock with the
-// workers idle, or on a fresh engine being restored.
+// like an applied batch, through the same capture: the node's image is
+// cur, its current slot bytes as the caller read them from the store,
+// which the caller reads only when the baseline wants an image
+// (wantsBase). Must run BEFORE the mutation, holding ckptMu and the
+// quiesce write lock with the workers idle, or on a fresh engine being
+// restored — so no seal is live and only the baseline asks.
 func (e *Engine) markChangedNode(node uint32, cur []byte) {
-	if img := e.beforeImage(node); img != nil {
-		copy(img, cur)
-	}
+	img, sec := e.capture.begin(node, e.wantsBase(node))
+	copy(img, cur)
 	e.touch(node)
+	e.capture.end(sec)
 }
 
 // WriteDeltaCheckpoint seals and streams a checkpoint that is a delta

@@ -14,12 +14,12 @@ import (
 // before-images' footprint — captured only when a query can use them,
 // bounded engine-wide, and visible in Stats.MemoryBytes.
 
-// beforeCounts returns how many before-images are live and how many
-// buffers sit in the pool.
+// beforeCounts returns how many before-images the baseline holds and how
+// many buffers sit in the capture's pool.
 func beforeCounts(e *Engine) (images, pooled int) {
-	e.beforeMu.Lock()
-	defer e.beforeMu.Unlock()
-	return len(e.before), len(e.beforeFree)
+	e.capture.mu.Lock()
+	defer e.capture.mu.Unlock()
+	return len(e.capture.base), len(e.capture.free)
 }
 
 // reservedTrickle builds the benchmark's trickle shape on a path giant:
@@ -263,7 +263,7 @@ func TestBeforeImagesOnlyWhenUsable(t *testing.T) {
 
 // TestBeforeImageFootprint runs slice -> query -> trickle -> query cycles
 // in RAM and out of core and pins the images' share of Stats.MemoryBytes:
-// zero until a cached result exists, then exactly beforeLimit slot-sized
+// zero until a cached result exists, then exactly baseLimit slot-sized
 // buffers — live or pooled, engine-wide, however many shards captured
 // them — where out of core the limit is the derived quarter of the cache
 // budget.
@@ -291,8 +291,8 @@ func TestBeforeImageFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			if e.beforeLimit != mode.limit {
-				t.Fatalf("beforeLimit = %d, want %d", e.beforeLimit, mode.limit)
+			if got := e.capture.baseLimit(); got != mode.limit {
+				t.Fatalf("baseLimit = %d, want %d", got, mode.limit)
 			}
 			// imageBytes is MemoryBytes less everything that is not an image.
 			fixed := int64(-1)

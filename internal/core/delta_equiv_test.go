@@ -490,11 +490,17 @@ func (h *equivHarness) deleteAll(eng *Engine, edges []stream.Edge) {
 var forestCutModes = []struct {
 	name  string
 	cfg   Config
-	limit int // beforeLimit override, 0 keeps the derived one
+	limit int // the baseline's image cap (setImageCap), 0 keeps the derived one
 }{
 	{"ram", Config{Shards: 2}, 0},
 	{"disk-cached", Config{Shards: 2, SketchesOnDisk: true, NodesPerGroup: 4}, 0},
 	{"disk-one-group", Config{Shards: 1, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: 1}, 16},
+}
+
+// setImageCap lets e's baseline hold images images: its count limit, and a
+// capture budget of that many slots.
+func setImageCap(e *Engine, images int) {
+	e.capture.maxBase, e.capture.budget = images, images*e.slotSize
 }
 
 // TestDeltaQueryEquivalenceForestCuts deletes 1-4 edges of the engine's
@@ -517,7 +523,7 @@ func TestDeltaQueryEquivalenceForestCuts(t *testing.T) {
 				}
 				defer eng.Close()
 				if mode.limit > 0 {
-					eng.beforeLimit = mode.limit
+					setImageCap(eng, mode.limit)
 				}
 				h := &equivHarness{t: t, eng: eng, n: n,
 					rng: rand.New(rand.NewPCG(61, uint64(si))), present: map[stream.Edge]bool{}}
@@ -792,7 +798,7 @@ func newPieceTwin(t *testing.T, mode int, n uint32, seed uint64) *pieceTwin {
 	}
 	t.Cleanup(func() { eng.Close() })
 	if limit := forestCutModes[mode].limit; limit > 0 {
-		eng.beforeLimit = limit
+		setImageCap(eng, limit)
 	}
 	twin, err := NewEngine(Config{NumNodes: n, Seed: seed, Buffering: BufferNone, NoDeltaQuery: true})
 	if err != nil {

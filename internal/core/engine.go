@@ -88,8 +88,8 @@ type Stats struct {
 	SketchFailures uint64
 	// CheckpointStallNanos is how long the most recent WriteCheckpoint
 	// excluded ingestion, in nanoseconds: the drain plus the snapshot seal,
-	// which installs the copy-on-write capture (out of core after spilling
-	// the write-back cache; a delta also copies its dirty slots). The
+	// which spills the write-back cache out of core and installs the
+	// capture's seal (a delta copies its dirty slots instead). The
 	// stream write itself runs with ingestion live, so this is bounded by
 	// the drain, not by the sketch bytes or writer bandwidth.
 	CheckpointStallNanos uint64
@@ -107,10 +107,11 @@ type Stats struct {
 	LastCheckpointID     uint64
 	LastCheckpointWALLSN uint64
 	// MemoryBytes estimates the RAM held by sketches, gutters, the
-	// write-back cache, the delta query's before-images (live and pooled)
-	// and the queries' supernode arena (NumNodes single-round sketches,
-	// counted at that size although the first query is what allocates it);
-	// DiskBytes the on-device footprint (sketch slots + gutter tree).
+	// write-back cache, the capture's images — the delta query's and a
+	// live checkpoint stream's, held or pooled — and the queries' supernode
+	// arena (NumNodes single-round sketches, counted at that size although
+	// the first query is what allocates it); DiskBytes the on-device
+	// footprint (sketch slots + gutter tree).
 	MemoryBytes, DiskBytes int64
 	// WAL reports write-ahead-log activity (appends, bytes, fsyncs,
 	// group commits, truncations, recovery scan results). All zero with
@@ -141,6 +142,9 @@ type Stats struct {
 // pending-batch WaitGroup; producers blocked on the read lock cannot race
 // them. Checkpoint writes hold the write lock only long enough to drain
 // and seal a snapshot, then stream with ingestion live (checkpoint.go).
+// Every reader that needs a node's bytes as of its own cut — the delta
+// query's baseline, a streaming seal — gets them from one capture, taken
+// at the node's first change after the cut in both stores (capture.go).
 type Engine struct {
 	cfg        Config
 	vecLen     uint64
@@ -173,9 +177,9 @@ type Engine struct {
 	wg      sync.WaitGroup
 
 	// testApplyHook, when non-nil (tests only), brackets every batch
-	// apply: the store calls it with the node before the apply and the
-	// returned function after — in RAM inside the checkpoint capture's
-	// in-flight window. The ownership test uses it to prove that one
+	// apply: applyBatch calls it with the node before the store's apply and
+	// the returned function after, inside the capture's in-flight window
+	// in both stores. The ownership test uses it to prove that one
 	// worker applies each group, the checkpoint tests to hold an apply
 	// open while the scanner claims its section.
 	testApplyHook func(node uint32) func()
@@ -235,18 +239,10 @@ type Engine struct {
 	lastDeltaContribs atomic.Int64
 	lastDeltaOps      atomic.Int64
 	lastDeltaVisits   atomic.Int64
-	// before maps each node first-dirtied since the last cached query to its
-	// serialized pre-change sketch stack — the state that result observed,
-	// which the delta query diffs the live sketches against (query.go).
-	// beforeFree pools the buffers the last cached query handed back. Both
-	// are guarded by beforeMu: every worker registers images into the one
-	// map, and Stats reads their sizes; the filling of a registered buffer
-	// needs no lock, since the node's owner is its one writer. beforeLimit
-	// bounds images and pool alike, engine-wide (beforeImage).
-	beforeMu    sync.Mutex
-	before      map[uint32][]byte
-	beforeFree  [][]byte
-	beforeLimit int
+	// capture keeps the bytes each node had at the cached query result's
+	// cut and at a live full checkpoint's seal, taken at its first change
+	// after each (capture.go).
+	capture capture
 	// queryArena holds the supernode sketches a Boruvka round sums, and out
 	// of core the rounds a scan looked ahead (sampleRound). One serves every
 	// query — they hold the quiesce write lock — re-formed per round inside
@@ -268,7 +264,6 @@ type Engine struct {
 	ckptMu        sync.Mutex
 	ckptBuf       *sync.Pool
 	lastCkptStall atomic.Int64
-	cowBudget     int // 0 = the store's default (seal); tests override it, -1 for none
 
 	// Delta-checkpoint chain state (delta.go). chainTag is a random
 	// per-lineage token minted at engine creation and adopted from the
@@ -376,23 +371,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.queryArenaBytes = int64(cfg.NumNodes) * int64(proto.Bytes())
 	}
 	e.slotSize = e.sketchSize * cfg.Rounds
-	// One past the fallback threshold: while every first-dirtying below the
-	// limit captured an image, a refused capture implies the dirty count
-	// already exceeds the threshold and the next query falls back anyway.
-	e.beforeLimit = int(deltaQueryMaxDirtyFrac*float64(e.n)) + 1
-	e.before = make(map[uint32][]byte)
+	e.capture.init(e.n, e.slotSize)
 	e.emptySlot = make([]byte, e.slotSize)
 	e.newSlab(1).MarshalNode(0, e.emptySlot)
 
 	e.npg = 1
 	if cfg.SketchesOnDisk {
 		// Out of core the images are RAM the deployment meant to keep on the
-		// device, so they get a quarter of what the write-back cache gets: a
-		// dirty node past that cap has no image and its component re-solves
-		// from singletons — the price of a bounded footprint, not an error.
-		if limit := int(cfg.CacheBytes / 4 / int64(e.slotSize)); limit < e.beforeLimit {
-			e.beforeLimit = limit
-		}
+		// device, so they get a quarter of what the write-back cache gets.
+		e.capture.budget = int(cfg.CacheBytes / 4)
 		ds, err := newDeviceStore(e)
 		if err != nil {
 			return nil, err
@@ -775,20 +762,26 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 		sh.indices = append(sh.indices, stream.EdgeIndex(uint64(e.cfg.NumNodes), eg))
 	}
 	sh.batches.Add(1)
-	// A node's first dirtying since the last cached query snapshots its
-	// pre-change sketch bytes: that state is exactly what the cached result
-	// observed, and the delta query's materialization is built on the
-	// difference from it. img is nil when no image is wanted; the store
-	// fills it from wherever the pre-change stack is at hand (the owner's
-	// slab, the decoded cache group).
-	img := e.beforeImage(b.Node)
+	// The node's first change after a reader's cut takes its image for
+	// that reader (capture.go); img is nil when no reader wants one, and
+	// the store fills it from wherever the pre-change stack is at hand
+	// (the owner's slab, the decoded cache group).
+	img, sec := e.capture.begin(b.Node, e.wantsBase(b.Node))
 	// Stamp the change before touching the sketches: no cut can be taken
 	// while the batch is in flight, so every reader whose cut precedes the
 	// applied state sees the node as changed.
 	e.touch(b.Node)
+	var done func()
+	if h := e.testApplyHook; h != nil {
+		done = h(b.Node)
+	}
 	if err := e.sketches.apply(b.Node, sh.indices, img); err != nil {
 		e.setErr(fmt.Errorf("core: applying batch to node %d: %w", b.Node, err))
 	}
+	if done != nil {
+		done()
+	}
+	e.capture.end(sec)
 }
 
 // touch stamps node as changed after the current cut. A node touched again
@@ -813,77 +806,22 @@ func (e *Engine) changedSince(cut uint64, dst []uint32) []uint32 {
 	return dst
 }
 
-// beforeImage registers a before-image for node if the mutation the
-// caller is about to make is the node's first change since the cached
-// query result's cut (its stamp is not above that cut yet), and returns
-// the slot-sized buffer for the caller to fill with the node's pre-change
-// serialized stack; nil means no image is wanted. Because no apply touched
-// the node in between, the image is the state the cached result observed —
-// which is what lets a delta query rebuild an affected supernode's cut
-// from its dirty members alone: a cached component's round aggregate is
-// the zero sketch (its cut was certified empty), so XORing each dirty
-// member's current-⊕-before diff into zero reproduces the component's true
-// current cut (query.go).
-//
-// Nothing is captured while no query could use it: before the first cached
+// wantsBase reports whether a change to node now would be its first since
+// the cached query result's cut, with delta queries on: whether the
+// baseline wants its image. Because no change touched the node in between,
+// the image is the state the cached result observed — which is what lets a
+// delta query rebuild an affected supernode's cut from its dirty members
+// alone: a cached component's round aggregate is the zero sketch (its cut
+// was certified empty), so XORing each dirty member's current-⊕-before
+// diff into zero reproduces the component's true current cut (query.go).
+// Nothing is wanted while no query could use it: before the first cached
 // result (a bulk load), or with delta queries disabled. Both only change
-// under the quiesce write lock with the workers idle. Capture also stops
-// once beforeLimit nodes hold images. In RAM the limit sits just past the
-// delta query's fallback threshold, so a refusal implies the next query
-// runs from scratch regardless; out of core it is the smaller of that and
-// the image byte budget (NewEngine), and a refused node's component alone
-// re-solves from singletons. The test needs no lock: node's stamp is
+// under the quiesce write lock with the workers idle, and node's stamp is
 // written by its owner's worker or by the driving goroutine while the
-// workers are idle, and the caller is one of those.
-func (e *Engine) beforeImage(node uint32) []byte {
-	if !e.wantsImage(node) {
-		return nil
-	}
-	return e.addBefore(node)
-}
-
-// wantsImage reports whether a change to node now would be its first
-// since the cached query result's cut, with delta queries on — whether
-// beforeImage asks for an image (beforeLimit aside). A node stamped above
-// the cut already has its image, if any.
-func (e *Engine) wantsImage(node uint32) bool {
+// workers are idle — the caller is one of those, so no lock is needed.
+func (e *Engine) wantsBase(node uint32) bool {
 	res := e.queryCache.Load()
 	return !e.cfg.NoDeltaQuery && res != nil && e.stamp[node].Load() <= res.cut
-}
-
-// addBefore registers a before-image for node and returns its slot-sized
-// buffer — one the last cached query handed back to the pool when there is
-// one — or nil once beforeLimit nodes hold images.
-func (e *Engine) addBefore(node uint32) []byte {
-	e.beforeMu.Lock()
-	defer e.beforeMu.Unlock()
-	if len(e.before) >= e.beforeLimit {
-		return nil
-	}
-	var buf []byte
-	if n := len(e.beforeFree); n > 0 {
-		buf, e.beforeFree = e.beforeFree[n-1], e.beforeFree[:n-1]
-	} else {
-		buf = make([]byte, e.slotSize)
-	}
-	e.before[node] = buf
-	return buf
-}
-
-// releaseBeforeLocked drops every before-image — their baseline has been
-// superseded — and keeps the buffers for the next captures: without the
-// pool every query cycle allocates, zeroes and discards a slot-sized
-// buffer per first-dirtied node. Images and pool together never exceed
-// beforeLimit buffers, because a capture drains the pool before it
-// allocates. The caller holds the quiesce write lock with the workers
-// idle, and no query session reading the images is still running.
-func (e *Engine) releaseBeforeLocked() {
-	e.beforeMu.Lock()
-	defer e.beforeMu.Unlock()
-	for _, img := range e.before {
-		e.beforeFree = append(e.beforeFree, img)
-	}
-	clear(e.before)
 }
 
 func (e *Engine) setErr(err error) {
@@ -974,9 +912,7 @@ func (e *Engine) Stats() Stats {
 			st.DirtyNodes++
 		}
 	}
-	e.beforeMu.Lock()
-	st.MemoryBytes += int64(len(e.before)+len(e.beforeFree)) * int64(e.slotSize)
-	e.beforeMu.Unlock()
+	st.MemoryBytes += e.capture.bytes()
 	st.MemoryBytes += e.queryArenaBytes
 	if e.treeDev != nil {
 		st.BufferIO = e.treeDev.Stats()

@@ -51,8 +51,8 @@ import (
 //     components carry over wholesale: the DSU starts as the cached
 //     partition, one star per component, and only the affected components
 //     are split back. An affected component is re-certified from the
-//     before-images the apply path captured at each node's first change
-//     since that cut, in RAM and out of core alike. Its sketch work and its
+//     before-images the capture took at each node's first change since
+//     that cut (capture.go), in RAM and out of core alike. Its sketch work and its
 //     bookkeeping are both set by the dirty set rather than the component:
 //     a cut component's pieces are found by searching the cached forest
 //     outward from the removed edges, in lockstep, until one search is
@@ -196,9 +196,9 @@ func (e *Engine) session() *querySession {
 func (e *Engine) cacheResultLocked(res *queryResult) {
 	res.cut = e.cut.Add(1)
 	e.queryCache.Store(res)
-	// The before-images' baseline is superseded by res: the next first
-	// dirtying of a node captures a fresh image relative to it.
-	e.releaseBeforeLocked()
+	// The images' baseline is superseded by res: the next first change of
+	// a node captures a fresh image relative to it.
+	e.capture.releaseBase()
 }
 
 // SpanningForest flushes all buffered updates and recovers a spanning
@@ -841,8 +841,9 @@ const splitMark = -1
 // members) — detaching a leaf from a giant component touches the leaf and
 // the dirty nodes, never the giant's members.
 //
-// From singletons: a dirty member has no before-image (capture stopped at
-// the limit), so prev is unknown for it. Every member is split out of the
+// From singletons: a dirty member has no before-image (the baseline refused
+// it, past its image limit or the capture's budget), so prev is unknown
+// for it. Every member is split out of the
 // star and the component re-solves with full member materialization.
 //
 // Merges go by size, so the larger side keeps its representative, and the
@@ -860,7 +861,7 @@ const splitMark = -1
 func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResult) (res *queryResult, ok bool, err error) {
 	// Workers are idle under the write lock: the image map and the stamps
 	// are stable.
-	q.delta, q.before = true, e.before
+	q.delta, q.before = true, e.capture.base
 	defer q.undoDelta()
 	for _, v := range q.dirty {
 		q.isDirty[v] = true

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"graphzeppelin/internal/cubesketch"
-)
+import "graphzeppelin/internal/cubesketch"
 
 // sketchStore is where an engine's node sketches live: ramStore keeps
 // them in per-shard RAM arenas, deviceStore on a block device behind a
@@ -13,27 +9,26 @@ import (
 // local node id. Each method runs once per batch, run, section, round or
 // root, never per index or bucket. Unless noted, the caller holds the
 // quiesce write lock with the workers idle.
+//
+// Which bytes a reader sees for a node at its cut is not the store's
+// concern: the capture (capture.go) brackets every change, and apply only
+// fills the image buffer it is handed. A full checkpoint's seal is a flush
+// and the capture's seal, whatever the store.
 type sketchStore interface {
 	// apply toggles indices in node's sketches, first marshalling the
 	// node's slot into img when img is non-nil; called by the node's
-	// owning worker, bracketed by Engine.testApplyHook.
+	// owning worker inside the capture's bracket.
 	apply(node uint32, indices []uint64, img []byte) error
 	// readSlots reads the slots of nodes [start, start+count), current
-	// after flush; writeSlots replaces them, refusing the whole run if one
-	// slot fails checkSlots. invalidate is flush plus dropping every copy
-	// a writeSlots would leave stale.
+	// after flush, in accesses of bounded size; the checkpoint scan also
+	// calls it for a claimed section while the workers apply, concurrently
+	// for distinct sections. writeSlots replaces them, refusing the whole
+	// run if one slot fails checkSlots. invalidate is flush plus dropping
+	// every copy a writeSlots would leave stale.
 	readSlots(start uint32, count int, buf []byte) error
 	writeSlots(start uint32, count int, buf []byte) error
 	flush() error
 	invalidate() error
-	// seal installs a full checkpoint's copy-on-write capture (setting
-	// its budget when the engine left it 0), which every change then goes
-	// through, and unseal retires it. scanSlots is readSlots for the
-	// capture's scan of a claimed section while the workers apply,
-	// concurrently for distinct sections.
-	seal(snap *ckptSnap) error
-	unseal()
-	scanSlots(start uint32, count int, buf []byte) error
 	// firstRound runs round 0 of a from-scratch query, samples and unions
 	// included, when the store does it in one pass that also gathers the
 	// rounds after it, returning what is left of the live count; done is
@@ -53,14 +48,13 @@ type sketchStore interface {
 
 // ramStore keeps every sketch in RAM: shard s's worker owns slabs[s], the
 // nodes v with v % Shards == s at index v / Shards, and applies batches to
-// it in place. A full checkpoint reads the same slabs while the workers
-// change them, so apply brackets its change with the capture's
-// acquire/release (ckptSnap), whose budget is one slot per node: the
-// apply path never waits for budget.
+// it in place. A full checkpoint's scan reads the same slabs while the
+// workers change them, kept apart by the capture's section claims; in RAM
+// the capture's budget holds an image of every node, so no apply waits
+// for it.
 type ramStore struct {
 	e     *Engine
 	slabs []*cubesketch.Slab
-	snap  atomic.Pointer[ckptSnap] // the sealed full checkpoint, if any
 }
 
 func newRAMStore(e *Engine) *ramStore {
@@ -81,20 +75,6 @@ func (s *ramStore) apply(node uint32, indices []uint64, img []byte) error {
 	slab, local := s.slabOf(node)
 	if img != nil {
 		slab.MarshalNode(local, img)
-	}
-	// A full checkpoint may be marshalling this node's section out of the
-	// slab right now: acquire keeps the two apart and hands back the
-	// pre-image buffer the snapshot needs when this is the node's first
-	// change ahead of the scan.
-	if snap := s.snap.Load(); snap != nil {
-		sec, pre := snap.acquire(node, s.e.slotSize)
-		if pre != nil {
-			slab.MarshalNode(local, pre)
-		}
-		defer snap.release(sec)
-	}
-	if h := s.e.testApplyHook; h != nil {
-		defer h(node)()
 	}
 	slab.Apply(local, indices)
 	return nil
@@ -125,22 +105,6 @@ func (s *ramStore) writeSlots(start uint32, count int, buf []byte) error {
 
 func (s *ramStore) flush() error      { return nil }
 func (s *ramStore) invalidate() error { return nil }
-
-func (s *ramStore) seal(snap *ckptSnap) error {
-	if snap.budget == 0 {
-		// Each node deposits at most once per snapshot, so one slot per
-		// node is never exhausted.
-		snap.budget = int(s.e.n) * s.e.slotSize
-	}
-	s.snap.Store(snap)
-	return nil
-}
-
-func (s *ramStore) unseal() { s.snap.Store(nil) }
-
-func (s *ramStore) scanSlots(start uint32, count int, buf []byte) error {
-	return s.readSlots(start, count, buf)
-}
 
 // firstRound leaves round 0 to sumRound: its roots are singletons, each
 // sampled in place in its slab.

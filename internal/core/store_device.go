@@ -17,9 +17,12 @@ import (
 // write-backs. Everything that reads the device directly — checkpoint
 // scans, merges, the query scan — runs after a flush or invalidate, or
 // serves resident groups through Cache.Peek, because a dirty cached group
-// makes the device bytes stale by design. A sealed full checkpoint scans
-// the device, and the cache's write barrier deposits a group's pre-image
-// into the capture before a write-back changes its device bytes.
+// makes the device bytes stale by design. A full checkpoint's seal
+// flushes, so the device holds the cut, and its scan then reads the
+// device while the workers apply: a write-back during the stream rewrites
+// only bytes unchanged since the seal, or bytes of a node whose image the
+// capture took at its first change (from the decoded group, in
+// ApplyCapture) and substitutes.
 type deviceStore struct {
 	e     *Engine
 	dev   iomodel.Device
@@ -42,14 +45,6 @@ type deviceStore struct {
 // the dense Kronecker and the social streams at 2^11 nodes (stackFor
 // narrows the stacks when they do not fit).
 const firstRoundDepth = 4
-
-// checkpointCOWBudget caps the bytes of copy-on-write pre-images an
-// out-of-core snapshot may hold in RAM, so the capture cannot become an
-// in-RAM duplicate of the store under a slow writer: once it is exhausted,
-// a write-back about to overwrite a not-yet-scanned slot waits until the
-// scanner frees budget or passes its section — ingestion throttles to scan
-// speed. The scanner never waits on a worker, so the wait always resolves.
-const checkpointCOWBudget = 64 << 20
 
 // newDeviceStore resolves the disk-tier geometry — group slots sized
 // toward the device block (the paper's max{1, B / sketch bytes} node
@@ -91,15 +86,17 @@ func newDeviceStore(e *Engine) (*deviceStore, error) {
 }
 
 func (s *deviceStore) apply(node uint32, indices []uint64, img []byte) error {
-	if h := s.e.testApplyHook; h != nil {
-		defer h(node)()
-	}
 	return s.cache.ApplyCapture(node, indices, img)
 }
 
+// readSlots reads in accesses of at most chunk slots, the query scan's.
 func (s *deviceStore) readSlots(start uint32, count int, buf []byte) error {
-	if err := s.store.ReadRange(start, count, buf[:count*s.e.slotSize]); err != nil {
-		return fmt.Errorf("core: reading slots of nodes [%d,%d): %w", start, int(start)+count, err)
+	size := s.e.slotSize
+	for lo := 0; lo < count; lo += s.chunk {
+		hi := min(lo+s.chunk, count)
+		if err := s.store.ReadRange(start+uint32(lo), hi-lo, buf[lo*size:hi*size]); err != nil {
+			return fmt.Errorf("core: reading slots of nodes [%d,%d): %w", int(start)+lo, int(start)+hi, err)
+		}
 	}
 	return nil
 }
@@ -124,42 +121,6 @@ func (s *deviceStore) flush() error {
 func (s *deviceStore) invalidate() error {
 	if err := s.cache.Invalidate(); err != nil {
 		return fmt.Errorf("core: invalidating write-back cache: %w", err)
-	}
-	return nil
-}
-
-// seal spills every dirty group, so the device bytes are the cut (bounded
-// by CacheBytes: the seal stall is the drain plus one cache spill), then
-// points the cache's write barrier at the capture.
-func (s *deviceStore) seal(snap *ckptSnap) error {
-	if err := s.flush(); err != nil {
-		return err
-	}
-	if snap.budget == 0 {
-		snap.budget = checkpointCOWBudget
-	}
-	slot := s.e.slotSize
-	s.cache.SetWriteBarrier(&diskstore.WriteBarrier{
-		NeedPreImage: snap.needsPreImage,
-		Deposit: func(start uint32, count int, pre []byte) {
-			for j := 0; j < count; j++ {
-				snap.preserve(start+uint32(j), pre[j*slot:(j+1)*slot])
-			}
-		},
-	})
-	return nil
-}
-
-func (s *deviceStore) unseal() { s.cache.SetWriteBarrier(nil) }
-
-// scanSlots reads in accesses of chunk slots, the checkpoint scan's size.
-func (s *deviceStore) scanSlots(start uint32, count int, buf []byte) error {
-	size := s.e.slotSize
-	for lo := 0; lo < count; lo += s.chunk {
-		hi := min(lo+s.chunk, count)
-		if err := s.store.ReadRange(start+uint32(lo), hi-lo, buf[lo*size:hi*size]); err != nil {
-			return fmt.Errorf("core: checkpoint scan of nodes [%d,%d): %w", int(start)+lo, int(start)+hi, err)
-		}
 	}
 	return nil
 }

@@ -136,10 +136,13 @@ func TestStoreContract(t *testing.T) {
 	same("merge")
 
 	// A full seal, streamed while a worker holds an apply of target open:
-	// the stream is the cut, and the apply lands after it.
+	// the stream is the cut, and the apply lands after it. The batches take
+	// their seal images before the stream starts, so the one-group cache's
+	// zero budget is lifted to RAM's.
 	const target = 60
 	extra := stream.Edge{U: 1, V: target}
 	for _, e := range both {
+		unboundCapture(e)
 		cut := rawSlots(t, e)
 		var armed atomic.Bool
 		entered, proceed := make(chan struct{}), make(chan struct{})
@@ -282,7 +285,7 @@ func TestImagelessNodesResolveFromSingletons(t *testing.T) {
 	const n = 32
 	ram, disk := storePair(t, Config{NumNodes: n, Seed: 103, Shards: 2, Buffering: BufferNone, NodesPerGroup: 4})
 	for _, e := range []*Engine{ram, disk} {
-		e.beforeLimit = 0
+		e.capture.maxBase = 0
 		var edges []stream.Edge
 		for u := uint32(0); u+1 < n; u++ {
 			mustUpdate(t, e, u, u+1)

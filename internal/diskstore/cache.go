@@ -3,7 +3,6 @@ package diskstore
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"graphzeppelin/internal/cubesketch"
 )
@@ -21,30 +20,14 @@ import (
 // Coherence contract: everything the engine reads directly off the store
 // (query scans, checkpoint section scans, merges) must either go through
 // Peek or run after WriteBackAll/Invalidate — a dirty cached group makes
-// the device bytes stale by design. The write barrier (SetWriteBarrier)
-// lets the checkpoint subsystem capture pre-images before a write-back
-// mutates device bytes mid-snapshot.
+// the device bytes stale by design. A reader that scans the device while
+// batches apply (a checkpoint stream) takes each node's pre-change bytes
+// at apply instead (ApplyCapture).
 type Cache struct {
 	store     *Store
 	newSlab   func() *cubesketch.Slab
 	slabBytes int64
 	shards    []cacheShard
-	// barrier, when set, captures group pre-images before a write-back
-	// overwrites device bytes (the checkpoint copy-on-write hook).
-	barrier atomic.Pointer[WriteBarrier]
-}
-
-// WriteBarrier is the checkpoint subsystem's copy-on-write hook into the
-// cache's write-back path. Before overwriting a group's device bytes the
-// cache asks NeedPreImage whether any node of the group still needs its
-// pre-image; only then does it pay the extra device read and hand the old
-// bytes to Deposit (whose buffer is valid only during the call). The
-// gate matters: once the snapshot scanner has passed a section, its
-// pre-images are worthless, and a long checkpoint-stream window over a
-// small cache would otherwise double every eviction's read I/O.
-type WriteBarrier struct {
-	NeedPreImage func(start uint32, count int) bool
-	Deposit      func(start uint32, count int, pre []byte)
 }
 
 // CacheStats reports cache activity and footprint.
@@ -90,7 +73,6 @@ type cacheShard struct {
 	hand       int
 	maxEntries int
 	fill       []byte // group (de)serialization scratch
-	pre        []byte // pre-image scratch for the write barrier
 
 	hits, misses, evictions, writeBacks uint64
 }
@@ -124,17 +106,9 @@ func NewCache(store *Store, cfg CacheConfig) *Cache {
 			entries:    make(map[int]*groupEntry, maxEntries),
 			maxEntries: maxEntries,
 			fill:       make([]byte, store.GroupBytes()),
-			pre:        make([]byte, store.GroupBytes()),
 		}
 	}
 	return c
-}
-
-// SetWriteBarrier installs (or, with nil, removes) the copy-on-write
-// barrier consulted before every write-back. The engine points this at
-// the active checkpoint snapshot's capture.
-func (c *Cache) SetWriteBarrier(wb *WriteBarrier) {
-	c.barrier.Store(wb)
 }
 
 func (c *Cache) shardOf(group int) *cacheShard {
@@ -154,7 +128,8 @@ func (c *Cache) Apply(node uint32, indices []uint64) error {
 // long) receives the node's serialized sketch stack as it stood before the
 // batch. The decoded group is in hand at that point either way, so the
 // capture costs one encode and no device access — the engine uses it to
-// keep the before-images its incremental queries diff against.
+// keep the images its delta queries diff against and its checkpoint
+// streams substitute.
 func (c *Cache) ApplyCapture(node uint32, indices []uint64, pre []byte) error {
 	g := c.store.GroupOf(node)
 	sh := c.shardOf(g)
@@ -248,19 +223,12 @@ func (c *Cache) evictLocked(sh *cacheShard) (*cubesketch.Slab, error) {
 }
 
 // writeBackLocked encodes entry e into the shard scratch and writes its
-// group slot back with one coalesced device access, invoking the write
-// barrier with the pre-image device bytes first. The caller holds sh.mu.
+// group slot back with one coalesced device access. The caller holds
+// sh.mu.
 func (c *Cache) writeBackLocked(sh *cacheShard, e *groupEntry) error {
 	start, count := c.store.GroupRange(e.group)
 	buf := sh.fill[:count*c.store.SlotSize()]
 	e.slab.MarshalNodes(0, e.count, buf)
-	if wb := c.barrier.Load(); wb != nil && wb.NeedPreImage(start, count) {
-		pre := sh.pre[:count*c.store.SlotSize()]
-		if err := c.store.ReadGroup(e.group, pre); err != nil {
-			return fmt.Errorf("diskstore: pre-image read of group %d: %w", e.group, err)
-		}
-		wb.Deposit(start, count, pre)
-	}
 	if err := c.store.WriteGroup(e.group, buf); err != nil {
 		return fmt.Errorf("diskstore: write-back of group %d (nodes [%d,%d)): %w", e.group, start, int(start)+count, err)
 	}

@@ -120,76 +120,6 @@ func TestCacheInvalidateDropsEntries(t *testing.T) {
 	}
 }
 
-func TestCacheWriteBarrierSeesPreImage(t *testing.T) {
-	st, c, _ := cacheFixture(t, 4, 2, 1<<30, 1)
-	if err := c.Apply(0, []uint64{5}); err != nil {
-		t.Fatal(err)
-	}
-	var got [][]byte
-	needed := true
-	c.SetWriteBarrier(&WriteBarrier{
-		NeedPreImage: func(uint32, int) bool { return needed },
-		Deposit: func(start uint32, count int, pre []byte) {
-			for j := 0; j < count; j++ {
-				got = append(got, append([]byte(nil), pre[j*st.SlotSize():(j+1)*st.SlotSize()]...))
-			}
-			_ = start
-		},
-	})
-	if err := c.WriteBackAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("barrier saw %d slots, want 2", len(got))
-	}
-	// The pre-image is the device state before the write-back: the empty
-	// encoding, not the dirtied sketch.
-	empty := make([]byte, st.SlotSize())
-	if err := st.Read(3, empty); err != nil {
-		t.Fatal(err)
-	}
-	if string(got[0]) != string(empty) {
-		t.Fatal("barrier pre-image is not the pre-write device bytes")
-	}
-	dirty := make([]byte, st.SlotSize())
-	if err := st.Read(0, dirty); err != nil {
-		t.Fatal(err)
-	}
-	if string(dirty) == string(empty) {
-		t.Fatal("write-back did not reach the device")
-	}
-	// When NeedPreImage reports false (the snapshot scanner has passed the
-	// section), the write-back must skip both the deposit and the
-	// pre-image device read.
-	got = got[:0]
-	needed = false
-	if err := c.Apply(0, []uint64{9}); err != nil {
-		t.Fatal(err)
-	}
-	readsBefore := st.Stats().ReadOps
-	if err := c.WriteBackAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatal("barrier deposited despite NeedPreImage=false")
-	}
-	if st.Stats().ReadOps != readsBefore {
-		t.Fatal("write-back read a pre-image despite NeedPreImage=false")
-	}
-
-	// A cleared barrier stays cleared.
-	c.SetWriteBarrier(nil)
-	if err := c.Apply(0, []uint64{11}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteBackAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatal("cleared barrier still invoked")
-	}
-}
-
 // TestApplyCapturePreImage pins the capture hook: pre receives the node's
 // serialized stack as it stood before the batch — on a miss (straight off
 // the fill) and on a hit (out of the decoded arena, which is ahead of the
