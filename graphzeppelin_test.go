@@ -159,6 +159,11 @@ func TestOptionsArePlumbedThrough(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Flush first: a cold query out of core would apply the buffered
+	// updates in its own pass over the store, not through the cache.
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	_, count, err := g.ConnectedComponents()
 	if err != nil {
 		t.Fatal(err)

@@ -214,11 +214,15 @@ func TestOpenCheckpointParallelRestore(t *testing.T) {
 // gatedWriter blocks every underlying write until released, so a test can
 // hold a checkpoint stream open mid-write and prove ingestion is live.
 type gatedWriter struct {
-	buf     bytes.Buffer
-	gate    chan struct{}
-	started chan struct{}
-	once    sync.Once
+	buf           bytes.Buffer
+	gate          chan struct{}
+	started       chan struct{}
+	once, release sync.Once
 }
+
+// open releases the writes, once however often it is called: a test that
+// defers it never leaves a failed run's stream, and with it Close, blocked.
+func (g *gatedWriter) open() { g.release.Do(func() { close(g.gate) }) }
 
 func newGatedWriter() *gatedWriter {
 	return &gatedWriter{gate: make(chan struct{}), started: make(chan struct{})}
@@ -233,10 +237,18 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // TestCheckpointLowStallAndExactCut proves the two tentpole properties at
 // once, in both placements: (1) low stall — while the checkpoint stream is
 // blocked on a gated writer, an ingest call completes, so the quiesce lock
-// is not held for the stream write; (2) exact cut — the update accepted
-// mid-stream is NOT in the restored state (both placements preserve
-// pre-images copy-on-write), which also pins that it is not lost from the
-// live engine.
+// is not held for the stream write; (2) exact cut — the checkpoint holds
+// the sketch bytes of the pre-checkpoint cut, byte for byte, though updates
+// accepted mid-stream were applied before the stream read their sections
+// (both placements keep the cut's images), which also pins that they are
+// not lost from the live engine. The store spans more sections than the
+// stream reads ahead of its blocked writer, and the mid-stream updates
+// touch only the sections it has not read. Out of core the cache holds one
+// group (and the capture RAM's budget, so that no change waits for the
+// held stream), so their changes reach the device before the stream reads
+// them:
+// by an eviction's write-back, and by a cold query that applies buffered
+// updates in its pass over the store and writes the changed slots back.
 func TestCheckpointLowStallAndExactCut(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		name := "ram"
@@ -244,27 +256,39 @@ func TestCheckpointLowStallAndExactCut(t *testing.T) {
 			name = "disk"
 		}
 		t.Run(name, func(t *testing.T) {
-			const n = 64
-			e, err := NewEngine(Config{NumNodes: n, Seed: 29, SketchesOnDisk: disk})
+			const n = 256
+			cfg := Config{NumNodes: n, Seed: 29, Shards: 1}
+			if disk {
+				cfg.SketchesOnDisk, cfg.CacheBytes = true, 1
+			}
+			e, err := NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer e.Close()
+			unboundCapture(e)
+			cut, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cut.Close()
 			// Base graph: a path over the even nodes; odd nodes isolated.
 			var base []stream.Edge
 			for u := uint32(0); u+2 < n; u += 2 {
 				base = append(base, stream.Edge{U: u, V: u + 2})
 				mustUpdate(t, e, u, u+2)
+				mustUpdate(t, cut, u, u+2)
 			}
 
 			gw := newGatedWriter()
+			defer gw.open()
 			ckptErr := make(chan error, 1)
 			go func() { ckptErr <- e.WriteCheckpoint(gw) }()
 			<-gw.started // the stream write began: the seal is over
 
 			// Ingestion must proceed while the stream is blocked.
 			inserted := make(chan error, 1)
-			go func() { inserted <- e.InsertEdge(1, 3) }()
+			go func() { inserted <- e.InsertEdge(129, 131) }()
 			select {
 			case err := <-inserted:
 				if err != nil {
@@ -278,45 +302,86 @@ func TestCheckpointLowStallAndExactCut(t *testing.T) {
 			if err := e.Drain(); err != nil {
 				t.Fatal(err)
 			}
+			live := append(append([]stream.Edge(nil), base...), stream.Edge{U: 129, V: 131})
+			// A cold query with updates still buffered: out of core its pass
+			// applies them to groups it reads off the device and writes the
+			// changed slots back, while the stream waits.
+			for _, eg := range []stream.Edge{{U: 161, V: 163}, {U: 193, V: 195}} {
+				mustUpdate(t, e, eg.U, eg.V)
+				live = append(live, eg)
+			}
+			checkAgainstExact(t, e, n, live)
+			if got := sealImages(e); got != 6 {
+				t.Fatalf("the seal holds %d images; the mid-stream updates changed 6 nodes of sections it has not read", got)
+			}
 
-			close(gw.gate)
+			gw.open()
 			if err := <-ckptErr; err != nil {
 				t.Fatal(err)
 			}
 
-			// The checkpoint holds exactly the pre-checkpoint cut: edge
-			// (1,3) is absent even though it was applied mid-stream.
+			// The checkpoint holds exactly the pre-checkpoint cut: none of
+			// the edges applied mid-stream.
 			back, err := ReadCheckpoint(bytes.NewReader(gw.buf.Bytes()), Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer back.Close()
+			if !bytes.Equal(rawSlots(t, back), rawSlots(t, cut)) {
+				t.Fatal("the checkpoint's sketches are not those of its cut")
+			}
 			checkAgainstExact(t, back, n, base)
 			if st := e.Stats(); st.CheckpointStallNanos == 0 {
 				t.Fatal("CheckpointStallNanos not recorded")
 			}
-			// And the live engine still has it.
-			checkAgainstExact(t, e, n, append(append([]stream.Edge(nil), base...), stream.Edge{U: 1, V: 3}))
+			// And the live engine still has them.
+			checkAgainstExact(t, e, n, live)
 		})
 	}
 }
 
 // TestDiskCheckpointConcurrentProducers stresses the copy-on-write scan
 // under -race: producers keep toggling redundant edges inside one big
-// component while checkpoints stream, so any snapshot cut yields the same
-// partition, which each restore verifies.
+// component while checkpoints stream, over a cache of one group per shard
+// (and the capture RAM's budget), so eviction write-backs of changed
+// groups race the stream. Each stream
+// is held at its first write until a producer's change has taken a seal
+// image. Each checkpoint must hold the sketch bytes of its cut exactly:
+// the updates the WAL had logged when it sealed, which its meta supplier
+// records.
 func TestDiskCheckpointConcurrentProducers(t *testing.T) {
-	const n = 64
-	e, err := NewEngine(Config{NumNodes: n, Seed: 31, Shards: 2, SketchesOnDisk: true, BufferFactor: 0.01})
+	const n = 256
+	cfg := Config{NumNodes: n, Seed: 31, Shards: 2, SketchesOnDisk: true, CacheBytes: 1, BufferFactor: 0.01, WAL: true}
+	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	unboundCapture(e)
 	var base []stream.Edge
 	for u := uint32(0); u+1 < n; u++ {
 		base = append(base, stream.Edge{U: u, V: u + 1})
 		mustUpdate(t, e, u, u+1)
 	}
+	// Each producer update carries its edge in its sequence number; the
+	// logged hook runs under the quiesce read lock and the meta supplier
+	// under the seal's write lock, so what the supplier sees logged is the
+	// checkpoint's cut.
+	var mu sync.Mutex
+	var logged, sealed []uint64
+	e.SetLoggedHook(func(seq uint64) {
+		if seq != 0 {
+			mu.Lock()
+			logged = append(logged, seq)
+			mu.Unlock()
+		}
+	})
+	e.SetCheckpointMeta(func() []byte {
+		mu.Lock()
+		sealed = slices.Clone(logged)
+		mu.Unlock()
+		return nil
+	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -338,32 +403,60 @@ func TestDiskCheckpointConcurrentProducers(t *testing.T) {
 				// partition-equivalent to the base.
 				u := uint32(rng.Uint64N(n - 2))
 				v := u + 2 + uint32(rng.Uint64N(uint64(n-2-u)))
-				if err := e.InsertEdge(u, v); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := e.DeleteEdge(u, v); err != nil {
-					t.Error(err)
-					return
+				up := []stream.Update{{Edge: stream.Edge{U: u, V: v}}}
+				for range 2 {
+					if err := e.UpdateBatchSeq(up, 1<<63|uint64(u)<<32|uint64(v)); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}(p)
 	}
 
 	for i := 0; i < 3; i++ {
-		var buf bytes.Buffer
-		if err := e.WriteCheckpoint(&buf); err != nil {
+		gw := newGatedWriter()
+		defer gw.open()
+		ckptErr := make(chan error, 1)
+		go func() { ckptErr <- e.WriteCheckpoint(gw) }()
+		<-gw.started
+		for deadline := time.Now().Add(10 * time.Second); sealImages(e) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no producer change took a seal image while the stream was held")
+			}
+		}
+		gw.open()
+		if err := <-ckptErr; err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), Config{})
+		back, err := ReadCheckpoint(bytes.NewReader(gw.buf.Bytes()), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkAgainstExact(t, back, n, base)
+		cut, err := NewEngine(Config{NumNodes: n, Seed: cfg.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cut.InsertEdges(base); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		for _, seq := range sealed {
+			mustUpdate(t, cut, uint32(seq>>32)&(1<<31-1), uint32(seq))
+		}
+		mu.Unlock()
+		if !bytes.Equal(rawSlots(t, back), rawSlots(t, cut)) {
+			t.Fatalf("checkpoint %d's sketches are not those of its cut, %d producer updates in", i, len(sealed))
+		}
 		back.Close()
+		cut.Close()
 	}
 	close(stop)
 	wg.Wait()
+	if ev := e.Stats().SketchCache.Evictions; ev == 0 {
+		t.Fatal("the one-group cache recorded no evictions; the test did not race write-backs")
+	}
 }
 
 // corruptAndExpect writes a checkpoint, applies damage, and requires every

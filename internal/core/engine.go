@@ -175,13 +175,19 @@ type Engine struct {
 	buf     gutter.Buffer
 	pending sync.WaitGroup
 	wg      sync.WaitGroup
+	// hold is the sink an out-of-core query's drain flushes the gutters
+	// into (takeLeftover): it keeps their leftover batches in the query
+	// session for the query's pass to apply, instead of queueing them for
+	// the workers. Made once, with the engine, as Flush's argument list.
+	hold []gutter.Sink
 
 	// testApplyHook, when non-nil (tests only), brackets every batch
-	// apply: applyBatch calls it with the node before the store's apply and
+	// apply: change calls it with the node before the store's apply and
 	// the returned function after, inside the capture's in-flight window
-	// in both stores. The ownership test uses it to prove that one
-	// worker applies each group, the checkpoint tests to hold an apply
-	// open while the scanner claims its section.
+	// in both stores, on a worker or on a query applying a leftover batch.
+	// The ownership test uses it to prove that one worker applies each
+	// group, the checkpoint tests to hold an apply open while the scanner
+	// claims its section.
 	testApplyHook func(node uint32) func()
 
 	// quiesce separates producers (read side: ingest entry points) from
@@ -396,16 +402,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.shards[s] = &shard{queue: gutter.NewSPSC(queueSlotsPerShard)}
 	}
 
-	sink := func(b gutter.Batch) {
-		e.pending.Add(1)
-		sh := e.ownerOf(b.Node)
-		sh.pushMu.Lock()
-		ok := sh.queue.Push(b)
-		sh.pushMu.Unlock()
-		if !ok {
-			e.pending.Done()
-		}
-	}
+	sink := e.dispatch
+	e.hold = []gutter.Sink{func(b gutter.Batch) { e.qs.left = append(e.qs.left, b) }}
 	switch cfg.Buffering {
 	case BufferLeaf:
 		capUpdates := int(cfg.BufferFactor * float64(e.slotSize) / 4)
@@ -515,6 +513,19 @@ func (e *Engine) roundSeed(r int) uint64 {
 
 // Config returns the engine's effective (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// dispatch is the sink the buffers emit to: it queues a batch for its node
+// group's owner (ownerOf), counted pending until the worker has applied it.
+func (e *Engine) dispatch(b gutter.Batch) {
+	e.pending.Add(1)
+	sh := e.ownerOf(b.Node)
+	sh.pushMu.Lock()
+	ok := sh.queue.Push(b)
+	sh.pushMu.Unlock()
+	if !ok {
+		e.pending.Done()
+	}
+}
 
 // ownerOf returns the shard whose worker applies every batch of node: the
 // owner of its disk group, group % Shards, so that the unit of I/O is also
@@ -753,6 +764,23 @@ func (e *Engine) worker(sh *shard) {
 // applyBatch applies all of a batch's updates to one node's sketches; sh
 // is the node's owner.
 func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
+	if err := e.change(sh, b, e.sketches.apply); err != nil {
+		e.setErr(fmt.Errorf("core: applying batch to node %d: %w", b.Node, err))
+	}
+}
+
+// change is the one way a batch reaches its node's sketches, whoever
+// applies it: the node's owning worker (applyBatch), or an out-of-core
+// query's pass applying a leftover batch while the workers are idle
+// (deviceStore.walk). sh is the node's owner, whose scratch and batch
+// count the batch uses. apply changes the stack, first filling img, when
+// non-nil, with the stack as it stands before the change: the image a
+// reader whose cut precedes the change gets for the node. What apply
+// leaves to write — a slot's bytes for the device — the caller writes
+// after change returns, with its neighbours', as an eviction writes a
+// group back: whenever those bytes land, a live seal's scanner reads the
+// node under its image, or read it before the change.
+func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indices []uint64, img []byte) error) error {
 	// Translate far endpoints into characteristic-vector indices once;
 	// every round's sketch consumes the same indices.
 	sh.indices = sh.indices[:0]
@@ -764,8 +792,8 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	sh.batches.Add(1)
 	// The node's first change after a reader's cut takes its image for
 	// that reader (capture.go); img is nil when no reader wants one, and
-	// the store fills it from wherever the pre-change stack is at hand
-	// (the owner's slab, the decoded cache group).
+	// apply fills it from wherever the pre-change stack is at hand (the
+	// owner's slab, the decoded cache group, the slot just read).
 	img, sec := e.capture.begin(b.Node, e.wantsBase(b.Node))
 	// Stamp the change before touching the sketches: no cut can be taken
 	// while the batch is in flight, so every reader whose cut precedes the
@@ -775,13 +803,12 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 	if h := e.testApplyHook; h != nil {
 		done = h(b.Node)
 	}
-	if err := e.sketches.apply(b.Node, sh.indices, img); err != nil {
-		e.setErr(fmt.Errorf("core: applying batch to node %d: %w", b.Node, err))
-	}
+	err := apply(b.Node, sh.indices, img)
 	if done != nil {
 		done()
 	}
 	e.capture.end(sec)
+	return err
 }
 
 // touch stamps node as changed after the current cut. A node touched again
@@ -849,9 +876,12 @@ func (e *Engine) Drain() error {
 }
 
 // drainLocked is Drain's body; the caller holds the quiesce write lock.
+// It flushes the gutters to the workers and waits for every batch.
 // Afterwards the workers are quiescent (pending is zero and producers are
 // blocked), so the caller may read and write shard state directly until
-// it releases the lock.
+// it releases the lock. An out-of-core query drains differently: it takes
+// the gutters' leftover batches itself (takeLeftover) and applies them in
+// its pass over the store.
 func (e *Engine) drainLocked() error {
 	flushErr := e.buf.Flush()
 	e.pending.Wait()

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphzeppelin/internal/iomodel"
 )
@@ -192,5 +195,108 @@ func TestHealthyFactoryStillWorks(t *testing.T) {
 	_, count, err := e.ConnectedComponents()
 	if err != nil || count != 1 {
 		t.Fatalf("count = %d, err = %v", count, err)
+	}
+}
+
+// oneFault is a device that fails exactly one access once armed: the
+// skip+1-th read or write from then on (reads and writes counted apart).
+type oneFault struct {
+	iomodel.Device
+	writes      bool
+	armed       atomic.Bool
+	skip, count atomic.Int64
+}
+
+func (d *oneFault) arm(writes bool, skip int64) {
+	d.writes = writes
+	d.skip.Store(skip)
+	d.count.Store(0)
+	d.armed.Store(true)
+}
+
+func (d *oneFault) fails(write bool) bool {
+	return d.armed.Load() && write == d.writes && d.count.Add(1) == d.skip.Load()+1
+}
+
+func (d *oneFault) ReadAt(p []byte, off int64) (int, error) {
+	if d.fails(false) {
+		return 0, iomodel.ErrInjected
+	}
+	return d.Device.ReadAt(p, off)
+}
+
+func (d *oneFault) WriteAt(p []byte, off int64) (int, error) {
+	if d.fails(true) {
+		return 0, iomodel.ErrInjected
+	}
+	return d.Device.WriteAt(p, off)
+}
+
+// TestFusedPassFaults fails one device access inside an out-of-core
+// query's pass while it applies the gutters' leftover batches: the write
+// of a chunk's changed slots, or the read of the pass's second chunk, after
+// the first chunk's batches were applied and written. The query must
+// return the fault, the engine must stay poisoned for every later call
+// although the device works again — batches were half applied — and Close
+// must return instead of waiting for batches nobody applies.
+func TestFusedPassFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		writes bool
+		skip   int64
+		want   string
+	}{
+		{"write", true, 0, "writing back leftover batches"},
+		{"read", false, 1, "query scan"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 128
+			dev := &oneFault{Device: iomodel.NewMem(4096)}
+			e, err := NewEngine(Config{
+				NumNodes: n, Seed: 71, Shards: 2, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: 1,
+				DeviceFactory: func(string) (iomodel.Device, error) { return dev, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := randomEdges(n, 400, 71, 72)
+			if err := e.InsertEdges(edges[:200]); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.ConnectedComponents(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.InsertEdges(edges[200:]); err != nil {
+				t.Fatal(err)
+			}
+			e.pending.Wait() // no worker I/O left to take the fault
+			dev.arm(tc.writes, tc.skip)
+			_, _, err = e.ConnectedComponents()
+			if !errors.Is(err, iomodel.ErrInjected) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("the faulted query returned %v; want the injected fault from %q", err, tc.want)
+			}
+			if dev.count.Load() <= tc.skip {
+				t.Fatal("the fault was never injected")
+			}
+			if _, _, err := e.ConnectedComponents(); !errors.Is(err, iomodel.ErrInjected) {
+				t.Fatalf("the next query returned %v; want the sticky fault", err)
+			}
+			if err := e.InsertEdge(0, 1); !errors.Is(err, iomodel.ErrInjected) {
+				t.Fatalf("an update after the fault returned %v; want the sticky fault", err)
+			}
+			if err := e.Drain(); !errors.Is(err, iomodel.ErrInjected) {
+				t.Fatalf("Drain after the fault returned %v; want the sticky fault", err)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- e.Close() }()
+			select {
+			case err := <-closed:
+				if !errors.Is(err, iomodel.ErrInjected) {
+					t.Fatalf("Close returned %v; want the sticky fault", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hung after a fault in the query's pass")
+			}
+		})
 	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
+	"graphzeppelin/internal/cubesketch"
 	"graphzeppelin/internal/iomodel"
 	"graphzeppelin/internal/kron"
 	"graphzeppelin/internal/stream"
@@ -337,4 +339,182 @@ func TestGroupedEngineMatchesExact(t *testing.T) {
 			checkAgainstExact(t, e, n, edges)
 		})
 	}
+}
+
+// accessLog is a device that records the byte range of every access.
+type accessLog struct {
+	iomodel.Device
+	mu            sync.Mutex
+	reads, writes [][2]int64
+}
+
+func (d *accessLog) ReadAt(p []byte, off int64) (int, error) {
+	d.mu.Lock()
+	d.reads = append(d.reads, [2]int64{off, off + int64(len(p))})
+	d.mu.Unlock()
+	return d.Device.ReadAt(p, off)
+}
+
+func (d *accessLog) WriteAt(p []byte, off int64) (int, error) {
+	d.mu.Lock()
+	d.writes = append(d.writes, [2]int64{off, off + int64(len(p))})
+	d.mu.Unlock()
+	return d.Device.WriteAt(p, off)
+}
+
+// take returns the accesses recorded since the last take and forgets them.
+func (d *accessLog) take() (reads, writes [][2]int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	reads, writes = d.reads, d.writes
+	d.reads, d.writes = nil, nil
+	return reads, writes
+}
+
+// TestFusedColdQueryIO pins what an out-of-core from-scratch query costs
+// the device when the gutters still hold updates. Its pass is its drain:
+// it reads each group that is not resident once, in runs of sequential
+// chunks, and applies the leftover batches there, writing back one span per
+// chunk — from the first slot a leftover batch changed to the last — right
+// after reading it; the leftover batches of resident groups apply in the
+// cache. So the reads are exactly the non-resident groups' bytes, the
+// query faults no group into the cache, and the writes cover only slots
+// with leftover batches (and the slots between two of them in one chunk).
+// A plain drain would first fault nearly every group through the cache,
+// evicting and writing back as it went, and the pass would then read the
+// non-resident ones again.
+func TestFusedColdQueryIO(t *testing.T) {
+	const (
+		n     = 128
+		npg   = 4
+		block = 4096
+	)
+	geometry, _ := Config{NumNodes: n}.withDefaults()
+	groupBytes := cubesketch.NewSlab(npg, geometry.VectorLen(), geometry.Columns, make([]uint64, geometry.Rounds)).Bytes()
+	var dev *accessLog
+	e, err := NewEngine(Config{
+		NumNodes: n, Seed: 67, Shards: 1, SketchesOnDisk: true, NodesPerGroup: npg,
+		// Eight resident groups, and gutters that hold the whole stream.
+		CacheBytes: 8 * int64(groupBytes),
+		DeviceFactory: func(string) (iomodel.Device, error) {
+			dev = &accessLog{Device: iomodel.NewMem(block)}
+			return dev, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ds := deviceOf(e)
+	var all []stream.Edge
+	insert := func(edges ...stream.Edge) {
+		t.Helper()
+		if err := e.InsertEdges(edges); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, edges...)
+	}
+	insert(randomEdges(n, 200, 67, 68)...)
+	if _, _, err := e.ConnectedComponents(); err != nil { // the baseline the slice's query falls back from
+		t.Fatal(err)
+	}
+	// Make groups 0, 1, 5, 6 and 30 the resident ones: one edge inside each,
+	// drained through the workers into an emptied cache.
+	evictAll(t, e)
+	resident := []int{0, 1, 5, 6, 30}
+	for _, g := range resident {
+		insert(stream.Edge{U: uint32(g*npg + 1), V: uint32(g*npg + 3)})
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// The slice: a path over leftover nodes in resident and non-resident
+	// groups alike, far more than the delta path accepts.
+	left := []uint32{2, 5, 21, 22, 29, 40, 41, 43, 60, 77, 90, 91, 100, 110, 121, 127}
+	for i := 0; i+1 < len(left); i++ {
+		insert(stream.Edge{U: left[i], V: left[i+1]})
+	}
+	e.pending.Wait() // the query's accesses alone are recorded below
+	for _, g := range resident {
+		if _, ok := ds.cache.Peek(g); !ok {
+			t.Fatalf("group %d is not resident", g)
+		}
+	}
+	dev.take()
+	before := e.Stats()
+	checkAgainstExact(t, e, n, toggled(all))
+	after := e.Stats()
+	reads, writes := dev.take()
+
+	if d := after.DeltaFallbacks - before.DeltaFallbacks; d != 1 {
+		t.Fatalf("the slice's query counted %d delta fallbacks, want 1", d)
+	}
+	if m := after.SketchCache.Misses - before.SketchCache.Misses; m != 0 {
+		t.Fatalf("the query faulted %d groups into the cache", m)
+	}
+	// What the pass should do: the runs of non-resident groups, cut into
+	// chunks, each read and then written back over its leftover span.
+	slot := int64(e.slotSize)
+	var wantReads, wantWrites [][2]int64
+	isResident := func(g int) bool { return slices.Contains(resident, g) }
+	for g := 0; g < n/npg; {
+		if isResident(g) {
+			g++
+			continue
+		}
+		end := g
+		for end < n/npg && !isResident(end) {
+			end++
+		}
+		for lo := g * npg; lo < end*npg; lo += ds.chunk {
+			hi := min(lo+ds.chunk, end*npg)
+			wantReads = append(wantReads, [2]int64{int64(lo) * slot, int64(hi) * slot})
+			first, last := -1, -1
+			for _, v := range left {
+				if int(v) >= lo && int(v) < hi {
+					if first < 0 {
+						first = int(v)
+					}
+					last = int(v)
+				}
+			}
+			if last >= 0 {
+				wantWrites = append(wantWrites, [2]int64{int64(first) * slot, int64(last+1) * slot})
+			}
+		}
+		g = end
+	}
+	if !slices.Equal(reads, wantReads) {
+		t.Fatalf("the query read %v; want the non-resident groups' bytes once, %v", reads, wantReads)
+	}
+	if !slices.Equal(writes, wantWrites) {
+		t.Fatalf("the query wrote %v; want each chunk's leftover span, %v", writes, wantWrites)
+	}
+	spanned := func(accesses [][2]int64) (blocks uint64) {
+		for _, a := range accesses {
+			blocks += uint64((a[1]-1)/block - a[0]/block + 1)
+		}
+		return blocks
+	}
+	if got, want := after.SketchIO.ReadBlocks-before.SketchIO.ReadBlocks, spanned(wantReads); got != want {
+		t.Fatalf("the query read %d blocks, the non-resident groups span %d", got, want)
+	}
+	if got, want := after.SketchIO.WriteBlocks-before.SketchIO.WriteBlocks, spanned(wantWrites); got != want {
+		t.Fatalf("the query wrote %d blocks, its leftover spans span %d", got, want)
+	}
+}
+
+// toggled returns the edges that a stream of toggles leaves present.
+func toggled(toggles []stream.Edge) []stream.Edge {
+	on := map[stream.Edge]bool{}
+	for _, eg := range toggles {
+		on[eg.Normalize()] = !on[eg.Normalize()]
+	}
+	var edges []stream.Edge
+	for eg, present := range on {
+		if present {
+			edges = append(edges, eg)
+		}
+	}
+	return edges
 }

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"graphzeppelin/internal/cubesketch"
 	"graphzeppelin/internal/dsu"
+	"graphzeppelin/internal/gutter"
 	"graphzeppelin/internal/stream"
 )
 
@@ -33,7 +35,11 @@ import (
 //     handful of ops, never one point Read per node, that samples and
 //     unions round 0 as it goes and gathers the rounds after it per
 //     component (deviceStore.firstRound), so a query reads the store about
-//     once, not once per round.
+//     once, not once per round. The pass is the query's drain too: the
+//     gutters' leftover batches apply to each group as the pass reaches
+//     it, and only the slots they changed are written back, so the store
+//     is read once and written once where the workers' drain would first
+//     fault nearly every group through the cache (takeLeftover).
 //
 //  3. Ingest-epoch caching. The engine bumps an epoch counter on every
 //     accepted update batch; a full query stores its result tagged with
@@ -97,9 +103,13 @@ type queryResult struct {
 
 // query answers the current connectivity query, from the epoch cache when
 // the graph is unchanged since the last full query, and by running lazy
-// Boruvka over a fresh snapshot otherwise. The returned result is shared
-// and must be treated as read-only. On ErrQueryFailed the partial result
-// is returned alongside the error (and is not cached).
+// Boruvka over a fresh snapshot otherwise. Under the quiesce write lock it
+// drains: in RAM through the workers (drainLocked), out of core by taking
+// the gutters' leftover batches (takeLeftover), which a from-scratch query
+// applies in its pass over the store and a delta query, a cache hit or a
+// failure hands to the workers. The returned result is shared and must be
+// treated as read-only. On ErrQueryFailed the partial result is returned
+// alongside the error (and is not cached).
 func (e *Engine) query() (*queryResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -119,7 +129,18 @@ func (e *Engine) query() (*queryResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if err := e.drainLocked(); err != nil {
+	q := e.session()
+	// Whatever leftover batch the query does not apply itself — on a delta
+	// query, a cache hit or an error — goes to the workers, as a plain
+	// drain's would.
+	defer e.releaseLeftover(q)
+	var err error
+	if e.cfg.SketchesOnDisk {
+		err = e.takeLeftover()
+	} else {
+		err = e.drainLocked()
+	}
+	if err != nil {
 		return nil, err
 	}
 	// Producers are excluded here, so the epoch is stable; re-check the
@@ -130,7 +151,7 @@ func (e *Engine) query() (*queryResult, error) {
 		e.cacheHits.Add(1)
 		return r, nil
 	}
-	res, err := e.runQueryLocked(epoch)
+	res, err := e.runQueryLocked(q, epoch)
 	if err != nil {
 		return res, err
 	}
@@ -138,15 +159,57 @@ func (e *Engine) query() (*queryResult, error) {
 	return res, nil
 }
 
+// takeLeftover is an out-of-core query's drain. It waits for the batches
+// already queued, then flushes the gutters into the session (q.left,
+// sorted by node) instead of queueing them for the workers: a from-scratch
+// query applies them in its pass over the store, one group at a time as
+// the pass reaches it (deviceStore.walk), so that a group off the device
+// is read once and written once, where the workers would fault nearly
+// every group through the cache, evicting and writing back as they go,
+// before the pass reads it again. A delta query hands them to the workers
+// first (releaseLeftover). The caller holds the quiesce write lock.
+func (e *Engine) takeLeftover() error {
+	e.pending.Wait()
+	q := e.qs
+	err := e.buf.Flush(e.hold...)
+	byNode := func(a, b gutter.Batch) int { return cmp.Compare(a.Node, b.Node) }
+	if !slices.IsSortedFunc(q.left, byNode) {
+		slices.SortStableFunc(q.left, byNode)
+	}
+	if err != nil {
+		return err
+	}
+	return e.err()
+}
+
+// releaseLeftover hands the leftover batches q has not applied to the
+// workers and waits for them, so the sketches hold every one, and leaves
+// q with none. The caller holds the quiesce write lock.
+func (e *Engine) releaseLeftover(q *querySession) error {
+	rest := q.left[q.leftAt:]
+	for _, b := range rest {
+		e.dispatch(b)
+	}
+	clear(q.left)
+	q.left, q.leftAt = q.left[:0], 0
+	if len(rest) == 0 {
+		return nil
+	}
+	e.pending.Wait()
+	return e.err()
+}
+
 // runQueryLocked answers a cache-missed query, incrementally off the
 // previous cached result when the dirty set allows it and from scratch
 // otherwise. The caller holds the quiesce write lock with the workers
-// drained (so shard state, the stamps included, is stable).
-func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
-	q := e.session()
+// drained (so shard state, the stamps included, is stable) but for q's
+// leftover batches: the nodes they change count as dirty, and a delta
+// query hands them to the workers before it reads a sketch.
+func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, error) {
 	prev := e.queryCache.Load()
 	if !e.cfg.NoDeltaQuery && prev != nil {
 		q.dirty = e.changedSince(prev.cut, q.dirty[:0])
+		q.dirty = q.withLeftover(q.dirty, e.stamp, prev.cut)
 		if len(q.dirty) == 0 {
 			// The epoch moved but no sketch changed since prev was cached
 			// (e.g. an adopted baseline whose diff came up empty): prev's
@@ -158,6 +221,9 @@ func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
 			}, nil
 		}
 		if float64(len(q.dirty)) <= deltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
+			if err := e.releaseLeftover(q); err != nil {
+				return nil, err
+			}
 			res, ok, err := e.runDeltaBoruvka(q, epoch, prev)
 			if err != nil {
 				return nil, err
@@ -173,6 +239,22 @@ func (e *Engine) runQueryLocked(epoch uint64) (*queryResult, error) {
 		e.deltaFallbacks.Add(1)
 	}
 	return e.runBoruvka(q, epoch)
+}
+
+// withLeftover adds to dirty, the nodes stamped after cut in ascending
+// order, the nodes of q's leftover batches that are not among them, keeping
+// the order: the set changedSince lists once the batches are applied.
+func (q *querySession) withLeftover(dirty []uint32, stamp []atomic.Uint64, cut uint64) []uint32 {
+	stamped := len(dirty)
+	for i, b := range q.left {
+		if (i == 0 || b.Node != q.left[i-1].Node) && stamp[b.Node].Load() <= cut {
+			dirty = append(dirty, b.Node)
+		}
+	}
+	if len(dirty) > stamped {
+		slices.Sort(dirty)
+	}
+	return dirty
 }
 
 // session returns the engine's one query session, reset for a new query;
@@ -341,13 +423,16 @@ type heldAggregate struct {
 	members int32
 }
 
-// sampleOut is what one sampling worker found in its range of live roots;
-// giantAt is where among its candidates the giant's turn came, or -1.
+// sampleOut is one sampling worker's share of a round, live roots
+// [lo, hi) summed one at a time in acc, and what it found there; giantAt
+// is where among its candidates the giant's turn came, or -1.
 type sampleOut struct {
-	cands   []candidate
-	emptied []uint32
-	giantAt int
-	err     error
+	round, lo, hi int
+	acc           cubesketch.Sketch
+	cands         []candidate
+	emptied       []uint32
+	giantAt       int
+	err           error
 }
 
 // querySession is the scratch of lazy Boruvka. The caller holds the
@@ -381,6 +466,11 @@ type querySession struct {
 	liveMembers int
 	giant       int
 
+	// The leftover batches of an out-of-core query's drain (takeLeftover),
+	// ascending by node, and how many of them have been applied.
+	left   []gutter.Batch
+	leftAt int
+
 	// The round's samples (sampleRound): one out per sampling worker, then
 	// their candidates and emptied roots in live-root order. forest
 	// collects the query's edges; the result takes a copy.
@@ -389,6 +479,13 @@ type querySession struct {
 	cands    []candidate
 	emptied  []uint32
 	forest   []stream.Edge
+	// A round's sampling goroutines (sampleRound) run sampler, made once,
+	// and each takes the next of outs by counting on next; sampled waits
+	// for them. A go statement calling a func value without arguments
+	// allocates no closure, so a round allocates nothing to start them.
+	sampler func()
+	next    atomic.Int32
+	sampled sync.WaitGroup
 
 	// In deviceStore, what the engine's arena holds: the aggregates of rounds
 	// [arenaRound, arenaEnd), one per held entry. A from-scratch scan looks
@@ -1169,22 +1266,24 @@ func (e *Engine) sampleRound(q *querySession, round int) error {
 		q.outs = append(q.outs, sampleOut{})
 	}
 	outs := q.outs[:workers]
-	var wg sync.WaitGroup
 	for w := range outs {
 		out := &outs[w]
+		out.round, out.lo, out.hi = round, w*chunk, min((w+1)*chunk, nr)
 		out.cands, out.emptied, out.giantAt, out.err = out.cands[:0], out.emptied[:0], -1, nil
-		lo, hi := w*chunk, min((w+1)*chunk, nr)
-		if w == workers-1 {
-			e.sampleRoots(q, round, lo, hi, out)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.sampleRoots(q, round, lo, hi, out)
-		}()
 	}
-	wg.Wait()
+	if q.sampler == nil {
+		q.sampler = func() {
+			defer q.sampled.Done()
+			e.sampleRoots(q, &q.outs[q.next.Add(1)-1])
+		}
+	}
+	q.next.Store(0)
+	q.sampled.Add(workers - 1)
+	for range workers - 1 {
+		go q.sampler()
+	}
+	e.sampleRoots(q, &outs[workers-1])
+	q.sampled.Wait()
 	for i := range outs {
 		if outs[i].err != nil {
 			return fmt.Errorf("core: merging supernodes: %w", outs[i].err)
@@ -1193,11 +1292,10 @@ func (e *Engine) sampleRound(q *querySession, round int) error {
 	g := &q.giantOut
 	g.cands, g.emptied = g.cands[:0], g.emptied[:0]
 	if q.giant >= 0 {
-		var acc cubesketch.Sketch
-		if err := e.sketches.rootSketch(q, q.giant, round, &acc); err != nil {
+		if err := e.sketches.rootSketch(q, q.giant, round, &g.acc); err != nil {
 			return fmt.Errorf("core: merging supernodes: %w", err)
 		}
-		e.sampleRoot(q, q.giant, &acc, g)
+		e.sampleRoot(q, q.giant, &g.acc, g)
 	}
 	// Concatenating in worker order preserves the global deterministic
 	// live-root order.
@@ -1216,21 +1314,20 @@ func (e *Engine) sampleRound(q *querySession, round int) error {
 	return nil
 }
 
-// sampleRoots is one sampling worker of sampleRound: for live roots
-// [lo, hi) but the giant it has the store materialize each root's
-// supernode sketch and queries it for a cut edge.
-func (e *Engine) sampleRoots(q *querySession, round, lo, hi int, out *sampleOut) {
-	var acc cubesketch.Sketch
-	for i := lo; i < hi; i++ {
+// sampleRoots is one sampling worker of sampleRound: for out's live roots
+// but the giant it has the store materialize each root's supernode sketch
+// in out's accumulator and queries it for a cut edge.
+func (e *Engine) sampleRoots(q *querySession, out *sampleOut) {
+	for i := out.lo; i < out.hi; i++ {
 		if i == q.giant {
 			out.giantAt = len(out.cands)
 			continue
 		}
-		if err := e.sketches.rootSketch(q, i, round, &acc); err != nil {
+		if err := e.sketches.rootSketch(q, i, out.round, &out.acc); err != nil {
 			out.err = err
 			return
 		}
-		e.sampleRoot(q, i, &acc, out)
+		e.sampleRoot(q, i, &out.acc, out)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -470,8 +471,9 @@ func TestPartialForestOnRoundExhaustion(t *testing.T) {
 // query session: once a query has run, a from-scratch ConnectedComponents
 // allocates the result it caches (representatives and forest) and the
 // copy it returns — not the DSU, the contribution lists, the per-round
-// candidates or, out of core, round 0's stacks and the scan's buffers,
-// which the session and the store keep.
+// candidates, the sampling goroutines' accumulators or, out of core,
+// round 0's stacks and the scan's buffers, which the session and the store
+// keep.
 func TestWarmFromScratchQueryAllocatesOnlyItsResult(t *testing.T) {
 	const n = 1024
 	stores := map[string]Config{
@@ -495,15 +497,23 @@ func TestWarmFromScratchQueryAllocatesOnlyItsResult(t *testing.T) {
 			}
 			// The cached representatives and the returned copy (4 bytes a
 			// node each) and the forest (at most n-1 edges of 8 bytes), plus
-			// what the query allocates beyond its result: each sampling
-			// round's goroutines — a closure, the WaitGroup and an
-			// accumulator header per worker, a few hundred bytes a round —
-			// and the result header, 1.0–2.3 KB measured at this n in both
-			// stores. 3.5 KiB bounds that and stays below the 4 KiB that any
-			// per-query array of n int32 (the first round's stack index,
-			// say) would add.
-			limit := uint64(4*n+4*n+8*n) + 3584
-			for _, eg := range edges[2000:2010] {
+			// the one thing the query itself allocates beyond them: the
+			// result's header, 80 B. The rest is the runtime's: a
+			// descriptor (448 B) for a round's sampling goroutine when the
+			// free list of the P starting it is empty, and a waiter record
+			// (96 B) when the round's WaitGroup parks on a P without one
+			// cached. In a fresh process every query pays descriptors, up
+			// to 2.1 KB, until some 64 goroutines have run, so the first 20
+			// queries are not counted. After them the runtime's share shows
+			// in up to half the queries of a run, and under -race in most.
+			// So the least any counted query allocates must be the result
+			// and its header plus at most two descriptors and a waiter
+			// record, which a per-query array of even 256 int32 breaks,
+			// and every counted query stays within 3.5 KiB of the result
+			// and its header.
+			result := uint64(4*n+4*n+8*n) + 80
+			var grew []uint64
+			for i, eg := range edges[2000:2040] {
 				mustUpdate(t, e, eg.U, eg.V)
 				if err := e.Drain(); err != nil {
 					t.Fatal(err)
@@ -514,9 +524,16 @@ func TestWarmFromScratchQueryAllocatesOnlyItsResult(t *testing.T) {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)
-				if grew := after.TotalAlloc - before.TotalAlloc; grew > limit {
-					t.Fatalf("a warm from-scratch query allocated %d B; its result, its copy and the sampling rounds need %d B", grew, limit)
+				if i >= 20 {
+					grew = append(grew, after.TotalAlloc-before.TotalAlloc)
 				}
+			}
+			slices.Sort(grew)
+			if least := grew[0]; least > result+2*448+96 {
+				t.Fatalf("every warm from-scratch query allocated at least %d B; its result, its copy, the result's header and the runtime's records need %d B (all: %v)", least, result+2*448+96, grew)
+			}
+			if most := grew[len(grew)-1]; most > result+3584 {
+				t.Fatalf("a warm from-scratch query allocated %d B, over its result, its copy and the result's header (%d B) by more than 3.5 KiB (all: %v)", most, result, grew)
 			}
 			if st := e.Stats(); st.DeltaQueries != 0 {
 				t.Fatalf("%d delta queries with delta queries disabled", st.DeltaQueries)

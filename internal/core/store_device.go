@@ -12,17 +12,21 @@ import (
 // deviceStore keeps every sketch on a block device (diskstore.Store,
 // node groups of npg slots sized toward the device block) behind a sharded
 // write-back cache of decoded groups (diskstore.Cache), whose shard s only
-// the worker of shard s faults groups into: batches apply to the decoded
-// groups, and the device sees only group fills and coalesced dirty
-// write-backs. Everything that reads the device directly — checkpoint
-// scans, merges, the query scan — runs after a flush or invalidate, or
-// serves resident groups through Cache.Peek, because a dirty cached group
-// makes the device bytes stale by design. A full checkpoint's seal
-// flushes, so the device holds the cut, and its scan then reads the
-// device while the workers apply: a write-back during the stream rewrites
-// only bytes unchanged since the seal, or bytes of a node whose image the
-// capture took at its first change (from the decoded group, in
-// ApplyCapture) and substitutes.
+// the worker of shard s faults groups into: the workers' batches apply to
+// the decoded groups, and the device sees only group fills and coalesced
+// dirty write-backs. The one other writer is a from-scratch query's pass,
+// which applies the gutters' leftover batches while the workers are idle:
+// in the cache for a resident group, and for any other group to its slots
+// as the pass read them, writing the changed span back right away (walk).
+// Everything that reads the device directly — checkpoint scans, merges,
+// the query scan — runs after a flush or invalidate, or serves resident
+// groups through Cache.Peek, because a dirty cached group makes the device
+// bytes stale by design. A full checkpoint's seal flushes, so the device
+// holds the cut, and its scan then reads the device while the workers
+// apply and queries run: a write-back or a query's write during the stream
+// rewrites only bytes unchanged since the seal, or bytes of a node whose
+// image the capture took at its first change (from the decoded group in
+// ApplyCapture, or from the slot the pass read) and substitutes.
 type deviceStore struct {
 	e     *Engine
 	dev   iomodel.Device
@@ -31,11 +35,14 @@ type deviceStore struct {
 	npg   int
 	// chunk is the slots one sequential device access of a scan reads
 	// (queryScanBytes, at least one slot and at most the store), scanBuf
-	// the query scan's buffer of that size, and probe the round-0 sketch
-	// round 0's pass decodes a slot read off the device into to sample it.
-	chunk   int
-	scanBuf []byte
-	probe   *cubesketch.Sketch
+	// the query scan's buffer of that size, probe the round-0 sketch round
+	// 0's pass decodes a slot read off the device into to sample it, and
+	// geometry a stackless slab whose ApplyNodeBinary applies a leftover
+	// batch to a slot in scanBuf.
+	chunk    int
+	scanBuf  []byte
+	probe    *cubesketch.Sketch
+	geometry *cubesketch.Slab
 }
 
 // firstRoundDepth is the most rounds after round 0 that round 0's pass
@@ -135,6 +142,7 @@ func (s *deviceStore) scratch() {
 	e := s.e
 	s.scanBuf = make([]byte, s.chunk*e.slotSize)
 	s.probe = cubesketch.New(e.vecLen, e.cfg.Columns, e.roundSeeds[0])
+	s.geometry = e.newSlab(0)
 	e.queryArena.Reshape(int(e.n), e.roundSeeds[:1])
 }
 
@@ -150,13 +158,30 @@ func (s *deviceStore) scratch() {
 // stacks outgrow the arena (stackFor), so neither the I/O nor the arena
 // ever exceeds a round-0 scan's. A node whose round-0 cut is empty while
 // it is still a singleton is complete and gathers nothing.
-func (s *deviceStore) firstRound(q *querySession, live int) (int, bool, error) {
+//
+// The pass is also the query's drain: it applies the gutters' leftover
+// batches (takeLeftover) to each group as it reaches it (walk), so the
+// store is read once and only what they changed is written. A failure
+// once that has begun poisons the engine, as a worker's apply does: some
+// batches may be in the sketches and some not, or applied to bytes the
+// device never got.
+func (s *deviceStore) firstRound(q *querySession, live int) (left int, done bool, err error) {
 	e, arena := s.e, s.e.queryArena
 	s.scratch()
 	q.beginGather(arena, e.roundSeeds, int(e.n), min(e.cfg.Rounds-1, firstRoundDepth))
 	defer q.endGather()
+	if len(q.left) > 0 {
+		defer func() {
+			if err == nil && q.leftAt < len(q.left) {
+				err = fmt.Errorf("core: round 0's pass did not reach node %d's leftover batch", q.left[q.leftAt].Node)
+			}
+			if err != nil {
+				e.setErr(err)
+			}
+		}()
+	}
 	var view cubesketch.Sketch
-	err := s.walk(q.contribs, func(c contribution, src stackSource) error {
+	err = s.walk(q, func(c contribution, src stackSource) error {
 		v, acc := c.node, &view
 		if src.slab != nil {
 			src.slab.View(src.local, 0, acc)
@@ -263,7 +288,7 @@ func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round i
 			return fmt.Errorf("core: query merge of node %d before-image from round %d: %w", c.node, round, err)
 		}
 	}
-	return s.walk(q.contribs, func(c contribution, src stackSource) error {
+	return s.walk(q, func(c contribution, src stackSource) error {
 		if err := src.mergeInto(arena, int(q.arenaSlot[c.slot]), round, s.e.sketchSize); err != nil {
 			return fmt.Errorf("core: query merge of node %d from round %d: %w", c.node, round, err)
 		}
@@ -290,18 +315,24 @@ func (src stackSource) mergeInto(dst *cubesketch.Slab, i, from, sketchSize int) 
 	return dst.MergeNodeBinary(i, src.slot[off:off+dst.NodeSize()])
 }
 
-// walk visits, in node order, every contribution of cs (ascending by node)
-// that needs live bytes, with its node's stored stack. Only groups holding
+// walk visits, in node order, every contribution of q's round (ascending
+// by node) that needs live bytes, with its node's stored stack, after
+// applying q's leftover batches of the node's group. Only groups holding
 // such a contribution are touched. Those resident in the write-back cache
 // are served from their decoded arenas with zero device I/O — which is
 // also what keeps the walk coherent: a dirty cached group's device bytes
 // are stale by design, so the cache copy is the authoritative one (and a
 // node dirtied since the last query was applied through the cache, so a
-// trickle's groups are normally still resident). The remaining groups are
-// coalesced into sequential runs (bridging gaps cheaper than an extra
-// operation), each run read with ReadRange in chunk-slot pieces.
-func (s *deviceStore) walk(cs []contribution, visit func(c contribution, src stackSource) error) error {
-	e := s.e
+// trickle's groups are normally still resident) — and a leftover batch of
+// theirs applies through the cache, as a worker's would. The remaining
+// groups are coalesced into sequential runs (bridging gaps cheaper than an
+// extra operation), each run read with ReadRange in chunk-slot pieces; a
+// leftover batch of a piece applies to its slot's bytes there, and the
+// span of slots they changed goes back to the device in one WriteRange
+// before the next piece is read. Every leftover batch of a group the walk
+// passes applies: one of a group it skips is an error.
+func (s *deviceStore) walk(q *querySession, visit func(c contribution, src stackSource) error) error {
+	e, cs := s.e, q.contribs
 	n, npg, slotSize := int(e.n), s.npg, e.slotSize
 	// A gap of non-contributing slots is bridged when reading through it
 	// costs no more blocks than starting a fresh operation would.
@@ -315,6 +346,9 @@ func (s *deviceStore) walk(cs []contribution, visit func(c contribution, src sta
 			buf := s.scanBuf[:(ch-cl)*slotSize]
 			if err := s.store.ReadRange(uint32(cl), ch-cl, buf); err != nil {
 				return fmt.Errorf("core: query scan of nodes [%d,%d): %w", cl, ch, err)
+			}
+			if err := s.applyLeftover(q, cl, ch, buf); err != nil {
+				return err
 			}
 			for ; ci < cj && int(cs[ci].node) < ch; ci++ {
 				c := cs[ci]
@@ -356,6 +390,9 @@ func (s *deviceStore) walk(cs []contribution, visit func(c contribution, src sta
 				}
 				runStart = -1
 			}
+			if err := s.applyLeftover(q, lo, hi, nil); err != nil {
+				return err
+			}
 			for _, c := range cs[first:j] {
 				if c.src&srcLive == 0 {
 					continue
@@ -379,6 +416,51 @@ func (s *deviceStore) walk(cs []contribution, visit func(c contribution, src sta
 	}
 	if runStart >= 0 {
 		return flushRun(runStart, runEnd, runFirst, len(cs))
+	}
+	return nil
+}
+
+// applyLeftover applies q's leftover batches of nodes [lo, hi) with the
+// bookkeeping of a worker's apply (Engine.change): through the cache when
+// slots is nil, their group being resident, and otherwise to their slots'
+// bytes in slots, read off the device, in place (ApplyNodeBinary), writing
+// the span of slots they changed back in one access once every change has
+// ended.
+func (s *deviceStore) applyLeftover(q *querySession, lo, hi int, slots []byte) error {
+	e, size := s.e, s.e.slotSize
+	first, last := -1, -1
+	for ; q.leftAt < len(q.left) && int(q.left[q.leftAt].Node) < hi; q.leftAt++ {
+		b := q.left[q.leftAt]
+		v := int(b.Node)
+		if v < lo {
+			return fmt.Errorf("core: the query's pass skipped node %d's leftover batch", v)
+		}
+		var err error
+		if slots == nil {
+			err = e.change(e.ownerOf(b.Node), b, s.apply)
+		} else {
+			slot := slots[(v-lo)*size : (v-lo+1)*size]
+			err = e.change(e.ownerOf(b.Node), b, func(_ uint32, indices []uint64, img []byte) error {
+				if img != nil {
+					copy(img, slot)
+				}
+				return s.geometry.ApplyNodeBinary(slot, indices)
+			})
+			if first < 0 {
+				first = v
+			}
+			last = v
+		}
+		if err != nil {
+			return fmt.Errorf("core: applying leftover batch to node %d: %w", v, err)
+		}
+		e.buf.Recycle(b.Others)
+	}
+	if first < 0 {
+		return nil
+	}
+	if err := s.store.WriteRange(uint32(first), last+1-first, slots[(first-lo)*size:(last+1-lo)*size]); err != nil {
+		return fmt.Errorf("core: writing back leftover batches of nodes [%d,%d): %w", first, last+1, err)
 	}
 	return nil
 }

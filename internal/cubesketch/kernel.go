@@ -1,6 +1,7 @@
 package cubesketch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -122,6 +123,40 @@ func xorBatch(n uint64, rows int, seeds, alphas []uint64, gammas []uint32, batch
 			d := bits.TrailingZeros64(h | sentinel)
 			a[d] ^= idx + 1
 			g[d] ^= uint32(h >> 32)
+		}
+	}
+}
+
+// applyNodeBinary is xorBatch over a serialized node stack instead of
+// bucket arrays: it toggles every index of batch in each of len(seeds)
+// columns of rows buckets, column k of round k / cols hashing with
+// seeds[k], the round's sketch being the size bytes at (k / cols) × size —
+// a header, then its alphas' little-endian image, then its gammas'. A
+// node's few buffered updates touch about rounds × columns buckets, which
+// it reads and writes in place, where decoding the stack into a slab and
+// encoding it back copies the whole stack twice: on the disk-social
+// benchmark workload (2-vCPU Xeon) the round trip made a cold query 0.6 ms
+// slower, 7.54 against 6.97 ms. binary.LittleEndian keeps it right in either
+// byte order. An out-of-range index panics before any bucket is written.
+func applyNodeBinary(n uint64, rows, stride, size int, seeds []uint64, buf []byte, batch []uint64) {
+	for _, idx := range batch {
+		if idx >= n {
+			panic(fmt.Sprintf("cubesketch: index %d out of range for n=%d", idx, n))
+		}
+	}
+	sentinel := uint64(1) << (rows - 1)
+	cols := stride / rows
+	for k, seed := range seeds {
+		sketch := buf[(k/cols)*size : (k/cols+1)*size]
+		col := (k % cols) * rows
+		alphas := sketch[headerSize+col*8 : headerSize+(col+rows)*8]
+		gammas := sketch[headerSize+stride*8+col*4 : headerSize+stride*8+(col+rows)*4]
+		for _, idx := range batch {
+			h := hashing.Mix64(seed, idx)
+			d := bits.TrailingZeros64(h | sentinel)
+			a, g := alphas[d*8:d*8+8], gammas[d*4:d*4+4]
+			binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)^(idx+1))
+			binary.LittleEndian.PutUint32(g, binary.LittleEndian.Uint32(g)^uint32(h>>32))
 		}
 	}
 }

@@ -220,3 +220,43 @@ func TestSlabApplyConcurrentDistinctNodes(t *testing.T) {
 		t.Fatal("concurrent Apply on distinct nodes corrupted the slab")
 	}
 }
+
+// TestApplyNodeBinaryMatchesSlabApply pins the serialized-stack kernel to
+// Slab.Apply: applying a batch to a node's MarshalNode bytes must give the
+// bytes MarshalNode writes after Apply, for every vector length (odd
+// bucket counts leave every other round's body 4-byte aligned), column
+// count, depth and batch size, on a stack that already holds updates. A
+// stack whose header does not match the geometry is refused untouched.
+func TestApplyNodeBinaryMatchesSlabApply(t *testing.T) {
+	for _, n := range kernelLengths {
+		for _, cols := range []int{1, 3, 7} {
+			for _, rounds := range []int{1, 3} {
+				seeds := slabSeeds(rounds, 13)
+				rng := rand.New(rand.NewPCG(17, n+uint64(cols*rounds)))
+				geometry := NewSlab(0, n, cols, seeds)
+				for _, sz := range kernelSizes {
+					ref := NewSlab(1, n, cols, seeds)
+					ref.Apply(0, kernelBatch(rng, n, 9))
+					buf := slabBytes(ref)
+					batch := kernelBatch(rng, n, sz)
+					ref.Apply(0, batch)
+					if err := geometry.ApplyNodeBinary(buf, batch); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(buf, slabBytes(ref)) {
+						t.Fatalf("n=%d cols=%d rounds=%d size=%d: ApplyNodeBinary bytes differ from Slab.Apply", n, cols, rounds, sz)
+					}
+				}
+			}
+		}
+	}
+	sl := NewSlab(1, 97, 3, slabSeeds(2, 1))
+	buf := slabBytes(sl)
+	other := NewSlab(0, 97, 3, slabSeeds(2, 2))
+	if err := other.ApplyNodeBinary(buf, []uint64{5}); err == nil {
+		t.Fatal("ApplyNodeBinary accepted a stack of other round seeds")
+	}
+	if !bytes.Equal(buf, slabBytes(sl)) {
+		t.Fatal("a refused ApplyNodeBinary wrote the stack")
+	}
+}

@@ -271,17 +271,49 @@ func (sl *Slab) UnmarshalNode(node int, buf []byte) error {
 	}
 	off, size := 0, sl.SketchSize()
 	for r := 0; r < sl.rounds; r++ {
-		n := binary.LittleEndian.Uint64(buf[off:])
-		seed := binary.LittleEndian.Uint64(buf[off+8:])
-		cols := int(binary.LittleEndian.Uint64(buf[off+16:]))
-		rows := int(binary.LittleEndian.Uint64(buf[off+24:]))
-		if n != sl.n || seed != sl.seeds[r] || cols != sl.cols || rows != sl.rows {
-			return fmt.Errorf("cubesketch: round %d header (n=%d seed=%#x cols=%d rows=%d) does not match slab (n=%d seed=%#x cols=%d rows=%d)",
-				r, n, seed, cols, rows, sl.n, sl.seeds[r], sl.cols, sl.rows)
+		if err := sl.checkHeader(r, buf[off:]); err != nil {
+			return err
 		}
 		base := (node*sl.rounds + r) * sl.stride
 		getBody(sl.alphas[base:base+sl.stride], sl.gammas[base:base+sl.stride], buf[off+headerSize:off+size])
 		off += size
 	}
+	return nil
+}
+
+// checkHeader validates the serialized round-r sketch header at the front
+// of buf against the slab's parameters and that round's seed.
+func (sl *Slab) checkHeader(r int, buf []byte) error {
+	n := binary.LittleEndian.Uint64(buf)
+	seed := binary.LittleEndian.Uint64(buf[8:])
+	cols := int(binary.LittleEndian.Uint64(buf[16:]))
+	rows := int(binary.LittleEndian.Uint64(buf[24:]))
+	if n != sl.n || seed != sl.seeds[r] || cols != sl.cols || rows != sl.rows {
+		return fmt.Errorf("cubesketch: round %d header (n=%d seed=%#x cols=%d rows=%d) does not match slab (n=%d seed=%#x cols=%d rows=%d)",
+			r, n, seed, cols, rows, sl.n, sl.seeds[r], sl.cols, sl.rows)
+	}
+	return nil
+}
+
+// ApplyNodeBinary toggles every index in batch in all rounds of a
+// serialized node stack (the MarshalNode format), in place, with the
+// slab's parameters and round seeds: the bytes become what MarshalNode
+// would write after Apply on the decoded stack. Every round's header must
+// match the slab's. The slab's own sketches are not touched, so a slab of
+// zero nodes serves as the geometry. It is how the engine's out-of-core
+// query applies a leftover buffered batch to the slot it has just read
+// off the device (applyNodeBinary, kernel.go). An out-of-range index
+// panics before buf is written.
+func (sl *Slab) ApplyNodeBinary(buf []byte, batch []uint64) error {
+	if len(buf) < sl.NodeSize() {
+		return fmt.Errorf("cubesketch: slab node blob is %d bytes, need %d", len(buf), sl.NodeSize())
+	}
+	size := sl.SketchSize()
+	for r := 0; r < sl.rounds; r++ {
+		if err := sl.checkHeader(r, buf[r*size:]); err != nil {
+			return err
+		}
+	}
+	applyNodeBinary(sl.n, sl.rows, sl.stride, size, sl.colSeeds, buf, batch)
 	return nil
 }

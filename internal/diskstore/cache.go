@@ -20,9 +20,14 @@ import (
 // Coherence contract: everything the engine reads directly off the store
 // (query scans, checkpoint section scans, merges) must either go through
 // Peek or run after WriteBackAll/Invalidate — a dirty cached group makes
-// the device bytes stale by design. A reader that scans the device while
-// batches apply (a checkpoint stream) takes each node's pre-change bytes
-// at apply instead (ApplyCapture).
+// the device bytes stale by design. Whatever writes the store directly
+// must write only groups that are not resident, or Invalidate after: the
+// engine's query pass, which applies buffered batches to the slots of the
+// non-resident groups it reads and writes them back while no batch
+// applies through the cache, and merges and installs, which invalidate. A
+// reader that scans the device while batches apply (a checkpoint stream)
+// takes each node's pre-change bytes at apply instead (ApplyCapture, or
+// the writer's own copy of the slot).
 type Cache struct {
 	store     *Store
 	newSlab   func() *cubesketch.Slab

@@ -32,9 +32,14 @@ type Buffer interface {
 	// an edge update an engine owning only some nodes keeps (U is the
 	// node's buffer index, V the far endpoint as the sketch indexes it).
 	InsertHalves(halves []stream.Edge) error
-	// Flush forces every buffered update out to the sink (the cleanup
-	// step before a connectivity query).
-	Flush() error
+	// Flush forces every buffered update out (the cleanup step before a
+	// connectivity query): to the sink the buffer was built with, or to
+	// the one given. The engine gives one to take a query's leftover
+	// batches itself instead of queueing them for its workers. Batches
+	// emitted as gutters fill go to the built-in sink whatever Flush is
+	// given. LeafGutters emits in ascending node order; the others promise
+	// no order, and may emit one node more than one batch.
+	Flush(to ...Sink) error
 	// Recycle returns a batch's Others slice for reuse once the consumer
 	// is done with it. Safe to call from consumer goroutines.
 	Recycle(buf []uint32)
@@ -133,7 +138,7 @@ func (u *Unbuffered) InsertHalves(halves []stream.Edge) error {
 }
 
 // Flush is a no-op: nothing is ever held back.
-func (u *Unbuffered) Flush() error { return nil }
+func (u *Unbuffered) Flush(...Sink) error { return nil }
 
 // Recycle returns a batch buffer for reuse.
 func (u *Unbuffered) Recycle(buf []uint32) { u.free.put(buf) }

@@ -3,6 +3,7 @@ package gutter
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -520,5 +521,65 @@ func TestTreeAmortizesIO(t *testing.T) {
 	st := tree.Stats()
 	if st.TotalBlocks() >= updates {
 		t.Fatalf("tree used %d block I/Os for %d updates; no amortization", st.TotalBlocks(), updates)
+	}
+}
+
+// TestFlushToGivenSink pins the flush a query's drain takes its leftover
+// batches through: given a sink, Flush delivers every update still
+// buffered to it and none to the sink the buffer was built with, which
+// keeps getting only what fills emit; LeafGutters hands them over in
+// ascending node order, one batch per node.
+func TestFlushToGivenSink(t *testing.T) {
+	const n = 64
+	builds := map[string]func(Sink) (Buffer, error){
+		"leaf": func(s Sink) (Buffer, error) { return NewLeafGutters(n, 8, 3, 4, s), nil },
+		"tree": func(s Sink) (Buffer, error) {
+			return NewTree(n, TreeConfig{Fanout: 4, BufferRecords: 64, LeafRecords: 16, NodesPerLeaf: 4}, iomodel.NewMem(512), s)
+		},
+		"unbuffered": func(s Sink) (Buffer, error) { return NewUnbuffered(s), nil },
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			built, given := newRecorder(), newRecorder()
+			buf, err := build(built.sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(21, 22))
+			want := map[uint32][]uint32{}
+			for i := 0; i < 1500; i++ {
+				u, v := uint32(rng.Uint64N(n)), uint32(rng.Uint64N(n))
+				if u == v {
+					continue
+				}
+				if err := buf.InsertEdges([]stream.Edge{{U: u, V: v}}); err != nil {
+					t.Fatal(err)
+				}
+				want[u] = append(want[u], v)
+				want[v] = append(want[v], u)
+			}
+			emitted := built.batches
+			var order []uint32
+			if err := buf.Flush(func(b Batch) {
+				order = append(order, b.Node)
+				given.sink(b)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if built.batches != emitted {
+				t.Fatalf("the flush emitted %d batches to the built-in sink", built.batches-emitted)
+			}
+			if name == "leaf" && (!slices.IsSorted(order) || len(slices.Compact(slices.Clone(order))) != len(order)) {
+				t.Fatalf("the leaf gutters flushed nodes %v; want ascending, one batch each", order)
+			}
+			if name == "unbuffered" && given.batches != 0 {
+				t.Fatalf("an unbuffered flush emitted %d batches", given.batches)
+			}
+			// Together the two sinks got every update exactly once.
+			for node, others := range given.byNode {
+				built.byNode[node] = append(built.byNode[node], others...)
+			}
+			checkDelivery(t, built, want)
+		})
 	}
 }

@@ -149,9 +149,10 @@ func (g *LeafGutters) stripeOf(node uint32) uint32 {
 	return (node / g.npg) / g.perStripe
 }
 
-// flushGroupLocked emits every non-empty gutter of group grp back to back
-// and resets the group's fill. The caller holds the group's stripe lock.
-func (g *LeafGutters) flushGroupLocked(grp uint32) {
+// flushGroupLocked emits every non-empty gutter of group grp back to back,
+// in node order, to sink and resets the group's fill. The caller holds the
+// group's stripe lock.
+func (g *LeafGutters) flushGroupLocked(grp uint32, sink Sink) {
 	lo := grp * g.npg
 	hi := lo + g.npg
 	if n := uint32(len(g.bufs)); hi > n {
@@ -162,7 +163,7 @@ func (g *LeafGutters) flushGroupLocked(grp uint32) {
 		if len(buf) == 0 {
 			continue
 		}
-		g.sink(Batch{Node: node, Others: buf})
+		sink(Batch{Node: node, Others: buf})
 		g.flushes.Add(1)
 		g.bufs[node] = nil
 	}
@@ -182,7 +183,7 @@ func (g *LeafGutters) insertLocked(node, other uint32) {
 	grp := node / g.npg
 	g.groupFill[grp]++
 	if int(g.groupFill[grp]) >= g.groupCap {
-		g.flushGroupLocked(grp)
+		g.flushGroupLocked(grp, g.sink)
 	}
 }
 
@@ -248,8 +249,13 @@ func (g *LeafGutters) insertPlan(plan *stripePlan) {
 }
 
 // Flush force-flushes every nonempty gutter (the cleanup step before a
-// connectivity query), taking each stripe lock once.
-func (g *LeafGutters) Flush() error {
+// connectivity query) to to[0], or to the built-in sink, group by group in
+// ascending order — so in node order — taking each stripe lock once.
+func (g *LeafGutters) Flush(to ...Sink) error {
+	sink := g.sink
+	if len(to) > 0 {
+		sink = to[0]
+	}
 	numGroups := uint32(len(g.groupFill))
 	for s := uint32(0); s < g.stripes; s++ {
 		lo := s * g.perStripe
@@ -260,7 +266,7 @@ func (g *LeafGutters) Flush() error {
 		g.locks[s].Lock()
 		for grp := lo; grp < hi; grp++ {
 			if g.groupFill[grp] > 0 {
-				g.flushGroupLocked(grp)
+				g.flushGroupLocked(grp, sink)
 			}
 		}
 		g.locks[s].Unlock()

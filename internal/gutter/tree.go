@@ -171,7 +171,7 @@ func (t *Tree) insertLocked(u, v uint32) error {
 	if len(t.root) >= t.cfg.BufferRecords {
 		recs := t.root
 		t.root = t.root[:0]
-		return t.distribute(0, recs)
+		return t.distribute(0, recs, t.sink)
 	}
 	return nil
 }
@@ -216,8 +216,9 @@ func (t *Tree) leafIndex(node uint32) int {
 }
 
 // distribute routes records held by internal vertex n to its children,
-// flushing children that would overflow.
-func (t *Tree) distribute(n int, recs []record) error {
+// flushing children that would overflow; a leaf flushed on the way emits to
+// sink.
+func (t *Tree) distribute(n int, recs []record, sink Sink) error {
 	node := &t.nodes[n]
 	// Partition by child. Children cover contiguous leaf ranges of equal
 	// chunk size, so the child index is computable in O(1).
@@ -241,7 +242,7 @@ func (t *Tree) distribute(n int, recs []record) error {
 		if len(part) == 0 {
 			continue
 		}
-		if err := t.deliver(ci, part); err != nil {
+		if err := t.deliver(ci, part, sink); err != nil {
 			return err
 		}
 	}
@@ -249,7 +250,7 @@ func (t *Tree) distribute(n int, recs []record) error {
 }
 
 // deliver appends records to child c's region, flushing as needed.
-func (t *Tree) deliver(c int, part []record) error {
+func (t *Tree) deliver(c int, part []record, sink Sink) error {
 	child := &t.nodes[c]
 	for len(part) > 0 {
 		free := child.capRecords - child.fill
@@ -265,7 +266,7 @@ func (t *Tree) deliver(c int, part []record) error {
 			part = part[take:]
 		}
 		if child.fill == child.capRecords {
-			if err := t.flushVertex(c); err != nil {
+			if err := t.flushVertex(c, sink); err != nil {
 				return err
 			}
 		}
@@ -274,8 +275,8 @@ func (t *Tree) deliver(c int, part []record) error {
 }
 
 // flushVertex empties vertex c: internal vertices push their records one
-// level down; leaves emit batches to the sink.
-func (t *Tree) flushVertex(c int) error {
+// level down; leaves emit batches to sink.
+func (t *Tree) flushVertex(c int, sink Sink) error {
 	child := &t.nodes[c]
 	if child.fill == 0 {
 		return nil
@@ -286,20 +287,21 @@ func (t *Tree) flushVertex(c int) error {
 	}
 	child.fill = 0
 	if child.children != nil {
-		return t.distribute(c, recs)
+		return t.distribute(c, recs, sink)
 	}
-	t.emitLeaf(recs)
+	t.emitLeaf(recs, sink)
 	return nil
 }
 
-// emitLeaf groups a leaf's records by destination node and emits batches.
-func (t *Tree) emitLeaf(recs []record) {
+// emitLeaf groups a leaf's records by destination node and emits batches
+// to sink.
+func (t *Tree) emitLeaf(recs []record, sink Sink) {
 	if t.cfg.NodesPerLeaf == 1 {
 		others := t.free.get(len(recs))
 		for _, r := range recs {
 			others = append(others, r.other)
 		}
-		t.sink(Batch{Node: recs[0].node, Others: others})
+		sink(Batch{Node: recs[0].node, Others: others})
 		t.flushes.Add(1)
 		return
 	}
@@ -308,7 +310,7 @@ func (t *Tree) emitLeaf(recs []record) {
 		byNode[r.node] = append(byNode[r.node], r.other)
 	}
 	for node, others := range byNode {
-		t.sink(Batch{Node: node, Others: others})
+		sink(Batch{Node: node, Others: others})
 		t.flushes.Add(1)
 	}
 }
@@ -346,15 +348,19 @@ func (t *Tree) readRegion(n, count int) ([]record, error) {
 }
 
 // Flush forces every buffered update out of the tree (the cleanup step
-// before a connectivity query): the root spills, then every vertex is
-// flushed top-down so leaves emit everything.
-func (t *Tree) Flush() error {
+// before a connectivity query) to to[0], or to the built-in sink: the root
+// spills, then every vertex is flushed top-down so leaves emit everything.
+func (t *Tree) Flush(to ...Sink) error {
+	sink := t.sink
+	if len(to) > 0 {
+		sink = to[0]
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.root) > 0 {
 		recs := t.root
 		t.root = t.root[:0]
-		if err := t.distribute(0, recs); err != nil {
+		if err := t.distribute(0, recs, sink); err != nil {
 			return err
 		}
 	}
@@ -364,14 +370,14 @@ func (t *Tree) Flush() error {
 			continue // root buffer already spilled
 		}
 		if t.nodes[i].children != nil {
-			if err := t.flushVertex(i); err != nil {
+			if err := t.flushVertex(i, sink); err != nil {
 				return err
 			}
 		}
 	}
 	for i := range t.nodes {
 		if t.nodes[i].children == nil {
-			if err := t.flushVertex(i); err != nil {
+			if err := t.flushVertex(i, sink); err != nil {
 				return err
 			}
 		}
