@@ -13,12 +13,15 @@ import "bytes"
 // Adoption compares the two engines' sketch states node by node at the
 // serialized-slot level: the baseline takes a fresh cut — which retires the
 // every-non-empty-node stamping the checkpoint merges left behind — and
-// only the nodes whose bytes differ are stamped after it. prev's cached
-// result is transplanted as the baseline at that cut, its epoch
-// deliberately staled so the lock-free fast path cannot serve it — the
-// next query goes through the locked path and re-solves exactly the
-// differing components. When no node differs, the transplant is installed
-// at the current epoch and queries hit the cache outright.
+// only the nodes whose bytes differ are stamped after it and listed in the
+// capture's dirty set. prev's cached result is transplanted as the
+// baseline at that cut, its epoch deliberately staled so the lock-free
+// fast path cannot serve it — the next query goes through the locked path
+// and re-solves exactly the differing components, off the partition and
+// forest prev's query session keeps for base, which moves to this engine
+// (rebuilt from the transplant when prev's session does not hold them).
+// When no node differs, the transplant is installed at the current epoch
+// and queries hit the cache outright.
 //
 // Preconditions, checked and reported by the return value (false means no
 // state was changed): both engines own the whole universe (a range
@@ -81,10 +84,10 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 			// prev's bytes are the state the transplanted baseline
 			// observed: exactly the image the delta query's diff
 			// materialization needs for this node. When the baseline
-			// refuses (nil) it is imageless, as on the apply path.
-			if errTheirs == nil {
-				copy(e.capture.adopt(start+uint32(j)), b)
-			}
+			// refuses (nil), or prev's bytes could not be read, the node
+			// is listed imageless, as on the apply path, and its
+			// component re-solves from singletons.
+			copy(e.capture.adopt(start+uint32(j), errTheirs == nil), b)
 		}
 	}
 
@@ -104,6 +107,14 @@ func (e *Engine) AdoptQueryBaseline(prev *Engine) bool {
 		// miss, and the locked path finds the baseline plus precise stamps
 		// and runs the delta.
 		res.epoch = cur - 1
+	}
+	// prev's session keeps base's partition and forest: it moves here, so
+	// the first delta query patches them rather than rebuilding them from
+	// the transplant (restore). prev, about to be retired, makes a new
+	// session if it queries again; its sampler is bound to prev.
+	if q := prev.qs; q != nil && q.state == base {
+		q.state, q.sampler = res, nil
+		e.qs, prev.qs = q, nil
 	}
 	e.queryCache.Store(res)
 	return true

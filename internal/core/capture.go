@@ -29,27 +29,38 @@ import (
 // image — so ingestion throttles to scan speed and the checkpoint stays
 // exact. The baseline refuses and leaves the node imageless: its
 // component re-solves from singletons, the price of a bounded footprint,
-// not an error. The baseline also refuses past maxBase images, one past
-// the delta query's fallback threshold: while every first change below it
-// took an image, a refusal implies the dirty count already exceeds the
-// threshold and the next query runs from scratch anyway. In RAM the budget
-// is one slot per node plus maxBase, so it never binds; out of core it is
-// a quarter of the write-back cache (NewEngine).
+// not an error. In RAM the budget is one slot per node plus maxBase, so it
+// never binds; out of core it is a quarter of the write-back cache
+// (NewEngine).
+//
+// The baseline is also the dirty set. Every node's first change since the
+// cached result's cut enters it, imaged or refused, so it lists exactly
+// the nodes stamped after that cut (baseNodes), and the delta query reads
+// them in O(dirty log dirty) where a stamp scan would cost O(V). Past
+// maxBase nodes, one past the delta query's fallback threshold, it stops
+// listing, and so imaging, and only notes the overflow: the next query
+// runs from scratch anyway.
 type capture struct {
 	slot    int // bytes of one image
 	budget  int // bytes of distinct buffers the readers may hold
-	maxBase int // most images the baseline holds
+	maxBase int // most nodes, and so images, the baseline lists
 
 	mu sync.Mutex
 	// cond is signalled when a scan frees buffers or captures a section, a
 	// section is claimed, or a change in a claimed section ends.
 	cond *sync.Cond
 	// base maps each node first changed since the cached query result's
-	// cut to its bytes at that cut. Written under mu by the change that
-	// takes the image; the delta query reads it without mu while the
-	// workers are idle (it holds the quiesce write lock), as only a
-	// concurrent scan, which reads it too, may run then.
+	// cut, unless the baseline refused it, to its bytes at that cut.
+	// Written under mu by the change that takes the image; the delta query
+	// reads it without mu while the workers are idle (it holds the quiesce
+	// write lock), as only a concurrent scan, which reads it too, may run
+	// then.
 	base map[uint32][]byte
+	// baseNodes lists every node first changed since that cut, imaged or
+	// refused, in the order of their first changes, and baseOver notes
+	// that more than maxBase did. Written and read like base.
+	baseNodes []uint32
+	baseOver  bool
 	// sealed is the live full checkpoint's side, if any: set and cleared
 	// under mu, and loaded without it by begin's fast path.
 	sealed atomic.Pointer[sealCut]
@@ -115,7 +126,7 @@ func (c *capture) begin(node uint32, base bool) (img []byte, sec int) {
 			seal = s.images[node] == nil
 		}
 	}
-	base = base && len(c.base) < c.maxBase && (seal || c.fits())
+	base = base && c.list(node) && (seal || c.fits())
 	if !seal && !base {
 		return nil, sec
 	}
@@ -127,6 +138,37 @@ func (c *capture) begin(node uint32, base bool) (img []byte, sec int) {
 		c.base[node] = img
 	}
 	return img, sec
+}
+
+// list enters node, at its first change since the cached result's cut,
+// in the dirty set, and reports whether the baseline may still take its
+// image: false once the set has overflowed. Caller holds mu.
+func (c *capture) list(node uint32) bool {
+	if len(c.baseNodes) >= c.maxBase {
+		c.baseOver = true
+		return false
+	}
+	c.baseNodes = append(c.baseNodes, node)
+	return true
+}
+
+// dirty appends the nodes first changed since the cached result's cut to
+// dst, in no order, and reports false instead when more than maxBase were.
+// The caller holds the quiesce write lock with the workers idle.
+func (c *capture) dirty(dst []uint32) ([]uint32, bool) {
+	if c.baseOver {
+		return dst, false
+	}
+	return append(dst, c.baseNodes...), true
+}
+
+// listedCount returns how many nodes were first changed since the cached
+// result's cut, and false when more than maxBase were. Safe concurrently
+// with changes.
+func (c *capture) listedCount() (int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.baseNodes), !c.baseOver
 }
 
 // end ends what begin began; sec < 0 is a no-op.
@@ -144,15 +186,17 @@ func (c *capture) end(sec int) {
 	c.mu.Unlock()
 }
 
-// adopt registers a baseline image for node and returns its buffer for the
-// caller to fill with the bytes the adopted baseline observed — nil when
-// the baseline refuses. The bytes are not this engine's, so a live seal
-// never shares them. The caller holds the quiesce write lock with the
+// adopt lists node in the dirty set and, when image is set, registers a
+// baseline image for it, returning its buffer for the caller to fill with
+// the bytes the adopted baseline observed — nil when the baseline refuses
+// or no image was asked for (the baseline's bytes could not be read), so
+// the node is listed imageless. The bytes are not this engine's, so a live
+// seal never shares them. The caller holds the quiesce write lock with the
 // workers idle.
-func (c *capture) adopt(node uint32) []byte {
+func (c *capture) adopt(node uint32, image bool) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.base) >= c.maxBase || !c.fits() {
+	if !c.list(node) || !image || !c.fits() {
 		return nil
 	}
 	img := c.take()
@@ -160,21 +204,26 @@ func (c *capture) adopt(node uint32) []byte {
 	return img
 }
 
-// releaseBase drops every baseline image — a new cached result, or an
-// adopted one, supersedes their cut — keeping the buffers for the next
-// captures, except one a live seal still shares. The caller holds the
-// quiesce write lock with the workers idle, and no query session reading
-// the images is still running.
+// releaseBase empties the baseline — a new cached result, or an adopted
+// one, supersedes its cut — keeping the image buffers for the next
+// captures, except one a live seal still shares. It walks the listed
+// nodes, which every image belongs to, not the map, whose table keeps the
+// size of its largest baseline.
+// The caller holds the quiesce write lock with the workers idle, and no
+// query session reading the images is still running.
 func (c *capture) releaseBase() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.sealed.Load()
-	for node, img := range c.base {
-		if s == nil || !sameBuf(img, s.images[node]) {
-			c.put(img)
+	for _, node := range c.baseNodes {
+		if img, ok := c.base[node]; ok {
+			if s == nil || !sameBuf(img, s.images[node]) {
+				c.put(img)
+			}
+			delete(c.base, node)
 		}
 	}
-	clear(c.base)
+	c.baseNodes, c.baseOver = c.baseNodes[:0], false
 	c.trim()
 }
 

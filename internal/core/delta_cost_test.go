@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"graphzeppelin/internal/dsu"
 	"graphzeppelin/internal/stream"
@@ -225,6 +226,69 @@ func TestDeltaQueryCostIndependentOfN(t *testing.T) {
 	}
 	if attach, detach := costs[0][0], costs[0][1]; attach.visits != 0 || detach.visits == 0 {
 		t.Fatalf("visits attach=%d detach=%d: only the detach searches for pieces", attach.visits, detach.visits)
+	}
+}
+
+// TestDeltaQueryWritesWhatChanged is the pin on what a delta query
+// writes and allocates beyond its sketch work, on the benchmark's trickle
+// shape at 160, 640 and 2,560 nodes: per attach and per detach query, the
+// same DSU operations and piece-search visits, no rebuild of the kept
+// state, and bytes allocated within the result's copy of the
+// representatives and the forest (their capacities, which slices.Clone
+// rounds up to the allocator's size class), the result's header and 256 B
+// for the runtime's records. The copy
+// is the one part that grows with n: 4 bytes a node and 8 a forest edge.
+// The query is timed off the public API, whose copy of the answer is the
+// caller's, and queries during which the runtime started an OS thread
+// (allocsOf) are not counted.
+func TestDeltaQueryWritesWhatChanged(t *testing.T) {
+	sizes := []uint32{160, 640, 2560}
+	type cost struct {
+		ops, visits  int64
+		bytes, bound uint64
+	}
+	costs := make([][2]cost, len(sizes)) // per size: attach, detach
+	for i, n := range sizes {
+		e, path, attach := reservedTrickle(t, Config{NumNodes: n, Seed: 99, Shards: 2})
+		checkAgainstExact(t, e, n, path)
+		for rep := 0; rep < 12; rep++ {
+			for step := range costs[i] {
+				for _, eg := range attach { // a toggle either way
+					mustUpdate(t, e, eg.U, eg.V)
+				}
+				before := e.Stats().DeltaQueries
+				var res *queryResult
+				var err error
+				b, clean := allocsOf(func() { res, err = e.query() })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.Stats().DeltaQueries != before+1 {
+					t.Fatalf("n=%d: the trickle query was not a delta query", n)
+				}
+				copies := uint64(cap(res.rep))*4 + uint64(cap(res.forest))*uint64(unsafe.Sizeof(stream.Edge{}))
+				c := cost{e.lastDeltaOps.Load(), e.lastDeltaVisits.Load(), b, copies + uint64(unsafe.Sizeof(queryResult{})) + 256}
+				if rep == 2 || rep > 2 && clean && b < costs[i][step].bytes {
+					costs[i][step] = c // the least over the warm queries
+				}
+			}
+		}
+		if r := e.qs.restores; r != 0 {
+			t.Fatalf("n=%d: %d rebuilds of the kept state over a trickle", n, r)
+		}
+	}
+	for step, name := range []string{"attach", "detach"} {
+		small := costs[0][step]
+		for i, n := range sizes {
+			c := costs[i][step]
+			t.Logf("%s at n=%d: %d DSU ops, %d visits, %d B of %d", name, n, c.ops, c.visits, c.bytes, c.bound)
+			if c.ops != small.ops || c.visits != small.visits {
+				t.Fatalf("%s: the delta query's writes grow with n", name)
+			}
+			if c.bytes > c.bound {
+				t.Fatalf("%s: %d B at n=%d, over the bound of %d B", name, c.bytes, n, c.bound)
+			}
+		}
 	}
 }
 

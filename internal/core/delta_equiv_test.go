@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"graphzeppelin/internal/iomodel"
 	"graphzeppelin/internal/stream"
 	"graphzeppelin/internal/wal"
 )
@@ -355,6 +357,12 @@ func TestAdoptQueryBaseline(t *testing.T) {
 		if st := fresh.Stats(); st.DeltaQueries != 1 {
 			t.Fatalf("onDisk=%v: adopted baseline query: DeltaQueries=%d, want 1", onDisk, st.DeltaQueries)
 		}
+		// The first adoption takes old's session, which keeps the baseline's
+		// partition and forest; the second finds none and rebuilds them.
+		if want := map[bool]int{false: 0, true: 1}[onDisk]; fresh.qs.restores != want {
+			t.Fatalf("onDisk=%v: %d rebuilds of the kept state, want %d", onDisk, fresh.qs.restores, want)
+		}
+		checkDeltaState(t, fresh)
 	}
 
 	// A geometry mismatch is refused without touching state.
@@ -368,6 +376,75 @@ func TestAdoptQueryBaseline(t *testing.T) {
 	}
 	if fresh.AdoptQueryBaseline(nil) || fresh.AdoptQueryBaseline(fresh) {
 		t.Fatal("adopted nil or self")
+	}
+}
+
+// TestAdoptQueryBaselineReadFault fails one read of prev's device during
+// AdoptQueryBaseline's diff, in turn at every read the diff makes. A node
+// whose baseline bytes cannot be read counts as differing: it is listed in
+// the dirty set without an image, so Stats().DirtyNodes agrees with the
+// stamps and the next query re-solves its component from singletons. The
+// answer must be the exact one on every run, including the runs whose
+// unreadable slot is an endpoint of the edge only this engine holds.
+func TestAdoptQueryBaselineReadFault(t *testing.T) {
+	const n = 64
+	var edges []stream.Edge
+	for u := uint32(0); u < 30; u++ {
+		edges = append(edges, stream.Edge{U: u, V: u + 1})
+	}
+	cfg := Config{NumNodes: n, Seed: 9, Shards: 2, Buffering: BufferNone}
+	faulted := 0
+	for skip := int64(0); ; skip++ {
+		dev := &oneFault{Device: iomodel.NewMem(4096)}
+		pcfg := cfg
+		pcfg.SketchesOnDisk, pcfg.CacheBytes = true, 1
+		pcfg.DeviceFactory = func(string) (iomodel.Device, error) { return dev, nil }
+		prev, err := NewEngine(pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prev.InsertEdges(edges); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := prev.ConnectedComponents(); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := prev.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.MergeCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		mustUpdate(t, e, 40, 41)
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		dev.arm(false, skip)
+		if !e.AdoptQueryBaseline(prev) {
+			t.Fatalf("skip %d: AdoptQueryBaseline refused compatible engines", skip)
+		}
+		injected := dev.count.Load() > skip
+		dev.armed.Store(false)
+		checkDeltaState(t, e)
+		checkAgainstExact(t, e, n, append(slices.Clone(edges), stream.Edge{U: 40, V: 41}))
+		checkDeltaState(t, e)
+		if st := e.Stats(); st.DeltaQueries != 1 {
+			t.Fatalf("skip %d: %d delta queries after adoption, want 1", skip, st.DeltaQueries)
+		}
+		e.Close()
+		prev.Close()
+		if !injected {
+			break
+		}
+		faulted++
+	}
+	if faulted < n {
+		t.Fatalf("only %d reads were faulted; the diff reads each of the %d nodes", faulted, n)
 	}
 }
 
@@ -497,10 +574,10 @@ var forestCutModes = []struct {
 	{"disk-one-group", Config{Shards: 1, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: 1}, 16},
 }
 
-// setImageCap lets e's baseline hold images images: its count limit, and a
-// capture budget of that many slots.
+// setImageCap lets e's baseline hold images images: a capture budget of
+// that many slots.
 func setImageCap(e *Engine, images int) {
-	e.capture.maxBase, e.capture.budget = images, images*e.slotSize
+	e.capture.budget = images * e.slotSize
 }
 
 // TestDeltaQueryEquivalenceForestCuts deletes 1-4 edges of the engine's
@@ -889,6 +966,50 @@ func TestDeltaQueryIntactMergeKeepsLabel(t *testing.T) {
 					t.Fatalf("node %d labelled %d after the merge, want the larger component's %d", v, rep[v], label)
 				}
 			}
+		})
+	}
+}
+
+// TestDeltaQueryCutMovesRepresentative cuts a path next to its cached
+// representative r, on the side that leaves r in the smaller piece: the
+// piece search enumerates r's piece, so r keeps it and the anchor piece's
+// star is re-centred on one of its own members — the one cut whose work
+// is the anchor's size. Both pieces' labels, and the answer after the
+// path is mended, are checked against the exact components and a
+// from-scratch twin, in RAM and out of core.
+func TestDeltaQueryCutMovesRepresentative(t *testing.T) {
+	const n = 64
+	for mode := range forestCutModes {
+		t.Run(forestCutModes[mode].name, func(t *testing.T) {
+			p := newPieceTwin(t, mode, n, 139)
+			var path []stream.Edge
+			for v := uint32(1); v < n; v++ {
+				path = append(path, stream.Edge{U: v - 1, V: v})
+			}
+			p.apply(path, true)
+			r := p.check(false)[0]
+			cut := stream.Edge{U: r, V: r + 1} // r's piece is [0, r]
+			if r >= n/2 {
+				cut = stream.Edge{U: r - 1, V: r} // r's piece is [r, n)
+			}
+			p.apply([]stream.Edge{cut}, false)
+			rep := p.check(true)
+			if !checkDeltaState(t, p.eng) {
+				t.Fatal("the session did not keep the cut's result")
+			}
+			if c := deltaClassCounts(p.eng); c[classCut] != 1 {
+				t.Fatalf("classes %v: the cut must take the cut class", c)
+			}
+			anchor := uint32(n - 1)
+			if r >= n/2 {
+				anchor = 0
+			}
+			if rep[r] != r || rep[anchor] == r {
+				t.Fatalf("labels: r=%d keeps %d, the anchor piece has %d; want r's piece on r and the anchor re-centred", r, rep[r], rep[anchor])
+			}
+			p.apply([]stream.Edge{cut}, true)
+			p.check(true)
+			checkDeltaState(t, p.eng)
 		})
 	}
 }

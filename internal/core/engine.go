@@ -770,9 +770,10 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 }
 
 // change is the one way a batch reaches its node's sketches, whoever
-// applies it: the node's owning worker (applyBatch), or an out-of-core
-// query's pass applying a leftover batch while the workers are idle
-// (deviceStore.walk). sh is the node's owner, whose scratch and batch
+// applies it: the node's owning worker (applyBatch), or a query applying a
+// leftover batch while the workers are idle — a delta query on its own
+// goroutine (applyLeftovers), an out-of-core from-scratch query in its
+// pass (deviceStore.walk). sh is the node's owner, whose scratch and batch
 // count the batch uses. apply changes the stack, first filling img, when
 // non-nil, with the stack as it stands before the change: the image a
 // reader whose cut precedes the change gets for the node. What apply
@@ -813,7 +814,10 @@ func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indic
 
 // touch stamps node as changed after the current cut. A node touched again
 // before the next cut already holds the stamp, so a hot node's later
-// batches only load it.
+// batches only load it. The stamps answer "changed since cut X" for any
+// cut, a seal's included; the delta query's own cut is also answered by
+// the capture's baseline, which lists each node at the change whose stamp
+// first passes it, so the query need not scan them.
 func (e *Engine) touch(node uint32) {
 	s, c := &e.stamp[node], e.cut.Load()+1
 	if s.Load() != c {
@@ -822,8 +826,10 @@ func (e *Engine) touch(node uint32) {
 }
 
 // changedSince appends to dst, in ascending order, every node whose sketch
-// changed after cut. The caller holds the quiesce write lock with the
-// workers idle.
+// changed after cut, by a scan of every stamp: a delta checkpoint's plan
+// (planDelta) asks it of a seal's cut. A delta query reads its dirty set
+// off the capture's baseline instead (capture.dirty). The caller holds the
+// quiesce write lock with the workers idle.
 func (e *Engine) changedSince(cut uint64, dst []uint32) []uint32 {
 	for v := range e.stamp {
 		if e.stamp[v].Load() > cut {
@@ -835,12 +841,13 @@ func (e *Engine) changedSince(cut uint64, dst []uint32) []uint32 {
 
 // wantsBase reports whether a change to node now would be its first since
 // the cached query result's cut, with delta queries on: whether the
-// baseline wants its image. Because no change touched the node in between,
-// the image is the state the cached result observed — which is what lets a
-// delta query rebuild an affected supernode's cut from its dirty members
-// alone: a cached component's round aggregate is the zero sketch (its cut
-// was certified empty), so XORing each dirty member's current-⊕-before
-// diff into zero reproduces the component's true current cut (query.go).
+// baseline lists it in the dirty set and wants its image. Because no
+// change touched the node in between, the image is the state the cached
+// result observed — which is what lets a delta query rebuild an affected
+// supernode's cut from its dirty members alone: a cached component's
+// round aggregate is the zero sketch (its cut was certified empty), so
+// XORing each dirty member's current-⊕-before diff into zero reproduces
+// the component's true current cut (query.go).
 // Nothing is wanted while no query could use it: before the first cached
 // result (a bulk load), or with delta queries disabled. Both only change
 // under the quiesce write lock with the workers idle, and node's stamp is
@@ -849,6 +856,27 @@ func (e *Engine) changedSince(cut uint64, dst []uint32) []uint32 {
 func (e *Engine) wantsBase(node uint32) bool {
 	res := e.queryCache.Load()
 	return !e.cfg.NoDeltaQuery && res != nil && e.stamp[node].Load() <= res.cut
+}
+
+// dirtyNodes counts the nodes changed since the cached result's cut: the
+// baseline's count, exact as long as it lists every such node — a cached
+// result exists, delta queries are on and the list did not overflow — and
+// a scan of every stamp otherwise.
+func (e *Engine) dirtyNodes() uint64 {
+	res := e.queryCache.Load()
+	if n, ok := e.capture.listedCount(); ok && res != nil && !e.cfg.NoDeltaQuery {
+		return uint64(n)
+	}
+	var since, dirty uint64
+	if res != nil {
+		since = res.cut
+	}
+	for v := range e.stamp {
+		if e.stamp[v].Load() > since {
+			dirty++
+		}
+	}
+	return dirty
 }
 
 func (e *Engine) setErr(err error) {
@@ -879,9 +907,9 @@ func (e *Engine) Drain() error {
 // It flushes the gutters to the workers and waits for every batch.
 // Afterwards the workers are quiescent (pending is zero and producers are
 // blocked), so the caller may read and write shard state directly until
-// it releases the lock. An out-of-core query drains differently: it takes
-// the gutters' leftover batches itself (takeLeftover) and applies them in
-// its pass over the store.
+// it releases the lock. A query drains differently: it takes the gutters'
+// leftover batches itself (takeLeftover) and applies them where they cost
+// least.
 func (e *Engine) drainLocked() error {
 	flushErr := e.buf.Flush()
 	e.pending.Wait()
@@ -933,15 +961,7 @@ func (e *Engine) Stats() Stats {
 		st.Batches += b
 	}
 	e.sketches.stats(&st)
-	var since uint64
-	if res := e.queryCache.Load(); res != nil {
-		since = res.cut
-	}
-	for v := range e.stamp {
-		if e.stamp[v].Load() > since {
-			st.DirtyNodes++
-		}
-	}
+	st.DirtyNodes = e.dirtyNodes()
 	st.MemoryBytes += e.capture.bytes()
 	st.MemoryBytes += e.queryArenaBytes
 	if e.treeDev != nil {

@@ -374,12 +374,13 @@ func (d *accessLog) take() (reads, writes [][2]int64) {
 // TestFusedColdQueryIO pins what an out-of-core from-scratch query costs
 // the device when the gutters still hold updates. Its pass is its drain:
 // it reads each group that is not resident once, in runs of sequential
-// chunks, and applies the leftover batches there, writing back one span per
-// chunk — from the first slot a leftover batch changed to the last — right
-// after reading it; the leftover batches of resident groups apply in the
-// cache. So the reads are exactly the non-resident groups' bytes, the
-// query faults no group into the cache, and the writes cover only slots
-// with leftover batches (and the slots between two of them in one chunk).
+// chunks, and applies the leftover batches there, writing back the slots
+// they changed right after reading the chunk, in runs split wherever the
+// unchanged slots between two changed ones hold a whole block; the leftover
+// batches of resident groups apply in the cache. So the reads are exactly
+// the non-resident groups' bytes, the query faults no group into the
+// cache, and the writes cover only slots with leftover batches (and
+// unchanged slots between two of them that hold no whole block).
 // A plain drain would first fault nearly every group through the cache,
 // evicting and writing back as it went, and the pass would then read the
 // non-resident ones again.
@@ -455,7 +456,8 @@ func TestFusedColdQueryIO(t *testing.T) {
 	// What the pass should do: the runs of non-resident groups, cut into
 	// chunks, each read and then written back over its leftover span.
 	slot := int64(e.slotSize)
-	var wantReads, wantWrites [][2]int64
+	var wantReads, wantWrites, spans [][2]int64
+	changed := int64(0) // leftover slots outside resident groups
 	isResident := func(g int) bool { return slices.Contains(resident, g) }
 	for g := 0; g < n/npg; {
 		if isResident(g) {
@@ -469,17 +471,28 @@ func TestFusedColdQueryIO(t *testing.T) {
 		for lo := g * npg; lo < end*npg; lo += ds.chunk {
 			hi := min(lo+ds.chunk, end*npg)
 			wantReads = append(wantReads, [2]int64{int64(lo) * slot, int64(hi) * slot})
-			first, last := -1, -1
+			var span [2]int64 // the chunk's one span from the first changed slot to the last
 			for _, v := range left {
-				if int(v) >= lo && int(v) < hi {
-					if first < 0 {
-						first = int(v)
-					}
-					last = int(v)
+				if int(v) < lo || int(v) >= hi {
+					continue
 				}
+				from, to := int64(v)*slot, int64(v+1)*slot
+				if span[1] == 0 {
+					span[0] = from
+				}
+				span[1] = to
+				// A run ends where the unchanged slots after it hold a
+				// whole block.
+				if k := len(wantWrites) - 1; k >= 0 && wantWrites[k][1] > int64(lo)*slot &&
+					(wantWrites[k][1]+block-1)/block*block+block > from {
+					wantWrites[k][1] = to
+				} else {
+					wantWrites = append(wantWrites, [2]int64{from, to})
+				}
+				changed++
 			}
-			if last >= 0 {
-				wantWrites = append(wantWrites, [2]int64{int64(first) * slot, int64(last+1) * slot})
+			if span[1] > 0 {
+				spans = append(spans, span)
 			}
 		}
 		g = end
@@ -488,7 +501,7 @@ func TestFusedColdQueryIO(t *testing.T) {
 		t.Fatalf("the query read %v; want the non-resident groups' bytes once, %v", reads, wantReads)
 	}
 	if !slices.Equal(writes, wantWrites) {
-		t.Fatalf("the query wrote %v; want each chunk's leftover span, %v", writes, wantWrites)
+		t.Fatalf("the query wrote %v; want each chunk's leftover runs, %v", writes, wantWrites)
 	}
 	spanned := func(accesses [][2]int64) (blocks uint64) {
 		for _, a := range accesses {
@@ -500,7 +513,23 @@ func TestFusedColdQueryIO(t *testing.T) {
 		t.Fatalf("the query read %d blocks, the non-resident groups span %d", got, want)
 	}
 	if got, want := after.SketchIO.WriteBlocks-before.SketchIO.WriteBlocks, spanned(wantWrites); got != want {
-		t.Fatalf("the query wrote %d blocks, its leftover spans span %d", got, want)
+		t.Fatalf("the query wrote %d blocks, its leftover runs span %d", got, want)
+	}
+	// The leftover slots are sparse and a slot is wider than a block, so
+	// every run is adjacent changed slots: the bytes written are the
+	// changed slots' own, and fewer blocks than one span per chunk from
+	// its first changed slot to its last would write.
+	written := int64(0)
+	for _, w := range writes {
+		written += w[1] - w[0]
+	}
+	if slot < block || written != changed*slot {
+		t.Fatalf("the query wrote %d B for %d changed slots of %d B", written, changed, slot)
+	}
+	if runs, one := spanned(wantWrites), spanned(spans); runs >= one {
+		t.Fatalf("the runs write %d blocks, one span per chunk %d", runs, one)
+	} else {
+		t.Logf("leftover write-back: %d B in %d blocks, where one span per chunk writes %d blocks", written, runs, one)
 	}
 }
 

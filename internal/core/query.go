@@ -48,22 +48,27 @@ import (
 //     from the cached result — point queries cost O(1) between updates.
 //
 //  4. Incremental maintenance between epochs. When the cache is stale but
-//     a previous result exists, the query reads the per-node change stamps
-//     the apply path maintains (engine.go) against the cut that result
-//     took: a component of the cached forest with no member stamped since
-//     had no incident edge toggled since that result — any toggle lands a
-//     batch on both endpoints' sketches, stamping them — so its forest
-//     edges are still genuine and its cut is still empty. Those
-//     components carry over wholesale: the DSU starts as the cached
-//     partition, one star per component, and only the affected components
-//     are split back. An affected component is re-certified from the
-//     before-images the capture took at each node's first change since
-//     that cut (capture.go), in RAM and out of core alike. Its sketch work and its
-//     bookkeeping are both set by the dirty set rather than the component:
-//     a cut component's pieces are found by searching the cached forest
-//     outward from the removed edges, in lockstep, until one search is
-//     left, and the giant side of a detach is never enumerated
-//     (runDeltaBoruvka has the classes and the argument). Above
+//     a previous result exists, the query reads the dirty set — every node
+//     first changed since the cut that result took — off the capture's
+//     baseline, which lists each such node at its first change (capture.go),
+//     and applies the gutters' leftover batches on the query goroutine. A
+//     component of the cached forest with no dirty member had no incident
+//     edge toggled since that result — any toggle lands a batch on both
+//     endpoints' sketches — so its forest edges are still genuine and its
+//     cut is still empty: it carries over wholesale. The session keeps the
+//     cached result's partition, as one DSU star per component, and its
+//     forest with adjacency lists, so only the affected components are
+//     split back, and re-certified from the before-images the capture took
+//     at each dirty node's first change, in RAM and out of core alike.
+//     Sketch work and bookkeeping are both set by the dirty set rather than
+//     the component or the graph: a cut component's pieces are found by
+//     searching the kept forest outward from the removed edges, in
+//     lockstep, until one search is left, so the giant side of a detach is
+//     never enumerated; and each merge re-points the smaller side's
+//     members. Beyond its sketch work, no step passes over all V nodes but
+//     the copy that publishes the result, one memmove of the partition
+//     and of the forest (runDeltaBoruvka has the classes and the
+//     argument). Above
 //     deltaQueryMaxDirtyFrac dirty nodes the query falls back to the
 //     from-scratch run; either way the caller sees an identical contract.
 
@@ -82,9 +87,9 @@ import (
 var ErrQueryFailed = errors.New("core: connectivity query ran out of sketch rounds")
 
 // queryResult is one full query's answer, tagged with the ingest epoch it
-// was computed at. It is immutable once published: readers share the
-// slices, so the public accessors copy anything they hand to callers that
-// could mutate it.
+// was computed at. It is immutable once published: readers share it, so
+// the public accessors copy anything they hand to callers that could
+// mutate it.
 type queryResult struct {
 	epoch uint64
 	// cut is the change-tracking cut taken when the result was cached: the
@@ -104,12 +109,13 @@ type queryResult struct {
 // query answers the current connectivity query, from the epoch cache when
 // the graph is unchanged since the last full query, and by running lazy
 // Boruvka over a fresh snapshot otherwise. Under the quiesce write lock it
-// drains: in RAM through the workers (drainLocked), out of core by taking
-// the gutters' leftover batches (takeLeftover), which a from-scratch query
-// applies in its pass over the store and a delta query, a cache hit or a
-// failure hands to the workers. The returned result is shared and must be
-// treated as read-only. On ErrQueryFailed the partial result is returned
-// alongside the error (and is not cached).
+// drains by taking the gutters' leftover batches (takeLeftover), in both
+// stores: a delta query applies them on this goroutine (applyLeftovers), a
+// from-scratch one in RAM through the workers and out of core in its pass
+// over the store (firstRound), and a cache hit or a failure hands them to
+// the workers. The returned result is shared and must be treated as
+// read-only. On ErrQueryFailed the partial result is returned alongside
+// the error (and is not cached).
 func (e *Engine) query() (*queryResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -134,13 +140,7 @@ func (e *Engine) query() (*queryResult, error) {
 	// query, a cache hit or an error — goes to the workers, as a plain
 	// drain's would.
 	defer e.releaseLeftover(q)
-	var err error
-	if e.cfg.SketchesOnDisk {
-		err = e.takeLeftover()
-	} else {
-		err = e.drainLocked()
-	}
-	if err != nil {
+	if err := e.takeLeftover(); err != nil {
 		return nil, err
 	}
 	// Producers are excluded here, so the epoch is stable; re-check the
@@ -159,15 +159,18 @@ func (e *Engine) query() (*queryResult, error) {
 	return res, nil
 }
 
-// takeLeftover is an out-of-core query's drain. It waits for the batches
-// already queued, then flushes the gutters into the session (q.left,
-// sorted by node) instead of queueing them for the workers: a from-scratch
-// query applies them in its pass over the store, one group at a time as
-// the pass reaches it (deviceStore.walk), so that a group off the device
-// is read once and written once, where the workers would fault nearly
-// every group through the cache, evicting and writing back as they go,
-// before the pass reads it again. A delta query hands them to the workers
-// first (releaseLeftover). The caller holds the quiesce write lock.
+// takeLeftover is a query's drain. It waits for the batches already
+// queued, then flushes the gutters into the session (q.left, sorted by
+// node) instead of queueing them for the workers. A delta query applies
+// them on its own goroutine (applyLeftovers): a trickle leaves a handful,
+// and parking on the workers would cost more than applying them. Out of
+// core a from-scratch query applies them in its pass over the store, one
+// group at a time as the pass reaches it (deviceStore.walk), so that a
+// group off the device is read once and written once, where the workers
+// would fault nearly every group through the cache, evicting and writing
+// back as they go, before the pass reads it again; in RAM it hands them to
+// the workers (ramStore.firstRound), which apply a slice's many across the
+// shards. The caller holds the quiesce write lock.
 func (e *Engine) takeLeftover() error {
 	e.pending.Wait()
 	q := e.qs
@@ -199,31 +202,50 @@ func (e *Engine) releaseLeftover(q *querySession) error {
 	return e.err()
 }
 
+// applyLeftovers applies q's leftover batches on the query goroutine, each
+// as its owner's worker would (applyBatch), and leaves q with none. The
+// caller holds the quiesce write lock with the workers idle, so the
+// owners' scratch is free.
+func (e *Engine) applyLeftovers(q *querySession) error {
+	for _, b := range q.left[q.leftAt:] {
+		e.applyBatch(e.ownerOf(b.Node), b)
+		e.buf.Recycle(b.Others)
+	}
+	clear(q.left)
+	q.left, q.leftAt = q.left[:0], 0
+	return e.err()
+}
+
 // runQueryLocked answers a cache-missed query, incrementally off the
 // previous cached result when the dirty set allows it and from scratch
 // otherwise. The caller holds the quiesce write lock with the workers
-// drained (so shard state, the stamps included, is stable) but for q's
+// drained (so shard state, the baseline included, is stable) but for q's
 // leftover batches: the nodes they change count as dirty, and a delta
-// query hands them to the workers before it reads a sketch.
+// query applies them before it reads the dirty set.
 func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, error) {
 	prev := e.queryCache.Load()
 	if !e.cfg.NoDeltaQuery && prev != nil {
-		q.dirty = e.changedSince(prev.cut, q.dirty[:0])
-		q.dirty = q.withLeftover(q.dirty, e.stamp, prev.cut)
-		if len(q.dirty) == 0 {
+		dirty, ok := e.dirtyCount(q, prev.cut)
+		if ok && dirty == 0 {
 			// The epoch moved but no sketch changed since prev was cached
 			// (e.g. an adopted baseline whose diff came up empty): prev's
 			// answer is exactly current — re-tag it at the new epoch.
 			e.deltaQueries.Add(1)
-			return &queryResult{
+			res := &queryResult{
 				epoch: epoch, delta: true,
 				forest: prev.forest, rep: prev.rep, count: prev.count,
-			}, nil
+			}
+			if q.state == prev {
+				q.state = res
+			}
+			return res, nil
 		}
-		if float64(len(q.dirty)) <= deltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
-			if err := e.releaseLeftover(q); err != nil {
+		if ok && float64(dirty) <= deltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
+			if err := e.applyLeftovers(q); err != nil {
 				return nil, err
 			}
+			q.dirty, _ = e.capture.dirty(q.dirty[:0])
+			slices.Sort(q.dirty)
 			res, ok, err := e.runDeltaBoruvka(q, epoch, prev)
 			if err != nil {
 				return nil, err
@@ -241,20 +263,22 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 	return e.runBoruvka(q, epoch)
 }
 
-// withLeftover adds to dirty, the nodes stamped after cut in ascending
-// order, the nodes of q's leftover batches that are not among them, keeping
-// the order: the set changedSince lists once the batches are applied.
-func (q *querySession) withLeftover(dirty []uint32, stamp []atomic.Uint64, cut uint64) []uint32 {
-	stamped := len(dirty)
+// dirtyCount returns how many nodes are dirty since cut, the cached
+// result's: those the baseline lists, plus the nodes of q's leftover
+// batches that no change since cut has reached yet (their stamp is at most
+// cut). ok is false when the baseline overflowed, past the delta query's
+// threshold. O(dirty + leftover), where a stamp scan would be O(V).
+func (e *Engine) dirtyCount(q *querySession, cut uint64) (n int, ok bool) {
+	if e.capture.baseOver {
+		return 0, false
+	}
+	n = len(e.capture.baseNodes)
 	for i, b := range q.left {
-		if (i == 0 || b.Node != q.left[i-1].Node) && stamp[b.Node].Load() <= cut {
-			dirty = append(dirty, b.Node)
+		if (i == 0 || b.Node != q.left[i-1].Node) && e.stamp[b.Node].Load() <= cut {
+			n++
 		}
 	}
-	if len(dirty) > stamped {
-		slices.Sort(dirty)
-	}
-	return dirty
+	return n, true
 }
 
 // session returns the engine's one query session, reset for a new query;
@@ -306,9 +330,7 @@ func (e *Engine) SpanningForest() ([]stream.Edge, error) {
 	if r == nil {
 		return nil, err
 	}
-	forest := make([]stream.Edge, len(r.forest))
-	copy(forest, r.forest)
-	return forest, err
+	return slices.Clone(r.forest), err
 }
 
 // ConnectedComponents returns, for every node, a component representative,
@@ -319,9 +341,7 @@ func (e *Engine) ConnectedComponents() (rep []uint32, count int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	rep = make([]uint32, len(r.rep))
-	copy(rep, r.rep)
-	return rep, r.count, nil
+	return slices.Clone(r.rep), r.count, nil
 }
 
 // Connected reports whether nodes u and v are currently in the same
@@ -440,7 +460,14 @@ type sampleOut struct {
 // freely (and concurrently) for the duration; the engine keeps one session
 // and resets it for every query (Engine.session), so a query allocates
 // its result and nothing else.
+//
+// Between queries the session also keeps the cached result's partition
+// and forest, for the next delta query to patch: state is the result they
+// match, nil while a run has changed them. Then d is one star per
+// component on the result's representatives, forest is the result's
+// forest, and adjHead/adjNext/adjPrev are its adjacency lists.
 type querySession struct {
+	state    *queryResult
 	d        *dsu.DSU
 	rep      []uint32 // node -> current root, refreshed each round for the nodes it lists
 	finished []bool   // root-indexed: component certified complete
@@ -473,7 +500,8 @@ type querySession struct {
 
 	// The round's samples (sampleRound): one out per sampling worker, then
 	// their candidates and emptied roots in live-root order. forest
-	// collects the query's edges; the result takes a copy.
+	// collects the query's edges, or holds the kept forest a delta query
+	// patches; the result takes a copy.
 	outs     []sampleOut
 	giantOut sampleOut
 	cands    []candidate
@@ -509,43 +537,54 @@ type querySession struct {
 	// The delta's working sets. dirty lists the nodes changed since the
 	// cached result (ascending), affected the cached representatives of
 	// the components they dirty, removed the cut components' removed
-	// forest edges, and moved the nodes to split out of their cached
-	// stars, each set of them ending at an offset in splits. isDirty
-	// (node-indexed), class and relabel (indexed by cached representative)
-	// and mark (node-indexed) are kept all-false, all classClean, the
-	// identity and all-zero between queries: a delta query sets entries
-	// only for what it touches and undoDelta puts them back. relabel[r] is
-	// the node the DSU centres component r's star on, then the root the
-	// star ends under; mark[v] is 1 + the id of the search that visited v,
-	// or splitMark once v is to be split out.
+	// forest edges, dropped the forest indices of every edge the query
+	// takes out (the removed ones, and the trees of components re-solved
+	// from singletons), moved the nodes to split out of their cached
+	// stars, each set of them ending at an offset in splits, and recentre
+	// the cut components whose star moves off the cached representative.
+	// isDirty (node-indexed), class and relabel (indexed by cached
+	// representative) and mark (node-indexed) are kept all-false, all
+	// classClean, the identity and all-zero between queries: a delta query
+	// sets entries only for what it touches and undoDelta puts them back.
+	// relabel[r] is the node component r's anchor piece is centred on;
+	// mark[v] is 1 + the id of the search that visited v, or splitMark
+	// once v is to be split out.
 	dirty    []uint32
 	affected []uint32
 	removed  []stream.Edge
+	dropped  []int32
 	moved    []uint32
 	splits   []int
+	recentre []uint32
 	isDirty  []bool
 	class    []uint8
 	relabel  []uint32
 	mark     []int32
-	// The piece search (cutPieces): the cached forest's adjacency lists —
-	// node v's neighbours are adj[adjStart[v]:adjStart[v+1]] — and one
+	// The kept forest's adjacency lists: edge i is half-edges 2i (at its U)
+	// and 2i+1 (at its V), node v's half-edges a doubly linked list from
+	// adjHead[v] (-1 ends it). treeOf walks a tree of them, noting in via
+	// the edge it reached each node by; the piece search (cutPieces) runs one
 	// breadth-first search per start. Searches that meet join one group
 	// (group, a union-find over search ids), whose root search alone has
 	// nodes left to expand; every visited node sits in exactly one
 	// search's queue.
-	adjStart []int32
-	adj      []uint32
-	searches []pieceSearch
-	group    []int32
+	adjHead, adjNext, adjPrev []int32
+	via                       []int32
+	grown                     []uint32
+	searches                  []pieceSearch
+	group                     []int32
 
 	// What the query cost, by count, which tests pin: the longest
 	// contribution list of any round (its sketch work per round), the DSU
-	// operations (Find, Union, and one per element Split moves), the nodes
-	// the piece search expanded, and the live roots of each round.
+	// operations (Find, Union, and one per element Split or Repoint
+	// moves), the nodes the piece search expanded, the live roots of each
+	// round; and over the session's
+	// life, how often a delta query rebuilt the kept state (restore).
 	maxContribs int
 	dsuOps      int
 	visits      int
 	liveRoots   []int
+	restores    int
 }
 
 // pieceSearch is one breadth-first search over the cached forest: queue
@@ -743,55 +782,60 @@ func newQuerySession(n int) *querySession {
 }
 
 // reset clears what the last query left of a session — no plan, no held
-// aggregates, no forest, no counts — keeping every array for the next
-// query. The DSU is left as it is: each path starts it itself, from
-// singletons (runBoruvka) or from the cached partition (runDeltaBoruvka),
-// and the first round clears the finished flag of every root it lists.
+// aggregates, no counts — keeping every array for the next query. The DSU
+// and the forest are left as they are: each path starts them itself, from
+// singletons (runBoruvka) or from the kept partition and forest
+// (runDeltaBoruvka), and the first round clears the finished flag of every
+// root it lists.
 func (q *querySession) reset() {
 	q.delta, q.plan, q.before = false, q.plan[:0], nil
 	q.held, q.arenaRound, q.arenaEnd, q.giant = q.held[:0], 0, 0, -1
-	q.forest = q.forest[:0]
 	q.maxContribs, q.dsuOps, q.visits, q.liveRoots = 0, 0, 0, q.liveRoots[:0]
 }
 
 // result packages a from-scratch session's answer as a query result tagged
-// with epoch: the final representatives off the DSU, the component count
-// and a copy of the forest — the only allocations of a query.
+// with epoch: the final representatives off the DSU, whose Finds leave
+// every set a star on its representative, the component count and a copy
+// of the forest — the only allocations of a query.
 func (q *querySession) result(epoch uint64) *queryResult {
-	n := len(q.rep)
-	rep := make([]uint32, n)
 	count := 0
-	for i := 0; i < n; i++ {
-		rep[i] = q.d.Find(uint32(i))
-		if rep[i] == uint32(i) {
+	for i := range q.rep {
+		if q.d.Find(uint32(i)) == uint32(i) {
 			count++
 		}
 	}
 	return &queryResult{
 		epoch: epoch, delta: q.delta,
-		forest: slices.Clone(q.forest), rep: rep, count: count,
+		forest: slices.Clone(q.forest), rep: slices.Clone(q.d.Parents()), count: count,
 	}
 }
 
-// deltaResult packages a delta session's answer off prev: a copy of prev's
-// representatives relabelled — an affected component's label to the root
-// its star ended under, a node split out of its cached star to its own
-// root — the DSU's count and a copy of the forest.
-func (q *querySession) deltaResult(epoch uint64, prev *queryResult) *queryResult {
-	for _, r := range q.affected {
-		q.relabel[r] = q.find(q.relabel[r])
+// deltaResult packages a delta session's answer: a copy of the
+// representatives, which are the DSU's parents with every set a star, and
+// of the forest — one memmove each, the only pass over V a delta query
+// makes. It leaves the session's state at the new result.
+func (q *querySession) deltaResult(epoch uint64) *queryResult {
+	res := &queryResult{
+		epoch: epoch, delta: true, count: q.d.Count(),
+		rep:    slices.Clone(q.d.Parents()),
+		forest: slices.Clone(q.forest),
 	}
-	rep := make([]uint32, len(prev.rep))
-	for i, r := range prev.rep {
-		rep[i] = q.relabel[r]
-	}
-	for _, v := range q.moved {
-		rep[v] = q.find(v)
-	}
-	return &queryResult{
-		epoch: epoch, delta: true,
-		forest: slices.Clone(q.forest), rep: rep, count: q.d.Count(),
-	}
+	q.state = res
+	return res
+}
+
+// restore rebuilds the session's kept state from res, which the session did
+// not leave it at — an adopted baseline, or a cached result after a run
+// that failed or fell back: the DSU seeded as res's partition, one star per
+// component, and res's forest with its adjacency lists. It costs what
+// every delta query cost before the state was kept: O(V).
+func (q *querySession) restore(res *queryResult) {
+	q.rep = append(q.rep[:0], res.rep...)
+	q.d.Seed(q.rep)
+	q.forest = append(q.forest[:0], res.forest...)
+	q.buildAdjacency()
+	q.restores++
+	q.state = res
 }
 
 // boruvkaRounds runs the lazy Boruvka rounds over q's current state —
@@ -846,7 +890,10 @@ func (e *Engine) boruvkaRound(q *querySession, round int) (live int, ran bool, e
 
 // join unions the components of a candidate edge's endpoints and records
 // the edge in the forest, unless another merge this round already
-// connected them. It returns the merged root and the root it absorbed.
+// connected them. It returns the merged root and the root it absorbed. A
+// delta query keeps every set a star: the absorbed side, the smaller, is
+// walked over the kept forest before the edge joins it there, and its
+// members re-pointed at the merged root.
 func (q *querySession) join(eg stream.Edge) (root, absorbed uint32, ok bool) {
 	ra, rb := q.find(eg.U), q.find(eg.V)
 	if ra == rb {
@@ -858,18 +905,31 @@ func (q *querySession) join(eg stream.Edge) (root, absorbed uint32, ok bool) {
 	// constituent was finished (a finished component has no cut edges to
 	// be sampled), but never let a stale flag silence the new component.
 	q.finished[root] = false
-	q.forest = append(q.forest, eg)
 	if absorbed = ra; root == ra {
 		absorbed = rb
 	}
+	if !q.delta {
+		q.forest = append(q.forest, eg)
+		return root, absorbed, true
+	}
+	q.grown = q.treeOf(absorbed, q.grown[:0])
+	q.d.Repoint(q.grown, root)
+	q.dsuOps += len(q.grown)
+	q.link(eg)
 	return root, absorbed, true
 }
 
 // runBoruvka executes the from-scratch lazy Boruvka rounds on the reset
 // session q, from singletons, and returns the full query result tagged with
 // epoch. On ErrQueryFailed the partial result is still returned.
+//
+// With delta queries on, the session keeps the result's partition, as the
+// stars result leaves in the DSU, and its forest, laid out as adjacency
+// lists here: O(V) in a query that costs O(V·slot) anyway.
 func (e *Engine) runBoruvka(q *querySession, epoch uint64) (*queryResult, error) {
+	q.state = nil
 	q.d.Reset()
+	q.forest = q.forest[:0]
 	live, rounds, err := e.boruvkaRounds(q)
 	if err != nil {
 		return nil, err
@@ -880,6 +940,10 @@ func (e *Engine) runBoruvka(q *querySession, epoch uint64) (*queryResult, error)
 		// Rounds exhausted with uncertified components left: the forest
 		// may be incomplete and fresh sketches do not exist to extend it.
 		return res, ErrQueryFailed
+	}
+	if !e.cfg.NoDeltaQuery {
+		q.buildAdjacency()
+		q.state = res
 	}
 	return res, nil
 }
@@ -901,13 +965,13 @@ const splitMark = -1
 // result. A component of prev's partition containing no dirty node is
 // clean: every edge toggle since prev landed batches on both endpoints'
 // sketches, so a clean component had no incident toggle — its forest
-// edges are still genuine and its (empty) cut is unchanged. The DSU starts
-// as prev's partition, one star per component on its cached
-// representative (dsu.Seed), and a clean star is never listed, so never
-// touched again. No candidate edge can cross from an affected component
-// into a clean one (such an edge either existed at prev time, putting both
-// sides in one prev component, or was toggled since, dirtying both
-// endpoints), so the carried-over partition is never disturbed.
+// edges are still genuine and its (empty) cut is unchanged. The session
+// keeps prev's partition as one DSU star per component on its cached
+// representative, and a clean star is never listed, so never touched
+// again. No candidate edge can cross from an affected component into a
+// clean one (such an edge either existed at prev time, putting both sides
+// in one prev component, or was toggled since, dirtying both endpoints),
+// so the carried-over partition is never disturbed.
 //
 // An affected component falls in one of three classes, the same in RAM and
 // out of core. Everything rests on one fact: a cached component's round
@@ -931,38 +995,46 @@ const splitMark = -1
 // is the XOR of prev(v) over all the OTHER pieces' members: those members
 // contribute cur(v) to their own root and prev(v) to the anchor's, whose
 // own dirty members add their diffs. cutPieces finds the pieces by
-// searching the cached forest outward from the removed edges' endpoints in
+// searching the kept forest outward from the removed edges' endpoints in
 // lockstep, never crossing a removed edge, and stops when one search is
 // left: that unfinished piece is the anchor and stays in the star, the
 // enumerated ones are split out. Work is O(dirty + the enumerated pieces'
 // members) — detaching a leaf from a giant component touches the leaf and
-// the dirty nodes, never the giant's members.
+// the dirty nodes, never the giant's members — unless the cached
+// representative itself lies in an enumerated piece: the anchor's star is
+// then re-centred on one of its members, O(anchor).
 //
 // From singletons: a dirty member has no before-image (the baseline refused
-// it, past its image limit or the capture's budget), so prev is unknown
-// for it. Every member is split out of the
-// star and the component re-solves with full member materialization.
+// it, past the capture's budget), so prev is unknown for it. Every member is split out of the star, its tree leaves the
+// forest, and the component re-solves with full member materialization.
 //
-// Merges go by size, so the larger side keeps its representative, and the
-// result relabels a copy of prev's representatives (deltaResult). What is
-// left linear in the node count is plain array work: the stamp scan that
-// found the dirty set, one pass over the cached forest, the seed, the
-// relabelled copy, the forest's copy and — only when a component is cut or
-// re-solved from singletons — one counting sort of the cached forest into
-// adjacency lists. No DSU operation and no round touches every node.
+// The dirty set is the baseline's list, the removed edges are found from
+// the dirty nodes' adjacency lists, merges go by size and re-point the
+// smaller side's members (join): beyond the copy that publishes the result
+// (deltaResult), one memmove of the partition and of the forest, no step
+// of the query passes over all V nodes or the whole forest, and what it
+// writes is the dirty nodes, the pieces it enumerates and the smaller side
+// of each merge. The kept state is rebuilt from
+// prev, in O(V), only when the session did not leave it at prev (restore).
 //
 // ok=false (with no error) means the affected components failed to
 // certify within the sketch depth; the caller falls back to the
 // from-scratch run rather than surfacing a partial delta, keeping the
 // result contract identical to a full query.
 func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResult) (res *queryResult, ok bool, err error) {
-	// Workers are idle under the write lock: the image map and the stamps
-	// are stable.
+	if q.state != prev {
+		q.restore(prev)
+	}
+	// From here the run changes the kept state; deltaResult sets it again.
+	q.state = nil
+	// Workers are idle under the write lock: the image map is stable.
 	q.delta, q.before = true, e.capture.base
 	defer q.undoDelta()
+	// Every set is a star, so a Find is one step and reads the cached
+	// representative until the splits below.
 	for _, v := range q.dirty {
 		q.isDirty[v] = true
-		r := prev.rep[v]
+		r := q.find(v)
 		if q.class[r] == classClean {
 			q.class[r] = classIntact
 			q.affected = append(q.affected, r)
@@ -973,61 +1045,68 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 	}
 	// Clean and intact components keep their whole tree, a cut one the
 	// sub-trees between its removed edges, one from singletons nothing.
-	for _, eg := range prev.forest {
-		switch r := prev.rep[eg.U]; {
-		case q.class[r] == classSingletons:
-		case q.isDirty[eg.U] && q.isDirty[eg.V]:
-			q.class[r] = classCut
-			q.removed = append(q.removed, eg)
-		default:
-			q.forest = append(q.forest, eg)
+	for _, v := range q.dirty {
+		r := q.find(v)
+		if q.class[r] == classSingletons {
+			continue
+		}
+		for h := q.adjHead[v]; h >= 0; h = q.adjNext[h] {
+			if w := q.other(h); v < w && q.isDirty[w] {
+				q.class[r] = classCut
+				q.removed = append(q.removed, stream.Edge{U: v, V: w})
+				q.dropped = append(q.dropped, h>>1)
+			}
 		}
 	}
 	var classCount [numDeltaClasses]uint64
 	classCount[classClean] = uint64(prev.count - len(q.affected))
-	search := false
 	for _, r := range q.affected {
 		classCount[q.class[r]]++
-		search = search || q.class[r] != classIntact
 	}
 	for c, k := range classCount {
 		e.deltaClasses[c].Add(k)
 	}
 
-	if search {
-		q.buildAdjacency(prev.forest)
-		// One piece search per cut component, over its removed edges.
-		slices.SortStableFunc(q.removed, func(a, b stream.Edge) int {
-			return cmp.Compare(prev.rep[a.U], prev.rep[b.U])
-		})
-		for rs := q.removed; len(rs) > 0; {
-			r, k := prev.rep[rs[0].U], 1
-			for k < len(rs) && prev.rep[rs[k].U] == r {
-				k++
-			}
-			q.cutPieces(r, rs[:k])
-			rs = rs[k:]
+	// One piece search per cut component, over its removed edges.
+	slices.SortStableFunc(q.removed, func(a, b stream.Edge) int {
+		return cmp.Compare(q.find(a.U), q.find(b.U))
+	})
+	for rs := q.removed; len(rs) > 0; {
+		r, k := q.find(rs[0].U), 1
+		for k < len(rs) && q.find(rs[k].U) == r {
+			k++
 		}
-		for _, r := range q.affected {
-			if q.class[r] == classSingletons {
-				q.splitSingletons(r)
-			}
-		}
+		q.cutPieces(r, rs[:k])
+		rs = rs[k:]
 	}
-	q.d.Seed(prev.rep, q.relabel)
-	start := 0
-	for _, end := range q.splits {
-		q.d.Split(q.moved[start:end])
-		q.dsuOps += end - start
-		start = end
+	for _, r := range q.affected {
+		if q.class[r] == classSingletons {
+			q.splitSingletons(r)
+		}
 	}
 	for _, v := range q.dirty {
 		// Intact, or the anchor piece of a cut.
-		if c := q.class[prev.rep[v]]; c == classIntact || c == classCut && q.mark[v] != splitMark {
+		if c := q.class[q.find(v)]; c == classIntact || c == classCut && q.mark[v] != splitMark {
 			q.plan = append(q.plan, planned{node: v, role: roleDiff})
 		}
 	}
 	slices.SortFunc(q.plan, func(a, b planned) int { return cmp.Compare(a.node, b.node) })
+
+	// The forest loses the removed edges and the re-solved trees, so that
+	// its trees span the sets the splits leave.
+	slices.SortFunc(q.dropped, func(a, b int32) int { return cmp.Compare(b, a) })
+	for _, i := range q.dropped {
+		q.unlink(i)
+	}
+	for _, r := range q.recentre {
+		q.grown = q.treeOf(q.relabel[r], q.grown[:0])
+		q.split(q.grown)
+	}
+	start := 0
+	for _, end := range q.splits {
+		q.split(q.moved[start:end])
+		start = end
+	}
 
 	live, rounds, err := e.boruvkaRounds(q)
 	if err != nil {
@@ -1036,12 +1115,19 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 	if live > 0 {
 		return nil, false, nil
 	}
-	res = q.deltaResult(epoch, prev)
+	res = q.deltaResult(epoch)
 	e.lastRounds.Store(int64(rounds))
 	e.lastDeltaContribs.Store(int64(q.maxContribs))
 	e.lastDeltaOps.Store(int64(q.dsuOps))
 	e.lastDeltaVisits.Store(int64(q.visits))
 	return res, true, nil
+}
+
+// split moves xs out of their star into one of their own on xs[0],
+// counting each element moved as a DSU operation.
+func (q *querySession) split(xs []uint32) {
+	q.d.Split(xs)
+	q.dsuOps += len(xs)
 }
 
 // undoDelta puts back the entries of the node- and label-indexed arrays
@@ -1059,40 +1145,122 @@ func (q *querySession) undoDelta() {
 			q.mark[v] = 0
 		}
 	}
-	q.affected, q.removed, q.moved, q.splits = q.affected[:0], q.removed[:0], q.moved[:0], q.splits[:0]
+	q.affected, q.removed, q.dropped = q.affected[:0], q.removed[:0], q.dropped[:0]
+	q.moved, q.splits, q.recentre = q.moved[:0], q.splits[:0], q.recentre[:0]
 	q.searches, q.group = q.searches[:0], q.group[:0]
 }
 
-// buildAdjacency lays forest out as adjacency lists, in forest order, by
-// one counting sort.
-func (q *querySession) buildAdjacency(forest []stream.Edge) {
-	n := len(q.rep)
-	// Degrees go in at v+2, so that after the prefix sum adjStart[v+1]
-	// is v's first entry, the cursor the fill advances to v+1's.
-	q.adjStart = sized(q.adjStart, n+2)
-	for _, eg := range forest {
-		q.adjStart[eg.U+2]++
-		q.adjStart[eg.V+2]++
+// buildAdjacency lays the session's forest out as adjacency lists.
+func (q *querySession) buildAdjacency() {
+	n, halves := len(q.rep), 2*len(q.forest)
+	if q.adjHead == nil {
+		q.adjHead = make([]int32, n)
+		q.adjNext, q.adjPrev = make([]int32, 2*n), make([]int32, 2*n)
 	}
-	for i := 2; i < n+2; i++ {
-		q.adjStart[i] += q.adjStart[i-1]
+	for i := range q.adjHead {
+		q.adjHead[i] = -1
 	}
-	if m := 2 * len(forest); cap(q.adj) < m {
-		q.adj = make([]uint32, m)
-	} else {
-		q.adj = q.adj[:m]
-	}
-	for _, eg := range forest {
-		q.adj[q.adjStart[eg.U+1]] = eg.V
-		q.adjStart[eg.U+1]++
-		q.adj[q.adjStart[eg.V+1]] = eg.U
-		q.adjStart[eg.V+1]++
+	next, prev := q.adjNext[:halves], q.adjPrev[:halves]
+	for i, eg := range q.forest {
+		h := int32(2 * i)
+		for _, v := range [2]uint32{eg.U, eg.V} {
+			if first := q.adjHead[v]; first >= 0 {
+				prev[first] = h
+			}
+			next[h], prev[h], q.adjHead[v] = q.adjHead[v], -1, h
+			h++
+		}
 	}
 }
 
-// neighbours returns v's neighbours in the cached forest.
-func (q *querySession) neighbours(v uint32) []uint32 {
-	return q.adj[q.adjStart[v]:q.adjStart[v+1]]
+// at returns the node half-edge h sits at, and other the node it leads to.
+func (q *querySession) at(h int32) uint32 {
+	eg := q.forest[h>>1]
+	if h&1 == 0 {
+		return eg.U
+	}
+	return eg.V
+}
+
+func (q *querySession) other(h int32) uint32 { return q.at(h ^ 1) }
+
+// linkHalf puts half-edge h at the head of its node's list.
+func (q *querySession) linkHalf(h int32) {
+	v := q.at(h)
+	q.adjPrev[h], q.adjNext[h] = -1, q.adjHead[v]
+	if q.adjHead[v] >= 0 {
+		q.adjPrev[q.adjHead[v]] = h
+	}
+	q.adjHead[v] = h
+}
+
+// unlinkHalf takes half-edge h out of its node's list.
+func (q *querySession) unlinkHalf(h int32) {
+	p, nx := q.adjPrev[h], q.adjNext[h]
+	if p >= 0 {
+		q.adjNext[p] = nx
+	} else {
+		q.adjHead[q.at(h)] = nx
+	}
+	if nx >= 0 {
+		q.adjPrev[nx] = p
+	}
+}
+
+// moveHalf renames half-edge from, whose edge has just been copied to
+// to's slot, as to, in its node's list.
+func (q *querySession) moveHalf(from, to int32) {
+	p, nx := q.adjPrev[from], q.adjNext[from]
+	q.adjPrev[to], q.adjNext[to] = p, nx
+	if p >= 0 {
+		q.adjNext[p] = to
+	} else {
+		q.adjHead[q.at(to)] = to
+	}
+	if nx >= 0 {
+		q.adjPrev[nx] = to
+	}
+}
+
+// link adds edge eg to the kept forest and its adjacency lists.
+func (q *querySession) link(eg stream.Edge) {
+	i := int32(len(q.forest))
+	q.forest = append(q.forest, eg)
+	q.linkHalf(2 * i)
+	q.linkHalf(2*i + 1)
+}
+
+// unlink takes edge i out of the kept forest and its adjacency lists,
+// moving the last edge into its slot: edges above i change index, so a
+// caller removing several goes from the highest index down.
+func (q *querySession) unlink(i int32) {
+	q.unlinkHalf(2 * i)
+	q.unlinkHalf(2*i + 1)
+	last := int32(len(q.forest) - 1)
+	if i != last {
+		q.forest[i] = q.forest[last]
+		q.moveHalf(2*last, 2*i)
+		q.moveHalf(2*last+1, 2*i+1)
+	}
+	q.forest = q.forest[:last]
+}
+
+// treeOf appends to dst the nodes of v's tree in the kept forest, v
+// first, by a walk that never goes back along the edge it came by.
+func (q *querySession) treeOf(v uint32, dst []uint32) []uint32 {
+	base := len(dst)
+	dst = append(dst, v)
+	q.via = append(q.via[:0], -1)
+	for i := base; i < len(dst); i++ {
+		in := q.via[i-base]
+		for h := q.adjHead[dst[i]]; h >= 0; h = q.adjNext[h] {
+			if h>>1 != in {
+				dst = append(dst, q.other(h))
+				q.via = append(q.via, h>>1)
+			}
+		}
+	}
+	return dst
 }
 
 // newSearch starts a search at v, in a group of its own, and returns its
@@ -1138,18 +1306,19 @@ func (q *querySession) expand(i int) (fell int) {
 	v := s.queue[s.head]
 	s.head++
 	q.visits++
-	for _, w := range q.neighbours(v) {
+	for h := q.adjHead[v]; h >= 0; h = q.adjNext[h] {
+		w := q.other(h)
 		if q.isDirty[v] && q.isDirty[w] {
 			continue // a removed edge
 		}
 		if m := q.mark[w]; m == 0 {
 			q.mark[w] = int32(i) + 1
 			s.queue = append(s.queue, w)
-		} else if h := q.groupOf(m - 1); h != int32(i) {
-			t := &q.searches[h]
+		} else if g := q.groupOf(m - 1); g != int32(i) {
+			t := &q.searches[g]
 			s.queue = append(s.queue, t.queue[t.head:]...)
 			t.queue = t.queue[:t.head]
-			q.group[h] = int32(i)
+			q.group[g] = int32(i)
 			fell++
 		}
 	}
@@ -1167,8 +1336,9 @@ func (q *querySession) expand(i int) (fell int) {
 // detach — is the anchor and stays in r's star; each enumerated piece is
 // queued to be split out into a set of its own, its members planned as
 // rolePiece. Any piece is a correct anchor by linearity. When r itself lies
-// in an enumerated piece, the star is centred on the anchor's first
-// search start instead (relabel), so r can leave it like any other member.
+// in an enumerated piece, the anchor is queued to be re-centred on its
+// first search start instead (relabel, recentre), and r's piece keeps r's
+// star once the anchor has left it.
 func (q *querySession) cutPieces(r uint32, removed []stream.Edge) {
 	first := len(q.searches)
 	for _, eg := range removed {
@@ -1190,8 +1360,11 @@ func (q *querySession) cutPieces(r uint32, removed []stream.Edge) {
 			anchor = int32(i)
 		}
 	}
+	kept := int32(-1) // r's piece, when it is enumerated
 	if m := q.mark[r]; m != 0 && q.groupOf(m-1) != anchor {
+		kept = q.groupOf(m - 1)
 		q.relabel[r] = q.searches[anchor].queue[0]
+		q.recentre = append(q.recentre, r)
 	}
 	for g := int32(first); g < int32(end); g++ {
 		if g == anchor || q.groupOf(g) != g {
@@ -1207,22 +1380,28 @@ func (q *querySession) cutPieces(r uint32, removed []stream.Edge) {
 			q.mark[v] = splitMark
 			q.plan = append(q.plan, planned{node: v, anchor: q.relabel[r], role: rolePiece})
 		}
-		q.splits = append(q.splits, len(q.moved))
+		if g == kept {
+			q.moved = q.moved[:start]
+		} else {
+			q.splits = append(q.splits, len(q.moved))
+		}
 	}
 }
 
 // splitSingletons queues component r of the from-singletons class to be
-// split back into singletons and plans every member's live sketch. Its
-// members are found by a search from r over its whole cached tree: a
-// re-solve from singletons costs the component's size whatever the plan.
+// split back into singletons, its tree to leave the forest, and plans
+// every member's live sketch. Its members are found by a search from r
+// over its whole kept tree: a re-solve from singletons costs the
+// component's size whatever the plan.
 func (q *querySession) splitSingletons(r uint32) {
 	s := &q.searches[q.newSearch(r)]
 	for ; s.head < len(s.queue); s.head++ {
 		q.visits++
-		for _, w := range q.neighbours(s.queue[s.head]) {
-			if q.mark[w] == 0 {
+		for h := q.adjHead[s.queue[s.head]]; h >= 0; h = q.adjNext[h] {
+			if w := q.other(h); q.mark[w] == 0 {
 				q.mark[w] = splitMark
 				s.queue = append(s.queue, w)
+				q.dropped = append(q.dropped, h>>1)
 			}
 		}
 	}
@@ -1260,7 +1439,12 @@ func (e *Engine) sampleRound(q *querySession, round int) error {
 	}
 	nr := len(q.roots)
 	// Workers own contiguous root ranges; the last runs on this goroutine.
+	// A round of few terms — a delta query's — runs on this goroutine
+	// alone.
 	workers := min(len(e.shards), nr)
+	if len(q.contribs) < parallelSampleMin {
+		workers = 1
+	}
 	chunk := (nr + workers - 1) / workers
 	for len(q.outs) < workers {
 		q.outs = append(q.outs, sampleOut{})
@@ -1313,6 +1497,12 @@ func (e *Engine) sampleRound(q *querySession, round int) error {
 	}
 	return nil
 }
+
+// parallelSampleMin is the fewest contributions a round sums across the
+// sampling goroutines. Below it the sums, at most a few microseconds of
+// sketch XOR, cost less than starting a goroutine and waking a thread to
+// run it, which a trickle's delta query would otherwise pay every round.
+const parallelSampleMin = 64
 
 // sampleRoots is one sampling worker of sampleRound: for out's live roots
 // but the giant it has the store materialize each root's supernode sketch

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"graphzeppelin/internal/iomodel"
 	"graphzeppelin/internal/stream"
@@ -467,6 +469,20 @@ func TestPartialForestOnRoundExhaustion(t *testing.T) {
 	}
 }
 
+// allocsOf returns the bytes f allocated, and clean = false when the
+// runtime started an OS thread while f ran: a new thread's runtime record
+// (newm → allocm) costs some 5 KB that f did not ask for, and the runtime
+// starts one now and then, whatever f does.
+func allocsOf(f func()) (bytes uint64, clean bool) {
+	threads := pprof.Lookup("threadcreate")
+	started := threads.Count()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, threads.Count() == started
+}
+
 // TestWarmFromScratchQueryAllocatesOnlyItsResult pins the engine's one
 // query session: once a query has run, a from-scratch ConnectedComponents
 // allocates the result it caches (representatives and forest) and the
@@ -498,35 +514,38 @@ func TestWarmFromScratchQueryAllocatesOnlyItsResult(t *testing.T) {
 			// The cached representatives and the returned copy (4 bytes a
 			// node each) and the forest (at most n-1 edges of 8 bytes), plus
 			// the one thing the query itself allocates beyond them: the
-			// result's header, 80 B. The rest is the runtime's: a
-			// descriptor (448 B) for a round's sampling goroutine when the
-			// free list of the P starting it is empty, and a waiter record
-			// (96 B) when the round's WaitGroup parks on a P without one
-			// cached. In a fresh process every query pays descriptors, up
-			// to 2.1 KB, until some 64 goroutines have run, so the first 20
-			// queries are not counted. After them the runtime's share shows
-			// in up to half the queries of a run, and under -race in most.
-			// So the least any counted query allocates must be the result
-			// and its header plus at most two descriptors and a waiter
-			// record, which a per-query array of even 256 int32 breaks,
-			// and every counted query stays within 3.5 KiB of the result
-			// and its header.
-			result := uint64(4*n+4*n+8*n) + 80
+			// result's header. The rest is the runtime's: a descriptor
+			// (448 B) for a round's sampling goroutine when the free list
+			// of the P starting it is empty, and a waiter record (96 B)
+			// when the round's WaitGroup parks on a P without one cached.
+			// In a fresh process every query pays descriptors, up to 2.1
+			// KB, until some 64 goroutines have run, so the first 20
+			// queries are not counted. After them the runtime's share
+			// shows in up to half the queries of a run, and under -race in
+			// most. So the least any counted query allocates must be the
+			// result and its header plus at most two descriptors and a
+			// waiter record, which a per-query array of even 256 int32
+			// breaks, and every counted query stays within 3.5 KiB of the
+			// result and its header. A query during which the runtime
+			// started an OS thread (allocsOf) is not counted.
+			result := uint64(4*n+4*n+8*n) + uint64(unsafe.Sizeof(queryResult{}))
 			var grew []uint64
 			for i, eg := range edges[2000:2040] {
 				mustUpdate(t, e, eg.U, eg.V)
 				if err := e.Drain(); err != nil {
 					t.Fatal(err)
 				}
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				if _, _, err := e.ConnectedComponents(); err != nil {
+				var err error
+				b, clean := allocsOf(func() { _, _, err = e.ConnectedComponents() })
+				if err != nil {
 					t.Fatal(err)
 				}
-				runtime.ReadMemStats(&after)
-				if i >= 20 {
-					grew = append(grew, after.TotalAlloc-before.TotalAlloc)
+				if i >= 20 && clean {
+					grew = append(grew, b)
 				}
+			}
+			if len(grew) < 10 {
+				t.Fatalf("the runtime started a thread in %d of 20 queries", 20-len(grew))
 			}
 			slices.Sort(grew)
 			if least := grew[0]; least > result+2*448+96 {

@@ -32,7 +32,8 @@ type sketchStore interface {
 	// firstRound runs round 0 of a from-scratch query, samples and unions
 	// included, when the store does it in one pass that also gathers the
 	// rounds after it, returning what is left of the live count; done is
-	// false when it leaves the round to sumRound and rootSketch.
+	// false when it leaves the round to sumRound and rootSketch. Either
+	// way it first brings the gutters' leftover batches into the sketches.
 	// sumRound prepares the query arena for a Boruvka round over q's live
 	// roots; rootSketch then points acc at live root i's round sketch,
 	// concurrently for distinct roots, and for the giant (q.giant) only
@@ -107,9 +108,11 @@ func (s *ramStore) flush() error      { return nil }
 func (s *ramStore) invalidate() error { return nil }
 
 // firstRound leaves round 0 to sumRound: its roots are singletons, each
-// sampled in place in its slab.
+// sampled in place in its slab. It first hands the gutters' leftover
+// batches to the workers (releaseLeftover), which apply a slice's many
+// across the shards.
 func (s *ramStore) firstRound(q *querySession, live int) (int, bool, error) {
-	return live, false, nil
+	return live, false, s.e.releaseLeftover(q)
 }
 
 // sumRound forms a one-round arena for the roots that need summing: a root

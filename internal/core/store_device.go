@@ -423,11 +423,14 @@ func (s *deviceStore) walk(q *querySession, visit func(c contribution, src stack
 // applyLeftover applies q's leftover batches of nodes [lo, hi) with the
 // bookkeeping of a worker's apply (Engine.change): through the cache when
 // slots is nil, their group being resident, and otherwise to their slots'
-// bytes in slots, read off the device, in place (ApplyNodeBinary), writing
-// the span of slots they changed back in one access once every change has
-// ended.
+// bytes in slots, read off the device, in place (ApplyNodeBinary). The
+// slots they changed go back in runs, each written once every change in it
+// has ended: a run ends where the unchanged slots up to the next changed
+// one hold a whole device block, which writing through would rewrite for
+// nothing, so splitting there only ever writes fewer blocks.
 func (s *deviceStore) applyLeftover(q *querySession, lo, hi int, slots []byte) error {
 	e, size := s.e, s.e.slotSize
+	block := s.dev.BlockSize()
 	first, last := -1, -1
 	for ; q.leftAt < len(q.left) && int(q.left[q.leftAt].Node) < hi; q.leftAt++ {
 		b := q.left[q.leftAt]
@@ -439,6 +442,12 @@ func (s *deviceStore) applyLeftover(q *querySession, lo, hi int, slots []byte) e
 		if slots == nil {
 			err = e.change(e.ownerOf(b.Node), b, s.apply)
 		} else {
+			if last >= 0 && v > last && wholeBlockBetween((last+1)*size, v*size, block) {
+				if err := s.writeLeftover(lo, first, last, slots); err != nil {
+					return err
+				}
+				first = -1
+			}
 			slot := slots[(v-lo)*size : (v-lo+1)*size]
 			err = e.change(e.ownerOf(b.Node), b, func(_ uint32, indices []uint64, img []byte) error {
 				if img != nil {
@@ -459,6 +468,19 @@ func (s *deviceStore) applyLeftover(q *querySession, lo, hi int, slots []byte) e
 	if first < 0 {
 		return nil
 	}
+	return s.writeLeftover(lo, first, last, slots)
+}
+
+// wholeBlockBetween reports whether device bytes [from, to) hold a whole
+// aligned block.
+func wholeBlockBetween(from, to, block int) bool {
+	return (from+block-1)/block*block+block <= to
+}
+
+// writeLeftover writes slots [first, last] back, out of the chunk slots
+// read from slot lo on.
+func (s *deviceStore) writeLeftover(lo, first, last int, slots []byte) error {
+	size := s.e.slotSize
 	if err := s.store.WriteRange(uint32(first), last+1-first, slots[(first-lo)*size:(last+1-lo)*size]); err != nil {
 		return fmt.Errorf("core: writing back leftover batches of nodes [%d,%d): %w", first, last+1, err)
 	}

@@ -285,7 +285,7 @@ func TestImagelessNodesResolveFromSingletons(t *testing.T) {
 	const n = 32
 	ram, disk := storePair(t, Config{NumNodes: n, Seed: 103, Shards: 2, Buffering: BufferNone, NodesPerGroup: 4})
 	for _, e := range []*Engine{ram, disk} {
-		e.capture.maxBase = 0
+		e.capture.budget = 0 // no image fits
 		var edges []stream.Edge
 		for u := uint32(0); u+1 < n; u++ {
 			mustUpdate(t, e, u, u+1)

@@ -1,8 +1,9 @@
 // Package dsu implements a disjoint-set union (union-find) structure with
 // union by size and path compression. GraphZeppelin's query path uses it to
-// track the current connected components between Boruvka rounds — seeded
-// from a cached partition when a query maintains an earlier answer — and
-// the baselines use it for exact Kruskal-style connectivity references.
+// track the current connected components between Boruvka rounds — kept as
+// one star per set between queries, so a query maintaining an earlier
+// answer starts from it — and the baselines use it for exact
+// Kruskal-style connectivity references.
 package dsu
 
 // DSU is a disjoint-set forest over elements 0..n-1.
@@ -92,20 +93,15 @@ func (d *DSU) Reset() {
 
 // Seed resets the structure to a given partition without reallocating:
 // element i joins the set labels[i] names, and every set becomes a star on
-// its representative — label l's is element rep[l], or l itself when rep is
-// nil. labels must have one entry per element, and each representative
-// must lie in the set it represents (labels[rep[l]] == l, or with a nil rep
-// labels[l] == l, as for the rep Components returns).
-func (d *DSU) Seed(labels, rep []uint32) {
+// its label, which must be one of its members (labels[l] == l, as for the
+// rep Components returns).
+func (d *DSU) Seed(labels []uint32) {
 	if len(labels) != len(d.parent) {
 		panic("dsu: Seed with a partition of another size")
 	}
 	clear(d.size)
 	d.count = 0
 	for i, l := range labels {
-		if rep != nil {
-			l = rep[l]
-		}
 		d.parent[i] = l
 		d.size[l]++
 		if l == uint32(i) {
@@ -135,3 +131,18 @@ func (d *DSU) Split(xs []uint32) {
 	d.size[root] = uint32(len(xs))
 	d.count++
 }
+
+// Repoint points each of xs straight at root, their set's representative:
+// after Union absorbed a star into root's, re-pointing the absorbed
+// members keeps the merged set a star, so Find stays one step and Split
+// finds every member a leaf.
+func (d *DSU) Repoint(xs []uint32, root uint32) {
+	for _, x := range xs {
+		d.parent[x] = root
+	}
+}
+
+// Parents returns the parent array, for reading only. While every set is
+// a star, as right after a Find of every element, Seed, Split and Repoint
+// keep them, it holds each element's representative.
+func (d *DSU) Parents() []uint32 { return d.parent }

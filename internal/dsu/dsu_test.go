@@ -2,6 +2,7 @@ package dsu
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -155,16 +156,8 @@ func TestSeedAgreesWithPartition(t *testing.T) {
 			d.Union(uint32(rng.Uint64N(500)), uint32(rng.Uint64N(500)))
 		}
 		labels := randomPartition(rng, 500, 1+int(rng.Uint64N(60)))
-		d.Seed(labels, nil)
+		d.Seed(labels)
 		checkPartition(t, d, labels, func(l uint32) uint32 { return l })
-
-		// Re-centre each set on its last member.
-		rep := make([]uint32, len(labels))
-		for i, l := range labels {
-			rep[l] = uint32(i)
-		}
-		d.Seed(labels, rep)
-		checkPartition(t, d, labels, func(l uint32) uint32 { return rep[l] })
 	}
 }
 
@@ -175,7 +168,7 @@ func TestSeedThenUnionMatchesNaive(t *testing.T) {
 	const n = 200
 	labels := randomPartition(rng, n, 40)
 	seeded, ref := New(n), New(n)
-	seeded.Seed(labels, nil)
+	seeded.Seed(labels)
 	for i, l := range labels {
 		ref.Union(uint32(i), l)
 	}
@@ -212,7 +205,7 @@ func TestUnionBySizeKeepsLargerRoot(t *testing.T) {
 		t.Fatalf("equal sets: root %d, want the first argument's 5", root)
 	}
 	// Seeded stars: the larger keeps its label however the call is made.
-	d.Seed([]uint32{0, 0, 0, 0, 4, 4, 6, 7, 8, 9}, nil)
+	d.Seed([]uint32{0, 0, 0, 0, 4, 4, 6, 7, 8, 9})
 	if root, _ := d.Union(5, 2); root != 0 {
 		t.Fatalf("seeded stars: root %d, want the larger star's 0", root)
 	}
@@ -226,7 +219,7 @@ func TestUnionBySizeKeepsLargerRoot(t *testing.T) {
 // Count and later unions by size see the new sizes.
 func TestSplit(t *testing.T) {
 	d := New(8)
-	d.Seed([]uint32{0, 0, 0, 0, 0, 5, 5, 7}, nil)
+	d.Seed([]uint32{0, 0, 0, 0, 0, 5, 5, 7})
 	d.Split([]uint32{3, 1, 4})
 	want := []uint32{0, 3, 0, 3, 3, 5, 5, 7}
 	for i, w := range want {
@@ -254,4 +247,26 @@ func TestSplit(t *testing.T) {
 		}
 	}()
 	d.Split([]uint32{7})
+}
+
+// TestRepointKeepsStars: after a Union of two stars, re-pointing the
+// absorbed set's members at the merged root leaves one star, whose
+// parents are every member's representative, and Split still finds its
+// members leaves.
+func TestRepointKeepsStars(t *testing.T) {
+	d := New(8)
+	d.Seed([]uint32{0, 0, 0, 3, 3, 5, 5, 5})
+	root, _ := d.Union(3, 5) // {5,6,7} absorbs {3,4}
+	if root != 5 {
+		t.Fatalf("root %d, want the larger star's 5", root)
+	}
+	d.Repoint([]uint32{3, 4}, root)
+	want := []uint32{0, 0, 0, 5, 5, 5, 5, 5}
+	if got := d.Parents(); !slices.Equal(got, want) {
+		t.Fatalf("parents %v, want %v", got, want)
+	}
+	d.Split([]uint32{4, 3})
+	if d.Find(3) != 4 || d.Size(5) != 3 || d.Count() != 3 {
+		t.Fatalf("after the split: Find(3)=%d Size(5)=%d Count=%d", d.Find(3), d.Size(5), d.Count())
+	}
 }

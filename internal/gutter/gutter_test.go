@@ -3,6 +3,7 @@ package gutter
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -210,6 +211,52 @@ func TestForcedFlushRecyclesEveryBuffer(t *testing.T) {
 	cycle() // the first round allocates every node's buffer
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Fatalf("steady-state fill/Flush/Recycle cycle allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestGroupedGuttersStartSmallAfterFlush pins the grouped gutters' first
+// buffers: their freelist keeps only freelistDefault buffers, so after a
+// forced flush most gutters find none to recycle, and each then starts at
+// groupedFirstCap updates — not at capacity — and grows by append. One
+// update into each of many nodes after a flush allocates a small buffer
+// per node, not a capacity-sized one, and a gutter that fills still emits
+// its whole group's updates.
+func TestGroupedGuttersStartSmallAfterFlush(t *testing.T) {
+	const nodes, capacity = 16 * freelistDefault, 1000
+	var out [][]uint32
+	g := NewLeafGutters(nodes, capacity, 2, 4, func(b Batch) { out = append(out, b.Others) })
+	touchAll := func() {
+		for node := uint32(0); node < nodes; node++ {
+			g.Insert(node, node+1)
+		}
+	}
+	touchAll()
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range out {
+		g.Recycle(buf)
+	}
+	out = out[:0]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	touchAll()
+	runtime.ReadMemStats(&after)
+	if perNode := (after.TotalAlloc - before.TotalAlloc) / nodes; perNode > 4*capacity/8 {
+		t.Fatalf("one update per node after a flush allocated %d B a node, over an eighth of a %d-update buffer", perNode, capacity)
+	}
+	for i := uint32(0); i < 4*capacity; i++ { // fills group 0
+		g.Insert(i%4, i)
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, b := range out {
+		total += len(b)
+	}
+	if total != nodes+4*capacity {
+		t.Fatalf("%d updates emitted, want %d", total, nodes+4*capacity)
 	}
 }
 

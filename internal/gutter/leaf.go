@@ -1,6 +1,7 @@
 package gutter
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,9 +51,15 @@ type Sink func(Batch)
 type LeafGutters struct {
 	bufs      [][]uint32
 	capacity  int
+	firstCap  int    // capacity of a gutter's first buffer when none is recycled
 	npg       uint32 // nodes per group
 	groupCap  int    // npg × capacity: the group flush trigger
 	groupFill []int32
+	// listed marks the groups in their stripe's nonEmpty list: every group
+	// holding an update is, so that a forced Flush visits the groups a
+	// trickle touched rather than every group.
+	listed    []bool
+	nonEmpty  [][]uint32
 	stripes   uint32
 	perStripe uint32 // groups per stripe (contiguous ranges)
 	locks     []paddedMutex
@@ -111,9 +118,12 @@ func NewLeafGutters(numNodes uint32, capacity, stripes, nodesPerGroup int, sink 
 	g := &LeafGutters{
 		bufs:      make([][]uint32, numNodes),
 		capacity:  capacity,
+		firstCap:  capacity,
 		npg:       uint32(nodesPerGroup),
 		groupCap:  capacity * nodesPerGroup,
 		groupFill: make([]int32, numGroups),
+		listed:    make([]bool, numGroups),
+		nonEmpty:  make([][]uint32, stripes),
 		stripes:   uint32(stripes),
 		perStripe: uint32(perStripe),
 		locks:     make([]paddedMutex, stripes),
@@ -130,9 +140,20 @@ func NewLeafGutters(numNodes uint32, capacity, stripes, nodesPerGroup int, sink 
 		// pinned 46 MiB more than the default bound on the benchmark's
 		// disk-social workload (89 → 135 MiB peak RSS).
 		g.free.max = max(int(numNodes), freelistDefault)
+	} else {
+		// The freelist keeps the default bound, so after a forced flush
+		// most gutters find no buffer to recycle: a capacity-sized one
+		// each would be allocated and zeroed for the one or two updates a
+		// trickle or a slice leaves per node. They start small and grow by
+		// append instead, up to what their group's fill asks for.
+		g.firstCap = min(capacity, groupedFirstCap)
 	}
 	return g
 }
+
+// groupedFirstCap is the capacity, in updates, of a grouped gutter's first
+// buffer when the freelist has none to recycle.
+const groupedFirstCap = 16
 
 // Capacity returns the per-gutter capacity in updates.
 func (g *LeafGutters) Capacity() int { return g.capacity }
@@ -176,11 +197,16 @@ func (g *LeafGutters) flushGroupLocked(grp uint32, sink Sink) {
 func (g *LeafGutters) insertLocked(node, other uint32) {
 	buf := g.bufs[node]
 	if buf == nil {
-		buf = g.free.get(g.capacity)
+		buf = g.free.get(g.firstCap)
 	}
 	g.bufs[node] = append(buf, other)
 	g.buffered.Add(1)
 	grp := node / g.npg
+	if g.groupFill[grp] == 0 && !g.listed[grp] {
+		g.listed[grp] = true
+		s := grp / g.perStripe
+		g.nonEmpty[s] = append(g.nonEmpty[s], grp)
+	}
 	g.groupFill[grp]++
 	if int(g.groupFill[grp]) >= g.groupCap {
 		g.flushGroupLocked(grp, g.sink)
@@ -250,25 +276,25 @@ func (g *LeafGutters) insertPlan(plan *stripePlan) {
 
 // Flush force-flushes every nonempty gutter (the cleanup step before a
 // connectivity query) to to[0], or to the built-in sink, group by group in
-// ascending order — so in node order — taking each stripe lock once.
+// ascending order — so in node order — taking each stripe lock once. It
+// visits the listed groups, sorted, rather than every group: a query
+// after a trickle pays for what the trickle touched.
 func (g *LeafGutters) Flush(to ...Sink) error {
 	sink := g.sink
 	if len(to) > 0 {
 		sink = to[0]
 	}
-	numGroups := uint32(len(g.groupFill))
 	for s := uint32(0); s < g.stripes; s++ {
-		lo := s * g.perStripe
-		hi := lo + g.perStripe
-		if hi > numGroups {
-			hi = numGroups
-		}
 		g.locks[s].Lock()
-		for grp := lo; grp < hi; grp++ {
+		list := g.nonEmpty[s]
+		slices.Sort(list)
+		for _, grp := range list {
+			g.listed[grp] = false
 			if g.groupFill[grp] > 0 {
 				g.flushGroupLocked(grp, sink)
 			}
 		}
+		g.nonEmpty[s] = list[:0]
 		g.locks[s].Unlock()
 	}
 	return nil
