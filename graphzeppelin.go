@@ -218,10 +218,12 @@ func WithDeltaQueries(enabled bool) Option {
 // threshold: a checkpoint sealed against an earlier base (see
 // Graph.WriteDeltaCheckpoint) ships as a sparse delta checkpoint only
 // while at most frac of all nodes were dirtied since that base (default
-// 0.20) — above it the delta saves little and its slots, copied while
-// ingestion is excluded, lengthen the seal stall, so the seal
-// transparently falls back to a full checkpoint. Negative disables delta
-// checkpoints entirely (every seal is full, kept for ablation).
+// 0.20) — above it the delta ships nearly a full checkpoint's bytes yet
+// still needs its base and every earlier link to restore, so the seal
+// transparently falls back to a full checkpoint, which starts a new chain.
+// Both kinds seal with the same stall: neither copies a sketch while
+// ingestion is excluded. Negative disables delta checkpoints entirely
+// (every seal is full, kept for ablation).
 func WithDeltaCheckpointThreshold(frac float64) Option {
 	return func(c *core.Config) { c.DeltaCheckpointThreshold = frac }
 }

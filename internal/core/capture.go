@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -9,14 +10,14 @@ import (
 // taken at v's first change after it. Sketches are linear, so "the state v
 // had at cut c" is just v's slot bytes at c, and two readers need them: the
 // delta query, whose baseline is the cached result's cut (base), and a
-// full checkpoint stream, whose cut is its seal (sealCut). Every change to
-// a slot is bracketed by begin and end — Engine.applyBatch around a batch
-// apply, markChangedNode around an install, a merge or baseline adoption —
-// and the caller fills the buffer begin hands back with v's stack as it
-// stands before the change (the store does it from wherever the stack is
-// at hand: the owner's slab, the decoded cache group). This is the one
-// place that decides which bytes a reader sees for v at its cut, in both
-// stores.
+// checkpoint stream, full or delta, whose cut is its seal (sealCut). Every
+// change to a slot is bracketed by begin and end — Engine.applyBatch
+// around a batch apply, markChangedNode around an install, a merge or
+// baseline adoption — and the caller fills the buffer begin hands back
+// with v's stack as it stands before the change (the store does it from
+// wherever the stack is at hand: the owner's slab, the decoded cache
+// group). This is the one place that decides which bytes a reader sees
+// for v at its cut, in both stores.
 //
 // When both readers want v's image at one change, they share one buffer:
 // v then changed after neither cut, so its bytes at both are its current
@@ -61,28 +62,40 @@ type capture struct {
 	// that more than maxBase did. Written and read like base.
 	baseNodes []uint32
 	baseOver  bool
-	// sealed is the live full checkpoint's side, if any: set and cleared
-	// under mu, and loaded without it by begin's fast path.
+	// sealed is the live checkpoint's side, if any: set and cleared under
+	// mu, and loaded without it by begin's fast path.
 	sealed atomic.Pointer[sealCut]
 	free   [][]byte // buffers no reader holds, reused before allocating
 	held   int      // distinct buffers the readers hold
 	bufs   int      // buffers allocated and not dropped: held plus free
 }
 
-// sealCut is a live full checkpoint's side of the capture: its images, and
-// the section protocol that keeps its scan apart from the changes. A
-// change is counted per section in inflight between begin and end, and the
-// scanner claims a section before reading it: the claim waits for the
+// sealCut is a live checkpoint's side of the capture: its plan, its
+// images, and the section protocol that keeps its scan apart from the
+// changes. A section is one run of the plan, a full checkpoint's tile or a
+// delta's run of dirty nodes; a node in no run is not the seal's concern.
+// A change is counted per section in inflight between begin and end, and
+// the scanner claims a section before reading it: the claim waits for the
 // section's changes in flight, and a change arriving at a claimed section
 // waits for the section's capture, after which the section is no longer
 // the seal's concern. So the scan never reads a slot while it changes, nor
 // an image before it is filled.
 type sealCut struct {
-	nps      uint32            // nodes per section
+	plan     []nodeRun         // the checkpoint's sections; fixed once sealed
 	images   map[uint32][]byte // node -> its bytes at the seal
 	scanned  []bool            // per section: captured
 	claimed  []bool            // per section: the scanner is reading it
 	inflight []int             // per section: changes between begin and end
+}
+
+// section returns the index of the plan run holding node, or -1 when no
+// run does: a binary search over the ascending runs.
+func (s *sealCut) section(node uint32) int {
+	i := sort.Search(len(s.plan), func(i int) bool { return s.plan[i].start > node }) - 1
+	if i < 0 || node-s.plan[i].start >= uint32(s.plan[i].count) {
+		return -1
+	}
+	return i
 }
 
 // init sizes the capture for n nodes of slot bytes, with the RAM budget.
@@ -103,19 +116,23 @@ func (c *capture) baseLimit() int { return min(c.maxBase, c.budget/c.slot) }
 // first since the cached result's cut). It returns the buffer the caller
 // fills with the node's pre-change stack — nil when no reader takes an
 // image — and the section the caller passes to end after the change (-1
-// when no seal is concerned). While a seal wants the image and the budget
-// is exhausted, or the node's section is claimed, it waits; it never waits
+// when no seal is concerned: none is live, or node is in none of its
+// sections). A change the baseline does not want and no seal section
+// holds takes no lock. While a seal wants the image and the budget is
+// exhausted, or the node's section is claimed, it waits; it never waits
 // holding a section in flight, so the scanner's claim always drains.
 func (c *capture) begin(node uint32, base bool) (img []byte, sec int) {
-	s := c.sealed.Load()
-	if s == nil && !base {
+	s, sec := c.sealed.Load(), -1
+	if s != nil {
+		sec = s.section(node)
+	}
+	if sec < 0 && !base {
 		return nil, -1
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sec, seal := -1, false
-	if s != nil {
-		sec = int(node / s.nps)
+	seal := false
+	if sec >= 0 {
 		for !s.scanned[sec] && (s.claimed[sec] || s.images[node] == nil && !c.fits()) {
 			c.cond.Wait()
 		}
@@ -227,18 +244,18 @@ func (c *capture) releaseBase() {
 	c.trim()
 }
 
-// seal installs a full checkpoint's side over sections of nps nodes: from
-// now on each node's first change ahead of its section's scan takes its
+// seal installs a checkpoint's side over the sections of plan: from now on
+// each planned node's first change ahead of its section's scan takes its
 // image. The caller holds the quiesce write lock with the workers idle,
 // after a flush, so the store holds the cut.
-func (c *capture) seal(sections int, nps uint32) {
+func (c *capture) seal(plan []nodeRun) {
 	c.mu.Lock()
 	c.sealed.Store(&sealCut{
-		nps:      nps,
+		plan:     plan,
 		images:   make(map[uint32][]byte),
-		scanned:  make([]bool, sections),
-		claimed:  make([]bool, sections),
-		inflight: make([]int, sections),
+		scanned:  make([]bool, len(plan)),
+		claimed:  make([]bool, len(plan)),
+		inflight: make([]int, len(plan)),
 	})
 	c.mu.Unlock()
 }
@@ -257,16 +274,16 @@ func (c *capture) claim(sec int) {
 	c.mu.Unlock()
 }
 
-// substitute marks section sec scanned and puts the seal's images of
-// nodes [start, start+count) over what the scanner read into payload,
-// which is then the seal's cut; from here on changes to the section take
-// no seal image.
-func (c *capture) substitute(sec int, start uint32, count int, payload []byte) {
+// substitute marks section sec scanned and puts the seal's images of its
+// nodes over what the scanner read into payload, which is then the seal's
+// cut; from here on changes to the section take no seal image.
+func (c *capture) substitute(sec int, payload []byte) {
 	c.mu.Lock()
 	s := c.sealed.Load()
 	s.scanned[sec] = true
-	for j := 0; j < count && len(s.images) > 0; j++ {
-		node := start + uint32(j)
+	run := s.plan[sec]
+	for j := 0; j < run.count && len(s.images) > 0; j++ {
+		node := run.start + uint32(j)
 		if img := s.images[node]; img != nil {
 			copy(payload[j*c.slot:], img)
 			delete(s.images, node)

@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,7 +64,10 @@ import (
 // tip state. That replacement semantic is only sound when the consumer
 // really holds the base, which is what the chain envelope enforces. A
 // full checkpoint is therefore the delta whose dirty set is the whole
-// universe, and one encoder (streamCheckpoint) serves both.
+// universe: one plan (deltaPlan), one seal and one encoder
+// (streamCheckpoint) serve both, and neither kind copies its slots at
+// the seal — the encoder reads them out of the store under the capture's
+// images.
 //
 // The read side is one reader and two verbs. The reader (readRuns) yields
 // runs checked against the geometry, the node range they must lie in and
@@ -114,13 +118,10 @@ var ErrIncompatibleCheckpoint = errors.New("core: incompatible checkpoint parame
 var ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint")
 
 // nodeRun is one section of a checkpoint plan: the serialized slots of
-// local nodes [start, start+count). off is the byte offset of the run's first
-// slot in a delta snapshot's buffer (CheckpointSnapshot.deltaBuf); a full
-// checkpoint's plan leaves it 0.
+// local nodes [start, start+count).
 type nodeRun struct {
 	start uint32
 	count int
-	off   int
 }
 
 // sectionNodes picks how many nodes one section spans for this engine:
@@ -138,32 +139,21 @@ func (e *Engine) sectionNodes() uint32 {
 	return (e.n + uint32(n) - 1) / uint32(n)
 }
 
-// fullPlan is the section plan of a full checkpoint: the owned nodes, by
-// local id, tiled into sections of nps nodes (the last one shorter).
-func (e *Engine) fullPlan(nps uint32) []nodeRun {
-	plan := make([]nodeRun, 0, (e.n+nps-1)/nps)
-	for start := uint64(0); start < uint64(e.n); start += uint64(nps) {
-		count := uint64(nps)
-		if rest := uint64(e.n) - start; count > rest {
-			count = rest
-		}
-		plan = append(plan, nodeRun{start: uint32(start), count: int(count)})
-	}
-	return plan
-}
-
-// deltaPlan is the section plan of a delta checkpoint over the sorted
-// dirty ids: one section per run of consecutive ids, cut wherever a full
-// checkpoint's tiling cuts — so the plan of an all-dirty delta IS the full
-// plan. Slots sit in id order in the delta buffer.
-func deltaPlan(ids []uint32, nps uint32, slotSize int) []nodeRun {
+// deltaPlan is the section plan of a checkpoint over the strictly
+// ascending ids it ships: one section per run of consecutive ids, cut
+// every nps nodes. A delta's ids are the nodes dirtied since its base; a
+// full checkpoint's are every owned node, whose plan is therefore the
+// owned range tiled into sections of nps nodes (the last one shorter).
+// Ascending ids are consecutive from i to i+k exactly when they span k, so
+// each run is one binary search, and a plan costs O(sections log nps).
+func deltaPlan(ids []uint32, nps uint32) []nodeRun {
 	var plan []nodeRun
-	for i, id := range ids {
-		if n := len(plan); n > 0 && id == ids[i-1]+1 && id%nps != 0 {
-			plan[n-1].count++
-			continue
-		}
-		plan = append(plan, nodeRun{start: id, count: 1, off: i * slotSize})
+	for i := 0; i < len(ids); {
+		start := ids[i]
+		tile := min(int(nps-start%nps), len(ids)-i) // ids the run may hold
+		count := sort.Search(tile, func(k int) bool { return ids[i+k]-start != uint32(k) })
+		plan = append(plan, nodeRun{start: start, count: count})
+		i += count
 	}
 	return plan
 }
@@ -262,39 +252,37 @@ func (e *Engine) WriteCheckpointFile(path string) error {
 func (e *Engine) TruncateWALThrough(lsn uint64) { e.truncateWAL(lsn) }
 
 // CheckpointSnapshot is a sealed, consistent cut of an engine's sketch
-// state, ready to stream with StreamTo. Sealing is the only phase that
-// excludes ingestion; multi-engine structures seal every engine back to
-// back under one exclusion window and only then stream, so the combined
-// checkpoint is a single cut. The snapshot holds the engine's checkpoint
-// mutex until Close, which must always be called (usually deferred);
-// StreamTo may be called at most once.
+// state, full or delta, ready to stream with StreamTo. Sealing is the only
+// phase that excludes ingestion, and it copies no sketch: the snapshot is
+// a plan of sections plus the capture's seal, whose images StreamTo puts
+// over the planned slots changed since. Multi-engine structures seal every
+// engine back to back under one exclusion window and only then stream, so
+// the combined checkpoint is a single cut. The snapshot holds the engine's
+// checkpoint mutex until Close, which must always be called (usually
+// deferred); StreamTo may be called at most once.
 type CheckpointSnapshot struct {
 	e        *Engine
 	updates  uint64
 	walLSN   uint64    // last WAL LSN the cut covers (0 with the WAL off)
 	meta     []byte    // chain envelope + caller metadata sealed with the cut
-	sections []nodeRun // the section plan: fullPlan, or deltaPlan over the dirty ids
-	full     bool      // a full checkpoint: the capture holds its seal until Close
+	sections []nodeRun // the section plan, which the capture holds sealed until Close
 	written  bool
 	closed   bool
 
-	// Chain identity (delta.go): ckptID is the id this seal minted. For a
-	// delta snapshot, baseID names the base checkpoint it chains onto (0
-	// for a full one) and deltaBuf holds the plan's slots, materialized at
-	// seal time under the quiesce lock (a delta is small by construction,
-	// so no capture is needed to stream it with ingestion live).
-	ckptID   uint64
-	baseID   uint64
-	deltaBuf []byte
+	// Chain identity (delta.go): ckptID is the id this seal minted, and
+	// baseID names the base checkpoint a delta chains onto (0 for a full
+	// one).
+	ckptID uint64
+	baseID uint64
 }
 
 // SealCheckpointSince drains buffered updates and seals a snapshot of the
 // current sketch state, excluding ingestion only for that long (the
-// drain + seal duration lands in Stats.CheckpointStallNanos). Sealing a
-// full checkpoint copies no sketch: it flushes the store and installs the
-// capture's seal, whose images StreamTo puts over the slots changed since.
-// The caller
-// must Close the returned snapshot, after streaming it with StreamTo.
+// drain + seal duration lands in Stats.CheckpointStallNanos). Sealing
+// copies no sketch, full or delta: it plans the sections, flushes the
+// store and installs the capture's seal over the plan, whose images
+// StreamTo puts over the planned slots changed since. The caller must
+// Close the returned snapshot, after streaming it with StreamTo.
 //
 // When possible the snapshot is a sparse delta against the checkpoint
 // this engine previously sealed with id baseID (0: always full): only the
@@ -356,26 +344,23 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (_ *CheckpointSnapshot, err
 	// Every seal advances the chain: take a cut, mark it with the new state
 	// id, full or not — a full checkpoint is as valid a delta base as any.
 	cs.ckptID = e.mintSealID(cs.walLSN)
-	nps := e.sectionNodes()
-	if ids, baseLSN, ok := e.planDelta(baseID, cs.ckptID); ok {
-		cs.baseID = baseID
-		cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, baseID, baseLSN, user)
-		cs.sections = deltaPlan(ids, nps, e.slotSize)
-		if err := e.materializeDelta(cs); err != nil {
-			return nil, err
+	ids, baseLSN, ok := e.planDelta(baseID, cs.ckptID)
+	if !ok {
+		baseID, baseLSN, ids = 0, 0, make([]uint32, e.n)
+		for v := range ids {
+			ids[v] = uint32(v)
 		}
-		return cs, nil
 	}
-	cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, 0, 0, user)
-	cs.sections = e.fullPlan(nps)
+	cs.baseID = baseID
+	cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, baseID, baseLSN, user)
+	cs.sections = deltaPlan(ids, e.sectionNodes())
 	// The store now holds the cut. From here on the section scanner reads
-	// it while the workers change it, and every slot changed ahead of its
-	// section's scan leaves its image at the seal in the capture.
+	// it while the workers change it, and every planned slot changed ahead
+	// of its section's scan leaves its image at the seal in the capture.
 	if err := e.sketches.flush(); err != nil {
 		return nil, err
 	}
-	e.capture.seal(len(cs.sections), nps)
-	cs.full = true
+	e.capture.seal(cs.sections)
 	return cs, nil
 }
 
@@ -473,9 +458,7 @@ func (cs *CheckpointSnapshot) Close() {
 		return
 	}
 	cs.closed = true
-	if cs.full {
-		cs.e.capture.finish()
-	}
+	cs.e.capture.finish()
 	cs.e.ckptMu.Unlock()
 }
 
@@ -570,7 +553,7 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 					return
 				}
 				payload := buf[:plan[i].count*e.slotSize]
-				err := e.encodeSection(i, plan[i], payload, cs)
+				err := e.encodeSection(i, plan[i], payload)
 				results[i] = encoded{payload: payload, crc: crc32.Checksum(payload, crcTable), err: err}
 				close(done[i])
 			}
@@ -618,18 +601,12 @@ func (e *Engine) streamCheckpoint(w io.Writer, cs *CheckpointSnapshot) error {
 }
 
 // encodeSection fills payload with the serialized slots of section sec of
-// the snapshot's plan. A delta copies the run out of the buffer
-// materializeDelta filled under the seal. A full checkpoint claims the
-// section, reads the store and substitutes the capture's images: the
-// seal-time cut.
-func (e *Engine) encodeSection(sec int, run nodeRun, payload []byte, cs *CheckpointSnapshot) error {
-	if cs.IsDelta() {
-		copy(payload, cs.deltaBuf[run.off:])
-		return nil
-	}
+// the snapshot's plan, full or delta: it claims the section, reads the
+// store and substitutes the capture's images — the seal-time cut.
+func (e *Engine) encodeSection(sec int, run nodeRun, payload []byte) error {
 	e.capture.claim(sec)
 	err := e.sketches.readSlots(run.start, run.count, payload)
-	e.capture.substitute(sec, run.start, run.count, payload)
+	e.capture.substitute(sec, payload)
 	return err
 }
 

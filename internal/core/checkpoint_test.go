@@ -348,8 +348,16 @@ func TestCheckpointLowStallAndExactCut(t *testing.T) {
 // is held at its first write until a producer's change has taken a seal
 // image. Each checkpoint must hold the sketch bytes of its cut exactly:
 // the updates the WAL had logged when it sealed, which its meta supplier
-// records.
+// records. The delta input seals each checkpoint as a delta against a full
+// base sealed, with the producers held off, just before it; its stream is
+// held until a producer's change to a planned node has taken a seal image,
+// and the base plus the delta must hold the cut's bytes exactly.
 func TestDiskCheckpointConcurrentProducers(t *testing.T) {
+	t.Run("full", func(t *testing.T) { diskConcurrentProducers(t, false) })
+	t.Run("delta", func(t *testing.T) { diskConcurrentProducers(t, true) })
+}
+
+func diskConcurrentProducers(t *testing.T, delta bool) {
 	const n = 256
 	cfg := Config{NumNodes: n, Seed: 31, Shards: 2, SketchesOnDisk: true, CacheBytes: 1, BufferFactor: 0.01, WAL: true}
 	e, err := NewEngine(cfg)
@@ -383,6 +391,12 @@ func TestDiskCheckpointConcurrentProducers(t *testing.T) {
 		return nil
 	})
 
+	// toggle flips chord u–v once, its edge in the update's sequence number.
+	toggle := func(u, v uint32) error {
+		return e.UpdateBatchSeq([]stream.Update{{Edge: stream.Edge{U: u, V: v}}}, 1<<63|uint64(u)<<32|uint64(v))
+	}
+	// gate holds the producers off while a delta's base and the delta seal.
+	var gate sync.RWMutex
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for p := 0; p < 3; p++ {
@@ -403,22 +417,60 @@ func TestDiskCheckpointConcurrentProducers(t *testing.T) {
 				// partition-equivalent to the base.
 				u := uint32(rng.Uint64N(n - 2))
 				v := u + 2 + uint32(rng.Uint64N(uint64(n-2-u)))
-				up := []stream.Update{{Edge: stream.Edge{U: u, V: v}}}
-				for range 2 {
-					if err := e.UpdateBatchSeq(up, 1<<63|uint64(u)<<32|uint64(v)); err != nil {
-						t.Error(err)
-						return
-					}
+				gate.RLock()
+				err := toggle(u, v)
+				if err == nil {
+					err = toggle(u, v)
+				}
+				gate.RUnlock()
+				if err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}(p)
 	}
+	// A failing run stops the producers before the engine closes under them.
+	stopProducers := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopProducers()
 
 	for i := 0; i < 3; i++ {
 		gw := newGatedWriter()
 		defer gw.open()
 		ckptErr := make(chan error, 1)
-		go func() { ckptErr <- e.WriteCheckpoint(gw) }()
+		var baseCkpt bytes.Buffer
+		if delta {
+			cs, err := func() (*CheckpointSnapshot, error) {
+				gate.Lock()
+				defer gate.Unlock()
+				if err := e.WriteCheckpoint(&baseCkpt); err != nil {
+					return nil, err
+				}
+				// Between the base and the delta, 15 chords flip once: at
+				// most 30 dirty nodes, under the default threshold's 51.
+				rng := rand.New(rand.NewPCG(uint64(i), 101))
+				for range 15 {
+					u := uint32(rng.Uint64N(n - 2))
+					if err := toggle(u, u+2+uint32(rng.Uint64N(uint64(n-2-u)))); err != nil {
+						return nil, err
+					}
+				}
+				return e.SealCheckpointSince(e.Stats().LastCheckpointID)
+			}()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cs.IsDelta() {
+				cs.Close()
+				t.Fatalf("sealed full over %d nodes against the base just sealed", cs.Nodes())
+			}
+			go func() {
+				defer cs.Close()
+				ckptErr <- cs.StreamTo(gw)
+			}()
+		} else {
+			go func() { ckptErr <- e.WriteCheckpoint(gw) }()
+		}
 		<-gw.started
 		for deadline := time.Now().Add(10 * time.Second); sealImages(e) == 0; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
@@ -429,9 +481,18 @@ func TestDiskCheckpointConcurrentProducers(t *testing.T) {
 		if err := <-ckptErr; err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadCheckpoint(bytes.NewReader(gw.buf.Bytes()), Config{})
+		ckpt := gw.buf.Bytes()
+		if delta {
+			ckpt = baseCkpt.Bytes()
+		}
+		back, err := ReadCheckpoint(bytes.NewReader(ckpt), Config{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if delta {
+			if err := back.ApplyDeltaCheckpoint(bytes.NewReader(gw.buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
 		}
 		checkAgainstExact(t, back, n, base)
 		cut, err := NewEngine(Config{NumNodes: n, Seed: cfg.Seed})
@@ -452,8 +513,7 @@ func TestDiskCheckpointConcurrentProducers(t *testing.T) {
 		back.Close()
 		cut.Close()
 	}
-	close(stop)
-	wg.Wait()
+	stopProducers()
 	if ev := e.Stats().SketchCache.Evictions; ev == 0 {
 		t.Fatal("the one-group cache recorded no evictions; the test did not race write-backs")
 	}
@@ -744,6 +804,51 @@ func (p *liveProducers) seal(t *testing.T, e *Engine) (*CheckpointSnapshot, []st
 	return cs, slices.Clone(p.edges)
 }
 
+// sealDelta seals, with the producers held off, a full base checkpoint,
+// which it streams, then ingests extra and seals a delta against the base.
+// It returns the base's bytes and the delta with the edges its cut holds
+// beyond what was ingested before the producers started; extra counts
+// among the producers' edges from then on.
+func (p *liveProducers) sealDelta(t *testing.T, e *Engine, extra []stream.Edge) ([]byte, *CheckpointSnapshot, []stream.Edge) {
+	t.Helper()
+	p.gate.Lock()
+	defer p.gate.Unlock()
+	var base bytes.Buffer
+	if err := e.WriteCheckpoint(&base); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.InsertEdges(extra); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := e.SealCheckpointSince(e.Stats().LastCheckpointID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cs.IsDelta() {
+		cs.Close()
+		t.Fatalf("sealed full over %d nodes against the base just sealed", cs.Nodes())
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.edges = append(p.edges, extra...)
+	return base.Bytes(), cs, slices.Clone(p.edges)
+}
+
+// baseAndDelta restores the full checkpoint base, applies the delta
+// checkpoint delta onto it, and returns the resulting sketch bytes.
+func baseAndDelta(t *testing.T, base, delta []byte) []byte {
+	t.Helper()
+	e, err := ReadCheckpoint(bytes.NewReader(base), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ApplyDeltaCheckpoint(bytes.NewReader(delta)); err != nil {
+		t.Fatal(err)
+	}
+	return rawSlots(t, e)
+}
+
 // finish stops the producers and returns every edge they ingested. Tests
 // also defer it, so a failing test stops them before closing the engine.
 func (p *liveProducers) finish() []stream.Edge {
@@ -801,16 +906,27 @@ func sealImages(e *Engine) int {
 // the scan (pre-images are deposited); once released, the scan reads the
 // store under those applies — out of core the device, while write-backs
 // rewrite it. Every checkpoint must equal the seal-time cut byte for byte,
-// and the live engine must hold every update; RAM and out of core.
+// and the live engine must hold every update; RAM and out of core. The
+// delta input seals each checkpoint as a delta against a base sealed just
+// before it, and holds its stream until a producer's change to a planned
+// node has taken a seal image: the base plus the delta must equal the cut.
 func TestRAMCheckpointLiveProducersExactCut(t *testing.T) {
 	for si, store := range checkpointStores {
 		t.Run(store.name, func(t *testing.T) {
-			liveProducersExactCut(t, placed(Config{NumNodes: 512, Seed: 73, Shards: 2}, si))
+			for _, delta := range []bool{false, true} {
+				name := "full"
+				if delta {
+					name = "delta"
+				}
+				t.Run(name, func(t *testing.T) {
+					liveProducersExactCut(t, placed(Config{NumNodes: 512, Seed: 73, Shards: 2}, si), delta)
+				})
+			}
 		})
 	}
 }
 
-func liveProducersExactCut(t *testing.T, cfg Config) {
+func liveProducersExactCut(t *testing.T, cfg Config, delta bool) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -825,7 +941,14 @@ func liveProducersExactCut(t *testing.T, cfg Config) {
 	defer p.finish()
 	for i := 0; i < 3; i++ {
 		func() {
-			cs, cut := p.seal(t, e)
+			var cs *CheckpointSnapshot
+			var cut []stream.Edge
+			var baseCkpt []byte
+			if delta {
+				baseCkpt, cs, cut = p.sealDelta(t, e, randomEdges(cfg.NumNodes, 40, 31, uint64(i)))
+			} else {
+				cs, cut = p.seal(t, e)
+			}
 			defer cs.Close()
 			if len(cs.sections) < 4 {
 				t.Fatalf("%d sections: too few for the scan to lag the producers", len(cs.sections))
@@ -841,6 +964,9 @@ func liveProducersExactCut(t *testing.T, cfg Config) {
 			defer func() { release(); <-streamed }()
 			drains := p.drains.Load() + 4
 			waitUntil(t, "producers draining behind a blocked checkpoint writer", func() bool { return p.drains.Load() >= drains })
+			if delta {
+				waitUntil(t, "a producer's change to a planned node taking a seal image", func() bool { return sealImages(e) > 0 })
+			}
 			if sealImages(e) == 0 {
 				t.Fatal("no pre-image deposited: the producers never raced the scan")
 			}
@@ -849,8 +975,15 @@ func liveProducersExactCut(t *testing.T, cfg Config) {
 			if streamErr != nil {
 				t.Fatal(streamErr)
 			}
-			if !bytes.Equal(checkpointSlots(t, gw.buf.Bytes()), referenceSlots(t, cfg, slices.Concat(base, cut))) {
-				t.Fatalf("checkpoint %d taken under live producers is not the seal-time cut", i)
+			want := referenceSlots(t, cfg, slices.Concat(base, cut))
+			if !delta {
+				if !bytes.Equal(checkpointSlots(t, gw.buf.Bytes()), want) {
+					t.Fatalf("checkpoint %d taken under live producers is not the seal-time cut", i)
+				}
+				return
+			}
+			if got := baseAndDelta(t, baseCkpt, gw.buf.Bytes()); !bytes.Equal(got, want) {
+				t.Fatalf("delta %d taken under live producers, applied to its base, is not the seal-time cut", i)
 			}
 		}()
 	}
@@ -961,8 +1094,8 @@ func claimWaitsForInflightApply(t *testing.T, cfg Config) {
 	defer cs.Close()
 	release := sync.OnceFunc(func() { close(proceed) })
 	defer release()
-	sec := int(target / e.capture.sealed.Load().nps)
-	if sec == 0 {
+	sec := e.capture.sealed.Load().section(target)
+	if sec <= 0 {
 		t.Fatal("target node shares the first section")
 	}
 	armed.Store(true)
@@ -1000,35 +1133,81 @@ func claimWaitsForInflightApply(t *testing.T, cfg Config) {
 	}
 }
 
-// TestRAMCheckpointAllocatesSectionsNotSketches pins what a RAM full
-// checkpoint holds in memory: a quiet one allocates about the sections in
-// flight (one buffer per encoder, plus one), never a second copy of the
-// sketches.
+// TestRAMCheckpointAllocatesSectionsNotSketches pins what a RAM checkpoint
+// holds in memory, full or delta: a quiet full one allocates about the
+// sections in flight (one buffer per encoder, plus one), never a second
+// copy of the sketches; a delta over at least 150 dirty nodes allocates
+// less than half its slots' bytes, so it holds no copy of them either —
+// its seal is a plan, not a buffer.
 func TestRAMCheckpointAllocatesSectionsNotSketches(t *testing.T) {
-	e, err := NewEngine(Config{NumNodes: 1024, Seed: 89, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.InsertEdges(randomEdges(1024, 2000, 27, 28)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	sketches := int64(e.cfg.NumNodes) * int64(e.slotSize)
-	section := int64(e.sectionNodes()) * int64(e.slotSize)
-	limit := int64(len(e.shards)+1)*section + 1<<20
-	if limit > sketches/2 {
-		t.Fatalf("sketches (%d B) too small to tell %d B of sections from a copy", sketches, limit)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := e.WriteCheckpoint(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if grew := int64(after.TotalAlloc - before.TotalAlloc); grew > limit {
-		t.Fatalf("a quiet checkpoint allocated %d B; its sections in flight need %d B, the sketches are %d B", grew, limit, sketches)
-	}
+	t.Run("full", func(t *testing.T) {
+		e, err := NewEngine(Config{NumNodes: 1024, Seed: 89, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := e.InsertEdges(randomEdges(1024, 2000, 27, 28)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		sketches := int64(e.cfg.NumNodes) * int64(e.slotSize)
+		section := int64(e.sectionNodes()) * int64(e.slotSize)
+		limit := int64(len(e.shards)+1)*section + 1<<20
+		if limit > sketches/2 {
+			t.Fatalf("sketches (%d B) too small to tell %d B of sections from a copy", sketches, limit)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := e.WriteCheckpoint(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := int64(after.TotalAlloc - before.TotalAlloc); grew > limit {
+			t.Fatalf("a quiet checkpoint allocated %d B; its sections in flight need %d B, the sketches are %d B", grew, limit, sketches)
+		}
+	})
+	t.Run("delta", func(t *testing.T) {
+		const n = 2048
+		e, err := NewEngine(Config{NumNodes: n, Seed: 89, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := e.InsertEdges(randomEdges(n, 4000, 27, 28)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WriteCheckpoint(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		baseID := e.Stats().LastCheckpointID
+		if err := e.InsertEdges(randomEdges(n, 90, 29, 30)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cs, err := e.SealCheckpointSince(baseID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cs.StreamTo(io.Discard)
+		cs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if !cs.IsDelta() || cs.Nodes() < 150 {
+			t.Fatalf("sealed delta=%v over %d nodes, want a delta over at least 150", cs.IsDelta(), cs.Nodes())
+		}
+		slots := int64(cs.Nodes()) * int64(e.slotSize)
+		grew := int64(after.TotalAlloc - before.TotalAlloc)
+		if grew >= slots/2 {
+			t.Fatalf("a quiet delta over %d nodes allocated %d B; its slots are %d B", cs.Nodes(), grew, slots)
+		}
+		t.Logf("a delta over %d nodes (%d B of slots) allocated %d B", cs.Nodes(), slots, grew)
+	})
 }

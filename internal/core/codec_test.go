@@ -19,9 +19,17 @@ import (
 // header and section headers — so tests that damage a particular byte
 // find it wherever the meta blob pushed it.
 type ckptLayout struct {
-	metaOff   int       // first byte of the meta blob (the chain envelope)
-	sections  []nodeRun // off = byte offset of the section's header
-	footerOff int       // first footer entry; the stream ends footerTrailerLen past the entries
+	metaOff   int          // first byte of the meta blob (the chain envelope)
+	sections  []sectionOff // the sections in stream order
+	footerOff int          // first footer entry; the stream ends footerTrailerLen past the entries
+}
+
+// sectionOff is one section of a stream: its node run and the byte offset
+// of its header.
+type sectionOff struct {
+	start uint32
+	count int
+	off   int
 }
 
 func layoutOf(t testing.TB, b []byte) ckptLayout {
@@ -30,7 +38,7 @@ func layoutOf(t testing.TB, b []byte) ckptLayout {
 	n := int(binary.LittleEndian.Uint32(b[4+28:]))
 	off := l.metaOff + int(binary.LittleEndian.Uint32(b[4+40:]))
 	for i := 0; i < n; i++ {
-		run := nodeRun{
+		run := sectionOff{
 			start: binary.LittleEndian.Uint32(b[off:]),
 			count: int(binary.LittleEndian.Uint32(b[off+4:])),
 			off:   off,

@@ -125,10 +125,11 @@ type Config struct {
 	// DeltaCheckpointThreshold is the delta checkpoint fallback threshold:
 	// SealCheckpointSince cuts a sparse delta checkpoint only while the
 	// fraction of nodes changed since the base seal is at or below it —
-	// above, the delta saves little and its slots, copied inside the seal
-	// stall, lengthen it, so the seal falls back to a full checkpoint
-	// (captured with ingestion live). Zero picks
-	// the 0.20 default; negative disables delta checkpoints entirely
+	// above, the delta ships nearly a full checkpoint's bytes yet still
+	// needs its base and every earlier link to restore, so the seal falls
+	// back to a full checkpoint, which starts a new chain. The stall does
+	// not enter into it: both kinds seal alike, copying no sketch. Zero
+	// picks the 0.20 default; negative disables delta checkpoints entirely
 	// (every seal is full, kept for ablation).
 	DeltaCheckpointThreshold float64
 	// DeviceFactory overrides block-device creation for the sketch store

@@ -109,23 +109,6 @@ func (e *Engine) planDelta(baseID, newID uint64) ([]uint32, uint64, bool) {
 	return ids, e.seals[i].lsn, true
 }
 
-// materializeDelta copies the current serialized stacks of the plan's
-// dirty runs into the snapshot's delta buffer, under the quiesce write lock
-// (a delta is at most a threshold fraction of the universe, so the copy is
-// cheap enough to live inside the seal stall — no capture needed).
-func (e *Engine) materializeDelta(cs *CheckpointSnapshot) error {
-	cs.deltaBuf = make([]byte, cs.Nodes()*e.slotSize)
-	if err := e.sketches.flush(); err != nil {
-		return err
-	}
-	for _, run := range cs.sections {
-		if err := e.sketches.readSlots(run.start, run.count, cs.deltaBuf[run.off:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // metaEnvelope is the decoded GZM1 chain envelope of a checkpoint's meta
 // blob.
 type metaEnvelope struct {

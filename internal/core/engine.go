@@ -246,7 +246,7 @@ type Engine struct {
 	lastDeltaOps      atomic.Int64
 	lastDeltaVisits   atomic.Int64
 	// capture keeps the bytes each node had at the cached query result's
-	// cut and at a live full checkpoint's seal, taken at its first change
+	// cut and at a live checkpoint's seal, taken at its first change
 	// after each (capture.go).
 	capture capture
 	// queryArena holds the supernode sketches a Boruvka round sums, and out

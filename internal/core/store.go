@@ -12,8 +12,8 @@ import "graphzeppelin/internal/cubesketch"
 //
 // Which bytes a reader sees for a node at its cut is not the store's
 // concern: the capture (capture.go) brackets every change, and apply only
-// fills the image buffer it is handed. A full checkpoint's seal is a flush
-// and the capture's seal, whatever the store.
+// fills the image buffer it is handed. A checkpoint's seal, full or delta,
+// is a flush and the capture's seal, whatever the store.
 type sketchStore interface {
 	// apply toggles indices in node's sketches, first marshalling the
 	// node's slot into img when img is non-nil; called by the node's
@@ -49,7 +49,7 @@ type sketchStore interface {
 
 // ramStore keeps every sketch in RAM: shard s's worker owns slabs[s], the
 // nodes v with v % Shards == s at index v / Shards, and applies batches to
-// it in place. A full checkpoint's scan reads the same slabs while the
+// it in place. A checkpoint's scan reads the same slabs while the
 // workers change them, kept apart by the capture's section claims; in RAM
 // the capture's budget holds an image of every node, so no apply waits
 // for it.

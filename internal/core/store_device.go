@@ -21,7 +21,7 @@ import (
 // Everything that reads the device directly — checkpoint scans, merges,
 // the query scan — runs after a flush or invalidate, or serves resident
 // groups through Cache.Peek, because a dirty cached group makes the device
-// bytes stale by design. A full checkpoint's seal flushes, so the device
+// bytes stale by design. A checkpoint's seal flushes, so the device
 // holds the cut, and its scan then reads the device while the workers
 // apply and queries run: a write-back or a query's write during the stream
 // rewrites only bytes unchanged since the seal, or bytes of a node whose

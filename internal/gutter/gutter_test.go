@@ -3,6 +3,7 @@ package gutter
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -628,5 +629,72 @@ func TestFlushToGivenSink(t *testing.T) {
 			}
 			checkDelivery(t, built, want)
 		})
+	}
+}
+
+// readMarker is a device that notes each read in events: a leaf reads its
+// region right before it emits, so the reads split the batches a tree's
+// sink receives into leaf emissions.
+type readMarker struct {
+	iomodel.Device
+	events []int64 // a batch's node, or -1 for a read
+}
+
+func (d *readMarker) ReadAt(p []byte, off int64) (int, error) {
+	d.events = append(d.events, -1)
+	return d.Device.ReadAt(p, off)
+}
+
+// TestTreeEmitsInNodeOrder feeds two identical trees of four-node leaves
+// the same updates: they emit the same batch sequence, and within each
+// leaf emission every node gets one batch, in ascending node order.
+func TestTreeEmitsInNodeOrder(t *testing.T) {
+	const n = 64
+	run := func() ([]int64, []Batch) {
+		dev := &readMarker{Device: iomodel.NewMem(512)}
+		var batches []Batch
+		tree, err := NewTree(n, TreeConfig{Fanout: 4, BufferRecords: 64, LeafRecords: 16, NodesPerLeaf: 4}, dev, func(b Batch) {
+			dev.events = append(dev.events, int64(b.Node))
+			batches = append(batches, Batch{Node: b.Node, Others: slices.Clone(b.Others)})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(23, 24))
+		for i := 0; i < 1500; i++ {
+			u, v := uint32(rng.Uint64N(n)), uint32(rng.Uint64N(n))
+			if u == v {
+				continue
+			}
+			if err := tree.InsertEdges([]stream.Edge{{U: u, V: v}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return dev.events, batches
+	}
+	events, first := run()
+	_, second := run()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("two identical trees fed the same updates emitted different batch sequences")
+	}
+	emissions, last := 0, int64(-1)
+	for _, ev := range events {
+		switch {
+		case ev < 0:
+			last = -1
+		case ev <= last:
+			t.Fatalf("node %d follows node %d within one leaf emission", ev, last)
+		default:
+			if last < 0 {
+				emissions++
+			}
+			last = ev
+		}
+	}
+	if emissions < 2*n/4 {
+		t.Fatalf("%d leaf emissions, want every leaf to emit more than once", emissions)
 	}
 }

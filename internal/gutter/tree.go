@@ -227,26 +227,45 @@ func (t *Tree) distribute(n int, recs []record, sink Sink) error {
 	if chunk < 1 {
 		chunk = 1
 	}
-	parts := make(map[int][]record, len(node.children))
-	for _, r := range recs {
-		li := t.leafIndex(r.node)
-		ci := (li - node.leafLo) / chunk
-		if ci >= len(node.children) {
-			ci = len(node.children) - 1
-		}
-		child := node.children[ci]
-		parts[child] = append(parts[child], r)
-	}
-	for _, ci := range node.children {
-		part := parts[ci]
-		if len(part) == 0 {
-			continue
-		}
-		if err := t.deliver(ci, part, sink); err != nil {
-			return err
+	recs, starts := sortByKey(recs, len(node.children), func(r record) int {
+		return min((t.leafIndex(r.node)-node.leafLo)/chunk, len(node.children)-1)
+	})
+	for i, c := range node.children {
+		if part := recs[starts[i]:starts[i+1]]; len(part) > 0 {
+			if err := t.deliver(c, part, sink); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// sortByKey returns recs reordered stably by key, which maps a record into
+// [0, k), and where each key's records start: key j's are
+// out[starts[j]:starts[j+1]]. A counting sort, O(len(recs) + k); with one
+// key, recs already is the order.
+func sortByKey(recs []record, k int, key func(record) int) (out []record, starts []int) {
+	if k == 1 {
+		return recs, []int{0, len(recs)}
+	}
+	starts = make([]int, k+1)
+	for _, r := range recs {
+		starts[key(r)+1]++
+	}
+	for j := 1; j <= k; j++ {
+		starts[j] += starts[j-1]
+	}
+	// Placing a record advances its key's start to the next key's; shifting
+	// them back one key restores where each starts.
+	out = make([]record, len(recs))
+	for _, r := range recs {
+		j := key(r)
+		out[starts[j]] = r
+		starts[j]++
+	}
+	copy(starts[1:], starts[:k])
+	starts[0] = 0
+	return out, starts
 }
 
 // deliver appends records to child c's region, flushing as needed.
@@ -293,24 +312,22 @@ func (t *Tree) flushVertex(c int, sink Sink) error {
 	return nil
 }
 
-// emitLeaf groups a leaf's records by destination node and emits batches
-// to sink.
+// emitLeaf groups a leaf's records by destination node and emits one
+// batch per node to sink, in ascending node order.
 func (t *Tree) emitLeaf(recs []record, sink Sink) {
-	if t.cfg.NodesPerLeaf == 1 {
-		others := t.free.get(len(recs))
-		for _, r := range recs {
+	npl := t.cfg.NodesPerLeaf
+	first := uint32(t.leafIndex(recs[0].node) * npl)
+	recs, starts := sortByKey(recs, npl, func(r record) int { return int(r.node - first) })
+	for j := range npl {
+		run := recs[starts[j]:starts[j+1]]
+		if len(run) == 0 {
+			continue
+		}
+		others := t.free.get(len(run))
+		for _, r := range run {
 			others = append(others, r.other)
 		}
-		sink(Batch{Node: recs[0].node, Others: others})
-		t.flushes.Add(1)
-		return
-	}
-	byNode := make(map[uint32][]uint32)
-	for _, r := range recs {
-		byNode[r.node] = append(byNode[r.node], r.other)
-	}
-	for node, others := range byNode {
-		sink(Batch{Node: node, Others: others})
+		sink(Batch{Node: run[0].node, Others: others})
 		t.flushes.Add(1)
 	}
 }
