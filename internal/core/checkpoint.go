@@ -21,7 +21,8 @@ import (
 
 // Checkpoint format — one layout for full and delta checkpoints:
 //
-//	magic    [4]byte "GZE5"
+//	magic    [4]byte "GZE6" (the version: "GZE5" and older hold sketches
+//	  of another row derivation and are refused as incompatible)
 //	header   [48]byte:
 //	  numNodes     uint32
 //	  seed         uint64
@@ -89,7 +90,7 @@ import (
 // direction of the paper's conclusion; see MergeCheckpoint).
 
 var (
-	checkpointMagic = [4]byte{'G', 'Z', 'E', '5'}
+	checkpointMagic = [4]byte{'G', 'Z', 'E', '6'}
 	footerMagic     = [4]byte{'G', 'Z', 'F', '3'}
 )
 
@@ -110,7 +111,9 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrIncompatibleCheckpoint is returned when merging a checkpoint whose
-// parameters (node count, seed, columns, rounds) differ from the engine's.
+// parameters (node count, seed, columns, rounds) differ from the engine's,
+// and when reading a checkpoint of an older format version, whose bucket
+// bytes this build would misread.
 var ErrIncompatibleCheckpoint = errors.New("core: incompatible checkpoint parameters")
 
 // ErrCorruptCheckpoint is returned when a checkpoint section fails its
@@ -139,21 +142,23 @@ func (e *Engine) sectionNodes() uint32 {
 	return (e.n + uint32(n) - 1) / uint32(n)
 }
 
-// deltaPlan is the section plan of a checkpoint over the strictly
-// ascending ids it ships: one section per run of consecutive ids, cut
-// every nps nodes. A delta's ids are the nodes dirtied since its base; a
-// full checkpoint's are every owned node, whose plan is therefore the
-// owned range tiled into sections of nps nodes (the last one shorter).
-// Ascending ids are consecutive from i to i+k exactly when they span k, so
-// each run is one binary search, and a plan costs O(sections log nps).
-func deltaPlan(ids []uint32, nps uint32) []nodeRun {
+// deltaPlan is the section plan of a checkpoint over the count strictly
+// ascending ids it ships, id(0) … id(count-1): one section per run of
+// consecutive ids, cut every nps nodes. A delta's ids are the nodes
+// dirtied since its base; a full checkpoint's are every owned node, id(i)
+// = i, whose plan is therefore the owned range tiled into sections of nps
+// nodes (the last one shorter) and needs no list of them. Ascending ids
+// are consecutive from i to i+k exactly when they span k, so each run is
+// one binary search, and a plan costs O(sections log nps) — under the
+// seal's quiesce lock, whatever the node count.
+func deltaPlan(count int, id func(int) uint32, nps uint32) []nodeRun {
 	var plan []nodeRun
-	for i := 0; i < len(ids); {
-		start := ids[i]
-		tile := min(int(nps-start%nps), len(ids)-i) // ids the run may hold
-		count := sort.Search(tile, func(k int) bool { return ids[i+k]-start != uint32(k) })
-		plan = append(plan, nodeRun{start: start, count: count})
-		i += count
+	for i := 0; i < count; {
+		start := id(i)
+		tile := min(int(nps-start%nps), count-i) // ids the run may hold
+		run := sort.Search(tile, func(k int) bool { return id(i+k)-start != uint32(k) })
+		plan = append(plan, nodeRun{start: start, count: run})
+		i += run
 	}
 	return plan
 }
@@ -344,16 +349,14 @@ func (e *Engine) sealCheckpointLocked(baseID uint64) (_ *CheckpointSnapshot, err
 	// Every seal advances the chain: take a cut, mark it with the new state
 	// id, full or not — a full checkpoint is as valid a delta base as any.
 	cs.ckptID = e.mintSealID(cs.walLSN)
-	ids, baseLSN, ok := e.planDelta(baseID, cs.ckptID)
-	if !ok {
-		baseID, baseLSN, ids = 0, 0, make([]uint32, e.n)
-		for v := range ids {
-			ids[v] = uint32(v)
-		}
+	if ids, baseLSN, ok := e.planDelta(baseID, cs.ckptID); ok {
+		cs.baseID = baseID
+		cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, baseID, baseLSN, user)
+		cs.sections = deltaPlan(len(ids), func(i int) uint32 { return ids[i] }, e.sectionNodes())
+	} else {
+		cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, 0, 0, user)
+		cs.sections = deltaPlan(int(e.n), func(i int) uint32 { return uint32(i) }, e.sectionNodes())
 	}
-	cs.baseID = baseID
-	cs.meta = encodeMetaEnvelope(e.chainTag, cs.ckptID, baseID, baseLSN, user)
-	cs.sections = deltaPlan(ids, e.sectionNodes())
 	// The store now holds the cut. From here on the section scanner reads
 	// it while the workers change it, and every planned slot changed ahead
 	// of its section's scan leaves its image at the seal in the capture.
@@ -646,6 +649,10 @@ func readCheckpointHeader(br *bufio.Reader) (checkpointHeader, metaEnvelope, err
 		return fail(fmt.Errorf("core: reading checkpoint magic: %w", err))
 	}
 	if m != checkpointMagic {
+		if [3]byte(m[:]) == [3]byte(checkpointMagic[:]) && m[3] >= '1' && m[3] < checkpointMagic[3] {
+			return fail(fmt.Errorf("%w: checkpoint version %q, this build reads %q",
+				ErrIncompatibleCheckpoint, m[:], checkpointMagic[:]))
+		}
 		return fail(fmt.Errorf("%w: not a checkpoint (magic %q)", ErrCorruptCheckpoint, m[:]))
 	}
 	var hdr [checkpointHeaderLen]byte

@@ -341,17 +341,18 @@ func TestCheckpointLowStallAndExactCut(t *testing.T) {
 }
 
 // TestDiskCheckpointConcurrentProducers stresses the copy-on-write scan
-// under -race: producers keep toggling redundant edges inside one big
+// under -race: producers keep flipping redundant edges inside one big
 // component while checkpoints stream, over a cache of one group per shard
 // (and the capture RAM's budget), so eviction write-backs of changed
-// groups race the stream. Each stream
-// is held at its first write until a producer's change has taken a seal
-// image. Each checkpoint must hold the sketch bytes of its cut exactly:
-// the updates the WAL had logged when it sealed, which its meta supplier
+// groups race the stream. Each stream is held at its first write until
+// producers' changes have taken seal images in more groups than the cache
+// holds, so some changed node is on the device when the scan reads it.
+// Each checkpoint must hold the sketch bytes of its cut exactly: the
+// updates the WAL had logged when it sealed, which its meta supplier
 // records. The delta input seals each checkpoint as a delta against a full
-// base sealed, with the producers held off, just before it; its stream is
-// held until a producer's change to a planned node has taken a seal image,
-// and the base plus the delta must hold the cut's bytes exactly.
+// base sealed, with the producers held off, just before it; its images
+// are of planned nodes only, and the base plus the delta must hold the
+// cut's bytes exactly.
 func TestDiskCheckpointConcurrentProducers(t *testing.T) {
 	t.Run("full", func(t *testing.T) { diskConcurrentProducers(t, false) })
 	t.Run("delta", func(t *testing.T) { diskConcurrentProducers(t, true) })
@@ -410,18 +411,18 @@ func diskConcurrentProducers(t *testing.T, delta bool) {
 					return
 				default:
 				}
-				// Insert+delete the same random chord (v >= u+2, never a
-				// base path edge): any prefix of this producer's accepted
-				// updates leaves at most one extra edge inside the
-				// already-connected component, so every cut is
-				// partition-equivalent to the base.
+				// Flip one random chord (v >= u+2, never a base path
+				// edge): every prefix of the producers' accepted updates
+				// only adds or removes edges inside the path's one
+				// component, so every cut is partition-equivalent to the
+				// base. One flip per gate hold, not an insert and its
+				// delete: a pair leaves the live bytes where they were, so
+				// a seal that streamed them without its images would read
+				// the cut anyway whenever no pair was half done.
 				u := uint32(rng.Uint64N(n - 2))
 				v := u + 2 + uint32(rng.Uint64N(uint64(n-2-u)))
 				gate.RLock()
 				err := toggle(u, v)
-				if err == nil {
-					err = toggle(u, v)
-				}
 				gate.RUnlock()
 				if err != nil {
 					t.Error(err)
@@ -472,9 +473,15 @@ func diskConcurrentProducers(t *testing.T, delta bool) {
 			go func() { ckptErr <- e.WriteCheckpoint(gw) }()
 		}
 		<-gw.started
-		for deadline := time.Now().Add(10 * time.Second); sealImages(e) == 0; time.Sleep(time.Millisecond) {
+		// A change lands in the cache and reaches the device, which the
+		// scanner reads, when its group is written back. Hold the stream
+		// until the seal's images span more groups than the cache holds
+		// (one per shard): at least one imaged node has then been written
+		// back changed, so a stream that skipped its images would read it
+		// past the cut.
+		for deadline := time.Now().Add(10 * time.Second); sealImageGroups(e) <= cfg.Shards; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatal("no producer change took a seal image while the stream was held")
+				t.Fatalf("producer changes took seal images in only %d groups while the stream was held", sealImageGroups(e))
 			}
 		}
 		gw.open()
@@ -893,6 +900,19 @@ func unboundCapture(e *Engine) {
 }
 
 // sealImages returns how many images e's live seal holds.
+// sealImageGroups counts the store groups of the nodes the live seal
+// holds images of.
+func sealImageGroups(e *Engine) int {
+	npg := uint32(deviceOf(e).npg)
+	e.capture.mu.Lock()
+	defer e.capture.mu.Unlock()
+	groups := map[uint32]bool{}
+	for node := range e.capture.sealed.Load().images {
+		groups[node/npg] = true
+	}
+	return len(groups)
+}
+
 func sealImages(e *Engine) int {
 	e.capture.mu.Lock()
 	defer e.capture.mu.Unlock()

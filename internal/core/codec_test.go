@@ -142,6 +142,55 @@ func TestOpenCheckpointChecksSizeBeforeAllocating(t *testing.T) {
 	back.Close()
 }
 
+// TestOlderCheckpointVersionIsIncompatible: a "GZE5" checkpoint holds
+// sketches of the older row derivation, one hash per column, whose bytes
+// this build would misread as its own. Every reader refuses it with
+// ErrIncompatibleCheckpoint naming both versions — restore, open, merge,
+// delta apply, and recovery of a chain whose base it is — while a magic
+// that is no checkpoint version at all stays corrupt.
+func TestOlderCheckpointVersionIsIncompatible(t *testing.T) {
+	old := craftedCheckpoint(64)
+	copy(old, "GZE5")
+	want := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrIncompatibleCheckpoint) || errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("%s: err = %v, want ErrIncompatibleCheckpoint", what, err)
+		}
+		for _, v := range []string{`"GZE5"`, `"GZE6"`} {
+			if !bytes.Contains([]byte(err.Error()), []byte(v)) {
+				t.Fatalf("%s: error %q does not name version %s", what, err, v)
+			}
+		}
+	}
+	_, err := ReadCheckpoint(bytes.NewReader(old), Config{})
+	want("ReadCheckpoint", err)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.gze")
+	if err := os.WriteFile(base, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenCheckpoint(base, Config{})
+	want("OpenCheckpoint", err)
+	_, _, err = RecoverChain(base, nil, Config{NumNodes: 64, Seed: 1, WAL: true, WALDir: filepath.Join(dir, "wal")})
+	want("RecoverChain", err)
+
+	e, err := NewEngine(Config{NumNodes: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	want("MergeCheckpoint", e.MergeCheckpoint(bytes.NewReader(old)))
+	want("ApplyDeltaCheckpoint", e.ApplyDeltaCheckpoint(bytes.NewReader(old)))
+
+	for _, magic := range []string{"GZE0", "GZE7", "GZX5"} {
+		bad := append([]byte(nil), old...)
+		copy(bad, magic)
+		if _, err := ReadCheckpoint(bytes.NewReader(bad), Config{}); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("magic %q: err = %v, want ErrCorruptCheckpoint", magic, err)
+		}
+	}
+}
+
 // TestStreamReadersVerifyFooter flips every footer byte of a valid full
 // and a valid delta stream: each streaming consumer must refuse it — a
 // stream that restores must also open from a file — and none may move its
@@ -527,10 +576,11 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 	if err := dst.ApplyDeltaCheckpoint(bytes.NewReader(full)); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("apply of a full checkpoint: err = %v, want ErrCorruptCheckpoint", err)
 	}
-	// A file written before the magic bump is refused, not misread.
+	// A file written before the magic bump is refused, not misread
+	// (TestOlderCheckpointVersionIsIncompatible covers every reader).
 	old := append([]byte(nil), full...)
 	old[3]--
-	if _, err := ReadCheckpoint(bytes.NewReader(old), Config{}); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("previous magic: err = %v, want ErrCorruptCheckpoint", err)
+	if _, err := ReadCheckpoint(bytes.NewReader(old), Config{}); !errors.Is(err, ErrIncompatibleCheckpoint) {
+		t.Fatalf("previous magic: err = %v, want ErrIncompatibleCheckpoint", err)
 	}
 }

@@ -136,11 +136,36 @@ func TestCachedResultsAreIsolated(t *testing.T) {
 // observes. The cache is emptied before the query so every group actually
 // comes off the device; the cached-tier behavior (zero reads) is pinned by
 // TestDiskQueryServedFromCache.
+//
+// The whole store fits in one queryScanBytes chunk and a connected path
+// keeps a single live run, so a scan is exactly one sequential ReadRange.
+// Round 0's pass gathers the rounds after it, a later scan at round r
+// with L live roots serves max(1, n/L) rounds, and a round whose one live
+// root is the giant reads nothing: on a path, whose live count falls by
+// about two thirds a round, the query reads the store once when the pass
+// gathers to round 4 and twice when it stops at round 3, which the seed's
+// hashes decide — about half the seeds each (seeds 1–100: 55 one-scan
+// queries, 45 two-scan). The seeds here hold both, and both are asserted.
+// The seed behavior was n point reads per round; before the pass
+// gathered, it was 3 scans.
 func TestDiskQueryScanReadCount(t *testing.T) {
+	seen := map[int]bool{}
+	for seed := uint64(73); seed <= 80; seed++ {
+		seen[diskQueryScans(t, seed)] = true
+	}
+	if !seen[1] || !seen[2] {
+		t.Fatalf("scan counts seen %v: the seeds no longer hold both a one-scan and a two-scan query", seen)
+	}
+}
+
+// diskQueryScans runs TestDiskQueryScanReadCount's checks on a 64-node
+// path at seed and returns the query's scan count.
+func diskQueryScans(t *testing.T, seed uint64) int {
+	t.Helper()
 	const n = 64
 	cfg := Config{
 		NumNodes:       n,
-		Seed:           73,
+		Seed:           seed,
 		SketchesOnDisk: true,
 		CacheBytes:     1,
 		DeviceFactory: func(string) (iomodel.Device, error) {
@@ -159,35 +184,27 @@ func TestDiskQueryScanReadCount(t *testing.T) {
 	st := e.Stats()
 	reads := st.SketchIO.ReadOps - before.ReadOps
 	if reads == 0 {
-		t.Fatal("disk-mode query issued no reads at all")
+		t.Fatalf("seed %d: disk-mode query issued no reads at all", seed)
 	}
-	// The whole store fits in one queryScanBytes chunk and a connected
-	// path keeps a single live run, so a scan is exactly one sequential
-	// ReadRange. Round 0's pass gathers the rounds after it, a later scan
-	// at round r with L live roots serves max(1, n/L) rounds, and a round
-	// whose one live root is the giant reads nothing: on a path, whose
-	// live count falls by about two thirds a round, the query reads the
-	// store once. The seed behavior was n point reads per round; before
-	// the pass gathered, it was 3 scans.
 	twin := pathEngine(t, cfg, n-1)
 	defer twin.Close()
 	evictAll(t, twin)
 	perRound, passEnd, live := readRounds(t, twin, nil)
 	scans := scansFor(n, twin.cfg.Rounds, passEnd, live)
-	if len(live) != st.QueryRounds || scans != scanned(perRound) || scans != 1 {
-		t.Fatalf("live counts %v and a pass to round %d give %d scans, the twin read %v per round, over a query of %d rounds; want one",
-			live, passEnd, scans, perRound, st.QueryRounds)
+	if len(live) != st.QueryRounds || scans != scanned(perRound) || scans < 1 || scans > 2 {
+		t.Fatalf("seed %d: live counts %v and a pass to round %d give %d scans, the twin read %v per round, over a query of %d rounds; want one or two",
+			seed, live, passEnd, scans, perRound, st.QueryRounds)
 	}
 	if reads != uint64(scans) {
-		t.Fatalf("query issued %d read ops over %d rounds with live counts %v; want %d scans of one sequential range each",
-			reads, st.QueryRounds, live, scans)
+		t.Fatalf("seed %d: query issued %d read ops over %d rounds with live counts %v; want %d scans of one sequential range each",
+			seed, reads, st.QueryRounds, live, scans)
 	}
 	if reads >= n {
-		t.Fatalf("query issued %d read ops, the per-node point-read regression (n=%d)", reads, n)
+		t.Fatalf("seed %d: query issued %d read ops, the per-node point-read regression (n=%d)", seed, reads, n)
 	}
 	if st.SketchIO.WriteOps != before.WriteOps {
-		t.Fatalf("query wrote to the sketch store (%d new write ops)",
-			st.SketchIO.WriteOps-before.WriteOps)
+		t.Fatalf("seed %d: query wrote to the sketch store (%d new write ops)",
+			seed, st.SketchIO.WriteOps-before.WriteOps)
 	}
 
 	// A repeated query on the unchanged graph is a cache hit: zero I/O.
@@ -196,11 +213,12 @@ func TestDiskQueryScanReadCount(t *testing.T) {
 	}
 	st2 := e.Stats()
 	if st2.SketchIO.ReadOps != st.SketchIO.ReadOps {
-		t.Fatalf("cached query performed %d read ops", st2.SketchIO.ReadOps-st.SketchIO.ReadOps)
+		t.Fatalf("seed %d: cached query performed %d read ops", seed, st2.SketchIO.ReadOps-st.SketchIO.ReadOps)
 	}
 	if st2.QueryCacheHits != 1 {
-		t.Fatalf("cache hits = %d, want 1", st2.QueryCacheHits)
+		t.Fatalf("seed %d: cache hits = %d, want 1", seed, st2.QueryCacheHits)
 	}
+	return scans
 }
 
 // TestDiskQueryServedFromCache pins the tiered-store query contract:
@@ -483,6 +501,24 @@ func allocsOf(f func()) (bytes uint64, clean bool) {
 	return after.TotalAlloc - before.TotalAlloc, threads.Count() == started
 }
 
+// arenaSink keeps arenaAlloc's arrays on the heap.
+var arenaSink struct {
+	alphas []uint64
+	gammas []uint32
+}
+
+// arenaAlloc returns the bytes the runtime allocates for a slab's bucket
+// arrays of buckets entries, which is what a Slab.Reshape past the
+// arena's capacity allocates.
+func arenaAlloc(buckets int) uint64 {
+	b, _ := allocsOf(func() {
+		arenaSink.alphas = make([]uint64, buckets)
+		arenaSink.gammas = make([]uint32, buckets)
+	})
+	arenaSink.alphas, arenaSink.gammas = nil, nil
+	return b
+}
+
 // TestWarmFromScratchQueryAllocatesOnlyItsResult pins the engine's one
 // query session: once a query has run, a from-scratch ConnectedComponents
 // allocates the result it caches (representatives and forest) and the
@@ -528,21 +564,37 @@ func TestWarmFromScratchQueryAllocatesOnlyItsResult(t *testing.T) {
 			// breaks, and every counted query stays within 3.5 KiB of the
 			// result and its header. A query during which the runtime
 			// started an OS thread (allocsOf) is not counted.
+			//
+			// The RAM store's query arena is kept, and grows when a round
+			// needs more supernode sketches than any before it (at this
+			// seed, once: query 21 sums 262 KB of them, where the warm-up
+			// summed fewer). That growth is the arena's, not the query's:
+			// read off the engine, it is taken out exactly, and it may
+			// happen at most once.
 			result := uint64(4*n+4*n+8*n) + uint64(unsafe.Sizeof(queryResult{}))
 			var grew []uint64
+			grows := 0
 			for i, eg := range edges[2000:2040] {
 				mustUpdate(t, e, eg.U, eg.V)
 				if err := e.Drain(); err != nil {
 					t.Fatal(err)
 				}
 				var err error
+				arena := e.queryArena.Cap()
 				b, clean := allocsOf(func() { _, _, err = e.ConnectedComponents() })
 				if err != nil {
 					t.Fatal(err)
 				}
+				if c := e.queryArena.Cap(); c != arena {
+					grows++
+					b -= arenaAlloc(c)
+				}
 				if i >= 20 && clean {
 					grew = append(grew, b)
 				}
+			}
+			if grows > 1 {
+				t.Fatalf("the query arena grew %d times over 40 queries; a kept arena grows at most once", grows)
 			}
 			if len(grew) < 10 {
 				t.Fatalf("the runtime started a thread in %d of 20 queries", 20-len(grew))

@@ -24,11 +24,10 @@ func allSketchBytes(t *testing.T, e *Engine) []byte {
 // answers from scratch, a trickle on one node, a delta query — and
 // requires the sketches to end bit-identical to a one-shard engine fed
 // the same updates one at a time with no buffering. The first cycle's
-// slice leaves each node a few hundred updates (the kernel's accumulating
-// regime), the later ones a handful (its scatter regime), and every query
-// also exercises the before-image pool, the recycled gutter buffers and
-// the in-place sampling of singleton roots; every answer is checked
-// against the exact components on the way.
+// slice leaves each node a few hundred updates, the later ones a
+// handful, and every query also exercises the before-image pool, the
+// recycled gutter buffers and the in-place sampling of singleton roots;
+// every answer is checked against the exact components on the way.
 func TestServeCyclesBitIdentical(t *testing.T) {
 	const n = 96
 	for _, mode := range []struct {

@@ -35,8 +35,7 @@ func BenchmarkUpdate(b *testing.B) {
 // rows, a 50 MB arena — an order of magnitude past L2), a different node
 // every iteration so each call starts on cold buckets, as a Graph Worker's
 // does. size=10 is what a 1 % serve slice leaves per node before a query
-// forces the flush, size=5500 a full leaf gutter; the sweep is the row
-// that fixes scatterMax.
+// forces the flush, size=5500 a full leaf gutter.
 func BenchmarkSlabApply(b *testing.B) {
 	const nodes, rounds = 2048, 13
 	const n = nodes * (nodes - 1) / 2

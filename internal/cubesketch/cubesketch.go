@@ -20,16 +20,17 @@
 // γ == h2(α) and yields its index; buckets with more members fail the test
 // with high probability.
 //
-// Everything a column needs for an index — the bucket depth and the
-// checksum — derives from a single 64-bit hash per column: the depth from
-// the trailing zeros, the checksum from the high 32 bits. That is one hash
-// call (two multiplies) per (column, index) with no data-dependent inner
-// loop. Update, the per-index definition, follows it with one bucket
-// write. The batched entry points — UpdateBatch and Slab.Apply, the
-// system's hottest path — share one kernel (xorBatch, kernel.go) that
-// hashes four columns per pass over the batch and, by batch length, either
-// writes buckets directly like Update or folds the batch into stack
-// accumulators first and writes each bucket once per batch.
+// Everything a round's columns need for an index — every column's bucket
+// depth and the one checksum they all store — derives from a single
+// 64-bit hash per round (kernel.go): the checksum is its high 32 bits, and
+// each column's depth is the trailing-zero count of a disjoint bit field
+// of it or of one more folded multiply. At the default 7 columns that is
+// one hash call and three more multiplies per (round, index), with no
+// data-dependent inner loop. Update, the per-index definition, follows it
+// with one bucket write per column. The batched entry points —
+// UpdateBatch and Slab.Apply, the system's hottest path — share one kernel
+// (xorBatch, kernel.go) that makes one pass over the batch per round and
+// writes each index's buckets of the round back to back.
 //
 // Serialized form: a 32-byte header (n, seed, cols, rows as little-endian
 // uint64s) followed by the body, which is the little-endian image of the
@@ -74,16 +75,13 @@ var (
 	ErrFailed = errors.New("cubesketch: no good bucket (sampling failure)")
 )
 
-// seed-derivation constant; an arbitrary odd 64-bit value.
-const membershipSalt = 0x9e3779b97f4a7c15
-
 // Sketch is a CubeSketch of a vector in Z_2^n.
 type Sketch struct {
 	n        uint64 // vector length; valid indices are [0, n)
 	cols     int
 	rows     int
 	seed     uint64
-	colSeeds []uint64 // per-column hash seeds, derived from seed
+	hashSeed uint64   // the Mix64 seed every column's rows derive from
 	alphas   []uint64 // cols*rows, row-major within column
 	gammas   []uint32 // parallel to alphas
 	updates  uint64   // total updates applied (diagnostics only)
@@ -115,27 +113,10 @@ func New(n uint64, cols int, seed uint64) *Sketch {
 		cols:     cols,
 		rows:     rows,
 		seed:     seed,
-		colSeeds: colSeeds(seed, cols),
+		hashSeed: hashSeed(seed),
 		alphas:   make([]uint64, cols*rows),
 		gammas:   make([]uint32, cols*rows),
 	}
-}
-
-// colSeeds derives the per-column hash seeds for a sketch seed. Hoisting
-// the derivation out of Update keeps the hot loop to one hash per column,
-// and avalanching each seed here keeps structured user seeds (small
-// integers, linear combinations of salts) from ever landing on a
-// degenerate Mix64 seed whose first multiply round is zero.
-func colSeeds(seed uint64, cols int) []uint64 {
-	return appendColSeeds(make([]uint64, 0, cols), seed, cols)
-}
-
-// appendColSeeds appends colSeeds(seed, cols) to dst.
-func appendColSeeds(dst []uint64, seed uint64, cols int) []uint64 {
-	for col := 0; col < cols; col++ {
-		dst = append(dst, hashing.Avalanche64(seed+uint64(col)*membershipSalt))
-	}
-	return dst
 }
 
 // N returns the vector length the sketch was built for.
@@ -164,28 +145,23 @@ func (s *Sketch) Update(idx uint64) {
 		panic(fmt.Sprintf("cubesketch: index %d out of range for n=%d", idx, s.n))
 	}
 	s.updates++
-	stored := idx + 1 // 1-based so the empty bucket (0,0) is unambiguous
-	rows := s.rows
-	base := 0
-	for _, cs := range s.colSeeds {
-		h := hashing.Mix64(cs, idx)
-		checksum := uint32(h >> 32)
-		depth := bits.TrailingZeros64(h)
-		if depth >= rows {
-			depth = rows - 1
-		}
-		s.alphas[base+depth] ^= stored
-		s.gammas[base+depth] ^= checksum
-		base += rows
+	var buf [16]uint8
+	d := rowBuf(buf[:], s.cols)
+	g := hashing.Mix64(s.hashSeed, idx)
+	rowsOf(g, s.rows, d)
+	for c, row := range d {
+		i := c*s.rows + int(row)
+		s.alphas[i] ^= idx + 1 // 1-based so the empty bucket (0,0) is unambiguous
+		s.gammas[i] ^= checksum(g)
 	}
 }
 
 // UpdateBatch toggles each index in batch. Bucket-identical to calling
 // Update on each element (XOR accumulation is order-independent), through
 // the same bucket-XOR kernel as Slab.Apply (xorBatch), which validates the
-// whole batch once and picks its regime by len(batch).
+// whole batch once.
 func (s *Sketch) UpdateBatch(batch []uint64) {
-	xorBatch(s.n, s.rows, s.colSeeds, s.alphas, s.gammas, batch)
+	xorBatch(s.n, s.rows, []uint64{s.hashSeed}, s.alphas, s.gammas, batch)
 	s.updates += uint64(len(batch))
 }
 
@@ -196,7 +172,6 @@ func (s *Sketch) UpdateBatch(batch []uint64) {
 func (s *Sketch) Query() (uint64, error) {
 	empty := true
 	for col := 0; col < s.cols; col++ {
-		cs := s.colSeeds[col]
 		base := col * s.rows
 		for row := 0; row < s.rows; row++ {
 			alpha := s.alphas[base+row]
@@ -209,7 +184,7 @@ func (s *Sketch) Query() (uint64, error) {
 				continue // XOR of several indices; cannot be a real entry
 			}
 			idx := alpha - 1
-			if uint32(hashing.Mix64(cs, idx)>>32) == gamma {
+			if checksum(hashing.Mix64(s.hashSeed, idx)) == gamma {
 				return idx, nil
 			}
 		}
@@ -369,7 +344,7 @@ func (s *Sketch) UnmarshalBinary(buf []byte) error {
 		return fmt.Errorf("cubesketch: truncated body: have %d bytes, need %d", len(buf), need)
 	}
 	s.n, s.seed, s.cols, s.rows = n, seed, cols, rows
-	s.colSeeds = colSeeds(seed, cols)
+	s.hashSeed = hashSeed(seed)
 	s.alphas = make([]uint64, cols*rows)
 	s.gammas = make([]uint32, cols*rows)
 	getBody(s.alphas, s.gammas, buf[headerSize:need])

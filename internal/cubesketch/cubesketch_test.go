@@ -302,32 +302,6 @@ func TestResetCloneIsZero(t *testing.T) {
 	}
 }
 
-func TestObservedFailureRate(t *testing.T) {
-	// Sweep support sizes and count sampling failures; with 7 columns the
-	// paper's δ is ≤ 1/100 and observed failures are far rarer.
-	rng := rand.New(rand.NewPCG(11, 12))
-	const n = 1 << 15
-	trials, failures := 0, 0
-	for supportSize := 1; supportSize <= 1<<12; supportSize *= 4 {
-		for trial := 0; trial < 30; trial++ {
-			trials++
-			s := New(n, 0, rng.Uint64())
-			for i := 0; i < supportSize; i++ {
-				s.Update(rng.Uint64N(n))
-			}
-			if s.IsZero() {
-				continue
-			}
-			if _, err := s.Query(); errors.Is(err, ErrFailed) {
-				failures++
-			}
-		}
-	}
-	if failures*100 > trials {
-		t.Fatalf("failure rate %d/%d exceeds 1%%", failures, trials)
-	}
-}
-
 func TestNumRows(t *testing.T) {
 	cases := []struct {
 		n    uint64

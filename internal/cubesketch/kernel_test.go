@@ -8,15 +8,16 @@ import (
 	"testing"
 )
 
-// kernelSizes straddles everything xorBatch branches on: the empty and
-// one-element batches, both sides of the scatter/accumulate crossover, and
-// a full leaf gutter of the scale-11 engine.
-var kernelSizes = []int{0, 1, 2, 7, scatterMax - 1, scatterMax, scatterMax + 1, 700, 5500}
+// kernelSizes runs from the empty and one-element batches to a full leaf
+// gutter of the scale-11 engine.
+var kernelSizes = []int{0, 1, 2, 7, 127, 128, 129, 700, 5500}
 
 // kernelLengths are the vector lengths the kernel is pinned on. n=2 gives
 // the minimum cascade of 3 rows, so most hashes have more trailing zeros
-// than there are rows and the clamp decides the bucket; 1e12 gives 42.
-var kernelLengths = []uint64{2, 97, 1 << 21, 1_000_000_000_000}
+// than there are rows and the clamp decides the bucket; 2^32 gives 34
+// rows and 1e12 42, where every column takes a word of its own, and 2^31
+// the 33 rows that are the last to share them.
+var kernelLengths = []uint64{2, 97, 1 << 21, 1 << 31, 1 << 32, 1_000_000_000_000}
 
 // kernelBatch builds a batch of size sz over [0, n) in which roughly a
 // third of the entries are duplicates of earlier ones, so the XOR
@@ -42,11 +43,11 @@ func slabBytes(sl *Slab) []byte {
 // TestUpdateBatchKernelEquivalence pins Sketch.UpdateBatch to the
 // per-update path: for every vector length, column count and batch size
 // the buckets and the updates counter must be identical, duplicates
-// included. Column counts 1–3 never fill a four-column pass, 5 and 7
-// leave a tail behind one.
+// included. Even column counts leave the last word half used, 7 columns
+// take xorRounds7, and 17 outgrow the stack row buffer.
 func TestUpdateBatchKernelEquivalence(t *testing.T) {
 	for _, n := range kernelLengths {
-		for _, cols := range []int{1, 2, 3, 4, 5, 7} {
+		for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 17} {
 			rng := rand.New(rand.NewPCG(42, n+uint64(cols)))
 			for _, sz := range kernelSizes {
 				batch := kernelBatch(rng, n, sz)
@@ -72,9 +73,8 @@ func TestUpdateBatchKernelEquivalence(t *testing.T) {
 }
 
 // TestSlabApplyKernelEquivalence pins Slab.Apply to the per-update view
-// path over cols × rounds column runs that are not multiples of the
-// kernel's four-column pass (so the tail runs behind both regimes), and
-// checks the neighboring nodes stay untouched.
+// path over one and several rounds, at the default 7 columns (xorRounds7)
+// and around it, and checks the neighboring nodes stay untouched.
 func TestSlabApplyKernelEquivalence(t *testing.T) {
 	const nodes = 3
 	for _, n := range kernelLengths {
@@ -108,10 +108,10 @@ func TestSlabApplyKernelEquivalence(t *testing.T) {
 }
 
 // TestKernelDuplicatesCancel applies a batch holding every index an even
-// number of times: in both regimes the sketch must come back to zero.
+// number of times: the sketch must come back to zero.
 func TestKernelDuplicatesCancel(t *testing.T) {
 	const n = 1 << 21
-	for _, half := range []int{5, scatterMax} {
+	for _, half := range []int{5, 128} {
 		rng := rand.New(rand.NewPCG(3, uint64(half)))
 		batch := kernelBatch(rng, n, half)
 		batch = append(batch, batch...)
@@ -131,7 +131,7 @@ func TestKernelDuplicatesCancel(t *testing.T) {
 }
 
 // TestKernelOutOfRangePanicsBeforeWriting checks that an index ≥ n panics
-// in both regimes, wherever it sits in the batch, and that the buckets
+// wherever it sits in the batch, short or long, and that the buckets
 // (and the updates counter) are exactly as they were: the whole batch is
 // validated before the first write.
 func TestKernelOutOfRangePanicsBeforeWriting(t *testing.T) {
@@ -146,7 +146,7 @@ func TestKernelOutOfRangePanicsBeforeWriting(t *testing.T) {
 		}()
 		fn()
 	}
-	for _, sz := range []int{1, 10, scatterMax + 50} {
+	for _, sz := range []int{1, 10, 178} {
 		for _, pos := range []int{0, sz / 2, sz - 1} {
 			rng := rand.New(rand.NewPCG(uint64(sz), uint64(pos)))
 			warm := kernelBatch(rng, n, 20)
@@ -175,7 +175,7 @@ func TestKernelOutOfRangePanicsBeforeWriting(t *testing.T) {
 }
 
 // TestSlabApplyConcurrentDistinctNodes verifies the kernel's scratch is
-// truly per-call in both regimes: concurrent Apply calls on distinct nodes
+// truly per-call: concurrent Apply calls on distinct nodes
 // of one slab must neither race nor corrupt each other's arena ranges.
 // Meaningful under -race.
 func TestSlabApplyConcurrentDistinctNodes(t *testing.T) {
@@ -190,10 +190,10 @@ func TestSlabApplyConcurrentDistinctNodes(t *testing.T) {
 	for i := range small {
 		rng := rand.New(rand.NewPCG(uint64(i), 99))
 		small[i] = kernelBatch(rng, n, 10)
-		large[i] = kernelBatch(rng, n, scatterMax+172)
+		large[i] = kernelBatch(rng, n, 300)
 	}
 
-	ref := NewSlab(nodes, n, 3, seeds)
+	ref := NewSlab(nodes, n, 0, seeds)
 	for node := range small {
 		for i := 0; i < iters; i++ {
 			ref.Apply(node, small[node])
@@ -201,7 +201,7 @@ func TestSlabApplyConcurrentDistinctNodes(t *testing.T) {
 		}
 	}
 
-	got := NewSlab(nodes, n, 3, seeds)
+	got := NewSlab(nodes, n, 0, seeds)
 	done := make(chan struct{})
 	for node := 0; node < nodes; node++ {
 		go func(node int) {

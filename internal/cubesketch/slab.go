@@ -19,16 +19,16 @@ import (
 // A Slab is not safe for concurrent use; the engine gives each ingest
 // shard exclusive ownership of one slab.
 type Slab struct {
-	n        uint64
-	cols     int
-	rows     int
-	rounds   int
-	nodes    int
-	seeds    []uint64 // per-round sketch seeds
-	colSeeds []uint64 // rounds × cols hash seeds, round-major like the arena
-	stride   int      // buckets per sketch = cols*rows
-	alphas   []uint64 // nodes × rounds × stride
-	gammas   []uint32 // parallel to alphas
+	n         uint64
+	cols      int
+	rows      int
+	rounds    int
+	nodes     int
+	seeds     []uint64 // per-round sketch seeds
+	hashSeeds []uint64 // per-round hash seeds (hashSeed of seeds)
+	stride    int      // buckets per sketch = cols*rows
+	alphas    []uint64 // nodes × rounds × stride
+	gammas    []uint32 // parallel to alphas
 }
 
 // NewSlab allocates an arena for nodes node sketches of len(seeds) rounds
@@ -63,9 +63,9 @@ func (sl *Slab) Reshape(nodes int, seeds []uint64) {
 	}
 	sl.nodes, sl.rounds = nodes, len(seeds)
 	sl.seeds = append(sl.seeds[:0], seeds...)
-	sl.colSeeds = sl.colSeeds[:0]
+	sl.hashSeeds = sl.hashSeeds[:0]
 	for _, seed := range seeds {
-		sl.colSeeds = appendColSeeds(sl.colSeeds, seed, sl.cols)
+		sl.hashSeeds = append(sl.hashSeeds, hashSeed(seed))
 	}
 	need := nodes * sl.rounds * sl.stride
 	if cap(sl.alphas) < need {
@@ -99,7 +99,7 @@ func (sl *Slab) Narrow(nodes, rounds int) {
 	clear(sl.gammas[keep*run:])
 	sl.nodes, sl.rounds = nodes, rounds
 	sl.seeds = sl.seeds[:rounds]
-	sl.colSeeds = sl.colSeeds[:rounds*sl.cols]
+	sl.hashSeeds = sl.hashSeeds[:rounds]
 }
 
 // ClearNode zeroes every round of node's stack.
@@ -115,6 +115,10 @@ func (sl *Slab) Nodes() int { return sl.nodes }
 // Rounds returns the per-node sketch depth.
 func (sl *Slab) Rounds() int { return sl.rounds }
 
+// Cap returns the bucket count the slab's arrays hold: Reshape and Narrow
+// to any shape of at most that many buckets allocate nothing.
+func (sl *Slab) Cap() int { return cap(sl.alphas) }
+
 // Bytes returns the in-RAM size of the slab's bucket arrays.
 func (sl *Slab) Bytes() int { return len(sl.alphas)*8 + len(sl.gammas)*4 }
 
@@ -128,7 +132,7 @@ func (sl *Slab) View(node, round int, s *Sketch) {
 	s.cols = sl.cols
 	s.rows = sl.rows
 	s.seed = sl.seeds[round]
-	s.colSeeds = sl.colSeeds[round*sl.cols : (round+1)*sl.cols]
+	s.hashSeed = sl.hashSeeds[round]
 	s.alphas = sl.alphas[off:end:end]
 	s.gammas = sl.gammas[off:end:end]
 	s.updates = 0
@@ -193,11 +197,10 @@ func (sl *Slab) MergeRounds(node, round int, src *Slab, srcNode, srcRound, count
 }
 
 // Apply toggles every index in batch in all rounds of node's sketch. The
-// node's rounds are adjacent in the arena, so they are one run of
-// rounds × cols columns to the bucket-XOR kernel (xorBatch), which picks
-// its regime by len(batch). The result is bucket-identical to applying
-// each update individually, because XOR accumulation commutes. An
-// out-of-range index panics before the slab is touched.
+// node's rounds are adjacent in the arena, so they are one run to the
+// bucket-XOR kernel (xorBatch). The result is bucket-identical to
+// applying each update individually, because XOR accumulation commutes.
+// An out-of-range index panics before the slab is touched.
 //
 // All scratch is per-call, so concurrent Apply calls on *distinct* nodes
 // of the same slab are safe: they write disjoint arena ranges. Concurrent
@@ -206,7 +209,7 @@ func (sl *Slab) MergeRounds(node, round int, src *Slab, srcNode, srcRound, count
 func (sl *Slab) Apply(node int, batch []uint64) {
 	per := sl.rounds * sl.stride
 	off := node * per
-	xorBatch(sl.n, sl.rows, sl.colSeeds, sl.alphas[off:off+per], sl.gammas[off:off+per], batch)
+	xorBatch(sl.n, sl.rows, sl.hashSeeds, sl.alphas[off:off+per], sl.gammas[off:off+per], batch)
 }
 
 // SketchSize returns the serialized size of one round's sketch.
@@ -314,6 +317,6 @@ func (sl *Slab) ApplyNodeBinary(buf []byte, batch []uint64) error {
 			return err
 		}
 	}
-	applyNodeBinary(sl.n, sl.rows, sl.stride, size, sl.colSeeds, buf, batch)
+	applyNodeBinary(sl.n, sl.rows, sl.stride, size, sl.hashSeeds, buf, batch)
 	return nil
 }

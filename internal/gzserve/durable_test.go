@@ -2,6 +2,7 @@ package gzserve
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -159,6 +160,41 @@ func TestDurableWorkerGracefulRestart(t *testing.T) {
 	}
 	if got, want := wk2.Stats().Engine.Updates, uint64(3); got != want {
 		t.Fatalf("engine saw %d updates after dedup, want %d", got, want)
+	}
+}
+
+// TestDurableWorkerRefusesOlderCheckpoint restarts a durable worker over
+// a state directory whose checkpoint is of the older "GZE5" version: the
+// restart must fail with core.ErrIncompatibleCheckpoint, as RecoverChain
+// does, instead of replaying the log over an engine it cannot read.
+func TestDurableWorkerRefusesOlderCheckpoint(t *testing.T) {
+	const numNodes = 16
+	cfg := core.Config{NumNodes: numNodes, Seed: 7}
+	d := Durability{StateDir: t.TempDir()}
+	wk, _, err := NewDurableWorker(cfg, 0, numNodes, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.Engine().InsertEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.Close(); err != nil { // writes the shutdown checkpoint
+		t.Fatal(err)
+	}
+	path := filepath.Join(d.StateDir, CheckpointFileName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(b, "GZE5")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if wk, _, err := NewDurableWorker(cfg, 0, numNodes, d); !errors.Is(err, core.ErrIncompatibleCheckpoint) {
+		if wk != nil {
+			wk.Close()
+		}
+		t.Fatalf("restart over a GZE5 checkpoint: err = %v, want ErrIncompatibleCheckpoint", err)
 	}
 }
 

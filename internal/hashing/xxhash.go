@@ -86,9 +86,11 @@ func Avalanche64(h uint64) uint64 { return avalanche64(h) }
 // 128-bit multiply-mix rounds (the wyhash/rapidhash construction). It is
 // not xxHash: it trades the longer xxHash dependency chain (~6 serial
 // multiplies) for 2, which matters because the sketch update path performs
-// one hash per (column, round, index) and is latency-bound. Statistical
-// quality is validated by the same uniformity/avalanche tests as Uint64
-// and, end to end, by the sketch reliability experiments.
+// one hash per (round, index) — every column's row and the round's shared
+// checksum derive from it (cubesketch's kernel.go) — and is
+// latency-bound. Statistical quality is validated by the same
+// uniformity/avalanche tests as Uint64 and, end to end, by the sketch
+// reliability experiments and cubesketch's column-independence gate.
 func Mix64(seed, x uint64) uint64 {
 	hi, lo := bits.Mul64(x^prime64x1, seed^prime64x2)
 	hi, lo = bits.Mul64(lo^prime64x3, hi^seed)

@@ -13,10 +13,11 @@
 // whatever the engine does for free: one store, one WAL, out-of-core
 // placement, delta queries, and checkpoints written and merged as one cut.
 //
-// Independence. The layers share one engine seed, hence the per-(round,
-// column) hash seeds. stream.EdgeIndex is a bijection between edges and
-// vector positions, and a lifted edge has both endpoints in one layer, so
-// the layers own disjoint blocks of vector indices. Under the random-hash
+// Independence. The layers share one engine seed, hence the per-round
+// hash seeds every column's rows derive from. stream.EdgeIndex is a
+// bijection between edges and vector positions, and a lifted edge has
+// both endpoints in one layer, so the layers own disjoint blocks of
+// vector indices. Under the random-hash
 // model the sketches are analysed under, hash values at distinct indices
 // are independent, and a layer's buckets are a function of its own
 // indices' hash values only. Layer i's buckets are therefore independent
