@@ -4,62 +4,83 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"graphzeppelin/internal/cubesketch"
 )
 
-// capture keeps, for each reader's cut, the bytes node v had at that cut,
-// taken at v's first change after it. Sketches are linear, so "the state v
-// had at cut c" is just v's slot bytes at c, and two readers need them: the
-// delta query, whose baseline is the cached result's cut (base), and a
-// checkpoint stream, full or delta, whose cut is its seal (sealCut). Every
-// change to a slot is bracketed by begin and end — Engine.applyBatch
+// capture keeps, for each reader's cut, what a node changed since that
+// cut, taken at its changes after it. Two readers need it: the delta
+// query, whose baseline is the cached result's cut (base), and a
+// checkpoint stream, full or delta, whose cut is its seal (sealCut).
+// Every change to a slot is bracketed by begin and end — Engine.change
 // around a batch apply, markChangedNode around an install, a merge or
-// baseline adoption — and the caller fills the buffer begin hands back
-// with v's stack as it stands before the change (the store does it from
-// wherever the stack is at hand: the owner's slab, the decoded cache
-// group). This is the one place that decides which bytes a reader sees
-// for v at its cut, in both stores.
+// baseline adoption — and the caller fills the buffer begin hands back,
+// if any, with the node's stack as it stands before the change (the
+// store does it from wherever the stack is at hand: the owner's slab, the
+// decoded cache group). This is the one place that decides what a reader
+// sees for a node at its cut, in both stores.
 //
-// When both readers want v's image at one change, they share one buffer:
-// v then changed after neither cut, so its bytes at both are its current
-// ones.
+// A seal takes an image: the node's slot bytes at its cut, copied at its
+// first change after it. The baseline's entry for a node is its log, the
+// indices applied to it since the cached result's cut, appended by the
+// node's owner at each batch: sketches are linear, so a dirty node's diff
+// since the cut, cur ⊕ prev, is the sketch of its log, and the delta
+// query builds it from the log alone (query.go). A log is capped at
+// logCap indices, slot/8, so it never costs more than an image. The entry
+// is an image instead when the change is not a batch (an install or a
+// merge changes bytes, not indices), when one batch would pass the cap,
+// or when a seal takes the node's image at the same change: the node
+// then changed after neither cut, so its bytes at both are its current
+// ones, and the two share one buffer. A logged node converts once, at the
+// change that would pass its cap or change its bytes: the image is its
+// pre-change stack with the log toggled back out (end).
 //
-// One pool of slot-sized buffers and one byte budget serve both readers;
-// the readers differ only in what happens when the budget runs out. A
-// seal's capture waits — for a buffer the scanner frees, or for the
-// scanner to pass the node's section, whose scan then no longer needs the
-// image — so ingestion throttles to scan speed and the checkpoint stays
-// exact. The baseline refuses and leaves the node imageless: its
-// component re-solves from singletons, the price of a bounded footprint,
-// not an error. In RAM the budget is one slot per node plus maxBase, so it
-// never binds; out of core it is a quarter of the write-back cache
-// (NewEngine).
+// One byte budget serves both readers: images count their slots, logs 8
+// bytes an index. The readers differ only in what happens when it runs
+// out. A seal's capture waits — for a buffer the scanner frees, or for
+// the scanner to pass the node's section, whose scan then no longer needs
+// the image — so ingestion throttles to scan speed and the checkpoint
+// stays exact. The baseline refuses and leaves the node without an entry:
+// its component re-solves from singletons, the price of a bounded
+// footprint, not an error. In RAM the budget is one slot per node plus
+// maxBase, so it never binds; out of core it is a quarter of the
+// write-back cache (NewEngine).
 //
 // The baseline is also the dirty set. Every node's first change since the
-// cached result's cut enters it, imaged or refused, so it lists exactly
-// the nodes stamped after that cut (baseNodes), and the delta query reads
-// them in O(dirty log dirty) where a stamp scan would cost O(V). Past
-// maxBase nodes, one past the delta query's fallback threshold, it stops
-// listing, and so imaging, and only notes the overflow: the next query
-// runs from scratch anyway.
+// cached result's cut enters it, with an entry or refused, so it lists
+// exactly the nodes stamped after that cut (baseNodes), and the delta
+// query reads them in O(dirty log dirty) where a stamp scan would cost
+// O(V). Past maxBase nodes, one past the delta query's fallback
+// threshold, it stops listing, and so capturing, and only notes the
+// overflow: the next query runs from scratch anyway.
 type capture struct {
 	slot    int // bytes of one image
-	budget  int // bytes of distinct buffers the readers may hold
-	maxBase int // most nodes, and so images, the baseline lists
+	logCap  int // most indices one log holds
+	budget  int // bytes the readers may hold: distinct buffers, 8 per logged index
+	maxBase int // most nodes the baseline lists
+
+	// geometry toggles a converting log out of its image (end).
+	geometry *cubesketch.Slab
 
 	mu sync.Mutex
 	// cond is signalled when a scan frees buffers or captures a section, a
 	// section is claimed, or a change in a claimed section ends.
 	cond *sync.Cond
 	// base maps each node first changed since the cached query result's
-	// cut, unless the baseline refused it, to its bytes at that cut.
-	// Written under mu by the change that takes the image; the delta query
-	// reads it without mu while the workers are idle (it holds the quiesce
-	// write lock), as only a concurrent scan, which reads it too, may run
-	// then.
+	// cut whose entry is an image to its bytes at that cut, and logs holds,
+	// by node, each logged node's indices applied since the cut (nil for
+	// any other node). base is written under mu by the change that takes
+	// the image; a node's log only by its owner (the worker, or a query
+	// applying a leftover batch while the workers are idle), under mu.
+	// The delta query reads both without mu while the workers are idle
+	// (it holds the quiesce write lock), as only a concurrent scan, which
+	// reads base too, may run then; begin reads the changing node's log
+	// without mu, on its owner.
 	base map[uint32][]byte
-	// baseNodes lists every node first changed since that cut, imaged or
-	// refused, in the order of their first changes, and baseOver notes
-	// that more than maxBase did. Written and read like base.
+	logs [][]uint64
+	// baseNodes lists every node first changed since that cut, with an
+	// entry or refused, in the order of their first changes, and baseOver
+	// notes that more than maxBase were. Written and read like base.
 	baseNodes []uint32
 	baseOver  bool
 	// sealed is the live checkpoint's side, if any: set and cleared under
@@ -68,6 +89,25 @@ type capture struct {
 	free   [][]byte // buffers no reader holds, reused before allocating
 	held   int      // distinct buffers the readers hold
 	bufs   int      // buffers allocated and not dropped: held plus free
+	// Log arrays no node holds, reused before allocating; the indices the
+	// held logs hold (the budget's share); and the capacity of every log
+	// array allocated and not dropped, held or pooled (the footprint's).
+	logFree  [][]uint64
+	logged   int
+	logWords int
+}
+
+// captureOp is what begin decided for one change, for its caller and for
+// end: the buffer the caller fills with the node's pre-change stack (nil
+// when no reader takes one), the seal section the change is in flight in
+// (-1 when none), and, when the change converts the node's log, the log
+// and the baseline's new image, which end fills from img and toggles the
+// log out of.
+type captureOp struct {
+	img  []byte
+	sec  int
+	conv []byte
+	log  []uint64
 }
 
 // sealCut is a live checkpoint's side of the capture: its plan, its
@@ -98,68 +138,90 @@ func (s *sealCut) section(node uint32) int {
 	return i
 }
 
-// init sizes the capture for n nodes of slot bytes, with the RAM budget.
-func (c *capture) init(n uint32, slot int) {
-	c.slot = slot
+// init sizes the capture for n nodes of slot bytes, with the RAM budget;
+// geometry is a slab of the engine's shape.
+func (c *capture) init(n uint32, slot int, geometry *cubesketch.Slab) {
+	c.slot, c.logCap = slot, slot/8
 	c.maxBase = int(deltaQueryMaxDirtyFrac*float64(n)) + 1
 	c.budget = (int(n) + c.maxBase) * slot
+	c.geometry = geometry
 	c.base = make(map[uint32][]byte)
+	c.logs = make([][]uint64, n)
 	c.cond = sync.NewCond(&c.mu)
 }
 
-// baseLimit is the most images the baseline can hold: maxBase, or fewer
-// when the budget holds fewer.
-func (c *capture) baseLimit() int { return min(c.maxBase, c.budget/c.slot) }
-
-// begin is a change's entry into the capture, before node changes: base
-// says whether the baseline wants the image (the change is the node's
-// first since the cached result's cut). It returns the buffer the caller
-// fills with the node's pre-change stack — nil when no reader takes an
-// image — and the section the caller passes to end after the change (-1
-// when no seal is concerned: none is live, or node is in none of its
-// sections). A change the baseline does not want and no seal section
-// holds takes no lock. While a seal wants the image and the budget is
+// begin is a change's entry into the capture, before node changes: first
+// says whether the change is the node's first since the cached result's
+// cut with delta queries on (Engine.wantsBase), and indices are the
+// batch's, nil for a change of bytes. It returns what the change takes
+// (captureOp), to be passed to end after the change. A change that no
+// seal section holds, to a node that is neither changing first nor
+// logged, takes no lock. While a seal wants the image and the budget is
 // exhausted, or the node's section is claimed, it waits; it never waits
 // holding a section in flight, so the scanner's claim always drains.
-func (c *capture) begin(node uint32, base bool) (img []byte, sec int) {
-	s, sec := c.sealed.Load(), -1
+func (c *capture) begin(node uint32, first bool, indices []uint64) captureOp {
+	s, op := c.sealed.Load(), captureOp{sec: -1}
 	if s != nil {
-		sec = s.section(node)
+		op.sec = s.section(node)
 	}
-	if sec < 0 && !base {
-		return nil, -1
+	log := c.logs[node]
+	if op.sec < 0 && !first && log == nil {
+		return op
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	seal := false
-	if sec >= 0 {
-		for !s.scanned[sec] && (s.claimed[sec] || s.images[node] == nil && !c.fits()) {
+	if op.sec >= 0 {
+		for !s.scanned[op.sec] && (s.claimed[op.sec] || s.images[node] == nil && !c.fits(c.slot)) {
 			c.cond.Wait()
 		}
-		if s.scanned[sec] {
-			sec = -1
+		if s.scanned[op.sec] {
+			op.sec = -1
 		} else {
-			s.inflight[sec]++
+			s.inflight[op.sec]++
 			seal = s.images[node] == nil
 		}
 	}
-	base = base && c.list(node) && (seal || c.fits())
-	if !seal && !base {
-		return nil, sec
-	}
-	img = c.take()
 	if seal {
-		s.images[node] = img
+		op.img = c.take()
+		s.images[node] = op.img
 	}
-	if base {
-		c.base[node] = img
+	switch {
+	case !first && (log == nil || c.baseOver):
+		// Listed already, with an image or refused, or the list has
+		// overflowed since: no query reads its entries.
+	case first && !c.list(node):
+		// The list overflows here.
+	case indices != nil && len(log)+len(indices) <= c.logCap && !(first && seal) && c.fits(8*len(indices)):
+		c.logs[node] = c.appendLog(log, indices)
+	case log != nil:
+		// A change of bytes, or a batch past the cap: the log converts,
+		// its share of the budget freed first.
+		c.logs[node], c.logged = nil, c.logged-len(log)
+		if !c.fits(c.slot) {
+			c.putLog(log)
+			break
+		}
+		op.log, op.conv = log, c.take()
+		c.base[node] = op.conv
+		if op.img == nil {
+			op.img = op.conv
+		}
+	case seal:
+		// The seal's image of a node first changed after both cuts is
+		// the baseline's too.
+		c.base[node] = op.img
+	case c.fits(c.slot):
+		// A first change of bytes, or a first batch past the cap.
+		op.img = c.take()
+		c.base[node] = op.img
 	}
-	return img, sec
+	return op
 }
 
 // list enters node, at its first change since the cached result's cut,
-// in the dirty set, and reports whether the baseline may still take its
-// image: false once the set has overflowed. Caller holds mu.
+// in the dirty set, and reports whether the baseline may still take an
+// entry for it: false once the set has overflowed. Caller holds mu.
 func (c *capture) list(node uint32) bool {
 	if len(c.baseNodes) >= c.maxBase {
 		c.baseOver = true
@@ -188,15 +250,35 @@ func (c *capture) listedCount() (int, bool) {
 	return len(c.baseNodes), !c.baseOver
 }
 
-// end ends what begin began; sec < 0 is a no-op.
-func (c *capture) end(sec int) {
-	if sec < 0 {
+// end ends what begin began for node: a conversion's image becomes the
+// node's bytes at the cut, its pre-change stack (the caller filled img)
+// with every logged index toggled back out, and a seal section in flight
+// is left. The conversion's toggle runs without mu: until end returns,
+// nothing else reads the image's bytes.
+func (c *capture) end(node uint32, op captureOp) {
+	var err error
+	if op.conv != nil {
+		if !sameBuf(op.conv, op.img) {
+			copy(op.conv, op.img)
+		}
+		err = c.geometry.ApplyNodeBinary(op.conv, op.log)
+	}
+	if op.sec < 0 && op.log == nil {
 		return
 	}
 	c.mu.Lock()
+	if op.log != nil {
+		c.putLog(op.log)
+		if err != nil {
+			// The pre-change stack was never filled (the apply failed and
+			// poisoned the engine): the node is left without an entry.
+			delete(c.base, node)
+			c.put(op.conv)
+		}
+	}
 	// After finish the seal is gone and its sections no longer count.
-	if s := c.sealed.Load(); s != nil {
-		if s.inflight[sec]--; s.inflight[sec] == 0 && s.claimed[sec] {
+	if s := c.sealed.Load(); s != nil && op.sec >= 0 {
+		if s.inflight[op.sec]--; s.inflight[op.sec] == 0 && s.claimed[op.sec] {
 			c.cond.Broadcast()
 		}
 	}
@@ -207,13 +289,13 @@ func (c *capture) end(sec int) {
 // baseline image for it, returning its buffer for the caller to fill with
 // the bytes the adopted baseline observed — nil when the baseline refuses
 // or no image was asked for (the baseline's bytes could not be read), so
-// the node is listed imageless. The bytes are not this engine's, so a live
+// the node is listed without an entry. The bytes are not this engine's, so a live
 // seal never shares them. The caller holds the quiesce write lock with the
 // workers idle.
 func (c *capture) adopt(node uint32, image bool) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.list(node) || !image || !c.fits() {
+	if !c.list(node) || !image || !c.fits(c.slot) {
 		return nil
 	}
 	img := c.take()
@@ -222,10 +304,10 @@ func (c *capture) adopt(node uint32, image bool) []byte {
 }
 
 // releaseBase empties the baseline — a new cached result, or an adopted
-// one, supersedes its cut — keeping the image buffers for the next
-// captures, except one a live seal still shares. It walks the listed
-// nodes, which every image belongs to, not the map, whose table keeps the
-// size of its largest baseline.
+// one, supersedes its cut — pooling its logs and its image buffers, but
+// one a live seal still shares, for the next captures. It walks the
+// listed nodes, which every entry belongs to, not the map, whose table
+// keeps the size of its largest baseline.
 // The caller holds the quiesce write lock with the workers idle, and no
 // query session reading the images is still running.
 func (c *capture) releaseBase() {
@@ -238,6 +320,10 @@ func (c *capture) releaseBase() {
 				c.put(img)
 			}
 			delete(c.base, node)
+		}
+		if log := c.logs[node]; log != nil {
+			c.logs[node], c.logged = nil, c.logged-len(log)
+			c.putLog(log)
 		}
 	}
 	c.baseNodes, c.baseOver = c.baseNodes[:0], false
@@ -298,8 +384,7 @@ func (c *capture) substitute(sec int, payload []byte) {
 
 // finish retires the seal: every section counts as scanned, so changes
 // waiting in begin wake even when the stream aborted before scanning them,
-// and its images go back to the pool, which shrinks to what the baseline
-// can use.
+// and its images go back to the pool, which trim then empties.
 func (c *capture) finish() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -317,16 +402,20 @@ func (c *capture) finish() {
 	c.cond.Broadcast()
 }
 
-// bytes is what the capture holds in RAM: every buffer allocated and not
-// dropped, held by a reader or pooled.
-func (c *capture) bytes() int64 {
+// bytes is what the capture holds in RAM: every buffer and log array
+// allocated and not dropped, held by a reader or pooled. Caller holds mu.
+func (c *capture) bytes() int { return c.bufs*c.slot + 8*c.logWords }
+
+// memoryBytes is bytes for Stats, from any goroutine.
+func (c *capture) memoryBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return int64(c.bufs) * int64(c.slot)
+	return int64(c.bytes())
 }
 
-// fits reports whether one more buffer fits the budget. Caller holds mu.
-func (c *capture) fits() bool { return (c.held+1)*c.slot <= c.budget }
+// fits reports whether extra more bytes fit the budget beside the buffers
+// and logged indices the readers hold. Caller holds mu.
+func (c *capture) fits(extra int) bool { return c.held*c.slot+8*c.logged+extra <= c.budget }
 
 // take hands out a buffer, a pooled one when there is one. Caller holds mu.
 func (c *capture) take() []byte {
@@ -347,18 +436,44 @@ func (c *capture) put(b []byte) {
 	c.free = append(c.free, b)
 }
 
-// trim drops pooled buffers beyond what the baseline alone can hold once
-// no seal is live: a seal's buffers serve only its stream, while without
-// the pool every query cycle would allocate, zero and discard a buffer per
-// first-changed node. Caller holds mu.
+// appendLog appends indices to log, a node's log or nil for a new one
+// (then a pooled array, when there is one). The caller has checked the
+// cap. A log that outgrows its array moves to one of twice the capacity,
+// or of the cap: a trickle's log is the size of its batch. Caller holds
+// mu.
+func (c *capture) appendLog(log, indices []uint64) []uint64 {
+	if n := len(c.logFree); log == nil && n > 0 {
+		log, c.logFree[n-1] = c.logFree[n-1], nil
+		c.logFree = c.logFree[:n-1]
+	}
+	if need := len(log) + len(indices); need > cap(log) {
+		grown := make([]uint64, len(log), min(max(need, 2*cap(log)), c.logCap))
+		copy(grown, log)
+		c.logWords += cap(grown) - cap(log)
+		log = grown
+	}
+	c.logged += len(indices)
+	return append(log, indices...)
+}
+
+// putLog pools a log array no node holds any more. Caller holds mu.
+func (c *capture) putLog(log []uint64) { c.logFree = append(c.logFree, log[:0]) }
+
+// trim empties the buffer pool and shrinks the log pool to maxBase arrays
+// within the budget once no seal is live. A seal's buffers serve only its
+// stream, and the baseline takes an image only where a log cannot serve,
+// while a trickle's logs come back every query cycle: with their pool, a
+// cycle's logs allocate nothing. Caller holds mu.
 func (c *capture) trim() {
 	if c.sealed.Load() != nil {
 		return
 	}
-	for n := len(c.free); n > 0 && c.bufs > max(c.held, c.baseLimit()); n-- {
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		c.bufs--
+	clear(c.free)
+	c.bufs, c.free = c.held, c.free[:0]
+	for n := len(c.logFree); n > 0 && (n > c.maxBase || c.bytes() > c.budget); n-- {
+		c.logWords -= cap(c.logFree[n-1])
+		c.logFree[n-1] = nil
+		c.logFree = c.logFree[:n-1]
 	}
 }
 

@@ -1161,13 +1161,14 @@ func (e *Engine) installLocked(cps []*Checkpoint) error {
 // install is the one writer of checkpoint slots: it replaces the slots of
 // global nodes [start, start+count), stamping each node first with its
 // current stack as the baseline's image when the delta query wants one
-// (the run is then read once). Concurrent calls on disjoint runs are safe;
-// the caller holds the quiesce write lock, or owns a fresh engine.
+// (wantsImage; the run is then read once). Concurrent calls on disjoint
+// runs are safe; the caller holds the quiesce write lock, or owns a fresh
+// engine.
 func (e *Engine) install(start uint32, count int, slots []byte) error {
 	start -= e.lo
 	var cur []byte
 	for j := 0; j < count; j++ {
-		if e.wantsBase(start + uint32(j)) {
+		if e.wantsImage(start + uint32(j)) {
 			cur = e.getSectionBuf(count * e.slotSize)
 			defer e.putSectionBuf(cur)
 			if err := e.sketches.readSlots(start, count, cur); err != nil {

@@ -178,14 +178,15 @@ func (e *Engine) adoptChainMeta(h checkpointHeader, env metaEnvelope) {
 // like an applied batch, through the same capture: the node's image is
 // cur, its current slot bytes as the caller read them from the store,
 // which the caller reads only when the baseline wants an image
-// (wantsBase). Must run BEFORE the mutation, holding ckptMu and the
-// quiesce write lock with the workers idle, or on a fresh engine being
-// restored — so no seal is live and only the baseline asks.
+// (wantsImage). A change of bytes cannot be logged, so a logged node's
+// log converts into an image here. Must run BEFORE the mutation, holding
+// ckptMu and the quiesce write lock with the workers idle, or on a fresh
+// engine being restored — so no seal is live and only the baseline asks.
 func (e *Engine) markChangedNode(node uint32, cur []byte) {
-	img, sec := e.capture.begin(node, e.wantsBase(node))
-	copy(img, cur)
+	op := e.capture.begin(node, e.wantsBase(node), nil)
+	copy(op.img, cur)
 	e.touch(node)
-	e.capture.end(sec)
+	e.capture.end(node, op)
 }
 
 // WriteDeltaCheckpoint seals and streams a checkpoint that is a delta

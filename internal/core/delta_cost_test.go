@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"unsafe"
@@ -12,15 +13,34 @@ import (
 // This file pins what a delta query costs, by count: device reads out of
 // core, contribution terms per round in RAM, the DSU operations, piece
 // search visits and live roots that its bookkeeping takes, and the
-// before-images' footprint — captured only when a query can use them,
-// bounded engine-wide, and visible in Stats.MemoryBytes.
+// baseline's footprint — logs of what changed, images only past a log's
+// cap, captured only when a query can use them, bounded engine-wide, and
+// visible in Stats.MemoryBytes.
 
-// beforeCounts returns how many before-images the baseline holds and how
-// many buffers sit in the capture's pool.
-func beforeCounts(e *Engine) (images, pooled int) {
+// baselineCounts returns how many images and logs the baseline holds, and
+// how many image buffers and log arrays sit in the capture's pools.
+func baselineCounts(e *Engine) (images, logs, pooledBufs, pooledLogs int) {
+	c := &e.capture
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, v := range c.baseNodes {
+		if c.logs[v] != nil {
+			logs++
+		}
+	}
+	return len(c.base), logs, len(c.free), len(c.logFree)
+}
+
+// captureBytes returns the capture's share of Stats.MemoryBytes, after a
+// drain.
+func captureBytes(t *testing.T, e *Engine) int {
+	t.Helper()
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	e.capture.mu.Lock()
 	defer e.capture.mu.Unlock()
-	return len(e.capture.base), len(e.capture.free)
+	return e.capture.bytes()
 }
 
 // reservedTrickle builds the benchmark's trickle shape on a path giant:
@@ -50,8 +70,11 @@ func reservedTrickle(t *testing.T, cfg Config) (e *Engine, path, attach []stream
 // TestDeltaQueryDiskReads is the out-of-core cost pin: after a trickle
 // that attaches, then detaches, a reserved node, the delta query reads
 // nothing from the device while the trickle's groups are still resident
-// in the write-back cache, and once they are not, at most one read per
-// dirty group per round — never the giant component's slots.
+// in the write-back cache. Once they are not, the attach (the intact
+// class, whose dirty members contribute their logs alone) still reads
+// nothing, and the detach (the cut class, whose enumerated piece
+// contributes live sketches) at most one read per dirty group per round —
+// never the giant component's slots.
 func TestDeltaQueryDiskReads(t *testing.T) {
 	const n = 160
 	const dirtyGroups = 9 // the reserved node's and the eight attach points'
@@ -88,7 +111,9 @@ func TestDeltaQueryDiskReads(t *testing.T) {
 				switch {
 				case !evict && reads != 0:
 					t.Fatalf("step %d: %d device reads with the dirty groups resident, want 0", step, reads)
-				case evict && (reads == 0 || reads > uint64(after.QueryRounds)*dirtyGroups):
+				case step == 0 && reads != 0:
+					t.Fatalf("attach: %d device reads, want 0: the intact class reads logs, not the store", reads)
+				case step == 1 && evict && (reads == 0 || reads > uint64(after.QueryRounds)*dirtyGroups):
 					t.Fatalf("step %d: %d device reads over %d rounds, want 1..%d per round",
 						step, reads, after.QueryRounds, dirtyGroups)
 				}
@@ -294,8 +319,9 @@ func TestDeltaQueryWritesWhatChanged(t *testing.T) {
 
 // TestBeforeImagesOnlyWhenUsable pins the capture gate: a bulk load ahead
 // of the first query captures (and pools) nothing, because no cached
-// result exists for an image to be relative to; once one does, a trickle
-// captures exactly its first-dirtied nodes and the next query pools them.
+// result exists for an entry to be relative to; once one does, a trickle
+// logs exactly its first-dirtied nodes, with no image, and the next query
+// pools their logs.
 func TestBeforeImagesOnlyWhenUsable(t *testing.T) {
 	const n = 64
 	e := pathEngine(t, Config{NumNodes: n, Seed: 95, Shards: 2}, n-1)
@@ -303,8 +329,8 @@ func TestBeforeImagesOnlyWhenUsable(t *testing.T) {
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if images, pooled := beforeCounts(e); images != 0 || pooled != 0 {
-		t.Fatalf("bulk load with no query captured %d images and pooled %d buffers", images, pooled)
+	if images, logs, bufs, pooled := baselineCounts(e); images+logs+bufs+pooled != 0 {
+		t.Fatalf("bulk load with no query captured %d images and %d logs and pooled %d buffers and %d logs", images, logs, bufs, pooled)
 	}
 	if _, _, err := e.ConnectedComponents(); err != nil {
 		t.Fatal(err)
@@ -314,38 +340,32 @@ func TestBeforeImagesOnlyWhenUsable(t *testing.T) {
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if images, pooled := beforeCounts(e); images != 2 || pooled != 0 {
-		t.Fatalf("trickle on two nodes: %d images, %d pooled; want 2 and 0", images, pooled)
+	if images, logs, bufs, pooled := baselineCounts(e); images != 0 || logs != 2 || bufs+pooled != 0 {
+		t.Fatalf("trickle on two nodes: %d images, %d logs, %d+%d pooled; want 0, 2 and 0", images, logs, bufs, pooled)
 	}
 	if _, _, err := e.ConnectedComponents(); err != nil {
 		t.Fatal(err)
 	}
-	if images, pooled := beforeCounts(e); images != 0 || pooled != 2 {
-		t.Fatalf("after the delta query: %d images, %d pooled; want 0 and 2", images, pooled)
+	if images, logs, bufs, pooled := baselineCounts(e); images+logs+bufs != 0 || pooled != 2 {
+		t.Fatalf("after the delta query: %d images, %d logs, %d buffers, %d logs pooled; want 0, 0, 0 and 2", images, logs, bufs, pooled)
 	}
 }
 
 // TestBeforeImageFootprint runs slice -> query -> trickle -> query cycles
-// in RAM and out of core and pins the images' share of Stats.MemoryBytes:
-// zero until a cached result exists, then exactly baseLimit slot-sized
-// buffers — live or pooled, engine-wide, however many shards captured
-// them — where out of core the limit is the derived quarter of the cache
-// budget.
+// in RAM and out of core and pins the baseline's share of
+// Stats.MemoryBytes: zero until a cached result exists, then 8 B for each
+// index its logs hold — maxBase logs of a slice's two indices a node,
+// pooled and reused by every later cycle, however many shards captured
+// them — plus a slot for an image, which only a log pushed past its cap
+// takes, and which the next query drops.
 func TestBeforeImageFootprint(t *testing.T) {
 	const n = 128
-	probe, err := NewEngine(Config{NumNodes: n, Seed: 97})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := probe.slotSize
-	probe.Close()
 	for _, mode := range []struct {
-		name  string
-		cfg   Config
-		limit int
+		name string
+		cfg  Config
 	}{
-		{"ram", Config{Shards: 4}, n/10 + 1},
-		{"disk", Config{Shards: 4, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: int64(13 * slot)}, 3},
+		{"ram", Config{Shards: 4}},
+		{"disk", Config{Shards: 4, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: 128 << 10}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := mode.cfg
@@ -355,12 +375,11 @@ func TestBeforeImageFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			if got := e.capture.baseLimit(); got != mode.limit {
-				t.Fatalf("baseLimit = %d, want %d", got, mode.limit)
-			}
-			// imageBytes is MemoryBytes less everything that is not an image.
+			maxBase := e.capture.maxBase
+			// captured is MemoryBytes less everything the capture does not
+			// hold.
 			fixed := int64(-1)
-			imageBytes := func() int64 {
+			captured := func() int64 {
 				t.Helper()
 				if err := e.Drain(); err != nil {
 					t.Fatal(err)
@@ -379,28 +398,204 @@ func TestBeforeImageFootprint(t *testing.T) {
 				}
 			}
 			slice(1)
-			if got := imageBytes(); got != 0 {
-				t.Fatalf("bulk load: %d image bytes in MemoryBytes, want 0", got)
+			if got := captured(); got != 0 {
+				t.Fatalf("bulk load: %d capture bytes in MemoryBytes, want 0", got)
 			}
-			want := int64(mode.limit * slot)
+			want := int64(8 * 2 * maxBase)
 			for cycle := uint32(0); cycle < 3; cycle++ {
 				if _, _, err := e.ConnectedComponents(); err != nil {
 					t.Fatal(err)
 				}
 				slice(2 + cycle)
-				if got := imageBytes(); got != want {
-					t.Fatalf("cycle %d after the slice: %d image bytes, want %d (%d slots)", cycle, got, want, mode.limit)
+				if got := captured(); got != want {
+					t.Fatalf("cycle %d after the slice: %d capture bytes, want %d (%d logs of 2 indices)", cycle, got, want, maxBase)
+				}
+				if images, logs, _, _ := baselineCounts(e); images != 0 || logs != maxBase {
+					t.Fatalf("cycle %d after the slice: %d images and %d logs, want none and %d", cycle, images, logs, maxBase)
 				}
 				if _, _, err := e.ConnectedComponents(); err != nil {
 					t.Fatal(err)
 				}
 				mustUpdate(t, e, cycle, cycle+40)
-				if got := imageBytes(); got != want {
-					t.Fatalf("cycle %d after the trickle: %d image bytes, want %d", cycle, got, want)
+				if got := captured(); got != want {
+					t.Fatalf("cycle %d after the trickle: %d capture bytes, want %d", cycle, got, want)
 				}
-				if images, pooled := beforeCounts(e); images != 2 || images+pooled != mode.limit {
-					t.Fatalf("cycle %d: %d images + %d pooled, want 2 live of %d", cycle, images, pooled, mode.limit)
+				if images, logs, _, pooled := baselineCounts(e); images != 0 || logs != 2 || logs+pooled != maxBase {
+					t.Fatalf("cycle %d: %d images, %d logs + %d pooled, want no image and 2 live logs of %d", cycle, images, logs, pooled, maxBase)
 				}
+			}
+			// The last trickle's nodes hold a log of one index each: a
+			// gutter of toggles of their edge passes the cap and converts
+			// each log into one image.
+			u, w := uint32(2), uint32(42)
+			for i := 0; i < e.capture.logCap; i++ {
+				mustUpdate(t, e, u, w)
+			}
+			if got, images := captured(), want+int64(2*e.slotSize); got != images {
+				t.Fatalf("after the overflow: %d capture bytes, want %d (the logs' and two images)", got, images)
+			}
+			if images, logs, _, _ := baselineCounts(e); images != 2 || logs != 0 {
+				t.Fatalf("after the overflow: %d images and %d logs, want 2 and none", images, logs)
+			}
+			if _, _, err := e.ConnectedComponents(); err != nil {
+				t.Fatal(err)
+			}
+			if got := captured(); got != want {
+				t.Fatalf("after the query: %d capture bytes, want the pooled logs' %d", got, want)
+			}
+		})
+	}
+}
+
+// logStores are the placements the log pins run in: out of core the cache
+// is large enough for the capture's quarter of it to hold an image.
+var logStores = []struct {
+	name string
+	cfg  Config
+}{
+	{"ram", Config{Shards: 2}},
+	{"disk", Config{Shards: 2, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: 1 << 20}},
+}
+
+// TestCaptureTrickleLogsIndices pins what a trickle costs the capture, in
+// both stores: k edges at one clean node log its k indices and one at each
+// far end, 16k bytes of Stats.MemoryBytes and no image, where each
+// endpoint's first change used to copy a slot; and the delta query off the
+// logs is exact.
+func TestCaptureTrickleLogsIndices(t *testing.T) {
+	const n, k = 128, 5
+	for _, store := range logStores {
+		t.Run(store.name, func(t *testing.T) {
+			cfg := store.cfg
+			cfg.NumNodes, cfg.Seed = n, 117
+			e := pathEngine(t, cfg, n-1)
+			defer e.Close()
+			edges := pathEdges(n)
+			checkAgainstExact(t, e, n, edges)
+			before, memBefore := captureBytes(t, e), e.Stats()
+			for j := uint32(0); j < k; j++ {
+				mustUpdate(t, e, 3, 60+j)
+				edges = append(edges, stream.Edge{U: 3, V: 60 + j})
+			}
+			if got := captureBytes(t, e) - before; got != 8*2*k || got >= e.slotSize {
+				t.Fatalf("a trickle of %d edges added %d capture bytes, want %d (a slot is %d)", k, got, 8*2*k, e.slotSize)
+			}
+			memAfter := e.Stats()
+			if got := (memAfter.MemoryBytes - memAfter.SketchCache.CachedBytes) - (memBefore.MemoryBytes - memBefore.SketchCache.CachedBytes); got != 8*2*k {
+				t.Fatalf("MemoryBytes less the cache grew by %d, want the logs' %d", got, 8*2*k)
+			}
+			if images, logs, _, _ := baselineCounts(e); images != 0 || logs != k+1 {
+				t.Fatalf("%d images and %d logs, want no image and %d logs", images, logs, k+1)
+			}
+			deltas := e.Stats().DeltaQueries
+			checkAgainstExact(t, e, n, edges)
+			if e.Stats().DeltaQueries != deltas+1 {
+				t.Fatal("the trickle query was not a delta query")
+			}
+		})
+	}
+}
+
+// pathEdges returns the edges pathEngine(n-1) inserts.
+func pathEdges(n uint32) []stream.Edge {
+	var edges []stream.Edge
+	for u := uint32(0); u+1 < n; u++ {
+		edges = append(edges, stream.Edge{U: u, V: u + 1})
+	}
+	return edges
+}
+
+// TestCaptureLogOverflowConvertsOnce pushes a logged node past the log's
+// cap, in both stores: path leaf 0's edge is deleted (a log of one index),
+// then toggled against 64 partners, an even number of times each, until
+// node 0 has seen more indices than a log holds. Node 0's log converts
+// into one image, its pre-change stack with the deletion toggled back
+// out; the partners keep their logs. The next query is a delta query of
+// the cut class, not from singletons, and exact: an image that kept the
+// deletion would hide it from the anchor piece, which would sample the
+// deleted edge and join node 0 back.
+func TestCaptureLogOverflowConvertsOnce(t *testing.T) {
+	const n, partners = 1024, 64
+	for _, store := range logStores {
+		t.Run(store.name, func(t *testing.T) {
+			cfg := store.cfg
+			cfg.NumNodes, cfg.Seed = n, 119
+			e := pathEngine(t, cfg, n-1)
+			defer e.Close()
+			edges := pathEdges(n)
+			checkAgainstExact(t, e, n, edges)
+			mustUpdate(t, e, 0, 1)
+			edges = edges[1:]
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			rounds := (e.capture.logCap + 2*partners - 1) / (2 * partners)
+			for r := 0; r < 2*rounds; r++ {
+				for p := uint32(0); p < partners; p++ {
+					mustUpdate(t, e, 0, 2+p)
+				}
+			}
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			c := &e.capture
+			if images, logs, _, _ := baselineCounts(e); images != 1 || c.base[0] == nil || c.logs[0] != nil || logs != partners+1 {
+				t.Fatalf("%d images and %d logs; want node 0's one image, and logs for node 1 and the %d partners", images, logs, partners)
+			}
+			classes, deltas := deltaClassCounts(e), e.Stats().DeltaQueries
+			checkAgainstExact(t, e, n, edges)
+			after := deltaClassCounts(e)
+			if e.Stats().DeltaQueries != deltas+1 || after[classSingletons] != classes[classSingletons] || after[classCut] == classes[classCut] {
+				t.Fatalf("classes %v -> %v: want a delta query of the cut class, none from singletons", classes, after)
+			}
+		})
+	}
+}
+
+// TestCaptureByteChangeConvertsLog merges a checkpoint into a logged node,
+// in both stores: path leaf 0 logs a toggle pair, then a merged side
+// checkpoint holding edge (0,1) deletes that forest edge by bytes. The
+// merge converts node 0's log into an image, so the next query, a delta
+// query, sees the deletion at both ends and is exact; a log kept beside
+// the merge would miss it at node 0 and join node 0 back.
+func TestCaptureByteChangeConvertsLog(t *testing.T) {
+	const n = 128
+	for _, store := range logStores {
+		t.Run(store.name, func(t *testing.T) {
+			cfg := store.cfg
+			cfg.NumNodes, cfg.Seed = n, 121
+			e := pathEngine(t, cfg, n-1)
+			defer e.Close()
+			edges := pathEdges(n)
+			checkAgainstExact(t, e, n, edges)
+			mustUpdate(t, e, 0, 5)
+			mustUpdate(t, e, 0, 5)
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if e.capture.logs[0] == nil {
+				t.Fatal("the toggle pair left node 0 unlogged")
+			}
+			side, err := NewEngine(Config{NumNodes: n, Seed: 121})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer side.Close()
+			mustUpdate(t, side, 0, 1)
+			var buf bytes.Buffer
+			if err := side.WriteCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.MergeCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if e.capture.logs[0] != nil || e.capture.base[0] == nil {
+				t.Fatal("the merge kept node 0's log instead of converting it")
+			}
+			deltas := e.Stats().DeltaQueries
+			checkAgainstExact(t, e, n, edges[1:])
+			if e.Stats().DeltaQueries != deltas+1 {
+				t.Fatal("the query after the merge was not a delta query")
 			}
 		})
 	}

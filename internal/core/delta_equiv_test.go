@@ -467,9 +467,9 @@ func TestDeltaDisabledAblation(t *testing.T) {
 	if st := eng.Stats(); st.DeltaQueries != 0 || st.DeltaFallbacks != 0 {
 		t.Fatalf("NoDeltaQuery engine took the delta path: %+v", st)
 	}
-	// Nor does it pay for images no query will read.
-	if images, pooled := beforeCounts(eng); images != 0 || pooled != 0 {
-		t.Fatalf("NoDeltaQuery engine captured %d images and pooled %d buffers", images, pooled)
+	// Nor does it pay for images or logs no query will read.
+	if images, logs, bufs, pooled := baselineCounts(eng); images+logs+bufs+pooled != 0 {
+		t.Fatalf("NoDeltaQuery engine captured %d images and %d logs and pooled %d buffers and %d logs", images, logs, bufs, pooled)
 	}
 }
 

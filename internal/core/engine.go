@@ -151,6 +151,11 @@ type Engine struct {
 	roundSeeds []uint64 // per round, shared by every node's sketch of it
 	sketchSize int      // serialized bytes of one CubeSketch
 	slotSize   int      // serialized bytes of one node sketch (all rounds)
+	// geometry is a slab of no stacks in the engine's shape, whose
+	// ApplyNodeBinary toggles indices in a serialized slot: a leftover
+	// batch applied to a slot read off the device, a log toggled out of
+	// its image (capture.end).
+	geometry *cubesketch.Slab
 
 	// The owned nodes are [lo, lo+n) (Config.Range; the whole universe
 	// unless ranged). Every structure below — slabs, store, gutters,
@@ -245,9 +250,10 @@ type Engine struct {
 	lastDeltaContribs atomic.Int64
 	lastDeltaOps      atomic.Int64
 	lastDeltaVisits   atomic.Int64
-	// capture keeps the bytes each node had at the cached query result's
-	// cut and at a live checkpoint's seal, taken at its first change
-	// after each (capture.go).
+	// capture keeps what each node changed since the cached query result's
+	// cut, a log of indices or its bytes at the cut, and its bytes at a
+	// live checkpoint's seal, taken at its changes after each
+	// (capture.go).
 	capture capture
 	// queryArena holds the supernode sketches a Boruvka round sums, and out
 	// of core the rounds a scan looked ahead (sampleRound). One serves every
@@ -377,7 +383,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.queryArenaBytes = int64(cfg.NumNodes) * int64(proto.Bytes())
 	}
 	e.slotSize = e.sketchSize * cfg.Rounds
-	e.capture.init(e.n, e.slotSize)
+	e.geometry = e.newSlab(0)
+	e.capture.init(e.n, e.slotSize, e.geometry)
 	e.emptySlot = make([]byte, e.slotSize)
 	e.newSlab(1).MarshalNode(0, e.emptySlot)
 
@@ -776,11 +783,12 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 // pass (deviceStore.walk). sh is the node's owner, whose scratch and batch
 // count the batch uses. apply changes the stack, first filling img, when
 // non-nil, with the stack as it stands before the change: the image a
-// reader whose cut precedes the change gets for the node. What apply
-// leaves to write — a slot's bytes for the device — the caller writes
-// after change returns, with its neighbours', as an eviction writes a
-// group back: whenever those bytes land, a live seal's scanner reads the
-// node under its image, or read it before the change.
+// reader whose cut precedes the change gets for the node, or the bytes a
+// log converts from. What apply leaves to write — a slot's bytes for the
+// device — the caller writes after change returns, with its neighbours',
+// as an eviction writes a group back: whenever those bytes land, a live
+// seal's scanner reads the node under its image, or read it before the
+// change.
 func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indices []uint64, img []byte) error) error {
 	// Translate far endpoints into characteristic-vector indices once;
 	// every round's sketch consumes the same indices.
@@ -791,11 +799,12 @@ func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indic
 		sh.indices = append(sh.indices, stream.EdgeIndex(uint64(e.cfg.NumNodes), eg))
 	}
 	sh.batches.Add(1)
-	// The node's first change after a reader's cut takes its image for
-	// that reader (capture.go); img is nil when no reader wants one, and
-	// apply fills it from wherever the pre-change stack is at hand (the
-	// owner's slab, the decoded cache group, the slot just read).
-	img, sec := e.capture.begin(b.Node, e.wantsBase(b.Node))
+	// The capture logs the batch's indices for the delta query's
+	// baseline, or takes an image for a reader (capture.go); op.img is nil
+	// when no reader wants one, and apply fills it from wherever the
+	// pre-change stack is at hand (the owner's slab, the decoded cache
+	// group, the slot just read).
+	op := e.capture.begin(b.Node, e.wantsBase(b.Node), sh.indices)
 	// Stamp the change before touching the sketches: no cut can be taken
 	// while the batch is in flight, so every reader whose cut precedes the
 	// applied state sees the node as changed.
@@ -804,11 +813,11 @@ func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indic
 	if h := e.testApplyHook; h != nil {
 		done = h(b.Node)
 	}
-	err := apply(b.Node, sh.indices, img)
+	err := apply(b.Node, sh.indices, op.img)
 	if done != nil {
 		done()
 	}
-	e.capture.end(sec)
+	e.capture.end(b.Node, op)
 	return err
 }
 
@@ -856,6 +865,14 @@ func (e *Engine) changedSince(cut uint64, dst []uint32) []uint32 {
 func (e *Engine) wantsBase(node uint32) bool {
 	res := e.queryCache.Load()
 	return !e.cfg.NoDeltaQuery && res != nil && e.stamp[node].Load() <= res.cut
+}
+
+// wantsImage reports whether a change of node's bytes now would take an
+// image for the baseline: the node's first change since the cached
+// result's cut, or a change to a logged node, whose log converts. The
+// caller holds the quiesce write lock with the workers idle.
+func (e *Engine) wantsImage(node uint32) bool {
+	return e.wantsBase(node) || e.capture.logs[node] != nil
 }
 
 // dirtyNodes counts the nodes changed since the cached result's cut: the
@@ -962,7 +979,7 @@ func (e *Engine) Stats() Stats {
 	}
 	e.sketches.stats(&st)
 	st.DirtyNodes = e.dirtyNodes()
-	st.MemoryBytes += e.capture.bytes()
+	st.MemoryBytes += e.capture.memoryBytes()
 	st.MemoryBytes += e.queryArenaBytes
 	if e.treeDev != nil {
 		st.BufferIO = e.treeDev.Stats()

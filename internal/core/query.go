@@ -58,8 +58,10 @@ import (
 //     cut is still empty: it carries over wholesale. The session keeps the
 //     cached result's partition, as one DSU star per component, and its
 //     forest with adjacency lists, so only the affected components are
-//     split back, and re-certified from the before-images the capture took
-//     at each dirty node's first change, in RAM and out of core alike.
+//     split back, and re-certified from what the capture holds for each
+//     dirty node since the cut — its log of applied indices, or, past the
+//     log's cap or after a change of bytes, its image at the cut — in RAM
+//     and out of core alike.
 //     Sketch work and bookkeeping are both set by the dirty set rather than
 //     the component or the graph: a cut component's pieces are found by
 //     searching the kept forest outward from the removed edges, in
@@ -389,27 +391,27 @@ type candidate struct {
 }
 
 // What a node adds to its supernode's round aggregates under a delta
-// query's plan (querySession.plan). prev(v) below is node v's sketch as the
-// cached result observed it: its before-image if v is dirty, its live
-// sketch if not. A clean node whose component's previous aggregate is
-// already accounted for — as the zero sketch of an intact component, or
-// through the other pieces' prev terms of a cut one — has no role: it
-// contributes nothing and is left out of the plan, which is what makes the
-// delta's sketch work scale with the dirty set rather than the component
-// size.
+// query's plan (querySession.plan). prev(v) below is node v's sketch as
+// the cached result observed it, and diff(v) = cur(v) ⊕ prev(v) its change
+// since: the sketch of its log if the capture logged v, its live sketch ⊕
+// its image if the capture imaged v, nothing if v is clean. A clean node
+// whose component's previous aggregate is already accounted for — as the
+// zero sketch of an intact component, or through the other pieces' prev
+// terms of a cut one — has no role: it contributes nothing and is left
+// out of the plan, which is what makes the delta's sketch work scale with
+// the dirty set rather than the component size.
 const (
 	// roleCur: a member of a component re-solved from singletons;
 	// contributes its live sketch (the from-scratch materialization).
 	roleCur = uint8(iota)
 	// roleDiff: a dirty member of an intact component, or of a cut
-	// component's anchor piece; contributes its live sketch XOR its
-	// before-image — the diff of its state since the cached result.
+	// component's anchor piece; contributes diff(v).
 	roleDiff
 	// rolePiece: a member of a cut component's other pieces. It
-	// contributes its live sketch to its own root and prev(v) to the root
-	// of its component's anchor piece (planned.anchor), which folds into
-	// the diff — nothing at all for a clean node — once the two roots have
-	// merged.
+	// contributes its live sketch to its own root and prev(v) = cur(v) ⊕
+	// diff(v) to the root of its component's anchor piece
+	// (planned.anchor), which folds into diff(v) — nothing at all for a
+	// clean node — once the two roots have merged.
 	rolePiece
 )
 
@@ -421,11 +423,12 @@ type planned struct {
 	role         uint8
 }
 
-// Sources of one contribution: the node's live round-r sketch, the round-r
-// bytes of its before-image, or both (their XOR, the node's diff).
+// Sources of one contribution, XORed together: the node's live round-r
+// sketch, the round-r bytes of its image, its log's round-r sketch.
 const (
 	srcLive = uint8(1) << iota
 	srcImage
+	srcLog
 )
 
 // contribution is one term of a live root's round aggregate.
@@ -529,11 +532,13 @@ type querySession struct {
 	free  []int32
 
 	// The delta query's plan (runDeltaBoruvka): the nodes that contribute
-	// anything, ascending, and the images behind srcImage. Without delta
-	// every live node contributes its live sketch (a from-scratch query).
+	// anything, ascending, and the capture's images and logs behind
+	// srcImage and srcLog. Without delta every live node contributes its
+	// live sketch (a from-scratch query).
 	delta  bool
 	plan   []planned
-	before map[uint32][]byte
+	images map[uint32][]byte
+	logs   [][]uint64
 	// The delta's working sets. dirty lists the nodes changed since the
 	// cached result (ascending), affected the cached representatives of
 	// the components they dirty, removed the cut components' removed
@@ -704,19 +709,16 @@ func (q *querySession) contribute(p planned) {
 		}
 	case roleDiff:
 		if s >= 0 {
-			q.contribs = append(q.contribs, contribution{v, s, srcLive | srcImage})
+			q.contribs = append(q.contribs, contribution{v, s, q.diff(v)})
 		}
 	case rolePiece:
-		prev := srcLive
-		if q.before[v] != nil {
-			prev = srcImage
-		}
+		diff := q.diff(v)
 		a := q.slot[q.rep[p.anchor]]
 		if s == a {
 			// Merged with the anchor piece: cur(v) and prev(v) meet in one
-			// aggregate and cancel unless v is dirty.
-			if s >= 0 && prev == srcImage {
-				q.contribs = append(q.contribs, contribution{v, s, srcLive | srcImage})
+			// aggregate and leave diff(v), nothing unless v is dirty.
+			if s >= 0 && diff != 0 {
+				q.contribs = append(q.contribs, contribution{v, s, diff})
 			}
 			return
 		}
@@ -724,9 +726,23 @@ func (q *querySession) contribute(p planned) {
 			q.contribs = append(q.contribs, contribution{v, s, srcLive})
 		}
 		if a >= 0 {
-			q.contribs = append(q.contribs, contribution{v, a, prev})
+			q.contribs = append(q.contribs, contribution{v, a, srcLive ^ diff})
 		}
 	}
+}
+
+// diff returns the sources of diff(v), v's change since the cached
+// result: its log's sketch when the capture logged v, its live sketch ⊕
+// its image when it imaged v, and none when v is clean or the capture
+// holds nothing for it.
+func (q *querySession) diff(v uint32) uint8 {
+	switch {
+	case q.logs[v] != nil:
+		return srcLog
+	case q.images[v] != nil:
+		return srcLive | srcImage
+	}
+	return 0
 }
 
 // groupByRoot counting-sorts contribs by root into order/starts, keeping
@@ -788,7 +804,7 @@ func newQuerySession(n int) *querySession {
 // (runDeltaBoruvka), and the first round clears the finished flag of every
 // root it lists.
 func (q *querySession) reset() {
-	q.delta, q.plan, q.before = false, q.plan[:0], nil
+	q.delta, q.plan, q.images, q.logs = false, q.plan[:0], nil, nil
 	q.held, q.arenaRound, q.arenaEnd, q.giant = q.held[:0], 0, 0, -1
 	q.maxContribs, q.dsuOps, q.visits, q.liveRoots = 0, 0, 0, q.liveRoots[:0]
 }
@@ -976,17 +992,19 @@ const splitMark = -1
 // An affected component falls in one of three classes, the same in RAM and
 // out of core. Everything rests on one fact: a cached component's round
 // aggregates were the ZERO sketch (its cut was certified empty), so with
-// prev(v) the sketch the cached result observed — v's before-image if
-// dirty, its live sketch if not — the XOR of prev(v) over the component is
-// zero in every round.
+// prev(v) the sketch the cached result observed — cur(v) ⊕ diff(v), where
+// diff(v) is the sketch of v's log or cur(v) ⊕ v's image if v is dirty,
+// and zero if not — the XOR of prev(v) over the component is zero in
+// every round.
 //
 // Intact: no forest edge has both endpoints dirty, so none can have been
 // deleted (a deletion dirties exactly its two endpoints) and the forest
 // still spans the component. It stays one star, and its current round-r
-// aggregate is the XOR of its dirty members' current-⊕-before diffs:
-// toggles internal to the component enter two members' diffs and cancel, a
-// toggle crossing its boundary enters one and survives, so the diffs alone
-// ARE its current cut — O(dirty members) sketch work.
+// aggregate is the XOR of its dirty members' diffs: toggles internal to
+// the component enter two members' diffs and cancel, a toggle crossing its
+// boundary enters one and survives, so the diffs alone ARE its current cut
+// — O(dirty members) sketch work, of their logged indices, with no read
+// of a live sketch.
 //
 // Cut: some forest edges have both endpoints dirty and may be gone. Only
 // those are removed; every other forest edge has a clean endpoint, cannot
@@ -1004,9 +1022,10 @@ const splitMark = -1
 // representative itself lies in an enumerated piece: the anchor's star is
 // then re-centred on one of its members, O(anchor).
 //
-// From singletons: a dirty member has no before-image (the baseline refused
-// it, past the capture's budget), so prev is unknown for it. Every member is split out of the star, its tree leaves the
-// forest, and the component re-solves with full member materialization.
+// From singletons: a dirty member has neither log nor image (the baseline
+// refused it, past the capture's budget), so prev is unknown for it.
+// Every member is split out of the star, its tree leaves the forest, and
+// the component re-solves with full member materialization.
 //
 // The dirty set is the baseline's list, the removed edges are found from
 // the dirty nodes' adjacency lists, merges go by size and re-point the
@@ -1027,8 +1046,9 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 	}
 	// From here the run changes the kept state; deltaResult sets it again.
 	q.state = nil
-	// Workers are idle under the write lock: the image map is stable.
-	q.delta, q.before = true, e.capture.base
+	// Workers are idle under the write lock: the images and logs are
+	// stable.
+	q.delta, q.images, q.logs = true, e.capture.base, e.capture.logs
 	defer q.undoDelta()
 	// Every set is a star, so a Find is one step and reads the cached
 	// representative until the splits below.
@@ -1039,7 +1059,7 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 			q.class[r] = classIntact
 			q.affected = append(q.affected, r)
 		}
-		if q.before[v] == nil {
+		if q.diff(v) == 0 {
 			q.class[r] = classSingletons
 		}
 	}
@@ -1702,12 +1722,18 @@ func (q *querySession) endGather() {
 	q.held = kept
 }
 
-// mergeImage XORs c.node's before-image, over the arena's rounds from round
-// on, into its root's arena stack when the contribution asks for it.
-func (q *querySession) mergeImage(arena *cubesketch.Slab, c contribution, round int) error {
-	if c.src&srcImage == 0 {
-		return nil
+// mergeCaptured XORs what the capture holds for c.node into its root's
+// arena stack, over the arena's rounds from round on, when the
+// contribution asks for it: its image's bytes of those rounds, or its log
+// applied with the arena's round seeds, which is the log's sketch of
+// those rounds. A log needs nothing from the store.
+func (q *querySession) mergeCaptured(arena *cubesketch.Slab, c contribution, round int) error {
+	switch {
+	case c.src&srcLog != 0:
+		arena.Apply(int(q.arenaSlot[c.slot]), q.logs[c.node])
+	case c.src&srcImage != 0:
+		off := round * arena.SketchSize()
+		return arena.MergeNodeBinary(int(q.arenaSlot[c.slot]), q.images[c.node][off:off+arena.NodeSize()])
 	}
-	off := round * arena.SketchSize()
-	return arena.MergeNodeBinary(int(q.arenaSlot[c.slot]), q.before[c.node][off:off+arena.NodeSize()])
+	return nil
 }

@@ -10,14 +10,17 @@ import "graphzeppelin/internal/cubesketch"
 // root, never per index or bucket. Unless noted, the caller holds the
 // quiesce write lock with the workers idle.
 //
-// Which bytes a reader sees for a node at its cut is not the store's
-// concern: the capture (capture.go) brackets every change, and apply only
-// fills the image buffer it is handed. A checkpoint's seal, full or delta,
-// is a flush and the capture's seal, whatever the store.
+// What a reader sees for a node at its cut is not the store's concern:
+// the capture (capture.go) brackets every change, logs a batch's indices
+// for the delta query's baseline itself, and leaves apply only the image
+// buffer to fill, when a reader takes an image. A checkpoint's seal, full
+// or delta, is a flush and the capture's seal, whatever the store.
 type sketchStore interface {
 	// apply toggles indices in node's sketches, first marshalling the
-	// node's slot into img when img is non-nil; called by the node's
-	// owning worker inside the capture's bracket.
+	// node's slot into img when img is non-nil (a seal's image, the
+	// baseline's, or the bytes a log converts from); called by the node's
+	// owning worker inside the capture's bracket, which has already
+	// logged the indices when the baseline logs the node.
 	apply(node uint32, indices []uint64, img []byte) error
 	// readSlots reads the slots of nodes [start, start+count), current
 	// after flush, in accesses of bounded size; the checkpoint scan also
@@ -138,8 +141,9 @@ func (s *ramStore) sumRound(q *querySession, round int) error {
 }
 
 // rootSketch XORs every contribution's round sketch straight out of its
-// slab (read-only, like Query), and its before-image's round bytes where
-// the plan asks for them, into the root's arena sketch. The giant, which
+// slab (read-only, like Query), and what the capture holds for it — its
+// image's round bytes, or its log's round sketch — where the plan asks
+// for them, into the root's arena sketch. The giant, which
 // lists none, gets the XOR of every other live root's aggregate instead.
 func (s *ramStore) rootSketch(q *querySession, i, round int, acc *cubesketch.Sketch) error {
 	s.view(q, i, round, acc)
@@ -168,7 +172,7 @@ func (s *ramStore) rootSketch(q *querySession, i, round int, acc *cubesketch.Ske
 				return err
 			}
 		}
-		if err := q.mergeImage(arena, c, round); err != nil {
+		if err := q.mergeCaptured(arena, c, round); err != nil {
 			return err
 		}
 	}

@@ -35,14 +35,11 @@ type deviceStore struct {
 	npg   int
 	// chunk is the slots one sequential device access of a scan reads
 	// (queryScanBytes, at least one slot and at most the store), scanBuf
-	// the query scan's buffer of that size, probe the round-0 sketch round
-	// 0's pass decodes a slot read off the device into to sample it, and
-	// geometry a stackless slab whose ApplyNodeBinary applies a leftover
-	// batch to a slot in scanBuf.
-	chunk    int
-	scanBuf  []byte
-	probe    *cubesketch.Sketch
-	geometry *cubesketch.Slab
+	// the query scan's buffer of that size, and probe the round-0 sketch
+	// round 0's pass decodes a slot read off the device into to sample it.
+	chunk   int
+	scanBuf []byte
+	probe   *cubesketch.Sketch
 }
 
 // firstRoundDepth is the most rounds after round 0 that round 0's pass
@@ -142,7 +139,6 @@ func (s *deviceStore) scratch() {
 	e := s.e
 	s.scanBuf = make([]byte, s.chunk*e.slotSize)
 	s.probe = cubesketch.New(e.vecLen, e.cfg.Columns, e.roundSeeds[0])
-	s.geometry = e.newSlab(0)
 	e.queryArena.Reshape(int(e.n), e.roundSeeds[:1])
 }
 
@@ -275,17 +271,19 @@ func (s *deviceStore) rootSketch(q *querySession, i, round int, acc *cubesketch.
 
 // scanRound materializes the supernode sketches of rounds
 // [round, round+arena.Rounds()) from the round's contribution list: the
-// before-image bytes the plan asks for, then every contribution's live
-// rounds, off the tiered store in one walk, each slot's rounds — adjacent
-// in the slot — XOR-merged into its root's arena stack without decoding
-// the others. One scan costs O(uncachedContributingBytes/B) block reads in
-// O(runs × chunksPerRun) operations: the live store outside the giant for
-// a from-scratch query, the dirty nodes and small pieces for a delta.
+// image bytes and logs the plan asks for, from RAM, then every
+// contribution's live rounds, off the tiered store in one walk, each
+// slot's rounds — adjacent in the slot — XOR-merged into its root's arena
+// stack without decoding the others. One scan costs
+// O(uncachedContributingBytes/B) block reads in O(runs × chunksPerRun)
+// operations: the live store outside the giant for a from-scratch query,
+// the small pieces of a cut for a delta, whose logged dirty nodes read
+// nothing.
 func (s *deviceStore) scanRound(q *querySession, arena *cubesketch.Slab, round int) error {
 	s.scratch()
 	for _, c := range q.contribs {
-		if err := q.mergeImage(arena, c, round); err != nil {
-			return fmt.Errorf("core: query merge of node %d before-image from round %d: %w", c.node, round, err)
+		if err := q.mergeCaptured(arena, c, round); err != nil {
+			return fmt.Errorf("core: query merge of node %d image from round %d: %w", c.node, round, err)
 		}
 	}
 	return s.walk(q, func(c contribution, src stackSource) error {
@@ -453,7 +451,7 @@ func (s *deviceStore) applyLeftover(q *querySession, lo, hi int, slots []byte) e
 				if img != nil {
 					copy(img, slot)
 				}
-				return s.geometry.ApplyNodeBinary(slot, indices)
+				return e.geometry.ApplyNodeBinary(slot, indices)
 			})
 			if first < 0 {
 				first = v

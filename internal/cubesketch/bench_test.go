@@ -30,26 +30,68 @@ func BenchmarkUpdate(b *testing.B) {
 	}
 }
 
+// benchSizes are the batch lengths the kernel benchmarks sweep: size=10 is
+// what a 1 % serve slice leaves per node before a query forces the flush,
+// size=5500 a full leaf gutter.
+var benchSizes = []int{4, 10, 40, 128, 1000, 5500}
+
+// benchGeometry returns the scale-11 engine geometry: its vector length
+// and its 13 round seeds, for 2 048 nodes.
+func benchGeometry() (nodes int, n uint64, seeds []uint64) {
+	const rounds = 13
+	nodes = 2048
+	seeds = make([]uint64, rounds)
+	for r := range seeds {
+		seeds[r] = uint64(r+1) * 0x51ed270693a3f
+	}
+	return nodes, uint64(nodes * (nodes - 1) / 2), seeds
+}
+
 // BenchmarkSlabApply sweeps the bucket-XOR kernel over batch lengths on
 // the scale-11 engine geometry (2 048 nodes × 13 rounds × 7 columns × 23
 // rows, a 50 MB arena — an order of magnitude past L2), a different node
 // every iteration so each call starts on cold buckets, as a Graph Worker's
-// does. size=10 is what a 1 % serve slice leaves per node before a query
-// forces the flush, size=5500 a full leaf gutter.
+// does.
 func BenchmarkSlabApply(b *testing.B) {
-	const nodes, rounds = 2048, 13
-	const n = nodes * (nodes - 1) / 2
-	seeds := make([]uint64, rounds)
-	for r := range seeds {
-		seeds[r] = uint64(r+1) * 0x51ed270693a3f
-	}
+	nodes, n, seeds := benchGeometry()
 	sl := NewSlab(nodes, n, 0, seeds)
 	pool := benchIndices(n, 1<<16)
-	for _, size := range []int{4, 10, 40, 128, 1000, 5500} {
+	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			off := 0
 			for i := 0; i < b.N; i++ {
 				sl.Apply(i%nodes, pool[off:off+size])
+				if off += size; off+size > len(pool) {
+					off = 0
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/index")
+		})
+	}
+}
+
+// BenchmarkApplyNodeBinary is BenchmarkSlabApply over serialized stacks
+// (Slab.ApplyNodeBinary), the kernel of an out-of-core cold query's
+// leftover apply and of a capture log's conversion into an image: the
+// same geometry, sizes and cold start, 2 048 stacks of 25.5 KB.
+func BenchmarkApplyNodeBinary(b *testing.B) {
+	nodes, n, seeds := benchGeometry()
+	geometry := NewSlab(0, n, 0, seeds)
+	slot := geometry.NodeSize()
+	buf := make([]byte, nodes*slot)
+	NewSlab(1, n, 0, seeds).MarshalNode(0, buf)
+	for i := 1; i < nodes; i++ {
+		copy(buf[i*slot:(i+1)*slot], buf[:slot])
+	}
+	pool := benchIndices(n, 1<<16)
+	for _, size := range benchSizes {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			off := 0
+			for i := 0; i < b.N; i++ {
+				node := i % nodes
+				if err := geometry.ApplyNodeBinary(buf[node*slot:(node+1)*slot], pool[off:off+size]); err != nil {
+					b.Fatal(err)
+				}
 				if off += size; off+size > len(pool) {
 					off = 0
 				}

@@ -200,7 +200,17 @@ func xorRounds7(rows int, hashSeeds, alphas []uint64, gammas []uint32, batch []u
 // encoding it back copies the whole stack twice: on the disk-social
 // benchmark workload (2-vCPU Xeon) the round trip made a cold query 0.6 ms
 // slower, 7.54 against 6.97 ms. binary.LittleEndian keeps it right in either
-// byte order. An out-of-range index panics before any bucket is written.
+// byte order. Decoding one round at a time into stack scratch, running
+// xorBatch over it (xorRounds7 at the default geometry) and encoding it
+// back pays only for longer batches: BenchmarkApplyNodeBinary (-cpu 1,
+// 2-vCPU Xeon, ns/index, medians of 5 interleaved runs) read 1552 / 801 /
+// 455 / 379 / 341 / 322 against this pass's 1799 / 1146 / 805 / 881 / 604
+// / 564 at batches 4 / 10 / 40 / 128 / 1,000 / 5,500, but about 5000
+// against 4300 at batch 1, and BenchmarkDiskColdQuery's cold-ms, the
+// out-of-core cold pass that applies leftover batches through here, read
+// 8.69 against 8.44 ms (medians of 3 interleaved runs), so the pass
+// stays in place. An out-of-range index panics before any bucket is
+// written.
 func applyNodeBinary(n uint64, rows, stride, size int, hashSeeds []uint64, buf []byte, batch []uint64) {
 	for _, idx := range batch {
 		if idx >= n {

@@ -161,6 +161,11 @@ func TestKernelOutOfRangePanicsBeforeWriting(t *testing.T) {
 			if !bytes.Equal(before, slabBytes(sl)) {
 				t.Fatalf("%s: Slab.Apply wrote buckets before panicking", name)
 			}
+			stack := before[:sl.NodeSize()]
+			mustPanic(name, func() { sl.ApplyNodeBinary(stack, bad) })
+			if !bytes.Equal(stack, slabBytes(sl)[:sl.NodeSize()]) {
+				t.Fatalf("%s: ApplyNodeBinary wrote the stack before panicking", name)
+			}
 
 			s := New(n, 0, 1)
 			s.UpdateBatch(warm)
@@ -224,12 +229,14 @@ func TestSlabApplyConcurrentDistinctNodes(t *testing.T) {
 // TestApplyNodeBinaryMatchesSlabApply pins the serialized-stack kernel to
 // Slab.Apply: applying a batch to a node's MarshalNode bytes must give the
 // bytes MarshalNode writes after Apply, for every vector length (odd
-// bucket counts leave every other round's body 4-byte aligned), column
-// count, depth and batch size, on a stack that already holds updates. A
-// stack whose header does not match the geometry is refused untouched.
+// bucket counts leave every other round's body 4-byte aligned; 2^31 gives
+// the last 33 rows, 2^32 the first 34), column count (17 outgrows the
+// stack row buffer), depth and batch size, on a stack that already holds
+// updates. A stack whose header does not match the geometry is refused
+// untouched.
 func TestApplyNodeBinaryMatchesSlabApply(t *testing.T) {
 	for _, n := range kernelLengths {
-		for _, cols := range []int{1, 3, 7} {
+		for _, cols := range []int{1, 3, 7, 17} {
 			for _, rounds := range []int{1, 3} {
 				seeds := slabSeeds(rounds, 13)
 				rng := rand.New(rand.NewPCG(17, n+uint64(cols*rounds)))

@@ -305,8 +305,9 @@ func (sl *Slab) checkHeader(r int, buf []byte) error {
 // match the slab's. The slab's own sketches are not touched, so a slab of
 // zero nodes serves as the geometry. It is how the engine's out-of-core
 // query applies a leftover buffered batch to the slot it has just read
-// off the device (applyNodeBinary, kernel.go). An out-of-range index
-// panics before buf is written.
+// off the device, and how its capture toggles a node's log out of the
+// image the log converts into (applyNodeBinary, kernel.go). An
+// out-of-range index panics before buf is written.
 func (sl *Slab) ApplyNodeBinary(buf []byte, batch []uint64) error {
 	if len(buf) < sl.NodeSize() {
 		return fmt.Errorf("cubesketch: slab node blob is %d bytes, need %d", len(buf), sl.NodeSize())
