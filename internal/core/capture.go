@@ -26,14 +26,25 @@ import (
 // node's owner at each batch: sketches are linear, so a dirty node's diff
 // since the cut, cur ⊕ prev, is the sketch of its log, and the delta
 // query builds it from the log alone (query.go). A log is capped at
-// logCap indices, slot/8, so it never costs more than an image. The entry
-// is an image instead when the change is not a batch (an install or a
-// merge changes bytes, not indices), when one batch would pass the cap,
-// or when a seal takes the node's image at the same change: the node
-// then changed after neither cut, so its bytes at both are its current
-// ones, and the two share one buffer. A logged node converts once, at the
-// change that would pass its cap or change its bytes: the image is its
-// pre-change stack with the log toggled back out (end).
+// logCap indices, where its query cost meets an image's. The delta query
+// applies a log in each round its term is live, every index hashed once
+// and written to a bucket per column, where an image's term moves each
+// bucket of those rounds three times: copied at the capture, then XORed
+// in from the live sketch and from the image. A one-round apply read 15 to
+// 40 ns an index against 0.73 µs for an image's round (0.25 µs of its
+// 3.0-3.6 µs copy, 0.48 µs of merges; V = 2,048, 2-vCPU Xeon), so a log of
+// two indices per row, 46 at V = 2,048, costs what an image does in a term
+// live in every round, and less in one that is not (the benchmark
+// workloads' trickle terms are live 1.5 rounds). Its 8 B an index stay far
+// below an image's slot. The entry is an image instead when the change is
+// not a batch (an install or a merge changes bytes, not indices), when one
+// batch would pass the cap, or when a seal takes the node's image at the
+// same change: the node then changed after neither cut, so its bytes at
+// both are its current ones, and the two share one buffer. A logged node
+// converts once, at the change that would pass its cap or change its
+// bytes: the image is its pre-change stack with the log toggled back out
+// (end), which costs a toggle of 2 × rows indices in every round, about
+// 40 µs at V = 2,048 (BenchmarkApplyNodeBinary), once per node and cut.
 //
 // One byte budget serves both readers: images count their slots, logs 8
 // bytes an index. The readers differ only in what happens when it runs
@@ -52,7 +63,9 @@ import (
 // query reads them in O(dirty log dirty) where a stamp scan would cost
 // O(V). Past maxBase nodes, one past the delta query's fallback
 // threshold, it stops listing, and so capturing, and only notes the
-// overflow: the next query runs from scratch anyway.
+// overflow: the next query runs from scratch anyway. A query that decides
+// to run from scratch notes it too (abandon). From then on until the next
+// cached result, changes outside a seal take begin's fast path.
 type capture struct {
 	slot    int // bytes of one image
 	logCap  int // most indices one log holds
@@ -79,10 +92,14 @@ type capture struct {
 	base map[uint32][]byte
 	logs [][]uint64
 	// baseNodes lists every node first changed since that cut, with an
-	// entry or refused, in the order of their first changes, and baseOver
-	// notes that more than maxBase were. Written and read like base.
+	// entry or refused, in the order of their first changes. Written and
+	// read like base.
 	baseNodes []uint32
-	baseOver  bool
+	// baseOver notes that more than maxBase nodes were, or that a query
+	// runs from scratch and supersedes the cut (abandon): no query reads
+	// the entries, so begin's fast path, which loads it without mu, takes
+	// no lock and logs nothing. Set under mu, cleared by releaseBase.
+	baseOver atomic.Bool
 	// sealed is the live checkpoint's side, if any: set and cleared under
 	// mu, and loaded without it by begin's fast path.
 	sealed atomic.Pointer[sealCut]
@@ -141,7 +158,7 @@ func (s *sealCut) section(node uint32) int {
 // init sizes the capture for n nodes of slot bytes, with the RAM budget;
 // geometry is a slab of the engine's shape.
 func (c *capture) init(n uint32, slot int, geometry *cubesketch.Slab) {
-	c.slot, c.logCap = slot, slot/8
+	c.slot, c.logCap = slot, 2*geometry.Rows()
 	c.maxBase = int(deltaQueryMaxDirtyFrac*float64(n)) + 1
 	c.budget = (int(n) + c.maxBase) * slot
 	c.geometry = geometry
@@ -156,16 +173,17 @@ func (c *capture) init(n uint32, slot int, geometry *cubesketch.Slab) {
 // batch's, nil for a change of bytes. It returns what the change takes
 // (captureOp), to be passed to end after the change. A change that no
 // seal section holds, to a node that is neither changing first nor
-// logged, takes no lock. While a seal wants the image and the budget is
-// exhausted, or the node's section is claimed, it waits; it never waits
-// holding a section in flight, so the scanner's claim always drains.
+// logged, or while the baseline is overflowed, takes no lock. While a
+// seal wants the image and the budget is exhausted, or the node's section
+// is claimed, it waits; it never waits holding a section in flight, so
+// the scanner's claim always drains.
 func (c *capture) begin(node uint32, first bool, indices []uint64) captureOp {
 	s, op := c.sealed.Load(), captureOp{sec: -1}
 	if s != nil {
 		op.sec = s.section(node)
 	}
 	log := c.logs[node]
-	if op.sec < 0 && !first && log == nil {
+	if op.sec < 0 && (!first && log == nil || c.baseOver.Load()) {
 		return op
 	}
 	c.mu.Lock()
@@ -187,9 +205,9 @@ func (c *capture) begin(node uint32, first bool, indices []uint64) captureOp {
 		s.images[node] = op.img
 	}
 	switch {
-	case !first && (log == nil || c.baseOver):
+	case c.baseOver.Load() || !first && log == nil:
 		// Listed already, with an image or refused, or the list has
-		// overflowed since: no query reads its entries.
+		// overflowed: no query reads its entries.
 	case first && !c.list(node):
 		// The list overflows here.
 	case indices != nil && len(log)+len(indices) <= c.logCap && !(first && seal) && c.fits(8*len(indices)):
@@ -224,7 +242,7 @@ func (c *capture) begin(node uint32, first bool, indices []uint64) captureOp {
 // entry for it: false once the set has overflowed. Caller holds mu.
 func (c *capture) list(node uint32) bool {
 	if len(c.baseNodes) >= c.maxBase {
-		c.baseOver = true
+		c.baseOver.Store(true)
 		return false
 	}
 	c.baseNodes = append(c.baseNodes, node)
@@ -235,7 +253,7 @@ func (c *capture) list(node uint32) bool {
 // dst, in no order, and reports false instead when more than maxBase were.
 // The caller holds the quiesce write lock with the workers idle.
 func (c *capture) dirty(dst []uint32) ([]uint32, bool) {
-	if c.baseOver {
+	if c.baseOver.Load() {
 		return dst, false
 	}
 	return append(dst, c.baseNodes...), true
@@ -247,33 +265,45 @@ func (c *capture) dirty(dst []uint32) ([]uint32, bool) {
 func (c *capture) listedCount() (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.baseNodes), !c.baseOver
+	return len(c.baseNodes), !c.baseOver.Load()
 }
 
-// end ends what begin began for node: a conversion's image becomes the
-// node's bytes at the cut, its pre-change stack (the caller filled img)
-// with every logged index toggled back out, and a seal section in flight
-// is left. The conversion's toggle runs without mu: until end returns,
-// nothing else reads the image's bytes.
-func (c *capture) end(node uint32, op captureOp) {
-	var err error
-	if op.conv != nil {
+// abandon marks the baseline overflowed ahead of a from-scratch query,
+// whose result supersedes the cut: the changes its drain of leftover
+// batches makes list and log nothing. The caller holds the quiesce write
+// lock with the workers idle.
+func (c *capture) abandon() {
+	c.mu.Lock()
+	c.baseOver.Store(true)
+	c.mu.Unlock()
+}
+
+// end ends what begin began for node, after the change, which failed when
+// err is set: a conversion's image becomes the node's bytes at the cut,
+// its pre-change stack (the caller filled img) with every logged index
+// toggled back out, and a seal section in flight is left. The conversion's
+// toggle runs without mu: until end returns, nothing else reads the
+// image's bytes. A failed change may not have filled img, so the baseline
+// image it took, unless a seal shares it, is dropped, and so is a
+// conversion whose toggle fails: the node stays listed without an entry.
+func (c *capture) end(node uint32, op captureOp, err error) {
+	if op.conv != nil && err == nil {
 		if !sameBuf(op.conv, op.img) {
 			copy(op.conv, op.img)
 		}
 		err = c.geometry.ApplyNodeBinary(op.conv, op.log)
 	}
-	if op.sec < 0 && op.log == nil {
+	if op.sec < 0 && op.log == nil && (err == nil || op.img == nil) {
 		return
 	}
 	c.mu.Lock()
 	if op.log != nil {
 		c.putLog(op.log)
-		if err != nil {
-			// The pre-change stack was never filled (the apply failed and
-			// poisoned the engine): the node is left without an entry.
-			delete(c.base, node)
-			c.put(op.conv)
+	}
+	if img, ok := c.base[node]; err != nil && ok && (op.conv != nil || sameBuf(img, op.img)) {
+		delete(c.base, node)
+		if s := c.sealed.Load(); s == nil || !sameBuf(img, s.images[node]) {
+			c.put(img)
 		}
 	}
 	// After finish the seal is gone and its sections no longer count.
@@ -326,7 +356,8 @@ func (c *capture) releaseBase() {
 			c.putLog(log)
 		}
 	}
-	c.baseNodes, c.baseOver = c.baseNodes[:0], false
+	c.baseNodes = c.baseNodes[:0]
+	c.baseOver.Store(false)
 	c.trim()
 }
 

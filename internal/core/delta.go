@@ -186,7 +186,7 @@ func (e *Engine) markChangedNode(node uint32, cur []byte) {
 	op := e.capture.begin(node, e.wantsBase(node), nil)
 	copy(op.img, cur)
 	e.touch(node)
-	e.capture.end(node, op)
+	e.capture.end(node, op, nil)
 }
 
 // WriteDeltaCheckpoint seals and streams a checkpoint that is a delta

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 	"unsafe"
@@ -356,16 +357,29 @@ func TestBeforeImagesOnlyWhenUsable(t *testing.T) {
 // Stats.MemoryBytes: zero until a cached result exists, then 8 B for each
 // index its logs hold — maxBase logs of a slice's two indices a node,
 // pooled and reused by every later cycle, however many shards captured
-// them — plus a slot for an image, which only a log pushed past its cap
-// takes, and which the next query drops.
+// them — plus a slot for each image, which only a node pushed past the
+// log's cap takes, and which the next query drops. Four nodes are pushed
+// past it. In RAM, where the budget is a slot a node and maxBase more,
+// each holds an image. Out of core the cache is 13 slots and the budget a
+// quarter of it, 3.25 slots: three images fit, the fourth node is refused
+// and left without an entry, and its component re-solves from singletons.
+// Both queries are exact.
 func TestBeforeImageFootprint(t *testing.T) {
 	const n = 128
+	probe, err := NewEngine(Config{NumNodes: n, Seed: 97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := probe.slotSize
+	probe.Close()
 	for _, mode := range []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		budget func(maxBase int) int
+		images int // of the four nodes pushed past the cap
 	}{
-		{"ram", Config{Shards: 4}},
-		{"disk", Config{Shards: 4, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: 128 << 10}},
+		{"ram", Config{Shards: 4}, func(maxBase int) int { return (n + maxBase) * slot }, 4},
+		{"disk", Config{Shards: 4, SketchesOnDisk: true, NodesPerGroup: 4, CacheBytes: int64(13 * slot)}, func(int) int { return 13 * slot / 4 }, 3},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := mode.cfg
@@ -375,7 +389,10 @@ func TestBeforeImageFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			maxBase := e.capture.maxBase
+			c, maxBase := &e.capture, e.capture.maxBase
+			if got, want := c.budget, mode.budget(maxBase); got != want {
+				t.Fatalf("capture budget = %d, want %d", got, want)
+			}
 			// captured is MemoryBytes less everything the capture does not
 			// hold.
 			fixed := int64(-1)
@@ -391,10 +408,26 @@ func TestBeforeImageFootprint(t *testing.T) {
 				}
 				return rest - fixed
 			}
+			present := map[stream.Edge]bool{}
+			toggle := func(u, w uint32) {
+				t.Helper()
+				mustUpdate(t, e, u, w)
+				eg := stream.Edge{U: min(u, w), V: max(u, w)}
+				present[eg] = !present[eg]
+			}
+			edges := func() []stream.Edge {
+				var es []stream.Edge
+				for eg, ok := range present {
+					if ok {
+						es = append(es, eg)
+					}
+				}
+				return es
+			}
 			slice := func(shift uint32) {
 				t.Helper()
 				for u := uint32(0); u < n; u++ {
-					mustUpdate(t, e, u, (u+shift)%n)
+					toggle(u, (u+shift)%n)
 				}
 			}
 			slice(1)
@@ -413,10 +446,8 @@ func TestBeforeImageFootprint(t *testing.T) {
 				if images, logs, _, _ := baselineCounts(e); images != 0 || logs != maxBase {
 					t.Fatalf("cycle %d after the slice: %d images and %d logs, want none and %d", cycle, images, logs, maxBase)
 				}
-				if _, _, err := e.ConnectedComponents(); err != nil {
-					t.Fatal(err)
-				}
-				mustUpdate(t, e, cycle, cycle+40)
+				checkAgainstExact(t, e, n, edges())
+				toggle(cycle, cycle+40)
 				if got := captured(); got != want {
 					t.Fatalf("cycle %d after the trickle: %d capture bytes, want %d", cycle, got, want)
 				}
@@ -424,21 +455,35 @@ func TestBeforeImageFootprint(t *testing.T) {
 					t.Fatalf("cycle %d: %d images, %d logs + %d pooled, want no image and 2 live logs of %d", cycle, images, logs, pooled, maxBase)
 				}
 			}
-			// The last trickle's nodes hold a log of one index each: a
-			// gutter of toggles of their edge passes the cap and converts
-			// each log into one image.
-			u, w := uint32(2), uint32(42)
-			for i := 0; i < e.capture.logCap; i++ {
-				mustUpdate(t, e, u, w)
+			// The last trickle's nodes, 2 and 42, hold a log of one index
+			// each; a gutter of toggles of their edge passes the cap, and so
+			// does a first batch at clean nodes 50 and 60.
+			for i := 0; i < c.logCap; i++ {
+				toggle(2, 42)
 			}
-			if got, images := captured(), want+int64(2*e.slotSize); got != images {
-				t.Fatalf("after the overflow: %d capture bytes, want %d (the logs' and two images)", got, images)
+			for i := 0; i <= c.logCap; i++ {
+				toggle(50, 60)
 			}
-			if images, logs, _, _ := baselineCounts(e); images != 2 || logs != 0 {
-				t.Fatalf("after the overflow: %d images and %d logs, want 2 and none", images, logs)
+			if got, images := captured(), want+int64(mode.images*slot); got != images {
+				t.Fatalf("after the overflow: %d capture bytes, want %d (the logs' and %d images)", got, images, mode.images)
 			}
-			if _, _, err := e.ConnectedComponents(); err != nil {
-				t.Fatal(err)
+			images, logs, _, _ := baselineCounts(e)
+			refused := 0
+			for _, v := range []uint32{2, 42, 50, 60} {
+				if c.logs[v] != nil {
+					t.Fatalf("node %d kept its log past the cap", v)
+				}
+				if c.base[v] == nil {
+					refused++
+				}
+			}
+			if images != mode.images || refused != 4-mode.images || logs != 0 {
+				t.Fatalf("after the overflow: %d images, %d refused, %d logs; want %d, %d and none", images, refused, logs, mode.images, 4-mode.images)
+			}
+			classes := deltaClassCounts(e)
+			checkAgainstExact(t, e, n, edges())
+			if singletons := deltaClassCounts(e)[classSingletons] - classes[classSingletons]; singletons != uint64(4-mode.images) {
+				t.Fatalf("%d components re-solved from singletons, want %d", singletons, 4-mode.images)
 			}
 			if got := captured(); got != want {
 				t.Fatalf("after the query: %d capture bytes, want the pooled logs' %d", got, want)
@@ -598,5 +643,79 @@ func TestCaptureByteChangeConvertsLog(t *testing.T) {
 				t.Fatal("the query after the merge was not a delta query")
 			}
 		})
+	}
+}
+
+// TestCaptureFallbackCapturesNothing pins that a query falling back to a
+// from-scratch run logs nothing for the baseline its result supersedes:
+// a slice dirtying every node waits in the gutters, past the delta
+// query's threshold, and the drain that applies it under the fallback
+// leaves the capture with no log, no image and nothing pooled.
+func TestCaptureFallbackCapturesNothing(t *testing.T) {
+	const n = 128
+	for _, store := range logStores {
+		t.Run(store.name, func(t *testing.T) {
+			cfg := store.cfg
+			cfg.NumNodes, cfg.Seed = n, 123
+			e := pathEngine(t, cfg, n-1)
+			defer e.Close()
+			edges := pathEdges(n)
+			checkAgainstExact(t, e, n, edges)
+			for u := uint32(0); u < n; u++ {
+				mustUpdate(t, e, u, (u+2)%n)
+				edges = append(edges, stream.Edge{U: u, V: (u + 2) % n})
+			}
+			fallbacks := e.Stats().DeltaFallbacks
+			checkAgainstExact(t, e, n, edges)
+			if e.Stats().DeltaFallbacks != fallbacks+1 {
+				t.Fatal("the query after the slice did not fall back")
+			}
+			if images, logs, bufs, pooled := baselineCounts(e); images+logs+bufs+pooled != 0 {
+				t.Fatalf("the fallback's drain captured: %d images, %d logs, %d buffers and %d logs pooled", images, logs, bufs, pooled)
+			}
+		})
+	}
+}
+
+// TestCaptureFailedChangeDropsEntry pins end's error path: a change that
+// failed may not have filled the buffer begin handed out, so neither a
+// logged node's conversion nor a first change's image stays the node's
+// entry. Both nodes stay listed without one (their components re-solve
+// from singletons), and the buffer returns to the pool.
+func TestCaptureFailedChangeDropsEntry(t *testing.T) {
+	const n = 64
+	e := pathEngine(t, Config{NumNodes: n, Seed: 125}, n-1)
+	defer e.Close()
+	if _, _, err := e.ConnectedComponents(); err != nil {
+		t.Fatal(err)
+	}
+	mustUpdate(t, e, 0, 9)
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	c, failed := &e.capture, errors.New("change failed")
+	if c.logs[0] == nil {
+		t.Fatal("the trickle left node 0 unlogged")
+	}
+	// A change of bytes converts node 0's log; node 20's first change of
+	// bytes takes an image. The workers are idle, as for an install.
+	for _, v := range []uint32{0, 20} {
+		op := c.begin(v, e.wantsBase(v), nil)
+		if op.img == nil {
+			t.Fatalf("node %d: the change took no image", v)
+		}
+		c.end(v, op, failed)
+	}
+	for _, v := range []uint32{0, 20} {
+		if c.base[v] != nil || c.logs[v] != nil {
+			t.Fatalf("node %d kept an entry past a failed change", v)
+		}
+	}
+	if listed, ok := c.listedCount(); !ok || listed != 3 {
+		t.Fatalf("%d nodes listed (ok %v), want 0, 9 and 20", listed, ok)
+	}
+	// The second change took the buffer the first one returned.
+	if images, _, bufs, _ := baselineCounts(e); images != 0 || bufs != 1 || c.held != 0 {
+		t.Fatalf("%d images, %d buffers pooled, %d held; want none, 1 and none", images, bufs, c.held)
 	}
 }

@@ -817,7 +817,7 @@ func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indic
 	if done != nil {
 		done()
 	}
-	e.capture.end(b.Node, op)
+	e.capture.end(b.Node, op, err)
 	return err
 }
 
@@ -869,10 +869,11 @@ func (e *Engine) wantsBase(node uint32) bool {
 
 // wantsImage reports whether a change of node's bytes now would take an
 // image for the baseline: the node's first change since the cached
-// result's cut, or a change to a logged node, whose log converts. The
-// caller holds the quiesce write lock with the workers idle.
+// result's cut, or a change to a logged node, whose log converts, while
+// the baseline has not overflowed. The caller holds the quiesce write
+// lock with the workers idle.
 func (e *Engine) wantsImage(node uint32) bool {
-	return e.wantsBase(node) || e.capture.logs[node] != nil
+	return !e.capture.baseOver.Load() && (e.wantsBase(node) || e.capture.logs[node] != nil)
 }
 
 // dirtyNodes counts the nodes changed since the cached result's cut: the

@@ -261,6 +261,9 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 			q.reset()
 		}
 		e.deltaFallbacks.Add(1)
+		// The result supersedes prev's cut: the leftover batches the run
+		// drains need no baseline entries.
+		e.capture.abandon()
 	}
 	return e.runBoruvka(q, epoch)
 }
@@ -271,7 +274,7 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 // cut). ok is false when the baseline overflowed, past the delta query's
 // threshold. O(dirty + leftover), where a stamp scan would be O(V).
 func (e *Engine) dirtyCount(q *querySession, cut uint64) (n int, ok bool) {
-	if e.capture.baseOver {
+	if e.capture.baseOver.Load() {
 		return 0, false
 	}
 	n = len(e.capture.baseNodes)

@@ -115,6 +115,9 @@ func (sl *Slab) Nodes() int { return sl.nodes }
 // Rounds returns the per-node sketch depth.
 func (sl *Slab) Rounds() int { return sl.rounds }
 
+// Rows returns the bucket-cascade depth per column.
+func (sl *Slab) Rows() int { return sl.rows }
+
 // Cap returns the bucket count the slab's arrays hold: Reshape and Narrow
 // to any shape of at most that many buckets allocate nothing.
 func (sl *Slab) Cap() int { return cap(sl.alphas) }
