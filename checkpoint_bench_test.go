@@ -159,7 +159,7 @@ func BenchmarkMergeCheckpoint(b *testing.B) {
 			}
 			blob := buf.Bytes()
 			// Reuse one bufio.Reader so the benchmark measures the merge,
-			// not reader construction; the engine detects and adopts it.
+			// not reader construction; the engine reads through it as is.
 			br := bufio.NewReaderSize(nil, 1<<16)
 			src := bytes.NewReader(blob)
 			b.SetBytes(int64(len(blob)))

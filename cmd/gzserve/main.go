@@ -86,7 +86,7 @@ func run() int {
 		window    = flag.Int("window", 4, "coordinator: max in-flight sends per worker")
 		attempts  = flag.Int("attempts", 6, "coordinator: send attempts per batch before giving up")
 		mergeIntv = flag.Duration("merge-interval", 0, "coordinator: background refresh period (0 = only on /v1/refresh and shutdown)")
-		noDeltaRf = flag.Bool("no-delta-refresh", false, "coordinator: pull every worker's full checkpoint into a fresh view on every refresh, never a delta")
+		noDeltaRf = flag.Bool("no-delta-refresh", false, "coordinator: pull every worker's full checkpoint and install it into the view on every refresh, never a delta")
 	)
 	flag.Parse()
 

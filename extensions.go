@@ -103,10 +103,11 @@ func (g *Graph) ApplyDeltaCheckpoint(r io.Reader) error {
 // CompactCheckpoints folds a full base checkpoint file plus an ordered
 // delta checkpoint chain into one full checkpoint at outPath (written with the
 // crash-safe temp-fsync-rename discipline). The compacted file carries
-// the chain tip's WAL coverage and metadata, so once it has durably
-// replaced the chain the delta files can be deleted and the log
-// truncated through the tip — this is what bounds chain length and log
-// growth for deployments that persist deltas.
+// the chain tip's checkpoint id, WAL coverage and metadata, so once it
+// has durably replaced the chain the delta files can be deleted and the
+// log truncated through the tip — this is what bounds chain length and
+// log growth for deployments that persist deltas — and a delta sealed
+// against the tip still applies.
 //
 // The fold runs in a throwaway in-memory Graph without a log (opts supply
 // deployment choices only), so nothing covers a link of the chain: the
@@ -116,14 +117,7 @@ func CompactCheckpoints(outPath, basePath string, deltaPaths []string, opts ...O
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.SketchesOnDisk, cfg.Dir = false, ""
-	cfg.WAL, cfg.WALStorage = false, nil
-	eng, _, err := core.RecoverChain(basePath, deltaPaths, cfg)
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	return eng.WriteCheckpointFile(outPath)
+	return core.CompactChain(outPath, basePath, deltaPaths, cfg)
 }
 
 // Recovery reports what RecoverChain replayed beyond the checkpoint; see

@@ -13,12 +13,12 @@ import (
 // query, whose baseline is the cached result's cut (base), and a
 // checkpoint stream, full or delta, whose cut is its seal (sealCut).
 // Every change to a slot is bracketed by begin and end — Engine.change
-// around a batch apply, markChangedNode around an install, a merge or
-// baseline adoption — and the caller fills the buffer begin hands back,
-// if any, with the node's stack as it stands before the change (the
-// store does it from wherever the stack is at hand: the owner's slab, the
-// decoded cache group). This is the one place that decides what a reader
-// sees for a node at its cut, in both stores.
+// around a batch apply, markChangedNode around an install or a merge —
+// and the caller fills the buffer begin hands back, if any, with the
+// node's stack as it stands before the change (the store does it from
+// wherever the stack is at hand: the owner's slab, the decoded cache
+// group). This is the one place that decides what a reader sees for a
+// node at its cut, in both stores.
 //
 // A seal takes an image: the node's slot bytes at its cut, copied at its
 // first change after it. The baseline's entry for a node is its log, the
@@ -315,26 +315,8 @@ func (c *capture) end(node uint32, op captureOp, err error) {
 	c.mu.Unlock()
 }
 
-// adopt lists node in the dirty set and, when image is set, registers a
-// baseline image for it, returning its buffer for the caller to fill with
-// the bytes the adopted baseline observed — nil when the baseline refuses
-// or no image was asked for (the baseline's bytes could not be read), so
-// the node is listed without an entry. The bytes are not this engine's, so a live
-// seal never shares them. The caller holds the quiesce write lock with the
-// workers idle.
-func (c *capture) adopt(node uint32, image bool) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.list(node) || !image || !c.fits(c.slot) {
-		return nil
-	}
-	img := c.take()
-	c.base[node] = img
-	return img
-}
-
-// releaseBase empties the baseline — a new cached result, or an adopted
-// one, supersedes its cut — pooling its logs and its image buffers, but
+// releaseBase empties the baseline — a new cached result supersedes its
+// cut — pooling its logs and its image buffers, but
 // one a live seal still shares, for the next captures. It walks the
 // listed nodes, which every entry belongs to, not the map, whose table
 // keeps the size of its largest baseline.

@@ -1002,8 +1002,7 @@ func (e *Engine) checkCompatible(h checkpointHeader) error {
 
 // Checkpoint is one checkpoint stream — full or delta — opened by ReadRange
 // as node range [lo, hi) of an engine: how a gzserve coordinator takes in
-// one worker's range. Its body is read once, by Load into RAM or by
-// Install straight into the engine.
+// one worker's range. Its body is read once, by Load, into RAM.
 type Checkpoint struct {
 	// Updates is the writer's update count at the cut, Pos the writer's
 	// chain position at it, and Base, for a delta, the position the delta
@@ -1016,7 +1015,7 @@ type Checkpoint struct {
 	h      checkpointHeader
 	env    metaEnvelope
 	br     *bufio.Reader // the unread body; nil once read
-	loaded bool
+	err    error         // what reading the body returned
 	runs   []verifiedRun // the body Load read
 }
 
@@ -1058,56 +1057,39 @@ func (e *Engine) ReadRange(r io.Reader, lo, hi uint32) (*Checkpoint, error) {
 
 // Load reads the body into RAM, every section and slot verified, touching
 // no engine state: what makes an install all or nothing against bad
-// input. Safe for concurrent use on distinct checkpoints.
+// input. The body is read once; a later call returns what the first did.
+// Safe for concurrent use on distinct checkpoints.
 func (cp *Checkpoint) Load() error {
-	if cp.loaded {
-		return nil
+	if cp.br == nil {
+		return cp.err
 	}
+	br := cp.br
+	cp.br = nil
 	var runs []verifiedRun
-	err := cp.each(func(e *Engine, start uint32, count int, payload []byte) error {
+	cp.err = cp.e.readRuns(ckptBody{br: br}, cp.h, cp.lo, cp.hi, cp.IsDelta(), func(e *Engine, start uint32, count int, payload []byte) error {
 		if err := e.checkSlots(start, count, payload); err != nil {
 			return err
 		}
 		runs = append(runs, verifiedRun{start, count, append([]byte(nil), payload...)})
 		return nil
 	})
-	if err != nil {
-		return err
+	if cp.err == nil {
+		cp.runs = runs
 	}
-	cp.runs, cp.loaded = runs, true
-	return nil
-}
-
-// each hands visit the runs Load read, or reads the body through the one
-// reader.
-func (cp *Checkpoint) each(visit runVisitor) error {
-	if cp.loaded {
-		for _, run := range cp.runs {
-			if err := visit(cp.e, run.start, run.count, run.slots); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if cp.br == nil {
-		return errors.New("core: checkpoint body already read")
-	}
-	br := cp.br
-	cp.br = nil
-	return cp.e.readRuns(ckptBody{br: br}, cp.h, cp.lo, cp.hi, cp.IsDelta(), visit)
+	return cp.err
 }
 
 // Install replaces the slots of every node the checkpoints carry in one
 // step under the engine's exclusive lock, so queries see all of them or
-// none: a full checkpoint its whole range, a delta its nodes. Each node is
-// stamped with its current stack as the delta query's image, as the apply
-// path does. No chain position is checked or
-// adopted (the caller tracks the writers'). The checkpoints come from
-// ReadRange on this engine, over disjoint ranges, and install
-// concurrently: a loaded one (Load) from RAM, so only a store fault can
-// fail it; an unloaded one streamed straight in, holding no body (how a
-// fresh engine is filled), so bad input found mid-stream leaves it partly
-// written. An install that fails after its first write leaves an engine
+// none: a full checkpoint its whole range, a delta its nodes. A node whose
+// incoming slot equals its current bytes did not change and is left
+// unstamped; every other node is stamped, with its current stack as the
+// delta query's image, as the apply path does. No chain position is
+// checked or adopted (the caller tracks the writers'). The checkpoints
+// come from ReadRange on this engine, over disjoint ranges; each is
+// loaded (Load) before the first write, so bad input fails the install
+// with nothing written, and they then install concurrently from RAM,
+// where only a store fault can fail them. Such a fault leaves an engine
 // that matches no stream: the error then sticks, as a failed batch
 // apply's does.
 func (e *Engine) Install(cps ...*Checkpoint) error {
@@ -1126,14 +1108,12 @@ func (e *Engine) installLocked(cps []*Checkpoint) error {
 				return fmt.Errorf("%w: [%d,%d) overlaps [%d,%d)", ErrOutOfRange, cp.lo, cp.hi, o.lo, o.hi)
 			}
 		}
+		if err := cp.Load(); err != nil {
+			return fmt.Errorf("core: installing nodes [%d,%d): %w", cp.lo, cp.hi, err)
+		}
 	}
 	if err := e.sketches.invalidate(); err != nil {
 		return err
-	}
-	var wrote atomic.Bool
-	write := func(e *Engine, start uint32, count int, slots []byte) error {
-		wrote.Store(true)
-		return e.install(start, count, slots)
 	}
 	errs := make([]error, len(cps))
 	var wg sync.WaitGroup
@@ -1141,28 +1121,31 @@ func (e *Engine) installLocked(cps []*Checkpoint) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := cp.each(write); err != nil {
-				errs[i] = fmt.Errorf("core: installing nodes [%d,%d): %w", cp.lo, cp.hi, err)
+			for _, run := range cp.runs {
+				if err := e.install(run.start, run.count, run.slots); err != nil {
+					errs[i] = fmt.Errorf("core: installing nodes [%d,%d): %w", cp.lo, cp.hi, err)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	e.epoch.Add(1)
 	if err := cmp.Or(errs...); err != nil {
-		if wrote.Load() {
-			e.epoch.Add(1)
-			e.setErr(err)
-		}
+		e.setErr(err)
 		return err
 	}
-	e.epoch.Add(1)
 	return nil
 }
 
 // install is the one writer of checkpoint slots: it replaces the slots of
 // global nodes [start, start+count), stamping each node first with its
 // current stack as the baseline's image when the delta query wants one
-// (wantsImage; the run is then read once). Concurrent calls on disjoint
-// runs are safe; the caller holds the quiesce write lock, or owns a fresh
+// (wantsImage; the run is then read once). Sketches are linear, so a node
+// whose incoming slot equals the bytes read did not change: it takes no
+// stamp and no capture entry, and a full install over a cached result
+// dirties only the nodes that differ. Concurrent calls on disjoint runs
+// are safe; the caller holds the quiesce write lock, or owns a fresh
 // engine.
 func (e *Engine) install(start uint32, count int, slots []byte) error {
 	start -= e.lo
@@ -1181,6 +1164,9 @@ func (e *Engine) install(start uint32, count int, slots []byte) error {
 		var img []byte
 		if cur != nil {
 			img = cur[j*e.slotSize : (j+1)*e.slotSize]
+			if bytes.Equal(img, slots[j*e.slotSize:(j+1)*e.slotSize]) {
+				continue
+			}
 		}
 		e.markChangedNode(start+uint32(j), img)
 	}

@@ -213,11 +213,11 @@ func (e *Engine) WriteDeltaCheckpoint(w io.Writer, baseID uint64) (delta bool, e
 // or out-of-order delta fails with ErrCheckpointChain before any state
 // changes — and a corrupt or truncated stream is refused with the body
 // fully read and verified before the first write. Past that point only a
-// store fault can fail the install, and one that does after the first
-// write leaves the engine poisoned with the sticky error (see Install).
-// The replaced nodes are stamped as changed, so the next query on this
-// engine re-solves exactly their components; later seals ship only what
-// changes after the tip.
+// store fault can fail the install, and one that does leaves the engine
+// poisoned with the sticky error (see Install). The replaced nodes whose
+// bytes change are stamped as changed, so the next query on this engine
+// re-solves exactly their components; later seals ship only what changes
+// after the tip.
 func (e *Engine) ApplyDeltaCheckpoint(r io.Reader) error {
 	return e.exclusive(func() error {
 		cp, err := e.ReadRange(r, e.lo, e.lo+e.n)
@@ -230,9 +230,6 @@ func (e *Engine) ApplyDeltaCheckpoint(r io.Reader) error {
 		if cur := e.chainPos(); cp.Base != cur {
 			return fmt.Errorf("%w: delta (tag=%#x base=%d@lsn %d) vs engine (tag=%#x state=%d@lsn %d)",
 				ErrCheckpointChain, cp.Base.Tag, cp.Base.ID, cp.Base.LSN, cur.Tag, cur.ID, cur.LSN)
-		}
-		if err := cp.Load(); err != nil {
-			return err
 		}
 		if err := e.installLocked([]*Checkpoint{cp}); err != nil {
 			return err

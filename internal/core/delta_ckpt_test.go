@@ -499,9 +499,10 @@ func TestRecoverChainKillPoints(t *testing.T) {
 }
 
 // TestCompactCheckpoints folds a base + delta chain into one full
-// checkpoint — a WAL-less RecoverChain, then a checkpoint file — and checks
-// it restores identically to the chain tip. Without a log to cover a link
-// the chain must apply whole: a torn delta fails the fold.
+// checkpoint (CompactChain) and checks it restores identically to the
+// chain tip, at the tip's checkpoint id, so that a delta sealed against the
+// tip applies onto it. Without a log to cover a link the chain must apply
+// whole: a torn delta fails the fold.
 func TestCompactCheckpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const numNodes = 96
@@ -540,25 +541,31 @@ func TestCompactCheckpoints(t *testing.T) {
 		deltaPaths = append(deltaPaths, p)
 	}
 	outPath := filepath.Join(dir, "compacted.gze")
-	folded, _, err := RecoverChain(basePath, deltaPaths, cfg)
-	if err != nil {
+	if err := CompactChain(outPath, basePath, deltaPaths, cfg); err != nil {
 		t.Fatalf("folding the chain: %v", err)
-	}
-	err = folded.WriteCheckpointFile(outPath)
-	folded.Close()
-	if err != nil {
-		t.Fatal(err)
 	}
 	got, err := OpenCheckpoint(outPath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	if gu, su := got.Stats().Updates, src.Stats().Updates; gu != su {
-		t.Fatalf("compacted checkpoint at %d updates, tip at %d", gu, su)
+	if g, s := got.Stats(), src.Stats(); g.Updates != s.Updates || g.LastCheckpointID != s.LastCheckpointID {
+		t.Fatalf("compacted checkpoint at %d updates, id %d; tip at %d, id %d",
+			g.Updates, g.LastCheckpointID, s.Updates, s.LastCheckpointID)
+	}
+	// A delta sealed against the tip chains onto the compacted file.
+	if err := src.UpdateBatch(deltaTestUpdates(rng, 16, 8)); err != nil {
+		t.Fatal(err)
+	}
+	var next bytes.Buffer
+	if delta, err := src.WriteDeltaCheckpoint(&next, src.Stats().LastCheckpointID); err != nil || !delta {
+		t.Fatalf("sealing past the tip: delta=%v err=%v", delta, err)
+	}
+	if err := got.ApplyDeltaCheckpoint(&next); err != nil {
+		t.Fatalf("a delta sealed against the tip onto the compacted checkpoint: %v", err)
 	}
 	if !bytes.Equal(checkpointBytes(t, got), checkpointBytes(t, src)) {
-		t.Fatal("compacted checkpoint differs from the chain tip")
+		t.Fatal("compacted checkpoint, advanced by the next delta, differs from the source")
 	}
 
 	last := deltaPaths[len(deltaPaths)-1]
@@ -569,8 +576,7 @@ func TestCompactCheckpoints(t *testing.T) {
 	if err := os.WriteFile(last, b[:len(b)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if e, _, err := RecoverChain(basePath, deltaPaths, cfg); err == nil {
-		e.Close()
+	if err := CompactChain(filepath.Join(dir, "torn.gze"), basePath, deltaPaths, cfg); err == nil {
 		t.Fatal("a WAL-less chain with a torn delta folded without error")
 	}
 }

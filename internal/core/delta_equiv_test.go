@@ -3,10 +3,8 @@ package core
 import (
 	"bytes"
 	"math/rand/v2"
-	"slices"
 	"testing"
 
-	"graphzeppelin/internal/iomodel"
 	"graphzeppelin/internal/stream"
 	"graphzeppelin/internal/wal"
 )
@@ -296,155 +294,85 @@ func TestDeltaStatsCounters(t *testing.T) {
 	}
 }
 
-// TestAdoptQueryBaseline covers the coordinator-refresh seeding path: a
-// fresh engine rebuilt from checkpoint merges adopts the outgoing
-// engine's cached result, and its next query runs the delta path over
-// exactly the nodes whose sketches differ.
-func TestAdoptQueryBaseline(t *testing.T) {
-	const n = 64
-	cfg := Config{NumNodes: n, Seed: 9, Shards: 2, Buffering: BufferNone}
-	old, err := NewEngine(cfg)
+// installFull installs src's full checkpoint into e as its whole range.
+func installFull(t *testing.T, e, src *Engine) {
+	t.Helper()
+	cp, err := e.ReadRange(bytes.NewReader(fullCheckpoint(t, src)), 0, e.cfg.NumNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer old.Close()
-	var edges []stream.Edge
-	for u := uint32(0); u < 30; u++ {
-		mustUpdate(t, old, u, u+1)
-		edges = append(edges, stream.Edge{U: u, V: u + 1})
-	}
-	if _, _, err := old.ConnectedComponents(); err != nil { // cache a baseline
+	if err := e.Install(cp); err != nil {
 		t.Fatal(err)
-	}
-
-	// Rebuild "the next refresh": same state plus a couple of new edges,
-	// arriving via checkpoint merge (which marks exactly the non-empty
-	// incoming slots dirty) — into a fresh engine in RAM and one on disk.
-	var buf bytes.Buffer
-	if err := old.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	edges = append(edges, stream.Edge{U: 40, V: 41})
-	var fresh *Engine
-	for _, onDisk := range []bool{false, true} {
-		fcfg := cfg
-		fcfg.SketchesOnDisk = onDisk
-		fresh, err = NewEngine(fcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fresh.Close()
-		if err := fresh.MergeCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		mustUpdate(t, fresh, 40, 41)
-
-		// The merged checkpoint's non-empty slots are nodes 0..30 (31 nodes);
-		// the direct update dirties 40 and 41 on top.
-		if err := fresh.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if st := fresh.Stats(); st.DirtyNodes != 33 {
-			t.Fatalf("onDisk=%v: pre-adoption DirtyNodes = %d, want 33 (merge marks exactly the non-empty slots)", onDisk, st.DirtyNodes)
-		}
-		if !fresh.AdoptQueryBaseline(old) {
-			t.Fatalf("onDisk=%v: AdoptQueryBaseline refused compatible engines", onDisk)
-		}
-		if st := fresh.Stats(); st.DirtyNodes != 2 {
-			t.Fatalf("onDisk=%v: post-adoption DirtyNodes = %d, want 2 (only the new edge's endpoints differ)", onDisk, st.DirtyNodes)
-		}
-		checkAgainstExact(t, fresh, n, edges)
-		if st := fresh.Stats(); st.DeltaQueries != 1 {
-			t.Fatalf("onDisk=%v: adopted baseline query: DeltaQueries=%d, want 1", onDisk, st.DeltaQueries)
-		}
-		// The first adoption takes old's session, which keeps the baseline's
-		// partition and forest; the second finds none and rebuilds them.
-		if want := map[bool]int{false: 0, true: 1}[onDisk]; fresh.qs.restores != want {
-			t.Fatalf("onDisk=%v: %d rebuilds of the kept state, want %d", onDisk, fresh.qs.restores, want)
-		}
-		checkDeltaState(t, fresh)
-	}
-
-	// A geometry mismatch is refused without touching state.
-	other, err := NewEngine(Config{NumNodes: n, Seed: 10, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	if fresh.AdoptQueryBaseline(other) {
-		t.Fatal("adopted a baseline with a different seed")
-	}
-	if fresh.AdoptQueryBaseline(nil) || fresh.AdoptQueryBaseline(fresh) {
-		t.Fatal("adopted nil or self")
 	}
 }
 
-// TestAdoptQueryBaselineReadFault fails one read of prev's device during
-// AdoptQueryBaseline's diff, in turn at every read the diff makes. A node
-// whose baseline bytes cannot be read counts as differing: it is listed in
-// the dirty set without an image, so Stats().DirtyNodes agrees with the
-// stamps and the next query re-solves its component from singletons. The
-// answer must be the exact one on every run, including the runs whose
-// unreadable slot is an endpoint of the edge only this engine holds.
-func TestAdoptQueryBaselineReadFault(t *testing.T) {
+// TestInstallFullCheckpointOverCachedResult pins a full refresh's install
+// into an engine holding a cached result, in RAM and out of core. A node
+// whose incoming slot equals its current bytes did not change, so the
+// install lists exactly the nodes that differ, and the next query is a
+// delta query over them, off the session's kept state, with the exact
+// answer. An install whose slots all equal the engine's lists none, and
+// the next query re-tags the cached result.
+func TestInstallFullCheckpointOverCachedResult(t *testing.T) {
 	const n = 64
-	var edges []stream.Edge
-	for u := uint32(0); u < 30; u++ {
-		edges = append(edges, stream.Edge{U: u, V: u + 1})
-	}
-	cfg := Config{NumNodes: n, Seed: 9, Shards: 2, Buffering: BufferNone}
-	faulted := 0
-	for skip := int64(0); ; skip++ {
-		dev := &oneFault{Device: iomodel.NewMem(4096)}
-		pcfg := cfg
-		pcfg.SketchesOnDisk, pcfg.CacheBytes = true, 1
-		pcfg.DeviceFactory = func(string) (iomodel.Device, error) { return dev, nil }
-		prev, err := NewEngine(pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := prev.InsertEdges(edges); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := prev.ConnectedComponents(); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := prev.WriteCheckpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.MergeCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		mustUpdate(t, e, 40, 41)
-		if err := e.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		dev.arm(false, skip)
-		if !e.AdoptQueryBaseline(prev) {
-			t.Fatalf("skip %d: AdoptQueryBaseline refused compatible engines", skip)
-		}
-		injected := dev.count.Load() > skip
-		dev.armed.Store(false)
-		checkDeltaState(t, e)
-		checkAgainstExact(t, e, n, append(slices.Clone(edges), stream.Edge{U: 40, V: 41}))
-		checkDeltaState(t, e)
-		if st := e.Stats(); st.DeltaQueries != 1 {
-			t.Fatalf("skip %d: %d delta queries after adoption, want 1", skip, st.DeltaQueries)
-		}
-		e.Close()
-		prev.Close()
-		if !injected {
-			break
-		}
-		faulted++
-	}
-	if faulted < n {
-		t.Fatalf("only %d reads were faulted; the diff reads each of the %d nodes", faulted, n)
+	for _, onDisk := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ram", true: "disk"}[onDisk], func(t *testing.T) {
+			cfg := Config{NumNodes: n, Seed: 9, Shards: 2, Buffering: BufferNone}
+			src, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			ecfg := cfg
+			ecfg.SketchesOnDisk = onDisk
+			e, err := NewEngine(ecfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var edges []stream.Edge
+			for u := uint32(0); u < 30; u++ {
+				edges = append(edges, stream.Edge{U: u, V: u + 1})
+			}
+			if err := src.InsertEdges(edges); err != nil {
+				t.Fatal(err)
+			}
+			installFull(t, e, src)
+			checkAgainstExact(t, e, n, edges) // from scratch: nothing cached yet
+
+			// The source moves on by one edge: only its endpoints' bytes differ.
+			mustUpdate(t, src, 40, 41)
+			edges = append(edges, stream.Edge{U: 40, V: 41})
+			installFull(t, e, src)
+			if st := e.Stats(); st.DirtyNodes != 2 {
+				t.Fatalf("the install lists %d dirty nodes, want 2 (the new edge's endpoints)", st.DirtyNodes)
+			}
+			checkDeltaState(t, e)
+			before := e.Stats()
+			checkAgainstExact(t, e, n, edges)
+			if st := e.Stats(); st.DeltaQueries != before.DeltaQueries+1 || st.DeltaFallbacks != before.DeltaFallbacks {
+				t.Fatalf("query after the install: delta %d→%d, fallbacks %d→%d, want one delta query",
+					before.DeltaQueries, st.DeltaQueries, before.DeltaFallbacks, st.DeltaFallbacks)
+			}
+			if !checkDeltaState(t, e) || e.qs.restores != 0 {
+				t.Fatalf("the session rebuilt its kept state %d times, want 0", e.qs.restores)
+			}
+
+			// Every slot equal: nothing listed, and the next query re-tags.
+			cached := e.queryCache.Load()
+			installFull(t, e, src)
+			if st := e.Stats(); st.DirtyNodes != 0 {
+				t.Fatalf("an install of equal slots lists %d dirty nodes, want 0", st.DirtyNodes)
+			}
+			before = e.Stats()
+			checkAgainstExact(t, e, n, edges)
+			res := e.queryCache.Load()
+			if st := e.Stats(); st.DeltaQueries != before.DeltaQueries+1 || st.QueryRounds != before.QueryRounds ||
+				res == cached || &res.rep[0] != &cached.rep[0] {
+				t.Fatal("the query after an install of equal slots did not re-tag the cached result")
+			}
+			checkDeltaState(t, e)
+		})
 	}
 }
 
@@ -747,55 +675,53 @@ func TestDeltaQueryEquivalenceApplyDelta(t *testing.T) {
 	}
 }
 
-// TestDeltaQueryEquivalenceAdopted replays the coordinator's refresh: each
-// round builds a fresh engine from the old one's checkpoint plus a few
-// forest-edge deletions, adopts the old engine's cached result, and must
-// answer off the adopted images — the cut class on diffs that never went
-// through this engine's apply path.
-func TestDeltaQueryEquivalenceAdopted(t *testing.T) {
+// TestDeltaQueryEquivalenceInstalled replays a coordinator's full
+// refreshes: each round a source engine deletes a few of the cached
+// forest's edges, and the engine under test, holding a cached result,
+// installs the source's full checkpoint and must answer off the images
+// the install took — the cut class on diffs that never went through its
+// apply path — in RAM and out of core.
+func TestDeltaQueryEquivalenceInstalled(t *testing.T) {
 	const n = 128
-	cfg := Config{NumNodes: n, Seed: 71, Shards: 2, Buffering: BufferNone}
-	old, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &equivHarness{t: t, eng: old, n: n,
-		rng: rand.New(rand.NewPCG(71, 1)), present: map[stream.Edge]bool{}}
-	defer func() { h.eng.Close() }()
-	h.insertAll(old, shapeEdges("tree", n, h.rng))
-	h.check()
-	var cuts uint64
-	for i := 0; i < 20; i++ {
-		old := h.eng
-		cut := h.pickForestEdges(old, 1+int(h.rng.Uint64N(3)))
-		var buf bytes.Buffer
-		if err := old.WriteCheckpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.MergeCheckpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-		h.deleteAll(fresh, cut)
-		if len(cut) > 1 && i%2 == 1 {
-			h.insertAll(fresh, cut[:1]) // net no-op on that edge: its endpoints may not even differ
-		}
-		if !fresh.AdoptQueryBaseline(old) {
-			t.Fatal("AdoptQueryBaseline refused")
-		}
-		h.eng = fresh
-		h.check()
-		if st := fresh.Stats(); st.DeltaQueries != 1 || st.DeltaFallbacks != 0 {
-			t.Fatalf("round %d: adopted query ran delta=%d fallback=%d", i, st.DeltaQueries, st.DeltaFallbacks)
-		}
-		cuts += deltaClassCounts(fresh)[classCut]
-		old.Close()
-	}
-	if cuts == 0 {
-		t.Fatal("no adopted query took the cut path")
+	for _, onDisk := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ram", true: "disk"}[onDisk], func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{NumNodes: n, Seed: 71, Shards: 2, Buffering: BufferNone}
+			src, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			ecfg := cfg
+			ecfg.SketchesOnDisk, ecfg.NodesPerGroup = onDisk, 4
+			e, err := NewEngine(ecfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			h := &equivHarness{t: t, eng: e, n: n,
+				rng: rand.New(rand.NewPCG(71, 1)), present: map[stream.Edge]bool{}}
+			h.insertAll(src, shapeEdges("tree", n, h.rng))
+			installFull(t, e, src)
+			h.check()
+			for i := 0; i < 20; i++ {
+				cut := h.pickForestEdges(e, 1+int(h.rng.Uint64N(3)))
+				h.deleteAll(src, cut)
+				if len(cut) > 1 && i%2 == 1 {
+					h.insertAll(src, cut[:1]) // net no-op on that edge: its endpoints may not even differ
+				}
+				before := e.Stats()
+				installFull(t, e, src)
+				h.check()
+				if st := e.Stats(); st.DeltaQueries != before.DeltaQueries+1 || st.DeltaFallbacks != before.DeltaFallbacks {
+					t.Fatalf("round %d: the query after the install ran delta %d→%d, fallbacks %d→%d",
+						i, before.DeltaQueries, st.DeltaQueries, before.DeltaFallbacks, st.DeltaFallbacks)
+				}
+			}
+			if deltaClassCounts(e)[classCut] == 0 {
+				t.Fatal("no query after an install took the cut path")
+			}
+		})
 	}
 }
 

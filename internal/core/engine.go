@@ -226,10 +226,10 @@ type Engine struct {
 	cacheHits  atomic.Uint64
 
 	// Change tracking, shared by every reader that asks what changed since
-	// its own cut: the query cache, each seal a delta may name as its base,
-	// and AdoptQueryBaseline. cut counts consumer cuts — a query result
-	// cached, a seal, a baseline or chain position adopted — each taken under
-	// the quiesce write lock with the workers idle. stamp[v] is cut+1 as of
+	// its own cut: the query cache and each seal a delta may name as its
+	// base. cut counts consumer cuts — a query result cached, a seal, a
+	// chain position adopted — each taken under the quiesce write lock
+	// with the workers idle. stamp[v] is cut+1 as of
 	// node v's last sketch change (applyBatch, or markChangedNode for the
 	// changes that bypass the batch path), so "v changed since cut X" is
 	// stamp[v] > X for any X, and nothing is ever cleared. Written by v's

@@ -96,9 +96,7 @@ type queryResult struct {
 	epoch uint64
 	// cut is the change-tracking cut taken when the result was cached: the
 	// nodes stamped above it are exactly those changed since the sketch
-	// state the result observed (an adopted baseline's cut is the
-	// adoption's, its epoch deliberately staled so the fast path cannot
-	// serve it).
+	// state the result observed.
 	cut uint64
 	// delta marks a result produced by the incremental path (including a
 	// zero-dirty re-tag of the previous result).
@@ -230,7 +228,7 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 		dirty, ok := e.dirtyCount(q, prev.cut)
 		if ok && dirty == 0 {
 			// The epoch moved but no sketch changed since prev was cached
-			// (e.g. an adopted baseline whose diff came up empty): prev's
+			// (e.g. an install whose slots all equal the engine's): prev's
 			// answer is exactly current — re-tag it at the new epoch.
 			e.deltaQueries.Add(1)
 			res := &queryResult{
@@ -844,9 +842,9 @@ func (q *querySession) deltaResult(epoch uint64) *queryResult {
 }
 
 // restore rebuilds the session's kept state from res, which the session did
-// not leave it at — an adopted baseline, or a cached result after a run
-// that failed or fell back: the DSU seeded as res's partition, one star per
-// component, and res's forest with its adjacency lists. It costs what
+// not leave it at — a cached result after a run that failed or fell back:
+// the DSU seeded as res's partition, one star per component, and res's
+// forest with its adjacency lists. It costs what
 // every delta query cost before the state was kept: O(V).
 func (q *querySession) restore(res *queryResult) {
 	q.rep = append(q.rep[:0], res.rep...)

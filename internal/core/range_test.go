@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"graphzeppelin/internal/stream"
@@ -262,5 +263,77 @@ func TestRangeCheckpointRefusesForeignSections(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(bytes.NewReader(full.Bytes()), cfg); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("range engine restored from a universe checkpoint: %v, want ErrOutOfRange", err)
+	}
+}
+
+// TestInstallCorruptSectionWritesNothing: Install loads an unloaded
+// checkpoint before its first write, so one whose second section fails its
+// checksum is refused with ErrCorruptCheckpoint, with the engine's slots
+// and Stats as they were and no sticky error: the engine keeps ingesting,
+// answering and installing, in RAM and out of core.
+func TestInstallCorruptSectionWritesNothing(t *testing.T) {
+	const numNodes = 64
+	for _, disk := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ram", true: "disk"}[disk], func(t *testing.T) {
+			cfg := Config{NumNodes: numNodes, Seed: 9, Shards: 2}
+			src, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			rng := rand.New(rand.NewSource(3))
+			if err := src.UpdateBatch(deltaTestUpdates(rng, numNodes, 200)); err != nil {
+				t.Fatal(err)
+			}
+			good := fullCheckpoint(t, src)
+			bad := bytes.Clone(good)
+			secs := layoutOf(t, bad).sections
+			if len(secs) < 2 {
+				t.Fatalf("the checkpoint has %d sections, the test needs two", len(secs))
+			}
+			bad[secs[1].off+sectionHeaderLen] ^= 1
+
+			ecfg := cfg
+			ecfg.SketchesOnDisk, ecfg.NodesPerGroup = disk, 4
+			e, err := NewEngine(ecfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if err := e.InsertEdges([]stream.Edge{{U: 1, V: 2}, {U: 40, V: 41}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.ConnectedComponents(); err != nil {
+				t.Fatal(err)
+			}
+			slots, st := rawSlots(t, e), e.Stats()
+			cp, err := e.ReadRange(bytes.NewReader(bad), 0, numNodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Install(cp); !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("install of a corrupt second section: %v, want ErrCorruptCheckpoint", err)
+			}
+			if got := e.Stats(); !reflect.DeepEqual(got, st) {
+				t.Fatalf("the refused install moved Stats:\n%+v\n%+v", st, got)
+			}
+			if !bytes.Equal(rawSlots(t, e), slots) {
+				t.Fatal("the refused install changed the engine's slots")
+			}
+			if err := e.InsertEdge(2, 3); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstExact(t, e, numNodes, []stream.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 40, V: 41}})
+			cp, err = e.ReadRange(bytes.NewReader(good), 0, numNodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Install(cp); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rawSlots(t, e), rawSlots(t, src)) {
+				t.Fatal("the engine does not hold the installed checkpoint")
+			}
+		})
 	}
 }

@@ -50,7 +50,7 @@ type Recovery struct {
 // never truncates it): an absent base (or empty path) starts a fresh
 // engine, and the chain stops quietly at the first delta refused before
 // any write — missing, corrupt, truncated or out of chain — the replay
-// covering the rest. A delta whose install fails after a write poisons
+// covering the rest. A delta whose install fails on a store fault poisons
 // the engine (see Install) and is returned, never replayed over. Without
 // the WAL nothing covers a link, so the base must open and every delta
 // must apply: that is how a chain is folded into one checkpoint.
@@ -97,6 +97,28 @@ func RecoverChain(basePath string, deltaPaths []string, cfg Config) (*Engine, *R
 	rec.CheckpointID = e.ckptSeq.Load()
 	rec.DeltaFiles = applied
 	return e, rec, nil
+}
+
+// CompactChain folds a full base checkpoint file plus its ordered delta
+// files into one full checkpoint file at outPath (WriteCheckpointFile's
+// crash-safe discipline) that stands in for the chain tip: its sketches,
+// update count, WAL coverage, metadata and checkpoint id, so a delta
+// sealed against the tip applies onto the compacted file as it did onto
+// the chain. The fold runs in a throwaway RAM engine without a log (cfg
+// supplies deployment choices only), so nothing covers a link of the
+// chain: the base must open and every delta must apply.
+func CompactChain(outPath, basePath string, deltaPaths []string, cfg Config) error {
+	cfg.SketchesOnDisk, cfg.Dir = false, ""
+	cfg.WAL, cfg.WALStorage = false, nil
+	e, _, err := RecoverChain(basePath, deltaPaths, cfg)
+	if err != nil {
+		return err
+	}
+	defer e.Close()
+	// A seal mints the id after the engine's: step back, so that it
+	// re-mints the tip's.
+	e.ckptSeq.Add(^uint64(0))
+	return e.WriteCheckpointFile(outPath)
 }
 
 // recoverWAL replays the engine's WAL suffix above the restored

@@ -268,8 +268,7 @@ func (c *Client) SendAsync(ctx context.Context, ups []stream.Update) {
 
 // Drain waits for every send registered before it was called (and any
 // that register while it waits) and returns the first abandoned batch's
-// error, if any (sticky until the caller handles it; cleared by
-// ClearErr).
+// error, if any (sticky: every later Drain returns it too).
 func (c *Client) Drain() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -277,13 +276,6 @@ func (c *Client) Drain() error {
 		c.idle.Wait()
 	}
 	return c.sendErr
-}
-
-// ClearErr resets the sticky send error after the caller handled it.
-func (c *Client) ClearErr() {
-	c.mu.Lock()
-	c.sendErr = nil
-	c.mu.Unlock()
 }
 
 // CheckpointPull describes one checkpoint response: the stream position

@@ -52,9 +52,10 @@ type CoordinatorConfig struct {
 	// (tests that fake workers).
 	SkipValidate bool
 	// NoDeltaRefresh makes every refresh pull every worker's full
-	// checkpoint into a fresh view. By default a refresh after the first
+	// checkpoint and install it into the view, where only the nodes whose
+	// bytes differ count as changed. By default a refresh after the first
 	// asks each worker for a delta since the cut the view holds and
-	// replaces just the changed nodes in place.
+	// replaces just the changed nodes.
 	NoDeltaRefresh bool
 }
 
@@ -78,10 +79,9 @@ type CoordStats struct {
 	Workers []ClientStats `json:"workers"`
 }
 
-// aggView is one published view the query path answers from.
+// aggView is the published view the query path answers from.
 type aggView struct {
-	eng     *core.Engine
-	updates uint64 // summed worker cut positions
+	eng *core.Engine
 }
 
 // Coordinator routes every update to the workers owning its endpoints,
@@ -115,14 +115,20 @@ type Coordinator struct {
 
 	gate *seqGate // dedup for the network ingest endpoint
 
-	aggMu sync.RWMutex // held for write while swapping the view
+	// agg is nil until the first refresh installs into eng; aggMu is held
+	// for write while publishing and closing it.
+	aggMu sync.RWMutex
 	agg   *aggView
 
-	// refreshMu serializes Refresh end to end. acked[i] (guarded by it) is
-	// worker i's chain position whose range the view holds: the base the
-	// next pull's ?since= names and a delta must chain onto. Zero means
-	// none, and the next pull asks for a full checkpoint.
+	// refreshMu serializes Refresh end to end. eng (guarded by it) is the
+	// view's engine, made by the first refresh and kept for the
+	// coordinator's life (closed by Close, never remade: acked would not
+	// describe a new one). acked[i] is worker i's chain position whose range
+	// the view holds: the base the next pull's ?since= names and a delta
+	// must chain onto. Zero means none, and the next pull asks for a full
+	// checkpoint.
 	refreshMu sync.Mutex
+	eng       *core.Engine
 	acked     []core.ChainPos
 
 	accepted     atomic.Uint64
@@ -272,7 +278,7 @@ func (co *Coordinator) drain() error {
 	return first
 }
 
-// ramCfg is the engine configuration views are built from: the cluster
+// ramCfg is the engine configuration the view is built from: the cluster
 // parameters over the whole universe, forced into RAM with no WAL.
 func (co *Coordinator) ramCfg() core.Config {
 	cfg := co.cfg.Engine
@@ -284,17 +290,17 @@ func (co *Coordinator) ramCfg() core.Config {
 	return cfg
 }
 
-// pull takes every worker's cut and opens worker i's body as range i of
-// view (ReadRange). A full pull installs the bodies straight into the
-// fresh view, streamed concurrently, holding none of them; a pull of
-// deltas since acked loads each body, read and verified whole, for
-// Refresh to install all of them in one step. Dispatch is held from the
-// flush until every worker's response header has arrived — a worker seals
+// pull takes every worker's cut and loads worker i's body as range i of
+// the view (ReadRange, then Load: every body read and verified whole, in
+// RAM), for Refresh to install all of them in one step. Worker i is asked
+// for a delta since acked[i], or for a full checkpoint with
+// NoDeltaRefresh or no acked position. Dispatch is held from the flush
+// until every worker's response header has arrived — a worker seals
 // before it answers — so every cut holds exactly the updates accepted
-// before the refresh; the bodies are read concurrently and need not wait
-// for each other, so two coordinators pulling at once cannot deadlock on
-// the workers' checkpoint locks.
-func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) ([]*core.Checkpoint, error) {
+// before the refresh; the bodies are read concurrently, outside the
+// view's lock, and need not wait for each other, so two coordinators
+// pulling at once cannot deadlock on the workers' checkpoint locks.
+func (co *Coordinator) pull(ctx context.Context) ([]*core.Checkpoint, error) {
 	k := len(co.clients)
 	cps := make([]*core.Checkpoint, k)
 	bodies := make([]io.Closer, k)
@@ -319,7 +325,7 @@ func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) (
 		go func() {
 			defer done.Done()
 			var since uint64
-			if !full {
+			if !co.cfg.NoDeltaRefresh {
 				since = co.acked[i].ID
 			}
 			body, _, err := cl.Checkpoint(ctx, since)
@@ -330,12 +336,8 @@ func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) (
 			}
 			bodies[i] = body
 			lo, hi := co.part.Range(i)
-			cp, err := view.ReadRange(body, lo, hi)
-			switch {
-			case err != nil:
-			case full && cp.IsDelta():
-				err = fmt.Errorf("%w: a full pull was answered with a delta", core.ErrDeltaCheckpoint)
-			case !full:
+			cp, err := co.eng.ReadRange(body, lo, hi)
+			if err == nil {
 				err = cp.Load()
 			}
 			cps[i], errs[i] = cp, err
@@ -349,11 +351,6 @@ func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) (
 			return nil, fmt.Errorf("gzserve: pulling checkpoint from worker %d (%s): %w", i, co.clients[i].Addr(), err)
 		}
 	}
-	if full {
-		if err := view.Install(cps...); err != nil {
-			return nil, fmt.Errorf("gzserve: pulling worker checkpoints: %w", err)
-		}
-	}
 	return cps, nil
 }
 
@@ -361,88 +358,64 @@ func (co *Coordinator) pull(ctx context.Context, view *core.Engine, full bool) (
 // every update Ingest had accepted before Refresh began: it flushes the
 // send pipeline, has every worker seal (holding dispatch until all have;
 // see Coordinator) and takes in each worker's body as the worker's node
-// range of the view. The first refresh, and every one with
-// NoDeltaRefresh, streams full checkpoints into a fresh view, adopts the
-// old view's query baseline (so the next query re-solves only the
-// components whose nodes changed) and swaps it in. Otherwise each worker
-// is asked for a delta since the cut the view holds of it; every answer is
-// read and verified — a delta must chain onto that cut, and every slot
-// must lie inside the worker's range — before the view is touched, and
-// then all of them are installed in one step, each replaced slot's old
-// bytes feeding the incremental query. A worker that answers full
-// (restarted, base aged out, too much churn) has its whole range replaced
-// in that same step. On any error the view is left as it was.
+// range of the view. The first refresh makes the view, which then serves
+// for the coordinator's life. Every refresh, full or delta, pulls and
+// verifies every body before the view is touched — a delta must chain
+// onto the cut the view holds of its worker, and every slot must lie
+// inside the worker's range — and then installs all of them in one step.
+// A full checkpoint (the first refresh, NoDeltaRefresh, or a worker that
+// restarted, aged out its base or churned too much) replaces its whole
+// range, a delta its nodes; either way only the nodes whose bytes differ
+// count as changed, each replaced slot's old bytes feeding the
+// incremental query. On any error the view is left as it was.
 func (co *Coordinator) Refresh(ctx context.Context) error {
 	co.refreshMu.Lock()
 	defer co.refreshMu.Unlock()
 	start := time.Now()
-
-	co.aggMu.RLock()
-	old := co.agg
-	co.aggMu.RUnlock()
-
-	var (
-		cps   []*core.Checkpoint
-		err   error
-		view  *aggView
-		delta = !co.cfg.NoDeltaRefresh && old != nil
-	)
-	if delta {
-		if cps, err = co.pull(ctx, old.eng, false); err != nil {
-			return err
-		}
-		for i, cp := range cps {
-			if cp.IsDelta() && cp.Base != co.acked[i] {
-				// The worker re-minted the id the view holds under another
-				// state (a durable restart keeps its lineage tag): pull its
-				// full range next time.
-				co.acked[i] = core.ChainPos{}
-				return fmt.Errorf("gzserve: worker %d (%s): %w", i, co.clients[i].Addr(), core.ErrCheckpointChain)
-			}
-		}
-		if err := old.eng.Install(cps...); err != nil {
-			return fmt.Errorf("gzserve: installing worker cuts: %w", err)
-		}
-		view = &aggView{eng: old.eng}
-	} else {
+	if co.eng == nil {
 		eng, err := core.NewEngine(co.ramCfg())
 		if err != nil {
 			return err
 		}
-		if cps, err = co.pull(ctx, eng, true); err != nil {
-			eng.Close()
-			return err
-		}
-		// Seed the fresh view's incremental-query state from the outgoing
-		// one before publishing: the slot-level diff stamps exactly the
-		// nodes whose sketches changed, so the first query on the new view
-		// runs the delta path instead of a cold Boruvka. Done outside
-		// aggMu's write lock (the diff is an O(n) byte compare) so queries
-		// keep flowing off the old view.
-		if old != nil {
-			eng.AdoptQueryBaseline(old.eng)
-		}
-		view = &aggView{eng: eng}
+		co.eng = eng
 	}
-	allDelta := delta
+	if co.eng.Closed() {
+		return core.ErrClosed
+	}
+	cps, err := co.pull(ctx)
+	if err != nil {
+		return err
+	}
+	var updates uint64
+	allDelta := true
 	for i, cp := range cps {
-		co.acked[i] = cp.Pos
-		view.updates += cp.Updates
+		if cp.IsDelta() && cp.Base != co.acked[i] {
+			// The worker re-minted the id the view holds under another
+			// state (a durable restart keeps its lineage tag): pull its
+			// full range next time.
+			co.acked[i] = core.ChainPos{}
+			return fmt.Errorf("gzserve: worker %d (%s): %w", i, co.clients[i].Addr(), core.ErrCheckpointChain)
+		}
+		updates += cp.Updates
 		allDelta = allDelta && cp.IsDelta()
 	}
-
-	co.aggMu.Lock()
-	co.agg = view
-	co.aggMu.Unlock()
-	if old != nil && old.eng != view.eng {
-		old.eng.Close()
+	if err := co.eng.Install(cps...); err != nil {
+		return fmt.Errorf("gzserve: installing worker cuts: %w", err)
 	}
+	for i, cp := range cps {
+		co.acked[i] = cp.Pos
+	}
+	co.aggMu.Lock()
+	if co.agg == nil {
+		co.agg = &aggView{eng: co.eng}
+	}
+	co.aggMu.Unlock()
 	co.merges.Add(1)
 	if allDelta {
 		co.deltaRefr.Add(1)
 	}
 	co.lastMergeNs.Store(uint64(time.Since(start).Nanoseconds()))
-	co.lastMergeUpd.Store(view.updates)
+	co.lastMergeUpd.Store(updates)
 	return nil
 }
 
@@ -519,7 +492,7 @@ func (co *Coordinator) Stats() CoordStats {
 // Close gracefully shuts the coordinator down: it stops the background
 // merge loop, drains every worker's send window, and runs one final
 // refresh so the last view covers everything accepted. The view is then
-// released.
+// released, and later refreshes and queries fail with core.ErrClosed.
 func (co *Coordinator) Close(ctx context.Context) error {
 	if co.closed.Swap(true) {
 		return nil
@@ -530,12 +503,14 @@ func (co *Coordinator) Close(ctx context.Context) error {
 	}
 	err := co.Refresh(ctx) // flush + final checkpoint pull
 	co.lifeCancel()        // abort anything still in flight after the drain
+	co.refreshMu.Lock()
 	co.aggMu.Lock()
-	if co.agg != nil {
-		co.agg.eng.Close()
-		co.agg = nil
+	co.agg = nil
+	if co.eng != nil {
+		co.eng.Close()
 	}
 	co.aggMu.Unlock()
+	co.refreshMu.Unlock()
 	return err
 }
 

@@ -32,9 +32,6 @@ func NewRangePartitioner(numNodes uint32, k int) (*Partitioner, error) {
 	return &Partitioner{k: k, numNodes: numNodes, nodesPer: nodesPer}, nil
 }
 
-// Parts returns K.
-func (p *Partitioner) Parts() int { return p.k }
-
 // Owner returns the part owning node.
 func (p *Partitioner) Owner(node uint32) int {
 	return min(int(node/p.nodesPer), p.k-1) // nodes beyond k*nodesPer when k doesn't divide n

@@ -3,9 +3,11 @@ package gzserve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 
+	"graphzeppelin/internal/core"
 	"graphzeppelin/internal/dsu"
 	"graphzeppelin/internal/stream"
 )
@@ -90,11 +92,104 @@ func TestCoordinatorIncrementalRefresh(t *testing.T) {
 
 	// The view must have answered incrementally: the install stamped only
 	// the trickle's nodes.
-	tc.co.aggMu.RLock()
-	agg := tc.co.agg.eng
-	tc.co.aggMu.RUnlock()
-	if st := agg.Stats(); st.DeltaQueries == 0 {
-		t.Fatalf("post-adoption query ran cold (delta=%d fallbacks=%d)", st.DeltaQueries, st.DeltaFallbacks)
+	if st := viewOf(tc.co).Stats(); st.DeltaQueries == 0 {
+		t.Fatalf("the query after the refresh ran cold (delta=%d fallbacks=%d)", st.DeltaQueries, st.DeltaFallbacks)
+	}
+}
+
+// viewOf returns the engine co's queries run on.
+func viewOf(co *Coordinator) *core.Engine {
+	co.aggMu.RLock()
+	defer co.aggMu.RUnlock()
+	return co.agg.eng
+}
+
+// TestCoordinatorOneView pins the coordinator's one view: the engine its
+// queries run on is made by the first refresh and kept across delta
+// refreshes and, with NoDeltaRefresh, across full ones. A full refresh's
+// install counts only the nodes whose bytes differ as changed, so the
+// query after a second full refresh is a delta query, with the exact
+// answer.
+func TestCoordinatorOneView(t *testing.T) {
+	const numNodes = 96
+	tc := startCluster(t, numNodes, 41, 2, ClientConfig{}, nil)
+	defer tc.shutdown(t)
+	ctx := context.Background()
+	var addrs []string
+	for _, srv := range tc.servers {
+		addrs = append(addrs, srv.URL)
+	}
+	full, err := NewCoordinator(CoordinatorConfig{Engine: core.Config{NumNodes: numNodes, Seed: 41},
+		Workers: addrs, NoDeltaRefresh: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := full.Close(ctx); err != nil {
+			t.Errorf("closing the full-refresh coordinator: %v", err)
+		}
+	}()
+	// full ingests nothing: it pulls right after tc.co's refresh has
+	// flushed, so both see the same cut.
+	refresh := func() {
+		t.Helper()
+		for _, co := range []*Coordinator{tc.co, full} {
+			if err := co.Refresh(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	ups, _ := randomStream(numNodes, 900, 11)
+	if err := tc.co.Ingest(ups); err != nil {
+		t.Fatal(err)
+	}
+	refresh()
+	deltaView, fullView := viewOf(tc.co), viewOf(full)
+	for _, co := range []*Coordinator{tc.co, full} {
+		if _, _, err := co.ConnectedComponents(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	extra := []stream.Update{
+		{Edge: stream.Edge{U: 0, V: 1}, Type: stream.Insert},
+		{Edge: stream.Edge{U: 60, V: 61}, Type: stream.Insert},
+	}
+	if err := tc.co.Ingest(extra); err != nil {
+		t.Fatal(err)
+	}
+	refresh()
+	if d, f := tc.co.Stats(), full.Stats(); d.DeltaRefreshes != 1 || f.DeltaRefreshes != 0 || f.Merges != 2 {
+		t.Fatalf("delta refreshes %d and %d of %d full-mode merges, want 1 and 0 of 2", d.DeltaRefreshes, f.DeltaRefreshes, f.Merges)
+	}
+	if viewOf(tc.co) != deltaView || viewOf(full) != fullView {
+		t.Fatal("a refresh replaced the view engine")
+	}
+
+	before := fullView.Stats()
+	wantRep, wantCount := toggled(numNodes, ups, extra)
+	for _, co := range []*Coordinator{tc.co, full} {
+		rep, count, err := co.ConnectedComponents(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count != wantCount || !partitionsAgree(rep, wantRep) {
+			t.Fatalf("%d components, want %d, or the partition differs from the exact one", count, wantCount)
+		}
+	}
+	if st := fullView.Stats(); st.DeltaQueries != before.DeltaQueries+1 || st.DeltaFallbacks != before.DeltaFallbacks {
+		t.Fatalf("the query after the second full refresh ran delta %d→%d, fallbacks %d→%d, want one delta query",
+			before.DeltaQueries, st.DeltaQueries, before.DeltaFallbacks, st.DeltaFallbacks)
+	}
+
+	// A closed coordinator's view is gone for good: no query answers off
+	// an engine remade after Close.
+	if err := full.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := full.ConnectedComponents(ctx); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("a query after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -322,10 +322,6 @@ func (wk *Worker) checkpointLoop(every time.Duration) {
 // Engine exposes the underlying engine (tests and in-process callers).
 func (wk *Worker) Engine() *core.Engine { return wk.eng }
 
-// Recovered reports what NewDurableWorker replayed at startup (zero
-// value for plain workers).
-func (wk *Worker) Recovered() core.Recovery { return wk.recovered }
-
 // Stats snapshots the worker's /statsz document.
 func (wk *Worker) Stats() WorkerStats {
 	est := wk.eng.Stats()

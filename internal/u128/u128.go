@@ -107,12 +107,6 @@ func (u Uint128) Div64(d uint64) (q Uint128, r uint64) {
 	return q, r
 }
 
-// Mod64 returns u mod d for nonzero d.
-func (u Uint128) Mod64(d uint64) uint64 {
-	_, r := u.Div64(d)
-	return r
-}
-
 // Mersenne89 is the Mersenne prime 2^89 - 1 used as the checksum field for
 // the standard l0 baseline's 128-bit path.
 var Mersenne89 = Uint128{Hi: 1 << 25, Lo: 0}.Sub(From64(1))

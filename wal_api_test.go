@@ -1,7 +1,11 @@
 package graphzeppelin_test
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	gz "graphzeppelin"
@@ -82,5 +86,75 @@ func TestWALRecoverAPI(t *testing.T) {
 	}
 	if _, err := gz.ParseFsyncPolicy("bogus"); err == nil {
 		t.Fatal("bogus fsync policy accepted")
+	}
+}
+
+// TestCompactCheckpointsAPI folds a base checkpoint file and two delta
+// files through the public wrapper: the compacted file opens to a Graph
+// that answers like the chain tip, with the tip's checkpoint id and WAL
+// coverage, and a torn delta fails the fold.
+func TestCompactCheckpointsAPI(t *testing.T) {
+	dir := t.TempDir()
+	g, err := gz.New(64, gz.WithSeed(12), gz.WithWAL(filepath.Join(dir, "wal")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for u := uint32(0); u < 9; u++ {
+		if err := g.Insert(u, u+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := filepath.Join(dir, "base.gze")
+	if err := g.SaveCheckpoint(base); err != nil {
+		t.Fatal(err)
+	}
+	var deltas []string
+	for i, eg := range []gz.Edge{{U: 20, V: 21}, {U: 4, V: 5}} { // an insert, then a delete
+		if err := g.Insert(eg.U, eg.V); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if delta, err := g.WriteDeltaCheckpoint(&buf, g.CheckpointID()); err != nil || !delta {
+			t.Fatalf("delta %d: delta=%v err=%v", i, delta, err)
+		}
+		p := filepath.Join(dir, fmt.Sprintf("delta-%d.gzd", i))
+		if err := os.WriteFile(p, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		deltas = append(deltas, p)
+	}
+	tip := g.Stats()
+	if tip.LastCheckpointWALLSN == 0 {
+		t.Fatal("the chain tip covers no WAL position")
+	}
+
+	out := filepath.Join(dir, "compacted.gze")
+	if err := gz.CompactCheckpoints(out, base, deltas, gz.WithSeed(12)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := gz.OpenCheckpoint(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if st := c.Stats(); st.LastCheckpointID != tip.LastCheckpointID || st.LastCheckpointWALLSN != tip.LastCheckpointWALLSN ||
+		st.Updates != tip.Updates {
+		t.Fatalf("compacted checkpoint at id %d, WAL %d, %d updates; the tip at id %d, WAL %d, %d updates",
+			st.LastCheckpointID, st.LastCheckpointWALLSN, st.Updates, tip.LastCheckpointID, tip.LastCheckpointWALLSN, tip.Updates)
+	}
+	if !slices.Equal(repPartition(t, c), repPartition(t, g)) {
+		t.Fatal("the compacted checkpoint answers unlike the chain tip")
+	}
+
+	b, err := os.ReadFile(deltas[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(deltas[1], b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.CompactCheckpoints(filepath.Join(dir, "torn.gze"), base, deltas); err == nil {
+		t.Fatal("a chain with a torn delta folded without error")
 	}
 }
