@@ -375,7 +375,11 @@ func BenchmarkSpanningForest(b *testing.B) {
 // its cut case (the attach query before it is reported as attach-ms); disk
 // is detach with the sketches out of core behind a cache of an eighth of
 // the store, where the delta reads the dirty nodes' groups and nothing
-// else. Uses a kron scale-10 stream (1024 nodes) so the ratios are robust;
+// else. disk attaches to the same four nodes every iteration, so their
+// groups stay resident; disk-fresh draws four fresh partners from the main
+// component per attach, as the repository benchmark's trickles do, so
+// their batches fault groups through the cache wherever they are applied.
+// Uses a kron scale-10 stream (1024 nodes) so the ratios are robust;
 // detach runs on a scale-12 stream (4096 nodes) as well, where a delta
 // query whose work is set by what changed costs what it costs at 1024.
 // Smoke-run in CI; end to end it is every workload's query_delta_ms.
@@ -389,6 +393,7 @@ func BenchmarkConnectedAfterDelta(b *testing.B) {
 		{name: "dirty=10%", frac: 0.1},
 		{name: "detach", frac: 0.001, detach: true},
 		{name: "disk", frac: 0.001, detach: true, disk: true},
+		{name: "disk-fresh", frac: 0.001, detach: true, disk: true, fresh: true},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -415,6 +420,8 @@ type afterDeltaMode struct {
 	// reserved node and queries, off the clock, then detaches it.
 	detach bool
 	disk   bool
+	// fresh draws the attach's partners anew every iteration.
+	fresh bool
 }
 
 // benchAfterDelta runs one mode of BenchmarkConnectedAfterDelta over res.
@@ -487,10 +494,31 @@ func benchAfterDelta(b *testing.B, res kron.Result, mode afterDeltaMode) {
 	if mode.frac > 0 && k < 1 {
 		k = 1
 	}
+	// The main component's nodes, which fresh partners are drawn from.
+	var partners []uint32
+	if mode.fresh {
+		off := make(map[uint32]bool, len(res.Disconnected))
+		for _, v := range res.Disconnected {
+			off[v] = true
+		}
+		for v := range n {
+			if !off[v] {
+				partners = append(partners, v)
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
 	var attachTime time.Duration
 	b.ResetTimer()
 	b.StopTimer()
 	for i := 0; i < b.N; i++ {
+		if mode.fresh {
+			for j, k := range rng.Perm(len(partners))[:len(attach)] {
+				eg := graphzeppelin.Edge{U: res.Disconnected[0], V: partners[k]}.Normalize()
+				attach[j] = graphzeppelin.Update{Edge: eg, Type: graphzeppelin.Insert}
+				detach[j] = graphzeppelin.Update{Edge: eg, Type: graphzeppelin.Delete}
+			}
+		}
 		// The trickle stays in the gutters: the timed query takes it out
 		// itself, as the repository benchmark's delta query does. Only the
 		// cold mode drains first, so it times the from-scratch query alone.

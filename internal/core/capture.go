@@ -18,7 +18,9 @@ import (
 // node's stack as it stands before the change (the store does it from
 // wherever the stack is at hand: the owner's slab, the decoded cache
 // group). This is the one place that decides what a reader sees for a
-// node at its cut, in both stores.
+// node at its cut, in both stores. A leftover batch that a delta query
+// logs before it applies (logBatch) is bracketed by beginSeal instead,
+// which leaves the baseline alone.
 //
 // A seal takes an image: the node's slot bytes at its cut, copied at its
 // first change after it. The baseline's entry for a node is its log, the
@@ -84,7 +86,8 @@ type capture struct {
 	// by node, each logged node's indices applied since the cut (nil for
 	// any other node). base is written under mu by the change that takes
 	// the image; a node's log only by its owner (the worker, or a query
-	// applying a leftover batch while the workers are idle), under mu.
+	// applying or logging a leftover batch while the workers are idle),
+	// under mu.
 	// The delta query reads both without mu while the workers are idle
 	// (it holds the quiesce write lock), as only a concurrent scan, which
 	// reads base too, may run then; begin reads the changing node's log
@@ -188,22 +191,7 @@ func (c *capture) begin(node uint32, first bool, indices []uint64) captureOp {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seal := false
-	if op.sec >= 0 {
-		for !s.scanned[op.sec] && (s.claimed[op.sec] || s.images[node] == nil && !c.fits(c.slot)) {
-			c.cond.Wait()
-		}
-		if s.scanned[op.sec] {
-			op.sec = -1
-		} else {
-			s.inflight[op.sec]++
-			seal = s.images[node] == nil
-		}
-	}
-	if seal {
-		op.img = c.take()
-		s.images[node] = op.img
-	}
+	seal := c.enter(s, &op, node)
 	switch {
 	case c.baseOver.Load() || !first && log == nil:
 		// Listed already, with an image or refused, or the list has
@@ -235,6 +223,73 @@ func (c *capture) begin(node uint32, first bool, indices []uint64) captureOp {
 		c.base[node] = op.img
 	}
 	return op
+}
+
+// beginSeal is begin for a change the baseline holds already: a leftover
+// batch a delta query logged (logBatch) and applies, or hands to its
+// owner, after it. Only a live seal's side is left, and the change takes
+// the seal's image as begin's would. Pass what it returns to end.
+func (c *capture) beginSeal(node uint32) captureOp {
+	s, op := c.sealed.Load(), captureOp{sec: -1}
+	if s == nil {
+		return op
+	}
+	if op.sec = s.section(node); op.sec < 0 {
+		return op
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.enter(s, &op, node)
+	return op
+}
+
+// enter enters a change to node in its section of seal s, op.sec, when
+// it has one: it waits while the section is claimed, or while the seal
+// wants the node's image and the budget is exhausted; it leaves op.sec -1
+// once the section is scanned, and otherwise counts the change in flight
+// and takes the seal's image of node at its first change after the seal,
+// into op.img. It reports whether it took that image. Caller holds mu.
+func (c *capture) enter(s *sealCut, op *captureOp, node uint32) bool {
+	if op.sec < 0 {
+		return false
+	}
+	for !s.scanned[op.sec] && (s.claimed[op.sec] || s.images[node] == nil && !c.fits(c.slot)) {
+		c.cond.Wait()
+	}
+	if s.scanned[op.sec] {
+		op.sec = -1
+		return false
+	}
+	s.inflight[op.sec]++
+	if s.images[node] != nil {
+		return false
+	}
+	op.img = c.take()
+	s.images[node] = op.img
+	return true
+}
+
+// logBatch is begin's baseline side alone, for a leftover batch that a
+// delta query applies after its cut or not at all (logLeftovers): when
+// the baseline logs the change — node is changing first since the cached
+// result's cut, or is logged, and its log takes indices within the cap
+// and the budget — it lists the node at its first change, appends indices
+// to its log and reports true. Otherwise it records nothing, and the
+// batch applies through begin as any other. Unlike begin it never shares
+// a seal's image: the seal takes its own at the apply (beginSeal). The
+// caller holds the quiesce write lock with the workers idle.
+func (c *capture) logBatch(node uint32, first bool, indices []uint64) bool {
+	log := c.logs[node]
+	if !first && log == nil || c.baseOver.Load() {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(log)+len(indices) > c.logCap || !c.fits(8*len(indices)) || first && !c.list(node) {
+		return false
+	}
+	c.logs[node] = c.appendLog(log, indices)
+	return true
 }
 
 // list enters node, at its first change since the cached result's cut,

@@ -180,10 +180,11 @@ type Engine struct {
 	buf     gutter.Buffer
 	pending sync.WaitGroup
 	wg      sync.WaitGroup
-	// hold is the sink an out-of-core query's drain flushes the gutters
-	// into (takeLeftover): it keeps their leftover batches in the query
-	// session for the query's pass to apply, instead of queueing them for
-	// the workers. Made once, with the engine, as Flush's argument list.
+	// hold is the sink a query's drain flushes the gutters into
+	// (takeLeftover): it keeps their leftover batches in the query session,
+	// for a delta query to log and a from-scratch one to apply in its pass,
+	// instead of queueing them for the workers. Made once, with the engine,
+	// as Flush's argument list.
 	hold []gutter.Sink
 
 	// testApplyHook, when non-nil (tests only), brackets every batch
@@ -192,7 +193,8 @@ type Engine struct {
 	// in both stores, on a worker or on a query applying a leftover batch.
 	// The ownership test uses it to prove that one worker applies each
 	// group, the checkpoint tests to hold an apply open while the scanner
-	// claims its section.
+	// claims its section, the deferral tests to hold the workers through
+	// a delta query.
 	testApplyHook func(node uint32) func()
 
 	// quiesce separates producers (read side: ingest entry points) from
@@ -542,8 +544,11 @@ func (e *Engine) dispatch(b gutter.Batch) {
 // every worker at once and serialize on the group's cache-shard lock, one
 // worker faulting the group in while the others wait. In RAM a group is
 // one node, so shard s owns ramStore's slab s.
-func (e *Engine) ownerOf(node uint32) *shard {
-	return e.shards[node/uint32(e.npg)%uint32(len(e.shards))]
+func (e *Engine) ownerOf(node uint32) *shard { return e.shards[e.ownerIndex(node)] }
+
+// ownerIndex returns the index in shards of node's owner (ownerOf).
+func (e *Engine) ownerIndex(node uint32) int {
+	return int(node / uint32(e.npg) % uint32(len(e.shards)))
 }
 
 // checkEdge validates and normalizes one edge against the node universe.
@@ -779,36 +784,42 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 // change is the one way a batch reaches its node's sketches, whoever
 // applies it: the node's owning worker (applyBatch), or a query applying a
 // leftover batch while the workers are idle — a delta query on its own
-// goroutine (applyLeftovers), an out-of-core from-scratch query in its
-// pass (deviceStore.walk). sh is the node's owner, whose scratch and batch
-// count the batch uses. apply changes the stack, first filling img, when
-// non-nil, with the stack as it stands before the change: the image a
-// reader whose cut precedes the change gets for the node, or the bytes a
-// log converts from. What apply leaves to write — a slot's bytes for the
-// device — the caller writes after change returns, with its neighbours',
-// as an eviction writes a group back: whenever those bytes land, a live
-// seal's scanner reads the node under its image, or read it before the
-// change.
+// goroutine (logLeftovers, applyLeftovers), an out-of-core from-scratch
+// query in its pass (deviceStore.walk). sh is the node's owner, whose
+// scratch and batch count the batch uses. apply changes the stack, first
+// filling img, when non-nil, with the stack as it stands before the
+// change: the image a reader whose cut precedes the change gets for the
+// node, or the bytes a log converts from. What apply leaves to write — a
+// slot's bytes for the device — the caller writes after change returns,
+// with its neighbours', as an eviction writes a group back: whenever those
+// bytes land, a live seal's scanner reads the node under its image, or
+// read it before the change.
+//
+// A pre-cut batch (gutter.Batch.PreCut) is one a delta query logged and
+// stamped under the quiesce lock and counts as applied at the cut its
+// result took (logLeftovers): its change is recorded already, so it takes
+// no baseline entry and no new stamp, and only a live seal, whose cut
+// precedes it, takes its image.
 func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indices []uint64, img []byte) error) error {
 	// Translate far endpoints into characteristic-vector indices once;
 	// every round's sketch consumes the same indices.
-	sh.indices = sh.indices[:0]
-	node := b.Node + e.lo // the batch is keyed by local id, the far ends are global
-	for _, other := range b.Others {
-		eg := stream.Edge{U: node, V: other}
-		sh.indices = append(sh.indices, stream.EdgeIndex(uint64(e.cfg.NumNodes), eg))
-	}
+	sh.indices = e.batchIndices(sh.indices[:0], b)
 	sh.batches.Add(1)
 	// The capture logs the batch's indices for the delta query's
 	// baseline, or takes an image for a reader (capture.go); op.img is nil
 	// when no reader wants one, and apply fills it from wherever the
 	// pre-change stack is at hand (the owner's slab, the decoded cache
 	// group, the slot just read).
-	op := e.capture.begin(b.Node, e.wantsBase(b.Node), sh.indices)
-	// Stamp the change before touching the sketches: no cut can be taken
-	// while the batch is in flight, so every reader whose cut precedes the
-	// applied state sees the node as changed.
-	e.touch(b.Node)
+	var op captureOp
+	if b.PreCut {
+		op = e.capture.beginSeal(b.Node)
+	} else {
+		op = e.capture.begin(b.Node, e.wantsBase(b.Node), sh.indices)
+		// Stamp the change before touching the sketches: no cut can be
+		// taken while the batch is in flight, so every reader whose cut
+		// precedes the applied state sees the node as changed.
+		e.touch(b.Node)
+	}
 	var done func()
 	if h := e.testApplyHook; h != nil {
 		done = h(b.Node)
@@ -821,12 +832,26 @@ func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indic
 	return err
 }
 
+// batchIndices appends the characteristic-vector indices of b's edges to
+// dst. The batch is keyed by local id, the far ends are global.
+func (e *Engine) batchIndices(dst []uint64, b gutter.Batch) []uint64 {
+	node := b.Node + e.lo
+	for _, other := range b.Others {
+		dst = append(dst, stream.EdgeIndex(uint64(e.cfg.NumNodes), stream.Edge{U: node, V: other}))
+	}
+	return dst
+}
+
 // touch stamps node as changed after the current cut. A node touched again
 // before the next cut already holds the stamp, so a hot node's later
 // batches only load it. The stamps answer "changed since cut X" for any
 // cut, a seal's included; the delta query's own cut is also answered by
 // the capture's baseline, which lists each node at the change whose stamp
-// first passes it, so the query need not scan them.
+// first passes it, so the query need not scan them. A delta query stamps
+// the nodes of the leftover batches it logs when it logs them, at cut+1,
+// which is the cut its result takes next (logLeftovers): the node changed
+// after the previous result and not after this one, and the batch, applied
+// later, stamps nothing (change).
 func (e *Engine) touch(node uint32) {
 	s, c := &e.stamp[node], e.cut.Load()+1
 	if s.Load() != c {

@@ -50,8 +50,15 @@ import (
 //  4. Incremental maintenance between epochs. When the cache is stale but
 //     a previous result exists, the query reads the dirty set — every node
 //     first changed since the cut that result took — off the capture's
-//     baseline, which lists each such node at its first change (capture.go),
-//     and applies the gutters' leftover batches on the query goroutine. A
+//     baseline, which lists each such node at its first change (capture.go).
+//     The gutters' leftover batches enter the baseline without reaching
+//     the sketches: the query logs each one the capture logs, stamps its
+//     node at the cut its result takes next (logLeftovers), applies those
+//     of the nodes whose live bytes its plan reads (applyLeftovers), and
+//     hands the rest to the workers after that cut, without waiting for
+//     them (releaseLeftover); any other batch it applies on its own
+//     goroutine first. A trickle's query thus pays for no cache fault or
+//     stack apply of a node it reads the log of. A
 //     component of the cached forest with no dirty member had no incident
 //     edge toggled since that result — any toggle lands a batch on both
 //     endpoints' sketches — so its forest edges are still genuine and its
@@ -110,12 +117,13 @@ type queryResult struct {
 // the graph is unchanged since the last full query, and by running lazy
 // Boruvka over a fresh snapshot otherwise. Under the quiesce write lock it
 // drains by taking the gutters' leftover batches (takeLeftover), in both
-// stores: a delta query applies them on this goroutine (applyLeftovers), a
-// from-scratch one in RAM through the workers and out of core in its pass
-// over the store (firstRound), and a cache hit or a failure hands them to
-// the workers. The returned result is shared and must be treated as
-// read-only. On ErrQueryFailed the partial result is returned alongside
-// the error (and is not cached).
+// stores: a delta query logs them and applies only those its plan reads
+// live (logLeftovers, applyLeftovers), a from-scratch one applies them in
+// RAM through the workers and out of core in its pass over the store
+// (firstRound), and whatever is left goes to the workers on the way out
+// (releaseLeftover), after the result's cut. The returned result is shared
+// and must be treated as read-only. On ErrQueryFailed the partial result
+// is returned alongside the error (and is not cached).
 func (e *Engine) query() (*queryResult, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -136,9 +144,11 @@ func (e *Engine) query() (*queryResult, error) {
 		return nil, ErrClosed
 	}
 	q := e.session()
-	// Whatever leftover batch the query does not apply itself — on a delta
-	// query, a cache hit or an error — goes to the workers, as a plain
-	// drain's would.
+	// Whatever leftover batch the query does not apply itself — one a delta
+	// query logged, or any on a cache hit or an error — goes to the
+	// workers, as a plain drain's would. Deferred calls run last in first
+	// out, so this one follows cacheResultLocked: the batches a delta query
+	// logged reach the workers once the cut counting them is taken.
 	defer e.releaseLeftover(q)
 	if err := e.takeLeftover(); err != nil {
 		return nil, err
@@ -160,10 +170,13 @@ func (e *Engine) query() (*queryResult, error) {
 }
 
 // takeLeftover is a query's drain. It waits for the batches already
-// queued, then flushes the gutters into the session (q.left, sorted by
-// node) instead of queueing them for the workers. A delta query applies
-// them on its own goroutine (applyLeftovers): a trickle leaves a handful,
-// and parking on the workers would cost more than applying them. Out of
+// queued, a previous delta query's logged ones among them, then flushes
+// the gutters into the session (q.left, sorted by node) instead of
+// queueing them for the workers. A delta query logs a trickle's handful
+// and applies only those its plan reads live (logLeftovers): the rest
+// reach the sketches through the workers after its cut, while no reader
+// waits, where applying them here would fault their groups through the
+// cache and toggle every round of their stacks inside the query. Out of
 // core a from-scratch query applies them in its pass over the store, one
 // group at a time as the pass reaches it (deviceStore.walk), so that a
 // group off the device is read once and written once, where the workers
@@ -186,15 +199,23 @@ func (e *Engine) takeLeftover() error {
 }
 
 // releaseLeftover hands the leftover batches q has not applied to the
-// workers and waits for them, so the sketches hold every one, and leaves
-// q with none. The caller holds the quiesce write lock.
+// workers and leaves q with none. It waits for the ones q took from the
+// gutters, so the sketches hold every one, but not for those a delta query
+// logged (q.later): they count as applied at its cut, and every reader of
+// the bytes they change — the next query's takeLeftover, a seal, Drain,
+// exclusive, Close — waits on pending first. The caller holds the quiesce
+// write lock.
 func (e *Engine) releaseLeftover(q *querySession) error {
 	rest := q.left[q.leftAt:]
 	for _, b := range rest {
 		e.dispatch(b)
 	}
+	for _, b := range q.later {
+		e.dispatch(b)
+	}
 	clear(q.left)
-	q.left, q.leftAt = q.left[:0], 0
+	clear(q.later)
+	q.left, q.leftAt, q.later = q.left[:0], 0, q.later[:0]
 	if len(rest) == 0 {
 		return nil
 	}
@@ -202,17 +223,75 @@ func (e *Engine) releaseLeftover(q *querySession) error {
 	return e.err()
 }
 
-// applyLeftovers applies q's leftover batches on the query goroutine, each
-// as its owner's worker would (applyBatch), and leaves q with none. The
-// caller holds the quiesce write lock with the workers idle, so the
-// owners' scratch is free.
-func (e *Engine) applyLeftovers(q *querySession) error {
-	for _, b := range q.left[q.leftAt:] {
-		e.applyBatch(e.ownerOf(b.Node), b)
-		e.buf.Recycle(b.Others)
+// logLeftovers is a delta query's drain. A leftover batch that the capture
+// logs (capture.logBatch) waits: under the quiesce lock the query only
+// lists its node, appends its indices to the node's log and stamps the
+// node (touch) at cut+1, the cut cacheResultLocked mints next, so the node
+// counts as changed since the previous result and not since this one. The
+// batch, marked pre-cut, moves to q.later; the plan applies those it reads
+// live (applyLeftovers), the workers the rest after the cut
+// (releaseLeftover), and neither records the change again
+// (Engine.change). At most queueSlotsPerShard batches wait per owner: its
+// queue is empty under the lock and holds that many, so handing them over
+// never waits for a worker. Every other batch applies now, as its owner's
+// worker would (applyBatch), and is recorded there: one whose node holds
+// an image or was refused, one past its log's cap, any once the baseline
+// has overflowed, and any past its owner's queue. A node's batches wait or
+// apply together, so no log converts with indices its bytes do not hold
+// yet. The caller holds the quiesce write lock with the workers idle, so
+// the owners' scratch is free.
+func (e *Engine) logLeftovers(q *querySession) error {
+	q.queued = sized(q.queued, len(e.shards))
+	for i := q.leftAt; i < len(q.left); {
+		node, s, j := q.left[i].Node, e.ownerIndex(q.left[i].Node), i
+		sh := e.shards[s]
+		sh.indices = sh.indices[:0]
+		for ; j < len(q.left) && q.left[j].Node == node; j++ {
+			sh.indices = e.batchIndices(sh.indices, q.left[j])
+		}
+		if q.queued[s]+j-i <= queueSlotsPerShard && e.capture.logBatch(node, e.wantsBase(node), sh.indices) {
+			q.queued[s] += j - i
+			e.touch(node)
+			for _, b := range q.left[i:j] {
+				b.PreCut = true
+				q.later = append(q.later, b)
+			}
+		} else {
+			for _, b := range q.left[i:j] {
+				e.applyBatch(sh, b)
+				e.buf.Recycle(b.Others)
+			}
+		}
+		i = j
 	}
 	clear(q.left)
 	q.left, q.leftAt = q.left[:0], 0
+	return e.err()
+}
+
+// applyLeftovers applies on the query goroutine the leftover batches a
+// delta query logged (q.later) of the nodes whose live bytes its plan
+// reads: the members of enumerated pieces and of components re-solved
+// from singletons (rolePiece, roleCur). A dirty node of any other role
+// contributes its log. Each applies as its owner's worker would apply it
+// after the cut, a pre-cut batch that records no change. The rest stay
+// in q.later. The caller holds the quiesce write lock with the workers
+// idle.
+func (e *Engine) applyLeftovers(q *querySession) error {
+	kept, i := q.later[:0], 0
+	for _, b := range q.later {
+		for i < len(q.plan) && q.plan[i].node < b.Node {
+			i++
+		}
+		if i < len(q.plan) && q.plan[i].node == b.Node && q.plan[i].role != roleDiff {
+			e.applyBatch(e.ownerOf(b.Node), b)
+			e.buf.Recycle(b.Others)
+			continue
+		}
+		kept = append(kept, b)
+	}
+	clear(q.later[len(kept):])
+	q.later = kept
 	return e.err()
 }
 
@@ -221,7 +300,7 @@ func (e *Engine) applyLeftovers(q *querySession) error {
 // otherwise. The caller holds the quiesce write lock with the workers
 // drained (so shard state, the baseline included, is stable) but for q's
 // leftover batches: the nodes they change count as dirty, and a delta
-// query applies them before it reads the dirty set.
+// query logs them before it reads the dirty set.
 func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, error) {
 	prev := e.queryCache.Load()
 	if !e.cfg.NoDeltaQuery && prev != nil {
@@ -241,7 +320,7 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 			return res, nil
 		}
 		if ok && float64(dirty) <= deltaQueryMaxDirtyFrac*float64(e.cfg.NumNodes) {
-			if err := e.applyLeftovers(q); err != nil {
+			if err := e.logLeftovers(q); err != nil {
 				return nil, err
 			}
 			q.dirty, _ = e.capture.dirty(q.dirty[:0])
@@ -255,8 +334,12 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 				return res, nil
 			}
 			// The affected components failed to certify within the sketch
-			// depth; the from-scratch run is the correctness backstop.
+			// depth; the from-scratch run is the correctness backstop, and
+			// its drain applies the batches the query logged.
 			q.reset()
+			q.left = append(q.left, q.later...)
+			clear(q.later)
+			q.later = q.later[:0]
 		}
 		e.deltaFallbacks.Add(1)
 		// The result supersedes prev's cut: the leftover batches the run
@@ -497,10 +580,14 @@ type querySession struct {
 	liveMembers int
 	giant       int
 
-	// The leftover batches of an out-of-core query's drain (takeLeftover),
-	// ascending by node, and how many of them have been applied.
+	// The leftover batches of a query's drain (takeLeftover), ascending by
+	// node, and how many of them have been applied; later holds, ascending
+	// by node, the ones a delta query logged and has not applied
+	// (logLeftovers).
 	left   []gutter.Batch
 	leftAt int
+	later  []gutter.Batch
+	queued []int // per shard: how many of later its owner's queue takes
 
 	// The round's samples (sampleRound): one out per sampling worker, then
 	// their candidates and emptied roots in live-root order. forest
@@ -1129,6 +1216,9 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 		start = end
 	}
 
+	if err := e.applyLeftovers(q); err != nil {
+		return nil, false, err
+	}
 	live, rounds, err := e.boruvkaRounds(q)
 	if err != nil {
 		return nil, false, err

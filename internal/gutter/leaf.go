@@ -193,14 +193,15 @@ func (g *LeafGutters) flushGroupLocked(grp uint32, sink Sink) {
 
 // insertLocked buffers other in node's gutter, flushing the whole group
 // as a burst of batches when the group's combined fill reaches the group
-// capacity. The caller holds node's stripe lock.
+// capacity. The caller holds node's stripe lock, and counts the insert in
+// buffered: once per stripe run, not once per endpoint on one atomic every
+// producer shares.
 func (g *LeafGutters) insertLocked(node, other uint32) {
 	buf := g.bufs[node]
 	if buf == nil {
 		buf = g.free.get(g.firstCap)
 	}
 	g.bufs[node] = append(buf, other)
-	g.buffered.Add(1)
 	grp := node / g.npg
 	if g.groupFill[grp] == 0 && !g.listed[grp] {
 		g.listed[grp] = true
@@ -220,6 +221,7 @@ func (g *LeafGutters) Insert(u, v uint32) {
 	g.locks[s].Lock()
 	g.insertLocked(u, v)
 	g.locks[s].Unlock()
+	g.buffered.Add(1)
 }
 
 // InsertEdges buffers a batch of edge updates, grouping the 2×len(edges)
@@ -269,6 +271,7 @@ func (g *LeafGutters) insertPlan(plan *stripePlan) {
 			g.insertLocked(ep.node, ep.other)
 		}
 		g.locks[s].Unlock()
+		g.buffered.Add(uint64(len(eps)))
 		plan.byStripe[s] = eps[:0]
 	}
 	g.scratch.Put(plan)

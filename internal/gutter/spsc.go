@@ -23,8 +23,12 @@ const CacheLine = 64
 
 // Batch is a group of buffered updates bound for one node's sketch: for
 // node Node, each element of Others is the far endpoint of one edge update.
+// PreCut is the consumer's mark, never set by a buffer: the engine sets it
+// on a batch whose change it has already recorded, at a cut the batch
+// counts as applied before, and hands to its workers after that cut.
 type Batch struct {
 	Node   uint32
+	PreCut bool
 	Others []uint32
 }
 
