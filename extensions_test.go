@@ -136,72 +136,6 @@ func TestForestPeelerAPI(t *testing.T) {
 	}
 }
 
-func TestNamedGraph(t *testing.T) {
-	g, err := graphzeppelin.NewNamed(8, graphzeppelin.WithSeed(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(g.Insert("alice", "bob"))
-	must(g.Insert("bob", "carol"))
-	must(g.Insert("dave", "erin"))
-	must(g.Delete("bob", "carol"))
-	must(g.Insert("carol", "alice"))
-
-	if g.NumSeen() != 5 {
-		t.Fatalf("NumSeen = %d, want 5", g.NumSeen())
-	}
-	conn, err := g.Connected("alice", "carol")
-	if err != nil || !conn {
-		t.Fatalf("Connected(alice, carol) = %v, %v", conn, err)
-	}
-	conn, err = g.Connected("alice", "dave")
-	if err != nil || conn {
-		t.Fatalf("Connected(alice, dave) = %v, %v", conn, err)
-	}
-	conn, err = g.Connected("nobody", "nobody")
-	if err != nil || !conn {
-		t.Fatal("unknown name should be connected to itself")
-	}
-	groups, err := g.Components()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 {
-		t.Fatalf("Components over seen nodes = %d groups, want 2", len(groups))
-	}
-	forest, err := g.Forest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(forest) != 3 { // alice-bob-carol tree (2) + dave-erin (1)
-		t.Fatalf("forest has %d edges, want 3", len(forest))
-	}
-}
-
-func TestNamedGraphErrors(t *testing.T) {
-	g, err := graphzeppelin.NewNamed(2, graphzeppelin.WithSeed(26))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if err := g.Insert("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Insert("a", "c"); err == nil {
-		t.Fatal("universe overflow accepted")
-	}
-	if err := g.Delete("a", "zzz"); err == nil {
-		t.Fatal("delete of unknown name accepted")
-	}
-}
-
 func TestMSFWeightSketchAPI(t *testing.T) {
 	s, err := graphzeppelin.NewMSFWeightSketch(3, 4, graphzeppelin.WithSeed(27))
 	if err != nil {

@@ -356,18 +356,24 @@ func (g *Graph) EnableValidation() {
 	}
 }
 
-// checkUpdates runs the optional stream validator over a batch of
-// updates, serialized across producers.
-func (g *Graph) checkUpdates(ups []Update) error {
-	if g.validate == nil {
-		return nil
-	}
+// validated runs ups through the stream validator and, if it accepts them
+// all, hands them to the engine with send. A refusal, the validator's or
+// the engine's, undoes what the validator recorded of ups, so it holds
+// exactly the updates the engine accepted. The validator's lock is held
+// across send: no other producer's updates enter it between a batch and
+// its undo.
+func (g *Graph) validated(ups []Update, send func() error) error {
 	g.valMu.Lock()
 	defer g.valMu.Unlock()
-	for _, u := range ups {
+	for i, u := range ups {
 		if err := g.validate.Apply(u); err != nil {
+			g.validate.Undo(ups[:i])
 			return err
 		}
+	}
+	if err := send(); err != nil {
+		g.validate.Undo(ups)
+		return err
 	}
 	return nil
 }
@@ -388,15 +394,10 @@ func (g *Graph) Delete(u, v uint32) error {
 // calls pay an engine read-lock each, so high-rate producers should
 // prefer ApplyBatch or an Ingestor.
 func (g *Graph) Apply(u Update) error {
-	if g.validate != nil {
-		g.valMu.Lock()
-		err := g.validate.Apply(u)
-		g.valMu.Unlock()
-		if err != nil {
-			return err
-		}
+	if g.validate == nil {
+		return g.engine.Update(u)
 	}
-	return g.engine.Update(u)
+	return g.validated([]Update{u}, func() error { return g.engine.Update(u) })
 }
 
 // ApplyBatch ingests a batch of stream updates through the amortized bulk
@@ -404,25 +405,22 @@ func (g *Graph) Apply(u Update) error {
 // the buffering layer. The batch is validated up front — if any update is
 // invalid, nothing is ingested.
 func (g *Graph) ApplyBatch(ups []Update) error {
-	if err := g.checkUpdates(ups); err != nil {
-		return err
+	if g.validate == nil {
+		return g.engine.UpdateBatch(ups)
 	}
-	return g.engine.UpdateBatch(ups)
+	return g.validated(ups, func() error { return g.engine.UpdateBatch(ups) })
 }
 
 // InsertBatch ingests a batch of edge insertions through the bulk path.
 func (g *Graph) InsertBatch(edges []Edge) error {
-	if g.validate != nil {
-		g.valMu.Lock()
-		for _, e := range edges {
-			if err := g.validate.Apply(Update{Edge: e, Type: Insert}); err != nil {
-				g.valMu.Unlock()
-				return err
-			}
-		}
-		g.valMu.Unlock()
+	if g.validate == nil {
+		return g.engine.InsertEdges(edges)
 	}
-	return g.engine.InsertEdges(edges)
+	ups := make([]Update, len(edges))
+	for i, e := range edges {
+		ups[i] = Update{Edge: e, Type: Insert}
+	}
+	return g.validated(ups, func() error { return g.engine.InsertEdges(edges) })
 }
 
 // Flush forces every buffered update into the sketches and waits for the

@@ -71,6 +71,49 @@ func TestValidationCatchesProtocolViolations(t *testing.T) {
 	}
 }
 
+// TestValidationRollsBackRefusedBatches pins that a refused batch leaves
+// the validator as it found it, whether the validator refuses it (a
+// duplicate inside the batch) or the engine does (an out-of-range node):
+// each batch's first edge is then accepted on its own.
+func TestValidationRollsBackRefusedBatches(t *testing.T) {
+	g, err := graphzeppelin.New(8, graphzeppelin.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.EnableValidation()
+	ins := func(u, v uint32) graphzeppelin.Update {
+		return graphzeppelin.Update{Edge: graphzeppelin.Edge{U: u, V: v}, Type: graphzeppelin.Insert}
+	}
+	if err := g.ApplyBatch([]graphzeppelin.Update{ins(0, 1), ins(1, 0)}); err == nil {
+		t.Fatal("a batch inserting (0,1) twice was accepted")
+	}
+	if err := g.Insert(0, 1); err != nil {
+		t.Fatalf("inserting (0,1) after the refused batch: %v", err)
+	}
+	if err := g.ApplyBatch([]graphzeppelin.Update{ins(2, 3), ins(2, 9)}); err == nil {
+		t.Fatal("a batch with node 9 of 8 was accepted")
+	}
+	if err := g.Insert(2, 3); err != nil {
+		t.Fatalf("inserting (2,3) after the refused batch: %v", err)
+	}
+	if err := g.InsertBatch([]graphzeppelin.Edge{{U: 4, V: 5}, {U: 4, V: 9}}); err == nil {
+		t.Fatal("an edge batch with node 9 of 8 was accepted")
+	}
+	if err := g.Apply(ins(4, 9)); err == nil {
+		t.Fatal("an update with node 9 of 8 was accepted")
+	}
+	if err := g.Insert(4, 5); err != nil {
+		t.Fatalf("inserting (4,5) after the refused batch: %v", err)
+	}
+	if err := g.Delete(4, 9); err == nil {
+		t.Fatal("deleting the refused edge (4,9) was accepted")
+	}
+	if _, count, err := g.ConnectedComponents(); err != nil || count != 5 {
+		t.Fatalf("count = %d, err = %v; want 5 components: (0,1), (2,3), (4,5) and three singletons", count, err)
+	}
+}
+
 func TestInvalidNodeRejected(t *testing.T) {
 	g, err := graphzeppelin.New(4, graphzeppelin.WithSeed(3))
 	if err != nil {

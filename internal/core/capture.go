@@ -53,21 +53,22 @@ import (
 // out. A seal's capture waits — for a buffer the scanner frees, or for
 // the scanner to pass the node's section, whose scan then no longer needs
 // the image — so ingestion throttles to scan speed and the checkpoint
-// stays exact. The baseline refuses and leaves the node without an entry:
-// its component re-solves from singletons, the price of a bounded
-// footprint, not an error. In RAM the budget is one slot per node plus
-// maxBase, so it never binds; out of core it is a quarter of the
-// write-back cache (NewEngine).
+// stays exact. Past the budget the baseline overflows, and the next query
+// runs from scratch: the price of a bounded footprint, not an error. In
+// RAM the budget is one slot per node plus maxBase, so it never binds;
+// out of core it is a quarter of the write-back cache (NewEngine).
 //
 // The baseline is also the dirty set. Every node's first change since the
-// cached result's cut enters it, with an entry or refused, so it lists
-// exactly the nodes stamped after that cut (baseNodes), and the delta
-// query reads them in O(dirty log dirty) where a stamp scan would cost
-// O(V). Past maxBase nodes, one past the delta query's fallback
-// threshold, it stops listing, and so capturing, and only notes the
-// overflow: the next query runs from scratch anyway. A query that decides
-// to run from scratch notes it too (abandon). From then on until the next
-// cached result, changes outside a seal take begin's fast path.
+// cached result's cut enters it, so it lists exactly the nodes stamped
+// after that cut (baseNodes), and the delta query reads them in O(dirty
+// log dirty) where a stamp scan would cost O(V). It overflows wherever it
+// would list a node without an entry: past maxBase nodes, one past the
+// delta query's fallback threshold, where it stops listing; at an entry
+// the budget cannot hold (begin); at a change or conversion that failed
+// (end); and when a query decides to run from scratch (abandon). So while
+// it has not overflowed, every listed node holds exactly one entry, a log
+// or an image; once it has, the next query runs from scratch, and until
+// the next cached result changes outside a seal take begin's fast path.
 type capture struct {
 	slot    int // bytes of one image
 	logCap  int // most indices one log holds
@@ -94,14 +95,15 @@ type capture struct {
 	// without mu, on its owner.
 	base map[uint32][]byte
 	logs [][]uint64
-	// baseNodes lists every node first changed since that cut, with an
-	// entry or refused, in the order of their first changes. Written and
-	// read like base.
+	// baseNodes lists every node first changed since that cut, in the
+	// order of their first changes. Written and read like base.
 	baseNodes []uint32
-	// baseOver notes that more than maxBase nodes were, or that a query
-	// runs from scratch and supersedes the cut (abandon): no query reads
-	// the entries, so begin's fast path, which loads it without mu, takes
-	// no lock and logs nothing. Set under mu, cleared by releaseBase.
+	// baseOver notes that the baseline overflowed: more than maxBase nodes
+	// changed, a node's entry did not fit the budget or its change failed,
+	// or a query runs from scratch and supersedes the cut (abandon). No
+	// query reads the entries, so begin's fast path, which loads it without
+	// mu, takes no lock and logs nothing. Set under mu, cleared by
+	// releaseBase.
 	baseOver atomic.Bool
 	// sealed is the live checkpoint's side, if any: set and cleared under
 	// mu, and loaded without it by begin's fast path.
@@ -194,33 +196,33 @@ func (c *capture) begin(node uint32, first bool, indices []uint64) captureOp {
 	seal := c.enter(s, &op, node)
 	switch {
 	case c.baseOver.Load() || !first && log == nil:
-		// Listed already, with an image or refused, or the list has
-		// overflowed: no query reads its entries.
+		// Listed already with an image, or the baseline has overflowed:
+		// no query reads its entries.
 	case first && !c.list(node):
 		// The list overflows here.
 	case indices != nil && len(log)+len(indices) <= c.logCap && !(first && seal) && c.fits(8*len(indices)):
 		c.logs[node] = c.appendLog(log, indices)
-	case log != nil:
+	case log != nil && c.fits(c.slot-8*len(log)):
 		// A change of bytes, or a batch past the cap: the log converts,
-		// its share of the budget freed first.
+		// in the budget its indices leave.
 		c.logs[node], c.logged = nil, c.logged-len(log)
-		if !c.fits(c.slot) {
-			c.putLog(log)
-			break
-		}
 		op.log, op.conv = log, c.take()
 		c.base[node] = op.conv
 		if op.img == nil {
 			op.img = op.conv
 		}
-	case seal:
+	case log == nil && seal:
 		// The seal's image of a node first changed after both cuts is
 		// the baseline's too.
 		c.base[node] = op.img
-	case c.fits(c.slot):
+	case log == nil && c.fits(c.slot):
 		// A first change of bytes, or a first batch past the cap.
 		op.img = c.take()
 		c.base[node] = op.img
+	default:
+		// The node's entry does not fit the budget: the baseline
+		// overflows rather than list a node it holds nothing for.
+		c.baseOver.Store(true)
 	}
 	return op
 }
@@ -333,33 +335,31 @@ func (c *capture) abandon() {
 	c.mu.Unlock()
 }
 
-// end ends what begin began for node, after the change, which failed when
+// end ends what begin began for a node, after the change, which failed when
 // err is set: a conversion's image becomes the node's bytes at the cut,
 // its pre-change stack (the caller filled img) with every logged index
 // toggled back out, and a seal section in flight is left. The conversion's
 // toggle runs without mu: until end returns, nothing else reads the
-// image's bytes. A failed change may not have filled img, so the baseline
-// image it took, unless a seal shares it, is dropped, and so is a
-// conversion whose toggle fails: the node stays listed without an entry.
-func (c *capture) end(node uint32, op captureOp, err error) {
+// image's bytes. A failed change, or a conversion whose toggle fails,
+// leaves the node's entry short of what changed — its image may be
+// unfilled, its log may hold indices the bytes never took — so the
+// baseline overflows, and releaseBase pools the entry with the rest.
+func (c *capture) end(op captureOp, err error) {
 	if op.conv != nil && err == nil {
 		if !sameBuf(op.conv, op.img) {
 			copy(op.conv, op.img)
 		}
 		err = c.geometry.ApplyNodeBinary(op.conv, op.log)
 	}
-	if op.sec < 0 && op.log == nil && (err == nil || op.img == nil) {
+	if op.sec < 0 && op.log == nil && err == nil {
 		return
 	}
 	c.mu.Lock()
 	if op.log != nil {
 		c.putLog(op.log)
 	}
-	if img, ok := c.base[node]; err != nil && ok && (op.conv != nil || sameBuf(img, op.img)) {
-		delete(c.base, node)
-		if s := c.sealed.Load(); s == nil || !sameBuf(img, s.images[node]) {
-			c.put(img)
-		}
+	if err != nil {
+		c.baseOver.Store(true)
 	}
 	// After finish the seal is gone and its sections no longer count.
 	if s := c.sealed.Load(); s != nil && op.sec >= 0 {

@@ -142,8 +142,8 @@ func TestDeferredLeftoverHeldWorkers(t *testing.T) {
 					t.Fatalf("step %d: the sketches do not hold the trickle's batches exactly once", step)
 				}
 			}
-			if c := deltaClassCounts(e); c[classIntact] == 0 || c[classCut] == 0 || c[classSingletons] != 0 {
-				t.Fatalf("classes %v: want the attach intact, the detach cut, nothing from singletons", c)
+			if c := deltaClassCounts(e); c[classIntact] == 0 || c[classCut] == 0 {
+				t.Fatalf("classes %v: want the attach intact, the detach cut", c)
 			}
 		})
 	}

@@ -119,8 +119,8 @@ func TestDeltaQueryDiskReads(t *testing.T) {
 						step, reads, after.QueryRounds, dirtyGroups)
 				}
 			}
-			if c := deltaClassCounts(e); c[classCut] == 0 || c[classSingletons] != 0 {
-				t.Fatalf("classes %v: the detach must take the cut path, nothing the from-singletons one", c)
+			if c := deltaClassCounts(e); c[classCut] == 0 {
+				t.Fatalf("classes %v: the detach must take the cut path", c)
 			}
 		})
 	}
@@ -205,7 +205,7 @@ func TestDeltaQueryContributions(t *testing.T) {
 	if got := int(e.lastDeltaContribs.Load()); got < n/4 || got > bound {
 		t.Fatalf("quarter cut materialized %d terms in a round; want %d..%d", got, n/4, bound)
 	}
-	if c := deltaClassCounts(e); c[classCut] != 2 || c[classSingletons] != 0 {
+	if c := deltaClassCounts(e); c[classCut] != 2 {
 		t.Fatalf("classes %v: want both deletions on the cut path", c)
 	}
 }
@@ -360,10 +360,10 @@ func TestBeforeImagesOnlyWhenUsable(t *testing.T) {
 // them — plus a slot for each image, which only a node pushed past the
 // log's cap takes, and which the next query drops. Four nodes are pushed
 // past it. In RAM, where the budget is a slot a node and maxBase more,
-// each holds an image. Out of core the cache is 13 slots and the budget a
-// quarter of it, 3.25 slots: three images fit, the fourth node is refused
-// and left without an entry, and its component re-solves from singletons.
-// Both queries are exact.
+// each holds an image and the next query is a delta query. Out of core
+// the cache is 13 slots and the budget a quarter of it, 3.25 slots: three
+// images fit, the fourth node's does not, the baseline overflows, and the
+// next query runs from scratch. Both queries are exact.
 func TestBeforeImageFootprint(t *testing.T) {
 	const n = 128
 	probe, err := NewEngine(Config{NumNodes: n, Seed: 97})
@@ -467,23 +467,24 @@ func TestBeforeImageFootprint(t *testing.T) {
 			if got, images := captured(), want+int64(mode.images*slot); got != images {
 				t.Fatalf("after the overflow: %d capture bytes, want %d (the logs' and %d images)", got, images, mode.images)
 			}
-			images, logs, _, _ := baselineCounts(e)
-			refused := 0
+			over := mode.images < 4
+			if images, _, _, _ := baselineCounts(e); images != mode.images || c.baseOver.Load() != over {
+				t.Fatalf("after the overflow: %d images, baseline overflowed %v; want %d and %v", images, c.baseOver.Load(), mode.images, over)
+			}
 			for _, v := range []uint32{2, 42, 50, 60} {
-				if c.logs[v] != nil {
-					t.Fatalf("node %d kept its log past the cap", v)
-				}
-				if c.base[v] == nil {
-					refused++
+				if !over && (c.logs[v] != nil || c.base[v] == nil) {
+					t.Fatalf("node %d holds no image past the cap", v)
 				}
 			}
-			if images != mode.images || refused != 4-mode.images || logs != 0 {
-				t.Fatalf("after the overflow: %d images, %d refused, %d logs; want %d, %d and none", images, refused, logs, mode.images, 4-mode.images)
+			wantDeltas, wantFallbacks := uint64(1), uint64(0)
+			if over {
+				wantDeltas, wantFallbacks = 0, 1
 			}
-			classes := deltaClassCounts(e)
+			st := e.Stats()
 			checkAgainstExact(t, e, n, edges())
-			if singletons := deltaClassCounts(e)[classSingletons] - classes[classSingletons]; singletons != uint64(4-mode.images) {
-				t.Fatalf("%d components re-solved from singletons, want %d", singletons, 4-mode.images)
+			if after := e.Stats(); after.DeltaQueries-st.DeltaQueries != wantDeltas || after.DeltaFallbacks-st.DeltaFallbacks != wantFallbacks {
+				t.Fatalf("the query after the overflow: %d delta queries and %d fallbacks, want %d and %d",
+					after.DeltaQueries-st.DeltaQueries, after.DeltaFallbacks-st.DeltaFallbacks, wantDeltas, wantFallbacks)
 			}
 			if got := captured(); got != want {
 				t.Fatalf("after the query: %d capture bytes, want the pooled logs' %d", got, want)
@@ -556,7 +557,7 @@ func pathEdges(n uint32) []stream.Edge {
 // node 0 has seen more indices than a log holds. Node 0's log converts
 // into one image, its pre-change stack with the deletion toggled back
 // out; the partners keep their logs. The next query is a delta query of
-// the cut class, not from singletons, and exact: an image that kept the
+// the cut class, and exact: an image that kept the
 // deletion would hide it from the anchor piece, which would sample the
 // deleted edge and join node 0 back.
 func TestCaptureLogOverflowConvertsOnce(t *testing.T) {
@@ -590,8 +591,8 @@ func TestCaptureLogOverflowConvertsOnce(t *testing.T) {
 			classes, deltas := deltaClassCounts(e), e.Stats().DeltaQueries
 			checkAgainstExact(t, e, n, edges)
 			after := deltaClassCounts(e)
-			if e.Stats().DeltaQueries != deltas+1 || after[classSingletons] != classes[classSingletons] || after[classCut] == classes[classCut] {
-				t.Fatalf("classes %v -> %v: want a delta query of the cut class, none from singletons", classes, after)
+			if e.Stats().DeltaQueries != deltas+1 || after[classCut] == classes[classCut] {
+				t.Fatalf("classes %v -> %v: want a delta query of the cut class", classes, after)
 			}
 		})
 	}
@@ -677,45 +678,43 @@ func TestCaptureFallbackCapturesNothing(t *testing.T) {
 	}
 }
 
-// TestCaptureFailedChangeDropsEntry pins end's error path: a change that
+// TestCaptureFailedChangeOverflows pins end's error path: a change that
 // failed may not have filled the buffer begin handed out, so neither a
-// logged node's conversion nor a first change's image stays the node's
-// entry. Both nodes stay listed without one (their components re-solve
-// from singletons), and the buffer returns to the pool.
-func TestCaptureFailedChangeDropsEntry(t *testing.T) {
+// logged node's conversion nor a first change's image can be the node's
+// entry, and the baseline overflows at either. The next query runs from
+// scratch, and its new cut pools the buffer.
+func TestCaptureFailedChangeOverflows(t *testing.T) {
 	const n = 64
-	e := pathEngine(t, Config{NumNodes: n, Seed: 125}, n-1)
-	defer e.Close()
-	if _, _, err := e.ConnectedComponents(); err != nil {
-		t.Fatal(err)
-	}
-	mustUpdate(t, e, 0, 9)
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	c, failed := &e.capture, errors.New("change failed")
-	if c.logs[0] == nil {
-		t.Fatal("the trickle left node 0 unlogged")
-	}
 	// A change of bytes converts node 0's log; node 20's first change of
 	// bytes takes an image. The workers are idle, as for an install.
 	for _, v := range []uint32{0, 20} {
+		e := pathEngine(t, Config{NumNodes: n, Seed: 125}, n-1)
+		defer e.Close()
+		edges := append(pathEdges(n), stream.Edge{U: 0, V: 9})
+		checkAgainstExact(t, e, n, edges[:n-1])
+		mustUpdate(t, e, 0, 9)
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		c := &e.capture
+		if c.logs[0] == nil {
+			t.Fatal("the trickle left node 0 unlogged")
+		}
 		op := c.begin(v, e.wantsBase(v), nil)
 		if op.img == nil {
 			t.Fatalf("node %d: the change took no image", v)
 		}
-		c.end(v, op, failed)
-	}
-	for _, v := range []uint32{0, 20} {
-		if c.base[v] != nil || c.logs[v] != nil {
-			t.Fatalf("node %d kept an entry past a failed change", v)
+		c.end(op, errors.New("change failed"))
+		if !c.baseOver.Load() {
+			t.Fatalf("node %d: a failed change left the baseline readable", v)
 		}
-	}
-	if listed, ok := c.listedCount(); !ok || listed != 3 {
-		t.Fatalf("%d nodes listed (ok %v), want 0, 9 and 20", listed, ok)
-	}
-	// The second change took the buffer the first one returned.
-	if images, _, bufs, _ := baselineCounts(e); images != 0 || bufs != 1 || c.held != 0 {
-		t.Fatalf("%d images, %d buffers pooled, %d held; want none, 1 and none", images, bufs, c.held)
+		fallbacks := e.Stats().DeltaFallbacks
+		checkAgainstExact(t, e, n, edges)
+		if e.Stats().DeltaFallbacks != fallbacks+1 {
+			t.Fatalf("node %d: the query after a failed change did not run from scratch", v)
+		}
+		if images, _, bufs, _ := baselineCounts(e); images != 0 || bufs != 0 || c.held != 0 {
+			t.Fatalf("node %d: %d images, %d buffers pooled, %d held after the query; want none", v, images, bufs, c.held)
+		}
 	}
 }

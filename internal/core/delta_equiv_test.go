@@ -401,10 +401,10 @@ func TestDeltaDisabledAblation(t *testing.T) {
 	}
 }
 
-// --- Forest-edge deletions: the cut and from-singletons classes ---
+// --- Forest-edge deletions: the cut class ---
 
 // deltaClassCounts reads the engine's per-class component counters
-// (intact, cut, from singletons): what the delta path actually did.
+// (clean, intact, cut): what the delta path actually did.
 func deltaClassCounts(e *Engine) (c [numDeltaClasses]uint64) {
 	for i := range c {
 		c[i] = e.deltaClasses[i].Load()
@@ -569,9 +569,10 @@ func TestDeltaQueryEquivalenceForestCuts(t *testing.T) {
 					t.Fatalf("classes intact=%d cut=%d: harness is vacuous", c[classIntact], c[classCut])
 				}
 				// Every dirty node under the fallback threshold holds an
-				// image, in both placements, the merges' nodes included.
-				if c[classSingletons] != 0 {
-					t.Fatalf("%d components re-solved from singletons: a dirty node had no image", c[classSingletons])
+				// entry, in every placement, the merges' nodes included: no
+				// baseline overflowed, so no query fell back.
+				if f := eng.Stats().DeltaFallbacks; f != 0 {
+					t.Fatalf("%d queries fell back: a dirty node's entry did not fit the budget", f)
 				}
 			})
 		}
@@ -852,7 +853,7 @@ func TestDeltaQueryPieceShapes(t *testing.T) {
 					before := deltaClassCounts(p.eng)
 					p.apply(shape.cuts, false)
 					p.check(true)
-					if c := deltaClassCounts(p.eng); c[classCut] != before[classCut]+1 || c[classSingletons] != before[classSingletons] {
+					if c := deltaClassCounts(p.eng); c[classCut] != before[classCut]+1 {
 						t.Fatalf("round %d: classes %v after %v: the cut must take the cut class", round, c, before)
 					}
 					p.apply(shape.cuts, true)

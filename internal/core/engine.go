@@ -74,9 +74,11 @@ type Stats struct {
 	// DeltaFallbacks counts queries that were delta-eligible (a cached
 	// baseline existed) but ran the from-scratch path instead — the dirty
 	// fraction exceeded deltaQueryMaxDirtyFrac, 10 % (a bulk load, or a
-	// checkpoint merge carrying that many non-empty slots), or the delta
-	// rounds failed to certify (rare; the full run is the correctness
-	// backstop).
+	// checkpoint merge carrying that many non-empty slots), the capture's
+	// budget could not hold a dirty node's log or image (out of core only:
+	// the budget is a quarter of the write-back cache, and the baseline
+	// overflows past it), or the delta rounds failed to certify (rare; the
+	// full run is the correctness backstop).
 	DeltaQueries, DeltaFallbacks uint64
 	// DirtyNodes is the number of nodes whose sketches changed since the
 	// last successfully cached query result: applied batches, and the
@@ -828,7 +830,7 @@ func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indic
 	if done != nil {
 		done()
 	}
-	e.capture.end(b.Node, op, err)
+	e.capture.end(op, err)
 	return err
 }
 

@@ -15,9 +15,11 @@ import (
 // them to the workers first (takeLeftover). Each engine here runs beside a
 // twin that Drains before every query, so its queries find nothing
 // buffered; in every buffering mode, with a cache at its one-group floor
-// and at an eighth of the store, every answer must be the twin's forest,
-// each query must take the twin's path (delta or fallback), and the store
-// must end byte for byte the twin's. The fused engine must also have
+// (one slot, whose capture budget, a quarter of it, holds a trickle's
+// logs: a one-byte cache's holds none and sends every query from
+// scratch) and at an eighth of the store, every answer must be the twin's
+// forest, each query must take the twin's path (delta or fallback), and
+// the store must end byte for byte the twin's. The fused engine must also have
 // fused: its from-scratch queries fault no group into the cache. With
 // BufferNone no batch is ever left over, so that case pins the plain path.
 func TestFusedDrainMatchesPlainDrain(t *testing.T) {
@@ -27,13 +29,13 @@ func TestFusedDrainMatchesPlainDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := probe.Stats().DiskBytes
+	store, slot := probe.Stats().DiskBytes, probe.slotSize
 	probe.Close()
 	for _, buffering := range []BufferingKind{BufferLeaf, BufferTree, BufferNone} {
 		for _, cache := range []struct {
 			name  string
 			bytes int64
-		}{{"floor", 1}, {"eighth", store / 8}} {
+		}{{"floor", int64(slot)}, {"eighth", store / 8}} {
 			t.Run(fmt.Sprintf("%s/%s", buffering, cache.name), func(t *testing.T) {
 				cfg := Config{
 					NumNodes: n, Seed: 63, Shards: 2, SketchesOnDisk: true, NodesPerGroup: 4,

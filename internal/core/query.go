@@ -68,7 +68,9 @@ import (
 //     split back, and re-certified from what the capture holds for each
 //     dirty node since the cut — its log of applied indices, or, past the
 //     log's cap or after a change of bytes, its image at the cut — in RAM
-//     and out of core alike.
+//     and out of core alike. Every dirty node holds one of the two: where
+//     the capture cannot hold it, past its budget, the baseline overflows
+//     and the query runs from scratch.
 //     Sketch work and bookkeeping are both set by the dirty set rather than
 //     the component or the graph: a cut component's pieces are found by
 //     searching the kept forest outward from the removed edges, in
@@ -77,9 +79,9 @@ import (
 //     members. Beyond its sketch work, no step passes over all V nodes but
 //     the copy that publishes the result, one memmove of the partition
 //     and of the forest (runDeltaBoruvka has the classes and the
-//     argument). Above
-//     deltaQueryMaxDirtyFrac dirty nodes the query falls back to the
-//     from-scratch run; either way the caller sees an identical contract.
+//     argument). Above deltaQueryMaxDirtyFrac dirty nodes, or once the
+//     baseline has overflowed, the query falls back to the from-scratch
+//     run; either way the caller sees an identical contract.
 
 // ErrQueryFailed is returned when Boruvka emulation exhausts the per-node
 // sketch rounds before every component's spanning tree is certified
@@ -235,10 +237,9 @@ func (e *Engine) releaseLeftover(q *querySession) error {
 // queue is empty under the lock and holds that many, so handing them over
 // never waits for a worker. Every other batch applies now, as its owner's
 // worker would (applyBatch), and is recorded there: one whose node holds
-// an image or was refused, one past its log's cap, any once the baseline
-// has overflowed, and any past its owner's queue. A node's batches wait or
-// apply together, so no log converts with indices its bytes do not hold
-// yet. The caller holds the quiesce write lock with the workers idle, so
+// an image, one past its log's cap, any once the baseline has overflowed,
+// and any past its owner's queue. A node's batches wait or apply
+// together, so no log converts with indices its bytes do not hold yet. The caller holds the quiesce write lock with the workers idle, so
 // the owners' scratch is free.
 func (e *Engine) logLeftovers(q *querySession) error {
 	q.queued = sized(q.queued, len(e.shards))
@@ -271,11 +272,10 @@ func (e *Engine) logLeftovers(q *querySession) error {
 
 // applyLeftovers applies on the query goroutine the leftover batches a
 // delta query logged (q.later) of the nodes whose live bytes its plan
-// reads: the members of enumerated pieces and of components re-solved
-// from singletons (rolePiece, roleCur). A dirty node of any other role
-// contributes its log. Each applies as its owner's worker would apply it
-// after the cut, a pre-cut batch that records no change. The rest stay
-// in q.later. The caller holds the quiesce write lock with the workers
+// reads: the members of enumerated pieces (rolePiece). A dirty node of
+// the other role contributes its log. Each applies as its owner's worker
+// would apply it after the cut, a pre-cut batch that records no change.
+// The rest stay in q.later. The caller holds the quiesce write lock with the workers
 // idle.
 func (e *Engine) applyLeftovers(q *querySession) error {
 	kept, i := q.later[:0], 0
@@ -283,7 +283,7 @@ func (e *Engine) applyLeftovers(q *querySession) error {
 		for i < len(q.plan) && q.plan[i].node < b.Node {
 			i++
 		}
-		if i < len(q.plan) && q.plan[i].node == b.Node && q.plan[i].role != roleDiff {
+		if i < len(q.plan) && q.plan[i].node == b.Node && q.plan[i].role == rolePiece {
 			e.applyBatch(e.ownerOf(b.Node), b)
 			e.buf.Recycle(b.Others)
 			continue
@@ -323,19 +323,23 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 			if err := e.logLeftovers(q); err != nil {
 				return nil, err
 			}
-			q.dirty, _ = e.capture.dirty(q.dirty[:0])
-			slices.Sort(q.dirty)
-			res, ok, err := e.runDeltaBoruvka(q, epoch, prev)
-			if err != nil {
-				return nil, err
+			// A leftover batch applied here may have overflowed the
+			// baseline (capture.begin): then no plan is made.
+			if q.dirty, ok = e.capture.dirty(q.dirty[:0]); ok {
+				slices.Sort(q.dirty)
+				res, ok, err := e.runDeltaBoruvka(q, epoch, prev)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					e.deltaQueries.Add(1)
+					return res, nil
+				}
 			}
-			if ok {
-				e.deltaQueries.Add(1)
-				return res, nil
-			}
-			// The affected components failed to certify within the sketch
-			// depth; the from-scratch run is the correctness backstop, and
-			// its drain applies the batches the query logged.
+			// The baseline overflowed, or the affected components failed
+			// to certify within the sketch depth; the from-scratch run is
+			// the correctness backstop, and its drain applies the batches
+			// the query logged.
 			q.reset()
 			q.left = append(q.left, q.later...)
 			clear(q.later)
@@ -352,8 +356,9 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 // dirtyCount returns how many nodes are dirty since cut, the cached
 // result's: those the baseline lists, plus the nodes of q's leftover
 // batches that no change since cut has reached yet (their stamp is at most
-// cut). ok is false when the baseline overflowed, past the delta query's
-// threshold. O(dirty + leftover), where a stamp scan would be O(V).
+// cut). ok is false when the baseline overflowed — past the delta query's
+// threshold, or at a node whose entry it could not hold — and the query
+// runs from scratch. O(dirty + leftover), where a stamp scan would be O(V).
 func (e *Engine) dirtyCount(q *querySession, cut uint64) (n int, ok bool) {
 	if e.capture.baseOver.Load() {
 		return 0, false
@@ -485,12 +490,9 @@ type candidate struct {
 // out of the plan, which is what makes the delta's sketch work scale with
 // the dirty set rather than the component size.
 const (
-	// roleCur: a member of a component re-solved from singletons;
-	// contributes its live sketch (the from-scratch materialization).
-	roleCur = uint8(iota)
 	// roleDiff: a dirty member of an intact component, or of a cut
 	// component's anchor piece; contributes diff(v).
-	roleDiff
+	roleDiff = uint8(iota)
 	// rolePiece: a member of a cut component's other pieces. It
 	// contributes its live sketch to its own root and prev(v) = cur(v) ⊕
 	// diff(v) to the root of its component's anchor piece
@@ -630,11 +632,10 @@ type querySession struct {
 	// The delta's working sets. dirty lists the nodes changed since the
 	// cached result (ascending), affected the cached representatives of
 	// the components they dirty, removed the cut components' removed
-	// forest edges, dropped the forest indices of every edge the query
-	// takes out (the removed ones, and the trees of components re-solved
-	// from singletons), moved the nodes to split out of their cached
-	// stars, each set of them ending at an offset in splits, and recentre
-	// the cut components whose star moves off the cached representative.
+	// forest edges, dropped their forest indices, moved the nodes to split
+	// out of their cached stars, each set of them ending at an offset in
+	// splits, and recentre the cut components whose star moves off the
+	// cached representative.
 	// isDirty (node-indexed), class and relabel (indexed by cached
 	// representative) and mark (node-indexed) are kept all-false, all
 	// classClean, the identity and all-zero between queries: a delta query
@@ -791,10 +792,6 @@ func (q *querySession) contribute(p planned) {
 	v := p.node
 	s := q.slot[q.rep[v]]
 	switch p.role {
-	case roleCur:
-		if s >= 0 {
-			q.contribs = append(q.contribs, contribution{v, s, srcLive})
-		}
 	case roleDiff:
 		if s >= 0 {
 			q.contribs = append(q.contribs, contribution{v, s, q.diff(v)})
@@ -821,8 +818,9 @@ func (q *querySession) contribute(p planned) {
 
 // diff returns the sources of diff(v), v's change since the cached
 // result: its log's sketch when the capture logged v, its live sketch ⊕
-// its image when it imaged v, and none when v is clean or the capture
-// holds nothing for it.
+// its image when it imaged v, and none when v is clean. A dirty node
+// holds one or the other while the baseline has not overflowed, and a
+// delta query runs only then.
 func (q *querySession) diff(v uint32) uint8 {
 	switch {
 	case q.logs[v] != nil:
@@ -1054,15 +1052,14 @@ func (e *Engine) runBoruvka(q *querySession, epoch uint64) (*queryResult, error)
 
 // Classes of a component of the cached partition under a delta query.
 const (
-	classClean      = iota // no dirty member: its star carries over untouched
-	classIntact            // re-certified from its dirty members' diffs
-	classCut               // possibly-deleted forest edges removed, pieces kept
-	classSingletons        // a dirty member has no image: re-solved from scratch
+	classClean  = iota // no dirty member: its star carries over untouched
+	classIntact        // re-certified from its dirty members' diffs
+	classCut           // possibly-deleted forest edges removed, pieces kept
 	numDeltaClasses
 )
 
-// splitMark marks a node split out of its cached star (cutPieces,
-// splitSingletons) until undoDelta clears it.
+// splitMark marks a node split out of its cached star (cutPieces) until
+// undoDelta clears it.
 const splitMark = -1
 
 // runDeltaBoruvka answers a query incrementally off the previous cached
@@ -1077,7 +1074,7 @@ const splitMark = -1
 // in one prev component, or was toggled since, dirtying both endpoints),
 // so the carried-over partition is never disturbed.
 //
-// An affected component falls in one of three classes, the same in RAM and
+// An affected component falls in one of two classes, the same in RAM and
 // out of core. Everything rests on one fact: a cached component's round
 // aggregates were the ZERO sketch (its cut was certified empty), so with
 // prev(v) the sketch the cached result observed — cur(v) ⊕ diff(v), where
@@ -1110,10 +1107,10 @@ const splitMark = -1
 // representative itself lies in an enumerated piece: the anchor's star is
 // then re-centred on one of its members, O(anchor).
 //
-// From singletons: a dirty member has neither log nor image (the baseline
-// refused it, past the capture's budget), so prev is unknown for it.
-// Every member is split out of the star, its tree leaves the forest, and
-// the component re-solves with full member materialization.
+// The capture holds a log or an image for every dirty node, or the
+// baseline has overflowed and the query never reaches here (dirtyCount,
+// capture.dirty), so diff(v), and with it prev(v), is known for every
+// member.
 //
 // The dirty set is the baseline's list, the removed edges are found from
 // the dirty nodes' adjacency lists, merges go by size and re-point the
@@ -1147,17 +1144,11 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 			q.class[r] = classIntact
 			q.affected = append(q.affected, r)
 		}
-		if q.diff(v) == 0 {
-			q.class[r] = classSingletons
-		}
 	}
 	// Clean and intact components keep their whole tree, a cut one the
-	// sub-trees between its removed edges, one from singletons nothing.
+	// sub-trees between its removed edges.
 	for _, v := range q.dirty {
 		r := q.find(v)
-		if q.class[r] == classSingletons {
-			continue
-		}
 		for h := q.adjHead[v]; h >= 0; h = q.adjNext[h] {
 			if w := q.other(h); v < w && q.isDirty[w] {
 				q.class[r] = classCut
@@ -1187,11 +1178,6 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 		q.cutPieces(r, rs[:k])
 		rs = rs[k:]
 	}
-	for _, r := range q.affected {
-		if q.class[r] == classSingletons {
-			q.splitSingletons(r)
-		}
-	}
 	for _, v := range q.dirty {
 		// Intact, or the anchor piece of a cut.
 		if c := q.class[q.find(v)]; c == classIntact || c == classCut && q.mark[v] != splitMark {
@@ -1200,8 +1186,8 @@ func (e *Engine) runDeltaBoruvka(q *querySession, epoch uint64, prev *queryResul
 	}
 	slices.SortFunc(q.plan, func(a, b planned) int { return cmp.Compare(a.node, b.node) })
 
-	// The forest loses the removed edges and the re-solved trees, so that
-	// its trees span the sets the splits leave.
+	// The forest loses the removed edges, so that its trees span the sets
+	// the splits leave.
 	slices.SortFunc(q.dropped, func(a, b int32) int { return cmp.Compare(b, a) })
 	for _, i := range q.dropped {
 		q.unlink(i)
@@ -1496,32 +1482,6 @@ func (q *querySession) cutPieces(r uint32, removed []stream.Edge) {
 		} else {
 			q.splits = append(q.splits, len(q.moved))
 		}
-	}
-}
-
-// splitSingletons queues component r of the from-singletons class to be
-// split back into singletons, its tree to leave the forest, and plans
-// every member's live sketch. Its members are found by a search from r
-// over its whole kept tree: a re-solve from singletons costs the
-// component's size whatever the plan.
-func (q *querySession) splitSingletons(r uint32) {
-	s := &q.searches[q.newSearch(r)]
-	for ; s.head < len(s.queue); s.head++ {
-		q.visits++
-		for h := q.adjHead[s.queue[s.head]]; h >= 0; h = q.adjNext[h] {
-			if w := q.other(h); q.mark[w] == 0 {
-				q.mark[w] = splitMark
-				s.queue = append(s.queue, w)
-				q.dropped = append(q.dropped, h>>1)
-			}
-		}
-	}
-	for j, v := range s.queue {
-		if j > 0 {
-			q.moved = append(q.moved, v)
-			q.splits = append(q.splits, len(q.moved))
-		}
-		q.plan = append(q.plan, planned{node: v, role: roleCur})
 	}
 }
 

@@ -278,14 +278,16 @@ func TestMergeCheckpointFailsAfterFirstSection(t *testing.T) {
 	}
 }
 
-// TestImagelessNodesResolveFromSingletons pins the delta query's fallback
-// for dirty nodes past the image cap, in both placements: their component
-// re-solves from singletons, and the answer stays exact.
-func TestImagelessNodesResolveFromSingletons(t *testing.T) {
+// TestImagelessNodesRunFromScratch pins the delta query's fallback for
+// dirty nodes past the capture's budget, in both placements: with a
+// budget of 0 no log or image fits, the baseline overflows at the first
+// change after the cached result, and the next query runs from scratch,
+// exactly.
+func TestImagelessNodesRunFromScratch(t *testing.T) {
 	const n = 32
 	ram, disk := storePair(t, Config{NumNodes: n, Seed: 103, Shards: 2, Buffering: BufferNone, NodesPerGroup: 4})
 	for _, e := range []*Engine{ram, disk} {
-		e.capture.budget = 0 // no image fits
+		e.capture.budget = 0 // no entry fits
 		var edges []stream.Edge
 		for u := uint32(0); u+1 < n; u++ {
 			mustUpdate(t, e, u, u+1)
@@ -294,8 +296,8 @@ func TestImagelessNodesResolveFromSingletons(t *testing.T) {
 		checkAgainstExact(t, e, n, edges)
 		mustUpdate(t, e, n/2-1, n/2) // delete the middle edge
 		checkAgainstExact(t, e, n, slices.Delete(edges, n/2-1, n/2))
-		if c := deltaClassCounts(e); c[classSingletons] == 0 || e.Stats().DeltaQueries != 1 {
-			t.Fatalf("%T: classes %v after a delta query over imageless nodes: want the from-singletons class", e.sketches, c)
+		if st := e.Stats(); st.DeltaFallbacks != 1 || st.DeltaQueries != 0 {
+			t.Fatalf("%T: %d delta queries and %d fallbacks over imageless nodes, want none and one", e.sketches, st.DeltaQueries, st.DeltaFallbacks)
 		}
 	}
 }

@@ -79,11 +79,6 @@ type CoordStats struct {
 	Workers []ClientStats `json:"workers"`
 }
 
-// aggView is the published view the query path answers from.
-type aggView struct {
-	eng *core.Engine
-}
-
 // Coordinator routes every update to the workers owning its endpoints,
 // pipelines the sends, and answers global queries from one universe-sized
 // view in which node v's slot is its owner's, byte for byte. Ingest and
@@ -115,10 +110,11 @@ type Coordinator struct {
 
 	gate *seqGate // dedup for the network ingest endpoint
 
-	// agg is nil until the first refresh installs into eng; aggMu is held
-	// for write while publishing and closing it.
+	// agg is the published view the query path answers from: eng, once the
+	// first refresh has installed into it, nil before. aggMu is held for
+	// write while publishing and closing it.
 	aggMu sync.RWMutex
-	agg   *aggView
+	agg   *core.Engine
 
 	// refreshMu serializes Refresh end to end. eng (guarded by it) is the
 	// view's engine, made by the first refresh and kept for the
@@ -406,9 +402,7 @@ func (co *Coordinator) Refresh(ctx context.Context) error {
 		co.acked[i] = cp.Pos
 	}
 	co.aggMu.Lock()
-	if co.agg == nil {
-		co.agg = &aggView{eng: co.eng}
-	}
+	co.agg = co.eng
 	co.aggMu.Unlock()
 	co.merges.Add(1)
 	if allDelta {
@@ -421,7 +415,7 @@ func (co *Coordinator) Refresh(ctx context.Context) error {
 
 // view returns the current view, refreshing first if none exists
 // yet.
-func (co *Coordinator) view(ctx context.Context) (*aggView, func(), error) {
+func (co *Coordinator) view(ctx context.Context) (*core.Engine, func(), error) {
 	co.aggMu.RLock()
 	if co.agg == nil {
 		co.aggMu.RUnlock()
@@ -445,7 +439,7 @@ func (co *Coordinator) ConnectedComponents(ctx context.Context) ([]uint32, int, 
 		return nil, 0, err
 	}
 	defer release()
-	return v.eng.ConnectedComponents()
+	return v.ConnectedComponents()
 }
 
 // SpanningForest answers over the last refreshed cut.
@@ -455,7 +449,7 @@ func (co *Coordinator) SpanningForest(ctx context.Context) ([]stream.Edge, error
 		return nil, err
 	}
 	defer release()
-	return v.eng.SpanningForest()
+	return v.SpanningForest()
 }
 
 // Connected answers a point query over the last refreshed cut.
@@ -465,7 +459,7 @@ func (co *Coordinator) Connected(ctx context.Context, u, vtx uint32) (bool, erro
 		return false, err
 	}
 	defer release()
-	return v.eng.Connected(u, vtx)
+	return v.Connected(u, vtx)
 }
 
 // MergedUpdates returns the number of updates in the last refreshed cut

@@ -101,7 +101,7 @@ func TestCoordinatorIncrementalRefresh(t *testing.T) {
 func viewOf(co *Coordinator) *core.Engine {
 	co.aggMu.RLock()
 	defer co.aggMu.RUnlock()
-	return co.agg.eng
+	return co.agg
 }
 
 // TestCoordinatorOneView pins the coordinator's one view: the engine its

@@ -286,7 +286,7 @@ func TestRefreshRefusesOutOfRangeStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			co.aggMu.RLock()
-			view := co.agg.eng
+			view := co.agg
 			co.aggMu.RUnlock()
 			wantSlots := viewSlots(t, view)
 
@@ -320,7 +320,7 @@ func TestRefreshRefusesOutOfRangeStream(t *testing.T) {
 					count, wantCount, co.MergedUpdates(), len(ups), err)
 			}
 			co.aggMu.RLock()
-			same := co.agg.eng == view
+			same := co.agg == view
 			co.aggMu.RUnlock()
 			if !same || !bytes.Equal(viewSlots(t, view), wantSlots) {
 				t.Fatal("the refused refresh touched the view")
@@ -486,7 +486,7 @@ func TestViewBitIdenticalToUniverseEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.co.aggMu.RLock()
-		view := tc.co.agg.eng
+		view := tc.co.agg
 		tc.co.aggMu.RUnlock()
 		if !bytes.Equal(viewSlots(t, view), viewSlots(t, ref)) {
 			t.Fatal("view sketches differ from the universe engine's")

@@ -51,7 +51,7 @@ func DecodeUpdate(b []byte) (Update, error) {
 		return Update{}, fmt.Errorf("stream: short record: %d bytes", len(b))
 	}
 	if b[0] > 1 {
-		return Update{}, fmt.Errorf("stream: corrupt record: type byte %d", b[0])
+		return Update{}, fmt.Errorf("%w: type byte %d", ErrCorruptRecord, b[0])
 	}
 	return Update{
 		Type: UpdateType(b[0]),
@@ -87,6 +87,10 @@ type Header struct {
 
 // ErrBadMagic indicates the input is not a GZS1 stream.
 var ErrBadMagic = errors.New("stream: bad magic (not a GZS1 stream)")
+
+// ErrCorruptRecord is wrapped by the error for a record whose type byte is
+// neither Insert nor Delete.
+var ErrCorruptRecord = errors.New("stream: corrupt record")
 
 // Writer serializes updates to an io.Writer. Close (or Flush) must be
 // called to flush buffered records; the header is written eagerly, so the

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -112,8 +114,8 @@ func TestReaderCorruptTypeByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Read(); err == nil {
-		t.Fatal("corrupt type byte accepted")
+	if _, err := r.Read(); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("corrupt type byte: err = %v, want ErrCorruptRecord", err)
 	}
 }
 
@@ -121,4 +123,60 @@ func TestReaderShortHeader(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("GZS1\x01"))); err == nil {
 		t.Fatal("short header accepted")
 	}
+}
+
+// FuzzStreamReader drives arbitrary bytes through NewReader and the Read
+// loop gzrun ingests a stream file with. Each input reads to its declared
+// end or stops at a typed error, never panics, and yields at most one
+// update per RecordSize bytes of input, whatever its header declares.
+func FuzzStreamReader(f *testing.F) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 16, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, u := range []Update{
+		{Edge: Edge{U: 1, V: 2}, Type: Insert},
+		{Edge: Edge{U: 3, V: 9}, Type: Delete},
+		{Edge: Edge{U: 1, V: 2}, Type: Delete},
+	} {
+		if err := w.Write(u); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)-4])
+	hostile := bytes.Clone(good[:16])
+	binary.LittleEndian.PutUint64(hostile[8:], math.MaxUint64)
+	f.Add(hostile)
+	f.Add([]byte("GZS0"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		read := 0
+		for err == nil {
+			if _, err = r.Read(); err == nil {
+				read++
+			}
+		}
+		if read > len(data)/RecordSize {
+			t.Fatalf("%d updates out of %d bytes", read, len(data))
+		}
+		if err == io.EOF {
+			if got := r.Header().Count; uint64(read) != got {
+				t.Fatalf("read %d updates to the end of a stream declaring %d", read, got)
+			}
+			return
+		}
+		for _, want := range []error{io.EOF, io.ErrUnexpectedEOF, ErrBadMagic, ErrCorruptRecord} {
+			if errors.Is(err, want) {
+				return
+			}
+		}
+		t.Fatalf("untyped error %v", err)
+	})
 }

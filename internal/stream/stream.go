@@ -152,6 +152,19 @@ func (v *Validator) Apply(u Update) error {
 	return nil
 }
 
+// Undo reverts ups, the updates Apply accepted last, in that order: the
+// edge set is left as it was before them.
+func (v *Validator) Undo(ups []Update) {
+	for i := len(ups) - 1; i >= 0; i-- {
+		e := ups[i].Edge.Normalize()
+		if ups[i].Type == Insert {
+			delete(v.present, e)
+		} else {
+			v.present[e] = struct{}{}
+		}
+	}
+}
+
 // EdgeCount returns the number of edges currently present.
 func (v *Validator) EdgeCount() int { return len(v.present) }
 
