@@ -82,7 +82,7 @@ func run() int {
 		stateDir  = flag.String("state-dir", "", "worker: durable state directory (checkpoint + write-ahead log); every acked batch survives a crash and the worker auto-recovers from it on startup")
 		ckptIntv  = flag.Duration("checkpoint-interval", 0, "worker: periodic local checkpoint period with -state-dir (0 = only on shutdown); full checkpoints truncate the covered WAL prefix")
 		workers   = flag.String("workers", "", "coordinator: comma-separated worker base URLs, in partition order (required)")
-		batch     = flag.Int("batch", 4096, "coordinator: per-worker dispatch threshold in updates")
+		batch     = flag.Int("dispatch-batch", 4096, "coordinator: per-worker dispatch threshold in updates")
 		window    = flag.Int("window", 4, "coordinator: max in-flight sends per worker")
 		attempts  = flag.Int("attempts", 6, "coordinator: send attempts per batch before giving up")
 		mergeIntv = flag.Duration("merge-interval", 0, "coordinator: background refresh period (0 = only on /v1/refresh and shutdown)")

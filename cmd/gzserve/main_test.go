@@ -165,7 +165,7 @@ func TestDurableWorkerSurvivesSIGKILL(t *testing.T) {
 	// restart.
 	co := launch(t, dir, "co", "127.0.0.1:0", "-mode", "coordinator", "-nodes", nodes,
 		"-seed", fmt.Sprint(seed), "-workers", w0.url+","+w1.url,
-		"-batch", "512", "-window", "4", "-attempts", "12")
+		"-dispatch-batch", "512", "-window", "4", "-attempts", "12")
 	defer func() {
 		if t.Failed() {
 			for _, name := range []string{"w0", "w1", "co"} {

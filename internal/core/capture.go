@@ -39,14 +39,17 @@ import (
 // live in every round, and less in one that is not (the benchmark
 // workloads' trickle terms are live 1.5 rounds). Its 8 B an index stay far
 // below an image's slot. The entry is an image instead when the change is
-// not a batch (an install or a merge changes bytes, not indices), when one
-// batch would pass the cap, or when a seal takes the node's image at the
-// same change: the node then changed after neither cut, so its bytes at
-// both are its current ones, and the two share one buffer. A logged node
-// converts once, at the change that would pass its cap or change its
-// bytes: the image is its pre-change stack with the log toggled back out
-// (end), which costs a toggle of 2 × rows indices in every round, about
-// 40 µs at V = 2,048 (BenchmarkApplyNodeBinary), once per node and cut.
+// not a batch (an install or a merge changes bytes, not indices) or when
+// one batch would pass the cap. A logged node converts once, at the change
+// that would pass its cap or change its bytes: the image is its pre-change
+// stack with the log toggled back out (end), which costs a toggle of
+// 2 × rows indices in every round, about 40 µs at V = 2,048
+// (BenchmarkApplyNodeBinary), once per node and cut. An unlogged node's
+// image is its pre-change stack as is.
+//
+// Every reader holds its own buffer. A change first after both cuts fills
+// the seal's image and, when the baseline takes one too, end copies it
+// into the baseline's, as it would for a conversion.
 //
 // One byte budget serves both readers: images count their slots, logs 8
 // bytes an index. The readers differ only in what happens when it runs
@@ -55,7 +58,8 @@ import (
 // the image — so ingestion throttles to scan speed and the checkpoint
 // stays exact. Past the budget the baseline overflows, and the next query
 // runs from scratch: the price of a bounded footprint, not an error. In
-// RAM the budget is one slot per node plus maxBase, so it never binds;
+// RAM the budget is one slot per node plus maxBase, a seal's image of
+// every node beside the baseline's at most maxBase, so it never binds;
 // out of core it is a quarter of the write-back cache (NewEngine).
 //
 // The baseline is also the dirty set. Every node's first change since the
@@ -72,7 +76,7 @@ import (
 type capture struct {
 	slot    int // bytes of one image
 	logCap  int // most indices one log holds
-	budget  int // bytes the readers may hold: distinct buffers, 8 per logged index
+	budget  int // bytes the readers may hold: buffers, 8 per logged index
 	maxBase int // most nodes the baseline lists
 
 	// geometry toggles a converting log out of its image (end).
@@ -122,9 +126,9 @@ type capture struct {
 // captureOp is what begin decided for one change, for its caller and for
 // end: the buffer the caller fills with the node's pre-change stack (nil
 // when no reader takes one), the seal section the change is in flight in
-// (-1 when none), and, when the change converts the node's log, the log
-// and the baseline's new image, which end fills from img and toggles the
-// log out of.
+// (-1 when none), and, when the baseline takes an image, that image and
+// the node's log, if any, which end fills from img and toggles the log
+// out of.
 type captureOp struct {
 	img  []byte
 	sec  int
@@ -160,8 +164,9 @@ func (s *sealCut) section(node uint32) int {
 	return i
 }
 
-// init sizes the capture for n nodes of slot bytes, with the RAM budget;
-// geometry is a slab of the engine's shape.
+// init sizes the capture for n nodes of slot bytes, with the RAM budget:
+// a seal's n images beside the baseline's at most maxBase. geometry is a
+// slab of the engine's shape.
 func (c *capture) init(n uint32, slot int, geometry *cubesketch.Slab) {
 	c.slot, c.logCap = slot, 2*geometry.Rows()
 	c.maxBase = int(deltaQueryMaxDirtyFrac*float64(n)) + 1
@@ -193,32 +198,25 @@ func (c *capture) begin(node uint32, first bool, indices []uint64) captureOp {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seal := c.enter(s, &op, node)
+	c.enter(s, &op, node)
 	switch {
 	case c.baseOver.Load() || !first && log == nil:
 		// Listed already with an image, or the baseline has overflowed:
 		// no query reads its entries.
 	case first && !c.list(node):
 		// The list overflows here.
-	case indices != nil && len(log)+len(indices) <= c.logCap && !(first && seal) && c.fits(8*len(indices)):
+	case indices != nil && len(log)+len(indices) <= c.logCap && c.fits(8*len(indices)):
 		c.logs[node] = c.appendLog(log, indices)
-	case log != nil && c.fits(c.slot-8*len(log)):
-		// A change of bytes, or a batch past the cap: the log converts,
-		// in the budget its indices leave.
+	case c.fits(c.slot - 8*len(log)):
+		// A change of bytes, or a batch past the cap: the entry becomes an
+		// image, in the budget the log's indices, if any, leave. end fills
+		// it from the seal's image when the seal took one here.
 		c.logs[node], c.logged = nil, c.logged-len(log)
 		op.log, op.conv = log, c.take()
 		c.base[node] = op.conv
 		if op.img == nil {
 			op.img = op.conv
 		}
-	case log == nil && seal:
-		// The seal's image of a node first changed after both cuts is
-		// the baseline's too.
-		c.base[node] = op.img
-	case log == nil && c.fits(c.slot):
-		// A first change of bytes, or a first batch past the cap.
-		op.img = c.take()
-		c.base[node] = op.img
 	default:
 		// The node's entry does not fit the budget: the baseline
 		// overflows rather than list a node it holds nothing for.
@@ -250,25 +248,23 @@ func (c *capture) beginSeal(node uint32) captureOp {
 // wants the node's image and the budget is exhausted; it leaves op.sec -1
 // once the section is scanned, and otherwise counts the change in flight
 // and takes the seal's image of node at its first change after the seal,
-// into op.img. It reports whether it took that image. Caller holds mu.
-func (c *capture) enter(s *sealCut, op *captureOp, node uint32) bool {
+// into op.img. Caller holds mu.
+func (c *capture) enter(s *sealCut, op *captureOp, node uint32) {
 	if op.sec < 0 {
-		return false
+		return
 	}
 	for !s.scanned[op.sec] && (s.claimed[op.sec] || s.images[node] == nil && !c.fits(c.slot)) {
 		c.cond.Wait()
 	}
 	if s.scanned[op.sec] {
 		op.sec = -1
-		return false
+		return
 	}
 	s.inflight[op.sec]++
-	if s.images[node] != nil {
-		return false
+	if s.images[node] == nil {
+		op.img = c.take()
+		s.images[node] = op.img
 	}
-	op.img = c.take()
-	s.images[node] = op.img
-	return true
 }
 
 // logBatch is begin's baseline side alone, for a leftover batch that a
@@ -277,9 +273,9 @@ func (c *capture) enter(s *sealCut, op *captureOp, node uint32) bool {
 // result's cut, or is logged, and its log takes indices within the cap
 // and the budget — it lists the node at its first change, appends indices
 // to its log and reports true. Otherwise it records nothing, and the
-// batch applies through begin as any other. Unlike begin it never shares
-// a seal's image: the seal takes its own at the apply (beginSeal). The
-// caller holds the quiesce write lock with the workers idle.
+// batch applies through begin as any other. A live seal takes its image
+// at the apply (beginSeal). The caller holds the quiesce write lock with
+// the workers idle.
 func (c *capture) logBatch(node uint32, first bool, indices []uint64) bool {
 	log := c.logs[node]
 	if !first && log == nil || c.baseOver.Load() {
@@ -336,14 +332,15 @@ func (c *capture) abandon() {
 }
 
 // end ends what begin began for a node, after the change, which failed when
-// err is set: a conversion's image becomes the node's bytes at the cut,
-// its pre-change stack (the caller filled img) with every logged index
-// toggled back out, and a seal section in flight is left. The conversion's
-// toggle runs without mu: until end returns, nothing else reads the
-// image's bytes. A failed change, or a conversion whose toggle fails,
-// leaves the node's entry short of what changed — its image may be
-// unfilled, its log may hold indices the bytes never took — so the
-// baseline overflows, and releaseBase pools the entry with the rest.
+// err is set: the baseline's image becomes the node's bytes at the cut,
+// its pre-change stack (the caller filled img, the seal's image or the
+// baseline's own) with every logged index toggled back out, and a seal
+// section in flight is left. The copy and toggle run without mu: until end
+// returns, nothing else reads either image's bytes. A failed change, or a
+// conversion whose toggle fails, leaves the node's entry short of what
+// changed — its image may be unfilled, its log may hold indices the bytes
+// never took — so the baseline overflows, and releaseBase pools the entry
+// with the rest.
 func (c *capture) end(op captureOp, err error) {
 	if op.conv != nil && err == nil {
 		if !sameBuf(op.conv, op.img) {
@@ -371,21 +368,17 @@ func (c *capture) end(op captureOp, err error) {
 }
 
 // releaseBase empties the baseline — a new cached result supersedes its
-// cut — pooling its logs and its image buffers, but
-// one a live seal still shares, for the next captures. It walks the
-// listed nodes, which every entry belongs to, not the map, whose table
-// keeps the size of its largest baseline.
+// cut — pooling its logs and its image buffers for the next captures. It
+// walks the listed nodes, which every entry belongs to, not the map, whose
+// table keeps the size of its largest baseline.
 // The caller holds the quiesce write lock with the workers idle, and no
 // query session reading the images is still running.
 func (c *capture) releaseBase() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.sealed.Load()
 	for _, node := range c.baseNodes {
 		if img, ok := c.base[node]; ok {
-			if s == nil || !sameBuf(img, s.images[node]) {
-				c.put(img)
-			}
+			c.put(img)
 			delete(c.base, node)
 		}
 		if log := c.logs[node]; log != nil {
@@ -441,9 +434,7 @@ func (c *capture) substitute(sec int, payload []byte) {
 		if img := s.images[node]; img != nil {
 			copy(payload[j*c.slot:], img)
 			delete(s.images, node)
-			if !sameBuf(img, c.base[node]) {
-				c.put(img)
-			}
+			c.put(img)
 		}
 	}
 	c.cond.Broadcast()
@@ -460,10 +451,8 @@ func (c *capture) finish() {
 	for i := range s.scanned {
 		s.scanned[i] = true
 	}
-	for node, img := range s.images {
-		if !sameBuf(img, c.base[node]) {
-			c.put(img)
-		}
+	for _, img := range s.images {
+		c.put(img)
 	}
 	c.sealed.Store(nil)
 	c.trim()

@@ -66,64 +66,93 @@ func TestCaptureImagesInMemoryBytes(t *testing.T) {
 	}
 }
 
-// TestCaptureSharedImage changes two nodes first after both a cached
-// query's cut and a live seal's, in both stores: for each, the baseline and
-// the seal share one buffer, the checkpoint is the seal-time cut byte for
-// byte, and the next query, a delta one, equals the exact components.
-func TestCaptureSharedImage(t *testing.T) {
+// TestCaptureOwnBuffers changes two nodes first after both a cached
+// query's cut and a live seal's, in both stores, each reader holding its
+// own buffer. One edge's batch is logged by the baseline and imaged by
+// the seal: two buffers. A batch past the log's cap gives the baseline an
+// image of its own beside the seal's, equal to it byte for byte: four. In
+// both cases the checkpoint is the seal-time cut byte for byte, and the
+// next query, a delta one, equals the exact components.
+func TestCaptureOwnBuffers(t *testing.T) {
 	for _, store := range checkpointStores {
 		t.Run(store.name, func(t *testing.T) {
-			const n = 64
-			cfg := Config{NumNodes: n, Seed: 113, Shards: 2, Buffering: BufferNone, SketchesOnDisk: store.disk}
-			e, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			var path []stream.Edge
-			for u := uint32(0); u+1 < n/2; u++ {
-				path = append(path, stream.Edge{U: u, V: u + 1})
-			}
-			if err := e.InsertEdges(path); err != nil {
-				t.Fatal(err)
-			}
-			checkAgainstExact(t, e, n, path) // the baseline's cut
-			cs, err := e.SealCheckpointSince(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cs.Close()
-			extra := stream.Edge{U: 5, V: 40}
-			mustUpdate(t, e, extra.U, extra.V)
-			if err := e.Drain(); err != nil {
-				t.Fatal(err)
-			}
-			c := &e.capture
-			c.mu.Lock()
-			for _, v := range []uint32{extra.U, extra.V} {
-				img := c.base[v]
-				if img == nil || !sameBuf(img, c.sealed.Load().images[v]) {
-					c.mu.Unlock()
-					t.Fatalf("node %d: the baseline and the seal do not share one image", v)
+			for _, pastCap := range []bool{false, true} {
+				name := "logged"
+				if pastCap {
+					name = "past-cap"
 				}
-			}
-			bufs := c.bufs
-			c.mu.Unlock()
-			if bufs != 2 {
-				t.Fatalf("%d buffers for two nodes' images, want 2", bufs)
-			}
-			var buf bytes.Buffer
-			if err := cs.StreamTo(&buf); err != nil {
-				t.Fatal(err)
-			}
-			cs.Close()
-			if !bytes.Equal(checkpointSlots(t, buf.Bytes()), referenceSlots(t, cfg, path)) {
-				t.Fatal("the checkpoint is not the seal-time cut")
-			}
-			deltas := e.Stats().DeltaQueries
-			checkAgainstExact(t, e, n, append(path, extra))
-			if got := e.Stats().DeltaQueries; got != deltas+1 {
-				t.Fatalf("DeltaQueries %d -> %d: the query after the seal did not take the delta path", deltas, got)
+				t.Run(name, func(t *testing.T) {
+					const n = 64
+					cfg := Config{NumNodes: n, Seed: 113, Shards: 2, SketchesOnDisk: store.disk}
+					e, err := NewEngine(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					var path []stream.Edge
+					for u := uint32(0); u+1 < n/2; u++ {
+						path = append(path, stream.Edge{U: u, V: u + 1})
+					}
+					if err := e.InsertEdges(path); err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstExact(t, e, n, path) // the baseline's cut
+					cs, err := e.SealCheckpointSince(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cs.Close()
+					c := &e.capture
+					// An odd number of toggles leaves the edge in; past the cap,
+					// each endpoint's one batch holds them all.
+					extra, toggles, wantBufs := stream.Edge{U: 5, V: 40}, 1, 2
+					if pastCap {
+						toggles, wantBufs = c.logCap+1|1, 4
+					}
+					for range toggles {
+						mustUpdate(t, e, extra.U, extra.V)
+					}
+					if err := e.Drain(); err != nil {
+						t.Fatal(err)
+					}
+					c.mu.Lock()
+					for _, v := range []uint32{extra.U, extra.V} {
+						img, seal := c.base[v], c.sealed.Load().images[v]
+						switch {
+						case seal == nil:
+							t.Errorf("node %d: the seal holds no image", v)
+						case !pastCap && (c.logs[v] == nil || img != nil):
+							t.Errorf("node %d: the baseline holds a log %v and an image %v, want the log alone", v, c.logs[v] != nil, img != nil)
+						case pastCap && (c.logs[v] != nil || img == nil):
+							t.Errorf("node %d: the baseline holds a log %v and an image %v, want the image alone", v, c.logs[v] != nil, img != nil)
+						case pastCap && sameBuf(img, seal):
+							t.Errorf("node %d: the baseline and the seal share one buffer", v)
+						case pastCap && !bytes.Equal(img, seal):
+							t.Errorf("node %d: the baseline's image is not the seal's bytes", v)
+						}
+					}
+					bufs := c.bufs
+					c.mu.Unlock()
+					if t.Failed() {
+						t.FailNow()
+					}
+					if bufs != wantBufs {
+						t.Fatalf("%d buffers for two nodes, want %d", bufs, wantBufs)
+					}
+					var buf bytes.Buffer
+					if err := cs.StreamTo(&buf); err != nil {
+						t.Fatal(err)
+					}
+					cs.Close()
+					if !bytes.Equal(checkpointSlots(t, buf.Bytes()), referenceSlots(t, cfg, path)) {
+						t.Fatal("the checkpoint is not the seal-time cut")
+					}
+					deltas := e.Stats().DeltaQueries
+					checkAgainstExact(t, e, n, append(path, extra))
+					if got := e.Stats().DeltaQueries; got != deltas+1 {
+						t.Fatalf("DeltaQueries %d -> %d: the query after the seal did not take the delta path", deltas, got)
+					}
+				})
 			}
 		})
 	}

@@ -798,10 +798,10 @@ func (e *Engine) applyBatch(sh *shard, b gutter.Batch) {
 // read it before the change.
 //
 // A pre-cut batch (gutter.Batch.PreCut) is one a delta query logged and
-// stamped under the quiesce lock and counts as applied at the cut its
-// result took (logLeftovers): its change is recorded already, so it takes
-// no baseline entry and no new stamp, and only a live seal, whose cut
-// precedes it, takes its image.
+// stamped under the quiesce lock, marked in the query's one leftover list,
+// and counts as applied at the cut its result took (logLeftovers): its
+// change is recorded already, so it takes no baseline entry and no new
+// stamp, and only a live seal, whose cut precedes it, takes its image.
 func (e *Engine) change(sh *shard, b gutter.Batch, apply func(node uint32, indices []uint64, img []byte) error) error {
 	// Translate far endpoints into characteristic-vector indices once;
 	// every round's sketch consumes the same indices.

@@ -202,23 +202,20 @@ func (e *Engine) takeLeftover() error {
 
 // releaseLeftover hands the leftover batches q has not applied to the
 // workers and leaves q with none. It waits for the ones q took from the
-// gutters, so the sketches hold every one, but not for those a delta query
-// logged (q.later): they count as applied at its cut, and every reader of
-// the bytes they change — the next query's takeLeftover, a seal, Drain,
-// exclusive, Close — waits on pending first. The caller holds the quiesce
-// write lock.
+// gutters, so the sketches hold every one, but not for the pre-cut ones a
+// delta query logged: they count as applied at its cut, and every reader
+// of the bytes they change — the next query's takeLeftover, a seal,
+// Drain, exclusive, Close — waits on pending first. The caller holds the
+// quiesce write lock.
 func (e *Engine) releaseLeftover(q *querySession) error {
-	rest := q.left[q.leftAt:]
-	for _, b := range rest {
-		e.dispatch(b)
-	}
-	for _, b := range q.later {
+	wait := false
+	for _, b := range q.left[q.leftAt:] {
+		wait = wait || !b.PreCut
 		e.dispatch(b)
 	}
 	clear(q.left)
-	clear(q.later)
-	q.left, q.leftAt, q.later = q.left[:0], 0, q.later[:0]
-	if len(rest) == 0 {
+	q.left, q.leftAt = q.left[:0], 0
+	if !wait {
 		return nil
 	}
 	e.pending.Wait()
@@ -230,19 +227,21 @@ func (e *Engine) releaseLeftover(q *querySession) error {
 // lists its node, appends its indices to the node's log and stamps the
 // node (touch) at cut+1, the cut cacheResultLocked mints next, so the node
 // counts as changed since the previous result and not since this one. The
-// batch, marked pre-cut, moves to q.later; the plan applies those it reads
+// batch stays in q.left, marked pre-cut; the plan applies those it reads
 // live (applyLeftovers), the workers the rest after the cut
 // (releaseLeftover), and neither records the change again
 // (Engine.change). At most queueSlotsPerShard batches wait per owner: its
 // queue is empty under the lock and holds that many, so handing them over
 // never waits for a worker. Every other batch applies now, as its owner's
-// worker would (applyBatch), and is recorded there: one whose node holds
-// an image, one past its log's cap, any once the baseline has overflowed,
-// and any past its owner's queue. A node's batches wait or apply
-// together, so no log converts with indices its bytes do not hold yet. The caller holds the quiesce write lock with the workers idle, so
-// the owners' scratch is free.
+// worker would (applyBatch), is recorded there and leaves q.left: one
+// whose node holds an image, one past its log's cap, any once the
+// baseline has overflowed, and any past its owner's queue. A node's
+// batches wait or apply together, so no log converts with indices its
+// bytes do not hold yet. The caller holds the quiesce write lock with the
+// workers idle, so the owners' scratch is free.
 func (e *Engine) logLeftovers(q *querySession) error {
 	q.queued = sized(q.queued, len(e.shards))
+	kept := q.left[:q.leftAt]
 	for i := q.leftAt; i < len(q.left); {
 		node, s, j := q.left[i].Node, e.ownerIndex(q.left[i].Node), i
 		sh := e.shards[s]
@@ -255,7 +254,7 @@ func (e *Engine) logLeftovers(q *querySession) error {
 			e.touch(node)
 			for _, b := range q.left[i:j] {
 				b.PreCut = true
-				q.later = append(q.later, b)
+				kept = append(kept, b)
 			}
 		} else {
 			for _, b := range q.left[i:j] {
@@ -265,21 +264,21 @@ func (e *Engine) logLeftovers(q *querySession) error {
 		}
 		i = j
 	}
-	clear(q.left)
-	q.left, q.leftAt = q.left[:0], 0
+	clear(q.left[len(kept):])
+	q.left = kept
 	return e.err()
 }
 
 // applyLeftovers applies on the query goroutine the leftover batches a
-// delta query logged (q.later) of the nodes whose live bytes its plan
+// delta query logged (q.left) of the nodes whose live bytes its plan
 // reads: the members of enumerated pieces (rolePiece). A dirty node of
 // the other role contributes its log. Each applies as its owner's worker
 // would apply it after the cut, a pre-cut batch that records no change.
-// The rest stay in q.later. The caller holds the quiesce write lock with the workers
-// idle.
+// The rest stay in q.left. The caller holds the quiesce write lock with
+// the workers idle.
 func (e *Engine) applyLeftovers(q *querySession) error {
-	kept, i := q.later[:0], 0
-	for _, b := range q.later {
+	kept, i := q.left[:q.leftAt], 0
+	for _, b := range q.left[q.leftAt:] {
 		for i < len(q.plan) && q.plan[i].node < b.Node {
 			i++
 		}
@@ -290,8 +289,8 @@ func (e *Engine) applyLeftovers(q *querySession) error {
 		}
 		kept = append(kept, b)
 	}
-	clear(q.later[len(kept):])
-	q.later = kept
+	clear(q.left[len(kept):])
+	q.left = kept
 	return e.err()
 }
 
@@ -339,11 +338,11 @@ func (e *Engine) runQueryLocked(q *querySession, epoch uint64) (*queryResult, er
 			// The baseline overflowed, or the affected components failed
 			// to certify within the sketch depth; the from-scratch run is
 			// the correctness backstop, and its drain applies the batches
-			// the query logged.
+			// the query logged, as plain ones: no cut counts them.
 			q.reset()
-			q.left = append(q.left, q.later...)
-			clear(q.later)
-			q.later = q.later[:0]
+			for i := range q.left {
+				q.left[i].PreCut = false
+			}
 		}
 		e.deltaFallbacks.Add(1)
 		// The result supersedes prev's cut: the leftover batches the run
@@ -583,13 +582,12 @@ type querySession struct {
 	giant       int
 
 	// The leftover batches of a query's drain (takeLeftover), ascending by
-	// node, and how many of them have been applied; later holds, ascending
-	// by node, the ones a delta query logged and has not applied
+	// node, and how many of them have been applied; once a delta query has
+	// logged them, only the pre-cut ones it has not applied
 	// (logLeftovers).
 	left   []gutter.Batch
 	leftAt int
-	later  []gutter.Batch
-	queued []int // per shard: how many of later its owner's queue takes
+	queued []int // per shard: how many of left's pre-cut batches its owner's queue takes
 
 	// The round's samples (sampleRound): one out per sampling worker, then
 	// their candidates and emptied roots in live-root order. forest

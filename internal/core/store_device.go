@@ -328,7 +328,9 @@ func (src stackSource) mergeInto(dst *cubesketch.Slab, i, from, sketchSize int) 
 // leftover batch of a piece applies to its slot's bytes there, and the
 // span of slots they changed goes back to the device in one WriteRange
 // before the next piece is read. Every leftover batch of a group the walk
-// passes applies: one of a group it skips is an error.
+// passes applies: one of a group it skips is an error. A delta query's
+// leftovers are all pre-cut, and its plan applies those it reads live
+// itself (applyLeftovers), so its walk applies none.
 func (s *deviceStore) walk(q *querySession, visit func(c contribution, src stackSource) error) error {
 	e, cs := s.e, q.contribs
 	n, npg, slotSize := int(e.n), s.npg, e.slotSize
@@ -430,7 +432,7 @@ func (s *deviceStore) applyLeftover(q *querySession, lo, hi int, slots []byte) e
 	e, size := s.e, s.e.slotSize
 	block := s.dev.BlockSize()
 	first, last := -1, -1
-	for ; q.leftAt < len(q.left) && int(q.left[q.leftAt].Node) < hi; q.leftAt++ {
+	for ; q.leftAt < len(q.left) && !q.left[q.leftAt].PreCut && int(q.left[q.leftAt].Node) < hi; q.leftAt++ {
 		b := q.left[q.leftAt]
 		v := int(b.Node)
 		if v < lo {

@@ -48,9 +48,6 @@ type CoordinatorConfig struct {
 	// the background; queries between refreshes answer from the last
 	// refreshed cut.
 	MergeInterval time.Duration
-	// SkipValidate skips the startup /v1/info compatibility handshake
-	// (tests that fake workers).
-	SkipValidate bool
 	// NoDeltaRefresh makes every refresh pull every worker's full
 	// checkpoint and install it into the view, where only the nodes whose
 	// bytes differ count as changed. By default a refresh after the first
@@ -140,8 +137,7 @@ type Coordinator struct {
 }
 
 // NewCoordinator connects to cfg.Workers, validates engine-parameter and
-// node-range compatibility with each (unless SkipValidate), and returns a
-// ready coordinator.
+// node-range compatibility with each, and returns a ready coordinator.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("gzserve: coordinator needs at least one worker")
@@ -167,22 +163,20 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	for _, addr := range cfg.Workers {
 		co.clients = append(co.clients, NewClient(addr, cfg.Client))
 	}
-	if !cfg.SkipValidate {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for i, cl := range co.clients {
-			info, err := cl.Info(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("gzserve: worker %d (%s): %w", i, cl.Addr(), err)
-			}
-			if info.NumNodes != cfg.Engine.NumNodes || info.Seed != cfg.Engine.Seed {
-				return nil, fmt.Errorf("gzserve: worker %d (%s) runs nodes=%d seed=%d, cluster wants nodes=%d seed=%d: %w",
-					i, cl.Addr(), info.NumNodes, info.Seed, cfg.Engine.NumNodes, cfg.Engine.Seed, ErrVersionMismatch)
-			}
-			if lo, hi := part.Range(i); info.RangeLo != lo || info.RangeHi != hi {
-				return nil, fmt.Errorf("gzserve: worker %d (%s) owns [%d,%d), its partition is [%d,%d): %w",
-					i, cl.Addr(), info.RangeLo, info.RangeHi, lo, hi, ErrRangeMismatch)
-			}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, cl := range co.clients {
+		info, err := cl.Info(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("gzserve: worker %d (%s): %w", i, cl.Addr(), err)
+		}
+		if info.NumNodes != cfg.Engine.NumNodes || info.Seed != cfg.Engine.Seed {
+			return nil, fmt.Errorf("gzserve: worker %d (%s) runs nodes=%d seed=%d, cluster wants nodes=%d seed=%d: %w",
+				i, cl.Addr(), info.NumNodes, info.Seed, cfg.Engine.NumNodes, cfg.Engine.Seed, ErrVersionMismatch)
+		}
+		if lo, hi := part.Range(i); info.RangeLo != lo || info.RangeHi != hi {
+			return nil, fmt.Errorf("gzserve: worker %d (%s) owns [%d,%d), its partition is [%d,%d): %w",
+				i, cl.Addr(), info.RangeLo, info.RangeHi, lo, hi, ErrRangeMismatch)
 		}
 	}
 	if cfg.MergeInterval > 0 {

@@ -119,6 +119,23 @@ func TestReaderCorruptTypeByte(t *testing.T) {
 	}
 }
 
+// TestReadAllHostileCount pins that ReadAll trusts no header count for
+// its allocation: a bare header declaring MaxUint64/32 updates, with no
+// record behind it, is a truncated stream, not a slice too large to make.
+func TestReadAllHostileCount(t *testing.T) {
+	hdr := make([]byte, 16)
+	copy(hdr, "GZS1")
+	binary.LittleEndian.PutUint32(hdr[4:], 16)
+	binary.LittleEndian.PutUint64(hdr[8:], math.MaxUint64/32)
+	r, err := NewReader(bytes.NewReader(hdr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ups, err := r.ReadAll(); !errors.Is(err, io.ErrUnexpectedEOF) || len(ups) != 0 {
+		t.Fatalf("ReadAll = %d updates, %v; want none and io.ErrUnexpectedEOF", len(ups), err)
+	}
+}
+
 func TestReaderShortHeader(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("GZS1\x01"))); err == nil {
 		t.Fatal("short header accepted")
@@ -126,9 +143,10 @@ func TestReaderShortHeader(t *testing.T) {
 }
 
 // FuzzStreamReader drives arbitrary bytes through NewReader and the Read
-// loop gzrun ingests a stream file with. Each input reads to its declared
-// end or stops at a typed error, never panics, and yields at most one
-// update per RecordSize bytes of input, whatever its header declares.
+// loop gzrun ingests a stream file with, and through ReadAll on a second
+// reader. Each input reads to its declared end or stops at a typed error,
+// never panics, and yields at most one update per RecordSize bytes of
+// input, whatever its header declares; ReadAll yields what the loop does.
 func FuzzStreamReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, 16, 3)
@@ -165,6 +183,12 @@ func FuzzStreamReader(f *testing.F) {
 		}
 		if read > len(data)/RecordSize {
 			t.Fatalf("%d updates out of %d bytes", read, len(data))
+		}
+		if r2, err2 := NewReader(bytes.NewReader(data)); err2 == nil {
+			ups, err2 := r2.ReadAll()
+			if len(ups) != read || (err2 == nil) != (err == io.EOF) {
+				t.Fatalf("ReadAll = %d updates, %v; the Read loop %d, %v", len(ups), err2, read, err)
+			}
 		}
 		if err == io.EOF {
 			if got := r.Header().Count; uint64(read) != got {
